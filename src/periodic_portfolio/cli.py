@@ -131,6 +131,7 @@ def _power_outputs(cfg, cs, problem, sol) -> dict:
         "upper_bound": sol.upper_bound,
         "contraction_modulus": sol.contraction_modulus,
         "iterations": float(sol.iterations),
+        "error_bound": sol.error_bound,
         "xi_tilde_sq": cs.objective,
     }
 
@@ -159,6 +160,7 @@ def _sweep_columns(cfg: ProblemConfig) -> set[str]:
             "upper_bound",
             "contraction_modulus",
             "iterations",
+            "error_bound",
             "xi_tilde_sq",
         }
     names = {"a_star", "c_star", "v_x0", "a_unconstrained", "constraint_cost", "xi_tilde_sq"}
@@ -185,6 +187,7 @@ def cmd_solve(args) -> int:
             upper_bound=sol.upper_bound,
             contraction_modulus=sol.contraction_modulus,
             iterations=sol.iterations,
+            error_bound=sol.error_bound,
             v_x0=value_function(sol, cfg.x0, cfg.alpha, cfg.gamma),
         )
     else:

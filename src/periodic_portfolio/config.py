@@ -44,6 +44,11 @@ class ProblemConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        # numpy arrays would make == between configs ambiguous; store tuples
+        for name in ("mu", "sigma"):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                object.__setattr__(self, name, tuple(float(v) for v in value))
         if self.utility not in ("power", "log"):
             raise ConfigError(f"utility must be 'power' or 'log', got {self.utility!r}")
         n = len(self.mu)
@@ -286,24 +291,28 @@ def _config_from_sections(sections: dict[str, dict[str, str]]) -> ProblemConfig:
 
 def format_problem_config(cfg: ProblemConfig) -> str:
     """Serialize a configuration so that parsing it back gives an equal object."""
+
+    def num(v) -> str:  # repr of a numpy scalar is not a literal the parser reads
+        return repr(float(v))
+
     lines = [
         f"utility = {cfg.utility}",
         f"n = {cfg.n}",
-        "mu = " + " ".join(repr(v) for v in cfg.mu),
-        "sigma = " + " ".join(repr(v) for v in cfg.sigma),
-        f"r = {cfg.r!r}",
-        f"tau = {cfg.tau!r}",
-        f"gamma = {cfg.gamma!r}",
-        f"delta = {cfg.delta!r}",
-        f"x0 = {cfg.x0!r}",
+        "mu = " + " ".join(num(v) for v in cfg.mu),
+        "sigma = " + " ".join(num(v) for v in cfg.sigma),
+        f"r = {num(cfg.r)}",
+        f"tau = {num(cfg.tau)}",
+        f"gamma = {num(cfg.gamma)}",
+        f"delta = {num(cfg.delta)}",
+        f"x0 = {num(cfg.x0)}",
     ]
     if cfg.alpha is not None:
-        lines.append(f"alpha = {cfg.alpha!r}")
+        lines.append(f"alpha = {num(cfg.alpha)}")
     lines += [
         "",
         "[solver]",
-        f"tol_root = {cfg.tol_root!r}",
-        f"tol_fixed_point = {cfg.tol_fixed_point!r}",
+        f"tol_root = {num(cfg.tol_root)}",
+        f"tol_fixed_point = {num(cfg.tol_fixed_point)}",
         f"quad_order = {cfg.quad_order}",
         "",
         "[mc]",

@@ -33,10 +33,6 @@ class NonConvergence(PortfolioError):
     """Iterative solver hit its cap without meeting the tolerance."""
 
 
-class BracketFailure(NonConvergence):
-    """Root bracket expansion did not produce a sign change."""
-
-
 class QuadratureError(NonConvergence):
     """Order doubling of the quadrature never stabilized."""
 

@@ -3,8 +3,10 @@
 Simulates i.i.d. per-period deflator ratios, rolls the optimal wealth
 recursion forward, and estimates the discounted periodic-evaluation objective
 together with a closed-form bound on the truncated tail. Draws come from a
-counter-based Philox stream through the normal inverse CDF, so a given
-(seed, path, period) cell is reproducible regardless of generation order.
+counter-based Philox stream through the normal inverse CDF, numbered row-major
+over the (paths, n_periods) matrix: a given (seed, path, period) cell is
+reproducible for a fixed matrix shape, but it moves when n_periods (or, with
+antithetic pairs, n_paths) changes.
 """
 
 from __future__ import annotations
@@ -145,24 +147,16 @@ def estimate_log_objective(
 def _power_ratio_moments(
     p: PowerProblem, a_star: float, y_level: float, norm: float
 ) -> tuple[float, float]:
+    """E[G^alpha] and E[G^(alpha(1-gamma))] of the per-period growth G, in one call."""
     alpha, gamma = p.alpha, p.evaluation.gamma
     beta = alpha * (1.0 - gamma)
-    m_a = expect_deflator_adaptive(
-        lambda z: (marginal_inverse(a_star, alpha, gamma, y_level * z, p.tol_root) / norm)
-        ** alpha,
-        p.law,
-        order=p.quad_order,
-    )
-    if beta == 0.0:
-        m_b = 1.0
-    else:
-        m_b = expect_deflator_adaptive(
-            lambda z: (marginal_inverse(a_star, alpha, gamma, y_level * z, p.tol_root) / norm)
-            ** beta,
-            p.law,
-            order=p.quad_order,
-        )
-    return m_a, m_b
+
+    def powers(z):
+        growth = marginal_inverse(a_star, alpha, gamma, y_level * z, p.tol_root) / norm
+        return np.stack([growth**alpha, growth**beta])
+
+    m_a, m_b = expect_deflator_adaptive(powers, p.law, order=p.quad_order)
+    return float(m_a), 1.0 if beta == 0.0 else float(m_b)
 
 
 def estimate_power_objective(

@@ -10,6 +10,19 @@ problem with the moderated utility
 evaluated through its convex dual: H(a) = alpha * (V_dual(y*) + y*), where
 V_dual(y) = E[phi_a(y * Z/B)] is a lognormal expectation of the Legendre
 transform of h_a and y* balances the unit budget E[(Z/B) * X] = 1.
+
+Both roots are found by safeguarded Newton iteration whose derivatives are
+further sums over the quadrature nodes that give the values, taken in the
+same (vector-valued) quadrature call. With x = I(y * Z/B) at each node:
+
+* y* solves log F(u) = log budget in u = log y, F(y) = E[(Z/B) x], with
+  y F'(y) = E[(Z/B) x / (d log h_a'/d log x)] (inverse-function rule);
+* A* solves G(A) = A - exp(-delta*tau) H(A) = 0 with
+  H'(a) = E[x^(alpha(1-gamma))] at y*(a) (envelope theorem: Milgrom and
+  Segal, Econometrica 70(2), 2002).
+
+Each Newton iteration keeps a sign bracket and falls back to bisection (y*)
+or to the Picard step A -> Psi(A) (A*) when a step leaves it.
 """
 
 from __future__ import annotations
@@ -18,25 +31,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from .cone import ConstrainedSharpe, constrained_sharpe
 from .errors import (
     AssumptionViolated,
-    BracketFailure,
     DomainError,
     NonConvergence,
+    NonFinite,
     NumericalFault,
     ParameterOutOfRange,
 )
 from .market import EvaluationSpec, MarketModel, check_assumption, zeta
-from .quadrature import DeflatorLaw, expect_deflator_adaptive
+from .quadrature import DEFAULT_REL_TOL, DeflatorLaw, expect_deflator_adaptive
 
 _NEWTON_CAP = 100
-_BRACKET_CAP = 60
-_BRACKET_FACTOR = 4.0
-_PICARD_CAP = 20000
+_FIXED_POINT_CAP = 50
+_FLOOR_ULPS = 4  # residual allowance in ulps of A once the residual stops falling
+# Quadrature acceptance for the derivative sums, which only steer Newton:
+# the value sums keep DEFAULT_REL_TOL, and a looser slope tolerance keeps the
+# slopes from escalating the order past the one the values need (on wide laws,
+# s ~ 10, order 512 puts x = I(y Z/B) beyond float64 at the outer nodes).
+_SLOPE_REL_TOL = 1e-6
+_PERIOD_SUMS_REL_TOL = np.array([DEFAULT_REL_TOL, _SLOPE_REL_TOL, DEFAULT_REL_TOL, _SLOPE_REL_TOL])
 
 
 @dataclass(eq=False)
@@ -82,12 +99,22 @@ class PowerProblem:
 
 @dataclass(frozen=True)
 class PowerSolution:
+    """Fixed point A*, its y*, and how the solve ended.
+
+    ``iterations`` counts evaluations of Psi (each one y* solve plus H and
+    H'), not Newton steps. ``error_bound`` = |Psi(A) - A| / (1 - q) at the
+    last evaluated A bounds |A* - A_true|; when it exceeds tol_fixed_point
+    the solve was accepted at the float64 floor of the residual instead (see
+    ``fixed_point``).
+    """
+
     a_star: float
     y_star: float
     contraction_modulus: float
     lower_bound: float
     upper_bound: float
     iterations: int
+    error_bound: float
 
 
 @dataclass(eq=False)
@@ -215,48 +242,105 @@ def budget_function(p: PowerProblem, a: float, y: float) -> float:
     )
 
 
+def _marginal_elasticity(a: float, alpha: float, gamma: float, x):
+    """d log h_a'(x) / d log x, a weighted mean of alpha-1 and alpha(1-gamma)-1."""
+    c = a * (1.0 - gamma)
+    if c == 0.0:
+        return alpha - 1.0
+    return (alpha - 1.0) - alpha * gamma * expit(math.log(c) - alpha * gamma * np.log(x))
+
+
+def _period_sums(p: PowerProblem, a: float, y: float) -> np.ndarray:
+    """One quadrature pass at (a, y) over the nodes x = I(y * Z/B).
+
+    Returns [F(y), y F'(y), E[phi_a(y Z/B)], E[x^(alpha(1-gamma))]]. The slope
+    uses dx/dlog y = x / (d log h_a'/d log x), so it stays finite wherever F
+    does; the last entry is H'(a) by the envelope theorem.
+    """
+    alpha, gamma = p.alpha, p.evaluation.gamma
+    beta = alpha * (1.0 - gamma)
+
+    def integrand(z):
+        x = marginal_inverse(a, alpha, gamma, y * z, p.tol_root)
+        zx = z * x
+        return np.stack(
+            [
+                zx,
+                zx / _marginal_elasticity(a, alpha, gamma, x),
+                moderated_utility(a, alpha, gamma, x) - y * zx,
+                x**beta,
+            ]
+        )
+
+    return expect_deflator_adaptive(
+        integrand, p.law, order=p.quad_order, rel_tol=_PERIOD_SUMS_REL_TOL
+    )
+
+
+def _newton_y(p: PowerProblem, a: float, budget: float, hint: float | None):
+    """Safeguarded Newton on log F(u) = log budget in u = log y.
+
+    Returns (y*, y_k, sums): y* is y_k moved by the last step, and ``sums``
+    are the ``_period_sums`` taken at y_k.
+    """
+    if budget <= 0.0:
+        raise DomainError("budget must be positive")
+    log_budget = math.log(budget)
+    # with beta = alpha(1-gamma), d log F / d log y lies in
+    # [-1/(1-max(alpha,beta)), -1/(1-min(alpha,beta))]
+    safe_scale = 1.0 - max(p.alpha, p.alpha * (1.0 - p.evaluation.gamma))
+    u = math.log(hint) if (hint is not None and hint > 0.0) else 0.0
+    lo, hi = -math.inf, math.inf
+    for _ in range(_NEWTON_CAP):
+        y = math.exp(u)
+        sums = _period_sums(p, a, y)
+        if not sums[0] > 0.0:
+            raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
+        g = math.log(sums[0]) - log_budget
+        if g == 0.0:
+            return y, y, sums
+        if g > 0.0:
+            lo = u
+        else:
+            hi = u
+        u_next = u - g * sums[0] / sums[1]
+        if not lo < u_next < hi:  # left the sign bracket, or the slope is not finite
+            if math.isfinite(lo) and math.isfinite(hi):
+                u_next = 0.5 * (lo + hi)
+            else:  # a step this short cannot pass the root
+                u_next = u + g * safe_scale
+        if abs(u_next - u) <= p.tol_root:
+            return math.exp(u_next), y, sums
+        u = u_next
+    raise NonConvergence("y* Newton iteration hit its cap")
+
+
 def solve_y_star(
     p: PowerProblem, a: float, budget: float = 1.0, hint: float | None = None
 ) -> float:
-    """Root of F(y) = budget: geometric bracket expansion, then Brent refinement."""
-    if budget <= 0.0:
-        raise DomainError("budget must be positive")
+    """Root of F(y) = budget by safeguarded Newton in u = log y.
 
-    def g(y):
-        return budget_function(p, a, y) - budget
-
-    y0 = hint if (hint is not None and hint > 0.0) else 1.0
-    g0 = g(y0)
-    if g0 == 0.0:
-        return y0
-    if g0 > 0.0:
-        lo, glo = y0, g0
-        hi = y0
-        for _ in range(_BRACKET_CAP):
-            hi *= _BRACKET_FACTOR
-            ghi = g(hi)
-            if ghi < 0.0:
-                break
-            lo, glo = hi, ghi
-        else:
-            raise BracketFailure("could not bracket y* from above")
-    else:
-        hi = y0
-        lo = y0
-        for _ in range(_BRACKET_CAP):
-            lo /= _BRACKET_FACTOR
-            glo = g(lo)
-            if glo > 0.0:
-                break
-            hi = lo
-        else:
-            raise BracketFailure("could not bracket y* from below")
-    return float(brentq(g, lo, hi, rtol=1e-12, maxiter=200))
+    Starting from ``hint`` (default 1), each step solves log F(u) = log budget
+    with the exact slope d log F / du = y F'(y) / F(y), where
+    y F'(y) = E[(Z/B) x / (d log h_a'/d log x)] at x = I(y Z/B) is a second
+    sum over the nodes that give F. Evaluated points keep a sign bracket; a
+    Newton step that leaves it, or is not finite, is replaced by bisection in
+    u (or, while one side is still open, by a step of g * (1 - max(alpha,
+    alpha(1-gamma))), which the slope bound keeps short of the root). Stops
+    once a step in u is at most ``tol_root`` and returns y after that step.
+    """
+    return _newton_y(p, a, budget, hint)[0]
 
 
 def _value_and_y(p: PowerProblem, a: float, hint: float | None = None):
-    y = solve_y_star(p, a, hint=hint)
-    return p.alpha * (dual_value(p, a, y) + y), y
+    """H(a), H'(a) and y*(a) from the nodes of the last y* Newton evaluation.
+
+    H = alpha * (E[phi_a(y R)] + y) is stationary in y at y*, so taking it at
+    the evaluation point y_k of the last (accepted) step costs only the square
+    of that step.
+    """
+    y_star, y_eval, sums = _newton_y(p, a, 1.0, hint)
+    return float(p.alpha * (sums[2] + y_eval)), float(sums[3]), y_star
 
 
 def moderated_value(p: PowerProblem, a: float) -> float:
@@ -304,10 +388,28 @@ def fixed_point_bounds(p: PowerProblem) -> tuple[float, float]:
 
 
 def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
-    """Iterate Psi to its unique fixed point A*.
+    """Solve A = Psi(A) by safeguarded Newton on G(A) = A - Psi(A).
 
-    The stopping rule |A_{k+1} - A_k| <= tol * (1-q)/q with q the contraction
-    modulus guarantees |A_k - A*| <= tol and a map residual below tol.
+    Each evaluation of Psi also returns Psi'(A) = exp(-delta*tau) * H'(A) with
+    H'(A) = E[I(y* R)^(alpha(1-gamma))] (envelope theorem), so the Newton
+    step costs no extra solve. H is convex in A for alpha in (0,1) and concave
+    for alpha < 0; starting from the lower (resp. upper) a-priori bound makes
+    the Newton iterates approach A* from one side. The a-priori bounds,
+    widened by ``tol_fixed_point`` and narrowed by the sign of every residual,
+    are kept as a bracket, and a Newton step that leaves it is replaced by the
+    Picard step A -> Psi(A).
+
+    Stops at the first evaluated A with |Psi(A) - A| / (1-q) <= tol, q the
+    contraction modulus, which bounds |A - A*|. When the residual stops
+    falling first, it has reached the float64 floor: at small tau 1-q is tiny
+    and A* large (tau = 1e-3: 1-q ~ 1e-3, one ulp of A* ~ 1e-13), and for
+    A* above ~1e5 one ulp of A* alone exceeds an absolute tol of 1e-10. A is
+    then accepted if |Psi(A) - A| <= tol + 4 ulp(A), and NonConvergence is
+    raised otherwise. Returns A* = Psi(A), which is within q * |A - A*| of
+    the fixed point, with the y* of that last evaluation (y* moves with A by
+    dy*/dA times |Psi(A) - A|, below the tolerances); ``iterations`` counts
+    evaluations of Psi and ``error_bound`` is |Psi(A) - A| / (1-q), a bound on
+    the error of both A and Psi(A).
     """
     q_mod = contraction_modulus(p)
     lower, upper = fixed_point_bounds(p)
@@ -318,29 +420,46 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     if start < 0:
         raise DomainError("fixed-point start must be nonnegative")
 
-    stop = p.tol_fixed_point * (1.0 - q_mod) / q_mod
+    tol = p.tol_fixed_point
     disc = math.exp(-p.evaluation.delta * p.evaluation.tau)
-    a_prev = float(start)
-    y_hint = None
-    iterations = 0
-    for _ in range(_PICARD_CAP):
-        iterations += 1
-        h_val, y_hint = _value_and_y(p, a_prev, y_hint)
-        a_next = disc * h_val
-        if abs(a_next - a_prev) <= stop:
+    lo = lower - tol if np.isfinite(lower) else 0.0
+    hi = upper + tol if np.isfinite(upper) else math.inf
+    a = float(start)
+    y_star = None
+    last_residual = math.inf
+    for iterations in range(1, _FIXED_POINT_CAP + 1):
+        h_val, h_slope, y_star = _value_and_y(p, a, y_star)
+        residual = disc * h_val - a
+        error_bound = abs(residual) / (1.0 - q_mod)
+        if error_bound <= tol:
             break
-        a_prev = a_next
+        if residual > 0.0:
+            lo = max(lo, a)
+        else:
+            hi = min(hi, a)
+        a_next = a + residual / (1.0 - disc * h_slope)
+        if not lo <= a_next <= hi:
+            a_next = a + residual  # Picard step
+        if abs(residual) >= last_residual or a_next == a:  # at the float64 floor
+            allowed = tol + _FLOOR_ULPS * math.ulp(a)
+            if abs(residual) <= allowed:
+                break
+            raise NonConvergence(
+                f"fixed-point residual stalled at {abs(residual):.3g} > {allowed:.3g}"
+            )
+        last_residual = abs(residual)
+        a = a_next
     else:
         raise NonConvergence("fixed-point iteration hit its cap")
 
-    y_star = solve_y_star(p, a_next, hint=y_hint)
     return PowerSolution(
-        a_star=a_next,
+        a_star=a + residual,  # Psi(a): q times closer to A* than a
         y_star=y_star,
         contraction_modulus=q_mod,
         lower_bound=lower,
         upper_bound=upper,
         iterations=iterations,
+        error_bound=error_bound,
     )
 
 

@@ -76,17 +76,20 @@ class DeflatorLaw:
         return cls(s=math.sqrt(s2), drift=-0.5 * s2 - r * horizon)
 
 
-def expect_deflator(f, law: DeflatorLaw, rule: GaussHermiteRule) -> float:
+def expect_deflator(f, law: DeflatorLaw, rule: GaussHermiteRule):
     """Return sum_k w_k * f(exp(drift + s*x_k)).
 
-    ``f`` must accept an ndarray of positive deflator samples and return an
-    array of the same shape. Raises NonFinite if any evaluation is NaN/inf.
+    ``f`` must accept an ndarray of positive deflator samples and return
+    either an array of the same shape (the result is a float) or a stack of
+    shape (k, nodes) (the result is an array of k expectations). Raises
+    NonFinite if any evaluation is NaN/inf.
     """
     z = np.exp(law.drift + law.s * rule.nodes)
     vals = np.asarray(f(z), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NonFinite("integrand produced a non-finite value at a quadrature node")
-    return float(rule.weights @ vals)
+    out = vals @ rule.weights
+    return float(out) if vals.ndim == 1 else out
 
 
 def expect_deflator_adaptive(
@@ -95,20 +98,22 @@ def expect_deflator_adaptive(
     order: int = DEFAULT_ORDER,
     rel_tol: float = DEFAULT_REL_TOL,
     max_order: int = MAX_ORDER,
-) -> float:
+):
     """Evaluate the expectation with order doubling until it stabilizes.
 
     Accepts the refined value once |result(order) - result(2*order)| falls
-    below rel_tol * (1 + |result|); raises QuadratureError if the doubling
-    cascade reaches ``max_order`` without stabilizing.
+    below rel_tol * (1 + |result|); for a stacked integrand every component
+    must pass, and ``rel_tol`` may give one tolerance per component. Raises
+    QuadratureError if the doubling cascade reaches ``max_order`` without
+    stabilizing.
     """
     coarse = expect_deflator(f, law, make_rule(order))
     while 2 * order <= max_order:
         order *= 2
         fine = expect_deflator(f, law, make_rule(order))
-        if abs(fine - coarse) <= rel_tol * (1.0 + abs(fine)):
+        if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
             return fine
         coarse = fine
     raise QuadratureError(
-        f"quadrature did not stabilize at rel_tol={rel_tol:g} by order {max_order}"
+        f"quadrature did not stabilize at rel_tol={np.min(rel_tol):g} by order {max_order}"
     )

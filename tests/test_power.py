@@ -7,6 +7,7 @@ from periodic_portfolio import (
     EvaluationSpec,
     PowerProblem,
     budget_function,
+    constrained_sharpe,
     contraction_map,
     dual_value,
     fixed_point,
@@ -22,11 +23,12 @@ from periodic_portfolio import (
     wealth_ratio_map,
     zeta,
 )
+from periodic_portfolio import power
 from periodic_portfolio.errors import AssumptionViolated, DomainError, ParameterOutOfRange
 from periodic_portfolio.mc import SimulationConfig
 from periodic_portfolio.quadrature import expect_deflator_adaptive
 
-from conftest import TABLE_ALPHA, TABLE_DELTA, TABLE_R, TABLE_TAU
+from conftest import TABLE_ALPHA, TABLE_DELTA, TABLE_R, TABLE_TAU, random_market
 
 Q_TILDE = 0.0144  # |xi_tilde|^2 for the benchmark market
 
@@ -310,6 +312,76 @@ def test_fixed_point_negative_alpha(table_market, table_cone):
     assert sol.lower_bound <= sol.a_star <= sol.upper_bound
     assert abs(sol.a_star - contraction_map(p, sol.a_star)) <= 1e-10
     assert budget_function(p, sol.a_star, sol.y_star) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+def test_envelope_derivatives_match_central_differences(table_market, table_cone, alpha):
+    e = EvaluationSpec(tau=TABLE_TAU, gamma=0.8, delta=TABLE_DELTA)
+    p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
+    a, h = 2.5, 1e-4
+    _, h_slope, y = power._value_and_y(p, a)
+    central = (moderated_value(p, a * (1 + h)) - moderated_value(p, a * (1 - h))) / (2 * a * h)
+    assert h_slope == pytest.approx(central, rel=1e-7)
+    for y_at in (y, 0.5 * y, 3.0 * y):
+        f_slope = power._period_sums(p, a, y_at)[1] / y_at  # sums[1] = y F'(y)
+        central = (
+            budget_function(p, a, y_at * (1 + h)) - budget_function(p, a, y_at * (1 - h))
+        ) / (2 * y_at * h)
+        assert f_slope == pytest.approx(central, rel=1e-7)
+
+
+@pytest.mark.parametrize("hint", [1e-30, 1e-3, 1e3, 1e30])
+def test_y_star_independent_of_hint(power_problem, hint):
+    expected = solve_y_star(power_problem, 1.0)
+    assert solve_y_star(power_problem, 1.0, hint=hint) == pytest.approx(expected, rel=1e-12)
+    assert budget_function(power_problem, 1.0, expected) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("slope_scale", [1e-3, float("nan")])
+def test_y_star_safeguard_survives_bad_slopes(power_problem, monkeypatch, slope_scale):
+    # Newton steps 1000x too long, or not finite: bracket and bisection take over
+    expected = solve_y_star(power_problem, 1.0)
+    exact = power._period_sums
+
+    def skewed(p, a, y):
+        sums = exact(p, a, y).copy()
+        sums[1] *= slope_scale
+        return sums
+
+    monkeypatch.setattr(power, "_period_sums", skewed)
+    assert solve_y_star(power_problem, 1.0) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 10, 30])
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+def test_fixed_point_newton_on_random_markets(n, alpha):
+    # delta sits 0.3 above the well-posedness bound; A* spans ~1e-11 to ~1e17
+    m = random_market(np.random.default_rng(100 + n), n)
+    cs = constrained_sharpe(m)
+    delta = max(zeta(alpha * 0.2, m.r, cs.objective), 0.0) + 0.3
+    for tau in (1e-3, 1e-2, 0.1, 1.0, 4.0):
+        e = EvaluationSpec(tau=tau, gamma=0.8, delta=delta)
+        p = PowerProblem(market=m, evaluation=e, alpha=alpha, cs=cs)
+        sol = fixed_point(p)
+        a, tol, q = sol.a_star, p.tol_fixed_point, sol.contraction_modulus
+        assert sol.iterations <= 10
+        # an absolute residual cannot fall below the float64 spacing of A*
+        floor = 4 * math.ulp(a)
+        assert abs(contraction_map(p, a) - a) <= tol + floor
+        if tau >= 1e-2:
+            assert sol.error_bound <= max(tol, floor / (1 - q))
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+def test_table2_short_period_solves(table_market, table_cone, alpha):
+    # tau = 0.003: 1 - q ~ 1e-3 and A* ~ 1e3, so the residual meets the float64 floor
+    e = EvaluationSpec(tau=0.003, gamma=0.8, delta=TABLE_DELTA)
+    p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
+    sol = fixed_point(p)
+    assert sol.iterations <= 10
+    assert sol.lower_bound <= sol.a_star <= sol.upper_bound
+    assert abs(contraction_map(p, sol.a_star) - sol.a_star) <= p.tol_fixed_point
+    assert budget_function(p, sol.a_star, sol.y_star) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gamma_to_one_continuity(table_market, table_cone):

@@ -106,6 +106,30 @@ def test_adaptive_escalation_fails_on_discontinuity():
         )
 
 
+def test_stacked_integrand_matches_scalar_calls():
+    law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
+    betas = (-1.0, 0.5, 2.0)
+    vals = expect_deflator_adaptive(lambda z: np.stack([z**b for b in betas]), law)
+    assert vals.shape == (3,)
+    for b, v in zip(betas, vals):
+        assert v == pytest.approx(lognormal_moment(law.drift, law.s, b), rel=1e-10)
+        assert v == pytest.approx(expect_deflator_adaptive(lambda z: z**b, law), rel=1e-12)
+
+
+def test_stacked_integrand_escalates_on_any_component():
+    law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
+    threshold = math.exp(law.drift + 0.37 * law.s)
+
+    def f(z):
+        return np.stack([z, (z > threshold).astype(float)])
+
+    with pytest.raises(QuadratureError):
+        expect_deflator_adaptive(f, law, rel_tol=np.array([1e-10, 1e-12]))
+    # a loose enough tolerance on the step component accepts at the first check
+    loose = expect_deflator_adaptive(f, law, rel_tol=np.array([1e-10, 1.0]))
+    assert loose[0] == pytest.approx(math.exp(-0.12), rel=1e-10)
+
+
 def test_law_validation():
     with pytest.raises(ParameterOutOfRange):
         DeflatorLaw(s=-0.1, drift=0.0)
