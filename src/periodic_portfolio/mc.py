@@ -2,9 +2,19 @@
 
 Simulates i.i.d. per-period deflator ratios, rolls the optimal wealth
 recursion forward, and estimates the discounted periodic-evaluation objective
-together with a closed-form bound on the truncated tail. Draws come from a
-counter-based Philox stream through the normal inverse CDF, numbered row-major
-over the (paths, n_periods) matrix: a given (seed, path, period) cell is
+together with a closed-form bound on the truncated tail.
+
+Draws come from a counter-based Philox stream through the normal inverse CDF,
+numbered row-major over the (paths, n_periods) matrix. The estimators never
+build that matrix: they stream over blocks of max(1, _CHUNK_ELEMENTS //
+n_periods) consecutive rows, _CHUNK_ELEMENTS = 2**16, and each block
+continues the same stream, so every cell gets the value it has in the whole
+matrix. A pass holds O(block + n_paths) floats. With antithetic sampling a
+block of the n_paths/2 rows is evaluated at G and at -G, as paths i and
+n_paths/2 + i. Within a block the work runs in log space: the log objective
+is affine in the log growth, and the power objective sums
+exp(alpha u_i + beta S_{i-1} - i delta tau) with u = log I(y* R) from the
+log-space Newton kernel of ``power``. A given (seed, path, period) cell is
 reproducible for a fixed matrix shape, but it moves when n_periods (or, with
 antithetic pairs, n_paths) changes.
 """
@@ -24,6 +34,7 @@ from .market import EvaluationSpec, MarketModel
 from .power import (
     PowerProblem,
     PowerSolution,
+    _log_marginal_inverse,
     budget_function,
     marginal_inverse,
     moderated_utility,
@@ -33,6 +44,7 @@ from .quadrature import DeflatorLaw, expect_deflator_adaptive
 TAIL_EPS = 1e-8
 _N_PERIODS_CAP = 200_000
 _MIN_UNIFORM = 2.0**-53
+_CHUNK_ELEMENTS = 2**16  # draws per streamed block
 
 
 @dataclass(frozen=True)
@@ -59,15 +71,32 @@ class ObjectiveEstimate:
     truncation_bound: float
 
 
-def _standard_normals(cfg: SimulationConfig, n_periods: int) -> np.ndarray:
+def _normal_blocks(cfg: SimulationConfig, n_periods: int):
+    """Standard normals in consecutive blocks of rows, as (first row, block).
+
+    Stacked, the blocks are the (rows, n_periods) matrix that one
+    ``gen.random((rows, n_periods))`` call would give, rows = n_paths (half of
+    it with antithetic pairs): each call continues the same row-major stream.
+    """
     gen = Generator(Philox(key=cfg.seed))
     rows = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    u = gen.random((rows, n_periods))
-    np.maximum(u, _MIN_UNIFORM, out=u)  # keep the inverse CDF finite at u == 0
-    g = ndtri(u)
-    if cfg.antithetic:
-        g = np.vstack([g, -g])
-    return g
+    step = max(1, _CHUNK_ELEMENTS // n_periods)
+    for start in range(0, rows, step):
+        u = gen.random((min(step, rows - start), n_periods))
+        np.maximum(u, _MIN_UNIFORM, out=u)  # keep the inverse CDF finite at u == 0
+        yield start, ndtri(u, out=u)
+
+
+def _per_path(cfg: SimulationConfig, n_periods: int, path_values) -> np.ndarray:
+    """Per-path values, streamed: ``path_values`` maps a block of normals to one value per row."""
+    per_path = np.empty(cfg.n_paths)
+    half = cfg.n_paths // 2
+    for start, g in _normal_blocks(cfg, n_periods):
+        stop = start + g.shape[0]
+        per_path[start:stop] = path_values(g)
+        if cfg.antithetic:
+            per_path[half + start : half + stop] = path_values(-g)
+    return per_path
 
 
 def simulate_deflator_ratios(
@@ -77,7 +106,9 @@ def simulate_deflator_ratios(
     periods = n_periods if n_periods is not None else cfg.n_periods
     if periods is None:
         raise ParameterOutOfRange("n_periods must be resolved before simulation")
-    g = _standard_normals(cfg, periods)
+    g = np.vstack([block for _, block in _normal_blocks(cfg, periods)])
+    if cfg.antithetic:
+        g = np.vstack([g, -g])
     return np.exp(law.drift + law.s * g)
 
 
@@ -133,14 +164,12 @@ def estimate_log_objective(
 
     periods = cfg.n_periods if cfg.n_periods is not None else _auto_periods(tail)
     law = DeflatorLaw.for_horizon(s.xi_tilde_norm_sq, m.r, e.tau)
-    ratios = simulate_deflator_ratios(law, cfg, periods)
-
-    growth = -np.log(ratios)
-    cumulative = np.cumsum(growth, axis=1)
-    prev = np.hstack([np.zeros((growth.shape[0], 1)), cumulative[:, :-1]])
-    discounts = rho ** np.arange(1, periods + 1)
-    terms = discounts * (growth + (1.0 - e.gamma) * (log_x0 + prev))
-    per_path = terms.sum(axis=1)
+    # sum_i rho^i prev_i = sum_j growth_j (rho^(j+1) - rho^(P+1)) / (1 - rho), so the
+    # objective is growth @ w plus a constant, with growth = -(drift + s G)
+    discounts = rho ** np.arange(1, periods + 2)
+    w = discounts[:-1] + (1.0 - e.gamma) * (discounts[1:] - discounts[-1]) / (1.0 - rho)
+    base = (1.0 - e.gamma) * log_x0 * discounts[:-1].sum() - law.drift * w.sum()
+    per_path = _per_path(cfg, periods, lambda g: base - law.s * (g @ w))
     return _reduce(per_path, cfg, abs(tail(periods)))
 
 
@@ -198,22 +227,27 @@ def estimate_power_objective(
         return scale * q_tail**n / (1.0 - q_tail)
 
     periods = cfg.n_periods if cfg.n_periods is not None else _auto_periods(tail)
-    ratios_deflator = simulate_deflator_ratios(p.law, cfg, periods)
-    growth = (
-        marginal_inverse(sol.a_star, alpha, gamma, y_level * ratios_deflator, p.tol_root)
-        / norm
-    )
+    # term i = exp(alpha u_i + beta S_{i-1} - i delta tau) x0^beta / alpha with
+    # u = log I(y R) - log norm and S the running sum of u; the exponent is
+    # taken as beta S_i + (alpha - beta) u_i
+    log_y = math.log(y_level) + p.law.drift
+    log_norm = math.log(norm)
+    decay = delta_tau * np.arange(1, periods + 1)
 
-    growth_beta = growth**beta
-    prev_pow = np.hstack(
-        [
-            np.ones((growth.shape[0], 1)),
-            np.cumprod(growth_beta[:, :-1], axis=1),
-        ]
-    )
-    discounts = math.exp(-delta_tau) ** np.arange(1, periods + 1)
-    terms = discounts * (growth**alpha / alpha) * (x0**beta * prev_pow)
-    per_path = terms.sum(axis=1)
+    def path_values(g):
+        log_y_block = p.law.s * g
+        log_y_block += log_y
+        u = _log_marginal_inverse(sol.a_star, alpha, gamma, log_y_block, p.tol_root)
+        u -= log_norm
+        exponent = np.cumsum(u, axis=1)
+        exponent *= beta
+        u *= alpha - beta
+        exponent += u
+        exponent -= decay
+        return np.exp(exponent, out=exponent).sum(axis=1)
+
+    per_path = _per_path(cfg, periods, path_values)
+    per_path *= x0**beta / alpha
     return _reduce(per_path, cfg, abs(tail(periods)))
 
 

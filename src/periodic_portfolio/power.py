@@ -46,6 +46,8 @@ from .market import EvaluationSpec, MarketModel, check_assumption, zeta
 from .quadrature import DEFAULT_REL_TOL, DeflatorLaw, expect_deflator_adaptive
 
 _NEWTON_CAP = 100
+# Above this t, log(1 + exp(t)) rounds to t and expit(t) to 1 in float64.
+_SOFTPLUS_LINEAR = 36.0
 _FIXED_POINT_CAP = 50
 _FLOOR_ULPS = 4  # residual allowance in ulps of A once the residual stops falling
 # Quadrature acceptance for the derivative sums, which only steer Newton:
@@ -168,47 +170,80 @@ def moderated_marginal(a: float, alpha: float, gamma: float, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _newton_start(lc: float, p1: float, beta: float, log_y):
+    """Larger root of the two lines that bound g from below (see ``marginal_inverse``)."""
+    u = log_y / p1
+    u_c = log_y - lc
+    u_c /= p1 + beta
+    return np.maximum(u, u_c, out=u)
+
+
+def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float):
+    """u = log I(exp(log_y)) for finite log_y, by Newton in log space.
+
+    The Newton kernel behind ``marginal_inverse``; see its docstring. Returns
+    a new array and leaves ``log_y`` unchanged.
+    """
+    p1 = alpha - 1.0
+    c = a * (1.0 - gamma)
+    if c == 0.0:
+        return log_y / p1
+    beta = -alpha * gamma
+    lc = math.log(c)
+    u = _newton_start(lc, p1, beta, log_y)
+    for _ in range(_NEWTON_CAP):
+        t = beta * u
+        t += lc
+        e = np.minimum(t, _SOFTPLUS_LINEAR)
+        np.exp(e, out=e)
+        g = np.log1p(e)
+        np.maximum(g, t, out=g)  # log(1 + exp(t))
+        t = p1 * u
+        g += t
+        g -= log_y
+        t = e + 1.0
+        e /= t  # expit(t)
+        e *= beta
+        e += p1  # g'(u)
+        g /= e  # Newton step
+        u -= g
+        if np.abs(g, out=g).max() <= tol:
+            return u
+    raise NonConvergence("marginal inverse Newton iteration hit its cap")
+
+
 def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10):
     """Invert the moderated marginal: the unique x > 0 with h_a'(x) = y.
 
     The marginal decreases strictly from +inf to 0, so the inverse exists for
-    every y > 0. With c = a*(1-gamma) the equation in u = log x reads
+    every y > 0. With c = a*(1-gamma) and t = log c - alpha*gamma*u, the
+    equation in u = log x reads
 
-        g(u) = (alpha-1)*u + log(1 + c*exp(-alpha*gamma*u)) - log y = 0,
+        g(u) = (alpha-1)*u + log(1 + exp(t)) - log y = 0,
 
-    which is convex and strictly decreasing in u, so Newton iteration from
-    the pure-power guess u0 = log(y)/(alpha-1) converges globally. When
-    c == 0 (a == 0 or gamma == 1) the exact solution y^(1/(alpha-1)) is
-    returned directly.
+    and g is convex and strictly decreasing in u. Since
+    max(0, t) <= log(1 + exp(t)) <= max(0, t) + log 2, the lines
+    (alpha-1)*u - log y and (alpha-1-alpha*gamma)*u + log c - log y bound g
+    from below and come within log 2 of it. Newton starts at the larger of
+    their roots,
+
+        u0 = max(log y / (alpha-1), (log y - log c) / (alpha-1-alpha*gamma)),
+
+    so u0 <= root and 0 <= g(u0) <= log 2, and by convexity every Newton
+    iterate stays below the root and rises to it monotonically. It stops once
+    the largest step is at most ``tol``. The whole iteration runs in log
+    space: ``_log_marginal_inverse`` takes log y and returns u, the Monte
+    Carlo calls it directly, and this function returns exp(u). log(1 + e^t)
+    is evaluated as max(t, log1p(exp(min(t, 36)))), accurate to rounding for
+    every t, and expit(t) reuses its exponential. When c == 0
+    (a == 0 or gamma == 1), u = log(y) / (alpha-1) exactly.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):
         raise DomainError("marginal inverse requires finite y > 0")
-
-    c = a * (1.0 - gamma)
-    if c == 0.0:
-        x = y_arr ** (1.0 / (alpha - 1.0))
-        return float(x[0]) if scalar else x
-
-    p1 = alpha - 1.0
-    beta = -alpha * gamma
-    lc = math.log(c)
-    logy = np.log(y_arr)
-
-    u = logy / p1
-    for _ in range(_NEWTON_CAP):
-        t = lc + beta * u
-        g = p1 * u + np.logaddexp(0.0, t) - logy
-        gp = p1 + beta * expit(t)
-        step = g / gp
-        u -= step
-        if np.max(np.abs(step)) <= tol:
-            break
-    else:
-        raise NonConvergence("marginal inverse Newton iteration hit its cap")
-    x = np.exp(u)
+    x = np.exp(_log_marginal_inverse(a, alpha, gamma, np.log(y_arr), tol))
     return float(x[0]) if scalar else x
 
 

@@ -71,3 +71,35 @@ def test_opt_tau_without_condition_or_cap_exit(tmp_path, capsys):
     path = write_config(tmp_path, "table2_power")  # power, gamma = 0.8
     assert cli.main(["opt-tau", "--config", path]) == cli.EXIT_NO_PROPOSITION
     assert "no sufficient condition" in capsys.readouterr().err
+
+
+# `simulate` reports at --paths 30000 --seed 3, as the whole-matrix Monte Carlo
+# printed them. A change that moves the draws or the estimators must update
+# these on purpose.
+SIMULATE_GOLDEN = {
+    "table1_log": """\
+mean: 0.174093975584
+std_error: 0.00119890119444
+n_effective: 30000
+truncation_bound: 9.41285040972e-09
+analytic: 0.17517241413
+k_sigma: 3
+verdict: pass
+""",
+    "table2_power": """\
+mean: 5.9197131215
+std_error: 0.0019114753647
+n_effective: 30000
+truncation_bound: 8.1801777111e-09
+analytic: 5.91822088078
+k_sigma: 3
+verdict: pass
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
+def test_simulate_report_golden(capsys, name):
+    argv = ["simulate", "--config", str(CONFIGS / f"{name}.cfg"), "--paths", "30000", "--seed", "3"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == SIMULATE_GOLDEN[name]

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 from periodic_portfolio import (
     DeflatorLaw,
@@ -21,8 +24,10 @@ from periodic_portfolio import (
     value_function,
     value_log,
 )
+from periodic_portfolio import mc
 from periodic_portfolio.errors import DomainError, ParameterOutOfRange
 from periodic_portfolio.mc import _log_tail
+from periodic_portfolio.power import budget_function, marginal_inverse
 
 from conftest import TABLE_ALPHA
 
@@ -217,3 +222,149 @@ def test_estimates_reject_bad_wealth(power_problem, power_solution, table_market
         estimate_power_objective(
             power_solution, power_problem, 0.0, SimulationConfig(n_paths=4, seed=0)
         )
+
+
+# --- streamed estimators ---------------------------------------------------
+#
+# The references below are the whole-matrix formulas the streamed estimators
+# replaced: one (rows, n_periods) draw of uniforms, then the per-path objective
+# built from full path matrices.
+
+
+def matrix_normals(cfg: SimulationConfig, n_periods: int) -> np.ndarray:
+    rows = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    u = Generator(Philox(key=cfg.seed)).random((rows, n_periods))
+    g = ndtri(np.maximum(u, 2.0**-53))
+    return np.vstack([g, -g]) if cfg.antithetic else g
+
+
+def matrix_mean_and_se(per_path: np.ndarray, cfg: SimulationConfig) -> tuple[float, float]:
+    if cfg.antithetic:
+        half = cfg.n_paths // 2
+        per_path = 0.5 * (per_path[:half] + per_path[half:])
+    return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(per_path.size))
+
+
+def matrix_log_objective(sol, m, e, x0, cfg, periods):
+    law = DeflatorLaw.for_horizon(sol.xi_tilde_norm_sq, m.r, e.tau)
+    ratios = np.exp(law.drift + law.s * matrix_normals(cfg, periods))
+    rho = math.exp(-e.delta * e.tau)
+    growth = -np.log(ratios)
+    cumulative = np.cumsum(growth, axis=1)
+    prev = np.hstack([np.zeros((growth.shape[0], 1)), cumulative[:, :-1]])
+    discounts = rho ** np.arange(1, periods + 1)
+    terms = discounts * (growth + (1.0 - e.gamma) * (math.log(x0) + prev))
+    return matrix_mean_and_se(terms.sum(axis=1), cfg)
+
+
+def matrix_power_objective(sol, p, x0, cfg, periods, y_star=None):
+    alpha, gamma = p.alpha, p.evaluation.gamma
+    beta = alpha * (1.0 - gamma)
+    y_level = sol.y_star if y_star is None else y_star
+    norm = 1.0 if y_star is None else budget_function(p, sol.a_star, y_star)
+    ratios = np.exp(p.law.drift + p.law.s * matrix_normals(cfg, periods))
+    growth = marginal_inverse(sol.a_star, alpha, gamma, y_level * ratios, p.tol_root) / norm
+    growth_beta = growth**beta
+    prev_pow = np.hstack(
+        [np.ones((growth.shape[0], 1)), np.cumprod(growth_beta[:, :-1], axis=1)]
+    )
+    discounts = math.exp(-p.evaluation.delta * p.evaluation.tau) ** np.arange(1, periods + 1)
+    terms = discounts * (growth**alpha / alpha) * (x0**beta * prev_pow)
+    return matrix_mean_and_se(terms.sum(axis=1), cfg)
+
+
+@pytest.mark.parametrize(
+    "n_paths, n_periods, chunk, antithetic",
+    [(25, 9, 7 * 9, False), (50, 9, 7 * 9, True), (13, 11, 5, False), (64, 3, 10**9, True)],
+)
+def test_blocks_stack_to_the_matrix_draws(monkeypatch, n_paths, n_periods, chunk, antithetic):
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
+    cfg = SimulationConfig(n_paths=n_paths, seed=77, antithetic=antithetic)
+    blocks = list(mc._normal_blocks(cfg, n_periods))
+    rows = max(1, chunk // n_periods)
+    assert [start for start, _ in blocks] == list(range(0, blocks[-1][0] + 1, rows))
+    assert all(b.shape[0] == rows for _, b in blocks[:-1])
+    reference = matrix_normals(cfg, n_periods)
+    stacked = np.vstack([b for _, b in blocks])
+    assert np.array_equal(stacked, reference[: stacked.shape[0]])
+    assert stacked.shape[0] == (n_paths // 2 if antithetic else n_paths)
+    law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
+    ratios = simulate_deflator_ratios(law, cfg, n_periods)
+    assert np.array_equal(ratios, np.exp(law.drift + law.s * reference))
+
+
+def _log_estimate(table_market, table_eval, table_cone, cfg):
+    sol = solve_log(table_market, table_eval, table_cone)
+    return estimate_log_objective(sol, table_market, table_eval, 0.5, cfg)
+
+
+@pytest.mark.parametrize("kind", ["log", "power", "power_override"])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_estimates_do_not_depend_on_block_size(
+    monkeypatch, table_market, table_eval, table_cone, power_problem, power_solution, kind, antithetic
+):
+    periods = 30
+    cfg = SimulationConfig(n_paths=202, n_periods=periods, seed=5, antithetic=antithetic)
+
+    def estimate():
+        if kind == "log":
+            return _log_estimate(table_market, table_eval, table_cone, cfg)
+        y_star = power_solution.y_star * 1.1 if kind == "power_override" else None
+        return estimate_power_objective(power_solution, power_problem, 0.5, cfg, y_star=y_star)
+
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * periods)
+    small = estimate()
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 10**9)
+    whole = estimate()
+    assert small.mean == pytest.approx(whole.mean, rel=1e-12)
+    assert small.std_error == pytest.approx(whole.std_error, rel=1e-12)
+    assert small.truncation_bound == whole.truncation_bound
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_log_estimate_matches_matrix_formula(table_market, table_eval, table_cone, antithetic):
+    sol = solve_log(table_market, table_eval, table_cone)
+    cfg = SimulationConfig(n_paths=2000, n_periods=71, seed=8, antithetic=antithetic)
+    est = estimate_log_objective(sol, table_market, table_eval, 0.5, cfg)
+    mean, se = matrix_log_objective(sol, table_market, table_eval, 0.5, cfg, 71)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.std_error == pytest.approx(se, rel=1e-12)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("shift", [None, 0.9])
+def test_power_estimate_matches_matrix_formula(power_problem, power_solution, antithetic, shift):
+    cfg = SimulationConfig(n_paths=2000, n_periods=71, seed=8, antithetic=antithetic)
+    y_star = None if shift is None else power_solution.y_star * shift
+    est = estimate_power_objective(power_solution, power_problem, 0.5, cfg, y_star=y_star)
+    mean, se = matrix_power_objective(power_solution, power_problem, 0.5, cfg, 71, y_star)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.std_error == pytest.approx(se, rel=1e-12)
+
+
+def test_antithetic_pairs_cancel_across_block_boundaries(
+    monkeypatch, table_market, table_eval, table_cone
+):
+    # the log objective is affine in the normals, so every pair averages to one constant
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 1000)
+    cfg = SimulationConfig(n_paths=2 * 1001, seed=4, antithetic=True)
+    est = _log_estimate(table_market, table_eval, table_cone, cfg)
+    assert est.std_error <= 1e-12 * (1.0 + abs(est.mean))
+
+
+@pytest.mark.parametrize("kind, limit_mb", [("log", 8), ("power", 16)])
+def test_estimator_peak_memory(
+    table_market, table_eval, table_cone, power_problem, power_solution, kind, limit_mb
+):
+    # one call on the table configs, 30k paths, automatic horizon
+    cfg = SimulationConfig(n_paths=30_000, seed=3)
+    tracemalloc.start()
+    try:
+        if kind == "log":
+            _log_estimate(table_market, table_eval, table_cone, cfg)
+        else:
+            estimate_power_objective(power_solution, power_problem, 0.5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20

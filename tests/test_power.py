@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodic_portfolio import (
     EvaluationSpec,
@@ -95,6 +97,33 @@ def test_marginal_inverse_round_trip():
 def test_marginal_inverse_domain():
     with pytest.raises(DomainError):
         marginal_inverse(1.0, 0.5, 0.8, 0.0)
+
+
+KERNEL_CASES = dict(
+    a=st.floats(1e-6, 1e6),
+    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    alpha=st.sampled_from([0.5, -0.5, -1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_y=st.floats(-30.0, 30.0), **KERNEL_CASES)
+def test_newton_start_bounds_the_root_from_below(a, gamma, alpha, log_y):
+    lc, p1, beta = math.log(a * (1.0 - gamma)), alpha - 1.0, -alpha * gamma
+    u0 = float(power._newton_start(lc, p1, beta, np.array([log_y]))[0])
+    root = float(power._log_marginal_inverse(a, alpha, gamma, np.array([log_y]), 1e-12)[0])
+    g0 = p1 * u0 + np.logaddexp(0.0, lc + beta * u0) - log_y
+    slack = 1e-12 * (1.0 + abs(log_y) + abs(lc))
+    assert u0 <= root + 1e-12 * (1.0 + abs(root))
+    assert -slack <= g0 <= math.log(2.0) + slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_x=st.floats(-30.0, 30.0), **KERNEL_CASES)
+def test_marginal_inverse_inverts_the_marginal(a, gamma, alpha, log_x):
+    x = math.exp(log_x)
+    y = moderated_marginal(a, alpha, gamma, x)
+    assert marginal_inverse(a, alpha, gamma, y) == pytest.approx(x, rel=1e-12)
 
 
 # --- Legendre transform ----------------------------------------------------
