@@ -8,13 +8,8 @@ library API and the ``periodic-portfolio`` command line.
 from .cone import ConstrainedSharpe, constrained_sharpe, solve_cone, verify_kkt
 from .config import (
     ProblemConfig,
-    SweepSpec,
-    apply_sweep_value,
     format_problem_config,
     parse_problem_config,
-    parse_sweep_spec,
-    to_evaluation,
-    to_market,
 )
 from .logutil import (
     LogSolution,
@@ -46,24 +41,18 @@ from .periodicity import TauSearchResult, tau_log_scaled, tau_log_value, tau_pow
 from .power import (
     PowerProblem,
     PowerSolution,
-    WealthRatioMap,
     budget_function,
     contraction_map,
-    contraction_modulus,
     dual_value,
     fixed_point,
-    fixed_point_bounds,
     intra_period_profile,
     legendre_transform,
-    make_power_problem,
     marginal_inverse,
     moderated_marginal,
     moderated_utility,
     moderated_value,
-    period_ratio,
     solve_y_star,
     value_function,
-    wealth_ratio_map,
 )
 from .quadrature import (
     DeflatorLaw,
@@ -72,6 +61,7 @@ from .quadrature import (
     expect_deflator_adaptive,
     make_rule,
 )
+from .report import solve
 
 __version__ = "0.1.0"
 
@@ -87,18 +77,14 @@ __all__ = [
     "PowerSolution",
     "ProblemConfig",
     "SimulationConfig",
-    "SweepSpec",
     "TauSearchResult",
-    "WealthRatioMap",
     "WellPosednessReport",
-    "apply_sweep_value",
     "budget_function",
     "check_assumption",
     "compare",
     "constrained_sharpe",
     "constraint_cost",
     "contraction_map",
-    "contraction_modulus",
     "dual_value",
     "dual_value_log",
     "estimate_h_expectation",
@@ -107,34 +93,28 @@ __all__ = [
     "expect_deflator",
     "expect_deflator_adaptive",
     "fixed_point",
-    "fixed_point_bounds",
     "format_problem_config",
     "intra_period_profile",
     "legendre_transform",
-    "make_power_problem",
     "make_rule",
     "marginal_inverse",
     "moderated_marginal",
     "moderated_utility",
     "moderated_value",
     "parse_problem_config",
-    "parse_sweep_spec",
-    "period_ratio",
     "sharpe_ratio",
     "simulate_deflator_ratios",
     "solve_cone",
+    "solve",
     "solve_log",
     "solve_y_star",
     "tau_log_scaled",
     "tau_log_value",
     "tau_power_scaled",
-    "to_evaluation",
-    "to_market",
     "unconstrained_log",
     "validate_market",
     "value_function",
     "value_log",
     "verify_kkt",
-    "wealth_ratio_map",
     "zeta",
 ]

@@ -1,9 +1,11 @@
 """Command-line front end: solve, simulate, sweep and opt-tau workflows.
 
-Exit codes: 0 success, 2 configuration/parse error, 3 parameter or
-well-posedness violation, 4 solver non-convergence, 5 statistical mismatch in
-``simulate``, 6 ``opt-tau`` without an applicable sufficient condition and no
-``--tau-cap``.
+Exit codes: 0 success; 2 configuration/parse error, a ``--tau-cap`` that is
+not positive and finite, or an output file that cannot be written; 3
+parameter or well-posedness violation; 4 solver non-convergence; 5
+statistical mismatch in ``simulate``; 6 ``opt-tau`` with no tau*: no
+sufficient condition holds (a proposition's gate fails, or none covers the
+configuration) and no ``--tau-cap`` was given.
 """
 
 from __future__ import annotations
@@ -17,16 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ProblemConfig,
-    SweepSpec,
-    apply_sweep_value,
-    parse_problem_config,
-    parse_sweep_spec,
-    to_evaluation,
-    to_market,
-)
-from .cone import constrained_sharpe
+from .config import ProblemConfig, parse_problem_config, parse_sweep_spec
 from .errors import (
     AssumptionViolated,
     ConfigError,
@@ -37,15 +30,11 @@ from .errors import (
     NonFinite,
     NumericalFault,
     ParameterOutOfRange,
-    PortfolioError,
     SingularVolatility,
 )
-from .logutil import solve_log, unconstrained_log, value_log
-from .market import EvaluationSpec, zeta
 from .mc import SimulationConfig, compare, estimate_log_objective, estimate_power_objective
-from .periodicity import TauSearchResult, tau_log_scaled, tau_log_value, tau_power_scaled
-from .power import PowerProblem, fixed_point, value_function
-from .quadrature import DEFAULT_ORDER
+from .periodicity import optimal_tau, tau_objective
+from .report import solve, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,110 +88,8 @@ def _load_config(path: str) -> ProblemConfig:
     return cfg
 
 
-def _solve_bundle(cfg: ProblemConfig):
-    """Validate the market, project the Sharpe ratio, and solve per utility."""
-    market = to_market(cfg)
-    evaluation = to_evaluation(cfg)
-    cs = constrained_sharpe(market)
-    if cfg.utility == "power":
-        problem = PowerProblem(
-            market=market,
-            evaluation=evaluation,
-            alpha=cfg.alpha,
-            cs=cs,
-            tol_root=cfg.tol_root,
-            tol_fixed_point=cfg.tol_fixed_point,
-            quad_order=cfg.quad_order,
-        )
-        sol = fixed_point(problem)
-        return market, evaluation, cs, problem, sol
-    if cfg.delta * cfg.tau < 1e-12:
-        raise ParameterOutOfRange("delta * tau is too small")
-    sol = solve_log(market, evaluation, cs)
-    return market, evaluation, cs, None, sol
-
-
-def _power_outputs(cfg, cs, problem, sol) -> dict:
-    return {
-        "a_star": sol.a_star,
-        "y_star": sol.y_star,
-        "v_x0": value_function(sol, cfg.x0, cfg.alpha, cfg.gamma),
-        "lower_bound": sol.lower_bound,
-        "upper_bound": sol.upper_bound,
-        "contraction_modulus": sol.contraction_modulus,
-        "iterations": float(sol.iterations),
-        "error_bound": sol.error_bound,
-        "xi_tilde_sq": cs.objective,
-    }
-
-
-def _log_outputs(cfg, cs, sol) -> dict:
-    out = {
-        "a_star": sol.a_star,
-        "c_star": sol.c_star,
-        "v_x0": value_log(sol, cfg.x0),
-        "a_unconstrained": sol.a_unconstrained,
-        "constraint_cost": sol.constraint_cost,
-        "xi_tilde_sq": cs.objective,
-    }
-    for i, frac in enumerate(sol.feedback_fractions, start=1):
-        out[f"frac_{i}"] = float(frac)
-    return out
-
-
-def _sweep_columns(cfg: ProblemConfig) -> set[str]:
-    if cfg.utility == "power":
-        return {
-            "a_star",
-            "y_star",
-            "v_x0",
-            "lower_bound",
-            "upper_bound",
-            "contraction_modulus",
-            "iterations",
-            "error_bound",
-            "xi_tilde_sq",
-        }
-    names = {"a_star", "c_star", "v_x0", "a_unconstrained", "constraint_cost", "xi_tilde_sq"}
-    names.update(f"frac_{i}" for i in range(1, cfg.n + 1))
-    return names
-
-
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    market, _, cs, problem, sol = _solve_bundle(cfg)
-    report = {
-        "utility": cfg.utility,
-        "n": market.n,
-        "xi": cs.xi,
-        "pi_tilde_star": cs.pi_tilde_star,
-        "xi_tilde": cs.xi_tilde,
-        "xi_tilde_norm_sq": cs.objective,
-    }
-    if cfg.utility == "power":
-        report.update(
-            a_star=sol.a_star,
-            y_star=sol.y_star,
-            lower_bound=sol.lower_bound,
-            upper_bound=sol.upper_bound,
-            contraction_modulus=sol.contraction_modulus,
-            iterations=sol.iterations,
-            error_bound=sol.error_bound,
-            v_x0=value_function(sol, cfg.x0, cfg.alpha, cfg.gamma),
-        )
-    else:
-        evaluation = to_evaluation(cfg)
-        a_unc, frac_unc = unconstrained_log(market, evaluation)
-        report.update(
-            a_star=sol.a_star,
-            c_star=sol.c_star,
-            v_x0=value_log(sol, cfg.x0),
-            feedback_fractions=sol.feedback_fractions,
-            a_unconstrained=a_unc,
-            unconstrained_fractions=frac_unc,
-            constraint_cost=sol.constraint_cost,
-        )
-    _emit(report)
+    _emit(solve(_load_config(args.config)).fields)
     return EXIT_OK
 
 
@@ -215,7 +102,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
 
-    market, evaluation, cs, problem, sol = _solve_bundle(cfg)
+    report = solve(cfg)
     sim = SimulationConfig(
         n_paths=cfg.n_paths,
         n_periods=cfg.n_periods,
@@ -223,11 +110,12 @@ def cmd_simulate(args) -> int:
         antithetic=cfg.antithetic,
     )
     if cfg.utility == "power":
-        estimate = estimate_power_objective(sol, problem, cfg.x0, sim)
-        analytic = value_function(sol, cfg.x0, cfg.alpha, cfg.gamma)
+        estimate = estimate_power_objective(report.solution, report.problem, cfg.x0, sim)
     else:
-        estimate = estimate_log_objective(sol, market, evaluation, cfg.x0, sim)
-        analytic = value_log(sol, cfg.x0)
+        estimate = estimate_log_objective(
+            report.solution, report.market, report.evaluation, cfg.x0, sim
+        )
+    analytic = report.fields["v_x0"]
     if args.analytic_override is not None:
         analytic = args.analytic_override
     verdict = compare(estimate, analytic, 3.0)
@@ -245,146 +133,45 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if verdict else EXIT_MISMATCH
 
 
-def run_sweep(cfg: ProblemConfig, spec: SweepSpec) -> list[list[float]]:
-    """Fresh solve per grid point; returns rows [value, outputs...]."""
-    unknown = set(spec.outputs) - _sweep_columns(cfg)
-    if unknown:
-        raise ConfigError(f"unknown sweep outputs for {cfg.utility}: {sorted(unknown)}")
-    rows = []
-    for value in spec.grid:
-        point_cfg = apply_sweep_value(cfg, spec.parameter, value)
-        try:
-            _, _, cs, problem, sol = _solve_bundle(point_cfg)
-            outputs = (
-                _power_outputs(point_cfg, cs, problem, sol)
-                if cfg.utility == "power"
-                else _log_outputs(point_cfg, cs, sol)
-            )
-        except PortfolioError as exc:
-            raise type(exc)(
-                f"at grid point {spec.parameter}={value:g}: {exc}"
-            ) from exc
-        rows.append([value] + [float(outputs[name]) for name in spec.outputs])
-    return rows
-
-
 def write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.12g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     spec = parse_sweep_spec(_read_text(args.sweep))
-    rows = run_sweep(cfg, spec)
-    write_csv(args.out, [spec.parameter, *spec.outputs], rows)
+    write_csv(args.out, [spec.parameter, *spec.outputs], sweep(cfg, spec))
     return EXIT_OK
 
 
-def _power_value_of_tau(cfg: ProblemConfig, market, cs, tau: float, scaled: bool) -> float:
-    problem = PowerProblem(
-        market=market,
-        evaluation=EvaluationSpec(tau=tau, gamma=cfg.gamma, delta=cfg.delta),
-        alpha=cfg.alpha,
-        cs=cs,
-        tol_root=cfg.tol_root,
-        tol_fixed_point=cfg.tol_fixed_point,
-        quad_order=cfg.quad_order,
-    )
-    sol = fixed_point(problem)
-    value = value_function(sol, cfg.x0, cfg.alpha, cfg.gamma)
-    return value * tau if scaled else value
-
-
-def _capped_power_search(cfg, market, cs, cap: float, scaled: bool) -> TauSearchResult:
-    taus = np.geomspace(cap / 64.0, cap, 33)
-    vals = [_power_value_of_tau(cfg, market, cs, t, scaled) for t in taus]
-    i = int(np.argmax(vals))
-    return TauSearchResult(
-        condition_holds=False,
-        condition_detail=(
-            "no sufficient condition applies; grid supremum over the capped range"
-        ),
-        tau_star=float(taus[i]),
-        objective_at_star=float(vals[i]),
-        objective_kind="scaled_value" if scaled else "value",
-    )
-
-
 def cmd_opt_tau(args) -> int:
-    cfg = _load_config(args.config)
-    market = to_market(cfg)
-    cs = constrained_sharpe(market)
-    evaluation = to_evaluation(cfg)
-    scaled = args.objective == "scaled"
     cap = args.tau_cap
-
-    result = None
-    if cfg.utility == "power" and scaled and cfg.gamma == 1.0:
-        result = tau_power_scaled(market, cfg.alpha, cfg.delta, cs, sup_cap=cap)
-    elif cfg.utility == "log" and scaled:
-        result = tau_log_scaled(market, evaluation, cs, cfg.x0, sup_cap=cap)
-    elif cfg.utility == "log" and not scaled and cfg.gamma < 1.0:
-        result = tau_log_value(market, evaluation, cs, cfg.x0, sup_cap=cap)
-    elif cap is not None:
-        if cfg.utility == "power":
-            result = _capped_power_search(cfg, market, cs, cap, scaled)
-        else:  # log, gamma == 1, plain value
-            def objective(tau: float) -> float:
-                sol = solve_log(market, EvaluationSpec(tau, cfg.gamma, cfg.delta), cs)
-                return value_log(sol, cfg.x0)
-
-            taus = np.geomspace(cap / 64.0, cap, 129)
-            vals = [objective(t) for t in taus]
-            i = int(np.argmax(vals))
-            result = TauSearchResult(
-                condition_holds=False,
-                condition_detail="no sufficient condition applies; capped grid supremum",
-                tau_star=float(taus[i]),
-                objective_at_star=float(vals[i]),
-                objective_kind="value",
-            )
-    else:
+    if cap is not None and not (math.isfinite(cap) and cap > 0):
+        raise ConfigError(f"--tau-cap must be positive and finite, got {cap!r}")
+    cfg = _load_config(args.config)
+    objective = tau_objective(cfg, args.objective == "scaled")
+    result = optimal_tau(objective, cap)
+    if result.tau_star is None:
         sys.stderr.write(
-            "opt-tau: no sufficient condition applies to this configuration "
-            "and no --tau-cap was supplied\n"
+            "opt-tau: no sufficient condition holds and no --tau-cap was supplied: "
+            f"{result.condition_detail}\n"
         )
         return EXIT_NO_PROPOSITION
+    _emit(dataclasses.asdict(result))
 
-    _emit(
-        {
-            "condition_holds": result.condition_holds,
-            "condition_detail": result.condition_detail,
-            "tau_star": "none" if result.tau_star is None else result.tau_star,
-            "objective_at_star": result.objective_at_star,
-            "objective_kind": result.objective_kind,
-        }
-    )
-
-    if args.curve_out is not None and result.tau_star is not None:
+    if args.curve_out is not None:
         center = result.tau_star
-        taus = np.geomspace(center / 50.0, center * 8.0, 121)
-        if cfg.utility == "power" and cfg.gamma < 1.0:
+        if cfg.utility == "power" and cfg.gamma < 1.0:  # a fixed-point solve per point
             taus = np.geomspace(center / 10.0, center * 4.0, 33)
-            vals = [_power_value_of_tau(cfg, market, cs, t, scaled) for t in taus]
-        elif cfg.utility == "power":
-            za = zeta(cfg.alpha, cfg.r, cs.objective)
-            vals = [
-                math.exp((za - cfg.delta) * t) * t / (-math.expm1(-cfg.delta * t))
-                for t in taus
-            ]
-            if not scaled:
-                vals = [v / t / cfg.alpha for v, t in zip(vals, taus)]
         else:
-            def log_curve(tau: float) -> float:
-                sol = solve_log(market, EvaluationSpec(tau, cfg.gamma, cfg.delta), cs)
-                v = value_log(sol, cfg.x0)
-                return v * tau if scaled else v
-
-            vals = [log_curve(t) for t in taus]
-        write_csv(args.curve_out, ["tau", "objective"], [[t, v] for t, v in zip(taus, vals)])
+            taus = np.geomspace(center / 50.0, center * 8.0, 121)
+        write_csv(args.curve_out, ["tau", "objective"], [[t, objective(t)] for t in taus])
     return EXIT_OK
 
 

@@ -1,4 +1,10 @@
-"""Optimal evaluation-period length: condition gates and 1-d maximizers.
+"""Optimal evaluation-period length: the tau objective, condition gates and 1-d maximizers.
+
+The objective is V(x0; tau), the value at initial wealth x0 when performance
+is evaluated every tau years, or V(x0; tau) * tau (the scaled objective).
+``tau_objective`` is its one definition: closed form for log utility and for
+power utility with gamma = 1, and the fixed point A*(tau) for power utility
+with gamma < 1.
 
 Three settings admit an optimal period length tau*:
 
@@ -12,17 +18,26 @@ Three settings admit an optimal period length tau*:
 Searches use geometric bracket expansion followed by golden-section to a
 relative tau tolerance of 1e-8, and every reported maximizer carries a local
 certificate: the objective does not improve at tau* * (1 +/- 1e-3).
+
+When the condition fails, or no setting covers the configuration, a cap on
+tau gives one capped search instead: the best of 257 evenly spaced points on
+(0, cap], refined by golden section when it is interior. ``optimal_tau``
+applies the matching proposition, or that search, to a configuration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
-from .cone import ConstrainedSharpe
+from .cone import ConstrainedSharpe, constrained_sharpe
+from .config import ProblemConfig, to_evaluation, to_market
 from .errors import NonConvergence, ParameterOutOfRange
 from .logutil import solve_log, value_log
 from .market import EvaluationSpec, MarketModel, zeta
+from .power import PowerProblem, fixed_point, value_function
+from .report import to_power_problem
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL = 1e-8
@@ -37,6 +52,18 @@ class TauSearchResult:
     tau_star: float | None
     objective_at_star: float
     objective_kind: str  # 'value' or 'scaled_value'
+
+
+def _log_value(
+    m: MarketModel, gamma: float, delta: float, cs: ConstrainedSharpe, x: float, tau: float
+) -> float:
+    """V(x; tau) for log utility."""
+    return value_log(solve_log(m, EvaluationSpec(tau, gamma, delta), cs), x)
+
+
+def _power_scaled_gamma1(za: float, delta: float, tau: float) -> float:
+    """A*(tau) * tau for power utility with gamma = 1, za = zeta(alpha)."""
+    return math.exp((za - delta) * tau) * tau / (-math.expm1(-delta * tau))
 
 
 def _golden_max(f, lo: float, hi: float, rel_tol: float = _REL_TOL) -> tuple[float, float]:
@@ -126,7 +153,7 @@ def tau_power_scaled(
     )
 
     def g(tau: float) -> float:
-        return math.exp((za - delta) * tau) * tau / (-math.expm1(-delta * tau))
+        return _power_scaled_gamma1(za, delta, tau)
 
     if holds:
         tau_star, obj = _maximize(g, 1e-4 / delta, 1.0 / delta)
@@ -163,7 +190,7 @@ def tau_log_value(
     )
 
     def v(tau: float) -> float:
-        return value_log(solve_log(m, EvaluationSpec(tau, gamma, delta), cs), x)
+        return _log_value(m, gamma, delta, cs, x, tau)
 
     if holds:
         tau_star, obj = _maximize(v, 1e-4 / delta, 1.0 / delta)
@@ -193,7 +220,7 @@ def tau_log_scaled(
     mu_g = m.r + 0.5 * cs.objective
 
     def f(tau: float) -> float:
-        return value_log(solve_log(m, EvaluationSpec(tau, gamma, delta), cs), x) * tau
+        return _log_value(m, gamma, delta, cs, x, tau) * tau
 
     if gamma == 1.0:
         detail = "gamma = 1: an interior maximizer always exists"
@@ -213,3 +240,73 @@ def tau_log_scaled(
         tau_star, obj = _capped_supremum(f, sup_cap)
         return TauSearchResult(False, detail, tau_star, obj, "scaled_value")
     return TauSearchResult(False, detail, None, float("nan"), "scaled_value")
+
+
+@dataclass(frozen=True, eq=False)
+class TauObjective:
+    """V(x0; tau) of one configuration as a function of tau, times tau if ``scaled``.
+
+    Built by ``tau_objective``. It holds the market and its cone projection,
+    computed once for every tau, and for power utility the problem validated
+    at the configured tau; with gamma < 1 each call solves its fixed point at
+    the given tau.
+    """
+
+    cfg: ProblemConfig
+    scaled: bool
+    market: MarketModel
+    cs: ConstrainedSharpe
+    evaluation: EvaluationSpec
+    problem: PowerProblem | None
+
+    def __call__(self, tau: float) -> float:
+        cfg = self.cfg
+        if cfg.utility == "log":
+            value = _log_value(self.market, cfg.gamma, cfg.delta, self.cs, cfg.x0, tau)
+        elif cfg.gamma == 1.0:
+            # V = A*/alpha, since x0^(alpha(1-gamma)) = 1
+            za = zeta(cfg.alpha, self.market.r, self.cs.objective)
+            scaled_a = _power_scaled_gamma1(za, cfg.delta, tau)
+            return scaled_a if self.scaled else scaled_a / tau / cfg.alpha
+        else:
+            evaluation = EvaluationSpec(tau, cfg.gamma, cfg.delta)
+            sol = fixed_point(dataclasses.replace(self.problem, evaluation=evaluation))
+            value = value_function(sol, cfg.x0, cfg.alpha, cfg.gamma)
+        return value * tau if self.scaled else value
+
+
+def tau_objective(cfg: ProblemConfig, scaled: bool) -> TauObjective:
+    """The tau objective of ``cfg``: V(x0; tau), times tau when ``scaled``.
+
+    Validates the market and the evaluation, and for power utility alpha and
+    well-posedness, which do not depend on tau.
+    """
+    market = to_market(cfg)
+    cs = constrained_sharpe(market)
+    evaluation = to_evaluation(cfg)
+    problem = to_power_problem(cfg, market, cs, evaluation) if cfg.utility == "power" else None
+    return TauObjective(cfg, scaled, market, cs, evaluation, problem)
+
+
+def optimal_tau(objective: TauObjective, cap: float | None = None) -> TauSearchResult:
+    """tau* of the objective's configuration.
+
+    Applies the proposition that covers the configuration
+    (``tau_power_scaled``, ``tau_log_scaled`` or ``tau_log_value``); when none
+    does, returns the capped supremum of the objective over (0, ``cap``].
+    ``tau_star`` is None when no sufficient condition holds and ``cap`` is
+    None.
+    """
+    cfg, m, cs, scaled = objective.cfg, objective.market, objective.cs, objective.scaled
+    if scaled and cfg.utility == "power" and cfg.gamma == 1.0:
+        return tau_power_scaled(m, cfg.alpha, cfg.delta, cs, sup_cap=cap)
+    if scaled and cfg.utility == "log":
+        return tau_log_scaled(m, objective.evaluation, cs, cfg.x0, sup_cap=cap)
+    if not scaled and cfg.utility == "log" and cfg.gamma < 1.0:
+        return tau_log_value(m, objective.evaluation, cs, cfg.x0, sup_cap=cap)
+    detail = "no sufficient condition applies to this configuration"
+    kind = "scaled_value" if scaled else "value"
+    if cap is None:
+        return TauSearchResult(False, detail, None, float("nan"), kind)
+    tau_star, obj = _capped_supremum(objective, cap)
+    return TauSearchResult(False, detail, tau_star, obj, kind)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .cone import ConstrainedSharpe, constrained_sharpe
+from .cone import ConstrainedSharpe
 from .errors import (
     AssumptionViolated,
     DomainError,
@@ -117,39 +117,6 @@ class PowerSolution:
     upper_bound: float
     iterations: int
     error_bound: float
-
-
-@dataclass(eq=False)
-class WealthRatioMap:
-    """Per-period map from the deflator ratio to the gross wealth growth."""
-
-    a_star: float
-    y_star: float
-    law: DeflatorLaw
-    alpha: float
-    gamma: float
-    tol_root: float = 1e-10
-
-
-def make_power_problem(
-    market: MarketModel,
-    evaluation: EvaluationSpec,
-    alpha: float,
-    tol_root: float = 1e-10,
-    tol_fixed_point: float = 1e-10,
-    quad_order: int = 64,
-) -> PowerProblem:
-    """Convenience constructor: cone projection plus the validated bundle."""
-    cs = constrained_sharpe(market)
-    return PowerProblem(
-        market=market,
-        evaluation=evaluation,
-        alpha=alpha,
-        cs=cs,
-        tol_root=tol_root,
-        tol_fixed_point=tol_fixed_point,
-        quad_order=quad_order,
-    )
 
 
 def moderated_utility(a: float, alpha: float, gamma: float, x):
@@ -505,31 +472,6 @@ def value_function(sol: PowerSolution, x, alpha: float, gamma: float):
         raise DomainError("value function requires x > 0")
     out = sol.a_star / alpha * x_arr ** (alpha * (1.0 - gamma))
     return float(out) if out.ndim == 0 else out
-
-
-def wealth_ratio_map(p: PowerProblem, sol: PowerSolution) -> WealthRatioMap:
-    return WealthRatioMap(
-        a_star=sol.a_star,
-        y_star=sol.y_star,
-        law=p.law,
-        alpha=p.alpha,
-        gamma=p.evaluation.gamma,
-        tol_root=p.tol_root,
-    )
-
-
-def period_ratio(ratio_map: WealthRatioMap, deflator_ratio):
-    """Gross wealth growth over one period: I(y* * R), decreasing in R."""
-    r_arr = np.asarray(deflator_ratio, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise DomainError("deflator ratio must be positive")
-    return marginal_inverse(
-        ratio_map.a_star,
-        ratio_map.alpha,
-        ratio_map.gamma,
-        ratio_map.y_star * r_arr,
-        ratio_map.tol_root,
-    )
 
 
 def intra_period_profile(

@@ -1,0 +1,118 @@
+"""One solve of a configuration, and the report that ``solve`` and ``sweep`` print.
+
+``solve(cfg)`` builds the market, projects its Sharpe ratio onto the
+no-short-selling cone once, and solves the auxiliary one-period problem: the
+fixed point A* for power utility, the closed form for log utility. The
+report's ordered ``fields`` are the ``solve`` printout. Their scalar entries
+are the sweep columns, with two aliases: ``xi_tilde_sq`` for
+``xi_tilde_norm_sq`` and ``frac_i`` for the i-th entry of
+``feedback_fractions``. ``to_power_problem`` is the one place a config
+becomes a ``PowerProblem``; ``periodicity.tau_objective`` uses it too.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .cone import ConstrainedSharpe, constrained_sharpe
+from .config import ProblemConfig, SweepSpec, apply_sweep_value, to_evaluation, to_market
+from .errors import ConfigError, PortfolioError
+from .logutil import LogSolution, solve_log, unconstrained_log, value_log
+from .market import EvaluationSpec, MarketModel
+from .power import PowerProblem, PowerSolution, fixed_point, value_function
+
+
+def to_power_problem(
+    cfg: ProblemConfig, market: MarketModel, cs: ConstrainedSharpe, evaluation: EvaluationSpec
+) -> PowerProblem:
+    """The validated power-utility bundle of ``cfg`` on an already projected market."""
+    return PowerProblem(
+        market=market,
+        evaluation=evaluation,
+        alpha=cfg.alpha,
+        cs=cs,
+        tol_root=cfg.tol_root,
+        tol_fixed_point=cfg.tol_fixed_point,
+        quad_order=cfg.quad_order,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Report:
+    """A solved configuration: the objects its solve built and its printed fields.
+
+    ``problem`` is None for log utility.
+    """
+
+    market: MarketModel
+    evaluation: EvaluationSpec
+    problem: PowerProblem | None
+    solution: PowerSolution | LogSolution
+    fields: dict[str, object]
+
+
+def solve(cfg: ProblemConfig) -> Report:
+    """Validate the market, project the Sharpe ratio, and solve per utility."""
+    market = to_market(cfg)
+    evaluation = to_evaluation(cfg)
+    cs = constrained_sharpe(market)
+    fields = {
+        "utility": cfg.utility,
+        "n": market.n,
+        "xi": cs.xi,
+        "pi_tilde_star": cs.pi_tilde_star,
+        "xi_tilde": cs.xi_tilde,
+        "xi_tilde_norm_sq": cs.objective,
+    }
+    if cfg.utility == "power":
+        problem = to_power_problem(cfg, market, cs, evaluation)
+        sol = fixed_point(problem)
+        fields.update(
+            a_star=sol.a_star,
+            y_star=sol.y_star,
+            lower_bound=sol.lower_bound,
+            upper_bound=sol.upper_bound,
+            contraction_modulus=sol.contraction_modulus,
+            iterations=sol.iterations,
+            error_bound=sol.error_bound,
+            v_x0=value_function(sol, cfg.x0, cfg.alpha, cfg.gamma),
+        )
+    else:
+        problem = None
+        sol = solve_log(market, evaluation, cs)
+        a_unc, frac_unc = unconstrained_log(market, evaluation)
+        fields.update(
+            a_star=sol.a_star,
+            c_star=sol.c_star,
+            v_x0=value_log(sol, cfg.x0),
+            feedback_fractions=sol.feedback_fractions,
+            a_unconstrained=a_unc,
+            unconstrained_fractions=frac_unc,
+            constraint_cost=sol.constraint_cost,
+        )
+    return Report(market, evaluation, problem, sol, fields)
+
+
+def _sweep_columns(fields: dict[str, object]) -> dict[str, float]:
+    """The numeric scalar fields, plus the ``xi_tilde_sq`` and ``frac_i`` aliases."""
+    columns = {name: float(v) for name, v in fields.items() if isinstance(v, (int, float))}
+    columns["xi_tilde_sq"] = columns["xi_tilde_norm_sq"]
+    for i, frac in enumerate(fields.get("feedback_fractions", ()), start=1):
+        columns[f"frac_{i}"] = float(frac)
+    return columns
+
+
+def sweep(cfg: ProblemConfig, spec: SweepSpec) -> list[list[float]]:
+    """Fresh solve per grid point; returns rows [value, outputs...]."""
+    rows = []
+    for value in spec.grid:
+        point_cfg = apply_sweep_value(cfg, spec.parameter, value)
+        try:
+            columns = _sweep_columns(solve(point_cfg).fields)
+        except PortfolioError as exc:
+            raise type(exc)(f"at grid point {spec.parameter}={value:g}: {exc}") from exc
+        unknown = set(spec.outputs) - columns.keys()
+        if unknown:
+            raise ConfigError(f"unknown sweep outputs for {cfg.utility}: {sorted(unknown)}")
+        rows.append([value, *(columns[name] for name in spec.outputs)])
+    return rows

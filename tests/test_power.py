@@ -19,10 +19,8 @@ from periodic_portfolio import (
     moderated_marginal,
     moderated_utility,
     moderated_value,
-    period_ratio,
     solve_y_star,
     value_function,
-    wealth_ratio_map,
     zeta,
 )
 from periodic_portfolio import power
@@ -475,29 +473,38 @@ def test_value_function_within_growth_bracket(power_solution):
 
 
 def test_period_ratio_gamma1_closed_form(power_problem_g1, power_solution_g1):
-    ratio_map = wealth_ratio_map(power_problem_g1, power_solution_g1)
+    # gross wealth growth over one period at deflator ratio R is I(y* R)
+    p, sol = power_problem_g1, power_solution_g1
     za = zeta(TABLE_ALPHA, TABLE_R, Q_TILDE)
     for ratio in (0.7, 1.0, 1.4):
         expected = math.exp(za / (TABLE_ALPHA - 1.0) * TABLE_TAU) * ratio ** (
             1.0 / (TABLE_ALPHA - 1.0)
         )
-        assert period_ratio(ratio_map, ratio) == pytest.approx(expected, rel=1e-9)
+        growth = marginal_inverse(
+            sol.a_star, p.alpha, p.evaluation.gamma, sol.y_star * ratio, p.tol_root
+        )
+        assert growth == pytest.approx(expected, rel=1e-9)
 
 
 def test_period_ratio_decreasing_and_positive(power_problem, power_solution):
-    ratio_map = wealth_ratio_map(power_problem, power_solution)
+    p, sol = power_problem, power_solution
     grid = np.geomspace(0.2, 5.0, 25)
-    vals = period_ratio(ratio_map, grid)
+    vals = marginal_inverse(sol.a_star, p.alpha, p.evaluation.gamma, sol.y_star * grid, p.tol_root)
     assert np.all(vals > 0)
     assert np.all(np.diff(vals) < 0)
-    median = math.exp(power_problem.law.drift)
-    assert period_ratio(ratio_map, median) > 0
+    median = math.exp(p.law.drift)
+    assert (
+        marginal_inverse(sol.a_star, p.alpha, p.evaluation.gamma, sol.y_star * median, p.tol_root)
+        > 0
+    )
 
 
 def test_period_budget_identity_by_quadrature(power_problem, power_solution):
-    ratio_map = wealth_ratio_map(power_problem, power_solution)
+    p, sol = power_problem, power_solution
     val = expect_deflator_adaptive(
-        lambda z: z * period_ratio(ratio_map, z), power_problem.law
+        lambda z: z
+        * marginal_inverse(sol.a_star, p.alpha, p.evaluation.gamma, sol.y_star * z, p.tol_root),
+        p.law,
     )
     assert val == pytest.approx(1.0, abs=1e-8)
 
