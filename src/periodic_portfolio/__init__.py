@@ -16,7 +16,6 @@ from .logutil import (
     constraint_cost,
     dual_value_log,
     solve_log,
-    unconstrained_log,
     value_log,
 )
 from .market import (
@@ -37,7 +36,7 @@ from .mc import (
     estimate_power_objective,
     simulate_deflator_ratios,
 )
-from .periodicity import TauSearchResult, tau_log_scaled, tau_log_value, tau_power_scaled
+from .periodicity import TauSearchResult, optimal_tau, tau_objective
 from .power import (
     PowerProblem,
     PowerSolution,
@@ -101,6 +100,7 @@ __all__ = [
     "moderated_marginal",
     "moderated_utility",
     "moderated_value",
+    "optimal_tau",
     "parse_problem_config",
     "sharpe_ratio",
     "simulate_deflator_ratios",
@@ -108,10 +108,7 @@ __all__ = [
     "solve",
     "solve_log",
     "solve_y_star",
-    "tau_log_scaled",
-    "tau_log_value",
-    "tau_power_scaled",
-    "unconstrained_log",
+    "tau_objective",
     "validate_market",
     "value_function",
     "value_log",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -77,15 +76,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_config(path: str) -> ProblemConfig:
-    cfg = parse_problem_config(_read_text(path))
-    env_order = os.environ.get("PP_QUAD_ORDER")
-    if env_order is not None:
-        try:
-            order = int(env_order)
-        except ValueError:
-            raise ConfigError(f"PP_QUAD_ORDER must be an integer, got {env_order!r}") from None
-        cfg = dataclasses.replace(cfg, quad_order=order)
-    return cfg
+    return parse_problem_config(_read_text(path))
 
 
 def cmd_solve(args) -> int:

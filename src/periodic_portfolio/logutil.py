@@ -19,7 +19,7 @@ import numpy as np
 
 from .cone import ConstrainedSharpe
 from .errors import DomainError, ParameterOutOfRange
-from .market import EvaluationSpec, MarketModel, sharpe_ratio
+from .market import EvaluationSpec, MarketModel
 
 _MIN_DELTA_TAU = 1e-12
 
@@ -34,6 +34,14 @@ def _growth_coef(u: float, gamma: float) -> float:
     return (em1 + (1.0 - gamma)) / em1**2
 
 
+def _log_coefficients(growth: float, tau: float, gamma: float, delta: float) -> tuple[float, float]:
+    """A* and C* of V(x) = A* + C* log x, for the growth rate r + |xi_tilde|^2/2."""
+    u = delta * tau
+    a_star = _growth_coef(u, gamma) * growth * tau
+    c_star = (1.0 - gamma) / math.expm1(u) if u <= 700.0 else 0.0
+    return a_star, c_star
+
+
 @dataclass(eq=False)
 class LogSolution:
     a_star: float
@@ -41,19 +49,21 @@ class LogSolution:
     xi_tilde_norm_sq: float
     feedback_fractions: np.ndarray
     a_unconstrained: float
+    unconstrained_fractions: np.ndarray
     constraint_cost: float
 
 
 def solve_log(m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> LogSolution:
-    """Populate all closed-form fields of the logarithmic solution."""
-    u = e.delta * e.tau
-    coef = _growth_coef(u, e.gamma)
+    """Populate all closed-form fields of the logarithmic solution.
+
+    The unconstrained fields solve the problem with short selling allowed:
+    the intercept built from |xi|^2 and the Merton feedback fractions
+    (sigma sigma^T)^{-1} (mu - r 1), which may be negative.
+    """
     q_tilde = cs.objective
     q_free = float(cs.xi @ cs.xi)
-
-    a_star = coef * (m.r + 0.5 * q_tilde) * e.tau
-    a_unconstrained = coef * (m.r + 0.5 * q_free) * e.tau
-    c_star = (1.0 - e.gamma) / math.expm1(u) if u <= 700.0 else 0.0
+    a_star, c_star = _log_coefficients(m.r + 0.5 * q_tilde, e.tau, e.gamma, e.delta)
+    a_unconstrained, _ = _log_coefficients(m.r + 0.5 * q_free, e.tau, e.gamma, e.delta)
     fractions = np.linalg.solve(m.sigma.T, cs.xi_tilde)
     return LogSolution(
         a_star=a_star,
@@ -61,6 +71,7 @@ def solve_log(m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> LogSo
         xi_tilde_norm_sq=q_tilde,
         feedback_fractions=fractions,
         a_unconstrained=a_unconstrained,
+        unconstrained_fractions=np.linalg.solve(m.sigma @ m.sigma.T, m.excess_returns()),
         constraint_cost=constraint_cost(m, e, cs),
     )
 
@@ -79,19 +90,6 @@ def dual_value_log(y: float, m: MarketModel, e: EvaluationSpec, cs: ConstrainedS
     if y <= 0.0:
         raise DomainError("dual value requires y > 0")
     return -math.log(y) + 0.5 * cs.objective * e.tau + m.r * e.tau - 1.0
-
-
-def unconstrained_log(m: MarketModel, e: EvaluationSpec) -> tuple[float, np.ndarray]:
-    """Solution constants when short selling is allowed.
-
-    Returns the value-function intercept built from |xi|^2 and the Merton
-    feedback fractions (sigma sigma^T)^{-1} (mu - r 1), which may be negative.
-    """
-    xi = sharpe_ratio(m)
-    coef = _growth_coef(e.delta * e.tau, e.gamma)
-    a_unconstrained = coef * (m.r + 0.5 * float(xi @ xi)) * e.tau
-    fractions = np.linalg.solve(m.sigma @ m.sigma.T, m.excess_returns())
-    return a_unconstrained, fractions
 
 
 def constraint_cost(m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> float:

@@ -1,28 +1,28 @@
-"""Optimal evaluation-period length: the tau objective, condition gates and 1-d maximizers.
+"""Optimal evaluation-period length: one tau objective, three condition gates, one search.
 
 The objective is V(x0; tau), the value at initial wealth x0 when performance
 is evaluated every tau years, or V(x0; tau) * tau (the scaled objective).
-``tau_objective`` is its one definition: closed form for log utility and for
-power utility with gamma = 1, and the fixed point A*(tau) for power utility
-with gamma < 1.
+``tau_objective`` is its one definition: closed form for log utility
+(V = A*(tau) + C*(tau) log x0) and for power utility with gamma = 1, and the
+fixed point A*(tau) for power utility with gamma < 1.
 
-Three settings admit an optimal period length tau*:
+Three propositions give a sufficient condition for an optimal period length
+tau* on that objective; each is a gate:
 
-* power utility, gamma = 1, on the scaled objective A*(tau)*tau, provided
-  delta/2 < zeta(alpha) < delta;
-* log utility on the plain value V(x; tau), provided gamma < 1 and
-  (r + |xi_tilde|^2/2)/delta + log x < 0;
-* log utility on the scaled value V(x; tau)*tau, always for gamma = 1 and
-  under a sign gate for gamma < 1.
+* ``tau_power_scaled``: power utility, gamma = 1, on the scaled objective
+  A*(tau)*tau, provided delta/2 < zeta(alpha) < delta;
+* ``tau_log_value``: log utility on the plain value V(x; tau), provided
+  gamma < 1 and (r + |xi_tilde|^2/2)/delta + log x < 0;
+* ``tau_log_scaled``: log utility on the scaled value V(x; tau)*tau, always
+  for gamma = 1 and under a sign gate for gamma < 1.
 
-Searches use geometric bracket expansion followed by golden-section to a
-relative tau tolerance of 1e-8, and every reported maximizer carries a local
-certificate: the objective does not improve at tau* * (1 +/- 1e-3).
-
-When the condition fails, or no setting covers the configuration, a cap on
-tau gives one capped search instead: the best of 257 evenly spaced points on
-(0, cap], refined by golden section when it is interior. ``optimal_tau``
-applies the matching proposition, or that search, to a configuration.
+Every gate, and ``optimal_tau`` when no gate covers the configuration, ends
+in one search. When the condition holds, it runs geometric bracket expansion
+followed by golden-section to a relative tau tolerance of 1e-8, and the
+maximizer carries a local certificate: the objective does not improve at
+tau* * (1 +/- 1e-3). Otherwise a cap on tau gives the capped search: the best
+of 257 evenly spaced points on (0, cap], refined by golden section when it is
+interior. Without a cap there is no tau*.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cone import ConstrainedSharpe, constrained_sharpe
 from .config import ProblemConfig, to_evaluation, to_market
-from .errors import NonConvergence, ParameterOutOfRange
-from .logutil import solve_log, value_log
+from .errors import DomainError, NonConvergence, ParameterOutOfRange
+from .logutil import _log_coefficients
 from .market import EvaluationSpec, MarketModel, zeta
 from .power import PowerProblem, fixed_point, value_function
 from .report import to_power_problem
@@ -54,16 +56,55 @@ class TauSearchResult:
     objective_kind: str  # 'value' or 'scaled_value'
 
 
-def _log_value(
-    m: MarketModel, gamma: float, delta: float, cs: ConstrainedSharpe, x: float, tau: float
-) -> float:
-    """V(x; tau) for log utility."""
-    return value_log(solve_log(m, EvaluationSpec(tau, gamma, delta), cs), x)
+@dataclass(frozen=True, eq=False)
+class TauObjective:
+    """V(x0; tau) of one configuration as a function of tau, times tau if ``scaled``.
+
+    Built by ``tau_objective``. It holds the market and its cone projection,
+    computed once for every tau, and for power utility the problem validated
+    at the configured tau. Log utility and power utility with gamma = 1 are
+    closed forms in tau; power utility with gamma < 1 solves its fixed point
+    at each tau.
+    """
+
+    cfg: ProblemConfig
+    scaled: bool
+    market: MarketModel
+    cs: ConstrainedSharpe
+    problem: PowerProblem | None
+
+    def __call__(self, tau: float) -> float:
+        cfg = self.cfg
+        if cfg.utility == "log":
+            growth = self.market.r + 0.5 * self.cs.objective
+            a_star, c_star = _log_coefficients(growth, tau, cfg.gamma, cfg.delta)
+            if cfg.x0 <= 0.0:
+                raise DomainError("value function requires x > 0")
+            value = float(a_star + c_star * np.log(cfg.x0))
+        elif cfg.gamma == 1.0:
+            # A*(tau)*tau = exp((zeta(alpha)-delta)*tau) * tau / (1 - exp(-delta*tau)),
+            # and V = A*/alpha, since x0^(alpha(1-gamma)) = 1
+            za = zeta(cfg.alpha, self.market.r, self.cs.objective)
+            scaled_a = math.exp((za - cfg.delta) * tau) * tau / (-math.expm1(-cfg.delta * tau))
+            return scaled_a if self.scaled else scaled_a / tau / cfg.alpha
+        else:
+            evaluation = EvaluationSpec(tau, cfg.gamma, cfg.delta)
+            sol = fixed_point(dataclasses.replace(self.problem, evaluation=evaluation))
+            value = value_function(sol, cfg.x0, cfg.alpha, cfg.gamma)
+        return value * tau if self.scaled else value
 
 
-def _power_scaled_gamma1(za: float, delta: float, tau: float) -> float:
-    """A*(tau) * tau for power utility with gamma = 1, za = zeta(alpha)."""
-    return math.exp((za - delta) * tau) * tau / (-math.expm1(-delta * tau))
+def tau_objective(cfg: ProblemConfig, scaled: bool) -> TauObjective:
+    """The tau objective of ``cfg``: V(x0; tau), times tau when ``scaled``.
+
+    Validates the market and the evaluation, and for power utility alpha and
+    well-posedness, which do not depend on tau.
+    """
+    market = to_market(cfg)
+    cs = constrained_sharpe(market)
+    evaluation = to_evaluation(cfg)
+    problem = to_power_problem(cfg, market, cs, evaluation) if cfg.utility == "power" else None
+    return TauObjective(cfg, scaled, market, cs, problem)
 
 
 def _golden_max(f, lo: float, hi: float, rel_tol: float = _REL_TOL) -> tuple[float, float]:
@@ -129,13 +170,22 @@ def _capped_supremum(f, cap: float, points: int = 257) -> tuple[float, float]:
     return pts[i], vals[i]
 
 
-def tau_power_scaled(
-    m: MarketModel,
-    alpha: float,
-    delta: float,
-    cs: ConstrainedSharpe,
-    sup_cap: float | None = None,
+def _search(
+    objective: TauObjective, holds: bool, detail: str, cap: float | None
 ) -> TauSearchResult:
+    """Maximize the objective when ``holds``, else take its capped supremum if ``cap`` is given."""
+    kind = "scaled_value" if objective.scaled else "value"
+    delta = objective.cfg.delta
+    if holds:
+        tau_star, obj = _maximize(objective, 1e-4 / delta, 1.0 / delta)
+    elif cap is not None:
+        tau_star, obj = _capped_supremum(objective, cap)
+    else:
+        tau_star, obj = None, float("nan")
+    return TauSearchResult(holds, detail, tau_star, obj, kind)
+
+
+def tau_power_scaled(objective: TauObjective, cap: float | None = None) -> TauSearchResult:
     """Maximize the scaled power value A*(tau)*tau for gamma = 1.
 
     With gamma = 1 the fixed point is explicit and the scaled objective is
@@ -143,149 +193,65 @@ def tau_power_scaled(
     with g(0+) = 1/delta. An interior maximizer exists when
     delta/2 < zeta(alpha) < delta.
     """
+    cfg = objective.cfg
+    if not (objective.scaled and cfg.utility == "power" and cfg.gamma == 1.0):
+        raise ParameterOutOfRange(
+            "tau_power_scaled covers the scaled power objective with gamma = 1"
+        )
+    delta = cfg.delta
     if delta <= 0:
         raise ParameterOutOfRange("delta must be positive")
-    za = zeta(alpha, m.r, cs.objective)
+    za = zeta(cfg.alpha, objective.market.r, objective.cs.objective)
     holds = delta / 2.0 < za < delta
     detail = (
         f"requires delta/2 < zeta(alpha) < delta: delta/2={delta / 2.0:.6g}, "
         f"zeta(alpha)={za:.6g}, delta={delta:.6g}; g(0+) = 1/delta = {1.0 / delta:.6g}"
     )
-
-    def g(tau: float) -> float:
-        return _power_scaled_gamma1(za, delta, tau)
-
-    if holds:
-        tau_star, obj = _maximize(g, 1e-4 / delta, 1.0 / delta)
-        return TauSearchResult(True, detail, tau_star, obj, "scaled_value")
-    if sup_cap is not None:
-        tau_star, obj = _capped_supremum(g, sup_cap)
-        return TauSearchResult(False, detail, tau_star, obj, "scaled_value")
-    return TauSearchResult(False, detail, None, float("nan"), "scaled_value")
+    return _search(objective, holds, detail, cap)
 
 
-def tau_log_value(
-    m: MarketModel,
-    e_template: EvaluationSpec,
-    cs: ConstrainedSharpe,
-    x: float,
-    sup_cap: float | None = None,
-) -> TauSearchResult:
+def tau_log_value(objective: TauObjective, cap: float | None = None) -> TauSearchResult:
     """Maximize the log value V(x; tau) over tau for gamma in (0, 1).
 
     The sufficient condition is (r + |xi_tilde|^2/2)/delta + log x < 0, in
     which case V(x; 0+) = -inf and V(x; inf) = 0 force an interior positive
     maximum.
     """
-    gamma, delta = e_template.gamma, e_template.delta
-    if not 0 < gamma < 1:
+    cfg = objective.cfg
+    if objective.scaled or cfg.utility != "log":
+        raise ParameterOutOfRange("tau_log_value covers the unscaled log objective")
+    if not 0 < cfg.gamma < 1:
         raise ParameterOutOfRange("the value objective requires gamma in (0, 1)")
-    if x <= 0:
+    if cfg.x0 <= 0:
         raise ParameterOutOfRange("initial wealth x must be positive")
-    mu_g = m.r + 0.5 * cs.objective
-    gate = mu_g / delta + math.log(x)
-    holds = gate < 0.0
-    detail = (
-        f"requires (r + |xi_tilde|^2/2)/delta + log x < 0: value={gate:.6g}"
-    )
-
-    def v(tau: float) -> float:
-        return _log_value(m, gamma, delta, cs, x, tau)
-
-    if holds:
-        tau_star, obj = _maximize(v, 1e-4 / delta, 1.0 / delta)
-        return TauSearchResult(True, detail, tau_star, obj, "value")
-    if sup_cap is not None:
-        tau_star, obj = _capped_supremum(v, sup_cap)
-        return TauSearchResult(False, detail, tau_star, obj, "value")
-    return TauSearchResult(False, detail, None, float("nan"), "value")
+    mu_g = objective.market.r + 0.5 * objective.cs.objective
+    gate = mu_g / cfg.delta + math.log(cfg.x0)
+    detail = f"requires (r + |xi_tilde|^2/2)/delta + log x < 0: value={gate:.6g}"
+    return _search(objective, gate < 0.0, detail, cap)
 
 
-def tau_log_scaled(
-    m: MarketModel,
-    e_template: EvaluationSpec,
-    cs: ConstrainedSharpe,
-    x: float,
-    sup_cap: float | None = None,
-) -> TauSearchResult:
+def tau_log_scaled(objective: TauObjective, cap: float | None = None) -> TauSearchResult:
     """Maximize the scaled log value V(x; tau)*tau over tau.
 
     For gamma = 1 an interior maximizer always exists; delta*tau* solves
     exp(u)*(2 - u) = 2, so tau* > 1/delta. For gamma < 1 the gate is
     (r + |xi_tilde|^2/2)*gamma/delta - (1-gamma)/2 * log x > 0.
     """
-    gamma, delta = e_template.gamma, e_template.delta
+    cfg = objective.cfg
+    if not objective.scaled or cfg.utility != "log":
+        raise ParameterOutOfRange("tau_log_scaled covers the scaled log objective")
+    gamma, delta, x = cfg.gamma, cfg.delta, cfg.x0
     if x <= 0:
         raise ParameterOutOfRange("initial wealth x must be positive")
-    mu_g = m.r + 0.5 * cs.objective
-
-    def f(tau: float) -> float:
-        return _log_value(m, gamma, delta, cs, x, tau) * tau
-
     if gamma == 1.0:
-        detail = "gamma = 1: an interior maximizer always exists"
-        tau_star, obj = _maximize(f, 1e-4 / delta, 1.0 / delta)
-        return TauSearchResult(True, detail, tau_star, obj, "scaled_value")
-
+        return _search(objective, True, "gamma = 1: an interior maximizer always exists", cap)
+    mu_g = objective.market.r + 0.5 * objective.cs.objective
     gate = mu_g * gamma / delta - 0.5 * (1.0 - gamma) * math.log(x)
-    holds = gate > 0.0
     detail = (
         "requires (r + |xi_tilde|^2/2)*gamma/delta - (1-gamma)/2*log x > 0: "
         f"value={gate:.6g}"
     )
-    if holds:
-        tau_star, obj = _maximize(f, 1e-4 / delta, 1.0 / delta)
-        return TauSearchResult(True, detail, tau_star, obj, "scaled_value")
-    if sup_cap is not None:
-        tau_star, obj = _capped_supremum(f, sup_cap)
-        return TauSearchResult(False, detail, tau_star, obj, "scaled_value")
-    return TauSearchResult(False, detail, None, float("nan"), "scaled_value")
-
-
-@dataclass(frozen=True, eq=False)
-class TauObjective:
-    """V(x0; tau) of one configuration as a function of tau, times tau if ``scaled``.
-
-    Built by ``tau_objective``. It holds the market and its cone projection,
-    computed once for every tau, and for power utility the problem validated
-    at the configured tau; with gamma < 1 each call solves its fixed point at
-    the given tau.
-    """
-
-    cfg: ProblemConfig
-    scaled: bool
-    market: MarketModel
-    cs: ConstrainedSharpe
-    evaluation: EvaluationSpec
-    problem: PowerProblem | None
-
-    def __call__(self, tau: float) -> float:
-        cfg = self.cfg
-        if cfg.utility == "log":
-            value = _log_value(self.market, cfg.gamma, cfg.delta, self.cs, cfg.x0, tau)
-        elif cfg.gamma == 1.0:
-            # V = A*/alpha, since x0^(alpha(1-gamma)) = 1
-            za = zeta(cfg.alpha, self.market.r, self.cs.objective)
-            scaled_a = _power_scaled_gamma1(za, cfg.delta, tau)
-            return scaled_a if self.scaled else scaled_a / tau / cfg.alpha
-        else:
-            evaluation = EvaluationSpec(tau, cfg.gamma, cfg.delta)
-            sol = fixed_point(dataclasses.replace(self.problem, evaluation=evaluation))
-            value = value_function(sol, cfg.x0, cfg.alpha, cfg.gamma)
-        return value * tau if self.scaled else value
-
-
-def tau_objective(cfg: ProblemConfig, scaled: bool) -> TauObjective:
-    """The tau objective of ``cfg``: V(x0; tau), times tau when ``scaled``.
-
-    Validates the market and the evaluation, and for power utility alpha and
-    well-posedness, which do not depend on tau.
-    """
-    market = to_market(cfg)
-    cs = constrained_sharpe(market)
-    evaluation = to_evaluation(cfg)
-    problem = to_power_problem(cfg, market, cs, evaluation) if cfg.utility == "power" else None
-    return TauObjective(cfg, scaled, market, cs, evaluation, problem)
+    return _search(objective, gate > 0.0, detail, cap)
 
 
 def optimal_tau(objective: TauObjective, cap: float | None = None) -> TauSearchResult:
@@ -297,16 +263,11 @@ def optimal_tau(objective: TauObjective, cap: float | None = None) -> TauSearchR
     ``tau_star`` is None when no sufficient condition holds and ``cap`` is
     None.
     """
-    cfg, m, cs, scaled = objective.cfg, objective.market, objective.cs, objective.scaled
+    cfg, scaled = objective.cfg, objective.scaled
     if scaled and cfg.utility == "power" and cfg.gamma == 1.0:
-        return tau_power_scaled(m, cfg.alpha, cfg.delta, cs, sup_cap=cap)
+        return tau_power_scaled(objective, cap)
     if scaled and cfg.utility == "log":
-        return tau_log_scaled(m, objective.evaluation, cs, cfg.x0, sup_cap=cap)
+        return tau_log_scaled(objective, cap)
     if not scaled and cfg.utility == "log" and cfg.gamma < 1.0:
-        return tau_log_value(m, objective.evaluation, cs, cfg.x0, sup_cap=cap)
-    detail = "no sufficient condition applies to this configuration"
-    kind = "scaled_value" if scaled else "value"
-    if cap is None:
-        return TauSearchResult(False, detail, None, float("nan"), kind)
-    tau_star, obj = _capped_supremum(objective, cap)
-    return TauSearchResult(False, detail, tau_star, obj, kind)
+        return tau_log_value(objective, cap)
+    return _search(objective, False, "no sufficient condition applies to this configuration", cap)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cone import ConstrainedSharpe, constrained_sharpe
 from .config import ProblemConfig, SweepSpec, apply_sweep_value, to_evaluation, to_market
 from .errors import ConfigError, PortfolioError
-from .logutil import LogSolution, solve_log, unconstrained_log, value_log
+from .logutil import LogSolution, solve_log, value_log
 from .market import EvaluationSpec, MarketModel
 from .power import PowerProblem, PowerSolution, fixed_point, value_function
 
@@ -80,14 +80,13 @@ def solve(cfg: ProblemConfig) -> Report:
     else:
         problem = None
         sol = solve_log(market, evaluation, cs)
-        a_unc, frac_unc = unconstrained_log(market, evaluation)
         fields.update(
             a_star=sol.a_star,
             c_star=sol.c_star,
             v_x0=value_log(sol, cfg.x0),
             feedback_fractions=sol.feedback_fractions,
-            a_unconstrained=a_unc,
-            unconstrained_fractions=frac_unc,
+            a_unconstrained=sol.a_unconstrained,
+            unconstrained_fractions=sol.unconstrained_fractions,
             constraint_cost=sol.constraint_cost,
         )
     return Report(market, evaluation, problem, sol, fields)

@@ -37,13 +37,6 @@ def test_malformed_config_exit_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_non_integer_quad_order_env_exit_config(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PP_QUAD_ORDER", "sixty-four")
-    path = write_config(tmp_path, "table2_power")
-    assert cli.main(["solve", "--config", path]) == cli.EXIT_CONFIG
-    assert "PP_QUAD_ORDER" in capsys.readouterr().err
-
-
 def test_ill_posed_delta_exit_assumption(tmp_path, capsys):
     path = write_config(tmp_path, "table2_power", delta=0.01)
     assert cli.main(["solve", "--config", path]) == cli.EXIT_ASSUMPTION
@@ -280,3 +273,58 @@ def test_opt_tau_table2_capped_golden(capsys, objective):
             "--tau-cap", "4"]
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == OPT_TAU_TABLE2_CAPPED_GOLDEN[objective]
+
+
+# Capped log `opt-tau --objective value --tau-cap 4` on table1: with x0 = 50
+# the value gate fails, and with gamma = 1 no proposition applies.
+OPT_TAU_TABLE1_CAPPED_GOLDEN = {
+    "x0-50": """\
+condition_holds: false
+condition_detail: requires (r + |xi_tilde|^2/2)/delta + log x < 0: value=4.33602
+tau_star: 0.0155642023346
+objective_at_star: 185.673796583
+objective_kind: value
+""",
+    "gamma-1": """\
+condition_holds: false
+condition_detail: no sufficient condition applies to this configuration
+tau_star: 0.0155642023346
+objective_at_star: 0.423010887068
+objective_kind: value
+""",
+}
+
+
+def test_opt_tau_table1_capped_value_golden(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    argv = ["opt-tau", "--config", write_config(tmp_path, "table1_log", x0=50.0),
+            "--objective", "value", "--tau-cap", "4", "--curve-out", str(curve)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == OPT_TAU_TABLE1_CAPPED_GOLDEN["x0-50"]
+    golden = Path(__file__).resolve().parent / "golden" / "opt_tau_table1_log_value_x0_50_capped_curve.csv"
+    assert curve.read_text() == golden.read_text()
+    argv = ["opt-tau", "--config", write_config(tmp_path, "table1_log", gamma=1.0),
+            "--objective", "value", "--tau-cap", "4"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == OPT_TAU_TABLE1_CAPPED_GOLDEN["gamma-1"]
+
+
+# A non-positive x0 on each log `opt-tau` branch: the closed form must reject
+# it, because np.log of it is nan or -inf and does not raise.
+@pytest.mark.parametrize(
+    "changes,extra,message",
+    [
+        pytest.param({}, ["--objective", "scaled"], "initial wealth x must be positive", id="scaled"),
+        pytest.param({}, ["--objective", "value"], "initial wealth x must be positive", id="value-gate"),
+        pytest.param(
+            {"gamma": 1.0}, ["--objective", "value", "--tau-cap", "4"],
+            "value function requires x > 0", id="value-capped",
+        ),
+    ],
+)
+def test_opt_tau_log_nonpositive_x0_exit_assumption(tmp_path, capsys, changes, extra, message):
+    argv = ["opt-tau", "--config", write_config(tmp_path, "table1_log", x0=-1.0, **changes), *extra]
+    assert cli.main(argv) == cli.EXIT_ASSUMPTION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parameter/assumption error: {message}\n"

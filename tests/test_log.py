@@ -10,7 +10,6 @@ from periodic_portfolio import (
     constraint_cost,
     dual_value_log,
     solve_log,
-    unconstrained_log,
     value_log,
 )
 from periodic_portfolio.errors import DomainError, ParameterOutOfRange
@@ -67,21 +66,22 @@ def test_dual_value_log(table_market, table_eval, table_cone):
 
 
 def test_unconstrained_comparison(table_market, table_eval, table_cone):
-    a_unc, fractions = unconstrained_log(table_market, table_eval)
+    sol = solve_log(table_market, table_eval, table_cone)
+    a_unc, fractions = sol.a_unconstrained, sol.unconstrained_fractions
     np.testing.assert_allclose(fractions, [-0.5, 0.48], atol=1e-12)
     e_dt = math.exp(0.3)
     q_free = 0.0244
     assert a_unc == pytest.approx(
         (e_dt - 0.8) / (e_dt - 1.0) ** 2 * (0.12 + 0.5 * q_free), rel=1e-12
     )
-    sol = solve_log(table_market, table_eval, table_cone)
     assert a_unc >= sol.a_star
 
 
 def test_unconstrained_zero_excess():
     m = MarketModel(mu=[0.12, 0.12], sigma=np.diag([0.2, 0.25]), r=0.12)
     e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
-    a_unc, fractions = unconstrained_log(m, e)
+    sol = solve_log(m, e, constrained_sharpe(m))
+    a_unc, fractions = sol.a_unconstrained, sol.unconstrained_fractions
     np.testing.assert_allclose(fractions, [0.0, 0.0], atol=1e-14)
     e_dt = math.exp(0.3)
     assert a_unc == pytest.approx((e_dt - 0.8) / (e_dt - 1.0) ** 2 * 0.12, rel=1e-12)

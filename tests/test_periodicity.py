@@ -6,16 +6,36 @@ from scipy.optimize import brentq
 
 from periodic_portfolio import (
     EvaluationSpec,
-    MarketModel,
+    ProblemConfig,
     constrained_sharpe,
+    optimal_tau,
     solve_log,
-    tau_log_scaled,
-    tau_log_value,
-    tau_power_scaled,
+    tau_objective,
     value_log,
     zeta,
 )
+from periodic_portfolio import periodicity
 from periodic_portfolio.errors import ParameterOutOfRange
+from periodic_portfolio.periodicity import tau_log_scaled, tau_log_value, tau_power_scaled
+
+from conftest import TABLE_MU, TABLE_R, TABLE_SIGMA, random_market
+
+
+def table_config(utility="log", **changes) -> ProblemConfig:
+    """The benchmark two-stock market at tau = 1, with evaluation fields from ``changes``."""
+    fields = dict(
+        utility=utility,
+        mu=TABLE_MU,
+        sigma=tuple(np.ravel(TABLE_SIGMA)),
+        r=TABLE_R,
+        tau=1.0,
+        gamma=0.8,
+        delta=0.3,
+        x0=0.5,
+        alpha=0.5 if utility == "power" else None,
+    )
+    fields.update(changes)
+    return ProblemConfig(**fields)
 
 
 def scaled_log_objective(m, cs, gamma, delta, x, tau):
@@ -25,9 +45,7 @@ def scaled_log_objective(m, cs, gamma, delta, x, tau):
 
 def test_log_scaled_gamma_one_matches_scalar_root(table_market, table_cone):
     delta = 0.3
-    res = tau_log_scaled(
-        table_market, EvaluationSpec(1.0, 1.0, delta), table_cone, 0.5
-    )
+    res = tau_log_scaled(tau_objective(table_config(gamma=1.0, delta=delta, x0=0.5), True))
     assert res.condition_holds and res.objective_kind == "scaled_value"
     # independent root of exp(u)*(2-u) = 2 locates delta*tau*
     u_root = brentq(lambda u: math.exp(u) * (2.0 - u) - 2.0, 1.0, 1.99, xtol=1e-14)
@@ -37,7 +55,7 @@ def test_log_scaled_gamma_one_matches_scalar_root(table_market, table_cone):
 
 
 def test_log_scaled_gamma_one_local_certificate(table_market, table_cone):
-    res = tau_log_scaled(table_market, EvaluationSpec(1.0, 1.0, 0.3), table_cone, 0.5)
+    res = tau_log_scaled(tau_objective(table_config(gamma=1.0, delta=0.3, x0=0.5), True))
     for bump in (0.999, 1.001):
         assert (
             scaled_log_objective(table_market, table_cone, 1.0, 0.3, 0.5, res.tau_star * bump)
@@ -46,35 +64,35 @@ def test_log_scaled_gamma_one_local_certificate(table_market, table_cone):
 
 
 def test_log_scaled_gamma_below_one_gate(table_market, table_cone):
-    e = EvaluationSpec(1.0, 0.8, 0.3)
-    res = tau_log_scaled(table_market, e, table_cone, 0.5)
+    res = tau_log_scaled(tau_objective(table_config(gamma=0.8, delta=0.3, x0=0.5), True))
     # gate value 0.1272*(0.8/0.3) - 0.1*log(0.5) > 0
     gate = 0.1272 * (0.8 / 0.3) - 0.1 * math.log(0.5)
     assert gate > 0 and res.condition_holds
     assert res.tau_star is not None and res.objective_at_star > 0
     # violated gate: huge initial wealth with a tiny gamma weight
-    res_fail = tau_log_scaled(
-        table_market, EvaluationSpec(1.0, 0.01, 0.3), table_cone, 1e60
-    )
+    res_fail = tau_log_scaled(tau_objective(table_config(gamma=0.01, delta=0.3, x0=1e60), True))
     assert not res_fail.condition_holds and res_fail.tau_star is None
 
 
 def test_log_value_gate_both_sides(table_market, table_cone):
-    e = EvaluationSpec(1.0, 0.8, 0.3)
     threshold = math.exp(-(0.12 + 0.5 * 0.0144) / 0.3)
-    res_in = tau_log_value(table_market, e, table_cone, threshold * 0.98)
+
+    def result(x):
+        return tau_log_value(tau_objective(table_config(gamma=0.8, delta=0.3, x0=x), False))
+
+    res_in = result(threshold * 0.98)
     assert res_in.condition_holds
     assert res_in.tau_star is not None
     assert res_in.objective_at_star > 0
-    res_out = tau_log_value(table_market, e, table_cone, threshold * 1.02)
+    res_out = result(threshold * 1.02)
     assert not res_out.condition_holds and res_out.tau_star is None
     # log(1) = 0 puts x = 1 outside the condition
-    res_one = tau_log_value(table_market, e, table_cone, 1.0)
+    res_one = result(1.0)
     assert not res_one.condition_holds
 
 
 def test_log_value_table_point(table_market, table_cone):
-    res = tau_log_value(table_market, EvaluationSpec(1.0, 0.8, 0.3), table_cone, 0.5)
+    res = tau_log_value(tau_objective(table_config(gamma=0.8, delta=0.3, x0=0.5), False))
     assert res.condition_holds
     assert res.objective_at_star > 0
     for bump in (0.999, 1.001):
@@ -86,11 +104,11 @@ def test_log_value_table_point(table_market, table_cone):
 
 def test_log_value_requires_gamma_below_one(table_market, table_cone):
     with pytest.raises(ParameterOutOfRange):
-        tau_log_value(table_market, EvaluationSpec(1.0, 1.0, 0.3), table_cone, 0.5)
+        tau_log_value(tau_objective(table_config(gamma=1.0, delta=0.3, x0=0.5), False))
 
 
 def test_power_scaled_figure_parameters(table_market, table_cone):
-    res = tau_power_scaled(table_market, 0.5, 0.11, table_cone)
+    res = tau_power_scaled(tau_objective(table_config("power", gamma=1.0, delta=0.11), True))
     za = zeta(0.5, 0.12, table_cone.objective)
     assert 0.11 / 2 < za < 0.11
     assert res.condition_holds and res.tau_star is not None
@@ -109,21 +127,93 @@ def test_power_scaled_figure_parameters(table_market, table_cone):
 
 def test_power_scaled_condition_gate(table_market, table_cone):
     # zeta(alpha) >= delta: no search
-    res = tau_power_scaled(table_market, 0.5, 0.05, table_cone)
+    objective = tau_objective(table_config("power", gamma=1.0, delta=0.05), True)
+    res = tau_power_scaled(objective)
     assert not res.condition_holds and res.tau_star is None
     assert math.isnan(res.objective_at_star)
     # capped supremum still reported when requested
-    res_cap = tau_power_scaled(table_market, 0.5, 0.05, table_cone, sup_cap=50.0)
+    res_cap = tau_power_scaled(objective, cap=50.0)
     assert not res_cap.condition_holds and res_cap.tau_star is not None
 
 
 def test_scaled_objectives_vanish_at_long_horizons(table_market, table_cone):
-    res = tau_power_scaled(table_market, 0.5, 0.11, table_cone)
+    res = tau_power_scaled(tau_objective(table_config("power", gamma=1.0, delta=0.11), True))
     za = zeta(0.5, 0.12, table_cone.objective)
     far = 1e3 / 0.11
     g_far = math.exp((za - 0.11) * far) * far / (1.0 - math.exp(-0.11 * far))
     assert g_far < 1e-6 * res.objective_at_star
 
-    res_log = tau_log_scaled(table_market, EvaluationSpec(1.0, 1.0, 0.3), table_cone, 0.5)
+    res_log = tau_log_scaled(tau_objective(table_config(gamma=1.0, delta=0.3, x0=0.5), True))
     f_far = scaled_log_objective(table_market, table_cone, 1.0, 0.3, 0.5, 1e3 / 0.3)
     assert f_far < 1e-6 * res_log.objective_at_star
+
+
+@pytest.mark.parametrize("n", [2, 10, 50])
+def test_log_objective_equals_solve_log_exactly(n):
+    # the closed form on the tau objective is the same arithmetic as solve_log
+    # followed by value_log, so the two agree bit for bit
+    rng = np.random.default_rng(n)
+    taus = np.geomspace(1e-3, 1e2, 16)
+    for _ in range(3):
+        m = random_market(rng, n)
+        cs = constrained_sharpe(m)
+        delta = float(rng.uniform(0.1, 0.5))
+        for gamma in (0.3, 0.8, 1.0):
+            for x0 in (0.2, 1.0, 50.0):
+                cfg = ProblemConfig(
+                    utility="log", mu=m.mu, sigma=m.sigma.ravel(), r=m.r,
+                    tau=1.0, gamma=gamma, delta=delta, x0=x0,
+                )
+                value, scaled = tau_objective(cfg, False), tau_objective(cfg, True)
+                for tau in taus:
+                    tau = float(tau)
+                    want = value_log(solve_log(m, EvaluationSpec(tau, gamma, delta), cs), x0)
+                    assert value(tau) == want
+                    assert scaled(tau) == want * tau
+
+
+def test_power_gamma_one_objective_matches_closed_form(table_cone):
+    alpha, delta = 0.5, 0.11
+    za = TABLE_R * alpha + alpha * table_cone.objective / (2.0 * (1.0 - alpha))
+    scaled = tau_objective(table_config("power", gamma=1.0, delta=delta, alpha=alpha), True)
+    value = tau_objective(table_config("power", gamma=1.0, delta=delta, alpha=alpha), False)
+    for tau in np.geomspace(1e-3, 1e2, 16):
+        tau = float(tau)
+        g = math.exp((za - delta) * tau) * tau / (-math.expm1(-delta * tau))
+        assert scaled(tau) == pytest.approx(g, rel=1e-13)
+        assert value(tau) == pytest.approx(g / tau / alpha, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "gate,cfg,scaled",
+    [
+        pytest.param(tau_power_scaled, table_config("power", gamma=1.0), False, id="power-scaled-on-value"),
+        pytest.param(tau_power_scaled, table_config("power", gamma=0.8), True, id="power-scaled-on-gamma-0.8"),
+        pytest.param(tau_power_scaled, table_config(gamma=1.0), True, id="power-scaled-on-log"),
+        pytest.param(tau_log_value, table_config(), True, id="log-value-on-scaled"),
+        pytest.param(tau_log_value, table_config("power"), False, id="log-value-on-power"),
+        pytest.param(tau_log_scaled, table_config(), False, id="log-scaled-on-value"),
+        pytest.param(tau_log_scaled, table_config("power", gamma=1.0), True, id="log-scaled-on-power"),
+    ],
+)
+def test_gate_rejects_objective_it_does_not_cover(gate, cfg, scaled):
+    with pytest.raises(ParameterOutOfRange):
+        gate(tau_objective(cfg, scaled))
+
+
+@pytest.mark.parametrize(
+    "name,cfg,scaled",
+    [
+        ("tau_power_scaled", table_config("power", gamma=1.0, delta=0.11), True),
+        ("tau_log_scaled", table_config(), True),
+        ("tau_log_value", table_config(), False),
+    ],
+)
+def test_optimal_tau_calls_gate_through_module_global(monkeypatch, name, cfg, scaled):
+    # tracers time each search by replacing the gate in the module's globals
+    calls = []
+    gate = getattr(periodicity, name)
+    monkeypatch.setattr(periodicity, name, lambda *args: calls.append(name) or gate(*args))
+    objective = tau_objective(cfg, scaled)
+    assert optimal_tau(objective, 4.0) == gate(objective, 4.0)
+    assert calls == [name]
