@@ -42,12 +42,9 @@ from .power import (
     PowerSolution,
     budget_function,
     contraction_map,
-    dual_value,
     fixed_point,
     intra_period_profile,
-    legendre_transform,
     marginal_inverse,
-    moderated_marginal,
     moderated_utility,
     moderated_value,
     solve_y_star,
@@ -84,7 +81,6 @@ __all__ = [
     "constrained_sharpe",
     "constraint_cost",
     "contraction_map",
-    "dual_value",
     "dual_value_log",
     "estimate_h_expectation",
     "estimate_log_objective",
@@ -94,10 +90,8 @@ __all__ = [
     "fixed_point",
     "format_problem_config",
     "intra_period_profile",
-    "legendre_transform",
     "make_rule",
     "marginal_inverse",
-    "moderated_marginal",
     "moderated_utility",
     "moderated_value",
     "optimal_tau",

@@ -1,10 +1,20 @@
 """Problem and sweep configuration: flat key/value text files or JSON.
 
-Text grammar (see README for the full description):
+Text grammar:
 
-* ``key = value`` pairs, one per line; ``#`` starts a comment.
-* Market and evaluation keys live at the top of the file; solver tolerances
-  and Monte Carlo settings live under ``[solver]`` and ``[mc]`` sections.
+* ``key = value`` pairs, one per line; ``#`` starts a comment. Keys and
+  section names are case-insensitive; an unknown key or section is an error.
+* Top of the file: ``utility`` (``power`` or ``log``), ``mu``, ``sigma``,
+  ``r``, ``tau``, ``gamma``, ``delta`` and ``x0`` are required; ``alpha`` is
+  required for power utility and rejected for log; ``n``, if given, must
+  equal the length of ``mu``.
+* ``[solver]``: ``tol_root`` (default 1e-10), ``tol_fixed_point`` (1e-10) and
+  ``quad_order`` (64), the starting Gauss-Hermite order.
+* ``[mc]``: ``n_paths`` (100000), ``n_periods`` (an integer or ``auto``, the
+  default), ``seed`` (12345) and ``antithetic`` (true/false, default false).
+* ``[sweep]``, in a sweep file: ``parameter`` (``alpha``, ``gamma``, ``tau``,
+  ``x0``, ``delta``, ``mu_i`` or ``sigma_ij``, indices from 1), ``grid``
+  (strictly increasing) and ``outputs`` (sweep column names; see ``report``).
 * Vector values (``mu``, ``sigma``, ``grid``) are whitespace- or
   comma-separated; ``sigma`` is row-major. ``grid`` also accepts the range
   shorthand ``start:stop:step``.

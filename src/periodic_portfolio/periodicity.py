@@ -261,7 +261,8 @@ def optimal_tau(objective: TauObjective, cap: float | None = None) -> TauSearchR
     (``tau_power_scaled``, ``tau_log_scaled`` or ``tau_log_value``); when none
     does, returns the capped supremum of the objective over (0, ``cap``].
     ``tau_star`` is None when no sufficient condition holds and ``cap`` is
-    None.
+    None. An x0 <= 0 raises DomainError whenever the objective depends on x0,
+    capped or not.
     """
     cfg, scaled = objective.cfg, objective.scaled
     if scaled and cfg.utility == "power" and cfg.gamma == 1.0:
@@ -270,4 +271,7 @@ def optimal_tau(objective: TauObjective, cap: float | None = None) -> TauSearchR
         return tau_log_scaled(objective, cap)
     if not scaled and cfg.utility == "log" and cfg.gamma < 1.0:
         return tau_log_value(objective, cap)
+    # without a cap the search evaluates nothing, so check x0 where the objective needs it
+    if cfg.x0 <= 0.0 and (cfg.utility == "log" or cfg.gamma < 1.0):
+        raise DomainError("value function requires x > 0")
     return _search(objective, False, "no sufficient condition applies to this configuration", cap)

@@ -23,6 +23,14 @@ same (vector-valued) quadrature call. With x = I(y * Z/B) at each node:
 
 Each Newton iteration keeps a sign bracket and falls back to bisection (y*)
 or to the Picard step A -> Psi(A) (A*) when a step leaves it.
+
+The same sums give the optimal constrained portfolio (convex duality:
+Cvitanic and Karatzas, Ann. Appl. Probab. 2(4), 1992). At deflator level z
+and time t of a period, with F and y F'(y) taken at y = y* z under the law
+of the remaining horizon tau - t, wealth is F times its period-start value
+and the risky fractions are (-d log F / d log y) (sigma^T)^{-1} xi_tilde.
+At the period start that slope ratio is the one the solver's last
+evaluation already took.
 """
 
 from __future__ import annotations
@@ -107,7 +115,9 @@ class PowerSolution:
     H'), not Newton steps. ``error_bound`` = |Psi(A) - A| / (1 - q) at the
     last evaluated A bounds |A* - A_true|; when it exceeds tol_fixed_point
     the solve was accepted at the float64 floor of the residual instead (see
-    ``fixed_point``).
+    ``fixed_point``). ``fraction_scale`` is -d log F / d log y at the last
+    evaluation's y* Newton point: the period-start risky fractions are
+    ``fraction_scale`` * (sigma^T)^{-1} xi_tilde.
     """
 
     a_star: float
@@ -117,6 +127,7 @@ class PowerSolution:
     upper_bound: float
     iterations: int
     error_bound: float
+    fraction_scale: float
 
 
 def moderated_utility(a: float, alpha: float, gamma: float, x):
@@ -214,25 +225,6 @@ def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10
     return float(x[0]) if scalar else x
 
 
-def legendre_transform(a: float, alpha: float, gamma: float, y, tol: float = 1e-10):
-    """phi_a(y) = h_a(I(y)) - y * I(y) with I the inverse marginal."""
-    y_arr = np.asarray(y, dtype=float)
-    x = marginal_inverse(a, alpha, gamma, y_arr, tol)
-    out = moderated_utility(a, alpha, gamma, x) - y_arr * x
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def dual_value(p: PowerProblem, a: float, y: float) -> float:
-    """Dual value E[phi_a(y * Z/B)] over one period, by adaptive quadrature."""
-    if y <= 0.0:
-        raise DomainError("dual value requires y > 0")
-    return expect_deflator_adaptive(
-        lambda z: legendre_transform(a, p.alpha, p.evaluation.gamma, y * z, p.tol_root),
-        p.law,
-        order=p.quad_order,
-    )
-
-
 def budget_function(p: PowerProblem, a: float, y: float) -> float:
     """F(y) = E[(Z/B) * I(y * Z/B)], strictly decreasing with F(0+)=inf, F(inf)=0."""
     if y <= 0.0:
@@ -252,8 +244,8 @@ def _marginal_elasticity(a: float, alpha: float, gamma: float, x):
     return (alpha - 1.0) - alpha * gamma * expit(math.log(c) - alpha * gamma * np.log(x))
 
 
-def _period_sums(p: PowerProblem, a: float, y: float) -> np.ndarray:
-    """One quadrature pass at (a, y) over the nodes x = I(y * Z/B).
+def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.ndarray:
+    """One quadrature pass at (a, y) over the nodes x = I(y * Z/B), Z/B ~ ``law``.
 
     Returns [F(y), y F'(y), E[phi_a(y Z/B)], E[x^(alpha(1-gamma))]]. The slope
     uses dx/dlog y = x / (d log h_a'/d log x), so it stays finite wherever F
@@ -275,7 +267,7 @@ def _period_sums(p: PowerProblem, a: float, y: float) -> np.ndarray:
         )
 
     return expect_deflator_adaptive(
-        integrand, p.law, order=p.quad_order, rel_tol=_PERIOD_SUMS_REL_TOL
+        integrand, law, order=p.quad_order, rel_tol=_PERIOD_SUMS_REL_TOL
     )
 
 
@@ -295,7 +287,7 @@ def _newton_y(p: PowerProblem, a: float, budget: float, hint: float | None):
     lo, hi = -math.inf, math.inf
     for _ in range(_NEWTON_CAP):
         y = math.exp(u)
-        sums = _period_sums(p, a, y)
+        sums = _period_sums(p, p.law, a, y)
         if not sums[0] > 0.0:
             raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
         g = math.log(sums[0]) - log_budget
@@ -335,14 +327,15 @@ def solve_y_star(
 
 
 def _value_and_y(p: PowerProblem, a: float, hint: float | None = None):
-    """H(a), H'(a) and y*(a) from the nodes of the last y* Newton evaluation.
+    """H(a), H'(a), y*(a) and -d log F / d log y from the last y* Newton evaluation.
 
     H = alpha * (E[phi_a(y R)] + y) is stationary in y at y*, so taking it at
     the evaluation point y_k of the last (accepted) step costs only the square
     of that step.
     """
     y_star, y_eval, sums = _newton_y(p, a, 1.0, hint)
-    return float(p.alpha * (sums[2] + y_eval)), float(sums[3]), y_star
+    h_val, h_slope = float(p.alpha * (sums[2] + y_eval)), float(sums[3])
+    return h_val, h_slope, y_star, float(-sums[1] / sums[0])
 
 
 def moderated_value(p: PowerProblem, a: float) -> float:
@@ -430,7 +423,7 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     y_star = None
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):
-        h_val, h_slope, y_star = _value_and_y(p, a, y_star)
+        h_val, h_slope, y_star, scale = _value_and_y(p, a, y_star)
         residual = disc * h_val - a
         error_bound = abs(residual) / (1.0 - q_mod)
         if error_bound <= tol:
@@ -462,6 +455,7 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
         upper_bound=upper,
         iterations=iterations,
         error_bound=error_bound,
+        fraction_scale=scale,
     )
 
 
@@ -474,17 +468,32 @@ def value_function(sol: PowerSolution, x, alpha: float, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _feedback_fractions(cs: ConstrainedSharpe, scale: float) -> np.ndarray:
+    """Risky fractions per unit wealth, ``scale`` * (sigma^T)^{-1} xi_tilde.
+
+    ``scale`` is -d log F / d log y, positive in theory; fractions below
+    -1e-6 raise NumericalFault.
+    """
+    fractions = scale * cs.kkt_gradient
+    if fractions.min() < -1e-6:
+        raise NumericalFault(
+            "computed portfolio fractions are negative beyond tolerance"
+        )
+    return fractions
+
+
 def intra_period_profile(
     p: PowerProblem, sol: PowerSolution, t: float, z: float
 ) -> tuple[float, np.ndarray]:
     """Optimal wealth multiplier and portfolio fractions inside a period.
 
     ``z`` is the intra-period deflator level Z_t/B_t relative to the period
-    start. With m(t, z) = E[(z*R) * I(y* * z * R)] over the residual deflator
-    R of horizon tau - t, the wealth multiplier is m/z and the per-unit-wealth
-    risky fractions are (sigma^T)^{-1} xi_tilde * (1 - z * dm/dz / m); the
-    z-sensitivity is a Richardson-extrapolated central difference. Fractions
-    are nonnegative in theory; a violation beyond 1e-6 raises NumericalFault.
+    start. One quadrature pass over the residual deflator R of horizon
+    tau - t gives F(y) = E[R I(y R)] and y F'(y) at a = A* and y = y* z. The
+    wealth multiplier is F, and the risky fractions are
+    -(y F'(y) / F) (sigma^T)^{-1} xi_tilde; for m(z) = z F(y* z) the factor
+    equals 1 - z m'(z) / m(z). Fractions are nonnegative in theory; a
+    violation beyond 1e-6 raises NumericalFault.
     """
     tau = p.evaluation.tau
     if not 0.0 <= t <= tau:
@@ -493,28 +502,5 @@ def intra_period_profile(
         raise DomainError("deflator level z must be positive")
 
     law_res = DeflatorLaw.for_horizon(p.xi_tilde_norm_sq, p.market.r, tau - t)
-    a, alpha, gamma = sol.a_star, p.alpha, p.evaluation.gamma
-    y_star = sol.y_star
-
-    def m_of(zz: float) -> float:
-        return expect_deflator_adaptive(
-            lambda rr: (zz * rr)
-            * marginal_inverse(a, alpha, gamma, y_star * zz * rr, p.tol_root),
-            law_res,
-            order=p.quad_order,
-        )
-
-    m0 = m_of(z)
-    h = 1e-5 * z
-    d_coarse = (m_of(z + h) - m_of(z - h)) / (2.0 * h)
-    d_fine = (m_of(z + 0.5 * h) - m_of(z - 0.5 * h)) / h
-    dm = (4.0 * d_fine - d_coarse) / 3.0
-
-    multiplier = m0 / z
-    scale = 1.0 - z * dm / m0
-    fractions = scale * p.cs.kkt_gradient
-    if fractions.min() < -1e-6:
-        raise NumericalFault(
-            "computed portfolio fractions are negative beyond tolerance"
-        )
-    return multiplier, fractions
+    sums = _period_sums(p, law_res, sol.a_star, sol.y_star * z)
+    return float(sums[0]), _feedback_fractions(p.cs, -sums[1] / sums[0])

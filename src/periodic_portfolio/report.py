@@ -3,8 +3,11 @@
 ``solve(cfg)`` builds the market, projects its Sharpe ratio onto the
 no-short-selling cone once, and solves the auxiliary one-period problem: the
 fixed point A* for power utility, the closed form for log utility. The
-report's ordered ``fields`` are the ``solve`` printout. Their scalar entries
-are the sweep columns, with two aliases: ``xi_tilde_sq`` for
+report's ordered ``fields`` are the ``solve`` printout. Both utilities print
+``feedback_fractions``, the period-start risky fractions per unit wealth:
+(sigma^T)^{-1} xi_tilde for log utility, and that vector times
+-d log F / d log y at the solver's last evaluation for power utility. The
+scalar fields are the sweep columns, with two aliases: ``xi_tilde_sq`` for
 ``xi_tilde_norm_sq`` and ``frac_i`` for the i-th entry of
 ``feedback_fractions``. ``to_power_problem`` is the one place a config
 becomes a ``PowerProblem``; ``periodicity.tau_objective`` uses it too.
@@ -19,7 +22,7 @@ from .config import ProblemConfig, SweepSpec, apply_sweep_value, to_evaluation, 
 from .errors import ConfigError, PortfolioError
 from .logutil import LogSolution, solve_log, value_log
 from .market import EvaluationSpec, MarketModel
-from .power import PowerProblem, PowerSolution, fixed_point, value_function
+from .power import PowerProblem, PowerSolution, _feedback_fractions, fixed_point, value_function
 
 
 def to_power_problem(
@@ -76,6 +79,7 @@ def solve(cfg: ProblemConfig) -> Report:
             iterations=sol.iterations,
             error_bound=sol.error_bound,
             v_x0=value_function(sol, cfg.x0, cfg.alpha, cfg.gamma),
+            feedback_fractions=_feedback_fractions(cs, sol.fraction_scale),
         )
     else:
         problem = None
@@ -96,7 +100,7 @@ def _sweep_columns(fields: dict[str, object]) -> dict[str, float]:
     """The numeric scalar fields, plus the ``xi_tilde_sq`` and ``frac_i`` aliases."""
     columns = {name: float(v) for name, v in fields.items() if isinstance(v, (int, float))}
     columns["xi_tilde_sq"] = columns["xi_tilde_norm_sq"]
-    for i, frac in enumerate(fields.get("feedback_fractions", ()), start=1):
+    for i, frac in enumerate(fields["feedback_fractions"], start=1):
         columns[f"frac_{i}"] = float(frac)
     return columns
 

@@ -133,7 +133,8 @@ def test_simulate_report_golden(capsys, name):
     assert capsys.readouterr().out == SIMULATE_GOLDEN[name]
 
 
-# `solve` reports of the shipped configs.
+# `solve` reports of the shipped configs. Power `feedback_fractions` is the
+# period-start portfolio from the solver's last evaluation.
 SOLVE_GOLDEN = {
     "table1_log": """\
 utility: log
@@ -165,6 +166,7 @@ contraction_modulus: 0.750361641501
 iterations: 3
 error_bound: 1.77893017932e-15
 v_x0: 5.91822088078
+feedback_fractions: 0 0.738390101361
 """,
 }
 
@@ -180,12 +182,12 @@ SWEEP_GOLDEN = {
     "table2_power": (
         "[sweep]\nparameter = gamma\ngrid = 0.6 0.75 0.9\n"
         "outputs = a_star y_star v_x0 lower_bound upper_bound contraction_modulus"
-        " iterations error_bound xi_tilde_sq\n",
+        " iterations error_bound xi_tilde_sq frac_1 frac_2\n",
         """\
-gamma,a_star,y_star,v_x0,lower_bound,upper_bound,contraction_modulus,iterations,error_bound,xi_tilde_sq
-0.6,3.30153923204,2.42405912715,5.74831367639,3.26148438865,3.30377824845,0.760180024051,3,3.70352142763e-15,0.0144
-0.75,3.20257350377,1.88254194086,5.87354570323,3.17206885786,3.20499210907,0.752788152632,3,0,0.0144
-0.9,3.11213514258,1.38245415895,6.01224878949,3.08816357596,3.11393176703,0.745558965526,3,1.7453521629e-15,0.0144
+gamma,a_star,y_star,v_x0,lower_bound,upper_bound,contraction_modulus,iterations,error_bound,xi_tilde_sq,frac_1,frac_2
+0.6,3.30153923204,2.42405912715,5.74831367639,3.26148438865,3.30377824845,0.760180024051,3,3.70352142763e-15,0.0144,0,0.718913226466
+0.75,3.20257350377,1.88254194086,5.87354570323,3.17206885786,3.20499210907,0.752788152632,3,0,0.0144,0,0.725088903177
+0.9,3.11213514258,1.38245415895,6.01224878949,3.08816357596,3.11393176703,0.745558965526,3,1.7453521629e-15,0.0144,0,0.797534420493
 """,
     ),
     "table1_log": (
@@ -320,6 +322,10 @@ def test_opt_tau_table1_capped_value_golden(tmp_path, capsys):
             {"gamma": 1.0}, ["--objective", "value", "--tau-cap", "4"],
             "value function requires x > 0", id="value-capped",
         ),
+        pytest.param(
+            {"gamma": 1.0}, ["--objective", "value"],
+            "value function requires x > 0", id="value-uncapped",
+        ),
     ],
 )
 def test_opt_tau_log_nonpositive_x0_exit_assumption(tmp_path, capsys, changes, extra, message):
@@ -328,3 +334,15 @@ def test_opt_tau_log_nonpositive_x0_exit_assumption(tmp_path, capsys, changes, e
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"parameter/assumption error: {message}\n"
+
+
+# Power utility with gamma < 1 needs x0 > 0 for both objectives; with no
+# proposition and no cap the search evaluates nothing, so the check comes first.
+@pytest.mark.parametrize("objective", ["scaled", "value"])
+def test_opt_tau_power_nonpositive_x0_exit_assumption(tmp_path, capsys, objective):
+    argv = ["opt-tau", "--config", write_config(tmp_path, "table2_power", x0=-1.0),
+            "--objective", objective]
+    assert cli.main(argv) == cli.EXIT_ASSUMPTION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parameter/assumption error: value function requires x > 0\n"

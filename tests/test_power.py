@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,19 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_portfolio import (
+    DeflatorLaw,
     EvaluationSpec,
+    MarketModel,
     PowerProblem,
+    ProblemConfig,
     budget_function,
     constrained_sharpe,
     contraction_map,
-    dual_value,
     fixed_point,
     intra_period_profile,
-    legendre_transform,
     marginal_inverse,
-    moderated_marginal,
     moderated_utility,
     moderated_value,
+    solve,
     solve_y_star,
     value_function,
     zeta,
@@ -26,9 +29,19 @@ from periodic_portfolio import (
 from periodic_portfolio import power
 from periodic_portfolio.errors import AssumptionViolated, DomainError, ParameterOutOfRange
 from periodic_portfolio.mc import SimulationConfig
+from periodic_portfolio.power import moderated_marginal
 from periodic_portfolio.quadrature import expect_deflator_adaptive
 
-from conftest import TABLE_ALPHA, TABLE_DELTA, TABLE_R, TABLE_TAU, random_market
+from conftest import (
+    TABLE_ALPHA,
+    TABLE_DELTA,
+    TABLE_MU,
+    TABLE_R,
+    TABLE_SIGMA,
+    TABLE_TAU,
+    TABLE_X0,
+    random_market,
+)
 
 Q_TILDE = 0.0144  # |xi_tilde|^2 for the benchmark market
 
@@ -125,32 +138,40 @@ def test_marginal_inverse_inverts_the_marginal(a, gamma, alpha, log_x):
 
 
 # --- Legendre transform ----------------------------------------------------
+# phi_a(y) = h_a(I(y)) - y I(y) is row 2 of the period sums under the point
+# law Z/B = 1.
+
+POINT_LAW = DeflatorLaw(s=0.0, drift=0.0)
 
 
-def test_legendre_pure_power_closed_form():
-    # a = 0: phi(y) = ((1-alpha)/alpha) * y^(alpha/(alpha-1))
+def legendre(p, a, y):
+    return power._period_sums(p, POINT_LAW, a, y)[2]
+
+
+def test_legendre_pure_power_closed_form(power_problem):
+    # a = 0: phi(y) = ((1-alpha)/alpha) * y^(alpha/(alpha-1)); alpha = 0.5, gamma = 0.8
     alpha = 0.5
     for y in (0.2, 1.0, 3.0):
         expected = (1.0 - alpha) / alpha * y ** (alpha / (alpha - 1.0))
-        assert legendre_transform(0.0, alpha, 0.8, y) == pytest.approx(expected, rel=1e-10)
-    assert legendre_transform(0.0, 0.5, 0.8, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert legendre(power_problem, 0.0, y) == pytest.approx(expected, rel=1e-10)
+    assert legendre(power_problem, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_legendre_limits_alpha_positive():
+def test_legendre_limits_alpha_positive(power_problem):
     # phi decays to h(0) = 0 as y -> inf (slowly: like y^(-1/9) here) and
-    # blows up to h(inf) = inf as y -> 0+
+    # blows up to h(inf) = inf as y -> 0+; a = 1, alpha = 0.5, gamma = 0.8
     ys = np.array([1e6, 1e12, 1e24, 1e40])
-    vals = legendre_transform(1.0, 0.5, 0.8, ys)
+    vals = np.array([legendre(power_problem, 1.0, y) for y in ys])
     assert np.all(np.diff(vals) < 0) and np.all(vals > 0)
     assert vals[-1] < 1e-3
-    assert legendre_transform(1.0, 0.5, 0.8, 1e-8) > 1e3
+    assert legendre(power_problem, 1.0, 1e-8) > 1e3
 
 
-def test_legendre_is_supremum():
+def test_legendre_is_supremum(power_problem):
     # phi(y) >= h(x) - x*y with equality at the inverse marginal
     a, alpha, gamma = 1.5, -0.5, 0.8
     y = 0.9
-    phi = legendre_transform(a, alpha, gamma, y)
+    phi = legendre(dataclasses.replace(power_problem, alpha=alpha), a, y)
     xs = np.geomspace(1e-4, 1e4, 400)
     candidates = moderated_utility(a, alpha, gamma, xs) - xs * y
     assert phi >= candidates.max() - 1e-9
@@ -187,6 +208,11 @@ def test_h_steepness_inequality():
 
 
 # --- dual value and budget function -----------------------------------------
+# The dual value E[phi_a(y Z/B)] over one period is row 2 of the period sums.
+
+
+def dual_value(p, a, y):
+    return power._period_sums(p, p.law, a, y)[2]
 
 
 def test_dual_value_gamma1_closed_form(power_problem_g1):
@@ -218,7 +244,8 @@ def test_dual_value_matches_monte_carlo():
     p = PowerProblem(market=m, evaluation=e, alpha=TABLE_ALPHA, cs=cs)
     rng = np.random.default_rng(123)
     z = np.exp(p.law.drift + p.law.s * rng.standard_normal(1_000_000))
-    samples = legendre_transform(1.0, TABLE_ALPHA, TABLE_GAMMA, z)
+    x = marginal_inverse(1.0, TABLE_ALPHA, TABLE_GAMMA, z)
+    samples = moderated_utility(1.0, TABLE_ALPHA, TABLE_GAMMA, x) - z * x  # phi_1(z)
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert dual_value(p, 1.0, 1.0) == pytest.approx(samples.mean(), abs=3 * se)
 
@@ -346,11 +373,11 @@ def test_envelope_derivatives_match_central_differences(table_market, table_cone
     e = EvaluationSpec(tau=TABLE_TAU, gamma=0.8, delta=TABLE_DELTA)
     p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
     a, h = 2.5, 1e-4
-    _, h_slope, y = power._value_and_y(p, a)
+    _, h_slope, y, _ = power._value_and_y(p, a)
     central = (moderated_value(p, a * (1 + h)) - moderated_value(p, a * (1 - h))) / (2 * a * h)
     assert h_slope == pytest.approx(central, rel=1e-7)
     for y_at in (y, 0.5 * y, 3.0 * y):
-        f_slope = power._period_sums(p, a, y_at)[1] / y_at  # sums[1] = y F'(y)
+        f_slope = power._period_sums(p, p.law, a, y_at)[1] / y_at  # sums[1] = y F'(y)
         central = (
             budget_function(p, a, y_at * (1 + h)) - budget_function(p, a, y_at * (1 - h))
         ) / (2 * y_at * h)
@@ -370,8 +397,8 @@ def test_y_star_safeguard_survives_bad_slopes(power_problem, monkeypatch, slope_
     expected = solve_y_star(power_problem, 1.0)
     exact = power._period_sums
 
-    def skewed(p, a, y):
-        sums = exact(p, a, y).copy()
+    def skewed(p, law, a, y):
+        sums = exact(p, law, a, y).copy()
         sums[1] *= slope_scale
         return sums
 
@@ -534,6 +561,72 @@ def test_intra_period_start_normalization(power_problem, power_solution):
 def test_intra_period_complementary_slackness(power_problem, power_solution, table_cone):
     _, fractions = intra_period_profile(power_problem, power_solution, 0.5, 1.05)
     assert abs(fractions @ table_cone.pi_tilde_star) <= 1e-10
+
+
+def test_intra_period_profile_takes_one_quadrature_call(power_problem, power_solution, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return expect_deflator_adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(power, "expect_deflator_adaptive", counted)
+    intra_period_profile(power_problem, power_solution, 0.5, 1.05)
+    assert len(calls) == 1
+
+
+# --- the period-start portfolio that `solve` prints ---------------------------
+# Markets: table2, and the random grid's random_market(default_rng(1000 n), n).
+
+PORTFOLIO_MARKETS = ["table2", 2, 10, 30]
+PORTFOLIO_TAUS = (1e-3, 0.1, 1.0, 4.0)
+
+
+@functools.lru_cache(maxsize=None)
+def portfolio_report(market_name, alpha, gamma, tau):
+    if market_name == "table2":
+        market = MarketModel(mu=TABLE_MU, sigma=TABLE_SIGMA, r=TABLE_R)
+        delta = TABLE_DELTA
+    else:
+        market = random_market(np.random.default_rng(1000 * market_name), market_name)
+        q = constrained_sharpe(market).objective
+        delta = max(zeta(alpha * (1.0 - gamma), market.r, q), 0.0) + 0.3
+    cfg = ProblemConfig(
+        utility="power", mu=tuple(market.mu), sigma=tuple(np.ravel(market.sigma)),
+        r=market.r, tau=tau, gamma=gamma, delta=delta, x0=TABLE_X0, alpha=alpha,
+    )
+    return solve(cfg)
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+@pytest.mark.parametrize("market_name", PORTFOLIO_MARKETS)
+def test_solve_fractions_gamma1_are_merton(market_name, alpha):
+    for tau in PORTFOLIO_TAUS:
+        rep = portfolio_report(market_name, alpha, 1.0, tau)
+        expected = rep.problem.cs.kkt_gradient / (1.0 - alpha)
+        np.testing.assert_allclose(rep.fields["feedback_fractions"], expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+@pytest.mark.parametrize("market_name", PORTFOLIO_MARKETS)
+def test_solve_fractions_complementary_slackness(market_name, alpha):
+    for gamma in (0.55, 0.8, 1.0):
+        for tau in PORTFOLIO_TAUS:
+            fields = portfolio_report(market_name, alpha, gamma, tau).fields
+            assert abs(fields["feedback_fractions"] @ fields["pi_tilde_star"]) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+@pytest.mark.parametrize("market_name", PORTFOLIO_MARKETS)
+def test_solve_fractions_equal_profile_at_period_start(market_name, alpha):
+    # solve reads the slope ratio of the last fixed-point evaluation;
+    # the profile sums again at (A*, y*)
+    for gamma in (0.55, 0.8, 1.0):
+        for tau in PORTFOLIO_TAUS:
+            rep = portfolio_report(market_name, alpha, gamma, tau)
+            _, profile = intra_period_profile(rep.problem, rep.solution, 0.0, 1.0)
+            diff = np.abs(rep.fields["feedback_fractions"] - profile).max()
+            assert diff <= 1e-10 * np.abs(profile).max()
 
 
 # --- duality sandwich (small MC; the full run lives in the acceptance suite) --

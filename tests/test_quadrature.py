@@ -92,7 +92,7 @@ def test_unit_mean_identity_grid():
 
 def test_non_finite_integrand_raises():
     law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite), np.errstate(invalid="ignore"):
         expect_deflator(lambda z: np.log(z - 10.0), law, make_rule(16))
 
 
