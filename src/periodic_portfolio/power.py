@@ -24,6 +24,15 @@ same (vector-valued) quadrature call. With x = I(y * Z/B) at each node:
 Each Newton iteration keeps a sign bracket and falls back to bisection (y*)
 or to the Picard step A -> Psi(A) (A*) when a step leaves it.
 
+The y* Newton of each A step starts near its root, as in the predictor step
+of numerical continuation (Allgower and Georg, Introduction to Numerical
+Continuation Methods, SIAM 2003). At the first A it starts from the root for
+a deterministic deflator (s = 0), y0 = e^{r tau} h_a'(e^{r tau}); after each
+step of A it starts from the tangent of y*(A), d log y*/dA = -(dF/da) /
+(y F'(y)) by the implicit-function rule, with dF/da = E[(Z/B) dx/da] =
+E[-(1-gamma) x^(alpha(1-gamma)) / (y d log h_a'/d log x)] from
+differentiating h_a'(x) = y Z/B. That sum rides in the same quadrature call.
+
 The same sums give the optimal constrained portfolio (convex duality:
 Cvitanic and Karatzas, Ann. Appl. Probab. 2(4), 1992). At deflator level z
 and time t of a period, with F and y F'(y) taken at y = y* z under the law
@@ -63,7 +72,10 @@ _FLOOR_ULPS = 4  # residual allowance in ulps of A once the residual stops falli
 # slopes from escalating the order past the one the values need (on wide laws,
 # s ~ 10, order 512 puts x = I(y Z/B) beyond float64 at the outer nodes).
 _SLOPE_REL_TOL = 1e-6
-_PERIOD_SUMS_REL_TOL = np.array([DEFAULT_REL_TOL, _SLOPE_REL_TOL, DEFAULT_REL_TOL, _SLOPE_REL_TOL])
+# The last sum, dF/da, only seeds the next y* Newton, so it never raises the order.
+_PERIOD_SUMS_REL_TOL = np.array(
+    [DEFAULT_REL_TOL, _SLOPE_REL_TOL, DEFAULT_REL_TOL, _SLOPE_REL_TOL, np.inf]
+)
 
 
 @dataclass(eq=False)
@@ -245,11 +257,14 @@ def _marginal_elasticity(a: float, alpha: float, gamma: float, x):
 
 
 def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.ndarray:
-    """One quadrature pass at (a, y) over the nodes x = I(y * Z/B), Z/B ~ ``law``.
+    """One quadrature call at (a, y) over the nodes x = I(y * Z/B), Z/B ~ ``law``.
 
-    Returns [F(y), y F'(y), E[phi_a(y Z/B)], E[x^(alpha(1-gamma))]]. The slope
-    uses dx/dlog y = x / (d log h_a'/d log x), so it stays finite wherever F
-    does; the last entry is H'(a) by the envelope theorem.
+    Returns [F(y), y F'(y), E[phi_a(y Z/B)], H'(a), dF/da], with
+    H'(a) = E[x^(alpha(1-gamma))] (envelope theorem) and dF/da at fixed y
+    equal to E[-(1-gamma) x^(alpha(1-gamma)) / (y el)]. Both derivatives come
+    from dx = x (d log y - (1-gamma) x^(alpha(1-gamma)-1) da / (y Z/B)) / el,
+    el = d log h_a'/d log x, so they stay finite wherever F does. The last
+    sum is not tested for convergence (its tolerance is inf).
     """
     alpha, gamma = p.alpha, p.evaluation.gamma
     beta = alpha * (1.0 - gamma)
@@ -257,22 +272,19 @@ def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.nd
     def integrand(z):
         x = marginal_inverse(a, alpha, gamma, y * z, p.tol_root)
         zx = z * x
-        return np.stack(
-            [
-                zx,
-                zx / _marginal_elasticity(a, alpha, gamma, x),
-                moderated_utility(a, alpha, gamma, x) - y * zx,
-                x**beta,
-            ]
-        )
+        el = _marginal_elasticity(a, alpha, gamma, x)
+        xb = x**beta
+        return np.stack([zx, zx / el, moderated_utility(a, alpha, gamma, x) - y * zx, xb, xb / el])
 
-    return expect_deflator_adaptive(
+    sums = expect_deflator_adaptive(
         integrand, law, order=p.quad_order, rel_tol=_PERIOD_SUMS_REL_TOL
     )
+    sums[4] *= -(1.0 - gamma) / y
+    return sums
 
 
-def _newton_y(p: PowerProblem, a: float, budget: float, hint: float | None):
-    """Safeguarded Newton on log F(u) = log budget in u = log y.
+def _newton_y(p: PowerProblem, a: float, budget: float, u: float):
+    """Safeguarded Newton on log F(u) = log budget in u = log y, from ``u``.
 
     Returns (y*, y_k, sums): y* is y_k moved by the last step, and ``sums``
     are the ``_period_sums`` taken at y_k.
@@ -283,7 +295,6 @@ def _newton_y(p: PowerProblem, a: float, budget: float, hint: float | None):
     # with beta = alpha(1-gamma), d log F / d log y lies in
     # [-1/(1-max(alpha,beta)), -1/(1-min(alpha,beta))]
     safe_scale = 1.0 - max(p.alpha, p.alpha * (1.0 - p.evaluation.gamma))
-    u = math.log(hint) if (hint is not None and hint > 0.0) else 0.0
     lo, hi = -math.inf, math.inf
     for _ in range(_NEWTON_CAP):
         y = math.exp(u)
@@ -298,7 +309,9 @@ def _newton_y(p: PowerProblem, a: float, budget: float, hint: float | None):
         else:
             hi = u
         u_next = u - g * sums[0] / sums[1]
-        if not lo < u_next < hi:  # left the sign bracket, or the slope is not finite
+        # a step that rounds to 0 may sit on the bracket's edge, and it has converged
+        if not (abs(u_next - u) <= p.tol_root or lo < u_next < hi):
+            # left the sign bracket, or the slope is not finite
             if math.isfinite(lo) and math.isfinite(hi):
                 u_next = 0.5 * (lo + hi)
             else:  # a step this short cannot pass the root
@@ -323,19 +336,35 @@ def solve_y_star(
     alpha(1-gamma))), which the slope bound keeps short of the root). Stops
     once a step in u is at most ``tol_root`` and returns y after that step.
     """
-    return _newton_y(p, a, budget, hint)[0]
+    u = math.log(hint) if (hint is not None and hint > 0.0) else 0.0
+    return _newton_y(p, a, budget, u)[0]
 
 
-def _value_and_y(p: PowerProblem, a: float, hint: float | None = None):
-    """H(a), H'(a), y*(a) and -d log F / d log y from the last y* Newton evaluation.
+def _value_and_y(p: PowerProblem, a: float, u: float = 0.0):
+    """H(a), H'(a), y*(a), -d log F / d log y and d log y*/dA, y* Newton from log y = ``u``.
 
-    H = alpha * (E[phi_a(y R)] + y) is stationary in y at y*, so taking it at
-    the evaluation point y_k of the last (accepted) step costs only the square
-    of that step.
+    All but y* come from the last y* Newton evaluation. H = alpha *
+    (E[phi_a(y R)] + y) is stationary in y at y*, so taking it at the
+    evaluation point y_k of the last (accepted) step costs only the square of
+    that step. d log y*/dA = -(dF/da) / (y F'(y)) steers the next start.
     """
-    y_star, y_eval, sums = _newton_y(p, a, 1.0, hint)
+    y_star, y_eval, sums = _newton_y(p, a, 1.0, u)
     h_val, h_slope = float(p.alpha * (sums[2] + y_eval)), float(sums[3])
-    return h_val, h_slope, y_star, float(-sums[1] / sums[0])
+    return h_val, h_slope, y_star, float(-sums[1] / sums[0]), float(-sums[4] / sums[1])
+
+
+def _log_y_start(p: PowerProblem, a: float) -> float:
+    """log y* for a deterministic deflator (s = 0): log(e^{r tau} h_a'(e^{r tau})).
+
+    With Z/B = e^{-r tau} the budget fixes x = e^{r tau}, and y = x h_a'(x) =
+    x^alpha (1 + c x^(-alpha gamma)), c = a(1-gamma), in log space.
+    """
+    alpha, gamma = p.alpha, p.evaluation.gamma
+    log_x = p.market.r * p.evaluation.tau
+    c = a * (1.0 - gamma)
+    if c <= 0.0:
+        return alpha * log_x
+    return alpha * log_x + float(np.logaddexp(0.0, math.log(c) - alpha * gamma * log_x))
 
 
 def moderated_value(p: PowerProblem, a: float) -> float:
@@ -389,10 +418,17 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     H'(A) = E[I(y* R)^(alpha(1-gamma))] (envelope theorem), so the Newton
     step costs no extra solve. H is convex in A for alpha in (0,1) and concave
     for alpha < 0; starting from the lower (resp. upper) a-priori bound makes
-    the Newton iterates approach A* from one side. The a-priori bounds,
-    widened by ``tol_fixed_point`` and narrowed by the sign of every residual,
-    are kept as a bracket, and a Newton step that leaves it is replaced by the
-    Picard step A -> Psi(A).
+    the Newton iterates approach A* from one side. The a-priori bounds, each
+    widened by tol + DEFAULT_REL_TOL * |bound| (H is only known to that
+    relative accuracy, and for gamma = 1 and alpha > 0 the upper bound is A*
+    itself) and narrowed by the sign of every residual, are kept as a
+    bracket, and a Newton step that leaves it is replaced by the Picard step
+    A -> Psi(A).
+
+    Each evaluation's y* Newton starts near its root: at the first A from
+    the deterministic-deflator root ``_log_y_start``, and after each step
+    dA from log y* + (d log y*/dA) dA, the tangent of y*(A) taken by the
+    previous evaluation.
 
     Stops at the first evaluated A with |Psi(A) - A| / (1-q) <= tol, q the
     contraction modulus, which bounds |A - A*|. When the residual stops
@@ -417,13 +453,13 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
 
     tol = p.tol_fixed_point
     disc = math.exp(-p.evaluation.delta * p.evaluation.tau)
-    lo = lower - tol if np.isfinite(lower) else 0.0
-    hi = upper + tol if np.isfinite(upper) else math.inf
+    lo = lower - (tol + DEFAULT_REL_TOL * abs(lower)) if np.isfinite(lower) else 0.0
+    hi = upper + (tol + DEFAULT_REL_TOL * abs(upper)) if np.isfinite(upper) else math.inf
     a = float(start)
-    y_star = None
+    u = _log_y_start(p, a)
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):
-        h_val, h_slope, y_star, scale = _value_and_y(p, a, y_star)
+        h_val, h_slope, y_star, scale, dlog_y = _value_and_y(p, a, u)
         residual = disc * h_val - a
         error_bound = abs(residual) / (1.0 - q_mod)
         if error_bound <= tol:
@@ -443,6 +479,7 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
                 f"fixed-point residual stalled at {abs(residual):.3g} > {allowed:.3g}"
             )
         last_residual = abs(residual)
+        u = math.log(y_star) + dlog_y * (a_next - a)
         a = a_next
     else:
         raise NonConvergence("fixed-point iteration hit its cap")

@@ -3,6 +3,12 @@
 Every expectation in the pricing pipeline reduces to E[f(exp(drift + s*G))]
 with G standard normal, so a one-dimensional probabilists' Gauss-Hermite rule
 is the only integration kernel needed.
+
+The adaptive driver takes its first doubling test, orders n and 2n, in one
+pass over a paired rule that holds both node sets: one integrand call then
+returns both estimates. An integrand costs about as much per call at 64 nodes
+as at 192 (interpreter and ufunc overhead dominate), so the fused test costs
+about half of two separate passes.
 """
 
 from __future__ import annotations
@@ -48,6 +54,25 @@ def make_rule(order: int) -> GaussHermiteRule:
     return GaussHermiteRule(order=order, nodes=nodes, weights=weights)
 
 
+@lru_cache(maxsize=None)
+def _paired_rule(order: int) -> GaussHermiteRule:
+    """The rules of orders n and 2n as one rule of 3n nodes.
+
+    Its weights form a (3n, 2) block matrix: column 0 holds the order-n
+    weights on the first n nodes, column 1 the order-2n weights on the rest,
+    so ``expect_deflator`` returns both estimates along a last axis of size 2.
+    ``order`` is the node count, 3n.
+    """
+    coarse, fine = make_rule(order), make_rule(2 * order)
+    nodes = np.concatenate([coarse.nodes, fine.nodes])
+    weights = np.zeros((3 * order, 2))
+    weights[:order, 0] = coarse.weights
+    weights[order:, 1] = fine.weights
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return GaussHermiteRule(order=3 * order, nodes=nodes, weights=weights)
+
+
 @dataclass(frozen=True)
 class DeflatorLaw:
     """Lognormal law of the per-period deflator: exp(drift + s*G).
@@ -80,16 +105,18 @@ def expect_deflator(f, law: DeflatorLaw, rule: GaussHermiteRule):
     """Return sum_k w_k * f(exp(drift + s*x_k)).
 
     ``f`` must accept an ndarray of positive deflator samples and return
-    either an array of the same shape (the result is a float) or a stack of
-    shape (k, nodes) (the result is an array of k expectations). Raises
-    NonFinite if any evaluation is NaN/inf.
+    either an array of the same shape or a stack of shape (k, nodes) (k
+    expectations). The result is ``vals @ rule.weights``: a float when that
+    is 0-d, and with a paired rule's two-column weights one more trailing
+    axis of size 2 (coarse, fine). Raises NonFinite if any evaluation is
+    NaN/inf.
     """
     z = np.exp(law.drift + law.s * rule.nodes)
     vals = np.asarray(f(z), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NonFinite("integrand produced a non-finite value at a quadrature node")
     out = vals @ rule.weights
-    return float(out) if vals.ndim == 1 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def expect_deflator_adaptive(
@@ -103,11 +130,22 @@ def expect_deflator_adaptive(
 
     Accepts the refined value once |result(order) - result(2*order)| falls
     below rel_tol * (1 + |result|); for a stacked integrand every component
-    must pass, and ``rel_tol`` may give one tolerance per component. Raises
+    must pass, and ``rel_tol`` may give one tolerance per component. The
+    first test evaluates orders n and 2n in one call of ``f`` on the paired
+    rule, so ``f`` must act elementwise on its nodes; later doublings, and a
+    first test with 2n > ``max_order``, evaluate one order per call. Raises
     QuadratureError if the doubling cascade reaches ``max_order`` without
     stabilizing.
     """
-    coarse = expect_deflator(f, law, make_rule(order))
+    if 2 * order > max_order:
+        coarse = expect_deflator(f, law, make_rule(order))
+    else:
+        pair = expect_deflator(f, law, _paired_rule(order))
+        coarse, fine = pair[..., 0], pair[..., 1]
+        order *= 2
+        if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
+            return float(fine) if fine.ndim == 0 else fine
+        coarse = fine
     while 2 * order <= max_order:
         order *= 2
         fine = expect_deflator(f, law, make_rule(order))

@@ -22,6 +22,28 @@ TABLE_X0 = 0.5
 TABLE_ALPHA = 0.5
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps ``module.name`` for the rest of the test.
+
+    Returns a list that grows by one entry per call, so a solver's work
+    budget is asserted by deterministic call counts, not by timings.
+    """
+
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def table_market():
     return MarketModel(mu=TABLE_MU, sigma=TABLE_SIGMA, r=TABLE_R)

@@ -373,7 +373,7 @@ def test_envelope_derivatives_match_central_differences(table_market, table_cone
     e = EvaluationSpec(tau=TABLE_TAU, gamma=0.8, delta=TABLE_DELTA)
     p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
     a, h = 2.5, 1e-4
-    _, h_slope, y, _ = power._value_and_y(p, a)
+    _, h_slope, y, _, _ = power._value_and_y(p, a)
     central = (moderated_value(p, a * (1 + h)) - moderated_value(p, a * (1 - h))) / (2 * a * h)
     assert h_slope == pytest.approx(central, rel=1e-7)
     for y_at in (y, 0.5 * y, 3.0 * y):
@@ -382,6 +382,21 @@ def test_envelope_derivatives_match_central_differences(table_market, table_cone
             budget_function(p, a, y_at * (1 + h)) - budget_function(p, a, y_at * (1 - h))
         ) / (2 * y_at * h)
         assert f_slope == pytest.approx(central, rel=1e-7)
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+def test_budget_a_slope_matches_central_difference(table_market, table_cone, alpha):
+    # the fifth period sum, dF/da at fixed y, steers the y* Newton start along A
+    e = EvaluationSpec(tau=TABLE_TAU, gamma=0.8, delta=TABLE_DELTA)
+    p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
+    a, h = 2.5, 1e-4
+    y = solve_y_star(p, a)
+    for y_at in (y, 0.5 * y, 3.0 * y):
+        slope = power._period_sums(p, p.law, a, y_at)[4]
+        central = (
+            budget_function(p, a * (1 + h), y_at) - budget_function(p, a * (1 - h), y_at)
+        ) / (2 * a * h)
+        assert slope == pytest.approx(central, rel=1e-7)
 
 
 @pytest.mark.parametrize("hint", [1e-30, 1e-3, 1e3, 1e30])
@@ -404,6 +419,46 @@ def test_y_star_safeguard_survives_bad_slopes(power_problem, monkeypatch, slope_
 
     monkeypatch.setattr(power, "_period_sums", skewed)
     assert solve_y_star(power_problem, 1.0) == pytest.approx(expected, rel=1e-9)
+
+
+def test_y_star_newton_step_onto_the_bracket_edge_ends_the_solve(table_market, table_cone, count_calls):
+    # here a Newton step lands on the root with log F slightly below 0, so the
+    # next step rounds to 0 on the bracket's edge; it must end the solve and
+    # not be replaced by a bisection away from the root
+    e = EvaluationSpec(tau=1e-3, gamma=0.8, delta=TABLE_DELTA)
+    p = PowerProblem(market=table_market, evaluation=e, alpha=0.5, cs=table_cone)
+    a = 3471.88889288953
+    calls = count_calls(power, "_period_sums")
+    y = solve_y_star(p, a)
+    assert len(calls) <= 5
+    assert budget_function(p, a, y) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("gamma,budget", [(0.55, 6), (0.8, 6), (1.0, 4)])
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+def test_fixed_point_work_budget_on_table2(table_market, table_cone, count_calls, alpha, gamma, budget):
+    # every y* Newton starts near its root: from the s = 0 root at the first A,
+    # then from the tangent of y*(A); each _period_sums call is one quadrature call
+    calls = count_calls(power, "_period_sums")
+    for tau in (1e-3, 0.2, 1.0, 4.0):
+        e = EvaluationSpec(tau=tau, gamma=gamma, delta=TABLE_DELTA)
+        p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
+        calls.clear()
+        fixed_point(p)
+        assert len(calls) <= budget, f"tau={tau}"
+
+
+def test_fixed_point_gamma1_newton_step_above_the_upper_bound():
+    # for gamma = 1 and alpha > 0 the upper a-priori bound is A* itself, and
+    # the first Newton step lands 1.1e-9 above it, beyond an absolute slack of
+    # tol_fixed_point; the bracket's relative slack keeps that step
+    m = random_market(np.random.default_rng(130), 30)
+    cs = constrained_sharpe(m)
+    e = EvaluationSpec(tau=1.0, gamma=1.0, delta=0.3)
+    p = PowerProblem(market=m, evaluation=e, alpha=0.5, cs=cs)
+    sol = fixed_point(p)
+    expected = math.exp(zeta(0.5, m.r, cs.objective) - 0.3) / (1.0 - math.exp(-0.3))
+    assert sol.a_star == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 10, 30])
@@ -563,14 +618,8 @@ def test_intra_period_complementary_slackness(power_problem, power_solution, tab
     assert abs(fractions @ table_cone.pi_tilde_star) <= 1e-10
 
 
-def test_intra_period_profile_takes_one_quadrature_call(power_problem, power_solution, monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return expect_deflator_adaptive(*args, **kwargs)
-
-    monkeypatch.setattr(power, "expect_deflator_adaptive", counted)
+def test_intra_period_profile_takes_one_quadrature_call(power_problem, power_solution, count_calls):
+    calls = count_calls(power, "expect_deflator_adaptive")
     intra_period_profile(power_problem, power_solution, 0.5, 1.05)
     assert len(calls) == 1
 

@@ -135,3 +135,87 @@ def test_law_validation():
         DeflatorLaw(s=-0.1, drift=0.0)
     with pytest.raises(ParameterOutOfRange):
         DeflatorLaw.for_horizon(-1.0, 0.1, 1.0)
+
+
+# --- the paired first doubling test against the one-order-per-pass cascade ---
+
+
+def reference_cascade(f, law, order=64, rel_tol=1e-10, max_order=512):
+    """The doubling loop with one pass per order; returns (value, accepted order)."""
+    coarse = expect_deflator(f, law, make_rule(order))
+    while 2 * order <= max_order:
+        order *= 2
+        fine = expect_deflator(f, law, make_rule(order))
+        if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
+            return fine, order
+        coarse = fine
+    raise QuadratureError("reference cascade did not stabilize")
+
+
+TABLE_LAW = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
+WIDE_LAW = DeflatorLaw(s=4.0, drift=-8.0)
+UNIT_LAW = DeflatorLaw(s=1.0, drift=0.0)  # log z = G
+
+
+def oscillating(w):
+    # E[2 + cos(w G)] = 2 + exp(-w^2/2); Gauss-Hermite needs ever more nodes as w grows
+    return lambda z: 2.0 + np.cos(w * np.log(z))
+
+
+FUSED_CASES = {
+    "scalar": (lambda z: z**-1.0, TABLE_LAW, {}, 128),
+    "stacked": (lambda z: np.stack([z**b for b in (-1.0, 0.5, 2.0)]), TABLE_LAW, {}, 128),
+    "max-order-128": (lambda z: z**0.5, TABLE_LAW, {"max_order": 128}, 128),
+    "wide-to-256": (lambda z: z**3.0, WIDE_LAW, {}, 256),
+    "oscillating-to-256": (oscillating(12.0), UNIT_LAW, {}, 256),
+    "oscillating-to-512": (oscillating(20.0), UNIT_LAW, {}, 512),
+    "stacked-to-512": (
+        lambda z: np.stack([z, oscillating(20.0)(z)]),
+        UNIT_LAW,
+        {"rel_tol": np.array([1e-10, 1e-10])},
+        512,
+    ),
+    "start-at-4": (lambda z: z**0.5, TABLE_LAW, {"order": 4}, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_adaptive_matches_reference_cascade(case):
+    f, law, kwargs, accepted = FUSED_CASES[case]
+    expected, order = reference_cascade(f, law, **kwargs)
+    assert order == accepted
+    got = expect_deflator_adaptive(f, law, **kwargs)
+    assert np.shape(got) == np.shape(expected)
+    assert isinstance(got, float) == isinstance(expected, float)
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"rel_tol": 1e-12}, {"order": 64, "max_order": 64}, {"order": 256, "max_order": 300}],
+    ids=["never-stable", "order-is-max-order", "no-room-to-double"],
+)
+def test_fused_adaptive_raises_where_the_cascade_does(kwargs):
+    threshold = math.exp(TABLE_LAW.drift + 0.37 * TABLE_LAW.s)
+
+    def step(z):
+        return (z > threshold).astype(float)
+
+    with pytest.raises(QuadratureError):
+        reference_cascade(step, TABLE_LAW, **kwargs)
+    with pytest.raises(QuadratureError):
+        expect_deflator_adaptive(step, TABLE_LAW, **kwargs)
+
+
+def test_fused_adaptive_sees_non_finite_at_fine_only_nodes():
+    # NaN only beyond the outermost order-64 node, inside the order-128 range
+    cut = 0.5 * (make_rule(64).nodes.max() + make_rule(128).nodes.max())
+
+    def f(z):
+        return np.where(np.log(z) > cut, np.nan, z)
+
+    assert np.isfinite(expect_deflator(f, UNIT_LAW, make_rule(64)))
+    with pytest.raises(NonFinite):
+        reference_cascade(f, UNIT_LAW)
+    with pytest.raises(NonFinite):
+        expect_deflator_adaptive(f, UNIT_LAW)
