@@ -195,7 +195,10 @@ def _parse_vector(raw: str, key: str) -> tuple[float, ...]:
         count = int(round((stop - start) / step)) + 1
         values = tuple(start + k * step for k in range(count) if start + k * step <= stop + 0.5 * step)
         return values
-    return tuple(_parse_float(tok, key) for tok in tokens)
+    try:
+        return tuple(map(float, tokens))
+    except ValueError:
+        return tuple(_parse_float(tok, key) for tok in tokens)
 
 
 def parse_problem_config(text: str) -> ProblemConfig:

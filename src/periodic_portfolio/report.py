@@ -9,8 +9,10 @@ report's ordered ``fields`` are the ``solve`` printout. Both utilities print
 -d log F / d log y at the solver's last evaluation for power utility. The
 scalar fields are the sweep columns, with two aliases: ``xi_tilde_sq`` for
 ``xi_tilde_norm_sq`` and ``frac_i`` for the i-th entry of
-``feedback_fractions``. ``to_power_problem`` is the one place a config
-becomes a ``PowerProblem``; ``periodicity.tau_objective`` uses it too.
+``feedback_fractions``. A sweep over a scalar parameter builds and projects
+the market once, at its first grid point. ``to_power_problem`` is the one
+place a config becomes a ``PowerProblem``; ``periodicity.tau_objective`` uses
+it too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cone import ConstrainedSharpe, constrained_sharpe
-from .config import ProblemConfig, SweepSpec, apply_sweep_value, to_evaluation, to_market
+from .config import (
+    _SWEEP_SCALARS,
+    ProblemConfig,
+    SweepSpec,
+    apply_sweep_value,
+    to_evaluation,
+    to_market,
+)
 from .errors import ConfigError, PortfolioError
 from .logutil import LogSolution, solve_log, value_log
 from .market import EvaluationSpec, MarketModel
@@ -49,6 +58,7 @@ class Report:
 
     market: MarketModel
     evaluation: EvaluationSpec
+    cs: ConstrainedSharpe
     problem: PowerProblem | None
     solution: PowerSolution | LogSolution
     fields: dict[str, object]
@@ -58,7 +68,13 @@ def solve(cfg: ProblemConfig) -> Report:
     """Validate the market, project the Sharpe ratio, and solve per utility."""
     market = to_market(cfg)
     evaluation = to_evaluation(cfg)
-    cs = constrained_sharpe(market)
+    return _solve_projected(cfg, market, evaluation, constrained_sharpe(market))
+
+
+def _solve_projected(
+    cfg: ProblemConfig, market: MarketModel, evaluation: EvaluationSpec, cs: ConstrainedSharpe
+) -> Report:
+    """Solve ``cfg`` per utility on its market and that market's cone projection."""
     fields = {
         "utility": cfg.utility,
         "n": market.n,
@@ -93,7 +109,7 @@ def solve(cfg: ProblemConfig) -> Report:
             unconstrained_fractions=sol.unconstrained_fractions,
             constraint_cost=sol.constraint_cost,
         )
-    return Report(market, evaluation, problem, sol, fields)
+    return Report(market, evaluation, cs, problem, sol, fields)
 
 
 def _sweep_columns(fields: dict[str, object]) -> dict[str, float]:
@@ -106,12 +122,24 @@ def _sweep_columns(fields: dict[str, object]) -> dict[str, float]:
 
 
 def sweep(cfg: ProblemConfig, spec: SweepSpec) -> list[list[float]]:
-    """Fresh solve per grid point; returns rows [value, outputs...]."""
+    """One solve per grid point; returns rows [value, outputs...].
+
+    A scalar parameter (alpha, gamma, tau, x0, delta) leaves the market
+    unchanged, so every point reuses the first point's market and cone
+    projection. A mu_i or sigma_ij sweep rebuilds both at every point.
+    """
+    scalar = spec.parameter in _SWEEP_SCALARS
+    first = None
     rows = []
     for value in spec.grid:
         point_cfg = apply_sweep_value(cfg, spec.parameter, value)
         try:
-            columns = _sweep_columns(solve(point_cfg).fields)
+            if scalar and first is not None:
+                evaluation = to_evaluation(point_cfg)
+                report = _solve_projected(point_cfg, first.market, evaluation, first.cs)
+            else:
+                report = first = solve(point_cfg)
+            columns = _sweep_columns(report.fields)
         except PortfolioError as exc:
             raise type(exc)(f"at grid point {spec.parameter}={value:g}: {exc}") from exc
         unknown = set(spec.outputs) - columns.keys()

@@ -1,10 +1,12 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_portfolio import ProblemConfig, format_problem_config, parse_problem_config
+from periodic_portfolio.errors import ConfigError
 
 reals = st.floats(allow_nan=False)
 
@@ -57,3 +59,9 @@ def test_numpy_vectors_are_stored_as_tuples():
     )
     assert cfg.mu == (0.1, 0.15) and cfg.sigma == (0.2, 0.0, 0.0, 0.25)
     assert cfg == dataclasses.replace(cfg, mu=[0.1, 0.15])
+
+
+def test_bad_vector_token_is_named():
+    text = "utility = log\nn = 3\nmu = 0.1, 0.2 oops\nsigma = 1 0 0 0 1 0 0 0 1\n"
+    with pytest.raises(ConfigError, match=r"^mu: expected a number, got 'oops'$"):
+        parse_problem_config(text)
