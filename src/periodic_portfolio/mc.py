@@ -6,22 +6,31 @@ together with a closed-form bound on the truncated tail.
 
 Draws come from a counter-based Philox stream through the normal inverse CDF,
 numbered row-major over the (paths, n_periods) matrix. The estimators never
-build that matrix: they stream over blocks of max(1, _CHUNK_ELEMENTS //
-n_periods) consecutive rows, _CHUNK_ELEMENTS = 2**16, and each block
-continues the same stream, so every cell gets the value it has in the whole
-matrix. A pass holds O(block + n_paths) floats. With antithetic sampling a
-block of the n_paths/2 rows is evaluated at G and at -G, as paths i and
-n_paths/2 + i. Within a block the work runs in log space: the log objective
-is affine in the log growth, and the power objective sums
-exp(alpha u_i + beta S_{i-1} - i delta tau) with u = log I(y* R) from the
-log-space Newton kernel of ``power``. A given (seed, path, period) cell is
-reproducible for a fixed matrix shape, but it moves when n_periods (or, with
-antithetic pairs, n_paths) changes.
+build that matrix: they split its rows into blocks of max(1, _CHUNK_ELEMENTS
+// n_periods) consecutive rows, _CHUNK_ELEMENTS = 2**15. Philox is
+counter-based (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2,
+3"), so each block is drawn on its own from its element offset in the
+stream, and every cell gets the value it has in the whole matrix. The blocks
+run on a pool of one thread per available CPU (numpy's generator, ``ndtri``
+and the block kernels release the GIL); with one CPU, or one block, they run
+in the calling thread and no thread is started. Each block writes only its
+own rows of the per-path values, so every estimate is bit-identical for any
+worker count; the block size moves it only by rounding. A pass holds
+O(workers * block + n_paths) floats. With antithetic sampling a block of the
+n_paths/2 rows is evaluated at G and at -G, as paths i and n_paths/2 + i.
+Within a block the work runs in log space: the log objective is affine in
+the log growth, and the power objective sums exp(alpha u_i + beta S_{i-1} -
+i delta tau) with u = log I(y* R) from the log-space Newton kernel of
+``power``. A given (seed, path, period) cell is reproducible for a fixed
+matrix shape, but it moves when n_periods (or, with antithetic pairs,
+n_paths) changes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +53,11 @@ from .quadrature import DeflatorLaw, expect_deflator_adaptive
 TAIL_EPS = 1e-8
 _N_PERIODS_CAP = 200_000
 _MIN_UNIFORM = 2.0**-53
-_CHUNK_ELEMENTS = 2**16  # draws per streamed block
+# draws per streamed block; it does not depend on the worker count, so neither do the estimates
+_CHUNK_ELEMENTS = 2**15
+# blocks run at once; the pool starts a thread per submitted block up to this many
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool), made on first use
 
 
 @dataclass(frozen=True)
@@ -71,31 +84,78 @@ class ObjectiveEstimate:
     truncation_bound: float
 
 
-def _normal_blocks(cfg: SimulationConfig, n_periods: int):
-    """Standard normals in consecutive blocks of rows, as (first row, block).
+def _normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
+    """Rows ``start`` to ``start + rows`` of the (paths, n_periods) standard normals of ``seed``.
 
-    Stacked, the blocks are the (rows, n_periods) matrix that one
-    ``gen.random((rows, n_periods))`` call would give, rows = n_paths (half of
-    it with antithetic pairs): each call continues the same row-major stream.
+    The uniforms are the row-major stream of ``Generator(Philox(key=seed))``.
+    Philox emits four doubles per counter step, so the block's first element,
+    k = start * n_periods, is reached by starting at counter k // 4 and
+    discarding k % 4 doubles: any block is drawn on its own, bit for bit.
     """
-    gen = Generator(Philox(key=cfg.seed))
-    rows = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    step = max(1, _CHUNK_ELEMENTS // n_periods)
-    for start in range(0, rows, step):
-        u = gen.random((min(step, rows - start), n_periods))
-        np.maximum(u, _MIN_UNIFORM, out=u)  # keep the inverse CDF finite at u == 0
-        yield start, ndtri(u, out=u)
+    k = start * n_periods
+    gen = Generator(Philox(key=seed, counter=k // 4))
+    if k % 4:
+        gen.random(k % 4)
+    u = gen.random((rows, n_periods))
+    np.maximum(u, _MIN_UNIFORM, out=u)  # keep the inverse CDF finite at u == 0
+    return ndtri(u, out=u)
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="mc-block"))
+    return _pool[1]
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads, so it must not reuse their pool
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_blocks(run_block, starts: range) -> None:
+    """Call ``run_block(start)`` for every start: in this thread, or on the pool.
+
+    On the pool, the first failure in ``starts`` order is re-raised, which is
+    the error a serial run raises; blocks that have not started are cancelled,
+    and the running ones finish before it is raised.
+    """
+    if _WORKERS <= 1 or len(starts) <= 1:
+        for start in starts:
+            run_block(start)
+        return
+    futures = [_executor(_WORKERS).submit(run_block, start) for start in starts]
+    for i, future in enumerate(futures):
+        try:
+            future.result()
+        except BaseException:
+            for later in futures[i + 1 :]:
+                later.cancel()
+            wait(futures)
+            raise
 
 
 def _per_path(cfg: SimulationConfig, n_periods: int, path_values) -> np.ndarray:
     """Per-path values, streamed: ``path_values`` maps a block of normals to one value per row."""
     per_path = np.empty(cfg.n_paths)
-    half = cfg.n_paths // 2
-    for start, g in _normal_blocks(cfg, n_periods):
+    rows = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    step = max(1, _CHUNK_ELEMENTS // n_periods)
+
+    def run_block(start: int) -> None:
+        g = _normals(cfg.seed, start, min(step, rows - start), n_periods)
         stop = start + g.shape[0]
         per_path[start:stop] = path_values(g)
         if cfg.antithetic:
-            per_path[half + start : half + stop] = path_values(-g)
+            per_path[rows + start : rows + stop] = path_values(-g)
+
+    _run_blocks(run_block, range(0, rows, step))
     return per_path
 
 
@@ -106,7 +166,7 @@ def simulate_deflator_ratios(
     periods = n_periods if n_periods is not None else cfg.n_periods
     if periods is None:
         raise ParameterOutOfRange("n_periods must be resolved before simulation")
-    g = np.vstack([block for _, block in _normal_blocks(cfg, periods)])
+    g = _normals(cfg.seed, 0, cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths, periods)
     if cfg.antithetic:
         g = np.vstack([g, -g])
     return np.exp(law.drift + law.s * g)

@@ -199,8 +199,6 @@ def tau_power_scaled(objective: TauObjective, cap: float | None = None) -> TauSe
             "tau_power_scaled covers the scaled power objective with gamma = 1"
         )
     delta = cfg.delta
-    if delta <= 0:
-        raise ParameterOutOfRange("delta must be positive")
     za = zeta(cfg.alpha, objective.market.r, objective.cs.objective)
     holds = delta / 2.0 < za < delta
     detail = (
@@ -220,7 +218,7 @@ def tau_log_value(objective: TauObjective, cap: float | None = None) -> TauSearc
     cfg = objective.cfg
     if objective.scaled or cfg.utility != "log":
         raise ParameterOutOfRange("tau_log_value covers the unscaled log objective")
-    if not 0 < cfg.gamma < 1:
+    if not cfg.gamma < 1:
         raise ParameterOutOfRange("the value objective requires gamma in (0, 1)")
     if cfg.x0 <= 0:
         raise ParameterOutOfRange("initial wealth x must be positive")

@@ -1,5 +1,11 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,22 +281,39 @@ def matrix_power_objective(sol, p, x0, cfg, periods, y_star=None):
 
 @pytest.mark.parametrize(
     "n_paths, n_periods, chunk, antithetic",
-    [(25, 9, 7 * 9, False), (50, 9, 7 * 9, True), (13, 11, 5, False), (64, 3, 10**9, True)],
+    [
+        (25, 9, 7 * 9, False),
+        (50, 9, 7 * 9, True),
+        (13, 11, 5, False),  # one-row blocks, element offsets 11, 22, 33, ...
+        (64, 3, 10**9, True),
+        (14, 13, 5, True),  # one-row antithetic blocks, offsets 13, 26, 39: every k % 4
+        (31, 7, 3 * 7, False),  # offsets 21, 42, 63, 84: k % 4 = 1, 2, 3, 0
+    ],
 )
 def test_blocks_stack_to_the_matrix_draws(monkeypatch, n_paths, n_periods, chunk, antithetic):
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
     cfg = SimulationConfig(n_paths=n_paths, seed=77, antithetic=antithetic)
-    blocks = list(mc._normal_blocks(cfg, n_periods))
-    rows = max(1, chunk // n_periods)
-    assert [start for start, _ in blocks] == list(range(0, blocks[-1][0] + 1, rows))
-    assert all(b.shape[0] == rows for _, b in blocks[:-1])
+    rows = n_paths // 2 if antithetic else n_paths
+    step = max(1, chunk // n_periods)
     reference = matrix_normals(cfg, n_periods)
-    stacked = np.vstack([b for _, b in blocks])
-    assert np.array_equal(stacked, reference[: stacked.shape[0]])
-    assert stacked.shape[0] == (n_paths // 2 if antithetic else n_paths)
+    blocks = [mc._normals(cfg.seed, start, min(step, rows - start), n_periods) for start in range(0, rows, step)]
+    assert np.array_equal(np.vstack(blocks), reference[:rows])
+    # the blocks that _per_path draws put every cell in its own place
+    for workers in (1, 3):
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        for j in range(n_periods):
+            column = mc._per_path(cfg, n_periods, lambda g, j=j: g[:, j])
+            assert np.array_equal(column, reference[:, j])
     law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
     ratios = simulate_deflator_ratios(law, cfg, n_periods)
     assert np.array_equal(ratios, np.exp(law.drift + law.s * reference))
+
+
+@pytest.mark.parametrize("start, n_periods", [(0, 5), (1, 5), (1, 3), (3, 1), (4, 1), (5, 1), (47, 11), (1, 998)])
+def test_block_draws_start_at_any_element_offset(start, n_periods):
+    cfg = SimulationConfig(n_paths=start + 3, seed=123)
+    block = mc._normals(cfg.seed, start, 3, n_periods)
+    assert np.array_equal(block, matrix_normals(cfg, n_periods)[start:])
 
 
 def _log_estimate(table_market, table_eval, table_cone, cfg):
@@ -298,27 +321,163 @@ def _log_estimate(table_market, table_eval, table_cone, cfg):
     return estimate_log_objective(sol, table_market, table_eval, 0.5, cfg)
 
 
-@pytest.mark.parametrize("kind", ["log", "power", "power_override"])
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_estimates_do_not_depend_on_block_size(
-    monkeypatch, table_market, table_eval, table_cone, power_problem, power_solution, kind, antithetic
-):
-    periods = 30
-    cfg = SimulationConfig(n_paths=202, n_periods=periods, seed=5, antithetic=antithetic)
+@pytest.fixture
+def estimate_kind(table_market, table_eval, table_cone, power_problem, power_solution):
+    """estimate_kind(kind, cfg): the log, power or power-with-override estimate at x0 = 0.5."""
 
-    def estimate():
+    def estimate(kind, cfg):
         if kind == "log":
             return _log_estimate(table_market, table_eval, table_cone, cfg)
         y_star = power_solution.y_star * 1.1 if kind == "power_override" else None
         return estimate_power_objective(power_solution, power_problem, 0.5, cfg, y_star=y_star)
 
+    return estimate
+
+
+@pytest.mark.parametrize("kind", ["log", "power", "power_override"])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_estimates_do_not_depend_on_block_size(monkeypatch, estimate_kind, kind, antithetic):
+    periods = 30
+    cfg = SimulationConfig(n_paths=202, n_periods=periods, seed=5, antithetic=antithetic)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * periods)
-    small = estimate()
+    small = estimate_kind(kind, cfg)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 10**9)
-    whole = estimate()
+    whole = estimate_kind(kind, cfg)
     assert small.mean == pytest.approx(whole.mean, rel=1e-12)
     assert small.std_error == pytest.approx(whole.std_error, rel=1e-12)
     assert small.truncation_bound == whole.truncation_bound
+
+
+@pytest.mark.parametrize("kind", ["log", "power", "power_override"])
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("n_paths, chunk", [(202, 7 * 30), (4000, None)])
+def test_estimates_do_not_depend_on_worker_count(monkeypatch, estimate_kind, kind, antithetic, n_paths, chunk):
+    # blocks of 7 rows, or of the default 1092 rows
+    if chunk is not None:
+        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
+    cfg = SimulationConfig(n_paths=n_paths, n_periods=30, seed=5, antithetic=antithetic)
+    monkeypatch.setattr(mc, "_WORKERS", 1)
+    serial = estimate_kind(kind, cfg)
+    monkeypatch.setattr(mc, "_WORKERS", 3)
+    pooled = estimate_kind(kind, cfg)
+    assert pooled.mean == serial.mean
+    assert pooled.std_error == serial.std_error
+    assert pooled.truncation_bound == serial.truncation_bound
+
+
+def test_one_worker_or_one_block_starts_no_thread(monkeypatch, estimate_kind):
+    monkeypatch.setattr(mc, "_pool", None)
+    monkeypatch.setattr(mc, "_WORKERS", 1)
+    estimate_kind("power", SimulationConfig(n_paths=4000, n_periods=30, seed=5))
+    monkeypatch.setattr(mc, "_WORKERS", 3)
+    estimate_kind("power", SimulationConfig(n_paths=100, n_periods=30, seed=5))
+    assert mc._pool is None
+
+
+def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch):
+    # more workers than cores and a short switch interval: a lost or misplaced write breaks a row
+    monkeypatch.setattr(mc, "_WORKERS", 8)
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 5)
+    cfg = SimulationConfig(n_paths=400, seed=11, antithetic=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        values = mc._per_path(cfg, 5, lambda g: g[:, 0].copy())
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(values, matrix_normals(cfg, 5)[:, 0])
+
+
+def _per_path_in_child(cfg: SimulationConfig, expected: np.ndarray) -> None:
+    sys.exit(0 if np.array_equal(mc._per_path(cfg, 4, lambda g: g[:, 0].copy()), expected) else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_makes_its_own_pool(monkeypatch):
+    monkeypatch.setattr(mc, "_WORKERS", 2)
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 5 * 4)
+    cfg = SimulationConfig(n_paths=40, seed=2)
+    expected = mc._per_path(cfg, 4, lambda g: g[:, 0].copy())
+    assert mc._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_per_path_in_child, args=(cfg, expected))
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung
+    assert child.exitcode == 0
+
+
+def _fail_short_blocks(monkeypatch, rows: int) -> None:
+    """Make the power kernel raise DomainError on every block of fewer than ``rows`` rows."""
+    kernel = mc._log_marginal_inverse
+
+    def failing(a, alpha, gamma, log_y, tol):
+        if log_y.shape[0] < rows:
+            raise DomainError("injected failure in a short block")
+        return kernel(a, alpha, gamma, log_y, tol)
+
+    monkeypatch.setattr(mc, "_log_marginal_inverse", failing)
+
+
+def test_block_error_reaches_the_caller_and_the_pool_survives(
+    monkeypatch, power_problem, power_solution, estimate_kind
+):
+    periods = 30
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * periods)
+    monkeypatch.setattr(mc, "_WORKERS", 3)
+    cfg = SimulationConfig(n_paths=202, n_periods=periods, seed=5)  # the last block, at row 196, has 6 rows
+    expected = estimate_kind("power", cfg)
+    pool = mc._pool
+    with monkeypatch.context() as patch:
+        _fail_short_blocks(patch, 7)
+        with pytest.raises(DomainError, match="short block"):
+            estimate_power_objective(power_solution, power_problem, 0.5, cfg)
+    assert estimate_kind("power", cfg) == expected
+    assert mc._pool is pool
+
+
+def test_block_error_exits_with_the_parameter_code(monkeypatch, capsys):
+    from periodic_portfolio import cli
+
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
+    monkeypatch.setattr(mc, "_WORKERS", 3)
+    _fail_short_blocks(monkeypatch, 7)  # 2000 paths: the last block, at row 1995, has 5 rows
+    config = Path(__file__).resolve().parent.parent / "configs" / "table2_power.cfg"
+    argv = ["simulate", "--config", str(config), "--paths", "2000", "--periods", "30", "--seed", "3"]
+    assert cli.main(argv) == cli.EXIT_ASSUMPTION
+    assert "short block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_first_failing_block_decides_the_error(monkeypatch, workers):
+    # the block at row 6 fails late, the one at row 15 early; 200 blocks of 3 rows take 10 ms each
+    monkeypatch.setattr(mc, "_WORKERS", workers)
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 3 * 4)
+    normals = mc._normals
+    lock = threading.Lock()
+    started, running = [], [0]
+
+    def failing(seed, start, rows, n_periods):
+        with lock:
+            started.append(start)
+            running[0] += 1
+        try:
+            time.sleep(0.05 if start == 6 else 0.01)
+            if start in (6, 15):
+                raise DomainError(f"block at row {start}")
+            return normals(seed, start, rows, n_periods)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(mc, "_normals", failing)
+    with pytest.raises(DomainError, match="block at row 6$"):
+        mc._per_path(SimulationConfig(n_paths=600, seed=1), 4, lambda g: g.sum(axis=1))
+    assert running[0] == 0  # blocks that had started finished before the error was raised
+    assert len(started) < 200  # and the rest never started
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
