@@ -14,10 +14,14 @@ stream, and every cell gets the value it has in the whole matrix. The blocks
 run on a pool of one thread per available CPU (numpy's generator, ``ndtri``
 and the block kernels release the GIL); with one CPU, or one block, they run
 in the calling thread and no thread is started. Each block writes only its
-own rows of the per-path values, so every estimate is bit-identical for any
-worker count; the block size moves it only by rounding. A pass holds
-O(workers * block + n_paths) floats. With antithetic sampling a block of the
-n_paths/2 rows is evaluated at G and at -G, as paths i and n_paths/2 + i.
+own rows of the per-path values, and every row is computed the same way
+whatever the block's row count, so every estimate is bit-identical for any
+worker count and any block size. ``ndtri`` is the only scipy function the
+package uses; it is imported on the first draw, in the calling thread, so
+importing the package and running the other subcommands leave scipy
+unloaded. A pass holds O(workers * block + n_paths) floats. With antithetic
+sampling a block of the n_paths/2 rows is evaluated at G and at -G, as paths
+i and n_paths/2 + i.
 Within a block the work runs in log space: the log objective is affine in
 the log growth, and the power objective sums exp(alpha u_i + beta S_{i-1} -
 i delta tau) with u = log I(y* R) from the log-space Newton kernel of
@@ -32,10 +36,10 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import DomainError, NonConvergence, ParameterOutOfRange
 from .logutil import LogSolution
@@ -84,6 +88,18 @@ class ObjectiveEstimate:
     truncation_bound: float
 
 
+@cache
+def _inverse_normal_cdf():
+    """scipy's ``ndtri``, imported on the first draw: only the Monte Carlo needs scipy.
+
+    ``_per_path`` calls this in the calling thread before any block goes to
+    the pool, so no pool worker is the first to import scipy.
+    """
+    from scipy.special import ndtri
+
+    return ndtri
+
+
 def _normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
     """Rows ``start`` to ``start + rows`` of the (paths, n_periods) standard normals of ``seed``.
 
@@ -98,7 +114,7 @@ def _normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
         gen.random(k % 4)
     u = gen.random((rows, n_periods))
     np.maximum(u, _MIN_UNIFORM, out=u)  # keep the inverse CDF finite at u == 0
-    return ndtri(u, out=u)
+    return _inverse_normal_cdf()(u, out=u)
 
 
 def _executor(workers: int) -> ThreadPoolExecutor:
@@ -147,6 +163,7 @@ def _per_path(cfg: SimulationConfig, n_periods: int, path_values) -> np.ndarray:
     per_path = np.empty(cfg.n_paths)
     rows = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     step = max(1, _CHUNK_ELEMENTS // n_periods)
+    _inverse_normal_cdf()  # import scipy here, never first in a pool worker
 
     def run_block(start: int) -> None:
         g = _normals(cfg.seed, start, min(step, rows - start), n_periods)
@@ -229,7 +246,8 @@ def estimate_log_objective(
     discounts = rho ** np.arange(1, periods + 2)
     w = discounts[:-1] + (1.0 - e.gamma) * (discounts[1:] - discounts[-1]) / (1.0 - rho)
     base = (1.0 - e.gamma) * log_x0 * discounts[:-1].sum() - law.drift * w.sum()
-    per_path = _per_path(cfg, periods, lambda g: base - law.s * (g @ w))
+    # einsum, unlike a BLAS gemv, rounds each row the same whatever the block's row count
+    per_path = _per_path(cfg, periods, lambda g: base - law.s * np.einsum("ij,j->i", g, w))
     return _reduce(per_path, cfg, abs(tail(periods)))
 
 

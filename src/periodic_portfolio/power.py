@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .cone import ConstrainedSharpe
 from .errors import (
@@ -60,7 +59,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .market import EvaluationSpec, MarketModel, check_assumption, zeta
-from .quadrature import DEFAULT_REL_TOL, DeflatorLaw, expect_deflator_adaptive
+from .quadrature import DEFAULT_REL_TOL, MAX_ORDER, DeflatorLaw, expect_deflator_adaptive
 
 _NEWTON_CAP = 100
 # Above this t, log(1 + exp(t)) rounds to t and expit(t) to 1 in float64.
@@ -97,6 +96,11 @@ class PowerProblem:
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha == 0 or self.alpha >= 1:
             raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
+        if not 1 <= self.quad_order <= MAX_ORDER // 2:
+            # the first doubling test takes orders n and 2n, so 2n must not pass MAX_ORDER
+            raise ParameterOutOfRange(
+                f"quad_order must lie in [1, {MAX_ORDER // 2}], got {self.quad_order}"
+            )
         report = check_assumption(
             self.market, self.evaluation, self.alpha, self.xi_tilde_norm_sq
         )
@@ -253,7 +257,11 @@ def _marginal_elasticity(a: float, alpha: float, gamma: float, x):
     c = a * (1.0 - gamma)
     if c == 0.0:
         return alpha - 1.0
-    return (alpha - 1.0) - alpha * gamma * expit(math.log(c) - alpha * gamma * np.log(x))
+    # alpha*gamma*expit(t) with t = log c - alpha*gamma*log x, and expit(t) = (1 + tanh(t/2)) / 2
+    half = 0.5 * alpha * gamma
+    weighted = np.tanh(0.5 * math.log(c) - half * np.log(x))
+    weighted *= half
+    return (alpha - 1.0 - half) - weighted
 
 
 def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.ndarray:

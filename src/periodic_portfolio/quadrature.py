@@ -4,6 +4,15 @@ Every expectation in the pricing pipeline reduces to E[f(exp(drift + s*G))]
 with G standard normal, so a one-dimensional probabilists' Gauss-Hermite rule
 is the only integration kernel needed.
 
+The rules are built in numpy (Golub & Welsch 1969, "Calculation of Gauss
+quadrature rules", Math. Comp. 23). Hermite polynomials are even or odd, so
+the positive nodes are square roots of generalized-Laguerre nodes: He_n(x) is
+proportional to L_{n/2}^{(-1/2)}(x^2/2) for even n and to
+x L_{(n-1)/2}^{(1/2)}(x^2/2) for odd n, whose Jacobi matrix has half the size
+of the Hermite one. Its eigenvalues seed Newton on the orthonormal Hermite
+recurrence, which also gives the weights in log scale, so no weight overflows
+or turns to NaN at any order; weights below the float range round to 0.
+
 The adaptive driver takes its first doubling test, orders n and 2n, in one
 pass over a paired rule that holds both node sets: one integrand call then
 returns both estimates. An integrand costs about as much per call at 64 nodes
@@ -18,13 +27,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .errors import NonFinite, ParameterOutOfRange, QuadratureError
 
 DEFAULT_ORDER = 64
 MAX_ORDER = 512
 DEFAULT_REL_TOL = 1e-10
+_RESCALE_EVERY = 16  # recurrence steps between rescalings; a step grows values by < |x| + 1
+_NEWTON_CAP = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,19 +46,65 @@ class GaussHermiteRule:
     weights: np.ndarray
 
 
+def _orthonormal_hermite(x: np.ndarray, n: int):
+    """(h_n(x), h_{n-1}(x), log_scale) for the orthonormal h_k = He_k / sqrt(k!).
+
+    The recurrence sqrt(k+1) h_{k+1} = x h_k - sqrt(k) h_{k-1} starts at
+    h_0 = 1 and divides both terms by the larger of them every
+    ``_RESCALE_EVERY`` steps, so nothing overflows or underflows at any order;
+    the true values are the returned ones times exp(log_scale).
+    """
+    root = np.sqrt(np.arange(n + 1.0))
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
+    log_scale = np.zeros_like(x)
+    for k in range(n):
+        nxt = x * cur
+        nxt -= root[k] * prev
+        nxt /= root[k + 1]
+        prev, cur = cur, nxt
+        if k % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+            big = np.maximum(np.abs(prev), np.abs(cur))
+            prev /= big
+            cur /= big
+            log_scale += np.log(big)
+    return cur, prev, log_scale
+
+
 @lru_cache(maxsize=None)
 def make_rule(order: int) -> GaussHermiteRule:
     """Build (and cache) the probabilists' Gauss-Hermite rule of a given order.
 
-    Exact for polynomials in G of degree <= 2*order - 1. Nodes come from the
-    symmetric-tridiagonal (Golub-Welsch) route used by scipy, which stays
-    stable at the highest escalation order; weights are renormalized to sum
-    to one.
+    Exact for polynomials in G of degree <= 2*order - 1. The nonnegative
+    nodes start from the eigenvalues t of the (order // 2)-square Jacobi
+    matrix of L^{(-1/2)} (even order) or L^{(1/2)} (odd order, plus the node
+    0), as x = sqrt(2 t), and Newton on h_order polishes them, with
+    h_order' = sqrt(order) h_{order-1}. The Christoffel weights
+    1 / (order h_{order-1}(x)^2) come from the last Newton evaluation, in log
+    scale, and are normalized to sum to one; the rule is mirrored about 0.
     """
     if order < 1:
         raise ParameterOutOfRange("quadrature order must be >= 1")
-    nodes, w = roots_hermitenorm(order)
-    weights = w / math.sqrt(2.0 * math.pi)
+    half, odd = divmod(order, 2)
+    shift = 0.5 if odd else -0.5
+    jacobi = np.zeros((half, half))
+    k = np.arange(half, dtype=float)
+    jacobi.flat[:: half + 1] = 2.0 * k + shift + 1.0
+    jacobi.flat[half :: half + 1] = np.sqrt(k[1:] * (k[1:] + shift))  # below the diagonal
+    x = np.sqrt(2.0 * np.linalg.eigvalsh(jacobi))
+    if odd:
+        x = np.concatenate([[0.0], x])
+    for _ in range(_NEWTON_CAP):
+        h_n, h_prev, log_scale = _orthonormal_hermite(x, order)
+        step = h_n / (math.sqrt(order) * h_prev)
+        x = x - step
+        if np.all(np.abs(step) <= 1e-15 * (1.0 + x)):
+            break  # x had converged, so h_prev is the one the weights need
+    w = np.exp(-math.log(order) - 2.0 * (np.log(np.abs(h_prev)) + log_scale))
+    mirror = slice(None, 0, -1) if odd else slice(None, None, -1)
+    nodes = np.concatenate([-x[mirror], x])
+    weights = np.concatenate([w[mirror], w])
+    weights /= weights.sum()
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return GaussHermiteRule(order=order, nodes=nodes, weights=weights)

@@ -43,6 +43,23 @@ def test_ill_posed_delta_exit_assumption(tmp_path, capsys):
     assert "well-posedness" in capsys.readouterr().err
 
 
+# The first doubling test takes orders n and 2n, so n above MAX_ORDER // 2
+# could never stabilize.
+@pytest.mark.parametrize("order", [0, 257, 300])
+def test_quad_order_out_of_range_exit_assumption(tmp_path, capsys, order):
+    path = write_config(tmp_path, "table2_power", quad_order=order)
+    assert cli.main(["solve", "--config", path]) == cli.EXIT_ASSUMPTION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "quad_order" in captured.err
+
+
+def test_largest_quad_order_solves(tmp_path, capsys):
+    path = write_config(tmp_path, "table2_power", quad_order=256)
+    assert cli.main(["solve", "--config", path]) == cli.EXIT_OK
+    assert float(report(capsys.readouterr().out)["error_bound"]) <= 1e-10
+
+
 def test_solver_failure_exit_nonconvergence(tmp_path, monkeypatch, capsys):
     def fail(problem, start=None):
         raise NonConvergence("forced")

@@ -343,8 +343,8 @@ def test_estimates_do_not_depend_on_block_size(monkeypatch, estimate_kind, kind,
     small = estimate_kind(kind, cfg)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 10**9)
     whole = estimate_kind(kind, cfg)
-    assert small.mean == pytest.approx(whole.mean, rel=1e-12)
-    assert small.std_error == pytest.approx(whole.std_error, rel=1e-12)
+    assert small.mean == whole.mean
+    assert small.std_error == whole.std_error
     assert small.truncation_bound == whole.truncation_bound
 
 
@@ -372,6 +372,25 @@ def test_one_worker_or_one_block_starts_no_thread(monkeypatch, estimate_kind):
     monkeypatch.setattr(mc, "_WORKERS", 3)
     estimate_kind("power", SimulationConfig(n_paths=100, n_periods=30, seed=5))
     assert mc._pool is None
+
+
+def test_ndtri_loads_in_the_calling_thread(monkeypatch, estimate_kind):
+    # the first lookup of scipy's ndtri must not happen inside a pool worker
+    monkeypatch.setattr(mc, "_WORKERS", 3)
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
+    lookup = mc._inverse_normal_cdf
+    lookup.cache_clear()
+    first_lookups = []
+
+    def record():
+        if lookup.cache_info().currsize == 0:
+            first_lookups.append(threading.current_thread())
+        return lookup()
+
+    monkeypatch.setattr(mc, "_inverse_normal_cdf", record)
+    estimate_kind("log", SimulationConfig(n_paths=202, n_periods=30, seed=5))
+    assert first_lookups == [threading.main_thread()]
+    assert lookup() is ndtri
 
 
 def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch):

@@ -699,3 +699,16 @@ def test_full_horizon_mc_matches_value(power_problem, power_solution):
     )
     v = value_function(power_solution, 0.5, TABLE_ALPHA, 0.8)
     assert abs(est.mean - v) <= 3 * est.std_error + est.truncation_bound
+
+
+@pytest.mark.parametrize("a,alpha,gamma", [(3.17, 0.5, 0.8), (0.02, -1.0, 0.6), (50.0, -4.0, 0.5)])
+def test_marginal_elasticity_matches_scipy_expit(a, alpha, gamma):
+    # the numpy logistic 0.5 * (1 + tanh(t / 2)) is within 1.1e-16 of expit and
+    # raises no warning, here for |t| up to ~1400
+    from scipy.special import expit
+
+    x = np.logspace(-300, 300, 2001)
+    t = math.log(a * (1.0 - gamma)) - alpha * gamma * np.log(x)
+    expected = (alpha - 1.0) - alpha * gamma * expit(t)
+    got = power._marginal_elasticity(a, alpha, gamma, x)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=4e-16 * (1.0 - alpha + abs(alpha * gamma)))

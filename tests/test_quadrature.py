@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from periodic_portfolio import (
     make_rule,
 )
 from periodic_portfolio.errors import NonFinite, ParameterOutOfRange, QuadratureError
+from periodic_portfolio.quadrature import MAX_ORDER
 
 
 def lognormal_moment(drift, s, beta):
@@ -219,3 +221,55 @@ def test_fused_adaptive_sees_non_finite_at_fine_only_nodes():
         reference_cascade(f, UNIT_LAW)
     with pytest.raises(NonFinite):
         expect_deflator_adaptive(f, UNIT_LAW)
+
+
+def _scipy_rule(order):
+    from scipy.special import roots_hermitenorm
+
+    nodes, weights = roots_hermitenorm(order)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
+
+
+def test_rules_match_scipy_at_every_order():
+    # scipy's rule is an independent construction (eigenvectors up to order
+    # 150, asymptotic expansions above); weights it rounds near the float
+    # floor are not compared
+    misses = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in [*range(1, MAX_ORDER + 1), 700, 1024]:
+            rule = make_rule(order)
+            nodes, weights = _scipy_rule(order)
+            assert np.all(np.isfinite(rule.nodes)) and np.all(np.isfinite(rule.weights))
+            node_err = np.max(np.abs(rule.nodes - nodes))
+            shown = weights > 1e-300
+            weight_err = np.max(np.abs(rule.weights[shown] / weights[shown] - 1.0))
+            if node_err > 5e-14 or weight_err > 1e-11 or not np.all(rule.weights[shown] > 0):
+                misses.append((order, node_err, weight_err))
+    assert misses == []
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER, 700, 1024])
+def test_high_order_rule_is_a_symmetric_probability_rule(order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = make_rule(order)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    assert np.all(np.diff(rule.nodes) > 0)
+    # weights below the float range round to 0, as scipy's do: only in the
+    # outermost nodes, next to positive weights near the float floor
+    positive = rule.weights > 0
+    tail = int(np.argmax(positive))
+    assert np.all(positive[tail : order - tail])
+    assert np.all(rule.weights >= 0)
+    if tail:
+        assert rule.weights[tail] < 1e-300
+    assert abs(rule.weights.sum() - 1.0) <= 1e-15
+
+
+def test_order_512_rule_integrates_the_lognormal_moments():
+    rule = make_rule(MAX_ORDER)
+    for s in np.linspace(0.0, 8.0, 33):
+        mgf = rule.weights @ np.exp(s * rule.nodes)
+        assert mgf == pytest.approx(math.exp(0.5 * s * s), rel=1e-13)
