@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .market import EvaluationSpec, MarketModel
+from .quadrature import check_quad_order
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,12 @@ def to_market(cfg: ProblemConfig) -> MarketModel:
 
 
 def to_evaluation(cfg: ProblemConfig) -> EvaluationSpec:
+    """The evaluation spec of ``cfg``, after checking its ``quad_order``.
+
+    Every solve of a configuration, log or power, builds its evaluation here,
+    so a bad ``quad_order`` is rejected for both utilities alike.
+    """
+    check_quad_order(cfg.quad_order)
     return EvaluationSpec(tau=cfg.tau, gamma=cfg.gamma, delta=cfg.delta)
 
 

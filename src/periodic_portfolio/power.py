@@ -33,6 +33,18 @@ step of A it starts from the tangent of y*(A), d log y*/dA = -(dF/da) /
 E[-(1-gamma) x^(alpha(1-gamma)) / (y d log h_a'/d log x)] from
 differentiating h_a'(x) = y Z/B. That sum rides in the same quadrature call.
 
+The same continuation runs one level down, at the quadrature nodes. Every
+quadrature pass of one ``fixed_point`` solve integrates over the same nodes,
+so each pass carries to the next, at every node, u = log x and the slope
+g'(u) = d log h_a'/d log x of the node equation g(u) = 0 (see
+``marginal_inverse``). The next pass starts its node Newton from the
+first-order predictor u + (d log y - expit(t) d log c) / g'(u), with
+c = a(1-gamma). g is convex and strictly decreasing, so Newton converges
+from any finite start: the predictor changes how many steps it takes, not
+where it ends. Each pass then forms its sums from u and log Z/B with exp alone.
+Other callers (``solve_y_star``, ``contraction_map``,
+``intra_period_profile``) and the Monte Carlo start every node cold.
+
 The same sums give the optimal constrained portfolio (convex duality:
 Cvitanic and Karatzas, Ann. Appl. Probab. 2(4), 1992). At deflator level z
 and time t of a period, with F and y F'(y) taken at y = y* z under the law
@@ -45,6 +57,7 @@ evaluation already took.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +72,14 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .market import EvaluationSpec, MarketModel, check_assumption, zeta
-from .quadrature import DEFAULT_REL_TOL, MAX_ORDER, DeflatorLaw, expect_deflator_adaptive
+from .quadrature import DEFAULT_REL_TOL, DeflatorLaw, check_quad_order, expect_deflator_adaptive
 
 _NEWTON_CAP = 100
 # Above this t, log(1 + exp(t)) rounds to t and expit(t) to 1 in float64.
 _SOFTPLUS_LINEAR = 36.0
+# exp(t) is a positive, finite float64 for t in [_LOG_TINY, _LOG_HUGE]
+_LOG_TINY = math.log(math.ulp(0.0))
+_LOG_HUGE = math.log(sys.float_info.max)
 _FIXED_POINT_CAP = 50
 _FLOOR_ULPS = 4  # residual allowance in ulps of A once the residual stops falling
 # Quadrature acceptance for the derivative sums, which only steer Newton:
@@ -96,11 +112,7 @@ class PowerProblem:
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha == 0 or self.alpha >= 1:
             raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
-        if not 1 <= self.quad_order <= MAX_ORDER // 2:
-            # the first doubling test takes orders n and 2n, so 2n must not pass MAX_ORDER
-            raise ParameterOutOfRange(
-                f"quad_order must lie in [1, {MAX_ORDER // 2}], got {self.quad_order}"
-            )
+        check_quad_order(self.quad_order)
         report = check_assumption(
             self.market, self.evaluation, self.alpha, self.xi_tilde_norm_sq
         )
@@ -172,11 +184,16 @@ def _newton_start(lc: float, p1: float, beta: float, log_y):
     return np.maximum(u, u_c, out=u)
 
 
-def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float):
+def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float, start=None):
     """u = log I(exp(log_y)) for finite log_y, by Newton in log space.
 
-    The Newton kernel behind ``marginal_inverse``; see its docstring. Returns
-    a new array and leaves ``log_y`` unchanged.
+    The Newton kernel behind ``marginal_inverse``; see its docstring. Newton
+    starts from ``start`` if given, an array like ``log_y`` of finite values
+    that it overwrites, and from ``_newton_start`` otherwise. g is convex and
+    strictly decreasing with g' <= max(alpha-1, alpha(1-gamma)-1) < 0, so a
+    step from any finite start is finite and lands at or below the root,
+    from where the iterates rise to it monotonically. Returns a new array (or
+    ``start``) and leaves ``log_y`` unchanged.
     """
     p1 = alpha - 1.0
     c = a * (1.0 - gamma)
@@ -184,7 +201,7 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
         return log_y / p1
     beta = -alpha * gamma
     lc = math.log(c)
-    u = _newton_start(lc, p1, beta, log_y)
+    u = _newton_start(lc, p1, beta, log_y) if start is None else start
     for _ in range(_NEWTON_CAP):
         t = beta * u
         t += lc
@@ -227,10 +244,11 @@ def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10
     iterate stays below the root and rises to it monotonically. It stops once
     the largest step is at most ``tol``. The whole iteration runs in log
     space: ``_log_marginal_inverse`` takes log y and returns u, the Monte
-    Carlo calls it directly, and this function returns exp(u). log(1 + e^t)
-    is evaluated as max(t, log1p(exp(min(t, 36)))), accurate to rounding for
-    every t, and expit(t) reuses its exponential. When c == 0
-    (a == 0 or gamma == 1), u = log(y) / (alpha-1) exactly.
+    Carlo calls it directly (from this cold start), the quadrature sums of
+    ``_period_sums`` call it from a warm start, and this function returns
+    exp(u). log(1 + e^t) is evaluated as max(t, log1p(exp(min(t, 36)))),
+    accurate to rounding for every t, and expit(t) reuses its exponential.
+    When c == 0 (a == 0 or gamma == 1), u = log(y) / (alpha-1) exactly.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
@@ -252,19 +270,44 @@ def budget_function(p: PowerProblem, a: float, y: float) -> float:
     )
 
 
-def _marginal_elasticity(a: float, alpha: float, gamma: float, x):
-    """d log h_a'(x) / d log x, a weighted mean of alpha-1 and alpha(1-gamma)-1."""
+def _log_elasticity(a: float, alpha: float, gamma: float, u):
+    """(g'(u), tanh(t/2)) at u = log x, with g'(u) = d log h_a'(x) / d log x.
+
+    g'(u) = alpha - 1 - alpha gamma expit(t), t = log c - alpha gamma u, is a
+    weighted mean of alpha-1 and alpha(1-gamma)-1, and expit(t) =
+    (1 + tanh(t/2)) / 2. When c = a(1-gamma) = 0 it returns (alpha - 1, None).
+    """
     c = a * (1.0 - gamma)
     if c == 0.0:
-        return alpha - 1.0
-    # alpha*gamma*expit(t) with t = log c - alpha*gamma*log x, and expit(t) = (1 + tanh(t/2)) / 2
+        return alpha - 1.0, None
     half = 0.5 * alpha * gamma
-    weighted = np.tanh(0.5 * math.log(c) - half * np.log(x))
-    weighted *= half
-    return (alpha - 1.0 - half) - weighted
+    tanh_half = half * u
+    np.subtract(0.5 * math.log(c), tanh_half, out=tanh_half)
+    np.tanh(tanh_half, out=tanh_half)
+    weighted = tanh_half * half
+    return np.subtract(alpha - 1.0 - half, weighted, out=weighted), tanh_half
 
 
-def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.ndarray:
+def _predict_log_inverse(u, el, tanh_half, d_log_y: float, d_log_c: float):
+    """First-order predictor of u = log I(y) after log y moves by d_log_y and log c by d_log_c.
+
+    ``u``, ``el`` = g'(u) and ``tanh_half`` = tanh(t/2) are the solution and
+    its ``_log_elasticity`` before the move. Differentiating g(u) = 0 gives
+    du = (d log y - expit(t) d log c) / el. Returns a new array.
+    """
+    if d_log_c == 0.0:
+        step = d_log_y / el
+    else:
+        step = tanh_half * (-0.5 * d_log_c)
+        step += d_log_y - 0.5 * d_log_c  # d log y - expit(t) d log c
+        step /= el
+    step += u
+    return step
+
+
+def _period_sums(
+    p: PowerProblem, law: DeflatorLaw, a: float, y: float, warm: dict | None = None
+) -> np.ndarray:
     """One quadrature call at (a, y) over the nodes x = I(y * Z/B), Z/B ~ ``law``.
 
     Returns [F(y), y F'(y), E[phi_a(y Z/B)], H'(a), dF/da], with
@@ -273,29 +316,68 @@ def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.nd
     from dx = x (d log y - (1-gamma) x^(alpha(1-gamma)-1) da / (y Z/B)) / el,
     el = d log h_a'/d log x, so they stay finite wherever F does. The last
     sum is not tested for convergence (its tolerance is inf).
+
+    The integrand works in log space: from log z = drift + s * node it solves
+    u = log x by ``_log_marginal_inverse`` and forms every column with exp
+    of u and log z. It keeps the domain checks of ``marginal_inverse`` and
+    ``moderated_utility``: Z/B and y Z/B must be positive finite float64s
+    (DomainError), and so must x, which raises DomainError when it would
+    round to 0 and NonFinite when it would overflow.
+
+    ``warm``, when given, carries the node solutions from one call to the
+    next, for calls under one law: for each rule (keyed by its node count)
+    the last log y, log c (c = a(1-gamma) > 0), u and ``_log_elasticity``
+    of u. A call then starts the node Newton from ``_predict_log_inverse``
+    in place of the cold start; any finite start converges to the same root,
+    so only the iteration count depends on it. The caller owns the dict;
+    None starts cold.
     """
     alpha, gamma = p.alpha, p.evaluation.gamma
     beta = alpha * (1.0 - gamma)
+    log_y = math.log(y)
+    c = a * (1.0 - gamma)
+    log_c = math.log(c) if c > 0.0 else None
+    keep = warm is not None and log_c is not None  # no Newton runs when c = 0
 
-    def integrand(z):
-        x = marginal_inverse(a, alpha, gamma, y * z, p.tol_root)
-        zx = z * x
-        el = _marginal_elasticity(a, alpha, gamma, x)
-        xb = x**beta
-        return np.stack([zx, zx / el, moderated_utility(a, alpha, gamma, x) - y * zx, xb, xb / el])
+    def integrand(log_z):
+        lo, hi = log_z.min(), log_z.max()
+        if min(lo, lo + log_y) < _LOG_TINY or max(hi, hi + log_y) > _LOG_HUGE:
+            raise DomainError("marginal inverse requires finite y > 0")
+        log_yz = log_z + log_y
+        prev = warm.get(log_z.size) if keep else None
+        start = None
+        if prev is not None:
+            start = _predict_log_inverse(*prev[2:], log_y - prev[0], log_c - prev[1])
+        u = _log_marginal_inverse(a, alpha, gamma, log_yz, p.tol_root, start)
+        if u.min() < _LOG_TINY:
+            raise DomainError("moderated utility requires x > 0")
+        if u.max() > _LOG_HUGE:
+            raise NonFinite("x = I(y Z/B) overflows at a quadrature node")
+        el, tanh_half = _log_elasticity(a, alpha, gamma, u)
+        if keep:
+            warm[log_z.size] = (log_y, log_c, u, el, tanh_half)
+        zx = np.add(u, log_z)
+        np.exp(zx, out=zx)
+        xb = np.exp(beta * u)
+        phi = np.exp(alpha * u)
+        phi /= alpha
+        phi += (a / alpha) * xb
+        phi -= y * zx
+        return np.stack([zx, zx / el, phi, xb, xb / el])
 
     sums = expect_deflator_adaptive(
-        integrand, law, order=p.quad_order, rel_tol=_PERIOD_SUMS_REL_TOL
+        integrand, law, order=p.quad_order, rel_tol=_PERIOD_SUMS_REL_TOL, log_nodes=True
     )
     sums[4] *= -(1.0 - gamma) / y
     return sums
 
 
-def _newton_y(p: PowerProblem, a: float, budget: float, u: float):
+def _newton_y(p: PowerProblem, a: float, budget: float, u: float, warm: dict | None = None):
     """Safeguarded Newton on log F(u) = log budget in u = log y, from ``u``.
 
     Returns (y*, y_k, sums): y* is y_k moved by the last step, and ``sums``
-    are the ``_period_sums`` taken at y_k.
+    are the ``_period_sums`` taken at y_k. ``warm`` is passed to every
+    ``_period_sums`` call.
     """
     if budget <= 0.0:
         raise DomainError("budget must be positive")
@@ -304,9 +386,10 @@ def _newton_y(p: PowerProblem, a: float, budget: float, u: float):
     # [-1/(1-max(alpha,beta)), -1/(1-min(alpha,beta))]
     safe_scale = 1.0 - max(p.alpha, p.alpha * (1.0 - p.evaluation.gamma))
     lo, hi = -math.inf, math.inf
+    law = p.law
     for _ in range(_NEWTON_CAP):
         y = math.exp(u)
-        sums = _period_sums(p, p.law, a, y)
+        sums = _period_sums(p, law, a, y, warm)
         if not sums[0] > 0.0:
             raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
         g = math.log(sums[0]) - log_budget
@@ -348,15 +431,16 @@ def solve_y_star(
     return _newton_y(p, a, budget, u)[0]
 
 
-def _value_and_y(p: PowerProblem, a: float, u: float = 0.0):
+def _value_and_y(p: PowerProblem, a: float, u: float = 0.0, warm: dict | None = None):
     """H(a), H'(a), y*(a), -d log F / d log y and d log y*/dA, y* Newton from log y = ``u``.
 
     All but y* come from the last y* Newton evaluation. H = alpha *
     (E[phi_a(y R)] + y) is stationary in y at y*, so taking it at the
     evaluation point y_k of the last (accepted) step costs only the square of
     that step. d log y*/dA = -(dF/da) / (y F'(y)) steers the next start.
+    ``warm`` carries the quadrature nodes' solutions (see ``_period_sums``).
     """
-    y_star, y_eval, sums = _newton_y(p, a, 1.0, u)
+    y_star, y_eval, sums = _newton_y(p, a, 1.0, u, warm)
     h_val, h_slope = float(p.alpha * (sums[2] + y_eval)), float(sums[3])
     return h_val, h_slope, y_star, float(-sums[1] / sums[0]), float(-sums[4] / sums[1])
 
@@ -436,7 +520,9 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     Each evaluation's y* Newton starts near its root: at the first A from
     the deterministic-deflator root ``_log_y_start``, and after each step
     dA from log y* + (d log y*/dA) dA, the tangent of y*(A) taken by the
-    previous evaluation.
+    previous evaluation. Every quadrature pass of the solve is over the same
+    nodes, so each pass's node Newton starts from the previous pass's
+    solution, moved by the first-order predictor (``_period_sums``).
 
     Stops at the first evaluated A with |Psi(A) - A| / (1-q) <= tol, q the
     contraction modulus, which bounds |A - A*|. When the residual stops
@@ -465,9 +551,10 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     hi = upper + (tol + DEFAULT_REL_TOL * abs(upper)) if np.isfinite(upper) else math.inf
     a = float(start)
     u = _log_y_start(p, a)
+    warm = {}
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):
-        h_val, h_slope, y_star, scale, dlog_y = _value_and_y(p, a, u)
+        h_val, h_slope, y_star, scale, dlog_y = _value_and_y(p, a, u, warm)
         residual = disc * h_val - a
         error_bound = abs(residual) / (1.0 - q_mod)
         if error_bound <= tol:

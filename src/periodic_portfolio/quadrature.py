@@ -71,6 +71,16 @@ def _orthonormal_hermite(x: np.ndarray, n: int):
     return cur, prev, log_scale
 
 
+def check_quad_order(order: int) -> None:
+    """Reject a starting order whose first doubling test, orders n and 2n, would pass MAX_ORDER.
+
+    Every solve of a configuration checks its ``quad_order`` here, whether or
+    not its utility builds a rule.
+    """
+    if not 1 <= order <= MAX_ORDER // 2:
+        raise ParameterOutOfRange(f"quad_order must lie in [1, {MAX_ORDER // 2}], got {order}")
+
+
 @lru_cache(maxsize=None)
 def make_rule(order: int) -> GaussHermiteRule:
     """Build (and cache) the probabilists' Gauss-Hermite rule of a given order.
@@ -157,18 +167,21 @@ class DeflatorLaw:
         return cls(s=math.sqrt(s2), drift=-0.5 * s2 - r * horizon)
 
 
-def expect_deflator(f, law: DeflatorLaw, rule: GaussHermiteRule):
+def expect_deflator(f, law: DeflatorLaw, rule: GaussHermiteRule, log_nodes: bool = False):
     """Return sum_k w_k * f(exp(drift + s*x_k)).
 
     ``f`` must accept an ndarray of positive deflator samples and return
     either an array of the same shape or a stack of shape (k, nodes) (k
-    expectations). The result is ``vals @ rule.weights``: a float when that
+    expectations). With ``log_nodes`` it receives the log deflator
+    drift + s*x_k instead, so an integrand that works in log space needs no
+    exp and log round trip, and must itself check that exp of what it uses is
+    a finite float64. The result is ``vals @ rule.weights``: a float when that
     is 0-d, and with a paired rule's two-column weights one more trailing
     axis of size 2 (coarse, fine). Raises NonFinite if any evaluation is
     NaN/inf.
     """
-    z = np.exp(law.drift + law.s * rule.nodes)
-    vals = np.asarray(f(z), dtype=float)
+    log_z = law.drift + law.s * rule.nodes
+    vals = np.asarray(f(log_z if log_nodes else np.exp(log_z)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NonFinite("integrand produced a non-finite value at a quadrature node")
     out = vals @ rule.weights
@@ -181,6 +194,7 @@ def expect_deflator_adaptive(
     order: int = DEFAULT_ORDER,
     rel_tol: float = DEFAULT_REL_TOL,
     max_order: int = MAX_ORDER,
+    log_nodes: bool = False,
 ):
     """Evaluate the expectation with order doubling until it stabilizes.
 
@@ -189,14 +203,16 @@ def expect_deflator_adaptive(
     must pass, and ``rel_tol`` may give one tolerance per component. The
     first test evaluates orders n and 2n in one call of ``f`` on the paired
     rule, so ``f`` must act elementwise on its nodes; later doublings, and a
-    first test with 2n > ``max_order``, evaluate one order per call. Raises
+    first test with 2n > ``max_order``, evaluate one order per call. For a
+    given ``order``, each rule the cascade can use has its own node count.
+    ``log_nodes`` is passed on to ``expect_deflator``. Raises
     QuadratureError if the doubling cascade reaches ``max_order`` without
     stabilizing.
     """
     if 2 * order > max_order:
-        coarse = expect_deflator(f, law, make_rule(order))
+        coarse = expect_deflator(f, law, make_rule(order), log_nodes)
     else:
-        pair = expect_deflator(f, law, _paired_rule(order))
+        pair = expect_deflator(f, law, _paired_rule(order), log_nodes)
         coarse, fine = pair[..., 0], pair[..., 1]
         order *= 2
         if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
@@ -204,7 +220,7 @@ def expect_deflator_adaptive(
         coarse = fine
     while 2 * order <= max_order:
         order *= 2
-        fine = expect_deflator(f, law, make_rule(order))
+        fine = expect_deflator(f, law, make_rule(order), log_nodes)
         if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
             return fine
         coarse = fine

@@ -44,14 +44,24 @@ def test_ill_posed_delta_exit_assumption(tmp_path, capsys):
 
 
 # The first doubling test takes orders n and 2n, so n above MAX_ORDER // 2
-# could never stabilize.
-@pytest.mark.parametrize("order", [0, 257, 300])
+# could never stabilize. Log utility builds no rule, yet rejects the same orders.
+@pytest.mark.parametrize("order", [0, 257, 300, 1000])
 def test_quad_order_out_of_range_exit_assumption(tmp_path, capsys, order):
-    path = write_config(tmp_path, "table2_power", quad_order=order)
-    assert cli.main(["solve", "--config", path]) == cli.EXIT_ASSUMPTION
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "quad_order" in captured.err
+    spec = tmp_path / "spec.sweep"
+    spec.write_text("[sweep]\nparameter = tau\ngrid = 0.5 1\noutputs = a_star\n")
+    for name in ("table2_power", "table1_log"):
+        path = write_config(tmp_path, name, quad_order=order)
+        for argv in (
+            ["solve", "--config", path],
+            ["sweep", "--config", path, "--sweep", str(spec), "--out", str(tmp_path / "out.csv")],
+            ["opt-tau", "--config", path, "--tau-cap", "2"],
+            ["simulate", "--config", path, "--paths", "100"],
+        ):
+            assert cli.main(argv) == cli.EXIT_ASSUMPTION, (name, argv[0])
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "quad_order" in captured.err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_largest_quad_order_solves(tmp_path, capsys):
@@ -181,7 +191,7 @@ lower_bound: 3.14351369202
 upper_bound: 3.17383924829
 contraction_modulus: 0.750361641501
 iterations: 3
-error_bound: 0
+error_bound: 1.77893017932e-15
 v_x0: 5.91822088078
 feedback_fractions: 0 0.738390101361
 """,

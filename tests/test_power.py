@@ -27,7 +27,7 @@ from periodic_portfolio import (
     zeta,
 )
 from periodic_portfolio import power
-from periodic_portfolio.errors import AssumptionViolated, DomainError, ParameterOutOfRange
+from periodic_portfolio.errors import AssumptionViolated, DomainError, NonFinite, ParameterOutOfRange
 from periodic_portfolio.mc import SimulationConfig
 from periodic_portfolio.power import moderated_marginal
 from periodic_portfolio.quadrature import expect_deflator_adaptive
@@ -130,6 +130,34 @@ def test_newton_start_bounds_the_root_from_below(a, gamma, alpha, log_y):
 
 
 @settings(max_examples=300, deadline=None)
+@given(
+    log_y=st.floats(-30.0, 30.0),
+    shift=st.floats(-20.0, 20.0),
+    jump=st.sampled_from([-5.0, 5.0]),
+    **KERNEL_CASES,
+)
+def test_warm_starts_reach_the_cold_root(a, gamma, alpha, log_y, shift, jump):
+    # g is convex and strictly decreasing, so Newton converges from any finite
+    # start: from root + shift, and from the predictor after log y moves by
+    # jump, with a fixed or a -> 10 a
+    def newton(a, log_y, start=None):
+        return power._log_marginal_inverse(a, alpha, gamma, np.array([log_y]), 1e-10, start)
+
+    root = newton(a, log_y)
+    assert newton(a, log_y, root + shift)[0] == pytest.approx(root[0], rel=0, abs=1e-12 * (1.0 + abs(root[0])))
+    el, tanh_half = power._log_elasticity(a, alpha, gamma, root)
+    for factor in (1.0, 10.0):
+        cold = newton(factor * a, log_y + jump)[0]
+        start = power._predict_log_inverse(root, el, tanh_half, jump, math.log(factor))
+        warm = newton(factor * a, log_y + jump, start)[0]
+        assert warm == pytest.approx(cold, rel=0, abs=1e-12 * (1.0 + abs(cold)))
+    # the predictor is first order: after a move of 1e-4 in log y and log c it
+    # is 1e-8 off the root (at most 3.8e-9 in 3000 random cases)
+    near = newton(a * math.exp(1e-4), log_y + 1e-4)[0]
+    assert abs(power._predict_log_inverse(root, el, tanh_half, 1e-4, 1e-4)[0] - near) <= 1e-7
+
+
+@settings(max_examples=300, deadline=None)
 @given(log_x=st.floats(-30.0, 30.0), **KERNEL_CASES)
 def test_marginal_inverse_inverts_the_marginal(a, gamma, alpha, log_x):
     x = math.exp(log_x)
@@ -175,6 +203,22 @@ def test_legendre_is_supremum(power_problem):
     xs = np.geomspace(1e-4, 1e4, 400)
     candidates = moderated_utility(a, alpha, gamma, xs) - xs * y
     assert phi >= candidates.max() - 1e-9
+
+
+@pytest.mark.parametrize(
+    "drift,y,error",
+    [
+        (-400.0, math.exp(-400.0), DomainError),  # y Z/B = e^-800 underflows
+        (-800.0, math.exp(400.0), DomainError),  # Z/B = e^-800 underflows, y Z/B would not
+        (400.0, 1.0, DomainError),  # x = (y Z/B)^-2 = e^-800 underflows
+        (-400.0, 1.0, NonFinite),  # x = e^800 overflows, Z/B x = e^400 would not
+    ],
+)
+def test_period_sums_keep_the_float64_domain_checks(power_problem_g1, drift, y, error):
+    # the sums work in log space, where these nodes give finite columns; they
+    # fail as the sums over x = I(y Z/B) in float64 did
+    with pytest.raises(error):
+        power._period_sums(power_problem_g1, DeflatorLaw(s=0.0, drift=drift), 1.0, y)
 
 
 # --- h_a shape invariants (used at desk scale; the full grid runs in the
@@ -412,8 +456,8 @@ def test_y_star_safeguard_survives_bad_slopes(power_problem, monkeypatch, slope_
     expected = solve_y_star(power_problem, 1.0)
     exact = power._period_sums
 
-    def skewed(p, law, a, y):
-        sums = exact(p, law, a, y).copy()
+    def skewed(p, law, a, y, warm=None):
+        sums = exact(p, law, a, y, warm).copy()
         sums[1] *= slope_scale
         return sums
 
@@ -448,6 +492,25 @@ def test_fixed_point_work_budget_on_table2(table_market, table_cone, count_calls
         assert len(calls) <= budget, f"tau={tau}"
 
 
+def test_fixed_point_warm_starts_every_node_pass_after_the_first(power_problem, monkeypatch):
+    # all quadrature passes of one solve are over the same nodes, so each one
+    # after the first starts its node Newton from the previous pass's solution;
+    # contraction_map, the independent check, starts every pass cold
+    warm = []
+    kernel = power._log_marginal_inverse
+
+    def recorded(a, alpha, gamma, log_y, tol, start=None):
+        warm.append(start is not None)
+        return kernel(a, alpha, gamma, log_y, tol, start)
+
+    monkeypatch.setattr(power, "_log_marginal_inverse", recorded)
+    fixed_point(power_problem)
+    assert len(warm) >= 3 and not warm[0] and all(warm[1:])
+    warm.clear()
+    contraction_map(power_problem, 3.0)
+    assert len(warm) >= 2 and not any(warm)
+
+
 def test_fixed_point_gamma1_newton_step_above_the_upper_bound():
     # for gamma = 1 and alpha > 0 the upper a-priori bound is A* itself, and
     # the first Newton step lands 1.1e-9 above it, beyond an absolute slack of
@@ -462,23 +525,27 @@ def test_fixed_point_gamma1_newton_step_above_the_upper_bound():
 
 
 @pytest.mark.parametrize("n", [2, 10, 30])
-@pytest.mark.parametrize("alpha", [0.5, -1.0])
+@pytest.mark.parametrize("alpha", [0.5, -1.0, -0.5])
 def test_fixed_point_newton_on_random_markets(n, alpha):
-    # delta sits 0.3 above the well-posedness bound; A* spans ~1e-11 to ~1e17
-    m = random_market(np.random.default_rng(100 + n), n)
-    cs = constrained_sharpe(m)
-    delta = max(zeta(alpha * 0.2, m.r, cs.objective), 0.0) + 0.3
-    for tau in (1e-3, 1e-2, 0.1, 1.0, 4.0):
-        e = EvaluationSpec(tau=tau, gamma=0.8, delta=delta)
-        p = PowerProblem(market=m, evaluation=e, alpha=alpha, cs=cs)
-        sol = fixed_point(p)
-        a, tol, q = sol.a_star, p.tol_fixed_point, sol.contraction_modulus
-        assert sol.iterations <= 10
-        # an absolute residual cannot fall below the float64 spacing of A*
-        floor = 4 * math.ulp(a)
-        assert abs(contraction_map(p, a) - a) <= tol + floor
-        if tau >= 1e-2:
-            assert sol.error_bound <= max(tol, floor / (1 - q))
+    # the random markets default_rng(1000 n + k), k < 6, at tau <= 4; delta
+    # sits 0.3 above the well-posedness bound. fixed_point warm-starts its quadrature nodes from
+    # pass to pass, while contraction_map solves cold, so the residual check
+    # also compares the two.
+    for k in range(6):
+        m = random_market(np.random.default_rng(1000 * n + k), n)
+        cs = constrained_sharpe(m)
+        delta = max(zeta(alpha * 0.2, m.r, cs.objective), 0.0) + 0.3
+        for tau in (1e-3, 1e-2, 0.1, 1.0, 4.0):
+            e = EvaluationSpec(tau=tau, gamma=0.8, delta=delta)
+            p = PowerProblem(market=m, evaluation=e, alpha=alpha, cs=cs)
+            sol = fixed_point(p)
+            a, tol, q = sol.a_star, p.tol_fixed_point, sol.contraction_modulus
+            assert sol.iterations <= 10
+            # an absolute residual cannot fall below the float64 spacing of A*
+            floor = 4 * math.ulp(a)
+            assert abs(contraction_map(p, a) - a) <= tol + floor, (k, tau)
+            if tau >= 1e-2:
+                assert sol.error_bound <= max(tol, floor / (1 - q)), (k, tau)
 
 
 @pytest.mark.parametrize("alpha", [0.5, -1.0])
@@ -704,11 +771,11 @@ def test_full_horizon_mc_matches_value(power_problem, power_solution):
 @pytest.mark.parametrize("a,alpha,gamma", [(3.17, 0.5, 0.8), (0.02, -1.0, 0.6), (50.0, -4.0, 0.5)])
 def test_marginal_elasticity_matches_scipy_expit(a, alpha, gamma):
     # the numpy logistic 0.5 * (1 + tanh(t / 2)) is within 1.1e-16 of expit and
-    # raises no warning, here for |t| up to ~1400
+    # raises no warning, here for |t| up to ~1400; the elasticity takes u = log x
     from scipy.special import expit
 
     x = np.logspace(-300, 300, 2001)
     t = math.log(a * (1.0 - gamma)) - alpha * gamma * np.log(x)
     expected = (alpha - 1.0) - alpha * gamma * expit(t)
-    got = power._marginal_elasticity(a, alpha, gamma, x)
+    got = power._log_elasticity(a, alpha, gamma, np.log(x))[0]
     np.testing.assert_allclose(got, expected, rtol=0, atol=4e-16 * (1.0 - alpha + abs(alpha * gamma)))
