@@ -19,7 +19,11 @@ Text grammar:
   comma-separated; ``sigma`` is row-major. ``grid`` also accepts the range
   shorthand ``start:stop:step``.
 * A file whose first non-blank character is ``{`` is parsed as JSON with the
-  same keys (``solver``/``mc``/``sweep`` as nested objects).
+  same keys (``solver``/``mc``/``sweep`` as nested objects). JSON values go
+  through the same grammar as text: each is written as the text of its key
+  (an array space-separated, null as ``auto``) and parsed as above, so JSON
+  rejects what text rejects, with the same message. ``mu``, ``sigma``,
+  ``grid`` and ``outputs`` must be JSON arrays, and their entries scalars.
 """
 
 from __future__ import annotations
@@ -210,37 +214,43 @@ def _parse_vector(raw: str, key: str) -> tuple[float, ...]:
 
 def parse_problem_config(text: str) -> ProblemConfig:
     """Parse a problem configuration from text or JSON."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON config: {exc}") from None
-        return _config_from_mapping(payload)
-    sections = _split_sections(text)
-    return _config_from_sections(sections)
+    return _config_from_sections(_read_sections(text, "config", ("solver", "mc")))
 
 
-def _config_from_mapping(payload) -> ProblemConfig:
+_JSON_VECTORS = ("mu", "sigma", "grid", "outputs")
+
+
+def _read_sections(text: str, kind: str, nested: tuple[str, ...]) -> dict[str, dict[str, str]]:
+    """The sections of a text file, or of a JSON object whose ``nested`` keys hold objects."""
+    if not text.lstrip().startswith("{"):
+        return _split_sections(text)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad JSON {kind}: {exc}") from None
     if not isinstance(payload, dict):
-        raise ConfigError("JSON config must be an object")
-    flat: dict[str, str] = {}
-    solver = payload.get("solver", {}) or {}
-    mc = payload.get("mc", {}) or {}
-    for part, src in (("", payload), ("solver", solver), ("mc", mc)):
-        if not isinstance(src, dict):
-            raise ConfigError(f"section {part or 'top level'} must be an object")
-    sections = {
-        "": {k: _json_scalar(v) for k, v in payload.items() if k not in ("solver", "mc")},
-        "solver": {k: _json_scalar(v) for k, v in solver.items()},
-        "mc": {k: _json_scalar(v) for k, v in mc.items()},
-    }
-    return _config_from_sections(sections)
+        raise ConfigError(f"JSON {kind} must be an object")
+    sections: dict[str, dict[str, str]] = {"": {}}
+    for key, value in payload.items():
+        if key not in nested:
+            sections[""][key] = _json_text(key, value)
+        elif value is None or isinstance(value, dict):
+            sections[key] = {k: _json_text(k, v) for k, v in (value or {}).items()}
+        else:
+            raise ConfigError(f"section {key} must be an object")
+    return sections
+
+
+def _json_text(key: str, value) -> str:
+    """The text of ``key = ...`` for a JSON value; the text grammar parses it."""
+    if key in _JSON_VECTORS:
+        if not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value):
+            raise ConfigError(f"{key}: expected a JSON array of scalars, got {value!r}")
+        return " ".join(map(_json_scalar, value))
+    return _json_scalar(value)
 
 
 def _json_scalar(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return " ".join(repr(float(v)) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -347,25 +357,7 @@ def format_problem_config(cfg: ProblemConfig) -> str:
 
 def parse_sweep_spec(text: str) -> SweepSpec:
     """Parse a sweep specification from text (``[sweep]`` section) or JSON."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON sweep: {exc}") from None
-        if isinstance(payload, dict) and "sweep" in payload:
-            payload = payload["sweep"]
-        if not isinstance(payload, dict):
-            raise ConfigError("JSON sweep must be an object")
-        try:
-            grid = tuple(float(v) for v in payload["grid"])
-            outputs = tuple(str(v) for v in payload["outputs"])
-            parameter = str(payload["parameter"])
-        except KeyError as exc:
-            raise ConfigError(f"sweep is missing key {exc}") from None
-        return SweepSpec(parameter=parameter, grid=grid, outputs=outputs)
-
-    sections = _split_sections(text)
+    sections = _read_sections(text, "sweep", ("sweep",))
     body = dict(sections.get("sweep", {}) or sections.get("", {}))
     for key in ("parameter", "grid", "outputs"):
         if key not in body:

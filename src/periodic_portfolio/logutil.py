@@ -85,13 +85,6 @@ def value_log(s: LogSolution, x):
     return float(out) if out.ndim == 0 else out
 
 
-def dual_value_log(y: float, m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> float:
-    """Dual value -log y + |xi_tilde|^2 tau / 2 + r tau - 1."""
-    if y <= 0.0:
-        raise DomainError("dual value requires y > 0")
-    return -math.log(y) + 0.5 * cs.objective * e.tau + m.r * e.tau - 1.0
-
-
 def constraint_cost(m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> float:
     """Value lost to the short-selling ban, independent of initial wealth.
 

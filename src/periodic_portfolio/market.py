@@ -83,30 +83,26 @@ class WellPosednessReport:
     margin: float
 
 
-def validate_market(
-    m: MarketModel,
-    kappa0: float = KAPPA0_DEFAULT,
-    cond_cap: float = COND_CAP_DEFAULT,
-) -> None:
+def validate_market(m: MarketModel) -> None:
     """Check invertibility and strong non-degeneracy of the volatility matrix.
 
     Raises SingularVolatility if sigma is singular or its condition number
-    exceeds ``cond_cap``, and Degenerate if the smallest eigenvalue of
-    sigma*sigma^T falls below ``kappa0``.
+    exceeds ``COND_CAP_DEFAULT``, and Degenerate if the smallest eigenvalue of
+    sigma*sigma^T falls below ``KAPPA0_DEFAULT``.
     """
     svals = np.linalg.svd(m.sigma, compute_uv=False)
     smin, smax = svals[-1], svals[0]
     if smin <= 0.0 or not np.isfinite(smin):
         raise SingularVolatility("sigma is not invertible")
-    if smax / smin > cond_cap:
+    if smax / smin > COND_CAP_DEFAULT:
         raise SingularVolatility(
-            f"sigma condition number {smax / smin:.3g} exceeds cap {cond_cap:.3g}"
+            f"sigma condition number {smax / smin:.3g} exceeds cap {COND_CAP_DEFAULT:.3g}"
         )
     # min eigenvalue of sigma*sigma^T equals the square of the smallest
     # singular value of sigma
-    if smin**2 < kappa0:
+    if smin**2 < KAPPA0_DEFAULT:
         raise Degenerate(
-            f"min eigenvalue of sigma*sigma^T is {smin**2:.3g} < kappa0 {kappa0:.3g}"
+            f"min eigenvalue of sigma*sigma^T is {smin**2:.3g} < kappa0 {KAPPA0_DEFAULT:.3g}"
         )
 
 
@@ -128,20 +124,16 @@ def zeta(x: float, r: float, xi_tilde_norm_sq: float) -> float:
 def check_assumption(
     m: MarketModel,
     e: EvaluationSpec,
-    alpha: float | None,
+    alpha: float,
     xi_tilde_norm_sq: float,
 ) -> WellPosednessReport:
     """Evaluate the standing condition delta > max(zeta(alpha*(1-gamma)), 0).
 
-    ``alpha`` is the power-utility exponent; pass ``None`` for logarithmic
-    utility, where the condition degenerates to delta > 0.
+    ``alpha`` is the power-utility exponent, in (-inf, 0) or (0, 1).
     """
-    if alpha is None:
-        zval = 0.0
-    else:
-        if alpha == 0 or alpha >= 1:
-            raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
-        zval = zeta(alpha * (1.0 - e.gamma), m.r, xi_tilde_norm_sq)
+    if alpha == 0 or alpha >= 1:
+        raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
+    zval = zeta(alpha * (1.0 - e.gamma), m.r, xi_tilde_norm_sq)
     margin = e.delta - max(zval, 0.0)
     return WellPosednessReport(
         zeta_at_alpha_one_minus_gamma=zval,

@@ -50,7 +50,6 @@ from .power import (
     _log_marginal_inverse,
     budget_function,
     marginal_inverse,
-    moderated_utility,
 )
 from .quadrature import DeflatorLaw, expect_deflator_adaptive
 
@@ -174,19 +173,6 @@ def _per_path(cfg: SimulationConfig, n_periods: int, path_values) -> np.ndarray:
 
     _run_blocks(run_block, range(0, rows, step))
     return per_path
-
-
-def simulate_deflator_ratios(
-    law: DeflatorLaw, cfg: SimulationConfig, n_periods: int | None = None
-) -> np.ndarray:
-    """(n_paths, n_periods) matrix of i.i.d. draws of exp(drift + s*G)."""
-    periods = n_periods if n_periods is not None else cfg.n_periods
-    if periods is None:
-        raise ParameterOutOfRange("n_periods must be resolved before simulation")
-    g = _normals(cfg.seed, 0, cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths, periods)
-    if cfg.antithetic:
-        g = np.vstack([g, -g])
-    return np.exp(law.drift + law.s * g)
 
 
 def _reduce(per_path: np.ndarray, cfg: SimulationConfig, truncation: float) -> ObjectiveEstimate:
@@ -327,33 +313,6 @@ def estimate_power_objective(
     per_path = _per_path(cfg, periods, path_values)
     per_path *= x0**beta / alpha
     return _reduce(per_path, cfg, abs(tail(periods)))
-
-
-def estimate_h_expectation(
-    p: PowerProblem,
-    sol: PowerSolution,
-    cfg: SimulationConfig,
-    y_star: float | None = None,
-) -> ObjectiveEstimate:
-    """One-period MC estimate of alpha * E[h_{A*}(X_tau)] from unit wealth.
-
-    With the default y* this targets the one-period optimum H(A*); a
-    perturbed (budget-renormalized) y produces an admissible comparison
-    policy whose estimate cannot significantly exceed it.
-    """
-    alpha, gamma = p.alpha, p.evaluation.gamma
-    if y_star is None:
-        y_level, norm = sol.y_star, 1.0
-    else:
-        if y_star <= 0:
-            raise DomainError("y_star override must be positive")
-        y_level = y_star
-        norm = budget_function(p, sol.a_star, y_level)
-
-    ratios = simulate_deflator_ratios(p.law, cfg, 1).ravel()
-    wealth = marginal_inverse(sol.a_star, alpha, gamma, y_level * ratios, p.tol_root) / norm
-    values = alpha * moderated_utility(sol.a_star, alpha, gamma, wealth)
-    return _reduce(values, cfg, 0.0)
 
 
 def compare(estimate: ObjectiveEstimate, analytic: float, k_sigma: float) -> bool:

@@ -33,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConstrainedSharpe, constrained_sharpe
-from .config import ProblemConfig, to_evaluation, to_market
+from .cone import ConstrainedSharpe
+from .config import ProblemConfig
 from .errors import DomainError, NonConvergence, ParameterOutOfRange
 from .logutil import _log_coefficients
 from .market import EvaluationSpec, MarketModel, zeta
 from .power import PowerProblem, fixed_point, value_function
-from .report import to_power_problem
+from .report import _build
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL = 1e-8
@@ -98,12 +98,9 @@ def tau_objective(cfg: ProblemConfig, scaled: bool) -> TauObjective:
     """The tau objective of ``cfg``: V(x0; tau), times tau when ``scaled``.
 
     Validates the market and the evaluation, and for power utility alpha and
-    well-posedness, which do not depend on tau.
+    well-posedness, which do not depend on tau, in the order ``solve`` does.
     """
-    market = to_market(cfg)
-    cs = constrained_sharpe(market)
-    evaluation = to_evaluation(cfg)
-    problem = to_power_problem(cfg, market, cs, evaluation) if cfg.utility == "power" else None
+    market, _, cs, problem = _build(cfg)
     return TauObjective(cfg, scaled, market, cs, problem)
 
 

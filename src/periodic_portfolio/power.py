@@ -42,8 +42,8 @@ first-order predictor u + (d log y - expit(t) d log c) / g'(u), with
 c = a(1-gamma). g is convex and strictly decreasing, so Newton converges
 from any finite start: the predictor changes how many steps it takes, not
 where it ends. Each pass then forms its sums from u and log Z/B with exp alone.
-Other callers (``solve_y_star``, ``contraction_map``,
-``intra_period_profile``) and the Monte Carlo start every node cold.
+Other callers (``contraction_map``, ``intra_period_profile``) and the
+Monte Carlo start every node cold.
 
 The same sums give the optimal constrained portfolio (convex duality:
 Cvitanic and Karatzas, Ann. Appl. Probab. 2(4), 1992). At deflator level z
@@ -373,7 +373,16 @@ def _period_sums(
 
 
 def _newton_y(p: PowerProblem, a: float, budget: float, u: float, warm: dict | None = None):
-    """Safeguarded Newton on log F(u) = log budget in u = log y, from ``u``.
+    """Root y* of F(y) = budget by safeguarded Newton in u = log y, from ``u``.
+
+    Each step solves log F(u) = log budget with the exact slope
+    d log F / du = y F'(y) / F(y), where
+    y F'(y) = E[(Z/B) x / (d log h_a'/d log x)] at x = I(y Z/B) is a second
+    sum over the nodes that give F. Evaluated points keep a sign bracket; a
+    Newton step that leaves it, or is not finite, is replaced by bisection in
+    u (or, while one side is still open, by a step of g * (1 - max(alpha,
+    alpha(1-gamma))), which the slope bound keeps short of the root). Stops
+    once a step in u is at most ``tol_root``.
 
     Returns (y*, y_k, sums): y* is y_k moved by the last step, and ``sums``
     are the ``_period_sums`` taken at y_k. ``warm`` is passed to every
@@ -413,24 +422,6 @@ def _newton_y(p: PowerProblem, a: float, budget: float, u: float, warm: dict | N
     raise NonConvergence("y* Newton iteration hit its cap")
 
 
-def solve_y_star(
-    p: PowerProblem, a: float, budget: float = 1.0, hint: float | None = None
-) -> float:
-    """Root of F(y) = budget by safeguarded Newton in u = log y.
-
-    Starting from ``hint`` (default 1), each step solves log F(u) = log budget
-    with the exact slope d log F / du = y F'(y) / F(y), where
-    y F'(y) = E[(Z/B) x / (d log h_a'/d log x)] at x = I(y Z/B) is a second
-    sum over the nodes that give F. Evaluated points keep a sign bracket; a
-    Newton step that leaves it, or is not finite, is replaced by bisection in
-    u (or, while one side is still open, by a step of g * (1 - max(alpha,
-    alpha(1-gamma))), which the slope bound keeps short of the root). Stops
-    once a step in u is at most ``tol_root`` and returns y after that step.
-    """
-    u = math.log(hint) if (hint is not None and hint > 0.0) else 0.0
-    return _newton_y(p, a, budget, u)[0]
-
-
 def _value_and_y(p: PowerProblem, a: float, u: float = 0.0, warm: dict | None = None):
     """H(a), H'(a), y*(a), -d log F / d log y and d log y*/dA, y* Newton from log y = ``u``.
 
@@ -459,14 +450,12 @@ def _log_y_start(p: PowerProblem, a: float) -> float:
     return alpha * log_x + float(np.logaddexp(0.0, math.log(c) - alpha * gamma * log_x))
 
 
-def moderated_value(p: PowerProblem, a: float) -> float:
-    """H(a) = alpha * (V_dual(y*) + y*), the one-period optimum under h_a."""
-    return _value_and_y(p, a)[0]
-
-
 def contraction_map(p: PowerProblem, a: float) -> float:
-    """Psi(a) = exp(-delta*tau) * H(a); a contraction under well-posedness."""
-    return math.exp(-p.evaluation.delta * p.evaluation.tau) * moderated_value(p, a)
+    """Psi(a) = exp(-delta*tau) * H(a); a contraction under well-posedness.
+
+    H(a) = alpha * (V_dual(y*) + y*) is the one-period optimum under h_a.
+    """
+    return math.exp(-p.evaluation.delta * p.evaluation.tau) * _value_and_y(p, a)[0]
 
 
 def contraction_modulus(p: PowerProblem) -> float:

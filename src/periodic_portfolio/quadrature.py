@@ -193,7 +193,6 @@ def expect_deflator_adaptive(
     law: DeflatorLaw,
     order: int = DEFAULT_ORDER,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_order: int = MAX_ORDER,
     log_nodes: bool = False,
 ):
     """Evaluate the expectation with order doubling until it stabilizes.
@@ -203,13 +202,13 @@ def expect_deflator_adaptive(
     must pass, and ``rel_tol`` may give one tolerance per component. The
     first test evaluates orders n and 2n in one call of ``f`` on the paired
     rule, so ``f`` must act elementwise on its nodes; later doublings, and a
-    first test with 2n > ``max_order``, evaluate one order per call. For a
+    first test with 2n > ``MAX_ORDER``, evaluate one order per call. For a
     given ``order``, each rule the cascade can use has its own node count.
     ``log_nodes`` is passed on to ``expect_deflator``. Raises
-    QuadratureError if the doubling cascade reaches ``max_order`` without
-    stabilizing.
+    QuadratureError if the doubling cascade reaches ``MAX_ORDER``, the
+    largest order of every expectation, without stabilizing.
     """
-    if 2 * order > max_order:
+    if 2 * order > MAX_ORDER:
         coarse = expect_deflator(f, law, make_rule(order), log_nodes)
     else:
         pair = expect_deflator(f, law, _paired_rule(order), log_nodes)
@@ -218,12 +217,12 @@ def expect_deflator_adaptive(
         if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
             return float(fine) if fine.ndim == 0 else fine
         coarse = fine
-    while 2 * order <= max_order:
+    while 2 * order <= MAX_ORDER:
         order *= 2
         fine = expect_deflator(f, law, make_rule(order), log_nodes)
         if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
             return fine
         coarse = fine
     raise QuadratureError(
-        f"quadrature did not stabilize at rel_tol={np.min(rel_tol):g} by order {max_order}"
+        f"quadrature did not stabilize at rel_tol={np.min(rel_tol):g} by order {MAX_ORDER}"
     )

@@ -10,9 +10,9 @@ report's ordered ``fields`` are the ``solve`` printout. Both utilities print
 scalar fields are the sweep columns, with two aliases: ``xi_tilde_sq`` for
 ``xi_tilde_norm_sq`` and ``frac_i`` for the i-th entry of
 ``feedback_fractions``. A sweep over a scalar parameter builds and projects
-the market once, at its first grid point. ``to_power_problem`` is the one
-place a config becomes a ``PowerProblem``; ``periodicity.tau_objective`` uses
-it too.
+the market once, at its first grid point. ``_build`` is the one place a
+config becomes a market, an evaluation, a cone projection and, for power
+utility, a ``PowerProblem``; ``periodicity.tau_objective`` uses it too.
 """
 
 from __future__ import annotations
@@ -34,21 +34,6 @@ from .market import EvaluationSpec, MarketModel
 from .power import PowerProblem, PowerSolution, _feedback_fractions, fixed_point, value_function
 
 
-def to_power_problem(
-    cfg: ProblemConfig, market: MarketModel, cs: ConstrainedSharpe, evaluation: EvaluationSpec
-) -> PowerProblem:
-    """The validated power-utility bundle of ``cfg`` on an already projected market."""
-    return PowerProblem(
-        market=market,
-        evaluation=evaluation,
-        alpha=cfg.alpha,
-        cs=cs,
-        tol_root=cfg.tol_root,
-        tol_fixed_point=cfg.tol_fixed_point,
-        quad_order=cfg.quad_order,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Report:
     """A solved configuration: the objects its solve built and its printed fields.
@@ -64,17 +49,42 @@ class Report:
     fields: dict[str, object]
 
 
+def _build(
+    cfg: ProblemConfig, first: Report | None = None
+) -> tuple[MarketModel, EvaluationSpec, ConstrainedSharpe, PowerProblem | None]:
+    """The market, evaluation, cone projection and power problem of ``cfg``.
+
+    Validates in that order: the market, the evaluation, the projection's
+    market checks, then for power utility alpha and well-posedness. The
+    problem is None for log utility. ``first`` is the report of a config that
+    differs from ``cfg`` only in a scalar parameter; its market and
+    projection are reused.
+    """
+    market = to_market(cfg) if first is None else first.market
+    evaluation = to_evaluation(cfg)
+    cs = constrained_sharpe(market) if first is None else first.cs
+    problem = None
+    if cfg.utility == "power":
+        problem = PowerProblem(
+            market=market,
+            evaluation=evaluation,
+            alpha=cfg.alpha,
+            cs=cs,
+            tol_root=cfg.tol_root,
+            tol_fixed_point=cfg.tol_fixed_point,
+            quad_order=cfg.quad_order,
+        )
+    return market, evaluation, cs, problem
+
+
 def solve(cfg: ProblemConfig) -> Report:
     """Validate the market, project the Sharpe ratio, and solve per utility."""
-    market = to_market(cfg)
-    evaluation = to_evaluation(cfg)
-    return _solve_projected(cfg, market, evaluation, constrained_sharpe(market))
+    return _solve(cfg)
 
 
-def _solve_projected(
-    cfg: ProblemConfig, market: MarketModel, evaluation: EvaluationSpec, cs: ConstrainedSharpe
-) -> Report:
-    """Solve ``cfg`` per utility on its market and that market's cone projection."""
+def _solve(cfg: ProblemConfig, first: Report | None = None) -> Report:
+    """Solve ``cfg`` per utility, reusing the market of ``first`` (see ``_build``)."""
+    market, evaluation, cs, problem = _build(cfg, first)
     fields = {
         "utility": cfg.utility,
         "n": market.n,
@@ -83,8 +93,7 @@ def _solve_projected(
         "xi_tilde": cs.xi_tilde,
         "xi_tilde_norm_sq": cs.objective,
     }
-    if cfg.utility == "power":
-        problem = to_power_problem(cfg, market, cs, evaluation)
+    if problem is not None:
         sol = fixed_point(problem)
         fields.update(
             a_star=sol.a_star,
@@ -98,7 +107,6 @@ def _solve_projected(
             feedback_fractions=_feedback_fractions(cs, sol.fraction_scale),
         )
     else:
-        problem = None
         sol = solve_log(market, evaluation, cs)
         fields.update(
             a_star=sol.a_star,
@@ -134,11 +142,9 @@ def sweep(cfg: ProblemConfig, spec: SweepSpec) -> list[list[float]]:
     for value in spec.grid:
         point_cfg = apply_sweep_value(cfg, spec.parameter, value)
         try:
-            if scalar and first is not None:
-                evaluation = to_evaluation(point_cfg)
-                report = _solve_projected(point_cfg, first.market, evaluation, first.cs)
-            else:
-                report = first = solve(point_cfg)
+            report = _solve(point_cfg, first)
+            if scalar and first is None:
+                first = report
             columns = _sweep_columns(report.fields)
         except PortfolioError as exc:
             raise type(exc)(f"at grid point {spec.parameter}={value:g}: {exc}") from exc

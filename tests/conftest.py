@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,13 @@ from periodic_portfolio import (
     EvaluationSpec,
     MarketModel,
     PowerProblem,
+    budget_function,
     constrained_sharpe,
     fixed_point,
+    marginal_inverse,
+    moderated_utility,
 )
+from periodic_portfolio import mc
 
 # Benchmark two-stock market used throughout: mu = (0.1, 0.15),
 # sigma = diag(0.2, 0.25), r = 0.12, so xi = (-0.1, 0.12) and the
@@ -90,3 +96,19 @@ def random_market(rng: np.random.Generator, n: int = 2) -> MarketModel:
     mu = rng.uniform(-0.05, 0.35, size=n)
     r = rng.uniform(0.0, 0.2)
     return MarketModel(mu=mu, sigma=sigma, r=r)
+
+
+def h_expectation(p, sol, seed: int, n_paths: int, y_star=None) -> tuple[float, float]:
+    """One-period Monte Carlo mean and standard error of alpha h_{A*}(X) from unit wealth.
+
+    X = I(y Z/B) / norm over ``n_paths`` draws of Z/B, the first column of
+    the normals of ``seed``. With ``y_star`` None, y = y* and norm = 1: the
+    optimal policy, whose mean targets H(A*). Otherwise y = ``y_star`` and
+    norm = F(y), so the perturbed policy spends exactly unit wealth.
+    """
+    alpha, gamma = p.alpha, p.evaluation.gamma
+    y, norm = (sol.y_star, 1.0) if y_star is None else (y_star, budget_function(p, sol.a_star, y_star))
+    ratios = np.exp(p.law.drift + p.law.s * mc._normals(seed, 0, n_paths, 1).ravel())
+    wealth = marginal_inverse(sol.a_star, alpha, gamma, y * ratios, p.tol_root) / norm
+    values = alpha * moderated_utility(sol.a_star, alpha, gamma, wealth)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_paths))

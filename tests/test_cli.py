@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,79 @@ def test_sweep_csv_golden(tmp_path, name):
     assert out.read_text() == expected
 
 
+def json_config(tmp_path, name: str, **changes) -> str:
+    """A shipped config written as a JSON file, with optional raw JSON values replaced."""
+    fields = dataclasses.asdict(parse_problem_config((CONFIGS / f"{name}.cfg").read_text()))
+    payload = {
+        "solver": {key: fields.pop(key) for key in ("tol_root", "tol_fixed_point", "quad_order")},
+        "mc": {key: fields.pop(key) for key in ("n_paths", "n_periods", "seed", "antithetic")},
+    }
+    if fields["alpha"] is None:
+        del fields["alpha"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**fields, **payload, **changes}))
+    return str(path)
+
+
+# The sweeps of SWEEP_GOLDEN as JSON: table2 nests them under "sweep", table1 does not.
+SWEEP_JSON = {
+    "table2_power": {
+        "sweep": {
+            "parameter": "gamma",
+            "grid": [0.6, 0.75, 0.9],
+            "outputs": ["a_star", "y_star", "v_x0", "lower_bound", "upper_bound",
+                        "contraction_modulus", "iterations", "error_bound", "xi_tilde_sq",
+                        "frac_1", "frac_2"],
+        }
+    },
+    "table1_log": {
+        "parameter": "tau",
+        "grid": [0.5, 1, 2],
+        "outputs": ["a_star", "c_star", "v_x0", "a_unconstrained", "constraint_cost",
+                    "xi_tilde_sq", "frac_1", "frac_2"],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_JSON))
+def test_json_sweep_writes_the_text_csv(tmp_path, name):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SWEEP_JSON[name]))
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--config", json_config(tmp_path, name), "--sweep", str(spec), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.read_text() == SWEEP_GOLDEN[name][1]
+
+
+# Malformed JSON values exit 2 like malformed text, never with a traceback.
+@pytest.mark.parametrize(
+    "part,key,value",
+    [
+        pytest.param("config", "mu", [0.1, "x"], id="mu-entry-not-a-number"),
+        pytest.param("config", "sigma", [[0.2, 0], [0, 0.25]], id="sigma-nested"),
+        pytest.param("sweep", "grid", "0.5:1.5:0.5", id="grid-string"),
+        pytest.param("sweep", "grid", 0.5, id="grid-number"),
+        pytest.param("sweep", "outptus", ["a_star"], id="unknown-sweep-key"),
+    ],
+)
+def test_malformed_json_exit_config(tmp_path, capsys, part, key, value):
+    changes = {key: value} if part == "config" else {}
+    config = json_config(tmp_path, "table2_power", **changes)
+    sweep = {"parameter": "tau", "grid": [0.5, 1], "outputs": ["a_star"]}
+    if part == "sweep":
+        sweep[key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"sweep": sweep}))
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--config", config, "--sweep", str(spec), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert key in captured.err
+    assert not out.exists()
+
+
 # `opt-tau` on table1 (log, gamma = 0.8): both propositions hold. The
 # --curve-out CSVs are in tests/golden/.
 OPT_TAU_TABLE1_GOLDEN = {
@@ -361,6 +435,24 @@ def test_opt_tau_log_nonpositive_x0_exit_assumption(tmp_path, capsys, changes, e
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"parameter/assumption error: {message}\n"
+
+
+# `solve` and `opt-tau` build a config in one place, so a config with two
+# faults names the same one: the evaluation's before the volatility's.
+@pytest.mark.parametrize(
+    "name,changes,message",
+    [
+        pytest.param("table1_log", {"tau": 0.0}, "tau must be a positive real", id="log-tau"),
+        pytest.param(
+            "table2_power", {"quad_order": 0}, "quad_order must lie in [1, 256], got 0", id="power-quad-order"
+        ),
+    ],
+)
+def test_solve_and_opt_tau_name_the_same_fault(tmp_path, capsys, name, changes, message):
+    path = write_config(tmp_path, name, sigma=(0.2, 0.0, 0.0, 0.0), **changes)
+    for argv in (["solve", "--config", path], ["opt-tau", "--config", path, "--tau-cap", "2"]):
+        assert cli.main(argv) == cli.EXIT_ASSUMPTION
+        assert capsys.readouterr().err == f"parameter/assumption error: {message}\n"
 
 
 # Power utility with gamma < 1 needs x0 > 0 for both objectives; with no

@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 
 from periodic_portfolio import ProblemConfig, format_problem_config, parse_problem_config
 from periodic_portfolio.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 reals = st.floats(allow_nan=False)
 
@@ -65,3 +70,56 @@ def test_bad_vector_token_is_named():
     text = "utility = log\nn = 3\nmu = 0.1, 0.2 oops\nsigma = 1 0 0 0 1 0 0 0 1\n"
     with pytest.raises(ConfigError, match=r"^mu: expected a number, got 'oops'$"):
         parse_problem_config(text)
+
+
+# The shipped configs written as JSON, by hand.
+SHIPPED_JSON = {
+    "table1_log": {
+        "utility": "log",
+        "n": 2,
+        "mu": [0.1, 0.15],
+        "sigma": [0.2, 0, 0, 0.25],
+        "r": 0.12,
+        "tau": 1,
+        "gamma": 0.8,
+        "delta": 0.3,
+        "x0": 0.5,
+        "solver": {"tol_root": 1e-10, "tol_fixed_point": 1e-10, "quad_order": 64},
+        "mc": {"n_paths": 100000, "n_periods": None, "seed": 42},
+    },
+    "table2_power": {
+        "utility": "power",
+        "n": 2,
+        "mu": [0.1, 0.15],
+        "sigma": [0.2, 0, 0, 0.25],
+        "r": 0.12,
+        "tau": 1,
+        "gamma": 0.8,
+        "alpha": 0.5,
+        "delta": 0.3,
+        "x0": 0.5,
+        "solver": {"tol_root": 1e-10, "tol_fixed_point": 1e-10, "quad_order": 64},
+        "mc": {"n_paths": 100000, "n_periods": "auto", "seed": 42, "antithetic": False},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_JSON))
+def test_shipped_config_as_json_parses_equal(name):
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    assert parse_problem_config(json.dumps(SHIPPED_JSON[name], indent=2)) == parse_problem_config(text)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("mu", [0.1, "x"], "mu: expected a number, got 'x'"),
+        ("mu", "0.1 0.15", "mu: expected a JSON array of scalars"),
+        ("r", [0.12], "r: expected a number, got '[0.12]'"),
+        ("n", True, "n: expected an integer, got 'true'"),
+    ],
+)
+def test_json_values_go_through_the_text_grammar(key, value, message):
+    payload = {**SHIPPED_JSON["table1_log"], key: value}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        parse_problem_config(json.dumps(payload))

@@ -8,7 +8,6 @@ from periodic_portfolio import (
     MarketModel,
     constrained_sharpe,
     constraint_cost,
-    dual_value_log,
     solve_log,
     value_log,
 )
@@ -48,21 +47,6 @@ def test_gamma_one_constant_value(table_market, table_cone):
     sol = solve_log(table_market, e, table_cone)
     assert sol.c_star == 0.0
     assert value_log(sol, 0.25) == value_log(sol, 42.0) == sol.a_star
-
-
-def test_dual_value_log(table_market, table_eval, table_cone):
-    q = table_cone.objective
-    v1 = dual_value_log(1.0, table_market, table_eval, table_cone)
-    assert v1 == pytest.approx(0.5 * q + 0.12 - 1.0, rel=1e-13)
-    # one-period primal value at x = 1 equals dual at y = 1 plus one
-    assert v1 + 1.0 == pytest.approx((0.12 + 0.5 * q) * 1.0, rel=1e-13)
-    # y -> dual(y) + x*y is minimized at y = 1/x
-    x = 0.7
-    ys = np.linspace(0.5, 3.0, 500)
-    vals = [dual_value_log(y, table_market, table_eval, table_cone) + x * y for y in ys]
-    assert abs(ys[int(np.argmin(vals))] - 1.0 / x) < 2e-2
-    with pytest.raises(DomainError):
-        dual_value_log(0.0, table_market, table_eval, table_cone)
 
 
 def test_unconstrained_comparison(table_market, table_eval, table_cone):

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodic_portfolio import (
-    EvaluationSpec,
-    MarketModel,
-    check_assumption,
-    sharpe_ratio,
-    validate_market,
-    zeta,
-)
+from periodic_portfolio import EvaluationSpec, MarketModel, check_assumption, zeta
 from periodic_portfolio.errors import (
     Degenerate,
     DimensionMismatch,
@@ -20,6 +13,7 @@ from periodic_portfolio.errors import (
     ParameterOutOfRange,
     SingularVolatility,
 )
+from periodic_portfolio.market import sharpe_ratio, validate_market
 
 from conftest import random_market
 
@@ -137,13 +131,6 @@ def test_check_assumption_gamma_one_reduces_to_delta_positive():
     rep = check_assumption(m, e, 0.5, 0.0144)
     assert rep.zeta_at_alpha_one_minus_gamma == 0.0
     assert rep.satisfied
-
-
-def test_check_assumption_log_slot():
-    m = MarketModel(mu=[0.1, 0.15], sigma=np.diag([0.2, 0.25]), r=0.12)
-    e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
-    rep = check_assumption(m, e, None, 0.0144)
-    assert rep.satisfied and rep.margin == pytest.approx(0.3)
 
 
 def test_check_assumption_rejects_bad_alpha():

@@ -20,22 +20,19 @@ from periodic_portfolio import (
     SimulationConfig,
     compare,
     constrained_sharpe,
-    estimate_h_expectation,
     estimate_log_objective,
     estimate_power_objective,
     fixed_point,
-    moderated_value,
-    simulate_deflator_ratios,
     solve_log,
     value_function,
     value_log,
 )
-from periodic_portfolio import mc
+from periodic_portfolio import mc, power
 from periodic_portfolio.errors import DomainError, ParameterOutOfRange
 from periodic_portfolio.mc import _log_tail
 from periodic_portfolio.power import budget_function, marginal_inverse
 
-from conftest import TABLE_ALPHA
+from conftest import TABLE_ALPHA, h_expectation
 
 
 @pytest.fixture(scope="module")
@@ -44,35 +41,31 @@ def bond_market():
     return MarketModel(mu=[0.12, 0.12], sigma=np.diag([0.2, 0.25]), r=0.12)
 
 
+def deflator_ratios(law: DeflatorLaw, seed: int, rows: int, n_periods: int) -> np.ndarray:
+    """exp(drift + s G) over the first ``rows`` rows of the (paths, n_periods) normals of ``seed``."""
+    return np.exp(law.drift + law.s * mc._normals(seed, 0, rows, n_periods))
+
+
 def test_simulate_deterministic_given_seed():
     law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
-    cfg = SimulationConfig(n_paths=64, n_periods=7, seed=99)
-    a = simulate_deflator_ratios(law, cfg)
-    b = simulate_deflator_ratios(law, cfg)
+    a = deflator_ratios(law, 99, 64, 7)
+    b = deflator_ratios(law, 99, 64, 7)
     assert np.array_equal(a, b)
-    c = simulate_deflator_ratios(law, SimulationConfig(n_paths=64, n_periods=7, seed=100))
+    c = deflator_ratios(law, 100, 64, 7)
     assert not np.array_equal(a, c)
 
 
 def test_simulate_degenerate_volatility():
     law = DeflatorLaw.for_horizon(0.0, 0.12, 1.0)
-    cfg = SimulationConfig(n_paths=8, n_periods=3, seed=1)
-    cells = simulate_deflator_ratios(law, cfg)
+    cells = deflator_ratios(law, 1, 8, 3)
     np.testing.assert_allclose(cells, math.exp(-0.12), rtol=0, atol=0)
 
 
 def test_simulate_unit_mean_identity():
     law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
-    cfg = SimulationConfig(n_paths=1000, n_periods=1000, seed=5)
-    cells = simulate_deflator_ratios(law, cfg).ravel() * math.exp(0.12)
+    cells = deflator_ratios(law, 5, 1000, 1000).ravel() * math.exp(0.12)
     se = cells.std(ddof=1) / math.sqrt(cells.size)
     assert abs(cells.mean() - 1.0) <= 4 * se
-
-
-def test_simulate_requires_resolved_periods():
-    law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
-    with pytest.raises(ParameterOutOfRange):
-        simulate_deflator_ratios(law, SimulationConfig(n_paths=4, seed=0))
 
 
 def test_antithetic_needs_even_paths():
@@ -196,15 +189,16 @@ def test_suboptimality_sandwich(power_problem, power_solution):
 
 
 def test_h_expectation_perturbations_never_beat_optimum(power_problem, power_solution):
-    analytic = moderated_value(power_problem, power_solution.a_star)
+    analytic = power._value_and_y(power_problem, power_solution.a_star)[0]
     for shift in (0.9, 1.0, 1.1):
-        est = estimate_h_expectation(
+        mean, std_error = h_expectation(
             power_problem,
             power_solution,
-            SimulationConfig(n_paths=30_000, seed=41),
+            41,
+            30_000,
             y_star=None if shift == 1.0 else power_solution.y_star * shift,
         )
-        assert est.mean <= analytic + 3 * est.std_error
+        assert mean <= analytic + 3 * std_error
 
 
 def test_compare_contract():
@@ -305,7 +299,8 @@ def test_blocks_stack_to_the_matrix_draws(monkeypatch, n_paths, n_periods, chunk
             column = mc._per_path(cfg, n_periods, lambda g, j=j: g[:, j])
             assert np.array_equal(column, reference[:, j])
     law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
-    ratios = simulate_deflator_ratios(law, cfg, n_periods)
+    g = mc._normals(cfg.seed, 0, rows, n_periods)
+    ratios = np.exp(law.drift + law.s * (np.vstack([g, -g]) if antithetic else g))
     assert np.array_equal(ratios, np.exp(law.drift + law.s * reference))
 
 

@@ -20,9 +20,7 @@ from periodic_portfolio import (
     intra_period_profile,
     marginal_inverse,
     moderated_utility,
-    moderated_value,
     solve,
-    solve_y_star,
     value_function,
     zeta,
 )
@@ -40,6 +38,7 @@ from conftest import (
     TABLE_SIGMA,
     TABLE_TAU,
     TABLE_X0,
+    h_expectation,
     random_market,
 )
 
@@ -325,9 +324,14 @@ def test_budget_crosses_one_once(power_problem):
 # --- y* ---------------------------------------------------------------------
 
 
+def newton_y_star(p, a, budget=1.0, hint=1.0):
+    """Root of F(y) = budget by the y* Newton, started from y = ``hint``."""
+    return power._newton_y(p, a, budget, math.log(hint))[0]
+
+
 def test_y_star_gamma1_closed_form(power_problem_g1):
     expected = math.exp(zeta(TABLE_ALPHA, TABLE_R, Q_TILDE) * TABLE_TAU)
-    assert solve_y_star(power_problem_g1, 0.0) == pytest.approx(expected, rel=1e-10)
+    assert newton_y_star(power_problem_g1, 0.0) == pytest.approx(expected, rel=1e-10)
     assert expected == pytest.approx(1.0695, abs=1e-4)
 
 
@@ -337,14 +341,14 @@ def test_y_star_a_zero_equals_moment_formula(power_problem):
     beta = alpha / (alpha - 1.0)
     law = power_problem.law
     moment = math.exp(beta * law.drift + 0.5 * beta**2 * law.s**2)
-    assert solve_y_star(power_problem, 0.0) == pytest.approx(
+    assert newton_y_star(power_problem, 0.0) == pytest.approx(
         moment ** (1.0 - alpha), rel=1e-10
     )
 
 
 def test_y_star_doubled_budget_is_smaller(power_problem):
-    y1 = solve_y_star(power_problem, 1.0, budget=1.0)
-    y2 = solve_y_star(power_problem, 1.0, budget=2.0)
+    y1 = newton_y_star(power_problem, 1.0, budget=1.0)
+    y2 = newton_y_star(power_problem, 1.0, budget=2.0)
     assert y2 < y1
 
 
@@ -354,7 +358,7 @@ def test_y_star_doubled_budget_is_smaller(power_problem):
 def test_moderated_value_gamma1_affine(power_problem_g1):
     base = math.exp(zeta(TABLE_ALPHA, TABLE_R, Q_TILDE) * TABLE_TAU)
     for a in (0.0, 1.0, 3.0):
-        assert moderated_value(power_problem_g1, a) == pytest.approx(a + base, rel=1e-9)
+        assert power._value_and_y(power_problem_g1, a)[0] == pytest.approx(a + base, rel=1e-9)
 
 
 def test_contraction_map_increasing_both_signs(table_market, table_cone):
@@ -418,7 +422,7 @@ def test_envelope_derivatives_match_central_differences(table_market, table_cone
     p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
     a, h = 2.5, 1e-4
     _, h_slope, y, _, _ = power._value_and_y(p, a)
-    central = (moderated_value(p, a * (1 + h)) - moderated_value(p, a * (1 - h))) / (2 * a * h)
+    central = (power._value_and_y(p, a * (1 + h))[0] - power._value_and_y(p, a * (1 - h))[0]) / (2 * a * h)
     assert h_slope == pytest.approx(central, rel=1e-7)
     for y_at in (y, 0.5 * y, 3.0 * y):
         f_slope = power._period_sums(p, p.law, a, y_at)[1] / y_at  # sums[1] = y F'(y)
@@ -434,7 +438,7 @@ def test_budget_a_slope_matches_central_difference(table_market, table_cone, alp
     e = EvaluationSpec(tau=TABLE_TAU, gamma=0.8, delta=TABLE_DELTA)
     p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
     a, h = 2.5, 1e-4
-    y = solve_y_star(p, a)
+    y = newton_y_star(p, a)
     for y_at in (y, 0.5 * y, 3.0 * y):
         slope = power._period_sums(p, p.law, a, y_at)[4]
         central = (
@@ -445,15 +449,15 @@ def test_budget_a_slope_matches_central_difference(table_market, table_cone, alp
 
 @pytest.mark.parametrize("hint", [1e-30, 1e-3, 1e3, 1e30])
 def test_y_star_independent_of_hint(power_problem, hint):
-    expected = solve_y_star(power_problem, 1.0)
-    assert solve_y_star(power_problem, 1.0, hint=hint) == pytest.approx(expected, rel=1e-12)
+    expected = newton_y_star(power_problem, 1.0)
+    assert newton_y_star(power_problem, 1.0, hint=hint) == pytest.approx(expected, rel=1e-12)
     assert budget_function(power_problem, 1.0, expected) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("slope_scale", [1e-3, float("nan")])
 def test_y_star_safeguard_survives_bad_slopes(power_problem, monkeypatch, slope_scale):
     # Newton steps 1000x too long, or not finite: bracket and bisection take over
-    expected = solve_y_star(power_problem, 1.0)
+    expected = newton_y_star(power_problem, 1.0)
     exact = power._period_sums
 
     def skewed(p, law, a, y, warm=None):
@@ -462,7 +466,7 @@ def test_y_star_safeguard_survives_bad_slopes(power_problem, monkeypatch, slope_
         return sums
 
     monkeypatch.setattr(power, "_period_sums", skewed)
-    assert solve_y_star(power_problem, 1.0) == pytest.approx(expected, rel=1e-9)
+    assert newton_y_star(power_problem, 1.0) == pytest.approx(expected, rel=1e-9)
 
 
 def test_y_star_newton_step_onto_the_bracket_edge_ends_the_solve(table_market, table_cone, count_calls):
@@ -473,7 +477,7 @@ def test_y_star_newton_step_onto_the_bracket_edge_ends_the_solve(table_market, t
     p = PowerProblem(market=table_market, evaluation=e, alpha=0.5, cs=table_cone)
     a = 3471.88889288953
     calls = count_calls(power, "_period_sums")
-    y = solve_y_star(p, a)
+    y = newton_y_star(p, a)
     assert len(calls) <= 5
     assert budget_function(p, a, y) == pytest.approx(1.0, abs=1e-10)
 
@@ -749,13 +753,9 @@ def test_solve_fractions_equal_profile_at_period_start(market_name, alpha):
 
 
 def test_one_period_policy_attains_h(power_problem, power_solution):
-    from periodic_portfolio import estimate_h_expectation
-
-    est = estimate_h_expectation(
-        power_problem, power_solution, SimulationConfig(n_paths=20_000, seed=2)
-    )
-    analytic = moderated_value(power_problem, power_solution.a_star)
-    assert abs(est.mean - analytic) <= 3 * est.std_error
+    mean, std_error = h_expectation(power_problem, power_solution, 2, 20_000)
+    analytic = power._value_and_y(power_problem, power_solution.a_star)[0]
+    assert abs(mean - analytic) <= 3 * std_error
 
 
 def test_full_horizon_mc_matches_value(power_problem, power_solution):

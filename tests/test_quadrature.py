@@ -4,14 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from periodic_portfolio import (
-    DeflatorLaw,
-    expect_deflator,
-    expect_deflator_adaptive,
-    make_rule,
-)
+from periodic_portfolio import DeflatorLaw, quadrature
 from periodic_portfolio.errors import NonFinite, ParameterOutOfRange, QuadratureError
-from periodic_portfolio.quadrature import MAX_ORDER
+from periodic_portfolio.quadrature import MAX_ORDER, expect_deflator, expect_deflator_adaptive, make_rule
 
 
 def lognormal_moment(drift, s, beta):
@@ -181,12 +176,19 @@ FUSED_CASES = {
 }
 
 
+def split_max_order(monkeypatch, kwargs):
+    """Set ``quadrature.MAX_ORDER`` to the case's ``max_order``; returns the other kwargs."""
+    kwargs = dict(kwargs)
+    monkeypatch.setattr(quadrature, "MAX_ORDER", kwargs.pop("max_order", MAX_ORDER))
+    return kwargs
+
+
 @pytest.mark.parametrize("case", sorted(FUSED_CASES))
-def test_fused_adaptive_matches_reference_cascade(case):
+def test_fused_adaptive_matches_reference_cascade(monkeypatch, case):
     f, law, kwargs, accepted = FUSED_CASES[case]
     expected, order = reference_cascade(f, law, **kwargs)
     assert order == accepted
-    got = expect_deflator_adaptive(f, law, **kwargs)
+    got = expect_deflator_adaptive(f, law, **split_max_order(monkeypatch, kwargs))
     assert np.shape(got) == np.shape(expected)
     assert isinstance(got, float) == isinstance(expected, float)
     np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
@@ -197,7 +199,7 @@ def test_fused_adaptive_matches_reference_cascade(case):
     [{"rel_tol": 1e-12}, {"order": 64, "max_order": 64}, {"order": 256, "max_order": 300}],
     ids=["never-stable", "order-is-max-order", "no-room-to-double"],
 )
-def test_fused_adaptive_raises_where_the_cascade_does(kwargs):
+def test_fused_adaptive_raises_where_the_cascade_does(monkeypatch, kwargs):
     threshold = math.exp(TABLE_LAW.drift + 0.37 * TABLE_LAW.s)
 
     def step(z):
@@ -206,7 +208,7 @@ def test_fused_adaptive_raises_where_the_cascade_does(kwargs):
     with pytest.raises(QuadratureError):
         reference_cascade(step, TABLE_LAW, **kwargs)
     with pytest.raises(QuadratureError):
-        expect_deflator_adaptive(step, TABLE_LAW, **kwargs)
+        expect_deflator_adaptive(step, TABLE_LAW, **split_max_order(monkeypatch, kwargs))
 
 
 def test_fused_adaptive_sees_non_finite_at_fine_only_nodes():
