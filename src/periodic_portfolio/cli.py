@@ -6,6 +6,11 @@ parameter or well-posedness violation; 4 solver non-convergence; 5
 statistical mismatch in ``simulate``; 6 ``opt-tau`` with no tau*: no
 sufficient condition holds (a proposition's gate fails, or none covers the
 configuration) and no ``--tau-cap`` was given.
+
+The argument parser is built on the first ``main`` call and shared by every
+later call in the process: parsing leaves it unchanged, each call parses
+into a fresh namespace, and usage and error text go to the ``sys.stderr`` of
+the moment.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -166,7 +172,9 @@ def cmd_opt_tau(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on the first call."""
     parser = argparse.ArgumentParser(
         prog="periodic-portfolio",
         description=(
@@ -205,8 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and return its exit code.
+
+    Every call reuses the process's one parser (``build_parser``). A rejected
+    ``argv`` raises SystemExit(2) after argparse writes its usage to stderr.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

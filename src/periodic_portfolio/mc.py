@@ -55,6 +55,8 @@ from .quadrature import DeflatorLaw, expect_deflator_adaptive
 
 TAIL_EPS = 1e-8
 _N_PERIODS_CAP = 200_000
+# the estimators keep one float64 per path, so this caps that vector at 800 MB
+_N_PATHS_CAP = 10**8
 _MIN_UNIFORM = 2.0**-53
 # draws per streamed block; it does not depend on the worker count, so neither do the estimates
 _CHUNK_ELEMENTS = 2**15
@@ -73,10 +75,16 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ParameterOutOfRange("n_paths must be >= 1")
+        if self.n_paths > _N_PATHS_CAP:
+            raise ParameterOutOfRange(f"n_paths must be <= {_N_PATHS_CAP}")
+        if not 0 <= self.seed < 2**128:  # a Philox key is 128-bit
+            raise ParameterOutOfRange("seed must lie in [0, 2**128)")
         if self.antithetic and self.n_paths % 2 != 0:
             raise ParameterOutOfRange("antithetic sampling needs an even n_paths")
         if self.n_periods is not None and self.n_periods < 1:
             raise ParameterOutOfRange("n_periods must be >= 1 when given")
+        if self.n_periods is not None and self.n_periods > _N_PERIODS_CAP:
+            raise ParameterOutOfRange(f"n_periods must be <= {_N_PERIODS_CAP}")
 
 
 @dataclass(frozen=True)

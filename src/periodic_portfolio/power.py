@@ -386,7 +386,8 @@ def _newton_y(p: PowerProblem, a: float, budget: float, u: float, warm: dict | N
 
     Returns (y*, y_k, sums): y* is y_k moved by the last step, and ``sums``
     are the ``_period_sums`` taken at y_k. ``warm`` is passed to every
-    ``_period_sums`` call.
+    ``_period_sums`` call. A y that would overflow or round to 0 raises
+    NonFinite.
     """
     if budget <= 0.0:
         raise DomainError("budget must be positive")
@@ -397,7 +398,7 @@ def _newton_y(p: PowerProblem, a: float, budget: float, u: float, warm: dict | N
     lo, hi = -math.inf, math.inf
     law = p.law
     for _ in range(_NEWTON_CAP):
-        y = math.exp(u)
+        y = _exp_log_y(u)
         sums = _period_sums(p, law, a, y, warm)
         if not sums[0] > 0.0:
             raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
@@ -417,9 +418,16 @@ def _newton_y(p: PowerProblem, a: float, budget: float, u: float, warm: dict | N
             else:  # a step this short cannot pass the root
                 u_next = u + g * safe_scale
         if abs(u_next - u) <= p.tol_root:
-            return math.exp(u_next), y, sums
+            return _exp_log_y(u_next), y, sums
         u = u_next
     raise NonConvergence("y* Newton iteration hit its cap")
+
+
+def _exp_log_y(u: float) -> float:
+    """y = e^u; NonFinite where y would overflow or round to 0."""
+    if u > _LOG_HUGE or u < _LOG_TINY:
+        raise NonFinite(f"y* Newton left the float64 range at log y = {u:.6g}")
+    return math.exp(u)
 
 
 def _value_and_y(p: PowerProblem, a: float, u: float = 0.0, warm: dict | None = None):
@@ -523,9 +531,12 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     the fixed point, with the y* of that last evaluation (y* moves with A by
     dy*/dA times |Psi(A) - A|, below the tolerances); ``iterations`` counts
     evaluations of Psi and ``error_bound`` is |Psi(A) - A| / (1-q), a bound on
-    the error of both A and Psi(A).
+    the error of both A and Psi(A). A tau so small that q rounds to 1 raises
+    ParameterOutOfRange.
     """
     q_mod = contraction_modulus(p)
+    if q_mod >= 1.0:
+        raise ParameterOutOfRange("tau is too small to evaluate stably: 1 - q rounds to 0")
     lower, upper = fixed_point_bounds(p)
     if start is None:
         start = lower if p.alpha > 0 else upper

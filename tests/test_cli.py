@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -465,3 +466,122 @@ def test_opt_tau_power_nonpositive_x0_exit_assumption(tmp_path, capsys, objectiv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "parameter/assumption error: value function requires x > 0\n"
+
+
+# The exit-code contract on extreme inputs: every run exits with a documented
+# code and no traceback. Each value replaces one line of a shipped config (or
+# is added to it: log utility rejects alpha, so that file exits 2).
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
+HUGE_COUNT = str(10**20)  # more elements than one array can hold
+
+
+def config_with_line(tmp_path, name: str, key: str, value: str) -> str:
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    if not found:
+        text = f"{key} = {value}\n{text}"
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def run_cli(capsys, argv) -> tuple[int, str, str]:
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code in DOCUMENTED_EXITS and "Traceback" not in captured.err, (argv, code, captured.err)
+    return code, captured.out, captured.err
+
+
+def assert_typed_failure(code: int, out: str, err: str) -> None:
+    assert code in (cli.EXIT_ASSUMPTION, cli.EXIT_NONCONVERGENCE), err
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# (key, value, configs on which `solve` and `simulate` must exit 3 or 4)
+EXTREME_MODEL_FIELDS = [
+    ("tau", "1e300", {"table2_power"}),
+    ("tau", "1e-300", {"table1_log", "table2_power"}),
+    ("alpha", "-1e300", {"table2_power"}),
+    ("x0", "inf", set()),
+    ("tol_root", "0", set()),
+    ("tol_fixed_point", "nan", set()),
+]
+
+
+@pytest.mark.parametrize("name", ["table1_log", "table2_power"])
+@pytest.mark.parametrize(
+    "key,value,typed_on", EXTREME_MODEL_FIELDS, ids=[f"{k}={v}" for k, v, _ in EXTREME_MODEL_FIELDS]
+)
+def test_extreme_model_fields_exit_with_a_documented_code(tmp_path, capsys, name, key, value, typed_on):
+    path = config_with_line(tmp_path, name, key, value)
+    for argv in (
+        ["solve", "--config", path],
+        ["opt-tau", "--config", path, "--tau-cap", "2"],
+        ["simulate", "--config", path, "--paths", "200"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        if name in typed_on and argv[0] != "opt-tau":
+            assert_typed_failure(code, out, err)
+
+
+# Monte Carlo values are read only by `simulate`, which rejects them before it draws.
+@pytest.mark.parametrize("name", ["table1_log", "table2_power"])
+@pytest.mark.parametrize(
+    "key,value,flags",
+    [
+        pytest.param("seed", "-3", [], id="config-seed-negative"),
+        pytest.param("seed", str(2**128), [], id="config-seed-2**128"),
+        pytest.param("n_paths", HUGE_COUNT, [], id="config-paths-1e20"),
+        pytest.param("n_periods", HUGE_COUNT, ["--paths", "200"], id="config-periods-1e20"),
+        pytest.param(None, None, ["--seed", "-1"], id="flag-seed-negative"),
+        pytest.param(None, None, ["--seed", str(2**128)], id="flag-seed-2**128"),
+        pytest.param(None, None, ["--paths", HUGE_COUNT], id="flag-paths-1e20"),
+        pytest.param(None, None, ["--paths", "200", "--periods", HUGE_COUNT], id="flag-periods-1e20"),
+    ],
+)
+def test_extreme_simulation_values_exit_assumption(tmp_path, capsys, name, key, value, flags):
+    path = config_with_line(tmp_path, name, key, value) if key else str(CONFIGS / f"{name}.cfg")
+    code, out, err = run_cli(capsys, ["simulate", "--config", path, *flags])
+    assert_typed_failure(code, out, err)
+    assert code == cli.EXIT_ASSUMPTION
+
+
+# One parser serves every `cli.main` call of a process.
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_capped_call_leaves_no_cap_behind(capsys):
+    path = str(CONFIGS / "table2_power.cfg")
+    assert cli.main(["opt-tau", "--config", path, "--tau-cap", "2"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["opt-tau", "--config", path]) == cli.EXIT_NO_PROPOSITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no sufficient condition" in captured.err
+
+
+def test_a_seeded_call_leaves_no_seed_behind(capsys):
+    argv = ["simulate", "--config", str(CONFIGS / "table1_log.cfg"), "--paths", "200"]
+    assert cli.main(argv) == cli.EXIT_OK
+    config_seed = capsys.readouterr().out
+    cli.main([*argv, "--seed", "5"])
+    assert capsys.readouterr().out != config_seed
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == config_seed
+
+
+def test_a_rejected_argv_writes_usage_to_the_current_stderr(capsys):
+    argv = ["solve", "--config", str(CONFIGS / "table1_log.cfg")]
+    assert cli.main(argv) == cli.EXIT_OK
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: periodic-portfolio solve")
+    assert "the following arguments are required: --config" in captured.err
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == first

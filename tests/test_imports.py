@@ -1,4 +1,4 @@
-"""Only `simulate` loads scipy, and only when it draws."""
+"""Only `simulate` loads scipy, and only when it draws; the parser is built once, on first use."""
 
 import os
 import subprocess
@@ -8,12 +8,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs in a fresh interpreter: every subcommand but `simulate` on both shipped
-# configs, then `simulate`, checking sys.modules in between.
+# configs, then `simulate`, checking sys.modules in between. It also counts
+# ArgumentParser constructions: none at import, and one parser with its four
+# subparsers over all seven calls.
 SCRIPT = r"""
+import argparse
 import sys
 from pathlib import Path
 
+built = []
+_init = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    _init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+
 from periodic_portfolio import cli
+
+assert not built, f"import built {len(built)} parsers"
 
 work = Path(sys.argv[1])
 spec = work / "spec.sweep"
@@ -29,6 +45,7 @@ assert codes == [0] * 6, codes
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))[:5]
 assert cli.main(["simulate", "--config", "configs/table1_log.cfg", "--paths", "2000"]) == 0
 assert "scipy.special" in sys.modules
+assert len(built) == 5, f"{len(built)} parsers built"
 print("import-hygiene ok")
 """
 
