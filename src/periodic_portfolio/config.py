@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .market import EvaluationSpec, MarketModel
-from .quadrature import check_quad_order
+from .quadrature import check_solver_settings
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,13 @@ def to_market(cfg: ProblemConfig) -> MarketModel:
 
 
 def to_evaluation(cfg: ProblemConfig) -> EvaluationSpec:
-    """The evaluation spec of ``cfg``, after checking its ``quad_order``.
+    """The evaluation spec of ``cfg``, after checking its solver settings.
 
     Every solve of a configuration, log or power, builds its evaluation here,
-    so a bad ``quad_order`` is rejected for both utilities alike.
+    so a bad ``quad_order``, ``tol_root`` or ``tol_fixed_point`` is rejected
+    for both utilities alike.
     """
-    check_quad_order(cfg.quad_order)
+    check_solver_settings(cfg.quad_order, cfg.tol_root, cfg.tol_fixed_point)
     return EvaluationSpec(tau=cfg.tau, gamma=cfg.gamma, delta=cfg.delta)
 
 

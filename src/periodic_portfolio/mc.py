@@ -2,7 +2,13 @@
 
 Simulates i.i.d. per-period deflator ratios, rolls the optimal wealth
 recursion forward, and estimates the discounted periodic-evaluation objective
-together with a closed-form bound on the truncated tail.
+together with the closed-form tail it truncates. For log utility that tail is
+a discounted arithmetic-geometric sum. For power utility it is V(x0)
+Psi'(A*)^n after n periods, where Psi'(A*) = exp(-delta tau) H'(A*) is the
+ratio of the geometric series of expected period rewards that V(x0) is
+(envelope theorem); the solver's last evaluation holds it
+(``PowerSolution.psi_slope``), so the Monte Carlo evaluates the policy with
+one kernel, ``power._log_marginal_inverse``, and integrates nothing itself.
 
 Draws come from a counter-based Philox stream through the normal inverse CDF,
 numbered row-major over the (paths, n_periods) matrix. The estimators never
@@ -44,14 +50,8 @@ from numpy.random import Generator, Philox
 from .errors import DomainError, NonConvergence, ParameterOutOfRange
 from .logutil import LogSolution
 from .market import EvaluationSpec, MarketModel
-from .power import (
-    PowerProblem,
-    PowerSolution,
-    _log_marginal_inverse,
-    budget_function,
-    marginal_inverse,
-)
-from .quadrature import DeflatorLaw, expect_deflator_adaptive
+from .power import PowerProblem, PowerSolution, _log_marginal_inverse
+from .quadrature import DeflatorLaw
 
 TAIL_EPS = 1e-8
 _N_PERIODS_CAP = 200_000
@@ -245,34 +245,19 @@ def estimate_log_objective(
     return _reduce(per_path, cfg, abs(tail(periods)))
 
 
-def _power_ratio_moments(
-    p: PowerProblem, a_star: float, y_level: float, norm: float
-) -> tuple[float, float]:
-    """E[G^alpha] and E[G^(alpha(1-gamma))] of the per-period growth G, in one call."""
-    alpha, gamma = p.alpha, p.evaluation.gamma
-    beta = alpha * (1.0 - gamma)
-
-    def powers(z):
-        growth = marginal_inverse(a_star, alpha, gamma, y_level * z, p.tol_root) / norm
-        return np.stack([growth**alpha, growth**beta])
-
-    m_a, m_b = expect_deflator_adaptive(powers, p.law, order=p.quad_order)
-    return float(m_a), 1.0 if beta == 0.0 else float(m_b)
-
-
 def estimate_power_objective(
     sol: PowerSolution,
     p: PowerProblem,
     x0: float,
     cfg: SimulationConfig,
-    y_star: float | None = None,
 ) -> ObjectiveEstimate:
-    """Estimate the discounted power objective under a per-period ratio policy.
+    """Estimate the discounted power objective under the optimal policy I(y* R).
 
-    By default the policy is the solver's optimum I(y* R). Passing ``y_star``
-    evaluates a perturbed comparison policy instead; it is rescaled by its own
-    one-period budget E[R I(y R)] so the simulated policy stays admissible
-    from unit wealth.
+    V(x0) = (A*/alpha) x0^beta, beta = alpha(1-gamma), is the geometric series
+    of the expected period rewards, whose ratio is Psi'(A*) = exp(-delta tau)
+    E[I(y* R)^beta] (``PowerSolution.psi_slope``). The reward left after n
+    periods is therefore exactly V(x0) Psi'(A*)^n, and the truncation bound is
+    its absolute value. A ratio that is not below 1 raises NonConvergence.
     """
     if x0 <= 0:
         raise DomainError("x0 must be positive")
@@ -280,37 +265,25 @@ def estimate_power_objective(
     beta = alpha * (1.0 - gamma)
     delta_tau = p.evaluation.delta * p.evaluation.tau
 
-    if y_star is None:
-        y_level, norm = sol.y_star, 1.0
-    else:
-        if y_star <= 0:
-            raise DomainError("y_star override must be positive")
-        y_level = y_star
-        norm = budget_function(p, sol.a_star, y_level)
-
-    m_a, m_b = _power_ratio_moments(p, sol.a_star, y_level, norm)
-    q_tail = math.exp(-delta_tau) * m_b
-    if not q_tail < 1.0:
+    ratio = sol.psi_slope
+    if not ratio < 1.0:
         raise NonConvergence("discounted per-period growth is not a contraction")
-
-    scale = x0**beta * m_a / alpha * math.exp(-delta_tau)
+    value = abs(sol.a_star / alpha * x0**beta)
 
     def tail(n: int) -> float:
-        return scale * q_tail**n / (1.0 - q_tail)
+        return value * ratio**n
 
     periods = cfg.n_periods if cfg.n_periods is not None else _auto_periods(tail)
     # term i = exp(alpha u_i + beta S_{i-1} - i delta tau) x0^beta / alpha with
-    # u = log I(y R) - log norm and S the running sum of u; the exponent is
-    # taken as beta S_i + (alpha - beta) u_i
-    log_y = math.log(y_level) + p.law.drift
-    log_norm = math.log(norm)
+    # u = log I(y* R) and S the running sum of u; the exponent is taken as
+    # beta S_i + (alpha - beta) u_i
+    log_y = math.log(sol.y_star) + p.law.drift
     decay = delta_tau * np.arange(1, periods + 1)
 
     def path_values(g):
         log_y_block = p.law.s * g
         log_y_block += log_y
         u = _log_marginal_inverse(sol.a_star, alpha, gamma, log_y_block, p.tol_root)
-        u -= log_norm
         exponent = np.cumsum(u, axis=1)
         exponent *= beta
         u *= alpha - beta
@@ -320,7 +293,7 @@ def estimate_power_objective(
 
     per_path = _per_path(cfg, periods, path_values)
     per_path *= x0**beta / alpha
-    return _reduce(per_path, cfg, abs(tail(periods)))
+    return _reduce(per_path, cfg, tail(periods))
 
 
 def compare(estimate: ObjectiveEstimate, analytic: float, k_sigma: float) -> bool:

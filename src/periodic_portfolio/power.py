@@ -72,7 +72,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .market import EvaluationSpec, MarketModel, check_assumption, zeta
-from .quadrature import DEFAULT_REL_TOL, DeflatorLaw, check_quad_order, expect_deflator_adaptive
+from .quadrature import DEFAULT_REL_TOL, DeflatorLaw, check_solver_settings, expect_deflator_adaptive
 
 _NEWTON_CAP = 100
 # Above this t, log(1 + exp(t)) rounds to t and expit(t) to 1 in float64.
@@ -97,8 +97,9 @@ _PERIOD_SUMS_REL_TOL = np.array(
 class PowerProblem:
     """Parameter bundle for one power-utility solve.
 
-    Construction validates alpha and the standing well-posedness condition
-    delta > max(zeta(alpha*(1-gamma)), 0); an invalid bundle never exists.
+    Construction validates alpha, the solver settings and the standing
+    well-posedness condition delta > max(zeta(alpha*(1-gamma)), 0); an
+    invalid bundle never exists.
     """
 
     market: MarketModel
@@ -112,7 +113,7 @@ class PowerProblem:
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha == 0 or self.alpha >= 1:
             raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
-        check_quad_order(self.quad_order)
+        check_solver_settings(self.quad_order, self.tol_root, self.tol_fixed_point)
         report = check_assumption(
             self.market, self.evaluation, self.alpha, self.xi_tilde_norm_sq
         )
@@ -145,7 +146,10 @@ class PowerSolution:
     the solve was accepted at the float64 floor of the residual instead (see
     ``fixed_point``). ``fraction_scale`` is -d log F / d log y at the last
     evaluation's y* Newton point: the period-start risky fractions are
-    ``fraction_scale`` * (sigma^T)^{-1} xi_tilde.
+    ``fraction_scale`` * (sigma^T)^{-1} xi_tilde. ``psi_slope`` is Psi'(A) =
+    exp(-delta*tau) E[I(y* R)^(alpha(1-gamma))] from the same evaluation: the
+    ratio of the expected period rewards that sum to V(x0), so the reward
+    left after n periods is V(x0) ``psi_slope``^n.
     """
 
     a_star: float
@@ -156,6 +160,7 @@ class PowerSolution:
     iterations: int
     error_bound: float
     fraction_scale: float
+    psi_slope: float
 
 
 def moderated_utility(a: float, alpha: float, gamma: float, x):
@@ -588,6 +593,7 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
         iterations=iterations,
         error_bound=error_bound,
         fraction_scale=scale,
+        psi_slope=disc * h_slope,
     )
 
 

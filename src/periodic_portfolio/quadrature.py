@@ -71,14 +71,18 @@ def _orthonormal_hermite(x: np.ndarray, n: int):
     return cur, prev, log_scale
 
 
-def check_quad_order(order: int) -> None:
-    """Reject a starting order whose first doubling test, orders n and 2n, would pass MAX_ORDER.
+def check_solver_settings(order: int, tol_root: float, tol_fixed_point: float) -> None:
+    """Reject a starting order whose first doubling test, orders n and 2n, would pass
+    MAX_ORDER, then a tolerance that is not positive and finite.
 
-    Every solve of a configuration checks its ``quad_order`` here, whether or
-    not its utility builds a rule.
+    Every solve of a configuration checks its solver settings here, whether or
+    not its utility builds a rule or iterates.
     """
     if not 1 <= order <= MAX_ORDER // 2:
         raise ParameterOutOfRange(f"quad_order must lie in [1, {MAX_ORDER // 2}], got {order}")
+    for name, tol in (("tol_root", tol_root), ("tol_fixed_point", tol_fixed_point)):
+        if not 0.0 < tol < math.inf:
+            raise ParameterOutOfRange(f"{name} must be positive and finite, got {tol:g}")
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ utility, a ``PowerProblem``; ``periodicity.tau_objective`` uses it too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cone import ConstrainedSharpe, constrained_sharpe
@@ -28,7 +29,7 @@ from .config import (
     to_evaluation,
     to_market,
 )
-from .errors import ConfigError, PortfolioError
+from .errors import ConfigError, ParameterOutOfRange, PortfolioError
 from .logutil import LogSolution, solve_log, value_log
 from .market import EvaluationSpec, MarketModel
 from .power import PowerProblem, PowerSolution, _feedback_fractions, fixed_point, value_function
@@ -54,11 +55,11 @@ def _build(
 ) -> tuple[MarketModel, EvaluationSpec, ConstrainedSharpe, PowerProblem | None]:
     """The market, evaluation, cone projection and power problem of ``cfg``.
 
-    Validates in that order: the market, the evaluation, the projection's
-    market checks, then for power utility alpha and well-posedness. The
-    problem is None for log utility. ``first`` is the report of a config that
-    differs from ``cfg`` only in a scalar parameter; its market and
-    projection are reused.
+    Validates in that order: the market, the evaluation and solver settings,
+    the projection's market checks, for power utility alpha and
+    well-posedness, then that x0 is finite. The problem is None for log
+    utility. ``first`` is the report of a config that differs from ``cfg``
+    only in a scalar parameter; its market and projection are reused.
     """
     market = to_market(cfg) if first is None else first.market
     evaluation = to_evaluation(cfg)
@@ -74,6 +75,8 @@ def _build(
             tol_fixed_point=cfg.tol_fixed_point,
             quad_order=cfg.quad_order,
         )
+    if not math.isfinite(cfg.x0):
+        raise ParameterOutOfRange(f"x0 must be finite, got {cfg.x0}")
     return market, evaluation, cs, problem
 
 

@@ -131,8 +131,8 @@ def test_unwritable_output_exit_config(tmp_path, capsys):
 
 
 # `simulate` reports at --paths 30000 --seed 3, as the whole-matrix Monte Carlo
-# printed them. A change that moves the draws or the estimators must update
-# these on purpose.
+# printed them; a key ending in _tau_<t> is the config with tau = t. A change
+# that moves the draws or the estimators must update these on purpose.
 SIMULATE_GOLDEN = {
     "table1_log": """\
 mean: 0.174093975584
@@ -152,14 +152,42 @@ analytic: 5.91822088078
 k_sigma: 3
 verdict: pass
 """,
+    # the automatic horizon here is 146 periods
+    "table2_power_tau_0.5": """\
+mean: 12.4128083744
+std_error: 0.00258654489473
+n_effective: 30000
+truncation_bound: 9.70746880621e-09
+analytic: 12.4112026887
+k_sigma: 3
+verdict: pass
+""",
 }
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
-def test_simulate_report_golden(capsys, name):
-    argv = ["simulate", "--config", str(CONFIGS / f"{name}.cfg"), "--paths", "30000", "--seed", "3"]
+def test_simulate_report_golden(tmp_path, capsys, name):
+    config, _, tau = name.partition("_tau_")
+    path = write_config(tmp_path, config, tau=float(tau)) if tau else str(CONFIGS / f"{config}.cfg")
+    argv = ["simulate", "--config", path, "--paths", "30000", "--seed", "3"]
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == SIMULATE_GOLDEN[name]
+
+
+# A golden's FLOOR stands for a fixed-point error_bound accepted at the float64
+# floor of the residual: its digits are rounding, so any value in
+# [0, tol_fixed_point] matches it.
+FLOOR = "<floor>"
+TOL_FIXED_POINT = 1e-10  # of the shipped configs
+
+
+def assert_matches_golden(text: str, golden: str) -> None:
+    """``text`` equals ``golden`` byte for byte, except where ``golden`` holds FLOOR."""
+    pattern = re.escape(golden).replace(re.escape(FLOOR), r"([-+.0-9e]+)")
+    match = re.fullmatch(pattern, text)
+    assert match is not None, text
+    for value in match.groups():
+        assert 0.0 <= float(value) <= TOL_FIXED_POINT, value
 
 
 # `solve` reports of the shipped configs. Power `feedback_fractions` is the
@@ -193,7 +221,7 @@ lower_bound: 3.14351369202
 upper_bound: 3.17383924829
 contraction_modulus: 0.750361641501
 iterations: 3
-error_bound: 1.77893017932e-15
+error_bound: <floor>
 v_x0: 5.91822088078
 feedback_fractions: 0 0.738390101361
 """,
@@ -203,7 +231,7 @@ feedback_fractions: 0 0.738390101361
 @pytest.mark.parametrize("name", sorted(SOLVE_GOLDEN))
 def test_solve_report_golden(capsys, name):
     assert cli.main(["solve", "--config", str(CONFIGS / f"{name}.cfg")]) == cli.EXIT_OK
-    assert capsys.readouterr().out == SOLVE_GOLDEN[name]
+    assert_matches_golden(capsys.readouterr().out, SOLVE_GOLDEN[name])
 
 
 # Sweep specs and CSVs: every column each utility offers.
@@ -214,9 +242,9 @@ SWEEP_GOLDEN = {
         " iterations error_bound xi_tilde_sq frac_1 frac_2\n",
         """\
 gamma,a_star,y_star,v_x0,lower_bound,upper_bound,contraction_modulus,iterations,error_bound,xi_tilde_sq,frac_1,frac_2
-0.6,3.30153923204,2.42405912715,5.74831367639,3.26148438865,3.30377824845,0.760180024051,3,0,0.0144,0,0.718913226466
-0.75,3.20257350377,1.88254194086,5.87354570323,3.17206885786,3.20499210907,0.752788152632,3,0,0.0144,0,0.725088903177
-0.9,3.11213514258,1.38245415895,6.01224878949,3.08816357596,3.11393176703,0.745558965526,3,1.7453521629e-15,0.0144,0,0.797534420493
+0.6,3.30153923204,2.42405912715,5.74831367639,3.26148438865,3.30377824845,0.760180024051,3,<floor>,0.0144,0,0.718913226466
+0.75,3.20257350377,1.88254194086,5.87354570323,3.17206885786,3.20499210907,0.752788152632,3,<floor>,0.0144,0,0.725088903177
+0.9,3.11213514258,1.38245415895,6.01224878949,3.08816357596,3.11393176703,0.745558965526,3,<floor>,0.0144,0,0.797534420493
 """,
     ),
     "table1_log": (
@@ -240,7 +268,7 @@ def test_sweep_csv_golden(tmp_path, name):
     out = tmp_path / "out.csv"
     argv = ["sweep", "--config", str(CONFIGS / f"{name}.cfg"), "--sweep", str(spec), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
-    assert out.read_text() == expected
+    assert_matches_golden(out.read_text(), expected)
 
 
 def json_config(tmp_path, name: str, **changes) -> str:
@@ -284,7 +312,7 @@ def test_json_sweep_writes_the_text_csv(tmp_path, name):
     out = tmp_path / "out.csv"
     argv = ["sweep", "--config", json_config(tmp_path, name), "--sweep", str(spec), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
-    assert out.read_text() == SWEEP_GOLDEN[name][1]
+    assert_matches_golden(out.read_text(), SWEEP_GOLDEN[name][1])
 
 
 # Malformed JSON values exit 2 like malformed text, never with a traceback.
@@ -498,22 +526,27 @@ def assert_typed_failure(code: int, out: str, err: str) -> None:
     assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
-# (key, value, configs on which `solve` and `simulate` must exit 3 or 4)
+# (key, value, configs on which `solve` and `simulate` must exit 3 or 4, and
+# whether every subcommand must reject the value with exit 3 on both configs)
 EXTREME_MODEL_FIELDS = [
-    ("tau", "1e300", {"table2_power"}),
-    ("tau", "1e-300", {"table1_log", "table2_power"}),
-    ("alpha", "-1e300", {"table2_power"}),
-    ("x0", "inf", set()),
-    ("tol_root", "0", set()),
-    ("tol_fixed_point", "nan", set()),
+    ("tau", "1e300", {"table2_power"}, False),
+    ("tau", "1e-300", {"table1_log", "table2_power"}, False),
+    ("alpha", "-1e300", {"table2_power"}, False),
+    ("x0", "inf", set(), True),
+    ("x0", "nan", set(), True),
+    ("x0", "-inf", set(), True),
+    ("tol_root", "0", set(), True),
+    ("tol_root", "-1", set(), True),
+    ("tol_fixed_point", "nan", set(), True),
+    ("tol_fixed_point", "inf", set(), True),
 ]
 
 
 @pytest.mark.parametrize("name", ["table1_log", "table2_power"])
 @pytest.mark.parametrize(
-    "key,value,typed_on", EXTREME_MODEL_FIELDS, ids=[f"{k}={v}" for k, v, _ in EXTREME_MODEL_FIELDS]
+    "key,value,typed_on,rejected", EXTREME_MODEL_FIELDS, ids=[f"{k}={v}" for k, v, *_ in EXTREME_MODEL_FIELDS]
 )
-def test_extreme_model_fields_exit_with_a_documented_code(tmp_path, capsys, name, key, value, typed_on):
+def test_extreme_model_fields_exit_with_a_documented_code(tmp_path, capsys, name, key, value, typed_on, rejected):
     path = config_with_line(tmp_path, name, key, value)
     for argv in (
         ["solve", "--config", path],
@@ -521,7 +554,10 @@ def test_extreme_model_fields_exit_with_a_documented_code(tmp_path, capsys, name
         ["simulate", "--config", path, "--paths", "200"],
     ):
         code, out, err = run_cli(capsys, argv)
-        if name in typed_on and argv[0] != "opt-tau":
+        if rejected:
+            assert_typed_failure(code, out, err)
+            assert code == cli.EXIT_ASSUMPTION, (argv[0], err)
+        elif name in typed_on and argv[0] != "opt-tau":
             assert_typed_failure(code, out, err)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
+from scipy.integrate import quad
 from scipy.special import ndtri
 
 from periodic_portfolio import (
@@ -32,7 +33,7 @@ from periodic_portfolio.errors import DomainError, ParameterOutOfRange
 from periodic_portfolio.mc import _log_tail
 from periodic_portfolio.power import budget_function, marginal_inverse
 
-from conftest import TABLE_ALPHA, h_expectation
+from conftest import TABLE_ALPHA, h_expectation, random_market
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,44 @@ def test_truncation_bound_is_sound(table_market, table_eval, table_cone):
     assert est.truncation_bound >= abs(brute) - 1e-12
 
 
+@pytest.mark.parametrize("case", ["table2", "random10_alpha_-1"])
+def test_power_truncation_bound_is_the_exact_tail(monkeypatch, table_market, case):
+    # the tail sum_{i>n} x0^beta/alpha e^{-i delta tau} m_a m_b^(i-1), with
+    # m_k = E[G^k] of the per-period growth G = I(y* R) from scipy's quad
+    if case == "table2":
+        market, alpha = table_market, TABLE_ALPHA
+    else:  # V < 0
+        market, alpha = random_market(np.random.default_rng(2), 10), -1.0
+    e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
+    p = PowerProblem(market=market, evaluation=e, alpha=alpha, cs=constrained_sharpe(market))
+    sol = fixed_point(p)
+
+    def moment(k):
+        def integrand(g):
+            ratio = math.exp(p.law.drift + p.law.s * g)
+            growth = marginal_inverse(sol.a_star, alpha, 0.8, sol.y_star * ratio, p.tol_root)
+            return math.exp(-0.5 * g * g) / math.sqrt(2.0 * math.pi) * growth**k
+
+        return quad(integrand, -20.0, 20.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    m_a, m_b = moment(alpha), moment(alpha * 0.2)
+    disc = math.exp(-0.3)
+
+    def tail(n):
+        first = 0.5 ** (alpha * 0.2) / alpha * disc * m_a
+        return math.fsum(first * (disc * m_b) ** (i - 1) for i in range(n + 1, n + 5000))
+
+    horizon = 1
+    while abs(tail(horizon)) >= mc.TAIL_EPS:
+        horizon += 1
+    periods = []
+    per_path = mc._per_path
+    monkeypatch.setattr(mc, "_per_path", lambda cfg, n, f: periods.append(n) or per_path(cfg, n, f))
+    est = estimate_power_objective(sol, p, 0.5, SimulationConfig(n_paths=16, seed=1))
+    assert periods == [horizon]
+    assert est.truncation_bound == pytest.approx(abs(tail(horizon)), rel=1e-9, abs=0.0)
+
+
 def test_antithetic_reduces_log_std_error(table_market, table_eval, table_cone):
     sol = solve_log(table_market, table_eval, table_cone)
     plain = estimate_log_objective(
@@ -176,16 +215,13 @@ def test_power_estimate_within_growth_bounds(power_problem, power_solution):
 
 
 def test_suboptimality_sandwich(power_problem, power_solution):
+    # perturbed policies, each rescaled to spend unit wealth, do not beat the optimum
     analytic = value_function(power_solution, 0.5, TABLE_ALPHA, 0.8)
+    cfg = SimulationConfig(n_paths=20_000, seed=31)
     for shift in (0.9, 1.1):
-        est = estimate_power_objective(
-            power_solution,
-            power_problem,
-            0.5,
-            SimulationConfig(n_paths=20_000, seed=31),
-            y_star=power_solution.y_star * shift,
-        )
-        assert est.mean <= analytic + 3 * est.std_error
+        y_star = power_solution.y_star * shift
+        mean, se = matrix_power_objective(power_solution, power_problem, 0.5, cfg, 71, y_star)
+        assert mean <= analytic + 3 * se
 
 
 def test_h_expectation_perturbations_never_beat_optimum(power_problem, power_solution):
@@ -318,18 +354,17 @@ def _log_estimate(table_market, table_eval, table_cone, cfg):
 
 @pytest.fixture
 def estimate_kind(table_market, table_eval, table_cone, power_problem, power_solution):
-    """estimate_kind(kind, cfg): the log, power or power-with-override estimate at x0 = 0.5."""
+    """estimate_kind(kind, cfg): the log or power estimate at x0 = 0.5."""
 
     def estimate(kind, cfg):
         if kind == "log":
             return _log_estimate(table_market, table_eval, table_cone, cfg)
-        y_star = power_solution.y_star * 1.1 if kind == "power_override" else None
-        return estimate_power_objective(power_solution, power_problem, 0.5, cfg, y_star=y_star)
+        return estimate_power_objective(power_solution, power_problem, 0.5, cfg)
 
     return estimate
 
 
-@pytest.mark.parametrize("kind", ["log", "power", "power_override"])
+@pytest.mark.parametrize("kind", ["log", "power"])
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_estimates_do_not_depend_on_block_size(monkeypatch, estimate_kind, kind, antithetic):
     periods = 30
@@ -343,7 +378,7 @@ def test_estimates_do_not_depend_on_block_size(monkeypatch, estimate_kind, kind,
     assert small.truncation_bound == whole.truncation_bound
 
 
-@pytest.mark.parametrize("kind", ["log", "power", "power_override"])
+@pytest.mark.parametrize("kind", ["log", "power"])
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("n_paths, chunk", [(202, 7 * 30), (4000, None)])
 def test_estimates_do_not_depend_on_worker_count(monkeypatch, estimate_kind, kind, antithetic, n_paths, chunk):
@@ -505,12 +540,10 @@ def test_log_estimate_matches_matrix_formula(table_market, table_eval, table_con
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("shift", [None, 0.9])
-def test_power_estimate_matches_matrix_formula(power_problem, power_solution, antithetic, shift):
+def test_power_estimate_matches_matrix_formula(power_problem, power_solution, antithetic):
     cfg = SimulationConfig(n_paths=2000, n_periods=71, seed=8, antithetic=antithetic)
-    y_star = None if shift is None else power_solution.y_star * shift
-    est = estimate_power_objective(power_solution, power_problem, 0.5, cfg, y_star=y_star)
-    mean, se = matrix_power_objective(power_solution, power_problem, 0.5, cfg, 71, y_star)
+    est = estimate_power_objective(power_solution, power_problem, 0.5, cfg)
+    mean, se = matrix_power_objective(power_solution, power_problem, 0.5, cfg, 71)
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.std_error == pytest.approx(se, rel=1e-12)
 
