@@ -24,6 +24,17 @@ same (vector-valued) quadrature call. With x = I(y * Z/B) at each node:
 Each Newton iteration keeps a sign bracket and falls back to bisection (y*)
 or to the Picard step A -> Psi(A) (A*) when a step leaves it.
 
+The y* Newton sits inside the A* iteration, and only the evaluation that
+``fixed_point`` accepts needs y* to ``tol_root``. H is stationary in y at y*,
+and with u = log y its Taylor terms come from sums the call already took:
+dH/du = alpha y (1 - F), d^2H/du^2 = alpha y (1 - F - y F') and
+dH'/du = -alpha y dF/da. Each evaluation carries H and H' from its last
+quadrature point to y* by these terms. An evaluation whose residual is well
+above what acceptance allows stops its y* Newton after the first short step
+inside the bracket whose left-out cubic term is small against the residual,
+an inexact Newton step in the sense of Dembo, Eisenstat and Steihaug (SIAM
+J. Numer. Anal. 19(2), 1982); such an evaluation takes one quadrature call.
+
 The y* Newton of each A step starts near its root, as in the predictor step
 of numerical continuation (Allgower and Georg, Introduction to Numerical
 Continuation Methods, SIAM 2003). At the first A it starts from the root for
@@ -82,6 +93,10 @@ _LOG_TINY = math.log(math.ulp(0.0))
 _LOG_HUGE = math.log(sys.float_info.max)
 _FIXED_POINT_CAP = 50
 _FLOOR_ULPS = 4  # residual allowance in ulps of A once the residual stops falling
+# guards of the early y* stop of a fixed-point evaluation (``_newton_y``)
+_INEXACT_MARGIN = 4.0
+_INEXACT_STEP_CAP = 1e-2
+_INEXACT_TAYLOR_SHARE = 1e-3
 # Quadrature acceptance for the derivative sums, which only steer Newton:
 # the value sums keep DEFAULT_REL_TOL, and a looser slope tolerance keeps the
 # slopes from escalating the order past the one the values need (on wide laws,
@@ -147,8 +162,9 @@ class PowerSolution:
     ``fixed_point``). ``fraction_scale`` is -d log F / d log y at the last
     evaluation's y* Newton point: the period-start risky fractions are
     ``fraction_scale`` * (sigma^T)^{-1} xi_tilde. ``psi_slope`` is Psi'(A) =
-    exp(-delta*tau) E[I(y* R)^(alpha(1-gamma))] from the same evaluation: the
-    ratio of the expected period rewards that sum to V(x0), so the reward
+    exp(-delta*tau) E[I(y* R)^(alpha(1-gamma))] from the same evaluation,
+    carried from its last Newton point to y* by d H'/d log y = -alpha y dF/da:
+    the ratio of the expected period rewards that sum to V(x0), so the reward
     left after n periods is V(x0) ``psi_slope``^n.
     """
 
@@ -254,13 +270,21 @@ def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10
     exp(u). log(1 + e^t) is evaluated as max(t, log1p(exp(min(t, 36)))),
     accurate to rounding for every t, and expit(t) reuses its exponential.
     When c == 0 (a == 0 or gamma == 1), u = log(y) / (alpha-1) exactly.
+
+    As in ``_period_sums``, an x that would round to 0 raises DomainError
+    and an x that would overflow float64 raises NonFinite.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):
         raise DomainError("marginal inverse requires finite y > 0")
-    x = np.exp(_log_marginal_inverse(a, alpha, gamma, np.log(y_arr), tol))
+    u = _log_marginal_inverse(a, alpha, gamma, np.log(y_arr), tol)
+    if np.any(u < _LOG_TINY):
+        raise DomainError("marginal inverse rounds to x = 0")
+    if np.any(u > _LOG_HUGE):
+        raise NonFinite("marginal inverse x = I(y) overflows")
+    x = np.exp(u)
     return float(x[0]) if scalar else x
 
 
@@ -377,7 +401,14 @@ def _period_sums(
     return sums
 
 
-def _newton_y(p: PowerProblem, a: float, budget: float, u: float, warm: dict | None = None):
+def _newton_y(
+    p: PowerProblem,
+    a: float,
+    budget: float,
+    u: float,
+    warm: dict | None = None,
+    stop: tuple[float, float] | None = None,
+):
     """Root y* of F(y) = budget by safeguarded Newton in u = log y, from ``u``.
 
     Each step solves log F(u) = log budget with the exact slope
@@ -389,10 +420,25 @@ def _newton_y(p: PowerProblem, a: float, budget: float, u: float, warm: dict | N
     alpha(1-gamma))), which the slope bound keeps short of the root). Stops
     once a step in u is at most ``tol_root``.
 
-    Returns (y*, y_k, sums): y* is y_k moved by the last step, and ``sums``
-    are the ``_period_sums`` taken at y_k. ``warm`` is passed to every
+    Returns (y*, H, H', sums): y* = y_k e^s is the last evaluation point y_k
+    moved by the last step s, ``sums`` are the ``_period_sums`` taken at y_k,
+    and H = alpha (E[phi_a(y R)] + budget y) and H' = E[x^(alpha(1-gamma))]
+    are carried from y_k to y* by ``_carry_to``. ``warm`` is passed to every
     ``_period_sums`` call. A y that would overflow or round to 0 raises
     NonFinite.
+
+    ``stop`` = (disc, r_min) lets a fixed-point evaluation at A = ``a`` that
+    cannot be the accepted one end early, as an inexact Newton step of the
+    outer iteration (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal.
+    19(2), 1982). H is stationary in y at y*, so a roughly converged y*
+    gives H to the square of its error. After a call whose Newton step s
+    stays inside the sign bracket and has |s| <= _INEXACT_STEP_CAP, the
+    Newton returns the carried (y_k e^s, H, H') at once when the residual
+    r = disc H - a has |r| > r_min and the cubic term the carried H leaves
+    out, about disc |d^2H/du^2| |s|^3, is at most _INEXACT_TAYLOR_SHARE |r|.
+    The cap on |s| keeps a long step, where the cubic estimate says little,
+    from ending the Newton. Otherwise it runs on to ``tol_root`` as without
+    ``stop``.
     """
     if budget <= 0.0:
         raise DomainError("budget must be positive")
@@ -408,24 +454,48 @@ def _newton_y(p: PowerProblem, a: float, budget: float, u: float, warm: dict | N
         if not sums[0] > 0.0:
             raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
         g = math.log(sums[0]) - log_budget
-        if g == 0.0:
-            return y, y, sums
         if g > 0.0:
             lo = u
-        else:
+        elif g < 0.0:
             hi = u
-        u_next = u - g * sums[0] / sums[1]
+        u_next = u - g * sums[0] / sums[1] if g else u  # at the root, whatever the slope
+        newton = lo < u_next < hi
         # a step that rounds to 0 may sit on the bracket's edge, and it has converged
-        if not (abs(u_next - u) <= p.tol_root or lo < u_next < hi):
+        if not (abs(u_next - u) <= p.tol_root or newton):
             # left the sign bracket, or the slope is not finite
             if math.isfinite(lo) and math.isfinite(hi):
                 u_next = 0.5 * (lo + hi)
             else:  # a step this short cannot pass the root
                 u_next = u + g * safe_scale
-        if abs(u_next - u) <= p.tol_root:
-            return _exp_log_y(u_next), y, sums
+        s = u_next - u
+        if abs(s) <= p.tol_root:
+            h_val, h_slope, _ = _carry_to(p, budget, y, sums, s)
+            return _exp_log_y(u_next), h_val, h_slope, sums
+        if stop is not None and newton and abs(s) <= _INEXACT_STEP_CAP:
+            h_val, h_slope, h_uu = _carry_to(p, budget, y, sums, s)
+            disc, r_min = stop
+            residual = abs(disc * h_val - a)
+            if residual > r_min and disc * abs(h_uu) * abs(s) ** 3 <= _INEXACT_TAYLOR_SHARE * residual:
+                return _exp_log_y(u_next), h_val, h_slope, sums
         u = u_next
     raise NonConvergence("y* Newton iteration hit its cap")
+
+
+def _carry_to(p: PowerProblem, budget: float, y: float, sums: np.ndarray, s: float):
+    """(H, H', d^2H/du^2) at y e^s from the ``_period_sums`` at y, u = log y.
+
+    With F = sums[0], y F' = sums[1] and dF/da = sums[4], H = alpha
+    (E[phi_a(y R)] + budget y) has dH/du = alpha y (budget - F) and
+    d^2H/du^2 = alpha y (budget - F - y F'), and H' = E[x^(alpha(1-gamma))]
+    has dH'/du = -alpha y dF/da (the mixed partial of H). H is carried to
+    second order in s, with an O(s^3) error, and H' to first order, with an
+    O(s^2) error.
+    """
+    alpha_y = p.alpha * y
+    gap = budget - sums[0]
+    h_uu = alpha_y * (gap - sums[1])
+    h_val = p.alpha * (sums[2] + budget * y) + (alpha_y * gap + 0.5 * h_uu * s) * s
+    return float(h_val), float(sums[3] - alpha_y * sums[4] * s), float(h_uu)
 
 
 def _exp_log_y(u: float) -> float:
@@ -435,17 +505,24 @@ def _exp_log_y(u: float) -> float:
     return math.exp(u)
 
 
-def _value_and_y(p: PowerProblem, a: float, u: float = 0.0, warm: dict | None = None):
+def _value_and_y(
+    p: PowerProblem,
+    a: float,
+    u: float = 0.0,
+    warm: dict | None = None,
+    stop: tuple[float, float] | None = None,
+):
     """H(a), H'(a), y*(a), -d log F / d log y and d log y*/dA, y* Newton from log y = ``u``.
 
-    All but y* come from the last y* Newton evaluation. H = alpha *
-    (E[phi_a(y R)] + y) is stationary in y at y*, so taking it at the
-    evaluation point y_k of the last (accepted) step costs only the square of
-    that step. d log y*/dA = -(dF/da) / (y F'(y)) steers the next start.
-    ``warm`` carries the quadrature nodes' solutions (see ``_period_sums``).
+    H and H' are carried to y* from the last y* Newton evaluation y_k by
+    their Taylor terms in the last step (``_carry_to``); the other two come
+    from y_k. A y* Newton that runs to ``tol_root`` leaves a step whose
+    square is far below H's rounding, and ``stop`` (see ``_newton_y``) lets an
+    evaluation that cannot be accepted end after a longer step.
+    d log y*/dA = -(dF/da) / (y F'(y)) steers the next start. ``warm``
+    carries the quadrature nodes' solutions (see ``_period_sums``).
     """
-    y_star, y_eval, sums = _newton_y(p, a, 1.0, u, warm)
-    h_val, h_slope = float(p.alpha * (sums[2] + y_eval)), float(sums[3])
+    y_star, h_val, h_slope, sums = _newton_y(p, a, 1.0, u, warm, stop)
     return h_val, h_slope, y_star, float(-sums[1] / sums[0]), float(-sums[4] / sums[1])
 
 
@@ -526,6 +603,13 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     nodes, so each pass's node Newton starts from the previous pass's
     solution, moved by the first-order predictor (``_period_sums``).
 
+    Only the accepted evaluation needs y* to ``tol_root``. Both acceptance
+    tests below need |Psi(A) - A| <= tol + 4 ulp(A), since 1-q < 1, so an
+    evaluation whose residual is over _INEXACT_MARGIN times that cannot be
+    accepted, and its y* Newton may stop after one short step (``_newton_y``).
+    The A step it gives is an inexact Newton step, whose error is a small
+    share of the residual.
+
     Stops at the first evaluated A with |Psi(A) - A| / (1-q) <= tol, q the
     contraction modulus, which bounds |A - A*|. When the residual stops
     falling first, it has reached the float64 floor: at small tau 1-q is tiny
@@ -559,7 +643,9 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     warm = {}
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):
-        h_val, h_slope, y_star, scale, dlog_y = _value_and_y(p, a, u, warm)
+        allowed = tol + _FLOOR_ULPS * math.ulp(a)  # the largest residual either test accepts
+        stop = (disc, _INEXACT_MARGIN * allowed)
+        h_val, h_slope, y_star, scale, dlog_y = _value_and_y(p, a, u, warm, stop)
         residual = disc * h_val - a
         error_bound = abs(residual) / (1.0 - q_mod)
         if error_bound <= tol:
@@ -572,7 +658,6 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
         if not lo <= a_next <= hi:
             a_next = a + residual  # Picard step
         if abs(residual) >= last_residual or a_next == a:  # at the float64 floor
-            allowed = tol + _FLOOR_ULPS * math.ulp(a)
             if abs(residual) <= allowed:
                 break
             raise NonConvergence(

@@ -242,7 +242,7 @@ SWEEP_GOLDEN = {
         " iterations error_bound xi_tilde_sq frac_1 frac_2\n",
         """\
 gamma,a_star,y_star,v_x0,lower_bound,upper_bound,contraction_modulus,iterations,error_bound,xi_tilde_sq,frac_1,frac_2
-0.6,3.30153923204,2.42405912715,5.74831367639,3.26148438865,3.30377824845,0.760180024051,3,<floor>,0.0144,0,0.718913226466
+0.6,3.30153923204,2.42405912715,5.74831367639,3.26148438865,3.30377824845,0.760180024051,3,<floor>,0.0144,0,0.718913226467
 0.75,3.20257350377,1.88254194086,5.87354570323,3.17206885786,3.20499210907,0.752788152632,3,<floor>,0.0144,0,0.725088903177
 0.9,3.11213514258,1.38245415895,6.01224878949,3.08816357596,3.11393176703,0.745558965526,3,<floor>,0.0144,0,0.797534420493
 """,

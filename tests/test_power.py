@@ -109,6 +109,18 @@ def test_marginal_inverse_domain():
         marginal_inverse(1.0, 0.5, 0.8, 0.0)
 
 
+def test_marginal_inverse_raises_where_x_leaves_float64():
+    # as in _period_sums: an x beyond float64 is NonFinite, and one that
+    # rounds to 0 is a DomainError, never inf or 0 with a warning
+    assert marginal_inverse(3.17, 0.5, 0.8, 1e-150) == pytest.approx(1e300, rel=1e-12)
+    with pytest.raises(NonFinite):
+        marginal_inverse(3.17, 0.5, 0.8, 1e-200)
+    with pytest.raises(NonFinite):
+        marginal_inverse(3.17, 0.5, 0.8, np.array([1.0, 1e-200]))
+    with pytest.raises(DomainError):
+        marginal_inverse(0.0, 0.5, 0.8, 1e300)  # x = y^-2 = 1e-600
+
+
 KERNEL_CASES = dict(
     a=st.floats(1e-6, 1e6),
     gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -482,11 +494,12 @@ def test_y_star_newton_step_onto_the_bracket_edge_ends_the_solve(table_market, t
     assert budget_function(p, a, y) == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("gamma,budget", [(0.55, 6), (0.8, 6), (1.0, 4)])
+@pytest.mark.parametrize("gamma,budget", [(0.55, 5), (0.8, 4), (1.0, 4)])
 @pytest.mark.parametrize("alpha", [0.5, -1.0])
 def test_fixed_point_work_budget_on_table2(table_market, table_cone, count_calls, alpha, gamma, budget):
     # every y* Newton starts near its root: from the s = 0 root at the first A,
-    # then from the tangent of y*(A); each _period_sums call is one quadrature call
+    # then from the tangent of y*(A), and an evaluation that cannot be accepted
+    # stops after one short step; each _period_sums call is one quadrature call
     calls = count_calls(power, "_period_sums")
     for tau in (1e-3, 0.2, 1.0, 4.0):
         e = EvaluationSpec(tau=tau, gamma=gamma, delta=TABLE_DELTA)
@@ -530,11 +543,19 @@ def test_fixed_point_gamma1_newton_step_above_the_upper_bound():
 
 @pytest.mark.parametrize("n", [2, 10, 30])
 @pytest.mark.parametrize("alpha", [0.5, -1.0, -0.5])
-def test_fixed_point_newton_on_random_markets(n, alpha):
+def test_fixed_point_newton_on_random_markets(monkeypatch, n, alpha):
     # the random markets default_rng(1000 n + k), k < 6, at tau <= 4; delta
     # sits 0.3 above the well-posedness bound. fixed_point warm-starts its quadrature nodes from
     # pass to pass, while contraction_map solves cold, so the residual check
     # also compares the two.
+    steps = []  # the log-y step over which each evaluation carries H to y*
+    carry = power._carry_to
+
+    def recorded(p, budget, y, sums, s):
+        steps.append(s)
+        return carry(p, budget, y, sums, s)
+
+    monkeypatch.setattr(power, "_carry_to", recorded)
     for k in range(6):
         m = random_market(np.random.default_rng(1000 * n + k), n)
         cs = constrained_sharpe(m)
@@ -545,11 +566,46 @@ def test_fixed_point_newton_on_random_markets(n, alpha):
             sol = fixed_point(p)
             a, tol, q = sol.a_star, p.tol_fixed_point, sol.contraction_modulus
             assert sol.iterations <= 10
+            # the accepted evaluation ran its y* Newton to tol_root
+            assert abs(steps[-1]) <= p.tol_root, (k, tau)
+            assert budget_function(p, a, sol.y_star) == pytest.approx(1.0, abs=1e-9), (k, tau)
             # an absolute residual cannot fall below the float64 spacing of A*
             floor = 4 * math.ulp(a)
             assert abs(contraction_map(p, a) - a) <= tol + floor, (k, tau)
             if tau >= 1e-2:
                 assert sol.error_bound <= max(tol, floor / (1 - q)), (k, tau)
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+def test_carried_h_and_slope_have_the_taylor_orders(table_market, table_cone, alpha):
+    # from the sums at y, H carried to y e^s errs by O(s^3) and H' by O(s^2);
+    # y = 1.3 y* is far from the root, so a wrong first-order term would show as O(s)
+    e = EvaluationSpec(tau=TABLE_TAU, gamma=0.8, delta=TABLE_DELTA)
+    p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
+    a = 2.5
+    y = 1.3 * newton_y_star(p, a)
+    sums = power._period_sums(p, p.law, a, y)
+
+    def errors(s):
+        h, h_slope, _ = power._carry_to(p, 1.0, y, sums, s)
+        exact = power._period_sums(p, p.law, a, y * math.exp(s))
+        return abs(h - alpha * (exact[2] + y * math.exp(s))), abs(h_slope - exact[3])
+
+    (h_wide, slope_wide), (h_narrow, slope_narrow) = errors(0.02), errors(0.01)
+    assert 7.0 <= h_wide / h_narrow <= 9.0
+    assert 3.5 <= slope_wide / slope_narrow <= 4.5
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_psi_slope_is_taken_at_y_star(seed):
+    # psi_slope, the Monte Carlo's tail ratio, is e^{-delta tau} H' at the returned y*,
+    # not at the y* Newton's last quadrature point
+    m = random_market(np.random.default_rng(seed), 10)
+    e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
+    p = PowerProblem(market=m, evaluation=e, alpha=-1.0, cs=constrained_sharpe(m))
+    sol = fixed_point(p)
+    at_y_star = math.exp(-0.3) * power._period_sums(p, p.law, sol.a_star, sol.y_star)[3]
+    assert abs(sol.psi_slope / at_y_star - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.5, -1.0])
