@@ -11,6 +11,18 @@ least-squares form of Kim & Park (2011), "Fast nonnegative matrix
 factorization: an active-set-like method and comparisons", SIAM J. Sci.
 Comput. 33(6). The result carries an explicit KKT certificate so that
 optimality can be re-verified after the fact.
+
+Each round's least-squares problem is solved through the Gram matrix
+G = A^T A and c = A^T xi (A = sigma^{-1}), both formed once per projection:
+one LU solve of G[F, F] per round instead of an SVD of A[:, F], about 15
+times cheaper at 50 assets. The normal equations square the condition
+number of A[:, F], so on badly column-scaled markets their solution alone
+can miss the KKT certificate where an SVD fit meets it. The certificate
+itself is still taken in A-space, on xi_tilde = xi + A p and A^T xi_tilde.
+When it fails, the final support gets up to three steps of iterative
+refinement on that true residual, p_F -= G[F, F]^{-1} (A^T xi_tilde)_F,
+which recovers the accuracy of the direct fit (Bjorck 1967, "Iterative
+refinement of linear least squares solutions I", BIT 7(4)).
 """
 
 from __future__ import annotations
@@ -19,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, SingularVolatility
 from .market import MarketModel, sharpe_ratio
 
 KKT_TOL_DEFAULT = 1e-10
+_REFINE_STEPS = 3
 
 
 @dataclass(eq=False)
@@ -40,7 +53,8 @@ class ConstrainedSharpe:
     xi_tilde : ndarray
         Modified price of risk xi + sigma_inv @ pi_tilde_star.
     kkt_gradient : ndarray
-        sigma_inv.T @ xi_tilde; nonnegative at an optimum and zero on the
+        sigma_inv.T @ xi_tilde = (sigma^T)^{-1} xi_tilde, the log-utility
+        risky fractions; nonnegative at an optimum and zero on the
         coordinates where pi_tilde_star is strictly positive.
     objective : float
         |xi_tilde|^2, the minimized squared norm.
@@ -54,13 +68,12 @@ class ConstrainedSharpe:
     objective: float
 
 
-def _ls_on_support(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Unconstrained least squares on the free columns, zero elsewhere."""
-    z = np.zeros(A.shape[1])
-    if free.any():
-        sol, *_ = np.linalg.lstsq(A[:, free], b, rcond=None)
-        z[free] = sol
-    return z
+def _solve_free(G: np.ndarray, rhs: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Solve G[F, F] z = rhs on the free set F; a singular G[F, F] raises SingularVolatility."""
+    try:
+        return np.linalg.solve(G[free][:, free], rhs)
+    except np.linalg.LinAlgError:
+        raise SingularVolatility("sigma^{-1} has linearly dependent columns") from None
 
 
 def solve_cone(
@@ -69,14 +82,18 @@ def solve_cone(
     """Minimize |xi + sigma_inv @ p|^2 over p >= 0 (block principal pivoting).
 
     Each round solves the least-squares problem on the free set F (p = 0
-    off F), takes the gradient w = sigma_inv.T @ (xi + sigma_inv @ p), and
-    moves every infeasible index across at once: p_i < 0 on F leaves F,
-    w_i < -tol off F joins it. After 3 full exchanges that leave the
-    infeasible count at or above its lowest value so far, only the largest
-    infeasible index moves, until the count sets a new low; this backup
-    guarantees finite termination. The problem is strictly convex for
-    invertible sigma, so the minimizer, and hence the final support, is
-    unique.
+    off F) from the normal equations G[F, F] p_F = -c_F, where A = sigma_inv
+    and G = A^T A and c = A^T xi are formed once. It takes the gradient w = A^T (xi + A p) in
+    A-space (w = c in the first round, at p = 0), and moves every
+    infeasible index across at once: p_i < 0 on F leaves F, w_i < -tol off
+    F joins it. After 3 full exchanges that leave the infeasible count at
+    or above its lowest value so far, only the largest infeasible index
+    moves, until the count sets a new low; this backup guarantees finite
+    termination. The problem is strictly convex for invertible sigma, so
+    the minimizer, and hence the final support, is unique. If the final
+    point fails ``verify_kkt``, up to 3 steps of iterative refinement
+    p_F -= G[F, F]^{-1} w_F on the same support follow before
+    NonConvergence is raised. A singular G[F, F] raises SingularVolatility.
 
     Parameters
     ----------
@@ -90,12 +107,12 @@ def solve_cone(
     xi = np.asarray(xi, dtype=float)
     A = np.asarray(sigma_inv, dtype=float)
     n = xi.size
+    G = A.T @ A
+    c = A.T @ xi
     free = np.zeros(n, dtype=bool)
+    p, xi_tilde, gradient = np.zeros(n), xi.copy(), c
     fewest, backup = n + 1, 3
     for _ in range(100 * n):
-        p = _ls_on_support(A, -xi, free)
-        xi_tilde = xi + A @ p
-        gradient = A.T @ xi_tilde
         infeasible = np.where(free, p < 0.0, gradient < -tol)
         count = np.count_nonzero(infeasible)
         if count == 0:
@@ -107,20 +124,31 @@ def solve_cone(
         else:
             infeasible = np.arange(n) == np.flatnonzero(infeasible)[-1]
         free ^= infeasible
+        p = np.zeros(n)
+        p[free] = _solve_free(G, -c[free], free)
+        xi_tilde = xi + A @ p
+        gradient = A.T @ xi_tilde
     else:
         raise NonConvergence("cone projection exceeded iteration cap")
 
-    cs = ConstrainedSharpe(
-        xi=xi,
-        sigma_inv=A,
-        pi_tilde_star=p,
-        xi_tilde=xi_tilde,
-        kkt_gradient=gradient,
-        objective=float(xi_tilde @ xi_tilde),
-    )
-    if not verify_kkt(cs, tol):
-        raise NonConvergence("cone projection terminated without a KKT certificate")
-    return cs
+    refinements = 0
+    while True:
+        cs = ConstrainedSharpe(
+            xi=xi,
+            sigma_inv=A,
+            pi_tilde_star=p,
+            xi_tilde=xi_tilde,
+            kkt_gradient=gradient,
+            objective=float(xi_tilde @ xi_tilde),
+        )
+        if verify_kkt(cs, tol):
+            return cs
+        if refinements == _REFINE_STEPS:
+            raise NonConvergence("cone projection terminated without a KKT certificate")
+        refinements += 1
+        p[free] -= _solve_free(G, gradient[free], free)
+        xi_tilde = xi + A @ p
+        gradient = A.T @ xi_tilde
 
 
 def verify_kkt(c: ConstrainedSharpe, tol: float = KKT_TOL_DEFAULT) -> bool:

@@ -56,22 +56,24 @@ class LogSolution:
 def solve_log(m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> LogSolution:
     """Populate all closed-form fields of the logarithmic solution.
 
-    The unconstrained fields solve the problem with short selling allowed:
-    the intercept built from |xi|^2 and the Merton feedback fractions
-    (sigma sigma^T)^{-1} (mu - r 1), which may be negative.
+    Both portfolios are read off the cone projection, with A = sigma^{-1}:
+    the feedback fractions (sigma^T)^{-1} xi_tilde are its KKT gradient
+    A^T xi_tilde, and the unconstrained fields solve the problem with short
+    selling allowed: the intercept built from |xi|^2 and the Merton
+    fractions A^T xi = (sigma sigma^T)^{-1} (mu - r 1), which may be
+    negative.
     """
     q_tilde = cs.objective
     q_free = float(cs.xi @ cs.xi)
     a_star, c_star = _log_coefficients(m.r + 0.5 * q_tilde, e.tau, e.gamma, e.delta)
     a_unconstrained, _ = _log_coefficients(m.r + 0.5 * q_free, e.tau, e.gamma, e.delta)
-    fractions = np.linalg.solve(m.sigma.T, cs.xi_tilde)
     return LogSolution(
         a_star=a_star,
         c_star=c_star,
         xi_tilde_norm_sq=q_tilde,
-        feedback_fractions=fractions,
+        feedback_fractions=cs.kkt_gradient,
         a_unconstrained=a_unconstrained,
-        unconstrained_fractions=np.linalg.solve(m.sigma @ m.sigma.T, m.excess_returns()),
+        unconstrained_fractions=cs.sigma_inv.T @ cs.xi,
         constraint_cost=constraint_cost(m, e, cs),
     )
 

@@ -272,9 +272,12 @@ def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10
     When c == 0 (a == 0 or gamma == 1), u = log(y) / (alpha-1) exactly.
 
     As in ``_period_sums``, an x that would round to 0 raises DomainError
-    and an x that would overflow float64 raises NonFinite.
+    and an x that would overflow float64 raises NonFinite. An empty y gives
+    an empty float array of the same shape.
     """
     y_arr = np.asarray(y, dtype=float)
+    if y_arr.size == 0:
+        return np.empty_like(y_arr)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):

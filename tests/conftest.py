@@ -98,6 +98,16 @@ def random_market(rng: np.random.Generator, n: int = 2) -> MarketModel:
     return MarketModel(mu=mu, sigma=sigma, r=r)
 
 
+def scaled_market(k: int, spread: float = 6.0) -> MarketModel:
+    """Column-scaled market k: n = rng.integers(1, 60) assets of ``random_market``
+    from ``rng = default_rng(10**6 + k)``, sigma's columns scaled by e^U(-spread, spread)."""
+    rng = np.random.default_rng(10**6 + k)
+    n = int(rng.integers(1, 60))
+    m = random_market(rng, n)
+    sigma = m.sigma * np.exp(rng.uniform(-spread, spread, size=n))[None, :]
+    return MarketModel(mu=m.mu, sigma=sigma, r=m.r)
+
+
 def h_expectation(p, sol, seed: int, n_paths: int, y_star=None) -> tuple[float, float]:
     """One-period Monte Carlo mean and standard error of alpha h_{A*}(X) from unit wealth.
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_portfolio import solve_cone, verify_kkt
+from periodic_portfolio.errors import NonConvergence, SingularVolatility
 
-from conftest import random_market
+from conftest import random_market, scaled_market
 
 
 def brute_force_objective(xi, A, box, step):
@@ -171,13 +172,47 @@ def test_projection_at_size_matches_scipy_nnls(n):
 @pytest.mark.parametrize("n", [10, 30, 60])
 def test_projection_takes_a_handful_of_solves(count_calls, n):
     # The add-one-index active set took about 22 least-squares solves per
-    # projection at n = 50; block pivoting takes at most 6 on these markets.
-    calls = count_calls(np.linalg, "lstsq")
+    # projection at n = 50; block pivoting takes at most 6 on these markets,
+    # one Gram-matrix solve per round and none through lstsq.
+    solves = count_calls(np.linalg, "solve")
+    fits = count_calls(np.linalg, "lstsq")
     for k in range(10):
         m = random_market(np.random.default_rng(k), n)
-        before = len(calls)
-        solve_cone(np.linalg.solve(m.sigma, m.mu - m.r), np.linalg.inv(m.sigma))
-        assert len(calls) - before <= 6
+        xi, A = np.linalg.solve(m.sigma, m.mu - m.r), np.linalg.inv(m.sigma)
+        before = len(solves)
+        solve_cone(xi, A)
+        assert 1 <= len(solves) - before <= 6
+    assert not fits
+
+
+def test_singular_design_raises_singular_volatility():
+    # Both columns of sigma_inv are equal, so the free-set Gram matrix is
+    # singular; no bare LinAlgError may leave the projection.
+    with pytest.raises(SingularVolatility):
+        solve_cone(np.array([-1.0, -1.0]), np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_column_scaled_markets_certify_and_match_scipy_nnls():
+    # Normal equations refined on the certificate's residual certify 167 of
+    # the first 200 column-scaled markets (an SVD fit per round certified 92),
+    # and every certified projection is the nnls optimum.
+    from scipy.optimize import nnls
+
+    certified = 0
+    for k in range(200):
+        m = scaled_market(k)
+        A = np.linalg.inv(m.sigma)
+        xi = np.linalg.solve(m.sigma, m.mu - m.r)
+        try:
+            cs = solve_cone(xi, A)
+        except NonConvergence:
+            continue
+        certified += 1
+        p, _ = nnls(A, -xi, maxiter=50 * xi.size)
+        reference = xi + A @ p
+        q = float(reference @ reference)
+        assert abs(cs.objective - q) <= 1e-12 * (1.0 + q)
+    assert certified >= 167
 
 
 @settings(max_examples=60, deadline=None)

@@ -121,6 +121,14 @@ def test_marginal_inverse_raises_where_x_leaves_float64():
         marginal_inverse(0.0, 0.5, 0.8, 1e300)  # x = y^-2 = 1e-600
 
 
+@pytest.mark.parametrize(
+    "y", [np.array([]), [], np.empty((0, 3), dtype=int)], ids=["array", "list", "2d-int"]
+)
+def test_marginal_inverse_of_an_empty_array_is_empty(y):
+    x = marginal_inverse(3.17, 0.5, 0.8, y)
+    assert isinstance(x, np.ndarray) and x.shape == np.shape(y) and x.dtype == np.float64
+
+
 KERNEL_CASES = dict(
     a=st.floats(1e-6, 1e6),
     gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
