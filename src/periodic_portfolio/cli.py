@@ -37,7 +37,7 @@ from .errors import (
     ParameterOutOfRange,
     SingularVolatility,
 )
-from .mc import SimulationConfig, compare, estimate_log_objective, estimate_power_objective
+from .mc import K_SIGMA, SimulationConfig, compare, estimate_log_objective, estimate_power_objective
 from .periodicity import optimal_tau, tau_objective
 from .report import solve, sweep
 
@@ -68,10 +68,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(report: dict, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(report: dict) -> None:
     for key, value in report.items():
-        stream.write(f"{key}: {_fmt(value)}\n")
+        sys.stdout.write(f"{key}: {_fmt(value)}\n")
 
 
 def _read_text(path: str) -> str:
@@ -115,7 +114,7 @@ def cmd_simulate(args) -> int:
     analytic = report.fields["v_x0"]
     if args.analytic_override is not None:
         analytic = args.analytic_override
-    verdict = compare(estimate, analytic, 3.0)
+    verdict = compare(estimate, analytic)
     _emit(
         {
             "mean": estimate.mean,
@@ -123,7 +122,7 @@ def cmd_simulate(args) -> int:
             "n_effective": estimate.n_effective,
             "truncation_bound": estimate.truncation_bound,
             "analytic": analytic,
-            "k_sigma": 3.0,
+            "k_sigma": K_SIGMA,
             "verdict": "pass" if verdict else "fail",
         }
     )

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import NonConvergence, SingularVolatility
 from .market import MarketModel, sharpe_ratio
 
-KKT_TOL_DEFAULT = 1e-10
+KKT_TOL = 1e-10  # absolute tolerance of every KKT residual, in pivoting and in ``verify_kkt``
 _REFINE_STEPS = 3
 
 
@@ -76,18 +76,16 @@ def _solve_free(G: np.ndarray, rhs: np.ndarray, free: np.ndarray) -> np.ndarray:
         raise SingularVolatility("sigma^{-1} has linearly dependent columns") from None
 
 
-def solve_cone(
-    xi: np.ndarray, sigma_inv: np.ndarray, tol: float = KKT_TOL_DEFAULT
-) -> ConstrainedSharpe:
+def solve_cone(xi: np.ndarray, sigma_inv: np.ndarray) -> ConstrainedSharpe:
     """Minimize |xi + sigma_inv @ p|^2 over p >= 0 (block principal pivoting).
 
     Each round solves the least-squares problem on the free set F (p = 0
     off F) from the normal equations G[F, F] p_F = -c_F, where A = sigma_inv
     and G = A^T A and c = A^T xi are formed once. It takes the gradient w = A^T (xi + A p) in
     A-space (w = c in the first round, at p = 0), and moves every
-    infeasible index across at once: p_i < 0 on F leaves F, w_i < -tol off
-    F joins it. After 3 full exchanges that leave the infeasible count at
-    or above its lowest value so far, only the largest infeasible index
+    infeasible index across at once: p_i < 0 on F leaves F, w_i < -KKT_TOL
+    off F joins it. After 3 full exchanges that leave the infeasible count
+    at or above its lowest value so far, only the largest infeasible index
     moves, until the count sets a new low; this backup guarantees finite
     termination. The problem is strictly convex for invertible sigma, so
     the minimizer, and hence the final support, is unique. If the final
@@ -101,8 +99,6 @@ def solve_cone(
         Market price of risk.
     sigma_inv : (n, n) array
         Inverse of a validated volatility matrix.
-    tol : float
-        KKT residual tolerance.
     """
     xi = np.asarray(xi, dtype=float)
     A = np.asarray(sigma_inv, dtype=float)
@@ -113,7 +109,7 @@ def solve_cone(
     p, xi_tilde, gradient = np.zeros(n), xi.copy(), c
     fewest, backup = n + 1, 3
     for _ in range(100 * n):
-        infeasible = np.where(free, p < 0.0, gradient < -tol)
+        infeasible = np.where(free, p < 0.0, gradient < -KKT_TOL)
         count = np.count_nonzero(infeasible)
         if count == 0:
             break
@@ -141,7 +137,7 @@ def solve_cone(
             kkt_gradient=gradient,
             objective=float(xi_tilde @ xi_tilde),
         )
-        if verify_kkt(cs, tol):
+        if verify_kkt(cs):
             return cs
         if refinements == _REFINE_STEPS:
             raise NonConvergence("cone projection terminated without a KKT certificate")
@@ -151,23 +147,24 @@ def solve_cone(
         gradient = A.T @ xi_tilde
 
 
-def verify_kkt(c: ConstrainedSharpe, tol: float = KKT_TOL_DEFAULT) -> bool:
+def verify_kkt(c: ConstrainedSharpe) -> bool:
     """Re-verify primal feasibility, stationarity and complementary slackness.
 
+    Each residual is held to the absolute tolerance KKT_TOL.
     The gradient is recomputed from the stored xi_tilde so that a corrupted
     certificate cannot pass on stale fields.
     """
     g = c.sigma_inv.T @ c.xi_tilde
-    if c.pi_tilde_star.min() < -tol:
+    if c.pi_tilde_star.min() < -KKT_TOL:
         return False
-    if g.min() < -tol:
+    if g.min() < -KKT_TOL:
         return False
-    if np.abs(c.pi_tilde_star * g).max() > tol:
+    if np.abs(c.pi_tilde_star * g).max() > KKT_TOL:
         return False
     return True
 
 
-def constrained_sharpe(m: MarketModel, tol: float = KKT_TOL_DEFAULT) -> ConstrainedSharpe:
+def constrained_sharpe(m: MarketModel) -> ConstrainedSharpe:
     """Validate the market, compute xi and project it onto the cone."""
     xi = sharpe_ratio(m)
-    return solve_cone(xi, np.linalg.inv(m.sigma), tol=tol)
+    return solve_cone(xi, np.linalg.inv(m.sigma))

@@ -54,6 +54,8 @@ from .power import PowerProblem, PowerSolution, _log_marginal_inverse
 from .quadrature import DeflatorLaw
 
 TAIL_EPS = 1e-8
+# ``compare`` accepts an estimate within K_SIGMA standard errors (plus the truncation bound)
+K_SIGMA = 3.0
 _N_PERIODS_CAP = 200_000
 # the estimators keep one float64 per path, so this caps that vector at 800 MB
 _N_PATHS_CAP = 10**8
@@ -296,10 +298,8 @@ def estimate_power_objective(
     return _reduce(per_path, cfg, tail(periods))
 
 
-def compare(estimate: ObjectiveEstimate, analytic: float, k_sigma: float) -> bool:
-    """True when |mean - analytic| <= k_sigma * SE + truncation bound."""
-    if k_sigma <= 0:
-        raise DomainError("k_sigma must be positive")
+def compare(estimate: ObjectiveEstimate, analytic: float) -> bool:
+    """True when |mean - analytic| <= K_SIGMA * SE + truncation bound."""
     return abs(estimate.mean - analytic) <= (
-        k_sigma * estimate.std_error + estimate.truncation_bound
+        K_SIGMA * estimate.std_error + estimate.truncation_bound
     )

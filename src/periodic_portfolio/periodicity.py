@@ -35,7 +35,7 @@ import numpy as np
 
 from .cone import ConstrainedSharpe
 from .config import ProblemConfig
-from .errors import DomainError, NonConvergence, ParameterOutOfRange
+from .errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange
 from .logutil import _log_coefficients
 from .market import EvaluationSpec, MarketModel, zeta
 from .power import PowerProblem, fixed_point, value_function
@@ -43,6 +43,7 @@ from .report import _build
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL = 1e-8
+_CAP_POINTS = 257  # grid points of the capped search on (0, cap]
 _EXPAND_CAP = 60
 _CERT_SHIFT = 1e-3
 
@@ -64,7 +65,8 @@ class TauObjective:
     computed once for every tau, and for power utility the problem validated
     at the configured tau. Log utility and power utility with gamma = 1 are
     closed forms in tau; power utility with gamma < 1 solves its fixed point
-    at each tau.
+    at each tau. Where the gamma = 1 closed form overflows float64 it raises
+    NonFinite.
     """
 
     cfg: ProblemConfig
@@ -85,8 +87,15 @@ class TauObjective:
             # A*(tau)*tau = exp((zeta(alpha)-delta)*tau) * tau / (1 - exp(-delta*tau)),
             # and V = A*/alpha, since x0^(alpha(1-gamma)) = 1
             za = zeta(cfg.alpha, self.market.r, self.cs.objective)
-            scaled_a = math.exp((za - cfg.delta) * tau) * tau / (-math.expm1(-cfg.delta * tau))
-            return scaled_a if self.scaled else scaled_a / tau / cfg.alpha
+            try:
+                growth = math.exp((za - cfg.delta) * tau)
+            except OverflowError:
+                growth = math.inf
+            scaled_a = growth * tau / (-math.expm1(-cfg.delta * tau))
+            value = scaled_a if self.scaled else scaled_a / tau / cfg.alpha
+            if not math.isfinite(value):
+                raise NonFinite(f"the gamma = 1 objective overflows at tau={tau:.6g}")
+            return value
         else:
             evaluation = EvaluationSpec(tau, cfg.gamma, cfg.delta)
             sol = fixed_point(dataclasses.replace(self.problem, evaluation=evaluation))
@@ -104,12 +113,12 @@ def tau_objective(cfg: ProblemConfig, scaled: bool) -> TauObjective:
     return TauObjective(cfg, scaled, market, cs, problem)
 
 
-def _golden_max(f, lo: float, hi: float, rel_tol: float = _REL_TOL) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while (b - a) > rel_tol * (abs(a) + abs(b)) * 0.5:
+    while (b - a) > _REL_TOL * (abs(a) + abs(b)) * 0.5:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -157,12 +166,12 @@ def _certify(f, tau_star: float, obj: float) -> None:
             raise NonConvergence("local-max certificate failed at tau*")
 
 
-def _capped_supremum(f, cap: float, points: int = 257) -> tuple[float, float]:
+def _capped_supremum(f, cap: float) -> tuple[float, float]:
     """Grid supremum over (0, cap] used when no sufficient condition applies."""
-    pts = [cap * (k + 1) / points for k in range(points)]
+    pts = [cap * (k + 1) / _CAP_POINTS for k in range(_CAP_POINTS)]
     vals = [f(t) for t in pts]
-    i = max(range(points), key=vals.__getitem__)
-    if 0 < i < points - 1:
+    i = max(range(_CAP_POINTS), key=vals.__getitem__)
+    if 0 < i < _CAP_POINTS - 1:
         return _golden_max(f, pts[i - 1], pts[i + 1])
     return pts[i], vals[i]
 

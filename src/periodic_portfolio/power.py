@@ -15,7 +15,7 @@ Both roots are found by safeguarded Newton iteration whose derivatives are
 further sums over the quadrature nodes that give the values, taken in the
 same (vector-valued) quadrature call. With x = I(y * Z/B) at each node:
 
-* y* solves log F(u) = log budget in u = log y, F(y) = E[(Z/B) x], with
+* y* solves log F(u) = 0 in u = log y, F(y) = E[(Z/B) x], with
   y F'(y) = E[(Z/B) x / (d log h_a'/d log x)] (inverse-function rule);
 * A* solves G(A) = A - exp(-delta*tau) H(A) = 0 with
   H'(a) = E[x^(alpha(1-gamma))] at y*(a) (envelope theorem: Milgrom and
@@ -407,14 +407,13 @@ def _period_sums(
 def _newton_y(
     p: PowerProblem,
     a: float,
-    budget: float,
     u: float,
     warm: dict | None = None,
     stop: tuple[float, float] | None = None,
 ):
-    """Root y* of F(y) = budget by safeguarded Newton in u = log y, from ``u``.
+    """Root y* of the unit budget F(y) = 1 by safeguarded Newton in u = log y, from ``u``.
 
-    Each step solves log F(u) = log budget with the exact slope
+    Each step solves log F(u) = 0 with the exact slope
     d log F / du = y F'(y) / F(y), where
     y F'(y) = E[(Z/B) x / (d log h_a'/d log x)] at x = I(y Z/B) is a second
     sum over the nodes that give F. Evaluated points keep a sign bracket; a
@@ -423,10 +422,12 @@ def _newton_y(
     alpha(1-gamma))), which the slope bound keeps short of the root). Stops
     once a step in u is at most ``tol_root``.
 
-    Returns (y*, H, H', sums): y* = y_k e^s is the last evaluation point y_k
-    moved by the last step s, ``sums`` are the ``_period_sums`` taken at y_k,
-    and H = alpha (E[phi_a(y R)] + budget y) and H' = E[x^(alpha(1-gamma))]
-    are carried from y_k to y* by ``_carry_to``. ``warm`` is passed to every
+    Returns (H, H', y*, -y F'/F, d log y*/dA). y* = y_k e^s is the last
+    evaluation point y_k moved by the last step s. H = alpha (E[phi_a(y R)] +
+    y) and H' = E[x^(alpha(1-gamma))] are carried from y_k to y* by
+    ``_carry_to``. The slope ratio -y F'(y)/F(y) and the tangent
+    d log y*/dA = -(dF/da) / (y F'(y)), which steers the next start, are
+    taken from the ``_period_sums`` at y_k. ``warm`` is passed to every
     ``_period_sums`` call. A y that would overflow or round to 0 raises
     NonFinite.
 
@@ -436,16 +437,13 @@ def _newton_y(
     19(2), 1982). H is stationary in y at y*, so a roughly converged y*
     gives H to the square of its error. After a call whose Newton step s
     stays inside the sign bracket and has |s| <= _INEXACT_STEP_CAP, the
-    Newton returns the carried (y_k e^s, H, H') at once when the residual
+    Newton returns the carried values at once when the residual
     r = disc H - a has |r| > r_min and the cubic term the carried H leaves
     out, about disc |d^2H/du^2| |s|^3, is at most _INEXACT_TAYLOR_SHARE |r|.
     The cap on |s| keeps a long step, where the cubic estimate says little,
     from ending the Newton. Otherwise it runs on to ``tol_root`` as without
     ``stop``.
     """
-    if budget <= 0.0:
-        raise DomainError("budget must be positive")
-    log_budget = math.log(budget)
     # with beta = alpha(1-gamma), d log F / d log y lies in
     # [-1/(1-max(alpha,beta)), -1/(1-min(alpha,beta))]
     safe_scale = 1.0 - max(p.alpha, p.alpha * (1.0 - p.evaluation.gamma))
@@ -456,7 +454,7 @@ def _newton_y(
         sums = _period_sums(p, law, a, y, warm)
         if not sums[0] > 0.0:
             raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
-        g = math.log(sums[0]) - log_budget
+        g = math.log(sums[0])
         if g > 0.0:
             lo = u
         elif g < 0.0:
@@ -471,33 +469,34 @@ def _newton_y(
             else:  # a step this short cannot pass the root
                 u_next = u + g * safe_scale
         s = u_next - u
-        if abs(s) <= p.tol_root:
-            h_val, h_slope, _ = _carry_to(p, budget, y, sums, s)
-            return _exp_log_y(u_next), h_val, h_slope, sums
-        if stop is not None and newton and abs(s) <= _INEXACT_STEP_CAP:
-            h_val, h_slope, h_uu = _carry_to(p, budget, y, sums, s)
-            disc, r_min = stop
-            residual = abs(disc * h_val - a)
-            if residual > r_min and disc * abs(h_uu) * abs(s) ** 3 <= _INEXACT_TAYLOR_SHARE * residual:
-                return _exp_log_y(u_next), h_val, h_slope, sums
+        done = abs(s) <= p.tol_root
+        if done or (stop is not None and newton and abs(s) <= _INEXACT_STEP_CAP):
+            h_val, h_slope, h_uu = _carry_to(p, y, sums, s)
+            if not done:
+                disc, r_min = stop
+                residual = abs(disc * h_val - a)
+                done = residual > r_min and disc * abs(h_uu) * abs(s) ** 3 <= _INEXACT_TAYLOR_SHARE * residual
+            if done:
+                scale, dlog_y = -sums[1] / sums[0], -sums[4] / sums[1]
+                return h_val, h_slope, _exp_log_y(u_next), float(scale), float(dlog_y)
         u = u_next
     raise NonConvergence("y* Newton iteration hit its cap")
 
 
-def _carry_to(p: PowerProblem, budget: float, y: float, sums: np.ndarray, s: float):
+def _carry_to(p: PowerProblem, y: float, sums: np.ndarray, s: float):
     """(H, H', d^2H/du^2) at y e^s from the ``_period_sums`` at y, u = log y.
 
     With F = sums[0], y F' = sums[1] and dF/da = sums[4], H = alpha
-    (E[phi_a(y R)] + budget y) has dH/du = alpha y (budget - F) and
-    d^2H/du^2 = alpha y (budget - F - y F'), and H' = E[x^(alpha(1-gamma))]
+    (E[phi_a(y R)] + y) has dH/du = alpha y (1 - F) and
+    d^2H/du^2 = alpha y (1 - F - y F'), and H' = E[x^(alpha(1-gamma))]
     has dH'/du = -alpha y dF/da (the mixed partial of H). H is carried to
     second order in s, with an O(s^3) error, and H' to first order, with an
     O(s^2) error.
     """
     alpha_y = p.alpha * y
-    gap = budget - sums[0]
+    gap = 1.0 - sums[0]
     h_uu = alpha_y * (gap - sums[1])
-    h_val = p.alpha * (sums[2] + budget * y) + (alpha_y * gap + 0.5 * h_uu * s) * s
+    h_val = p.alpha * (sums[2] + y) + (alpha_y * gap + 0.5 * h_uu * s) * s
     return float(h_val), float(sums[3] - alpha_y * sums[4] * s), float(h_uu)
 
 
@@ -506,27 +505,6 @@ def _exp_log_y(u: float) -> float:
     if u > _LOG_HUGE or u < _LOG_TINY:
         raise NonFinite(f"y* Newton left the float64 range at log y = {u:.6g}")
     return math.exp(u)
-
-
-def _value_and_y(
-    p: PowerProblem,
-    a: float,
-    u: float = 0.0,
-    warm: dict | None = None,
-    stop: tuple[float, float] | None = None,
-):
-    """H(a), H'(a), y*(a), -d log F / d log y and d log y*/dA, y* Newton from log y = ``u``.
-
-    H and H' are carried to y* from the last y* Newton evaluation y_k by
-    their Taylor terms in the last step (``_carry_to``); the other two come
-    from y_k. A y* Newton that runs to ``tol_root`` leaves a step whose
-    square is far below H's rounding, and ``stop`` (see ``_newton_y``) lets an
-    evaluation that cannot be accepted end after a longer step.
-    d log y*/dA = -(dF/da) / (y F'(y)) steers the next start. ``warm``
-    carries the quadrature nodes' solutions (see ``_period_sums``).
-    """
-    y_star, h_val, h_slope, sums = _newton_y(p, a, 1.0, u, warm, stop)
-    return h_val, h_slope, y_star, float(-sums[1] / sums[0]), float(-sums[4] / sums[1])
 
 
 def _log_y_start(p: PowerProblem, a: float) -> float:
@@ -548,7 +526,7 @@ def contraction_map(p: PowerProblem, a: float) -> float:
 
     H(a) = alpha * (V_dual(y*) + y*) is the one-period optimum under h_a.
     """
-    return math.exp(-p.evaluation.delta * p.evaluation.tau) * _value_and_y(p, a)[0]
+    return math.exp(-p.evaluation.delta * p.evaluation.tau) * _newton_y(p, a, 0.0)[0]
 
 
 def contraction_modulus(p: PowerProblem) -> float:
@@ -566,6 +544,7 @@ def fixed_point_bounds(p: PowerProblem) -> tuple[float, float]:
     matching discount factor; the roles of the two expressions swap between
     alpha in (0,1) and alpha < 0. A side whose denominator is not positive is
     reported as NaN (unreachable when the well-posedness margin is positive).
+    A side whose exponential overflows float64 raises NonFinite.
     """
     r, tau, delta = p.market.r, p.evaluation.tau, p.evaluation.delta
     alpha, gamma = p.alpha, p.evaluation.gamma
@@ -576,7 +555,10 @@ def fixed_point_bounds(p: PowerProblem) -> tuple[float, float]:
     def term(growth, decay):
         if decay <= 0.0:
             return float("nan")
-        return math.exp((growth - delta) * tau) / (-math.expm1(-decay * tau))
+        try:
+            return math.exp((growth - delta) * tau) / (-math.expm1(-decay * tau))
+        except OverflowError:
+            raise NonFinite(f"a-priori bound on A* overflows at tau={tau:.6g}") from None
 
     term_bond = term(r * alpha, delta - r * alpha * (1.0 - gamma))
     term_opt = term(za, delta - z2)
@@ -585,7 +567,7 @@ def fixed_point_bounds(p: PowerProblem) -> tuple[float, float]:
     return term_opt, term_bond
 
 
-def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
+def fixed_point(p: PowerProblem) -> PowerSolution:
     """Solve A = Psi(A) by safeguarded Newton on G(A) = A - Psi(A).
 
     Each evaluation of Psi also returns Psi'(A) = exp(-delta*tau) * H'(A) with
@@ -619,9 +601,11 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     and A* large (tau = 1e-3: 1-q ~ 1e-3, one ulp of A* ~ 1e-13), and for
     A* above ~1e5 one ulp of A* alone exceeds an absolute tol of 1e-10. A is
     then accepted if |Psi(A) - A| <= tol + 4 ulp(A), and NonConvergence is
-    raised otherwise. Returns A* = Psi(A), which is within q * |A - A*| of
-    the fixed point, with the y* of that last evaluation (y* moves with A by
-    dy*/dA times |Psi(A) - A|, below the tolerances); ``iterations`` counts
+    raised otherwise. Returns A* = Psi(A) as evaluated, exp(-delta*tau) H(A)
+    (A plus the residual would round to 0 when Psi(A) < ulp(A)), which is
+    within q * |A - A*| of the fixed point, with the y* of that last
+    evaluation (y* moves with A by dy*/dA times |Psi(A) - A|, below the
+    tolerances); ``iterations`` counts
     evaluations of Psi and ``error_bound`` is |Psi(A) - A| / (1-q), a bound on
     the error of both A and Psi(A). A tau so small that q rounds to 1 raises
     ParameterOutOfRange.
@@ -630,26 +614,23 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
     if q_mod >= 1.0:
         raise ParameterOutOfRange("tau is too small to evaluate stably: 1 - q rounds to 0")
     lower, upper = fixed_point_bounds(p)
-    if start is None:
-        start = lower if p.alpha > 0 else upper
-        if not np.isfinite(start):
-            start = 1.0
-    if start < 0:
-        raise DomainError("fixed-point start must be nonnegative")
+    a = lower if p.alpha > 0 else upper
+    if not np.isfinite(a):
+        a = 1.0
 
     tol = p.tol_fixed_point
     disc = math.exp(-p.evaluation.delta * p.evaluation.tau)
     lo = lower - (tol + DEFAULT_REL_TOL * abs(lower)) if np.isfinite(lower) else 0.0
     hi = upper + (tol + DEFAULT_REL_TOL * abs(upper)) if np.isfinite(upper) else math.inf
-    a = float(start)
     u = _log_y_start(p, a)
     warm = {}
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):
         allowed = tol + _FLOOR_ULPS * math.ulp(a)  # the largest residual either test accepts
         stop = (disc, _INEXACT_MARGIN * allowed)
-        h_val, h_slope, y_star, scale, dlog_y = _value_and_y(p, a, u, warm, stop)
-        residual = disc * h_val - a
+        h_val, h_slope, y_star, scale, dlog_y = _newton_y(p, a, u, warm, stop)
+        psi = disc * h_val
+        residual = psi - a
         error_bound = abs(residual) / (1.0 - q_mod)
         if error_bound <= tol:
             break
@@ -673,7 +654,7 @@ def fixed_point(p: PowerProblem, start: float | None = None) -> PowerSolution:
         raise NonConvergence("fixed-point iteration hit its cap")
 
     return PowerSolution(
-        a_star=a + residual,  # Psi(a): q times closer to A* than a
+        a_star=psi,  # q times closer to A* than a
         y_star=y_star,
         contraction_modulus=q_mod,
         lower_bound=lower,

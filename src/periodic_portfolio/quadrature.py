@@ -205,22 +205,20 @@ def expect_deflator_adaptive(
     below rel_tol * (1 + |result|); for a stacked integrand every component
     must pass, and ``rel_tol`` may give one tolerance per component. The
     first test evaluates orders n and 2n in one call of ``f`` on the paired
-    rule, so ``f`` must act elementwise on its nodes; later doublings, and a
-    first test with 2n > ``MAX_ORDER``, evaluate one order per call. For a
+    rule, so ``f`` must act elementwise on its nodes, and 2n must not pass
+    ``MAX_ORDER`` (``check_solver_settings`` caps every configured order at
+    ``MAX_ORDER // 2``); later doublings evaluate one order per call. For a
     given ``order``, each rule the cascade can use has its own node count.
     ``log_nodes`` is passed on to ``expect_deflator``. Raises
     QuadratureError if the doubling cascade reaches ``MAX_ORDER``, the
     largest order of every expectation, without stabilizing.
     """
-    if 2 * order > MAX_ORDER:
-        coarse = expect_deflator(f, law, make_rule(order), log_nodes)
-    else:
-        pair = expect_deflator(f, law, _paired_rule(order), log_nodes)
-        coarse, fine = pair[..., 0], pair[..., 1]
-        order *= 2
-        if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
-            return float(fine) if fine.ndim == 0 else fine
-        coarse = fine
+    pair = expect_deflator(f, law, _paired_rule(order), log_nodes)
+    coarse, fine = pair[..., 0], pair[..., 1]
+    order *= 2
+    if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
+        return float(fine) if fine.ndim == 0 else fine
+    coarse = fine
     while 2 * order <= MAX_ORDER:
         order *= 2
         fine = expect_deflator(f, law, make_rule(order), log_nodes)

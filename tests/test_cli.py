@@ -73,7 +73,7 @@ def test_largest_quad_order_solves(tmp_path, capsys):
 
 
 def test_solver_failure_exit_nonconvergence(tmp_path, monkeypatch, capsys):
-    def fail(problem, start=None):
+    def fail(problem):
         raise NonConvergence("forced")
 
     monkeypatch.setattr("periodic_portfolio.report.fixed_point", fail)
@@ -581,6 +581,32 @@ def test_extreme_simulation_values_exit_assumption(tmp_path, capsys, name, key, 
     code, out, err = run_cli(capsys, ["simulate", "--config", path, *flags])
     assert_typed_failure(code, out, err)
     assert code == cli.EXIT_ASSUMPTION
+
+
+# Well-posed configurations whose closed forms leave float64 exit 4, not with a traceback.
+def test_overflowing_a_priori_bound_exits_nonconvergence(tmp_path, capsys):
+    # delta = 0.02 > zeta(0.1) = 0.0128 keeps table2 well-posed, but at tau = 20000
+    # the a-priori bounds of A* overflow
+    path = write_config(tmp_path, "table2_power", delta=0.02, tau=20000.0)
+    for argv in (["solve", "--config", path], ["simulate", "--config", path, "--paths", "200"]):
+        code, out, err = run_cli(capsys, argv)
+        assert_typed_failure(code, out, err)
+        assert code == cli.EXIT_NONCONVERGENCE, (argv[0], err)
+        assert "overflows" in err
+
+
+@pytest.mark.parametrize("cap", ["41000", "100000"])
+@pytest.mark.parametrize("objective", ["scaled", "value"])
+def test_overflowing_gamma_one_objective_exits_nonconvergence(tmp_path, capsys, objective, cap):
+    # with gamma = 1, A*(tau) = exp((zeta(alpha) - delta) tau) / (1 - exp(-delta tau)),
+    # and zeta(alpha) > delta = 0.05, so the capped grid reaches a tau where it overflows:
+    # with a cap of 41000 the exponential stays finite and only its product with tau overflows
+    path = write_config(tmp_path, "table2_power", gamma=1.0, delta=0.05)
+    argv = ["opt-tau", "--config", path, "--objective", objective, "--tau-cap", cap]
+    code, out, err = run_cli(capsys, argv)
+    assert_typed_failure(code, out, err)
+    assert code == cli.EXIT_NONCONVERGENCE, err
+    assert "overflows" in err
 
 
 # One parser serves every `cli.main` call of a process.

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -37,6 +38,65 @@ def test_root_exports_exactly_all():
     # the CLI's objects and the paper's: a name joins or leaves the root on purpose
     assert len(ROOT_NAMES) == 34
     assert set(exported) == ROOT_NAMES
+
+
+# The parameter names of every root callable (a class's are its fields). A
+# parameter that every caller sets to one value is a constant instead, so
+# one joins or leaves a signature only on purpose.
+SIGNATURES = {
+    "budget_function": ("p", "a", "y"),
+    "check_assumption": ("m", "e", "alpha", "xi_tilde_norm_sq"),
+    "compare": ("estimate", "analytic"),
+    "constrained_sharpe": ("m",),
+    "ConstrainedSharpe": ("xi", "sigma_inv", "pi_tilde_star", "xi_tilde", "kkt_gradient", "objective"),
+    "constraint_cost": ("m", "e", "cs"),
+    "contraction_map": ("p", "a"),
+    "DeflatorLaw": ("s", "drift"),
+    "estimate_log_objective": ("s", "m", "e", "x0", "cfg"),
+    "estimate_power_objective": ("sol", "p", "x0", "cfg"),
+    "EvaluationSpec": ("tau", "gamma", "delta"),
+    "fixed_point": ("p",),
+    "format_problem_config": ("cfg",),
+    "intra_period_profile": ("p", "sol", "t", "z"),
+    "LogSolution": (
+        "a_star", "c_star", "xi_tilde_norm_sq", "feedback_fractions", "a_unconstrained",
+        "unconstrained_fractions", "constraint_cost",
+    ),
+    "marginal_inverse": ("a", "alpha", "gamma", "y", "tol"),
+    "MarketModel": ("mu", "sigma", "r"),
+    "moderated_utility": ("a", "alpha", "gamma", "x"),
+    "ObjectiveEstimate": ("mean", "std_error", "n_effective", "truncation_bound"),
+    "optimal_tau": ("objective", "cap"),
+    "parse_problem_config": ("text",),
+    "PowerProblem": ("market", "evaluation", "alpha", "cs", "tol_root", "tol_fixed_point", "quad_order"),
+    "PowerSolution": (
+        "a_star", "y_star", "contraction_modulus", "lower_bound", "upper_bound", "iterations",
+        "error_bound", "fraction_scale", "psi_slope",
+    ),
+    "ProblemConfig": (
+        "utility", "mu", "sigma", "r", "tau", "gamma", "delta", "x0", "alpha", "tol_root",
+        "tol_fixed_point", "quad_order", "n_paths", "n_periods", "seed", "antithetic",
+    ),
+    "SimulationConfig": ("n_paths", "n_periods", "seed", "antithetic"),
+    "solve": ("cfg",),
+    "solve_cone": ("xi", "sigma_inv"),
+    "solve_log": ("m", "e", "cs"),
+    "tau_objective": ("cfg", "scaled"),
+    "TauSearchResult": ("condition_holds", "condition_detail", "tau_star", "objective_at_star", "objective_kind"),
+    "value_function": ("sol", "x", "alpha", "gamma"),
+    "value_log": ("s", "x"),
+    "verify_kkt": ("c",),
+    "zeta": ("x", "r", "xi_tilde_norm_sq"),
+}  # fmt: skip
+
+
+def test_root_signatures_are_pinned():
+    assert set(SIGNATURES) == ROOT_NAMES
+    signatures = {
+        name: tuple(inspect.signature(getattr(periodic_portfolio, name)).parameters)
+        for name in periodic_portfolio.__all__
+    }
+    assert signatures == SIGNATURES
 
 
 def package_imports(path: Path):

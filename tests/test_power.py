@@ -344,9 +344,9 @@ def test_budget_crosses_one_once(power_problem):
 # --- y* ---------------------------------------------------------------------
 
 
-def newton_y_star(p, a, budget=1.0, hint=1.0):
-    """Root of F(y) = budget by the y* Newton, started from y = ``hint``."""
-    return power._newton_y(p, a, budget, math.log(hint))[0]
+def newton_y_star(p, a, hint=1.0):
+    """Root of F(y) = 1 by the y* Newton, started from y = ``hint``."""
+    return power._newton_y(p, a, math.log(hint))[2]
 
 
 def test_y_star_gamma1_closed_form(power_problem_g1):
@@ -366,19 +366,13 @@ def test_y_star_a_zero_equals_moment_formula(power_problem):
     )
 
 
-def test_y_star_doubled_budget_is_smaller(power_problem):
-    y1 = newton_y_star(power_problem, 1.0, budget=1.0)
-    y2 = newton_y_star(power_problem, 1.0, budget=2.0)
-    assert y2 < y1
-
-
 # --- H, Psi and the fixed point ----------------------------------------------
 
 
 def test_moderated_value_gamma1_affine(power_problem_g1):
     base = math.exp(zeta(TABLE_ALPHA, TABLE_R, Q_TILDE) * TABLE_TAU)
     for a in (0.0, 1.0, 3.0):
-        assert power._value_and_y(power_problem_g1, a)[0] == pytest.approx(a + base, rel=1e-9)
+        assert power._newton_y(power_problem_g1, a, 0.0)[0] == pytest.approx(a + base, rel=1e-9)
 
 
 def test_contraction_map_increasing_both_signs(table_market, table_cone):
@@ -441,8 +435,8 @@ def test_envelope_derivatives_match_central_differences(table_market, table_cone
     e = EvaluationSpec(tau=TABLE_TAU, gamma=0.8, delta=TABLE_DELTA)
     p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
     a, h = 2.5, 1e-4
-    _, h_slope, y, _, _ = power._value_and_y(p, a)
-    central = (power._value_and_y(p, a * (1 + h))[0] - power._value_and_y(p, a * (1 - h))[0]) / (2 * a * h)
+    _, h_slope, y, _, _ = power._newton_y(p, a, 0.0)
+    central = (power._newton_y(p, a * (1 + h), 0.0)[0] - power._newton_y(p, a * (1 - h), 0.0)[0]) / (2 * a * h)
     assert h_slope == pytest.approx(central, rel=1e-7)
     for y_at in (y, 0.5 * y, 3.0 * y):
         f_slope = power._period_sums(p, p.law, a, y_at)[1] / y_at  # sums[1] = y F'(y)
@@ -559,9 +553,9 @@ def test_fixed_point_newton_on_random_markets(monkeypatch, n, alpha):
     steps = []  # the log-y step over which each evaluation carries H to y*
     carry = power._carry_to
 
-    def recorded(p, budget, y, sums, s):
+    def recorded(p, y, sums, s):
         steps.append(s)
-        return carry(p, budget, y, sums, s)
+        return carry(p, y, sums, s)
 
     monkeypatch.setattr(power, "_carry_to", recorded)
     for k in range(6):
@@ -584,6 +578,22 @@ def test_fixed_point_newton_on_random_markets(monkeypatch, n, alpha):
                 assert sol.error_bound <= max(tol, floor / (1 - q)), (k, tau)
 
 
+@pytest.mark.parametrize("n,seed", [(10, 10000), (10, 10001), (30, 30000)])
+def test_a_star_far_below_the_start_stays_positive(n, seed):
+    # the first evaluation is accepted with Psi(A) many orders of magnitude below
+    # ulp(A), where A + (Psi(A) - A) would round to 0
+    m = random_market(np.random.default_rng(seed), n)
+    cs = constrained_sharpe(m)
+    delta = max(zeta(-1.0 * 0.2, m.r, cs.objective), 0.0) + 0.3
+    e = EvaluationSpec(tau=100.0, gamma=0.8, delta=delta)
+    p = PowerProblem(market=m, evaluation=e, alpha=-1.0, cs=cs)
+    sol = fixed_point(p)
+    assert sol.iterations == 1
+    assert 0.0 < sol.a_star < 1e-30
+    assert sol.a_star < math.ulp(sol.upper_bound)
+    assert value_function(sol, 0.5, -1.0, 0.8) < 0.0
+
+
 @pytest.mark.parametrize("alpha", [0.5, -1.0])
 def test_carried_h_and_slope_have_the_taylor_orders(table_market, table_cone, alpha):
     # from the sums at y, H carried to y e^s errs by O(s^3) and H' by O(s^2);
@@ -595,7 +605,7 @@ def test_carried_h_and_slope_have_the_taylor_orders(table_market, table_cone, al
     sums = power._period_sums(p, p.law, a, y)
 
     def errors(s):
-        h, h_slope, _ = power._carry_to(p, 1.0, y, sums, s)
+        h, h_slope, _ = power._carry_to(p, y, sums, s)
         exact = power._period_sums(p, p.law, a, y * math.exp(s))
         return abs(h - alpha * (exact[2] + y * math.exp(s))), abs(h_slope - exact[3])
 
@@ -818,7 +828,7 @@ def test_solve_fractions_equal_profile_at_period_start(market_name, alpha):
 
 def test_one_period_policy_attains_h(power_problem, power_solution):
     mean, std_error = h_expectation(power_problem, power_solution, 2, 20_000)
-    analytic = power._value_and_y(power_problem, power_solution.a_star)[0]
+    analytic = power._newton_y(power_problem, power_solution.a_star, 0.0)[0]
     assert abs(mean - analytic) <= 3 * std_error
 
 

@@ -196,8 +196,8 @@ def test_fused_adaptive_matches_reference_cascade(monkeypatch, case):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"rel_tol": 1e-12}, {"order": 64, "max_order": 64}, {"order": 256, "max_order": 300}],
-    ids=["never-stable", "order-is-max-order", "no-room-to-double"],
+    [{"rel_tol": 1e-12}, {"order": 64, "max_order": 128}, {"order": 128, "max_order": 300}],
+    ids=["never-stable", "pair-reaches-max-order", "no-room-to-double"],
 )
 def test_fused_adaptive_raises_where_the_cascade_does(monkeypatch, kwargs):
     threshold = math.exp(TABLE_LAW.drift + 0.37 * TABLE_LAW.s)
