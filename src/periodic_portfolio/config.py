@@ -17,7 +17,8 @@ Text grammar:
   (strictly increasing) and ``outputs`` (sweep column names; see ``report``).
 * Vector values (``mu``, ``sigma``, ``grid``) are whitespace- or
   comma-separated; ``sigma`` is row-major. ``grid`` also accepts the range
-  shorthand ``start:stop:step``.
+  shorthand ``start:stop:step``: finite numbers, a positive step, and at
+  most 10**5 points.
 * A file whose first non-blank character is ``{`` is parsed as JSON with the
   same keys (``solver``/``mc``/``sweep`` as nested objects). JSON values go
   through the same grammar as text: each is written as the text of its key
@@ -29,7 +30,7 @@ Text grammar:
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,9 @@ import numpy as np
 from .errors import ConfigError
 from .market import EvaluationSpec, MarketModel
 from .quadrature import check_solver_settings
+
+# points a ``start:stop:step`` range may expand to; the check runs before any is built
+_RANGE_POINTS_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -202,9 +206,14 @@ def _parse_vector(raw: str, key: str) -> tuple[float, ...]:
         start = _parse_float(start_s, key)
         stop = _parse_float(stop_s, key)
         step = _parse_float(step_s, key)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"{key}: range start, stop and step must be finite")
         if step <= 0:
             raise ConfigError(f"{key}: range step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        steps = (stop - start) / step  # inf where the quotient overflows
+        if not math.isfinite(steps) or round(steps) >= _RANGE_POINTS_CAP:
+            raise ConfigError(f"{key}: a range may hold at most {_RANGE_POINTS_CAP} points")
+        count = round(steps) + 1
         values = tuple(start + k * step for k in range(count) if start + k * step <= stop + 0.5 * step)
         return values
     try:
@@ -225,6 +234,8 @@ def _read_sections(text: str, kind: str, nested: tuple[str, ...]) -> dict[str, d
     """The sections of a text file, or of a JSON object whose ``nested`` keys hold objects."""
     if not text.lstrip().startswith("{"):
         return _split_sections(text)
+    import json  # only a JSON file pays for the parser
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

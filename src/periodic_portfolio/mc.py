@@ -23,11 +23,12 @@ in the calling thread and no thread is started. Each block writes only its
 own rows of the per-path values, and every row is computed the same way
 whatever the block's row count, so every estimate is bit-identical for any
 worker count and any block size. ``ndtri`` is the only scipy function the
-package uses; it is imported on the first draw, in the calling thread, so
-importing the package and running the other subcommands leave scipy
-unloaded. A pass holds O(workers * block + n_paths) floats. With antithetic
-sampling a block of the n_paths/2 rows is evaluated at G and at -G, as paths
-i and n_paths/2 + i.
+package uses. It, numpy's ``Generator`` and ``Philox``, and the pool's
+``concurrent.futures`` are imported on the first draw, in the calling thread,
+so importing the package and running the other subcommands load none of
+scipy, ``numpy.random`` and ``concurrent.futures``. A pass holds O(workers *
+block + n_paths) floats. With antithetic sampling a block of the n_paths/2
+rows is evaluated at G and at -G, as paths i and n_paths/2 + i.
 Within a block the work runs in log space: the log objective is affine in
 the log growth, and the power objective sums exp(alpha u_i + beta S_{i-1} -
 i delta tau) with u = log I(y* R) from the log-space Newton kernel of
@@ -40,18 +41,21 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import DomainError, NonConvergence, ParameterOutOfRange
 from .logutil import LogSolution
 from .market import EvaluationSpec, MarketModel
 from .power import PowerProblem, PowerSolution, _log_marginal_inverse
 from .quadrature import DeflatorLaw
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 TAIL_EPS = 1e-8
 # ``compare`` accepts an estimate within K_SIGMA standard errors (plus the truncation bound)
@@ -98,15 +102,25 @@ class ObjectiveEstimate:
 
 
 @cache
-def _inverse_normal_cdf():
-    """scipy's ``ndtri``, imported on the first draw: only the Monte Carlo needs scipy.
+def _draw_imports() -> SimpleNamespace:
+    """What the Monte Carlo needs beyond numpy's core, imported on the first draw.
 
+    Only the Monte Carlo uses scipy's ``ndtri``, numpy's Philox generator and
+    the thread pool, so no other subcommand pays for their imports.
     ``_per_path`` calls this in the calling thread before any block goes to
-    the pool, so no pool worker is the first to import scipy.
+    the pool, so no pool worker is the first to import them.
     """
+    from concurrent.futures import ThreadPoolExecutor, wait
+    from numpy.random import Generator, Philox
     from scipy.special import ndtri
 
-    return ndtri
+    return SimpleNamespace(
+        Generator=Generator,
+        Philox=Philox,
+        ndtri=ndtri,
+        ThreadPoolExecutor=ThreadPoolExecutor,
+        wait=wait,
+    )
 
 
 def _normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
@@ -117,13 +131,14 @@ def _normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
     k = start * n_periods, is reached by starting at counter k // 4 and
     discarding k % 4 doubles: any block is drawn on its own, bit for bit.
     """
+    lib = _draw_imports()
     k = start * n_periods
-    gen = Generator(Philox(key=seed, counter=k // 4))
+    gen = lib.Generator(lib.Philox(key=seed, counter=k // 4))
     if k % 4:
         gen.random(k % 4)
     u = gen.random((rows, n_periods))
     np.maximum(u, _MIN_UNIFORM, out=u)  # keep the inverse CDF finite at u == 0
-    return _inverse_normal_cdf()(u, out=u)
+    return lib.ndtri(u, out=u)
 
 
 def _executor(workers: int) -> ThreadPoolExecutor:
@@ -131,7 +146,7 @@ def _executor(workers: int) -> ThreadPoolExecutor:
     if _pool is None or _pool[0] != workers:
         if _pool is not None:
             _pool[1].shutdown()
-        _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="mc-block"))
+        _pool = (workers, _draw_imports().ThreadPoolExecutor(workers, thread_name_prefix="mc-block"))
     return _pool[1]
 
 
@@ -163,7 +178,7 @@ def _run_blocks(run_block, starts: range) -> None:
         except BaseException:
             for later in futures[i + 1 :]:
                 later.cancel()
-            wait(futures)
+            _draw_imports().wait(futures)
             raise
 
 
@@ -172,7 +187,7 @@ def _per_path(cfg: SimulationConfig, n_periods: int, path_values) -> np.ndarray:
     per_path = np.empty(cfg.n_paths)
     rows = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     step = max(1, _CHUNK_ELEMENTS // n_periods)
-    _inverse_normal_cdf()  # import scipy here, never first in a pool worker
+    _draw_imports()  # import here, never first in a pool worker
 
     def run_block(start: int) -> None:
         g = _normals(cfg.seed, start, min(step, rows - start), n_periods)

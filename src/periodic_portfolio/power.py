@@ -214,7 +214,8 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
     strictly decreasing with g' <= max(alpha-1, alpha(1-gamma)-1) < 0, so a
     step from any finite start is finite and lands at or below the root,
     from where the iterates rise to it monotonically. Returns a new array (or
-    ``start``) and leaves ``log_y`` unchanged.
+    ``start``) and leaves ``log_y`` unchanged; an empty ``log_y`` gives an
+    empty float array.
     """
     p1 = alpha - 1.0
     c = a * (1.0 - gamma)
@@ -239,7 +240,7 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
         e += p1  # g'(u)
         g /= e  # Newton step
         u -= g
-        if np.abs(g, out=g).max() <= tol:
+        if np.abs(g, out=g).max(initial=0.0) <= tol:  # an empty log_y converges at once
             return u
     raise NonConvergence("marginal inverse Newton iteration hit its cap")
 
@@ -276,8 +277,6 @@ def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10
     an empty float array of the same shape.
     """
     y_arr = np.asarray(y, dtype=float)
-    if y_arr.size == 0:
-        return np.empty_like(y_arr)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):

@@ -344,6 +344,30 @@ def test_malformed_json_exit_config(tmp_path, capsys, part, key, value):
     assert not out.exists()
 
 
+def test_malformed_json_config_exit_config(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"utility": "log", "mu": [0.1, 0.15],\n')
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: bad JSON config: ")
+
+
+# A range shorthand that is not finite, or that would expand past the point
+# cap, exits 2 before any grid point is built.
+@pytest.mark.parametrize("grid", ["0.1:1e308:1e-300", "0:nan:1", "0:100000:1"])
+def test_unbounded_range_shorthand_exit_config(tmp_path, capsys, grid):
+    spec = tmp_path / "spec.sweep"
+    spec.write_text(f"[sweep]\nparameter = tau\ngrid = {grid}\noutputs = a_star\n")
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--config", str(CONFIGS / "table2_power.cfg"), "--sweep", str(spec), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: grid: ")
+    assert not out.exists()
+
+
 # `opt-tau` on table1 (log, gamma = 0.8): both propositions hold. The
 # --curve-out CSVs are in tests/golden/.
 OPT_TAU_TABLE1_GOLDEN = {

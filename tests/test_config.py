@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_portfolio import ProblemConfig, format_problem_config, parse_problem_config
+from periodic_portfolio.config import _RANGE_POINTS_CAP, parse_sweep_spec
 from periodic_portfolio.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -123,3 +124,37 @@ def test_json_values_go_through_the_text_grammar(key, value, message):
     payload = {**SHIPPED_JSON["table1_log"], key: value}
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         parse_problem_config(json.dumps(payload))
+
+
+def sweep_text(grid: str) -> str:
+    return f"[sweep]\nparameter = tau\ngrid = {grid}\noutputs = a_star\n"
+
+
+def test_range_shorthand_expands_inclusively():
+    assert parse_sweep_spec(sweep_text("0.5:1.5:0.5")).grid == (0.5, 1.0, 1.5)
+    grid = parse_sweep_spec(sweep_text(f"1:{_RANGE_POINTS_CAP}:1")).grid
+    assert len(grid) == _RANGE_POINTS_CAP and grid[-1] == _RANGE_POINTS_CAP
+
+
+OVER_CAP = f"at most {_RANGE_POINTS_CAP} points"
+
+
+# Each range is rejected before any of its points is built.
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        pytest.param("0.1:1e308:1e-300", OVER_CAP, id="quotient-overflows"),
+        pytest.param("-1e308:1e308:1", OVER_CAP, id="difference-overflows"),
+        pytest.param(f"0:{_RANGE_POINTS_CAP}:1", OVER_CAP, id="one-point-over-the-cap"),
+        pytest.param("0:nan:1", "must be finite", id="nan-stop"),
+        pytest.param("nan:1:1", "must be finite", id="nan-start"),
+        pytest.param("0:1:nan", "must be finite", id="nan-step"),
+        pytest.param("-inf:1:1", "must be finite", id="infinite-start"),
+        pytest.param("0:inf:1", "must be finite", id="infinite-stop"),
+        pytest.param("0:1:inf", "must be finite", id="infinite-step"),
+        pytest.param("0:1:0", "step must be positive", id="zero-step"),
+    ],
+)
+def test_range_shorthand_out_of_bounds_is_a_config_error(grid, message):
+    with pytest.raises(ConfigError, match=f"^grid: .*{message}"):
+        parse_sweep_spec(sweep_text(grid))

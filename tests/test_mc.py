@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -405,10 +406,10 @@ def test_one_worker_or_one_block_starts_no_thread(monkeypatch, estimate_kind):
 
 
 def test_ndtri_loads_in_the_calling_thread(monkeypatch, estimate_kind):
-    # the first lookup of scipy's ndtri must not happen inside a pool worker
+    # the first lookup of ndtri, Philox and the pool's module must not happen inside a pool worker
     monkeypatch.setattr(mc, "_WORKERS", 3)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
-    lookup = mc._inverse_normal_cdf
+    lookup = mc._draw_imports
     lookup.cache_clear()
     first_lookups = []
 
@@ -417,10 +418,12 @@ def test_ndtri_loads_in_the_calling_thread(monkeypatch, estimate_kind):
             first_lookups.append(threading.current_thread())
         return lookup()
 
-    monkeypatch.setattr(mc, "_inverse_normal_cdf", record)
+    monkeypatch.setattr(mc, "_draw_imports", record)
     estimate_kind("log", SimulationConfig(n_paths=202, n_periods=30, seed=5))
     assert first_lookups == [threading.main_thread()]
-    assert lookup() is ndtri
+    lib = lookup()
+    assert (lib.Generator, lib.Philox, lib.ndtri) == (Generator, Philox, ndtri)
+    assert (lib.ThreadPoolExecutor, lib.wait) == (ThreadPoolExecutor, wait)
 
 
 def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch):

@@ -129,6 +129,14 @@ def test_marginal_inverse_of_an_empty_array_is_empty(y):
     assert isinstance(x, np.ndarray) and x.shape == np.shape(y) and x.dtype == np.float64
 
 
+@pytest.mark.parametrize("a", [3.17, 0.0], ids=["newton", "closed-form"])
+@pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=["1d", "2d"])
+def test_log_marginal_inverse_of_an_empty_array_is_empty(a, shape):
+    # a = 0 takes the c == 0 branch, u = log y / (alpha - 1); any other a runs the Newton loop
+    u = power._log_marginal_inverse(a, 0.5, 0.8, np.empty(shape), 1e-10)
+    assert isinstance(u, np.ndarray) and u.shape == shape and u.dtype == np.float64
+
+
 KERNEL_CASES = dict(
     a=st.floats(1e-6, 1e6),
     gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
