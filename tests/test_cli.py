@@ -671,3 +671,42 @@ def test_a_rejected_argv_writes_usage_to_the_current_stderr(capsys):
     assert "the following arguments are required: --config" in captured.err
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == first
+
+
+# A sweep raises the error of its first failing grid point in grid order,
+# whichever stage fails: building the point (tau or x0 = inf), solving its
+# fixed point (tau = 1e-300 and 1e300 fail before any quadrature; at
+# tau = 1e4 the first quadrature call rejects y Z/B) or forming its report
+# (x0 = -1). The power points are solved as one batch, in which tau = 1e300
+# fails before tau = 1e4.
+SWEEP_ERRORS = {
+    ("tau", "1e-300 1 inf"): (
+        cli.EXIT_ASSUMPTION,
+        "parameter/assumption error: at grid point tau=1e-300: "
+        "tau is too small to evaluate stably: 1 - q rounds to 0\n",
+    ),
+    ("tau", "1 1e300 inf"): (
+        cli.EXIT_NONCONVERGENCE,
+        "solver error: at grid point tau=1e+300: y* Newton left the float64 range at log y = 6e+298\n",
+    ),
+    ("tau", "1 1e4 1e300"): (
+        cli.EXIT_ASSUMPTION,
+        "parameter/assumption error: at grid point tau=10000: marginal inverse requires finite y > 0\n",
+    ),
+    ("x0", "-1 1 inf"): (
+        cli.EXIT_ASSUMPTION,
+        "parameter/assumption error: at grid point x0=-1: value function requires x > 0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("parameter,grid", sorted(SWEEP_ERRORS))
+def test_sweep_raises_the_first_failing_point_in_grid_order(tmp_path, capsys, parameter, grid):
+    spec = tmp_path / "spec.sweep"
+    spec.write_text(f"[sweep]\nparameter = {parameter}\ngrid = {grid}\noutputs = a_star\n")
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--config", str(CONFIGS / "table2_power.cfg"), "--sweep", str(spec), "--out", str(out)]
+    code, message = SWEEP_ERRORS[parameter, grid]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == message
+    assert not out.exists()

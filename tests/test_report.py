@@ -72,3 +72,19 @@ def test_scalar_sweep_market_error_names_the_first_point(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "parameter/assumption error: at grid point tau=0.5: sigma is not invertible\n"
     )
+
+
+def test_x0_sweep_solves_the_fixed_point_once(monkeypatch):
+    # the fixed point does not depend on x0: the first point's solution serves every point
+    solved = []
+    batched = report._fixed_points
+
+    def recorded(problems):
+        solved.extend(problems)
+        return batched(problems)
+
+    monkeypatch.setattr(report, "_fixed_points", recorded)
+    grid = dict((p, g) for n, p, g in SCALAR_SWEEPS if n == "table2_power")["x0"]
+    rows = sweep(shipped("table2_power"), SweepSpec("x0", grid, ("a_star", "v_x0")))
+    assert len(solved) == 1
+    assert len({row[1] for row in rows}) == 1 and len({row[2] for row in rows}) == len(grid)
