@@ -243,6 +243,7 @@ def _node_newton(lc, p1, beta, log_y, tol, u) -> np.ndarray | None:
     and ``u`` the (K, nodes) start, which it overwrites with the roots. Each
     row stops once its own largest step is at most its ``tol``; later steps
     of the other rows leave it unchanged, so a row ends where it would alone.
+    A 1-d ``log_y`` and ``u``, with float parameters, are one problem.
     Returns None once every row has stopped, or, if some row hits the
     iteration cap, the (K,) bool mask of the rows that stopped.
     """
@@ -265,14 +266,16 @@ def _node_newton(lc, p1, beta, log_y, tol, u) -> np.ndarray | None:
         if stopped is not None:
             g[stopped] = 0.0
         u -= g
-        np.abs(g, out=g)
-        if len(g) == 1:  # one row: its largest step is the largest of all
-            if g.max(initial=0.0) <= tol:  # an empty row stops at once
+        step = np.abs(g, out=g).max(axis=-1, initial=0.0)  # an empty row stops at once
+        if u.ndim == 1:
+            if step <= tol:
                 return None
             continue
-        stopped = g.max(axis=1, initial=0.0) <= tol
+        stopped = step <= tol
         if stopped.all():
             return None
+    if u.ndim == 1:
+        return np.zeros(1, dtype=bool)
     return np.zeros(len(u), dtype=bool) if stopped is None else stopped
 
 
@@ -280,8 +283,8 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
     """u = log I(exp(log_y)) for finite log_y, by Newton in log space.
 
     The Newton kernel behind ``marginal_inverse``; see its docstring. All of
-    ``log_y`` is one problem, one row of ``_node_newton``, so it stops once
-    the largest step over every element is at most ``tol``. Newton starts
+    ``log_y`` is one problem, flattened for ``_node_newton``, so it stops
+    once the largest step over every element is at most ``tol``. Newton starts
     from ``start`` if given, an array like ``log_y`` of finite values that it
     overwrites where it can, and from ``_newton_start`` otherwise. g is
     convex and strictly decreasing with g' <= max(alpha-1, alpha(1-gamma)-1)
@@ -297,8 +300,8 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
     beta = -alpha * gamma
     lc = math.log(c)
     shape = np.shape(log_y)
-    log_y = np.reshape(log_y, (1, -1))
-    u = _newton_start(lc, p1, beta, log_y) if start is None else np.reshape(start, (1, -1))
+    log_y = np.reshape(log_y, -1)
+    u = _newton_start(lc, p1, beta, log_y) if start is None else np.reshape(start, -1)
     if _node_newton(lc, p1, beta, log_y, tol, u) is not None:
         raise NonConvergence("marginal inverse Newton iteration hit its cap")
     return u.reshape(shape)
@@ -688,8 +691,10 @@ def _node_solve(out: list, w, batch, values, log_yz, failed: dict, live_list: li
     if known is not True:
         cold = _newton_start(log_c, p1, nb, log_yz)
         start = cold if start is None else np.where(known[:, None], start, cold)
-    lc = log_c if isinstance(log_c, float) else np.repeat(log_c, log_yz.shape[1], axis=1)
-    stopped = _node_newton(lc, p1, nb, log_yz, tol, start)
+    if isinstance(log_c, float):  # one row, whose 1-d view costs numpy less per call
+        stopped = _node_newton(log_c, p1, nb, log_yz[0], tol, start[0])
+    else:  # a full log c: numpy broadcasts a (rows, 1) column slowly
+        stopped = _node_newton(np.repeat(log_c, log_yz.shape[1], axis=1), p1, nb, log_yz, tol, start)
     if stopped is not None:
         for i in np.flatnonzero(~stopped).tolist():
             message = "marginal inverse Newton iteration hit its cap"
