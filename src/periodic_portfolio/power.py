@@ -716,6 +716,19 @@ def _drive(rows: _Rows, machines: list, warm: dict | None) -> list:
     batch when it returns, and its entry is the value it returned, or when a
     PortfolioError escapes it, and its entry is that error.
     """
+    if len(machines) == 1:  # the same rounds, without the bookkeeping of several rows
+        machine, reply = machines[0], None
+        try:
+            while True:
+                if isinstance(reply, PortfolioError):
+                    a, y = machine.throw(reply)
+                else:
+                    a, y = machine.send(reply)
+                reply = _period_sums(rows, None, [a], [y], warm)[0]
+        except StopIteration as stop:
+            return [stop.value]
+        except PortfolioError as exc:
+            return [exc]
     results = [None] * len(machines)
     replies = [None] * len(machines)
     live = range(len(machines))
