@@ -167,8 +167,7 @@ def cmd_opt_tau(args) -> int:
             taus = np.geomspace(center / 10.0, center * 4.0, 33)
         else:
             taus = np.geomspace(center / 50.0, center * 8.0, 121)
-        rows = [list(row) for row in zip(taus, objective.values(taus))]
-        write_csv(args.curve_out, ["tau", "objective"], rows)
+        write_csv(args.curve_out, ["tau", "objective"], [[t, objective(t)] for t in taus])
     return EXIT_OK
 
 

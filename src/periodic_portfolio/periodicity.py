@@ -23,13 +23,6 @@ maximizer carries a local certificate: the objective does not improve at
 tau* * (1 +/- 1e-3). Otherwise a cap on tau gives the capped search: the best
 of 257 evenly spaced points on (0, cap], refined by golden section when it is
 interior. Without a cap there is no tau*.
-
-``TauObjective.values`` evaluates a list of taus at once: for power utility
-with gamma < 1, one batch of fixed points (``power._fixed_points``), each
-as its own solve would end, raising the error of the first tau that fails.
-The capped search's 257-point grid, the first grid of the bracket expansion
-and the ``opt-tau --curve-out`` curve each make one such call; golden
-section and the certificate evaluate one tau at a time.
 """
 
 from __future__ import annotations
@@ -42,10 +35,10 @@ import numpy as np
 
 from .cone import ConstrainedSharpe
 from .config import ProblemConfig
-from .errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange, PortfolioError
+from .errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange
 from .logutil import _log_coefficients
 from .market import EvaluationSpec, MarketModel, zeta
-from .power import PowerProblem, _fixed_points, value_function
+from .power import PowerProblem, fixed_point, value_function
 from .report import _build
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -83,37 +76,6 @@ class TauObjective:
     problem: PowerProblem | None
 
     def __call__(self, tau: float) -> float:
-        return self.values([tau])[0]
-
-    def values(self, taus) -> list[float]:
-        """The objective at each tau of ``taus``, as one call per tau would give it.
-
-        For power utility with gamma < 1 every tau's fixed point is solved in
-        one batch (``power._fixed_points``), each as it would be alone; the
-        first tau that fails, at any stage, raises its error.
-        """
-        cfg = self.cfg
-        if cfg.utility == "log" or cfg.gamma == 1.0:
-            return [self._closed_form(tau) for tau in taus]
-        problems = []
-        for tau in taus:
-            try:
-                evaluation = EvaluationSpec(tau, cfg.gamma, cfg.delta)
-                problems.append(dataclasses.replace(self.problem, evaluation=evaluation))
-            except PortfolioError as exc:
-                problems.append(exc)
-        solved = iter(_fixed_points([p for p in problems if not isinstance(p, PortfolioError)]))
-        values = []
-        for tau, problem in zip(taus, problems):
-            sol = problem if isinstance(problem, PortfolioError) else next(solved)
-            if isinstance(sol, PortfolioError):
-                raise sol
-            value = value_function(sol, cfg.x0, cfg.alpha, cfg.gamma)
-            values.append(value * tau if self.scaled else value)
-        return values
-
-    def _closed_form(self, tau: float) -> float:
-        """The objective of log utility, or of power utility with gamma = 1, at ``tau``."""
         cfg = self.cfg
         if cfg.utility == "log":
             growth = self.market.r + 0.5 * self.cs.objective
@@ -121,19 +83,24 @@ class TauObjective:
             if cfg.x0 <= 0.0:
                 raise DomainError("value function requires x > 0")
             value = float(a_star + c_star * np.log(cfg.x0))
-            return value * tau if self.scaled else value
-        # A*(tau)*tau = exp((zeta(alpha)-delta)*tau) * tau / (1 - exp(-delta*tau)),
-        # and V = A*/alpha, since x0^(alpha(1-gamma)) = 1
-        za = zeta(cfg.alpha, self.market.r, self.cs.objective)
-        try:
-            growth = math.exp((za - cfg.delta) * tau)
-        except OverflowError:
-            growth = math.inf
-        scaled_a = growth * tau / (-math.expm1(-cfg.delta * tau))
-        value = scaled_a if self.scaled else scaled_a / tau / cfg.alpha
-        if not math.isfinite(value):
-            raise NonFinite(f"the gamma = 1 objective overflows at tau={tau:.6g}")
-        return value
+        elif cfg.gamma == 1.0:
+            # A*(tau)*tau = exp((zeta(alpha)-delta)*tau) * tau / (1 - exp(-delta*tau)),
+            # and V = A*/alpha, since x0^(alpha(1-gamma)) = 1
+            za = zeta(cfg.alpha, self.market.r, self.cs.objective)
+            try:
+                growth = math.exp((za - cfg.delta) * tau)
+            except OverflowError:
+                growth = math.inf
+            scaled_a = growth * tau / (-math.expm1(-cfg.delta * tau))
+            value = scaled_a if self.scaled else scaled_a / tau / cfg.alpha
+            if not math.isfinite(value):
+                raise NonFinite(f"the gamma = 1 objective overflows at tau={tau:.6g}")
+            return value
+        else:
+            evaluation = EvaluationSpec(tau, cfg.gamma, cfg.delta)
+            sol = fixed_point(dataclasses.replace(self.problem, evaluation=evaluation))
+            value = value_function(sol, cfg.x0, cfg.alpha, cfg.gamma)
+        return value * tau if self.scaled else value
 
 
 def tau_objective(cfg: ProblemConfig, scaled: bool) -> TauObjective:
@@ -165,14 +132,11 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _maximize(f, lo: float, hi: float) -> tuple[float, float]:
-    """Expand a geometric grid until the best point is interior, then refine.
-
-    The first grid, lo, 2 lo, ... up to hi, is one batch (``TauObjective.values``).
-    """
+    """Expand a geometric grid until the best point is interior, then refine."""
     pts = [lo]
     while pts[-1] < hi:
         pts.append(min(pts[-1] * 2.0, hi))
-    vals = f.values(pts)
+    vals = [f(t) for t in pts]
 
     def argmax():
         return max(range(len(pts)), key=vals.__getitem__)
@@ -203,13 +167,9 @@ def _certify(f, tau_star: float, obj: float) -> None:
 
 
 def _capped_supremum(f, cap: float) -> tuple[float, float]:
-    """Grid supremum over (0, cap] used when no sufficient condition applies.
-
-    The grid is one batch (``TauObjective.values``); golden-section
-    refinement evaluates one tau at a time.
-    """
+    """Grid supremum over (0, cap] used when no sufficient condition applies."""
     pts = [cap * (k + 1) / _CAP_POINTS for k in range(_CAP_POINTS)]
-    vals = f.values(pts)
+    vals = [f(t) for t in pts]
     i = max(range(_CAP_POINTS), key=vals.__getitem__)
     if 0 < i < _CAP_POINTS - 1:
         return _golden_max(f, pts[i - 1], pts[i + 1])

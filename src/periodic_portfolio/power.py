@@ -56,22 +56,6 @@ where it ends. Each pass then forms its sums from u and log Z/B with exp alone.
 Other callers (``contraction_map``, ``intra_period_profile``) and the
 Monte Carlo start every node cold.
 
-One numpy pass serves a batch of K problems. ``_period_sums`` takes K
-problems as the rows of (K, nodes) arrays, each row with its own deflator
-law, a, log y, alpha, gamma and tol_root as (K, 1) columns (floats when K is
-1). Each row keeps its own node Newton stop, its own order doubling (rows
-whose orders n and 2n disagree re-run together at the next order) and its
-own domain and NonFinite checks, and its sums are its (5, nodes) block times
-the rule's weights, one matmul that numpy forms block by block, so a row's
-sums round the same whatever K is. Above the kernel the iterations stay
-plain Python floats: ``_newton_y`` and the fixed-point iteration are state
-machines, generators that yield their next (a, y), and ``_drive`` advances
-every unfinished one and sends all their requests through one
-``_period_sums`` call per round. A row that finishes or raises leaves the
-batch. ``fixed_point(p)`` is the batch of one, and ``_fixed_points`` solves
-the sweeps, the capped tau grid and the tau curve as one batch each; every
-row ends exactly as its own ``fixed_point`` would.
-
 The same sums give the optimal constrained portfolio (convex duality:
 Cvitanic and Karatzas, Ann. Appl. Probab. 2(4), 1992). At deflator level z
 and time t of a period, with F and y F'(y) taken at y = y* z under the law
@@ -98,19 +82,9 @@ from .errors import (
     NonFinite,
     NumericalFault,
     ParameterOutOfRange,
-    PortfolioError,
-    QuadratureError,
 )
 from .market import EvaluationSpec, MarketModel, check_assumption, zeta
-from .quadrature import (
-    DEFAULT_REL_TOL,
-    MAX_ORDER,
-    DeflatorLaw,
-    _paired_rule,
-    check_solver_settings,
-    expect_deflator_adaptive,
-    make_rule,
-)
+from .quadrature import DEFAULT_REL_TOL, DeflatorLaw, check_solver_settings, expect_deflator_adaptive
 
 _NEWTON_CAP = 100
 # Above this t, log(1 + exp(t)) rounds to t and expit(t) to 1 in float64.
@@ -172,10 +146,7 @@ class PowerProblem:
 
     @cached_property
     def law(self) -> DeflatorLaw:
-        """Lognormal law of Z/B over one full evaluation period.
-
-        Computed once; a law that is not finite raises on every access.
-        """
+        """Lognormal law of Z/B over one full evaluation period, formed once per problem."""
         return DeflatorLaw.for_horizon(
             self.xi_tilde_norm_sq, self.market.r, self.evaluation.tau
         )
@@ -235,19 +206,25 @@ def _newton_start(lc: float, p1: float, beta: float, log_y):
     return np.maximum(u, u_c, out=u)
 
 
-def _node_newton(lc, p1, beta, log_y, tol, u) -> np.ndarray | None:
-    """Newton on g(u) = 0 (see ``marginal_inverse``) for K problems, the rows of (K, nodes) ``log_y``.
+def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float, start=None):
+    """u = log I(exp(log_y)) for finite log_y, by Newton in log space.
 
-    ``lc`` = log c, ``p1`` = alpha - 1 and ``beta`` = -alpha gamma are floats
-    or (K, 1) columns, one value per row, ``tol`` a float or a (K,) array,
-    and ``u`` the (K, nodes) start, which it overwrites with the roots. Each
-    row stops once its own largest step is at most its ``tol``; later steps
-    of the other rows leave it unchanged, so a row ends where it would alone.
-    A 1-d ``log_y`` and ``u``, with float parameters, are one problem.
-    Returns None once every row has stopped, or, if some row hits the
-    iteration cap, the (K,) bool mask of the rows that stopped.
+    The Newton kernel behind ``marginal_inverse``; see its docstring. Newton
+    starts from ``start`` if given, an array like ``log_y`` of finite values
+    that it overwrites, and from ``_newton_start`` otherwise. g is convex and
+    strictly decreasing with g' <= max(alpha-1, alpha(1-gamma)-1) < 0, so a
+    step from any finite start is finite and lands at or below the root,
+    from where the iterates rise to it monotonically. Returns a new array (or
+    ``start``) and leaves ``log_y`` unchanged; an empty ``log_y`` gives an
+    empty float array.
     """
-    stopped = None
+    p1 = alpha - 1.0
+    c = a * (1.0 - gamma)
+    if c == 0.0:
+        return log_y / p1
+    beta = -alpha * gamma
+    lc = math.log(c)
+    u = _newton_start(lc, p1, beta, log_y) if start is None else start
     for _ in range(_NEWTON_CAP):
         t = beta * u
         t += lc
@@ -263,48 +240,11 @@ def _node_newton(lc, p1, beta, log_y, tol, u) -> np.ndarray | None:
         e *= beta
         e += p1  # g'(u)
         g /= e  # Newton step
-        if stopped is not None:
-            g[stopped] = 0.0
         u -= g
-        step = np.abs(g, out=g).max(axis=-1, initial=0.0)  # an empty row stops at once
-        if u.ndim == 1:
-            if step <= tol:
-                return None
-            continue
-        stopped = step <= tol
-        if stopped.all():
-            return None
-    if u.ndim == 1:
-        return np.zeros(1, dtype=bool)
-    return np.zeros(len(u), dtype=bool) if stopped is None else stopped
-
-
-def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float, start=None):
-    """u = log I(exp(log_y)) for finite log_y, by Newton in log space.
-
-    The Newton kernel behind ``marginal_inverse``; see its docstring. All of
-    ``log_y`` is one problem, flattened for ``_node_newton``, so it stops
-    once the largest step over every element is at most ``tol``. Newton starts
-    from ``start`` if given, an array like ``log_y`` of finite values that it
-    overwrites where it can, and from ``_newton_start`` otherwise. g is
-    convex and strictly decreasing with g' <= max(alpha-1, alpha(1-gamma)-1)
-    < 0, so a step from any finite start is finite and lands at or below the
-    root, from where the iterates rise to it monotonically. Returns the roots
-    shaped like ``log_y`` and leaves ``log_y`` unchanged; an empty ``log_y``
-    gives an empty float array.
-    """
-    p1 = alpha - 1.0
-    c = a * (1.0 - gamma)
-    if c == 0.0:
-        return log_y / p1
-    beta = -alpha * gamma
-    lc = math.log(c)
-    shape = np.shape(log_y)
-    log_y = np.reshape(log_y, -1)
-    u = _newton_start(lc, p1, beta, log_y) if start is None else np.reshape(start, -1)
-    if _node_newton(lc, p1, beta, log_y, tol, u) is not None:
-        raise NonConvergence("marginal inverse Newton iteration hit its cap")
-    return u.reshape(shape)
+        # ufunc reductions without ndarray.max's Python-level wrapper; an empty log_y converges at once
+        if np.maximum.reduce(np.abs(g, out=g), axis=None, initial=0.0) <= tol:
+            return u
+    raise NonConvergence("marginal inverse Newton iteration hit its cap")
 
 
 def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10):
@@ -363,422 +303,116 @@ def budget_function(p: PowerProblem, a: float, y: float) -> float:
     )
 
 
-def _log_elasticity(alpha, gamma, log_c, u):
+def _log_elasticity(a: float, alpha: float, gamma: float, u):
     """(g'(u), tanh(t/2)) at u = log x, with g'(u) = d log h_a'(x) / d log x.
 
     g'(u) = alpha - 1 - alpha gamma expit(t), t = log c - alpha gamma u, is a
     weighted mean of alpha-1 and alpha(1-gamma)-1, and expit(t) =
-    (1 + tanh(t/2)) / 2. ``alpha``, ``gamma`` and ``log_c`` = log(a(1-gamma))
-    are floats or (K, 1) columns, one value per row of ``u``; c must be
-    positive (for c = 0, g' is alpha - 1).
+    (1 + tanh(t/2)) / 2. When c = a(1-gamma) = 0 it returns (alpha - 1, None).
     """
+    c = a * (1.0 - gamma)
+    if c == 0.0:
+        return alpha - 1.0, None
     half = 0.5 * alpha * gamma
     tanh_half = half * u
-    np.subtract(0.5 * log_c, tanh_half, out=tanh_half)
+    np.subtract(0.5 * math.log(c), tanh_half, out=tanh_half)
     np.tanh(tanh_half, out=tanh_half)
     weighted = tanh_half * half
     return np.subtract(alpha - 1.0 - half, weighted, out=weighted), tanh_half
 
 
-def _predict_log_inverse(u, el, tanh_half, d_log_y, d_log_c):
+def _predict_log_inverse(u, el, tanh_half, d_log_y: float, d_log_c: float):
     """First-order predictor of u = log I(y) after log y moves by d_log_y and log c by d_log_c.
 
     ``u``, ``el`` = g'(u) and ``tanh_half`` = tanh(t/2) are the solution and
-    its ``_log_elasticity`` before the move, and the moves are floats or
-    (K, 1) columns. Differentiating g(u) = 0 gives du = (d log y - expit(t)
-    d log c) / el, which rounds as d_log_y / el where d_log_c is 0. Returns
-    a new array.
+    its ``_log_elasticity`` before the move. Differentiating g(u) = 0 gives
+    du = (d log y - expit(t) d log c) / el. Returns a new array.
     """
-    if isinstance(d_log_c, float) and d_log_c == 0.0:
+    if d_log_c == 0.0:
         step = d_log_y / el
-        step += u
-        return step
-    step = tanh_half * (-0.5 * d_log_c)
-    step += d_log_y - 0.5 * d_log_c  # d log y - expit(t) d log c
-    step /= el
+    else:
+        step = tanh_half * (-0.5 * d_log_c)
+        step += d_log_y - 0.5 * d_log_c  # d log y - expit(t) d log c
+        step /= el
     step += u
     return step
 
 
-@dataclass(frozen=True, eq=False)
-class _Rows:
-    """The per-row constants of K power problems, one row each, for ``_period_sums``.
+def _period_sums(
+    p: PowerProblem, law: DeflatorLaw, a: float, y: float, warm: dict | None = None
+) -> np.ndarray:
+    """One quadrature call at (a, y) over the nodes x = I(y * Z/B), Z/B ~ ``law``.
 
-    ``scalars`` holds a tuple of floats per row: the drift and s of the row's
-    deflator law, its alpha, gamma and tol_root, then alpha - 1,
-    -alpha gamma, alpha(1-gamma) and 1 - gamma. ``order`` is the quadrature
-    order every row starts its doubling from.
-    """
-
-    scalars: list
-    order: int
-
-    @cached_property
-    def const(self) -> np.ndarray:
-        """``scalars`` as a (K, 9) array."""
-        return np.array(self.scalars)
-
-    @cached_property
-    def shared(self) -> list:
-        """Per constant, its value where every row has the same one, else None.
-
-        A float operand costs numpy less than a (rows, 1) column, and rounds the same.
-        """
-        return [v if (column == v).all() else None for v, column in zip(self.scalars[0], self.const.T)]
-
-
-def _rows(problems, laws=None) -> _Rows:
-    """The ``_Rows`` of ``problems``, each under its law in ``laws`` (default: its period's)."""
-    order = problems[0].quad_order
-    if any(p.quad_order != order for p in problems):
-        raise ValueError("the problems of one batch must share quad_order")
-    const = []
-    for i, p in enumerate(problems):
-        if laws is not None:
-            drift, s = laws[i].drift, laws[i].s
-        else:
-            try:
-                drift, s = p.law.drift, p.law.s
-            except ParameterOutOfRange:  # its y* Newton raises this before it asks for sums
-                drift = s = 0.0
-        alpha, gamma = p.alpha, p.evaluation.gamma
-        const.append((
-            drift, s, alpha, gamma, p.tol_root,
-            alpha - 1.0, -alpha * gamma, alpha * (1.0 - gamma), 1.0 - gamma,
-        ))  # fmt: skip
-    return _Rows(const, order)
-
-
-class _Warm:
-    """What the passes of one batch over one rule carry from call to call.
-
-    For all K rows of the batch: the log nodes log z = drift + s * node and
-    their least and greatest value per row, which depend only on the row's
-    law; and each row's last node solution: the log y and log c it was
-    taken at, and at every node u, its ``_log_elasticity`` el and
-    tanh(t/2). Before any row has one ``u`` is None; after that ``has``
-    marks the rows that have one, and is None when every row has.
-    """
-
-    def __init__(self, rows: _Rows, nodes: np.ndarray):
-        if len(rows.scalars) == 1:
-            drift, s = rows.scalars[0][:2]
-            self.log_z = (drift + s * nodes).reshape(1, -1)
-        else:
-            self.log_z = rows.const[:, 0:1] + rows.const[:, 1:2] * nodes
-        self.lo = self.log_z.min(axis=1).tolist()
-        self.hi = self.log_z.max(axis=1).tolist()
-        self.has = self.log_y = self.log_c = self.u = self.el = self.tanh = None
-
-    def store(self, rows, log_y, log_c, u, el, tanh) -> None:
-        """Keep the solution of the batch rows ``rows``; None is every row, in order."""
-        if rows is None:  # the pass's own arrays, which it no longer reads
-            self.log_y, self.log_c, self.u, self.el, self.tanh = log_y, log_c, u, el, tanh
-            self.has = None
-            return
-        if self.u is None:
-            k, n = self.log_z.shape
-            self.log_y, self.log_c = np.zeros((k, 1)), np.zeros((k, 1))
-            self.u, self.el, self.tanh = np.zeros((k, n)), np.ones((k, n)), np.zeros((k, n))
-            self.has = np.zeros(k, dtype=bool)
-        self.log_y[rows], self.log_c[rows] = log_y, log_c
-        self.u[rows], self.el[rows], self.tanh[rows] = u, el, tanh
-        if self.has is not None:
-            self.has[rows] = True
-
-
-def _part(v, pick):
-    """``v``, or its rows ``pick`` unless that is None or ``v`` is a float shared by every row."""
-    return v if pick is None or isinstance(v, float) else v[pick]
-
-
-def _period_sums(rows: _Rows, idx, a, y, warm: dict | None = None) -> list:
-    """One adaptive quadrature call for each row ``idx`` of ``rows``: row j at (a[j], y[j]).
-
-    ``idx`` is an increasing int array of row numbers, or None for every
-    row; ``a`` and ``y`` are sequences of floats, one per row called. Over
-    the nodes x = I(y * Z/B), Z/B under the row's law, each row gets
-    [F(y), y F'(y), E[phi_a(y Z/B)], H'(a), dF/da], with
+    Returns [F(y), y F'(y), E[phi_a(y Z/B)], H'(a), dF/da], with
     H'(a) = E[x^(alpha(1-gamma))] (envelope theorem) and dF/da at fixed y
     equal to E[-(1-gamma) x^(alpha(1-gamma)) / (y el)]. Both derivatives come
     from dx = x (d log y - (1-gamma) x^(alpha(1-gamma)-1) da / (y Z/B)) / el,
-    el = d log h_a'/d log x, so they stay finite wherever F does. Returns one
-    entry per row called: its sums as a (5,) array, or the PortfolioError
-    that row raised.
-
-    Every row is its own problem. The rows' (rows, nodes) arrays go through
-    each numpy call together, with each row's constants as a (rows, 1)
-    column, or as a float where every row has the same value or there is one
-    row (a float broadcasts as the column does, at less cost), and each row
-    keeps what it would have alone: its node Newton stop (``_node_newton``), its order doubling
-    (a row whose orders n and 2n disagree beyond ``_PERIOD_SUMS_REL_TOL``
-    re-runs at the next order with the other such rows; the last sum is
-    never tested) and its checks. A row's sums reduce its (5, nodes) block
-    with one matmul against the rule's weights, a product numpy forms block
-    by block, so they round the same whatever the other rows are.
+    el = d log h_a'/d log x, so they stay finite wherever F does. The last
+    sum is not tested for convergence (its tolerance is inf).
 
     The integrand works in log space: from log z = drift + s * node it solves
-    u = log x by ``_node_newton`` (u = log y / (alpha - 1) where
-    c = a(1-gamma) is 0) and forms every column with exp of u and log z. It
-    keeps the domain checks of ``marginal_inverse`` and
+    u = log x by ``_log_marginal_inverse`` and forms every column with exp
+    of u and log z. It keeps the domain checks of ``marginal_inverse`` and
     ``moderated_utility``: Z/B and y Z/B must be positive finite float64s
     (DomainError), and so must x, which raises DomainError when it would
-    round to 0 and NonFinite when it would overflow. A row raises the first
-    check it fails, and its nodes take harmless values for the rest of the
-    pass.
+    round to 0 and NonFinite when it would overflow.
 
-    ``warm``, when given, carries one ``_Warm`` per rule (keyed by its node
-    count) from one call to the next, for calls on one batch: a row with
-    c > 0 then starts its node Newton from ``_predict_log_inverse`` of its
-    last solution in place of the cold start. Any finite start converges to
-    the same root, so only the iteration count depends on it. The caller
-    owns the dict; None starts cold.
+    ``warm``, when given, carries the node solutions from one call to the
+    next, for calls under one law: for each rule (keyed by its node count)
+    the last log y, log c (c = a(1-gamma) > 0), u and ``_log_elasticity``
+    of u. A call then starts the node Newton from ``_predict_log_inverse``
+    in place of the cold start; any finite start converges to the same root,
+    so only the iteration count depends on it. The caller owns the dict;
+    None starts cold.
     """
-    scalars = rows.scalars if idx is None else [rows.scalars[i] for i in idx.tolist()]
-    c = [ai * row[8] for ai, row in zip(a, scalars)]
-    log_y = [math.log(v) for v in y]
-    log_c = [math.log(v) if v != 0.0 else 0.0 for v in c]
-    if len(scalars) == 1:  # floats broadcast as (1, 1) columns do, and cost less
-        per_row = (a[0], y[0], log_y[0], log_c[0])
-        const = list(scalars[0])
-    else:
-        per_row = np.array([*a, *y, *log_y, *log_c]).reshape(4, -1, 1)
-        full = rows.const if idx is None else rows.const[idx]
-        const = [full[:, j : j + 1] if v is None else v for j, v in enumerate(rows.shared)]
-        const[4] = const[4] if isinstance(const[4], float) else const[4][:, 0]
-    row_a, row_y, row_log_y, row_log_c = per_row
-    # drift, s, alpha, gamma, tol, p1, nb, beta, 1 - gamma, then per call a, y, log y, log c, a / alpha
-    values = [*const, row_a, row_y, row_log_y, row_log_c, row_a / const[2]]
-    out = [None] * len(scalars)
-    call = (rows, idx, values, log_y, [v != 0.0 for v in c], warm, out)
+    alpha, gamma = p.alpha, p.evaluation.gamma
+    beta = alpha * (1.0 - gamma)
+    log_y = math.log(y)
+    c = a * (1.0 - gamma)
+    log_c = math.log(c) if c > 0.0 else None
+    keep = warm is not None and log_c is not None  # no Newton runs when c = 0
 
-    # the order doubling of ``expect_deflator_adaptive``, row by row
-    order = rows.order
-    rule = _paired_rule(order)
-    live = np.arange(len(scalars))
-    keep, vals = _integrate(*call, live, rule)
-    if keep is not None:
-        live = live[keep]
-    pair = vals @ rule.weights
-    coarse, fine = pair[..., 0], pair[..., 1]
-    order *= 2
-    scale = -const[8] / row_y  # -(1 - gamma) / y takes the sum over dx/da to dF/da
-    while True:
-        ok = (np.abs(fine - coarse) <= _PERIOD_SUMS_REL_TOL * (1.0 + np.abs(fine))).all(axis=1)
-        accepted = ok[0] if len(ok) == 1 else ok.all()
-        done_rows = live if accepted else live[ok]
-        done = fine if accepted else fine[ok]
-        done[:, 4] *= scale if isinstance(scale, float) else scale[done_rows, 0]
-        for j, sums in zip(done_rows.tolist(), done):
-            out[j] = sums
-        if accepted:
-            return out
-        live, coarse = live[~ok], fine[~ok]
-        if 2 * order > MAX_ORDER:
-            for j in live.tolist():
-                out[j] = QuadratureError(
-                    f"quadrature did not stabilize at rel_tol={DEFAULT_REL_TOL:g} by order {MAX_ORDER}"
-                )
-            return out
-        order *= 2
-        rule = make_rule(order)
-        keep, vals = _integrate(*call, live, rule)
-        if keep is not None:
-            live, coarse = live[keep], coarse[keep]
-        fine = vals @ rule.weights
+    def integrand(log_z):
+        lo, hi = law.log_range(log_z)
+        if min(lo, lo + log_y) < _LOG_TINY or max(hi, hi + log_y) > _LOG_HUGE:
+            raise DomainError("marginal inverse requires finite y > 0")
+        log_yz = log_z + log_y
+        prev = warm.get(log_z.size) if keep else None
+        start = None
+        if prev is not None:
+            start = _predict_log_inverse(*prev[2:], log_y - prev[0], log_c - prev[1])
+        u = _log_marginal_inverse(a, alpha, gamma, log_yz, p.tol_root, start)
+        if np.minimum.reduce(u, axis=None) < _LOG_TINY:
+            raise DomainError("moderated utility requires x > 0")
+        if np.maximum.reduce(u, axis=None) > _LOG_HUGE:
+            raise NonFinite("x = I(y Z/B) overflows at a quadrature node")
+        el, tanh_half = _log_elasticity(a, alpha, gamma, u)
+        if keep:
+            warm[log_z.size] = (log_y, log_c, u, el, tanh_half)
+        zx = np.add(u, log_z)
+        np.exp(zx, out=zx)
+        xb = np.exp(beta * u)
+        phi = np.exp(alpha * u)
+        phi /= alpha
+        phi += (a / alpha) * xb
+        phi -= y * zx
+        return np.concatenate([zx, zx / el, phi, xb, xb / el]).reshape(5, -1)
+
+    sums = expect_deflator_adaptive(
+        integrand, law, order=p.quad_order, rel_tol=_PERIOD_SUMS_REL_TOL, log_nodes=True
+    )
+    sums[4] *= -(1.0 - gamma) / y
+    return sums
 
 
-def _fail(out: list, failed: dict, live: list, i: int, error, message: str) -> None:
-    """Record ``error(message)`` as the result of the i-th live row unless it failed already."""
-    if i not in failed:
-        failed[i] = True
-        out[live[i]] = error(message)
-
-
-def _integrate(rows, idx, values, log_y_list, newton, warm, out, live, rule):
-    """One pass of ``_period_sums`` over ``rule`` for its ``live`` rows (positions among the rows called).
-
-    ``values`` holds, per row called, its constants from ``_Rows.scalars``
-    and then a, y, log y, log c and a / alpha: floats for a single row, else
-    (rows, 1) columns or floats shared by every row (tol_root as a (rows,)
-    array). ``log_y_list`` and ``newton`` (c != 0) hold one entry per row
-    called, and ``out`` gets each row's error. Returns (None, or the mask of
-    the ``live`` rows that passed every check, and their (rows, 5, nodes)
-    integrand).
-    """
-    full = len(live) == len(out)
-    if not full:
-        values = [v if isinstance(v, float) else v[live] for v in values]
-    drift, s, alpha, gamma, tol, p1, nb, beta, _, a, y, log_y, log_c, a_alpha = values
-    live_list = live.tolist()
-    batch = None if full and idx is None else (live if idx is None else idx[live])
-    n_nodes = rule.nodes.size
-    w = None
-    if warm is not None:
-        w = warm.get(n_nodes)
-        if w is None:
-            w = warm[n_nodes] = _Warm(rows, rule.nodes)
-        log_z, lo, hi = w.log_z if batch is None else w.log_z[batch], w.lo, w.hi
-        batch_list = range(len(live_list)) if batch is None else batch.tolist()
-    else:
-        log_z = (drift + s * rule.nodes).reshape(len(live_list), -1)
-        lo, hi = log_z.min(axis=1).tolist(), log_z.max(axis=1).tolist()
-        batch_list = range(len(live_list))
-    failed = {}
-    log_yz = log_z + log_y
-    for i, (j, b) in enumerate(zip(live_list, batch_list)):
-        lz_lo, lz_hi, v = lo[b], hi[b], log_y_list[j]
-        if min(lz_lo, lz_lo + v) < _LOG_TINY or max(lz_hi, lz_hi + v) > _LOG_HUGE:
-            _fail(out, failed, live_list, i, DomainError, "marginal inverse requires finite y > 0")
-            log_yz[i] = 0.0
-    on = [newton[j] for j in live_list]
-    if all(on):
-        u, el, tanh_half = _node_solve(out, w, batch, values, log_yz, failed, live_list, None)
-    else:  # rows with c = 0 take the closed form
-        u, el = log_yz / p1, p1
-        ns = [i for i, v in enumerate(on) if v]
-        if ns:
-            el = np.broadcast_to(el, log_yz.shape).copy()
-            n_batch = (np.arange(len(rows.scalars)) if batch is None else batch)[ns]
-            n_values = [v if isinstance(v, float) else v[ns] for v in values]
-            u[ns], el[ns], _ = _node_solve(out, w, n_batch, n_values, log_yz[ns], failed, live_list, ns)
-    for i, (u_min, u_max) in enumerate(zip(u.min(axis=1).tolist(), u.max(axis=1).tolist())):
-        if u_min < _LOG_TINY:
-            _fail(out, failed, live_list, i, DomainError, "moderated utility requires x > 0")
-        elif u_max > _LOG_HUGE:
-            _fail(out, failed, live_list, i, NonFinite, "x = I(y Z/B) overflows at a quadrature node")
-        else:
-            continue
-        u[i] = 0.0
-    zx = np.add(u, log_z)
-    np.exp(zx, out=zx)
-    xb = np.exp(beta * u)
-    phi = np.exp(alpha * u)
-    phi /= alpha
-    phi += a_alpha * xb
-    phi -= y * zx
-    vals = np.concatenate([zx, zx / el, phi, xb, xb / el], axis=1).reshape(len(live_list), 5, -1)
-    if not np.isfinite(vals).all():
-        for i in np.flatnonzero(~np.isfinite(vals).all(axis=(1, 2))).tolist():
-            message = "integrand produced a non-finite value at a quadrature node"
-            _fail(out, failed, live_list, i, NonFinite, message)
-    if failed:
-        keep = np.ones(len(live_list), dtype=bool)
-        keep[list(failed)] = False
-        return keep, vals[keep]
-    return None, vals
-
-
-def _node_solve(out: list, w, batch, values, log_yz, failed: dict, live_list: list, ns):
-    """(u, el, tanh(t/2)) of the node Newton for rows with c > 0, warm from ``w`` where it can be.
-
-    ``batch`` gives their rows in the batch (None: every row, in order),
-    ``values`` their entries of the pass's ``values`` and ``ns`` their places
-    among the live rows (None: all of them).
-    """
-    _, _, alpha, gamma, tol, p1, nb, _, _, _, _, log_y, log_c, _ = values
-    known = None
-    if w is not None and w.u is not None:
-        known = True if w.has is None else _part(w.has, batch)
-        if known is not True:
-            known = True if known.all() else (known if known.any() else None)
-    start = None
-    if known is not None:
-        start = _predict_log_inverse(
-            _part(w.u, batch), _part(w.el, batch), _part(w.tanh, batch),
-            log_y - _part(w.log_y, batch), log_c - _part(w.log_c, batch),
-        )  # fmt: skip
-    if known is not True:
-        cold = _newton_start(log_c, p1, nb, log_yz)
-        start = cold if start is None else np.where(known[:, None], start, cold)
-    if isinstance(log_c, float):  # one row, whose 1-d view costs numpy less per call
-        stopped = _node_newton(log_c, p1, nb, log_yz[0], tol, start[0])
-    else:  # a full log c: numpy broadcasts a (rows, 1) column slowly
-        stopped = _node_newton(np.repeat(log_c, log_yz.shape[1], axis=1), p1, nb, log_yz, tol, start)
-    if stopped is not None:
-        for i in np.flatnonzero(~stopped).tolist():
-            message = "marginal inverse Newton iteration hit its cap"
-            _fail(out, failed, live_list, i if ns is None else ns[i], NonConvergence, message)
-        start[~stopped] = 0.0
-    el, tanh_half = _log_elasticity(alpha, gamma, log_c, start)
-    if w is not None:
-        w.store(batch, log_y, log_c, start, el, tanh_half)
-    return start, el, tanh_half
-
-
-def _drive(rows: _Rows, machines: list, warm: dict | None) -> list:
-    """Run one state machine per row of ``rows`` and return what each one ends with.
-
-    A machine is a generator that yields its next request (a, y) and is sent
-    that row's ``_period_sums`` back, or has the row's PortfolioError thrown
-    into it. Every round sends the requests of all live machines through one
-    ``_period_sums`` call, with ``warm`` (see there). A machine leaves the
-    batch when it returns, and its entry is the value it returned, or when a
-    PortfolioError escapes it, and its entry is that error.
-    """
-    if len(machines) == 1:  # the same rounds, without the bookkeeping of several rows
-        machine, reply = machines[0], None
-        try:
-            while True:
-                if isinstance(reply, PortfolioError):
-                    a, y = machine.throw(reply)
-                else:
-                    a, y = machine.send(reply)
-                reply = _period_sums(rows, None, [a], [y], warm)[0]
-        except StopIteration as stop:
-            return [stop.value]
-        except PortfolioError as exc:
-            return [exc]
-    results = [None] * len(machines)
-    replies = [None] * len(machines)
-    live = range(len(machines))
-    while live:
-        called, a, y = [], [], []
-        for i in live:
-            reply = replies[i]
-            try:
-                if isinstance(reply, PortfolioError):
-                    request = machines[i].throw(reply)
-                else:
-                    request = machines[i].send(reply)
-            except StopIteration as stop:
-                results[i] = stop.value
-            except PortfolioError as exc:
-                results[i] = exc
-            else:
-                called.append(i)
-                a.append(request[0])
-                y.append(request[1])
-        if called:
-            idx = None if len(called) == len(machines) else np.array(called)
-            for i, reply in zip(called, _period_sums(rows, idx, a, y, warm)):
-                replies[i] = reply
-        live = called
-    return results
-
-
-def _one(result):
-    """``result``, or raise it if it is a PortfolioError."""
-    if isinstance(result, PortfolioError):
-        raise result
-    return result
-
-
-def _run(p: PowerProblem, machine):
-    """Drive one state machine of ``p`` alone, with every node pass cold, and return its value."""
-    return _one(_drive(_rows([p]), [machine], None)[0])
-
-
-def _sums_at(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.ndarray:
-    """The ``_period_sums`` of ``p`` at (a, y) under ``law``, started cold."""
-    return _one(_period_sums(_rows([p], [law]), None, [a], [y])[0])
-
-
-def _newton_y(p: PowerProblem, a: float, u: float, stop: tuple[float, float] | None = None):
+def _newton_y(
+    p: PowerProblem,
+    a: float,
+    u: float,
+    warm: dict | None = None,
+    stop: tuple[float, float] | None = None,
+):
     """Root y* of the unit budget F(y) = 1 by safeguarded Newton in u = log y, from ``u``.
-
-    A state machine for ``_drive``: it yields each point (a, y) whose
-    ``_period_sums`` it needs and returns its result, in plain floats.
 
     Each step solves log F(u) = 0 with the exact slope
     d log F / du = y F'(y) / F(y), where
@@ -794,8 +428,9 @@ def _newton_y(p: PowerProblem, a: float, u: float, stop: tuple[float, float] | N
     y) and H' = E[x^(alpha(1-gamma))] are carried from y_k to y* by
     ``_carry_to``. The slope ratio -y F'(y)/F(y) and the tangent
     d log y*/dA = -(dF/da) / (y F'(y)), which steers the next start, are
-    taken from the ``_period_sums`` at y_k. A y that would overflow or round
-    to 0 raises NonFinite.
+    taken from the ``_period_sums`` at y_k. ``warm`` is passed to every
+    ``_period_sums`` call. A y that would overflow or round to 0 raises
+    NonFinite.
 
     ``stop`` = (disc, r_min) lets a fixed-point evaluation at A = ``a`` that
     cannot be the accepted one end early, as an inexact Newton step of the
@@ -814,21 +449,18 @@ def _newton_y(p: PowerProblem, a: float, u: float, stop: tuple[float, float] | N
     # [-1/(1-max(alpha,beta)), -1/(1-min(alpha,beta))]
     safe_scale = 1.0 - max(p.alpha, p.alpha * (1.0 - p.evaluation.gamma))
     lo, hi = -math.inf, math.inf
-    _ = p.law  # the sums are under it: a law that is not finite raises here, before any sums
+    law = p.law
     for _ in range(_NEWTON_CAP):
         y = _exp_log_y(u)
-        sums = yield a, y
-        # floats for the arithmetic, which rounds as on numpy scalars; the
-        # divisions by y F' stay numpy's, so a zero slope gives inf, not an exception
-        f, y_fp, _, _, df_da = floats = sums.tolist()
-        if not f > 0.0:
+        sums = _period_sums(p, law, a, y, warm)
+        if not sums[0] > 0.0:
             raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
-        g = math.log(f)
+        g = math.log(sums[0])
         if g > 0.0:
             lo = u
         elif g < 0.0:
             hi = u
-        u_next = u - g * f / sums[1] if g else u  # at the root, whatever the slope
+        u_next = u - g * sums[0] / sums[1] if g else u  # at the root, whatever the slope
         newton = lo < u_next < hi
         # a step that rounds to 0 may sit on the bracket's edge, and it has converged
         if not (abs(u_next - u) <= p.tol_root or newton):
@@ -840,19 +472,20 @@ def _newton_y(p: PowerProblem, a: float, u: float, stop: tuple[float, float] | N
         s = u_next - u
         done = abs(s) <= p.tol_root
         if done or (stop is not None and newton and abs(s) <= _INEXACT_STEP_CAP):
-            h_val, h_slope, h_uu = _carry_to(p, y, floats, s)
+            h_val, h_slope, h_uu = _carry_to(p, y, sums, s)
             if not done:
                 disc, r_min = stop
                 residual = abs(disc * h_val - a)
                 done = residual > r_min and disc * abs(h_uu) * abs(s) ** 3 <= _INEXACT_TAYLOR_SHARE * residual
             if done:
-                return h_val, h_slope, _exp_log_y(u_next), -y_fp / f, float(-df_da / sums[1])
+                scale, dlog_y = -sums[1] / sums[0], -sums[4] / sums[1]
+                return h_val, h_slope, _exp_log_y(u_next), float(scale), float(dlog_y)
         u = u_next
     raise NonConvergence("y* Newton iteration hit its cap")
 
 
-def _carry_to(p: PowerProblem, y: float, sums, s: float):
-    """(H, H', d^2H/du^2) at y e^s from the ``_period_sums`` at y (an array or a list), u = log y.
+def _carry_to(p: PowerProblem, y: float, sums: np.ndarray, s: float):
+    """(H, H', d^2H/du^2) at y e^s from the ``_period_sums`` at y, u = log y.
 
     With F = sums[0], y F' = sums[1] and dF/da = sums[4], H = alpha
     (E[phi_a(y R)] + y) has dH/du = alpha y (1 - F) and
@@ -894,7 +527,7 @@ def contraction_map(p: PowerProblem, a: float) -> float:
 
     H(a) = alpha * (V_dual(y*) + y*) is the one-period optimum under h_a.
     """
-    return math.exp(-p.evaluation.delta * p.evaluation.tau) * _run(p, _newton_y(p, a, 0.0))[0]
+    return math.exp(-p.evaluation.delta * p.evaluation.tau) * _newton_y(p, a, 0.0)[0]
 
 
 def contraction_modulus(p: PowerProblem) -> float:
@@ -937,27 +570,6 @@ def fixed_point_bounds(p: PowerProblem) -> tuple[float, float]:
 
 def fixed_point(p: PowerProblem) -> PowerSolution:
     """Solve A = Psi(A) by safeguarded Newton on G(A) = A - Psi(A).
-
-    The one-row batch of ``_fixed_points``; ``_fixed_point_steps`` is the
-    iteration.
-    """
-    return _one(_fixed_points([p])[0])
-
-
-def _fixed_points(problems) -> list:
-    """``fixed_point`` of every problem in one batch: a PowerSolution or the PortfolioError per problem.
-
-    Each problem is one row of ``_drive``, so every numpy call of a round
-    serves all unfinished problems, and each row's solution is the one it
-    gets alone. The problems must share ``quad_order``.
-    """
-    if not problems:
-        return []
-    return _drive(_rows(problems), [_fixed_point_steps(p) for p in problems], {})
-
-
-def _fixed_point_steps(p: PowerProblem):
-    """The fixed-point iteration of ``p`` as a state machine for ``_drive``.
 
     Each evaluation of Psi also returns Psi'(A) = exp(-delta*tau) * H'(A) with
     H'(A) = E[I(y* R)^(alpha(1-gamma))] (envelope theorem), so the Newton
@@ -1012,11 +624,12 @@ def _fixed_point_steps(p: PowerProblem):
     lo = lower - (tol + DEFAULT_REL_TOL * abs(lower)) if math.isfinite(lower) else 0.0
     hi = upper + (tol + DEFAULT_REL_TOL * abs(upper)) if math.isfinite(upper) else math.inf
     u = _log_y_start(p, a)
+    warm = {}
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):
         allowed = tol + _FLOOR_ULPS * math.ulp(a)  # the largest residual either test accepts
         stop = (disc, _INEXACT_MARGIN * allowed)
-        h_val, h_slope, y_star, scale, dlog_y = yield from _newton_y(p, a, u, stop)
+        h_val, h_slope, y_star, scale, dlog_y = _newton_y(p, a, u, warm, stop)
         psi = disc * h_val
         residual = psi - a
         error_bound = abs(residual) / (1.0 - q_mod)
@@ -1097,5 +710,5 @@ def intra_period_profile(
         raise DomainError("deflator level z must be positive")
 
     law_res = DeflatorLaw.for_horizon(p.xi_tilde_norm_sq, p.market.r, tau - t)
-    sums = _sums_at(p, law_res, sol.a_star, sol.y_star * z)
+    sums = _period_sums(p, law_res, sol.a_star, sol.y_star * z)
     return float(sums[0]), _feedback_fractions(p.cs, -sums[1] / sums[0])

@@ -17,13 +17,16 @@ The adaptive driver takes its first doubling test, orders n and 2n, in one
 pass over a paired rule that holds both node sets: one integrand call then
 returns both estimates. An integrand costs about as much per call at 64 nodes
 as at 192 (interpreter and ufunc overhead dominate), so the fused test costs
-about half of two separate passes.
+about half of two separate passes. For the same reason a law forms the log
+nodes of each rule, and their least and greatest value, once
+(``DeflatorLaw.log_nodes``): every pass of a solve integrates over the same
+nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +38,11 @@ MAX_ORDER = 512
 DEFAULT_REL_TOL = 1e-10
 _RESCALE_EVERY = 16  # recurrence steps between rescalings; a step grows values by < |x| + 1
 _NEWTON_CAP = 8
+
+
+def _all(a) -> bool:
+    """Whether every entry of ``a`` is true: ``np.all`` without its Python-level wrappers."""
+    return np.logical_and.reduce(a, axis=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +158,14 @@ class DeflatorLaw:
     For a period of length ``horizon`` the production construction uses
     s = |xi_tilde| * sqrt(horizon) and drift = -s^2/2 - r*horizon, which
     makes exp(r*horizon) * E[deflator] = 1.
+
+    ``log_nodes`` forms the log nodes drift + s*x_k of a rule once per law
+    object, so the passes of one solve over the same rule share them.
     """
 
     s: float
     drift: float
+    _log_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s < 0 or not np.isfinite(self.s):
@@ -170,6 +182,22 @@ class DeflatorLaw:
         s2 = xi_tilde_norm_sq * horizon
         return cls(s=math.sqrt(s2), drift=-0.5 * s2 - r * horizon)
 
+    def log_nodes(self, rule: GaussHermiteRule) -> np.ndarray:
+        """drift + s * the rule's nodes, read-only, formed on the first call per rule."""
+        formed = self._log_nodes.get(rule)
+        if formed is None:
+            log_z = self.drift + self.s * rule.nodes
+            log_z.flags.writeable = False
+            formed = self._log_nodes[rule] = (log_z, log_z.min(), log_z.max())
+        return formed[0]
+
+    def log_range(self, log_z: np.ndarray):
+        """(least, greatest) value of ``log_z``, taken once for log nodes this law formed."""
+        for formed in self._log_nodes.values():
+            if formed[0] is log_z:
+                return formed[1], formed[2]
+        return log_z.min(), log_z.max()
+
 
 def expect_deflator(f, law: DeflatorLaw, rule: GaussHermiteRule, log_nodes: bool = False):
     """Return sum_k w_k * f(exp(drift + s*x_k)).
@@ -184,9 +212,9 @@ def expect_deflator(f, law: DeflatorLaw, rule: GaussHermiteRule, log_nodes: bool
     axis of size 2 (coarse, fine). Raises NonFinite if any evaluation is
     NaN/inf.
     """
-    log_z = law.drift + law.s * rule.nodes
+    log_z = law.log_nodes(rule)
     vals = np.asarray(f(log_z if log_nodes else np.exp(log_z)), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if not _all(np.isfinite(vals)):
         raise NonFinite("integrand produced a non-finite value at a quadrature node")
     out = vals @ rule.weights
     return float(out) if out.ndim == 0 else out
@@ -216,13 +244,13 @@ def expect_deflator_adaptive(
     pair = expect_deflator(f, law, _paired_rule(order), log_nodes)
     coarse, fine = pair[..., 0], pair[..., 1]
     order *= 2
-    if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
+    if _all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
         return float(fine) if fine.ndim == 0 else fine
     coarse = fine
     while 2 * order <= MAX_ORDER:
         order *= 2
         fine = expect_deflator(f, law, make_rule(order), log_nodes)
-        if np.all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
+        if _all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
             return fine
         coarse = fine
     raise QuadratureError(

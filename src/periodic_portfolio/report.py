@@ -10,12 +10,10 @@ report's ordered ``fields`` are the ``solve`` printout. Both utilities print
 scalar fields are the sweep columns, with two aliases: ``xi_tilde_sq`` for
 ``xi_tilde_norm_sq`` and ``frac_i`` for the i-th entry of
 ``feedback_fractions``. A sweep over a scalar parameter builds and projects
-the market once, at its first grid point, and an x0 sweep solves once. A
-sweep builds every grid point, solves the fixed points of all its power
-points as one batch (``power._fixed_points``, each row as its own solve
-would end), then forms the rows in grid order: the first point that fails,
-whether building, solving or forming its report, raises its error, prefixed
-with the point, as a loop of solves would. ``_build`` is the one place a
+the market once, at its first grid point, and a sweep over x0 also solves
+once: neither the fixed point nor the log closed form depends on x0, so
+every point reuses the first point's solution and forms only its own
+``v_x0``. ``_build`` is the one place a
 config becomes a market, an evaluation, a cone projection and, for power
 utility, a ``PowerProblem``; ``periodicity.tau_objective`` uses it too.
 """
@@ -37,14 +35,7 @@ from .config import (
 from .errors import ConfigError, ParameterOutOfRange, PortfolioError
 from .logutil import LogSolution, solve_log, value_log
 from .market import EvaluationSpec, MarketModel
-from .power import (
-    PowerProblem,
-    PowerSolution,
-    _feedback_fractions,
-    _fixed_points,
-    fixed_point,
-    value_function,
-)
+from .power import PowerProblem, PowerSolution, _feedback_fractions, fixed_point, value_function
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,19 +54,19 @@ class Report:
 
 
 def _build(
-    cfg: ProblemConfig, base: tuple[MarketModel, ConstrainedSharpe] | None = None
+    cfg: ProblemConfig, first: Report | None = None
 ) -> tuple[MarketModel, EvaluationSpec, ConstrainedSharpe, PowerProblem | None]:
     """The market, evaluation, cone projection and power problem of ``cfg``.
 
     Validates in that order: the market, the evaluation and solver settings,
     the projection's market checks, for power utility alpha and
     well-posedness, then that x0 is finite. The problem is None for log
-    utility. ``base`` is the market and projection of a config that differs
-    from ``cfg`` only in a scalar parameter; they are reused.
+    utility. ``first`` is the report of a config that differs from ``cfg``
+    only in a scalar parameter; its market and projection are reused.
     """
-    market = to_market(cfg) if base is None else base[0]
+    market = to_market(cfg) if first is None else first.market
     evaluation = to_evaluation(cfg)
-    cs = constrained_sharpe(market) if base is None else base[1]
+    cs = constrained_sharpe(market) if first is None else first.cs
     problem = None
     if cfg.utility == "power":
         problem = PowerProblem(
@@ -94,15 +85,20 @@ def _build(
 
 def solve(cfg: ProblemConfig) -> Report:
     """Validate the market, project the Sharpe ratio, and solve per utility."""
-    built = _build(cfg)
-    market, evaluation, cs, problem = built
-    sol = solve_log(market, evaluation, cs) if problem is None else fixed_point(problem)
-    return _report(cfg, built, sol)
+    return _solve(cfg)
 
 
-def _report(cfg: ProblemConfig, built: tuple, sol: PowerSolution | LogSolution) -> Report:
-    """The report of ``cfg``, from its ``_build`` and its solution."""
-    market, evaluation, cs, problem = built
+def _solve(
+    cfg: ProblemConfig,
+    first: Report | None = None,
+    sol: PowerSolution | LogSolution | None = None,
+) -> Report:
+    """Solve ``cfg`` per utility, reusing the market of ``first`` (see ``_build``).
+
+    ``sol``, when given, is the solution of a config that differs from
+    ``cfg`` only in x0, and is reused.
+    """
+    market, evaluation, cs, problem = _build(cfg, first)
     fields = {
         "utility": cfg.utility,
         "n": market.n,
@@ -112,6 +108,8 @@ def _report(cfg: ProblemConfig, built: tuple, sol: PowerSolution | LogSolution) 
         "xi_tilde_norm_sq": cs.objective,
     }
     if problem is not None:
+        if sol is None:
+            sol = fixed_point(problem)
         fields.update(
             a_star=sol.a_star,
             y_star=sol.y_star,
@@ -124,6 +122,8 @@ def _report(cfg: ProblemConfig, built: tuple, sol: PowerSolution | LogSolution) 
             feedback_fractions=_feedback_fractions(cs, sol.fraction_scale),
         )
     else:
+        if sol is None:
+            sol = solve_log(market, evaluation, cs)
         fields.update(
             a_star=sol.a_star,
             c_star=sol.c_star,
@@ -146,52 +146,24 @@ def _sweep_columns(fields: dict[str, object]) -> dict[str, float]:
 
 
 def sweep(cfg: ProblemConfig, spec: SweepSpec) -> list[list[float]]:
-    """One solve per grid point, the power fixed points in one batch; returns rows [value, outputs...].
+    """One solve per grid point; returns rows [value, outputs...].
 
     A scalar parameter (alpha, gamma, tau, x0, delta) leaves the market
     unchanged, so every point reuses the first point's market and cone
-    projection, and an x0 sweep also reuses its solution. A mu_i or sigma_ij
-    sweep rebuilds both at every point. Every point is built first; then
-    the power points' fixed points are solved together by
-    ``power._fixed_points``, each as it would be alone. The rows follow in
-    grid order, and the first point that fails, at any stage, raises its
-    error, prefixed with the point.
+    projection, and an x0 sweep also its solution. A mu_i or sigma_ij sweep
+    rebuilds both at every point.
     """
-    points = [apply_sweep_value(cfg, spec.parameter, value) for value in spec.grid]
-    base = None
-    built = []
-    for point_cfg in points:
-        try:
-            point = _build(point_cfg, base)
-        except PortfolioError as exc:
-            point = exc
-        built.append(point)
-        if spec.parameter in _SWEEP_SCALARS and base is None:
-            if isinstance(point, PortfolioError):
-                break  # every point has this market, and the first raises
-            base = point[0], point[2]
-    shared = spec.parameter == "x0"  # the solution does not depend on x0
-    to_solve = built[:1] if shared else built
-    power = [b[3] for b in to_solve if not isinstance(b, PortfolioError) and b[3] is not None]
-    fixed_points = iter(_fixed_points(power))
-    solutions = []
-    for b in to_solve:
-        if isinstance(b, PortfolioError) or b[3] is not None:
-            solutions.append(b if isinstance(b, PortfolioError) else next(fixed_points))
-            continue
-        try:
-            solutions.append(solve_log(b[0], b[1], b[2]))
-        except PortfolioError as exc:
-            solutions.append(exc)
+    scalar = spec.parameter in _SWEEP_SCALARS
+    first = None
     rows = []
-    for value, point_cfg, point, sol in zip(
-        spec.grid, points, built, solutions * len(built) if shared else solutions
-    ):
+    for value in spec.grid:
+        point_cfg = apply_sweep_value(cfg, spec.parameter, value)
         try:
-            for outcome in (point, sol):
-                if isinstance(outcome, PortfolioError):
-                    raise outcome
-            columns = _sweep_columns(_report(point_cfg, point, sol).fields)
+            reused = first.solution if spec.parameter == "x0" and first is not None else None
+            report = _solve(point_cfg, first, reused)
+            if scalar and first is None:
+                first = report
+            columns = _sweep_columns(report.fields)
         except PortfolioError as exc:
             raise type(exc)(f"at grid point {spec.parameter}={value:g}: {exc}") from exc
         unknown = set(spec.outputs) - columns.keys()

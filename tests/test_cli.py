@@ -674,11 +674,11 @@ def test_a_rejected_argv_writes_usage_to_the_current_stderr(capsys):
 
 
 # A sweep raises the error of its first failing grid point in grid order,
-# whichever stage fails: building the point (tau or x0 = inf), solving its
-# fixed point (tau = 1e-300 and 1e300 fail before any quadrature; at
-# tau = 1e4 the first quadrature call rejects y Z/B) or forming its report
-# (x0 = -1). The power points are solved as one batch, in which tau = 1e300
-# fails before tau = 1e4.
+# with the point's prefix and exit code, whichever stage fails: building the
+# point (tau or x0 = inf), solving its fixed point (tau = 1e-300 and 1e300
+# fail before any quadrature; at tau = 1e4 the first quadrature call rejects
+# y Z/B) or forming its report (x0 = -1). In the third case tau = 1e300
+# fails in fewer steps than tau = 1e4, which comes first.
 SWEEP_ERRORS = {
     ("tau", "1e-300 1 inf"): (
         cli.EXIT_ASSUMPTION,

@@ -172,7 +172,7 @@ def test_warm_starts_reach_the_cold_root(a, gamma, alpha, log_y, shift, jump):
 
     root = newton(a, log_y)
     assert newton(a, log_y, root + shift)[0] == pytest.approx(root[0], rel=0, abs=1e-12 * (1.0 + abs(root[0])))
-    el, tanh_half = power._log_elasticity(alpha, gamma, math.log(a * (1.0 - gamma)), root)
+    el, tanh_half = power._log_elasticity(a, alpha, gamma, root)
     for factor in (1.0, 10.0):
         cold = newton(factor * a, log_y + jump)[0]
         start = power._predict_log_inverse(root, el, tanh_half, jump, math.log(factor))
@@ -200,7 +200,7 @@ POINT_LAW = DeflatorLaw(s=0.0, drift=0.0)
 
 
 def legendre(p, a, y):
-    return power._sums_at(p, POINT_LAW, a, y)[2]
+    return power._period_sums(p, POINT_LAW, a, y)[2]
 
 
 def test_legendre_pure_power_closed_form(power_problem):
@@ -245,7 +245,7 @@ def test_period_sums_keep_the_float64_domain_checks(power_problem_g1, drift, y, 
     # the sums work in log space, where these nodes give finite columns; they
     # fail as the sums over x = I(y Z/B) in float64 did
     with pytest.raises(error):
-        power._sums_at(power_problem_g1, DeflatorLaw(s=0.0, drift=drift), 1.0, y)
+        power._period_sums(power_problem_g1, DeflatorLaw(s=0.0, drift=drift), 1.0, y)
 
 
 # --- h_a shape invariants (used at desk scale; the full grid runs in the
@@ -283,7 +283,7 @@ def test_h_steepness_inequality():
 
 
 def dual_value(p, a, y):
-    return power._sums_at(p, p.law, a, y)[2]
+    return power._period_sums(p, p.law, a, y)[2]
 
 
 def test_dual_value_gamma1_closed_form(power_problem_g1):
@@ -352,14 +352,9 @@ def test_budget_crosses_one_once(power_problem):
 # --- y* ---------------------------------------------------------------------
 
 
-def y_star_newton(p, a, hint=1.0):
-    """(H, H', y*, -y F'/F, d log y*/dA) of the y* Newton at ``a``, started from y = ``hint``."""
-    return power._run(p, power._newton_y(p, a, math.log(hint)))
-
-
 def newton_y_star(p, a, hint=1.0):
     """Root of F(y) = 1 by the y* Newton, started from y = ``hint``."""
-    return y_star_newton(p, a, hint)[2]
+    return power._newton_y(p, a, math.log(hint))[2]
 
 
 def test_y_star_gamma1_closed_form(power_problem_g1):
@@ -385,7 +380,7 @@ def test_y_star_a_zero_equals_moment_formula(power_problem):
 def test_moderated_value_gamma1_affine(power_problem_g1):
     base = math.exp(zeta(TABLE_ALPHA, TABLE_R, Q_TILDE) * TABLE_TAU)
     for a in (0.0, 1.0, 3.0):
-        assert y_star_newton(power_problem_g1, a, 1.0)[0] == pytest.approx(a + base, rel=1e-9)
+        assert power._newton_y(power_problem_g1, a, 0.0)[0] == pytest.approx(a + base, rel=1e-9)
 
 
 def test_contraction_map_increasing_both_signs(table_market, table_cone):
@@ -448,11 +443,11 @@ def test_envelope_derivatives_match_central_differences(table_market, table_cone
     e = EvaluationSpec(tau=TABLE_TAU, gamma=0.8, delta=TABLE_DELTA)
     p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
     a, h = 2.5, 1e-4
-    _, h_slope, y, _, _ = y_star_newton(p, a)
-    central = (y_star_newton(p, a * (1 + h))[0] - y_star_newton(p, a * (1 - h))[0]) / (2 * a * h)
+    _, h_slope, y, _, _ = power._newton_y(p, a, 0.0)
+    central = (power._newton_y(p, a * (1 + h), 0.0)[0] - power._newton_y(p, a * (1 - h), 0.0)[0]) / (2 * a * h)
     assert h_slope == pytest.approx(central, rel=1e-7)
     for y_at in (y, 0.5 * y, 3.0 * y):
-        f_slope = power._sums_at(p, p.law, a, y_at)[1] / y_at  # sums[1] = y F'(y)
+        f_slope = power._period_sums(p, p.law, a, y_at)[1] / y_at  # sums[1] = y F'(y)
         central = (
             budget_function(p, a, y_at * (1 + h)) - budget_function(p, a, y_at * (1 - h))
         ) / (2 * y_at * h)
@@ -467,7 +462,7 @@ def test_budget_a_slope_matches_central_difference(table_market, table_cone, alp
     a, h = 2.5, 1e-4
     y = newton_y_star(p, a)
     for y_at in (y, 0.5 * y, 3.0 * y):
-        slope = power._sums_at(p, p.law, a, y_at)[4]
+        slope = power._period_sums(p, p.law, a, y_at)[4]
         central = (
             budget_function(p, a * (1 + h), y_at) - budget_function(p, a * (1 - h), y_at)
         ) / (2 * a * h)
@@ -487,13 +482,10 @@ def test_y_star_safeguard_survives_bad_slopes(power_problem, monkeypatch, slope_
     expected = newton_y_star(power_problem, 1.0)
     exact = power._period_sums
 
-    def skewed(rows, idx, a, y, warm=None):
-        skewed_sums = []
-        for sums in exact(rows, idx, a, y, warm):
-            sums = sums.copy()
-            sums[1] *= slope_scale
-            skewed_sums.append(sums)
-        return skewed_sums
+    def skewed(p, law, a, y, warm=None):
+        sums = exact(p, law, a, y, warm).copy()
+        sums[1] *= slope_scale
+        return sums
 
     monkeypatch.setattr(power, "_period_sums", skewed)
     assert newton_y_star(power_problem, 1.0) == pytest.approx(expected, rel=1e-9)
@@ -532,18 +524,13 @@ def test_fixed_point_warm_starts_every_node_pass_after_the_first(power_problem, 
     # after the first starts its node Newton from the previous pass's solution;
     # contraction_map, the independent check, starts every pass cold
     warm = []
-    cold_start, predict = power._newton_start, power._predict_log_inverse
+    kernel = power._log_marginal_inverse
 
-    def cold(*args):
-        warm.append(False)
-        return cold_start(*args)
+    def recorded(a, alpha, gamma, log_y, tol, start=None):
+        warm.append(start is not None)
+        return kernel(a, alpha, gamma, log_y, tol, start)
 
-    def predicted(*args):
-        warm.append(True)
-        return predict(*args)
-
-    monkeypatch.setattr(power, "_newton_start", cold)
-    monkeypatch.setattr(power, "_predict_log_inverse", predicted)
+    monkeypatch.setattr(power, "_log_marginal_inverse", recorded)
     fixed_point(power_problem)
     assert len(warm) >= 3 and not warm[0] and all(warm[1:])
     warm.clear()
@@ -599,62 +586,6 @@ def test_fixed_point_newton_on_random_markets(monkeypatch, n, alpha):
                 assert sol.error_bound <= max(tol, floor / (1 - q)), (k, tau)
 
 
-def batch_problems():
-    """A slice of the random grid as one batch, with a gamma = 1 row and three rows that raise.
-
-    Markets random_market(default_rng(1000 n + k), n) for n in {2, 10} and
-    k < 2, alpha in {0.5, -1}, gamma = 0.8, delta 0.3 above the
-    well-posedness bound and tau from 1e-3 to 30; then market (2, 1) at
-    gamma = 1, and at tau = 100, where alpha = 0.5 raises NonFinite and
-    alpha = -1 DomainError; and a one-asset market whose deflator law at
-    tau = 1e304 is not finite (ParameterOutOfRange).
-    """
-    problems = []
-    for n in (2, 10):
-        for k in range(2):
-            m = random_market(np.random.default_rng(1000 * n + k), n)
-            cs = constrained_sharpe(m)
-            for alpha in (0.5, -1.0):
-                delta = max(zeta(alpha * 0.2, m.r, cs.objective), 0.0) + 0.3
-                for tau in (1e-3, 1e-2, 0.1, 1.0, 4.0, 30.0):
-                    e = EvaluationSpec(tau=tau, gamma=0.8, delta=delta)
-                    problems.append(PowerProblem(market=m, evaluation=e, alpha=alpha, cs=cs))
-    m = random_market(np.random.default_rng(2001), 2)
-    cs = constrained_sharpe(m)
-    problems.append(PowerProblem(market=m, evaluation=EvaluationSpec(1.0, 1.0, 0.3), alpha=0.5, cs=cs))
-    for alpha in (0.5, -1.0):
-        delta = max(zeta(alpha * 0.2, m.r, cs.objective), 0.0) + 0.3
-        e = EvaluationSpec(tau=100.0, gamma=0.8, delta=delta)
-        problems.append(PowerProblem(market=m, evaluation=e, alpha=alpha, cs=cs))
-    # |xi_tilde|^2 tau overflows, so the deflator law itself raises
-    m = MarketModel(mu=(5.0,), sigma=((0.01,),), r=0.0)
-    cs = constrained_sharpe(m)
-    delta = max(zeta(-1e-3, m.r, cs.objective), 0.0) + 0.3
-    e = EvaluationSpec(tau=1e304, gamma=0.999, delta=delta)
-    problems.append(PowerProblem(market=m, evaluation=e, alpha=-1.0, cs=cs))
-    return problems
-
-
-@pytest.mark.parametrize("order", ["grid", "reversed"])
-def test_a_batched_row_equals_its_one_row_solve(order):
-    # every row of one batch ends where its K = 1 solve ends, whatever the
-    # other rows do: each PowerSolution field compares ==, and a row that
-    # raises gives the class and message of its K = 1 solve
-    problems = batch_problems()
-    if order == "reversed":
-        problems.reverse()
-    raised = set()
-    for p, got in zip(problems, power._fixed_points(problems), strict=True):
-        try:
-            want = fixed_point(p)
-        except (DomainError, NonFinite, ParameterOutOfRange) as exc:
-            raised.add(type(exc))
-            assert type(got) is type(exc) and str(got) == str(exc)
-        else:
-            assert got == want
-    assert raised == {DomainError, NonFinite, ParameterOutOfRange}
-
-
 @pytest.mark.parametrize("n,seed", [(10, 10000), (10, 10001), (30, 30000)])
 def test_a_star_far_below_the_start_stays_positive(n, seed):
     # the first evaluation is accepted with Psi(A) many orders of magnitude below
@@ -679,11 +610,11 @@ def test_carried_h_and_slope_have_the_taylor_orders(table_market, table_cone, al
     p = PowerProblem(market=table_market, evaluation=e, alpha=alpha, cs=table_cone)
     a = 2.5
     y = 1.3 * newton_y_star(p, a)
-    sums = power._sums_at(p, p.law, a, y)
+    sums = power._period_sums(p, p.law, a, y)
 
     def errors(s):
         h, h_slope, _ = power._carry_to(p, y, sums, s)
-        exact = power._sums_at(p, p.law, a, y * math.exp(s))
+        exact = power._period_sums(p, p.law, a, y * math.exp(s))
         return abs(h - alpha * (exact[2] + y * math.exp(s))), abs(h_slope - exact[3])
 
     (h_wide, slope_wide), (h_narrow, slope_narrow) = errors(0.02), errors(0.01)
@@ -699,7 +630,7 @@ def test_psi_slope_is_taken_at_y_star(seed):
     e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
     p = PowerProblem(market=m, evaluation=e, alpha=-1.0, cs=constrained_sharpe(m))
     sol = fixed_point(p)
-    at_y_star = math.exp(-0.3) * power._sums_at(p, p.law, sol.a_star, sol.y_star)[3]
+    at_y_star = math.exp(-0.3) * power._period_sums(p, p.law, sol.a_star, sol.y_star)[3]
     assert abs(sol.psi_slope / at_y_star - 1.0) <= 1e-12
 
 
@@ -841,7 +772,7 @@ def test_intra_period_complementary_slackness(power_problem, power_solution, tab
 
 
 def test_intra_period_profile_takes_one_quadrature_call(power_problem, power_solution, count_calls):
-    calls = count_calls(power, "_period_sums")
+    calls = count_calls(power, "expect_deflator_adaptive")
     intra_period_profile(power_problem, power_solution, 0.5, 1.05)
     assert len(calls) == 1
 
@@ -905,7 +836,7 @@ def test_solve_fractions_equal_profile_at_period_start(market_name, alpha):
 
 def test_one_period_policy_attains_h(power_problem, power_solution):
     mean, std_error = h_expectation(power_problem, power_solution, 2, 20_000)
-    analytic = power._run(power_problem, power._newton_y(power_problem, power_solution.a_star, 0.0))[0]
+    analytic = power._newton_y(power_problem, power_solution.a_star, 0.0)[0]
     assert abs(mean - analytic) <= 3 * std_error
 
 
@@ -928,5 +859,5 @@ def test_marginal_elasticity_matches_scipy_expit(a, alpha, gamma):
     x = np.logspace(-300, 300, 2001)
     t = math.log(a * (1.0 - gamma)) - alpha * gamma * np.log(x)
     expected = (alpha - 1.0) - alpha * gamma * expit(t)
-    got = power._log_elasticity(alpha, gamma, math.log(a * (1.0 - gamma)), np.log(x))[0]
+    got = power._log_elasticity(a, alpha, gamma, np.log(x))[0]
     np.testing.assert_allclose(got, expected, rtol=0, atol=4e-16 * (1.0 - alpha + abs(alpha * gamma)))

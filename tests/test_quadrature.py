@@ -93,6 +93,30 @@ def test_non_finite_integrand_raises():
         expect_deflator(lambda z: np.log(z - 10.0), law, make_rule(16))
 
 
+def test_an_infinite_value_raises_before_the_weights_meet_it():
+    # the paired rule's weights hold zeros, and inf * 0 in the sum would warn
+    # (an error under this suite's filterwarnings) before NonFinite could say why
+    law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
+    threshold = math.exp(law.drift + 0.37 * law.s)
+    with pytest.raises(NonFinite):
+        expect_deflator_adaptive(lambda z: np.where(z > threshold, np.inf, z), law)
+
+
+def test_log_nodes_are_formed_once_per_law_and_rule():
+    law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
+    rule = make_rule(64)
+    log_z = law.log_nodes(rule)
+    assert law.log_nodes(rule) is log_z and not log_z.flags.writeable
+    assert np.array_equal(log_z, law.drift + law.s * rule.nodes)
+    assert law.log_range(log_z) == (log_z.min(), log_z.max())
+    assert law.log_range(log_z.copy()) == (log_z.min(), log_z.max())
+    # an equal law is its own object with its own nodes, and the cache is no field of equality
+    twin = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
+    assert twin == law and hash(twin) == hash(law)
+    assert twin.log_nodes(rule) is not log_z and np.array_equal(twin.log_nodes(rule), log_z)
+    assert repr(law) == f"DeflatorLaw(s={law.s!r}, drift={law.drift!r})"
+
+
 def test_adaptive_escalation_fails_on_discontinuity():
     # an off-center step never stabilizes under order doubling
     law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)

@@ -74,17 +74,19 @@ def test_scalar_sweep_market_error_names_the_first_point(tmp_path, capsys):
     )
 
 
-def test_x0_sweep_solves_the_fixed_point_once(monkeypatch):
-    # the fixed point does not depend on x0: the first point's solution serves every point
+@pytest.mark.parametrize("name,solver", [("table2_power", "fixed_point"), ("table1_log", "solve_log")])
+def test_x0_sweep_solves_once(monkeypatch, name, solver):
+    # neither the fixed point nor the log closed form depends on x0: the first
+    # point's solution serves every point, and only v_x0 changes
     solved = []
-    batched = report._fixed_points
+    original = getattr(report, solver)
 
-    def recorded(problems):
-        solved.extend(problems)
-        return batched(problems)
+    def recorded(*args):
+        solved.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(report, "_fixed_points", recorded)
-    grid = dict((p, g) for n, p, g in SCALAR_SWEEPS if n == "table2_power")["x0"]
-    rows = sweep(shipped("table2_power"), SweepSpec("x0", grid, ("a_star", "v_x0")))
+    monkeypatch.setattr(report, solver, recorded)
+    grid = dict((p, g) for n, p, g in SCALAR_SWEEPS if n == name)["x0"]
+    rows = sweep(shipped(name), SweepSpec("x0", grid, ("a_star", "v_x0")))
     assert len(solved) == 1
     assert len({row[1] for row in rows}) == 1 and len({row[2] for row in rows}) == len(grid)
