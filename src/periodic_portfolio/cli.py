@@ -159,15 +159,16 @@ def cmd_opt_tau(args) -> int:
             f"{result.condition_detail}\n"
         )
         return EXIT_NO_PROPOSITION
-    _emit(dataclasses.asdict(result))
-
     if args.curve_out is not None:
+        # every curve point is evaluated before anything is printed or written,
+        # so a point that fails leaves stdout empty and writes no CSV
         center = result.tau_star
         if cfg.utility == "power" and cfg.gamma < 1.0:  # a fixed-point solve per point
             taus = np.geomspace(center / 10.0, center * 4.0, 33)
         else:
             taus = np.geomspace(center / 50.0, center * 8.0, 121)
         write_csv(args.curve_out, ["tau", "objective"], [[t, objective(t)] for t in taus])
+    _emit(dataclasses.asdict(result))
     return EXIT_OK
 
 

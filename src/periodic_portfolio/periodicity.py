@@ -1,28 +1,25 @@
-"""Optimal evaluation-period length: one tau objective, three condition gates, one search.
+"""Optimal evaluation-period length: one tau objective, one condition function, one search.
 
 The objective is V(x0; tau), the value at initial wealth x0 when performance
 is evaluated every tau years, or V(x0; tau) * tau (the scaled objective).
 ``tau_objective`` is its one definition: closed form for log utility
 (V = A*(tau) + C*(tau) log x0) and for power utility with gamma = 1, and the
-fixed point A*(tau) for power utility with gamma < 1.
+fixed point A*(tau) for power utility with gamma < 1. It checks x0 once, when
+it is built: x0 > 0 wherever the objective depends on x0.
 
-Three propositions give a sufficient condition for an optimal period length
-tau* on that objective; each is a gate:
+``_condition`` states the three propositions that give a sufficient condition
+for an optimal period length tau*: power utility with gamma = 1 on the scaled
+objective, log utility on the value, and log utility on the scaled value. It
+says whether the condition holds, with the detail the report prints, or that
+no proposition covers the configuration.
 
-* ``tau_power_scaled``: power utility, gamma = 1, on the scaled objective
-  A*(tau)*tau, provided delta/2 < zeta(alpha) < delta;
-* ``tau_log_value``: log utility on the plain value V(x; tau), provided
-  gamma < 1 and (r + |xi_tilde|^2/2)/delta + log x < 0;
-* ``tau_log_scaled``: log utility on the scaled value V(x; tau)*tau, always
-  for gamma = 1 and under a sign gate for gamma < 1.
-
-Every gate, and ``optimal_tau`` when no gate covers the configuration, ends
-in one search. When the condition holds, it runs geometric bracket expansion
-followed by golden-section to a relative tau tolerance of 1e-8, and the
-maximizer carries a local certificate: the objective does not improve at
-tau* * (1 +/- 1e-3). Otherwise a cap on tau gives the capped search: the best
-of 257 evenly spaced points on (0, cap], refined by golden section when it is
-interior. Without a cap there is no tau*.
+``optimal_tau`` is the one search. When the condition holds, it runs
+geometric bracket expansion followed by golden-section to a relative tau
+tolerance of 1e-8, and the maximizer carries a local certificate: the
+objective does not improve at tau* * (1 +/- 1e-3). Otherwise a cap on tau
+gives the capped search: the best of 257 evenly spaced points on (0, cap],
+refined by golden section when it is interior. Without a cap there is no
+tau*.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import numpy as np
 
 from .cone import ConstrainedSharpe
 from .config import ProblemConfig
-from .errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange
+from .errors import DomainError, NonConvergence, NonFinite
 from .logutil import _log_coefficients
 from .market import EvaluationSpec, MarketModel, zeta
 from .power import PowerProblem, fixed_point, value_function
@@ -80,8 +77,6 @@ class TauObjective:
         if cfg.utility == "log":
             growth = self.market.r + 0.5 * self.cs.objective
             a_star, c_star = _log_coefficients(growth, tau, cfg.gamma, cfg.delta)
-            if cfg.x0 <= 0.0:
-                raise DomainError("value function requires x > 0")
             value = float(a_star + c_star * np.log(cfg.x0))
         elif cfg.gamma == 1.0:
             # A*(tau)*tau = exp((zeta(alpha)-delta)*tau) * tau / (1 - exp(-delta*tau)),
@@ -108,8 +103,12 @@ def tau_objective(cfg: ProblemConfig, scaled: bool) -> TauObjective:
 
     Validates the market and the evaluation, and for power utility alpha and
     well-posedness, which do not depend on tau, in the order ``solve`` does.
+    Then, when the objective depends on x0 (log utility, or power utility
+    with gamma < 1), it checks x0 > 0.
     """
     market, _, cs, problem = _build(cfg)
+    if cfg.x0 <= 0.0 and (cfg.utility == "log" or cfg.gamma < 1.0):
+        raise DomainError("value function requires x > 0")
     return TauObjective(cfg, scaled, market, cs, problem)
 
 
@@ -176,106 +175,67 @@ def _capped_supremum(f, cap: float) -> tuple[float, float]:
     return pts[i], vals[i]
 
 
-def _search(
-    objective: TauObjective, holds: bool, detail: str, cap: float | None
-) -> TauSearchResult:
-    """Maximize the objective when ``holds``, else take its capped supremum if ``cap`` is given."""
-    kind = "scaled_value" if objective.scaled else "value"
-    delta = objective.cfg.delta
-    if holds:
-        tau_star, obj = _maximize(objective, 1e-4 / delta, 1.0 / delta)
-    elif cap is not None:
-        tau_star, obj = _capped_supremum(objective, cap)
-    else:
-        tau_star, obj = None, float("nan")
-    return TauSearchResult(holds, detail, tau_star, obj, kind)
+def _condition(objective: TauObjective) -> tuple[bool, str] | None:
+    """Whether a proposition's sufficient condition for tau* holds, and its detail.
 
+    None when no proposition covers the objective. Three do:
 
-def tau_power_scaled(objective: TauObjective, cap: float | None = None) -> TauSearchResult:
-    """Maximize the scaled power value A*(tau)*tau for gamma = 1.
+    * power utility, gamma = 1, on the scaled objective A*(tau)*tau. The
+      fixed point is explicit and the scaled objective is
+      g(tau) = exp((zeta(alpha)-delta)*tau) * tau / (1 - exp(-delta*tau)),
+      with g(0+) = 1/delta. An interior maximizer exists when
+      delta/2 < zeta(alpha) < delta;
+    * log utility, gamma in (0, 1), on the plain value V(x; tau). The
+      condition is (r + |xi_tilde|^2/2)/delta + log x < 0, in which case
+      V(x; 0+) = -inf and V(x; inf) = 0 force an interior positive maximum;
+    * log utility on the scaled value V(x; tau)*tau. For gamma = 1 an interior
+      maximizer always exists; delta*tau* solves exp(u)*(2 - u) = 2, so
+      tau* > 1/delta. For gamma < 1 the condition is
+      (r + |xi_tilde|^2/2)*gamma/delta - (1-gamma)/2 * log x > 0.
 
-    With gamma = 1 the fixed point is explicit and the scaled objective is
-    g(tau) = exp((zeta(alpha)-delta)*tau) * tau / (1 - exp(-delta*tau)),
-    with g(0+) = 1/delta. An interior maximizer exists when
-    delta/2 < zeta(alpha) < delta.
+    ``tau_objective`` has checked x > 0 wherever log x appears.
     """
-    cfg = objective.cfg
-    if not (objective.scaled and cfg.utility == "power" and cfg.gamma == 1.0):
-        raise ParameterOutOfRange(
-            "tau_power_scaled covers the scaled power objective with gamma = 1"
+    cfg, scaled = objective.cfg, objective.scaled
+    gamma, delta = cfg.gamma, cfg.delta
+    if cfg.utility == "power":
+        if not (scaled and gamma == 1.0):
+            return None
+        za = zeta(cfg.alpha, objective.market.r, objective.cs.objective)
+        detail = (
+            f"requires delta/2 < zeta(alpha) < delta: delta/2={delta / 2.0:.6g}, "
+            f"zeta(alpha)={za:.6g}, delta={delta:.6g}; g(0+) = 1/delta = {1.0 / delta:.6g}"
         )
-    delta = cfg.delta
-    za = zeta(cfg.alpha, objective.market.r, objective.cs.objective)
-    holds = delta / 2.0 < za < delta
-    detail = (
-        f"requires delta/2 < zeta(alpha) < delta: delta/2={delta / 2.0:.6g}, "
-        f"zeta(alpha)={za:.6g}, delta={delta:.6g}; g(0+) = 1/delta = {1.0 / delta:.6g}"
-    )
-    return _search(objective, holds, detail, cap)
-
-
-def tau_log_value(objective: TauObjective, cap: float | None = None) -> TauSearchResult:
-    """Maximize the log value V(x; tau) over tau for gamma in (0, 1).
-
-    The sufficient condition is (r + |xi_tilde|^2/2)/delta + log x < 0, in
-    which case V(x; 0+) = -inf and V(x; inf) = 0 force an interior positive
-    maximum.
-    """
-    cfg = objective.cfg
-    if objective.scaled or cfg.utility != "log":
-        raise ParameterOutOfRange("tau_log_value covers the unscaled log objective")
-    if not cfg.gamma < 1:
-        raise ParameterOutOfRange("the value objective requires gamma in (0, 1)")
-    if cfg.x0 <= 0:
-        raise ParameterOutOfRange("initial wealth x must be positive")
-    mu_g = objective.market.r + 0.5 * objective.cs.objective
-    gate = mu_g / cfg.delta + math.log(cfg.x0)
-    detail = f"requires (r + |xi_tilde|^2/2)/delta + log x < 0: value={gate:.6g}"
-    return _search(objective, gate < 0.0, detail, cap)
-
-
-def tau_log_scaled(objective: TauObjective, cap: float | None = None) -> TauSearchResult:
-    """Maximize the scaled log value V(x; tau)*tau over tau.
-
-    For gamma = 1 an interior maximizer always exists; delta*tau* solves
-    exp(u)*(2 - u) = 2, so tau* > 1/delta. For gamma < 1 the gate is
-    (r + |xi_tilde|^2/2)*gamma/delta - (1-gamma)/2 * log x > 0.
-    """
-    cfg = objective.cfg
-    if not objective.scaled or cfg.utility != "log":
-        raise ParameterOutOfRange("tau_log_scaled covers the scaled log objective")
-    gamma, delta, x = cfg.gamma, cfg.delta, cfg.x0
-    if x <= 0:
-        raise ParameterOutOfRange("initial wealth x must be positive")
+        return delta / 2.0 < za < delta, detail
     if gamma == 1.0:
-        return _search(objective, True, "gamma = 1: an interior maximizer always exists", cap)
+        return (True, "gamma = 1: an interior maximizer always exists") if scaled else None
     mu_g = objective.market.r + 0.5 * objective.cs.objective
-    gate = mu_g * gamma / delta - 0.5 * (1.0 - gamma) * math.log(x)
-    detail = (
-        "requires (r + |xi_tilde|^2/2)*gamma/delta - (1-gamma)/2*log x > 0: "
-        f"value={gate:.6g}"
-    )
-    return _search(objective, gate > 0.0, detail, cap)
+    if scaled:
+        gate = mu_g * gamma / delta - 0.5 * (1.0 - gamma) * math.log(cfg.x0)
+        detail = (
+            "requires (r + |xi_tilde|^2/2)*gamma/delta - (1-gamma)/2*log x > 0: "
+            f"value={gate:.6g}"
+        )
+        return gate > 0.0, detail
+    gate = mu_g / delta + math.log(cfg.x0)
+    return gate < 0.0, f"requires (r + |xi_tilde|^2/2)/delta + log x < 0: value={gate:.6g}"
 
 
 def optimal_tau(objective: TauObjective, cap: float | None = None) -> TauSearchResult:
     """tau* of the objective's configuration.
 
-    Applies the proposition that covers the configuration
-    (``tau_power_scaled``, ``tau_log_scaled`` or ``tau_log_value``); when none
-    does, returns the capped supremum of the objective over (0, ``cap``].
-    ``tau_star`` is None when no sufficient condition holds and ``cap`` is
-    None. An x0 <= 0 raises DomainError whenever the objective depends on x0,
-    capped or not.
+    When a proposition's condition holds (``_condition``), maximizes the
+    objective; otherwise returns its capped supremum over (0, ``cap``], or no
+    tau* (``tau_star`` None, ``objective_at_star`` nan) when ``cap`` is None.
     """
-    cfg, scaled = objective.cfg, objective.scaled
-    if scaled and cfg.utility == "power" and cfg.gamma == 1.0:
-        return tau_power_scaled(objective, cap)
-    if scaled and cfg.utility == "log":
-        return tau_log_scaled(objective, cap)
-    if not scaled and cfg.utility == "log" and cfg.gamma < 1.0:
-        return tau_log_value(objective, cap)
-    # without a cap the search evaluates nothing, so check x0 where the objective needs it
-    if cfg.x0 <= 0.0 and (cfg.utility == "log" or cfg.gamma < 1.0):
-        raise DomainError("value function requires x > 0")
-    return _search(objective, False, "no sufficient condition applies to this configuration", cap)
+    holds, detail = _condition(objective) or (
+        False, "no sufficient condition applies to this configuration"
+    )
+    if holds:
+        delta = objective.cfg.delta
+        tau_star, obj = _maximize(objective, 1e-4 / delta, 1.0 / delta)
+    elif cap is not None:
+        tau_star, obj = _capped_supremum(objective, cap)
+    else:
+        tau_star, obj = None, float("nan")
+    kind = "scaled_value" if objective.scaled else "value"
+    return TauSearchResult(holds, detail, tau_star, obj, kind)

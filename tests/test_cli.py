@@ -431,6 +431,54 @@ def test_opt_tau_table2_capped_golden(capsys, objective):
     assert capsys.readouterr().out == OPT_TAU_TABLE2_CAPPED_GOLDEN[objective]
 
 
+# `opt-tau` on table2 with gamma = 1 (power, scaled objective): the
+# proposition holds for delta = 0.11, where zeta(alpha) = 0.0672 lies in
+# (delta/2, delta); for delta = 0.05 it fails, and the capped search over
+# (0, 50] takes the last grid point, since A*(tau)*tau grows with tau there.
+OPT_TAU_TABLE2_GAMMA1_GOLDEN = {
+    "delta-0.11": """\
+condition_holds: true
+condition_detail: requires delta/2 < zeta(alpha) < delta: delta/2=0.055, zeta(alpha)=0.0672, delta=0.11; g(0+) = 1/delta = 9.09091
+tau_star: 12.4738277011
+objective_at_star: 9.79825535771
+objective_kind: scaled_value
+""",
+    "delta-0.05-cap-50": """\
+condition_holds: false
+condition_detail: requires delta/2 < zeta(alpha) < delta: delta/2=0.025, zeta(alpha)=0.0672, delta=0.05; g(0+) = 1/delta = 20
+tau_star: 50
+objective_at_star: 128.724374815
+objective_kind: scaled_value
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "key,delta,extra",
+    [("delta-0.11", 0.11, []), ("delta-0.05-cap-50", 0.05, ["--tau-cap", "50"])],
+    ids=["delta-0.11", "delta-0.05-cap-50"],
+)
+def test_opt_tau_table2_gamma_one_golden(tmp_path, capsys, key, delta, extra):
+    argv = ["opt-tau", "--config", write_config(tmp_path, "table2_power", gamma=1.0, delta=delta), *extra]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == OPT_TAU_TABLE2_GAMMA1_GOLDEN[key]
+
+
+# With gamma = 1 and delta = 0.05 the capped tau* is the cap, and the curve
+# reaches tau = 8 * cap, where the scaled objective overflows float64. The
+# failing point is a typed failure: nothing on stdout and no CSV.
+def test_opt_tau_failing_curve_point_prints_nothing(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    argv = ["opt-tau", "--config", write_config(tmp_path, "table2_power", gamma=1.0, delta=0.05),
+            "--tau-cap", "6000", "--curve-out", str(curve)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert captured.out == ""
+    assert captured.err == "solver error: the gamma = 1 objective overflows at tau=41322.8\n"
+    assert not curve.exists()
+
+
 # Capped log `opt-tau --objective value --tau-cap 4` on table1: with x0 = 50
 # the value gate fails, and with gamma = 1 no proposition applies.
 OPT_TAU_TABLE1_CAPPED_GOLDEN = {
@@ -465,29 +513,23 @@ def test_opt_tau_table1_capped_value_golden(tmp_path, capsys):
     assert capsys.readouterr().out == OPT_TAU_TABLE1_CAPPED_GOLDEN["gamma-1"]
 
 
-# A non-positive x0 on each log `opt-tau` branch: the closed form must reject
-# it, because np.log of it is nan or -inf and does not raise.
+# A non-positive x0 on each log `opt-tau` branch: np.log of it is nan or
+# -inf and does not raise, so `tau_objective` rejects it when it is built.
 @pytest.mark.parametrize(
-    "changes,extra,message",
+    "changes,extra",
     [
-        pytest.param({}, ["--objective", "scaled"], "initial wealth x must be positive", id="scaled"),
-        pytest.param({}, ["--objective", "value"], "initial wealth x must be positive", id="value-gate"),
-        pytest.param(
-            {"gamma": 1.0}, ["--objective", "value", "--tau-cap", "4"],
-            "value function requires x > 0", id="value-capped",
-        ),
-        pytest.param(
-            {"gamma": 1.0}, ["--objective", "value"],
-            "value function requires x > 0", id="value-uncapped",
-        ),
+        pytest.param({}, ["--objective", "scaled"], id="scaled"),
+        pytest.param({}, ["--objective", "value"], id="value-gate"),
+        pytest.param({"gamma": 1.0}, ["--objective", "value", "--tau-cap", "4"], id="value-capped"),
+        pytest.param({"gamma": 1.0}, ["--objective", "value"], id="value-uncapped"),
     ],
 )
-def test_opt_tau_log_nonpositive_x0_exit_assumption(tmp_path, capsys, changes, extra, message):
+def test_opt_tau_log_nonpositive_x0_exit_assumption(tmp_path, capsys, changes, extra):
     argv = ["opt-tau", "--config", write_config(tmp_path, "table1_log", x0=-1.0, **changes), *extra]
     assert cli.main(argv) == cli.EXIT_ASSUMPTION
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"parameter/assumption error: {message}\n"
+    assert captured.err == "parameter/assumption error: value function requires x > 0\n"
 
 
 # `solve` and `opt-tau` build a config in one place, so a config with two
@@ -509,7 +551,8 @@ def test_solve_and_opt_tau_name_the_same_fault(tmp_path, capsys, name, changes, 
 
 
 # Power utility with gamma < 1 needs x0 > 0 for both objectives; with no
-# proposition and no cap the search evaluates nothing, so the check comes first.
+# proposition and no cap the search evaluates nothing, so `tau_objective`
+# checks it when it is built.
 @pytest.mark.parametrize("objective", ["scaled", "value"])
 def test_opt_tau_power_nonpositive_x0_exit_assumption(tmp_path, capsys, objective):
     argv = ["opt-tau", "--config", write_config(tmp_path, "table2_power", x0=-1.0),

@@ -14,9 +14,7 @@ from periodic_portfolio import (
     value_log,
     zeta,
 )
-from periodic_portfolio import periodicity
-from periodic_portfolio.errors import ParameterOutOfRange
-from periodic_portfolio.periodicity import tau_log_scaled, tau_log_value, tau_power_scaled
+from periodic_portfolio.errors import DomainError
 
 from conftest import TABLE_MU, TABLE_R, TABLE_SIGMA, random_market
 
@@ -45,7 +43,7 @@ def scaled_log_objective(m, cs, gamma, delta, x, tau):
 
 def test_log_scaled_gamma_one_matches_scalar_root(table_market, table_cone):
     delta = 0.3
-    res = tau_log_scaled(tau_objective(table_config(gamma=1.0, delta=delta, x0=0.5), True))
+    res = optimal_tau(tau_objective(table_config(gamma=1.0, delta=delta, x0=0.5), True))
     assert res.condition_holds and res.objective_kind == "scaled_value"
     # independent root of exp(u)*(2-u) = 2 locates delta*tau*
     u_root = brentq(lambda u: math.exp(u) * (2.0 - u) - 2.0, 1.0, 1.99, xtol=1e-14)
@@ -55,7 +53,7 @@ def test_log_scaled_gamma_one_matches_scalar_root(table_market, table_cone):
 
 
 def test_log_scaled_gamma_one_local_certificate(table_market, table_cone):
-    res = tau_log_scaled(tau_objective(table_config(gamma=1.0, delta=0.3, x0=0.5), True))
+    res = optimal_tau(tau_objective(table_config(gamma=1.0, delta=0.3, x0=0.5), True))
     for bump in (0.999, 1.001):
         assert (
             scaled_log_objective(table_market, table_cone, 1.0, 0.3, 0.5, res.tau_star * bump)
@@ -64,13 +62,13 @@ def test_log_scaled_gamma_one_local_certificate(table_market, table_cone):
 
 
 def test_log_scaled_gamma_below_one_gate(table_market, table_cone):
-    res = tau_log_scaled(tau_objective(table_config(gamma=0.8, delta=0.3, x0=0.5), True))
+    res = optimal_tau(tau_objective(table_config(gamma=0.8, delta=0.3, x0=0.5), True))
     # gate value 0.1272*(0.8/0.3) - 0.1*log(0.5) > 0
     gate = 0.1272 * (0.8 / 0.3) - 0.1 * math.log(0.5)
     assert gate > 0 and res.condition_holds
     assert res.tau_star is not None and res.objective_at_star > 0
     # violated gate: huge initial wealth with a tiny gamma weight
-    res_fail = tau_log_scaled(tau_objective(table_config(gamma=0.01, delta=0.3, x0=1e60), True))
+    res_fail = optimal_tau(tau_objective(table_config(gamma=0.01, delta=0.3, x0=1e60), True))
     assert not res_fail.condition_holds and res_fail.tau_star is None
 
 
@@ -78,7 +76,7 @@ def test_log_value_gate_both_sides(table_market, table_cone):
     threshold = math.exp(-(0.12 + 0.5 * 0.0144) / 0.3)
 
     def result(x):
-        return tau_log_value(tau_objective(table_config(gamma=0.8, delta=0.3, x0=x), False))
+        return optimal_tau(tau_objective(table_config(gamma=0.8, delta=0.3, x0=x), False))
 
     res_in = result(threshold * 0.98)
     assert res_in.condition_holds
@@ -92,7 +90,7 @@ def test_log_value_gate_both_sides(table_market, table_cone):
 
 
 def test_log_value_table_point(table_market, table_cone):
-    res = tau_log_value(tau_objective(table_config(gamma=0.8, delta=0.3, x0=0.5), False))
+    res = optimal_tau(tau_objective(table_config(gamma=0.8, delta=0.3, x0=0.5), False))
     assert res.condition_holds
     assert res.objective_at_star > 0
     for bump in (0.999, 1.001):
@@ -102,13 +100,8 @@ def test_log_value_table_point(table_market, table_cone):
         assert value_log(sol, 0.5) <= res.objective_at_star + 1e-12
 
 
-def test_log_value_requires_gamma_below_one(table_market, table_cone):
-    with pytest.raises(ParameterOutOfRange):
-        tau_log_value(tau_objective(table_config(gamma=1.0, delta=0.3, x0=0.5), False))
-
-
 def test_power_scaled_figure_parameters(table_market, table_cone):
-    res = tau_power_scaled(tau_objective(table_config("power", gamma=1.0, delta=0.11), True))
+    res = optimal_tau(tau_objective(table_config("power", gamma=1.0, delta=0.11), True))
     za = zeta(0.5, 0.12, table_cone.objective)
     assert 0.11 / 2 < za < 0.11
     assert res.condition_holds and res.tau_star is not None
@@ -128,22 +121,22 @@ def test_power_scaled_figure_parameters(table_market, table_cone):
 def test_power_scaled_condition_gate(table_market, table_cone):
     # zeta(alpha) >= delta: no search
     objective = tau_objective(table_config("power", gamma=1.0, delta=0.05), True)
-    res = tau_power_scaled(objective)
+    res = optimal_tau(objective)
     assert not res.condition_holds and res.tau_star is None
     assert math.isnan(res.objective_at_star)
     # capped supremum still reported when requested
-    res_cap = tau_power_scaled(objective, cap=50.0)
+    res_cap = optimal_tau(objective, cap=50.0)
     assert not res_cap.condition_holds and res_cap.tau_star is not None
 
 
 def test_scaled_objectives_vanish_at_long_horizons(table_market, table_cone):
-    res = tau_power_scaled(tau_objective(table_config("power", gamma=1.0, delta=0.11), True))
+    res = optimal_tau(tau_objective(table_config("power", gamma=1.0, delta=0.11), True))
     za = zeta(0.5, 0.12, table_cone.objective)
     far = 1e3 / 0.11
     g_far = math.exp((za - 0.11) * far) * far / (1.0 - math.exp(-0.11 * far))
     assert g_far < 1e-6 * res.objective_at_star
 
-    res_log = tau_log_scaled(tau_objective(table_config(gamma=1.0, delta=0.3, x0=0.5), True))
+    res_log = optimal_tau(tau_objective(table_config(gamma=1.0, delta=0.3, x0=0.5), True))
     f_far = scaled_log_objective(table_market, table_cone, 1.0, 0.3, 0.5, 1e3 / 0.3)
     assert f_far < 1e-6 * res_log.objective_at_star
 
@@ -184,36 +177,27 @@ def test_power_gamma_one_objective_matches_closed_form(table_cone):
         assert value(tau) == pytest.approx(g / tau / alpha, rel=1e-13)
 
 
+# x0 is checked once, when the objective is built, wherever the objective
+# depends on it: log utility, and power utility with gamma < 1.
 @pytest.mark.parametrize(
-    "gate,cfg,scaled",
+    "utility,gamma",
     [
-        pytest.param(tau_power_scaled, table_config("power", gamma=1.0), False, id="power-scaled-on-value"),
-        pytest.param(tau_power_scaled, table_config("power", gamma=0.8), True, id="power-scaled-on-gamma-0.8"),
-        pytest.param(tau_power_scaled, table_config(gamma=1.0), True, id="power-scaled-on-log"),
-        pytest.param(tau_log_value, table_config(), True, id="log-value-on-scaled"),
-        pytest.param(tau_log_value, table_config("power"), False, id="log-value-on-power"),
-        pytest.param(tau_log_scaled, table_config(), False, id="log-scaled-on-value"),
-        pytest.param(tau_log_scaled, table_config("power", gamma=1.0), True, id="log-scaled-on-power"),
+        pytest.param("log", 0.8, id="log-gamma-0.8"),
+        pytest.param("log", 1.0, id="log-gamma-1"),
+        pytest.param("power", 0.8, id="power-gamma-0.8"),
     ],
 )
-def test_gate_rejects_objective_it_does_not_cover(gate, cfg, scaled):
-    with pytest.raises(ParameterOutOfRange):
-        gate(tau_objective(cfg, scaled))
+@pytest.mark.parametrize("scaled", [False, True], ids=["value", "scaled"])
+def test_tau_objective_rejects_nonpositive_x0_when_built(utility, gamma, scaled):
+    with pytest.raises(DomainError, match=r"^value function requires x > 0$"):
+        tau_objective(table_config(utility, gamma=gamma, x0=-1.0), scaled)
 
 
-@pytest.mark.parametrize(
-    "name,cfg,scaled",
-    [
-        ("tau_power_scaled", table_config("power", gamma=1.0, delta=0.11), True),
-        ("tau_log_scaled", table_config(), True),
-        ("tau_log_value", table_config(), False),
-    ],
-)
-def test_optimal_tau_calls_gate_through_module_global(monkeypatch, name, cfg, scaled):
-    # tracers time each search by replacing the gate in the module's globals
-    calls = []
-    gate = getattr(periodicity, name)
-    monkeypatch.setattr(periodicity, name, lambda *args: calls.append(name) or gate(*args))
-    objective = tau_objective(cfg, scaled)
-    assert optimal_tau(objective, 4.0) == gate(objective, 4.0)
-    assert calls == [name]
+@pytest.mark.parametrize("scaled", [False, True], ids=["value", "scaled"])
+def test_power_gamma_one_objective_ignores_x0(scaled):
+    # x0^(alpha(1-gamma)) = 1, so any x0 builds and gives the same objective
+    negative = tau_objective(table_config("power", gamma=1.0, delta=0.11, x0=-1.0), scaled)
+    positive = tau_objective(table_config("power", gamma=1.0, delta=0.11, x0=0.5), scaled)
+    for tau in (0.5, 1.0, 12.0):
+        assert negative(tau) == positive(tau)
+    assert optimal_tau(negative, 4.0) == optimal_tau(positive, 4.0)
