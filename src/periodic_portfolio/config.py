@@ -9,7 +9,8 @@ Text grammar:
   required for power utility and rejected for log; ``n``, if given, must
   equal the length of ``mu``.
 * ``[solver]``: ``tol_root`` (default 1e-10), ``tol_fixed_point`` (1e-10) and
-  ``quad_order`` (64), the starting Gauss-Hermite order.
+  ``quad_order`` (64), the starting Gauss-Hermite order of
+  ``budget_function``; the power solver's own sums fix their grid a priori.
 * ``[mc]``: ``n_paths`` (100000), ``n_periods`` (an integer or ``auto``, the
   default), ``seed`` (12345) and ``antithetic`` (true/false, default false).
 * ``[sweep]``, in a sweep file: ``parameter`` (``alpha``, ``gamma``, ``tau``,

@@ -12,8 +12,8 @@ V_dual(y) = E[phi_a(y * Z/B)] is a lognormal expectation of the Legendre
 transform of h_a and y* balances the unit budget E[(Z/B) * X] = 1.
 
 Both roots are found by safeguarded Newton iteration whose derivatives are
-further sums over the quadrature nodes that give the values, taken in the
-same (vector-valued) quadrature call. With x = I(y * Z/B) at each node:
+further sums over the nodes that give the values, taken in the same call of
+``_period_sums``. With x = I(y * Z/B) at each node:
 
 * y* solves log F(u) = 0 in u = log y, F(y) = E[(Z/B) x], with
   y F'(y) = E[(Z/B) x / (d log h_a'/d log x)] (inverse-function rule);
@@ -28,33 +28,32 @@ The y* Newton sits inside the A* iteration, and only the evaluation that
 ``fixed_point`` accepts needs y* to ``tol_root``. H is stationary in y at y*,
 and with u = log y its Taylor terms come from sums the call already took:
 dH/du = alpha y (1 - F), d^2H/du^2 = alpha y (1 - F - y F') and
-dH'/du = -alpha y dF/da. Each evaluation carries H and H' from its last
-quadrature point to y* by these terms. An evaluation whose residual is well
-above what acceptance allows stops its y* Newton after the first short step
-inside the bracket whose left-out cubic term is small against the residual,
-an inexact Newton step in the sense of Dembo, Eisenstat and Steihaug (SIAM
-J. Numer. Anal. 19(2), 1982); such an evaluation takes one quadrature call.
+dH'/du = -alpha y dF/da. Each evaluation carries H and H' from the last
+point of its y* Newton to y* by these terms. An evaluation whose residual
+is well above what acceptance allows stops its y* Newton after the first
+short step inside the bracket whose left-out cubic term is small against
+the residual, an inexact Newton step in the sense of Dembo, Eisenstat and
+Steihaug (SIAM J. Numer. Anal. 19(2), 1982); such an evaluation takes one
+call of the sums.
 
 The y* Newton of each A step starts near its root, as in the predictor step
 of numerical continuation (Allgower and Georg, Introduction to Numerical
-Continuation Methods, SIAM 2003). At the first A it starts from the root for
-a deterministic deflator (s = 0), y0 = e^{r tau} h_a'(e^{r tau}); after each
-step of A it starts from the tangent of y*(A), d log y*/dA = -(dF/da) /
-(y F'(y)) by the implicit-function rule, with dF/da = E[(Z/B) dx/da] =
+Continuation Methods, SIAM 2003). At the first A it starts from
+y0 = x h_a'(x) at log x = r tau + s^2 / (2 (1-alpha)), the root when
+a(1-gamma) = 0 (``_log_y_start``); after each step of A it starts from the
+tangent of y*(A), d log y*/dA = -(dF/da) / (y F'(y)) by the
+implicit-function rule, with dF/da = E[(Z/B) dx/da] =
 E[-(1-gamma) x^(alpha(1-gamma)) / (y d log h_a'/d log x)] from
-differentiating h_a'(x) = y Z/B. That sum rides in the same quadrature call.
+differentiating h_a'(x) = y Z/B. That sum rides in the same call.
 
-The same continuation runs one level down, at the quadrature nodes. Every
-quadrature pass of one ``fixed_point`` solve integrates over the same nodes,
-so each pass carries to the next, at every node, u = log x and the slope
-g'(u) = d log h_a'/d log x of the node equation g(u) = 0 (see
-``marginal_inverse``). The next pass starts its node Newton from the
-first-order predictor u + (d log y - expit(t) d log c) / g'(u), with
-c = a(1-gamma). g is convex and strictly decreasing, so Newton converges
-from any finite start: the predictor changes how many steps it takes, not
-where it ends. Each pass then forms its sums from u and log Z/B with exp alone.
-Other callers (``contraction_map``, ``intra_period_profile``) and the
-Monte Carlo start every node cold.
+The sums themselves need no root at the nodes. They run over a uniform grid
+in u = log x, where x = I(y Z/B) is given and Z/B follows from x through
+the explicit, strictly decreasing L(u) = log h_a'(e^u); the trapezoid rule
+on such a grid converges geometrically for this analytic integrand
+(Trefethen and Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Review 56(3), 2014), so its window and step are fixed a priori from the
+law of Z/B (``_period_sums``). Only the Monte Carlo, whose deflator draws are
+random, inverts the marginal at each point (``_log_marginal_inverse``).
 
 The same sums give the optimal constrained portfolio (convex duality:
 Cvitanic and Karatzas, Ann. Appl. Probab. 2(4), 1992). At deflator level z
@@ -82,6 +81,7 @@ from .errors import (
     NonFinite,
     NumericalFault,
     ParameterOutOfRange,
+    QuadratureError,
 )
 from .market import EvaluationSpec, MarketModel, check_assumption, zeta
 from .quadrature import DEFAULT_REL_TOL, DeflatorLaw, check_solver_settings, expect_deflator_adaptive
@@ -98,15 +98,13 @@ _FLOOR_ULPS = 4  # residual allowance in ulps of A once the residual stops falli
 _INEXACT_MARGIN = 4.0
 _INEXACT_STEP_CAP = 1e-2
 _INEXACT_TAYLOR_SHARE = 1e-3
-# Quadrature acceptance for the derivative sums, which only steer Newton:
-# the value sums keep DEFAULT_REL_TOL, and a looser slope tolerance keeps the
-# slopes from escalating the order past the one the values need (on wide laws,
-# s ~ 10, order 512 puts x = I(y Z/B) beyond float64 at the outer nodes).
-_SLOPE_REL_TOL = 1e-6
-# The last sum, dF/da, only seeds the next y* Newton, so it never raises the order.
-_PERIOD_SUMS_REL_TOL = np.array(
-    [DEFAULT_REL_TOL, _SLOPE_REL_TOL, DEFAULT_REL_TOL, _SLOPE_REL_TOL, np.inf]
-)
+# the u-grid of ``_period_sums``
+_POINT_MASS_S = 1e-8  # a law of Z/B with a smaller s is summed as a point mass
+_WINDOW_SIGMAS = 12.0  # plus the largest tilt, standard normals on either side of the centre
+_GAUSS_STEP = 0.75  # times the narrowest width of the Gaussian in u
+_POLE_STEP = 2.0 * math.pi * math.pi / 128.0  # times 1 / (|alpha| gamma)
+_MAX_NODES = 2**16  # on each side of the centre
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(eq=False)
@@ -206,16 +204,11 @@ def _newton_start(lc: float, p1: float, beta: float, log_y):
     return np.maximum(u, u_c, out=u)
 
 
-def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float, start=None):
+def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float):
     """u = log I(exp(log_y)) for finite log_y, by Newton in log space.
 
-    The Newton kernel behind ``marginal_inverse``; see its docstring. Newton
-    starts from ``start`` if given, an array like ``log_y`` of finite values
-    that it overwrites, and from ``_newton_start`` otherwise. g is convex and
-    strictly decreasing with g' <= max(alpha-1, alpha(1-gamma)-1) < 0, so a
-    step from any finite start is finite and lands at or below the root,
-    from where the iterates rise to it monotonically. Returns a new array (or
-    ``start``) and leaves ``log_y`` unchanged; an empty ``log_y`` gives an
+    The Newton kernel behind ``marginal_inverse``; see its docstring. Returns
+    a new array and leaves ``log_y`` unchanged; an empty ``log_y`` gives an
     empty float array.
     """
     p1 = alpha - 1.0
@@ -224,7 +217,7 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
         return log_y / p1
     beta = -alpha * gamma
     lc = math.log(c)
-    u = _newton_start(lc, p1, beta, log_y) if start is None else start
+    u = _newton_start(lc, p1, beta, log_y)
     for _ in range(_NEWTON_CAP):
         t = beta * u
         t += lc
@@ -268,15 +261,16 @@ def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10
     iterate stays below the root and rises to it monotonically. It stops once
     the largest step is at most ``tol``. The whole iteration runs in log
     space: ``_log_marginal_inverse`` takes log y and returns u, the Monte
-    Carlo calls it directly (from this cold start), the quadrature sums of
-    ``_period_sums`` call it from a warm start, and this function returns
-    exp(u). log(1 + e^t) is evaluated as max(t, log1p(exp(min(t, 36)))),
-    accurate to rounding for every t, and expit(t) reuses its exponential.
-    When c == 0 (a == 0 or gamma == 1), u = log(y) / (alpha-1) exactly.
+    Carlo calls it directly, and this function returns exp(u).
+    log(1 + e^t) is evaluated as max(t, log1p(exp(min(t, 36)))), accurate to
+    rounding for every t, and expit(t) reuses its exponential. When c == 0
+    (a == 0 or gamma == 1), u = log(y) / (alpha-1) exactly. The period sums
+    (``_period_sums``) need no inverse: they sum over a grid in u, where
+    each node's x is given.
 
-    As in ``_period_sums``, an x that would round to 0 raises DomainError
-    and an x that would overflow float64 raises NonFinite. An empty y gives
-    an empty float array of the same shape.
+    An x that would round to 0 raises DomainError and an x that would
+    overflow float64 raises NonFinite. An empty y gives an empty float array
+    of the same shape.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
@@ -303,115 +297,160 @@ def budget_function(p: PowerProblem, a: float, y: float) -> float:
     )
 
 
-def _log_elasticity(a: float, alpha: float, gamma: float, u):
-    """(g'(u), tanh(t/2)) at u = log x, with g'(u) = d log h_a'(x) / d log x.
+def _node_root(p1: float, bend: float, log_c: float, target: float) -> float:
+    """The u with L(u) = (alpha-1) u + log(1 + exp(log c - alpha gamma u)) = target, c > 0.
 
-    g'(u) = alpha - 1 - alpha gamma expit(t), t = log c - alpha gamma u, is a
-    weighted mean of alpha-1 and alpha(1-gamma)-1, and expit(t) =
-    (1 + tanh(t/2)) / 2. When c = a(1-gamma) = 0 it returns (alpha - 1, None).
+    ``p1`` = alpha - 1 and ``bend`` = alpha gamma. Scalar Newton from the
+    start of ``marginal_inverse``, below the root, from where it rises to it.
     """
-    c = a * (1.0 - gamma)
-    if c == 0.0:
-        return alpha - 1.0, None
-    half = 0.5 * alpha * gamma
-    tanh_half = half * u
-    np.subtract(0.5 * math.log(c), tanh_half, out=tanh_half)
-    np.tanh(tanh_half, out=tanh_half)
-    weighted = tanh_half * half
-    return np.subtract(alpha - 1.0 - half, weighted, out=weighted), tanh_half
+    u = max(target / p1, (target - log_c) / (p1 - bend))
+    for _ in range(_NEWTON_CAP):
+        t = log_c - bend * u
+        e = math.exp(min(t, _SOFTPLUS_LINEAR))
+        step = (p1 * u + max(t, math.log1p(e)) - target) / (p1 - bend * e / (1.0 + e))
+        u -= step
+        if abs(step) <= 1e-12 * (1.0 + abs(u)):  # quadratic: u is now far closer
+            return u
+    raise NonConvergence("node Newton iteration hit its cap")
 
 
-def _predict_log_inverse(u, el, tanh_half, d_log_y: float, d_log_c: float):
-    """First-order predictor of u = log I(y) after log y moves by d_log_y and log c by d_log_c.
-
-    ``u``, ``el`` = g'(u) and ``tanh_half`` = tanh(t/2) are the solution and
-    its ``_log_elasticity`` before the move. Differentiating g(u) = 0 gives
-    du = (d log y - expit(t) d log c) / el. Returns a new array.
-    """
-    if d_log_c == 0.0:
-        step = d_log_y / el
-    else:
-        step = tanh_half * (-0.5 * d_log_c)
-        step += d_log_y - 0.5 * d_log_c  # d log y - expit(t) d log c
-        step /= el
-    step += u
-    return step
-
-
-def _period_sums(
-    p: PowerProblem, law: DeflatorLaw, a: float, y: float, warm: dict | None = None
-) -> np.ndarray:
-    """One quadrature call at (a, y) over the nodes x = I(y * Z/B), Z/B ~ ``law``.
+def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.ndarray:
+    """The sums at (a, y) over x = I(y * Z/B), Z/B ~ ``law``, on a uniform grid in u = log x.
 
     Returns [F(y), y F'(y), E[phi_a(y Z/B)], H'(a), dF/da], with
-    H'(a) = E[x^(alpha(1-gamma))] (envelope theorem) and dF/da at fixed y
-    equal to E[-(1-gamma) x^(alpha(1-gamma)) / (y el)]. Both derivatives come
-    from dx = x (d log y - (1-gamma) x^(alpha(1-gamma)-1) da / (y Z/B)) / el,
-    el = d log h_a'/d log x, so they stay finite wherever F does. The last
-    sum is not tested for convergence (its tolerance is inf).
+    H'(a) = E[x^beta] (envelope theorem), beta = alpha(1-gamma), and
+    y F'(y) = E[(Z/B) x / L'(u)] and dF/da = E[-(1-gamma) x^beta / (y L'(u))]
+    from differentiating h_a'(x) = y Z/B.
 
-    The integrand works in log space: from log z = drift + s * node it solves
-    u = log x by ``_log_marginal_inverse`` and forms every column with exp
-    of u and log z. It keeps the domain checks of ``marginal_inverse`` and
-    ``moderated_utility``: Z/B and y Z/B must be positive finite float64s
-    (DomainError), and so must x, which raises DomainError when it would
-    round to 0 and NonFinite when it would overflow.
+    x = I(y Z/B) means log(Z/B) = L(u) - log y with
+    L(u) = log h_a'(e^u) = (alpha-1) u + log(1 + e^t), t = log c - alpha gamma u,
+    c = a(1-gamma). L is explicit and strictly decreasing, with
+    |L'(u)| = 1 - alpha + alpha gamma expit(t) between 1 - max(alpha, beta) and
+    1 - min(alpha, beta). With G = (L(u) - log y - drift) / s, the standard
+    normal behind Z/B, E[f] is the integral of f phi(G) |L'(u)| / s du, so
+    every node gives its x and no node solves for it.
 
-    ``warm``, when given, carries the node solutions from one call to the
-    next, for calls under one law: for each rule (keyed by its node count)
-    the last log y, log c (c = a(1-gamma) > 0), u and ``_log_elasticity``
-    of u. A call then starts the node Newton from ``_predict_log_inverse``
-    in place of the cold start; any finite start converges to the same root,
-    so only the iteration count depends on it. The caller owns the dict;
-    None starts cold.
+    The trapezoid rule on a uniform grid converges geometrically for this
+    analytic integrand (Trefethen and Weideman, "The exponentially convergent
+    trapezoidal rule", SIAM Review 56(3), 2014), so the grid is fixed a
+    priori, with no order doubling:
+
+    * it is centred at the root of G = 0, found by a scalar Newton, and
+      reaches 12 + k s standard normals either way, 12 for the tails and
+      k s for the largest tilt exp(k s G) that a column puts on phi, which
+      is at most |alpha| / (1 - max(alpha, beta)) (x^alpha with L' near its
+      smallest); with k = max(2, 1 + |alpha| / (1 - max(alpha, beta))) the
+      half-width is (12 + k s) s / (1 - max(alpha, beta)) in u;
+    * its step is at most 0.75 s / (1 - min(alpha, beta)), 0.75 of the
+      narrowest width of the Gaussian in u, for an error near exp(-35), and
+      at most 2 pi d / 128, d = pi / (|alpha| gamma) the distance of the poles
+      of log(1 + e^t) from the real axis. The poles alone would allow
+      2 pi d / 32, an error near exp(-32); the finer step averages down the
+      rounding of each node's terms (below).
+
+    G is formed from L(u) - L(u_c), never from two values of L. When
+    |alpha gamma| times the half-width is at most 1, that rise is
+    (alpha-1)(u - u_c) + log1p(expit(t_c) expm1(t - t_c)), which keeps its
+    relative accuracy however small s is. Wider windows write
+    log(1 + e^t) = max(t, 0) + log1p(e^-|t|), so the rise is the larger of
+    two lines in u - u_c plus a term below log 2. There the lines and t are
+    taken at the exact offsets k * step in ``np.longdouble`` and each rounded
+    once to float64. In float64 alone, the offsets and the products that
+    form t round by ulps of |L|, and the weight exp(-G^2 / 2) turns that into
+    per-node errors that grow like s^2: on wide laws, where A* sits at the
+    float64 floor and ``fixed_point`` tests its residual to 4 ulps, that
+    noise stalled the fixed point. Where numpy's long double is float64 the
+    sums keep their accuracy, and only that noise returns.
+
+    Every column is a sum of positive terms, each the exp of its log, and phi
+    is assembled from the columns; a column that would leave float64 raises
+    NonFinite. A law with s < 1e-8 is a point mass: the sums are the terms at
+    the centre. When c = 0 (a = 0 or gamma = 1), L is linear.
     """
     alpha, gamma = p.alpha, p.evaluation.gamma
     beta = alpha * (1.0 - gamma)
-    log_y = math.log(y)
+    p1, bend = alpha - 1.0, alpha * gamma
+    s, drift = law.s, law.drift
+    target = math.log(y) + drift  # L(u) at G = 0
     c = a * (1.0 - gamma)
-    log_c = math.log(c) if c > 0.0 else None
-    keep = warm is not None and log_c is not None  # no Newton runs when c = 0
+    if c > 0.0:
+        log_c = math.log(c)
+        u_c = _node_root(p1, bend, log_c, target)
+        t_c = log_c - bend * u_c
+        e_c = math.exp(min(t_c, _SOFTPLUS_LINEAR))
+        expit_c = e_c / (1.0 + e_c)
+    else:
+        u_c, expit_c = target / p1, 0.0
+    if s < _POINT_MASS_S:
+        slope = bend * expit_c - p1
+        u, rise, log_w = np.array([u_c]), 0.0, -math.log(slope)
+    else:
+        step = _GAUSS_STEP * s / (1.0 - min(alpha, beta))
+        if c > 0.0:
+            step = min(step, _POLE_STEP / abs(bend))
+        tilt = max(2.0, 1.0 + abs(alpha) / (1.0 - max(alpha, beta)))
+        half = (_WINDOW_SIGMAS + tilt * s) * s / (1.0 - max(alpha, beta))
+        if not half <= _MAX_NODES * step:
+            raise QuadratureError(f"the law of Z/B is too wide for the u-grid: s = {s:.6g}")
+        k = np.arange(-math.ceil(half / step), math.ceil(half / step) + 1.0)
+        v = k * step  # u - u_c
+        if c > 0.0 and abs(bend) * half <= 1.0:
+            # t - t_c is within about 1 here, so the rise of log(1 + e^t), log1p(expit(t_c) expm1(t - t_c)),
+            # keeps its relative accuracy however small s is
+            e = v * -bend
+            np.expm1(e, out=e)
+            rise = e * expit_c
+            slope = rise + 1.0
+            e += 1.0
+            e *= bend * expit_c
+            e /= slope
+            slope = np.subtract(e, p1, out=e)
+            np.log1p(rise, out=rise)
+            rise += p1 * v
+        else:
+            # the rise and t at the exact offsets k * step, each rounded once (see the docstring)
+            exact = k.astype(np.longdouble) * step
+            if c == 0.0:
+                rise, slope = (p1 * exact).astype(float), -p1  # L(u) - L(u_c) and |L'(u)|
+            else:
+                # log(1 + e^t) = max(t, 0) + log1p(e^-|t|): two lines in u - u_c and a term below log 2
+                if t_c >= 0.0:
+                    line = np.maximum((p1 - bend) * exact, p1 * exact - t_c)
+                else:
+                    line = np.maximum((p1 - bend) * exact + t_c, p1 * exact)
+                exact *= -bend
+                exact += t_c
+                t = exact.astype(float)
+                e = np.abs(t)
+                np.negative(e, out=e)
+                np.exp(e, out=e)
+                np.log1p(e, out=e)
+                e -= math.log1p(math.exp(-abs(t_c)))
+                line += e
+                rise = line.astype(float)
+                slope = np.multiply(t, 0.5, out=t)
+                np.tanh(slope, out=slope)  # expit(t) = (1 + tanh(t/2)) / 2
+                slope *= 0.5 * bend
+                slope += 0.5 * bend - p1
+        log_w = rise * rise  # the weight step phi(G) / s, in logs
+        log_w *= -0.5 / (s * s)
+        log_w += math.log(step / (s * _SQRT_2PI))
+        u = v
+        u += u_c
+    # the log terms of E[x^beta/|L'|], E[zx/|L'|], F = E[zx], E[x^alpha] and H' = E[x^beta];
+    # the Jacobian |L'| cancels in the first two
+    terms = np.multiply.outer(np.array([beta, 1.0, 1.0, alpha, beta]), u)
+    terms[1:3] += rise + drift  # log zx = u + L(u) - log y
+    terms += log_w
+    terms[2:] += np.log(slope)
+    if np.maximum.reduce(terms, axis=None) > _LOG_HUGE - math.log(u.size):
+        raise NonFinite(f"a period sum overflows at a={a:.6g}, y={y:.6g}")
+    np.exp(terms, out=terms)
+    xb_el, zx_el, zx, xa, xb = np.add.reduce(terms, axis=1).tolist()
+    return np.array([zx, -zx_el, (xa + a * xb) / alpha - y * zx, xb, (1.0 - gamma) / y * xb_el])
 
-    def integrand(log_z):
-        lo, hi = law.log_range(log_z)
-        if min(lo, lo + log_y) < _LOG_TINY or max(hi, hi + log_y) > _LOG_HUGE:
-            raise DomainError("marginal inverse requires finite y > 0")
-        log_yz = log_z + log_y
-        prev = warm.get(log_z.size) if keep else None
-        start = None
-        if prev is not None:
-            start = _predict_log_inverse(*prev[2:], log_y - prev[0], log_c - prev[1])
-        u = _log_marginal_inverse(a, alpha, gamma, log_yz, p.tol_root, start)
-        if np.minimum.reduce(u, axis=None) < _LOG_TINY:
-            raise DomainError("moderated utility requires x > 0")
-        if np.maximum.reduce(u, axis=None) > _LOG_HUGE:
-            raise NonFinite("x = I(y Z/B) overflows at a quadrature node")
-        el, tanh_half = _log_elasticity(a, alpha, gamma, u)
-        if keep:
-            warm[log_z.size] = (log_y, log_c, u, el, tanh_half)
-        zx = np.add(u, log_z)
-        np.exp(zx, out=zx)
-        xb = np.exp(beta * u)
-        phi = np.exp(alpha * u)
-        phi /= alpha
-        phi += (a / alpha) * xb
-        phi -= y * zx
-        return np.concatenate([zx, zx / el, phi, xb, xb / el]).reshape(5, -1)
 
-    sums = expect_deflator_adaptive(
-        integrand, law, order=p.quad_order, rel_tol=_PERIOD_SUMS_REL_TOL, log_nodes=True
-    )
-    sums[4] *= -(1.0 - gamma) / y
-    return sums
-
-
-def _newton_y(
-    p: PowerProblem,
-    a: float,
-    u: float,
-    warm: dict | None = None,
-    stop: tuple[float, float] | None = None,
-):
+def _newton_y(p: PowerProblem, a: float, u: float, stop: tuple[float, float] | None = None):
     """Root y* of the unit budget F(y) = 1 by safeguarded Newton in u = log y, from ``u``.
 
     Each step solves log F(u) = 0 with the exact slope
@@ -428,9 +467,8 @@ def _newton_y(
     y) and H' = E[x^(alpha(1-gamma))] are carried from y_k to y* by
     ``_carry_to``. The slope ratio -y F'(y)/F(y) and the tangent
     d log y*/dA = -(dF/da) / (y F'(y)), which steers the next start, are
-    taken from the ``_period_sums`` at y_k. ``warm`` is passed to every
-    ``_period_sums`` call. A y that would overflow or round to 0 raises
-    NonFinite.
+    taken from the ``_period_sums`` at y_k. A y that would overflow or round
+    to 0 raises NonFinite.
 
     ``stop`` = (disc, r_min) lets a fixed-point evaluation at A = ``a`` that
     cannot be the accepted one end early, as an inexact Newton step of the
@@ -452,7 +490,7 @@ def _newton_y(
     law = p.law
     for _ in range(_NEWTON_CAP):
         y = _exp_log_y(u)
-        sums = _period_sums(p, law, a, y, warm)
+        sums = _period_sums(p, law, a, y)
         if not sums[0] > 0.0:
             raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
         g = math.log(sums[0])
@@ -509,13 +547,16 @@ def _exp_log_y(u: float) -> float:
 
 
 def _log_y_start(p: PowerProblem, a: float) -> float:
-    """log y* for a deterministic deflator (s = 0): log(e^{r tau} h_a'(e^{r tau})).
+    """A start for log y*: log(x h_a'(x)) at log x = r tau + s^2 / (2 (1-alpha)).
 
-    With Z/B = e^{-r tau} the budget fixes x = e^{r tau}, and y = x h_a'(x) =
-    x^alpha (1 + c x^(-alpha gamma)), c = a(1-gamma), in log space.
+    y = x h_a'(x) = x^alpha (1 + c x^(-alpha gamma)), c = a(1-gamma), in log
+    space. That log x is the root for c = 0 exactly: there the budget is the
+    lognormal moment y^(1/(alpha-1)) E[(Z/B)^(alpha/(alpha-1))] = 1, so
+    log y* = alpha (r tau + s^2 / (2 (1-alpha))). For s = 0 it is the root
+    for a deterministic deflator, x = e^{r tau}.
     """
     alpha, gamma = p.alpha, p.evaluation.gamma
-    log_x = p.market.r * p.evaluation.tau
+    log_x = p.market.r * p.evaluation.tau + 0.5 * p.law.s**2 / (1.0 - alpha)
     c = a * (1.0 - gamma)
     if c <= 0.0:
         return alpha * log_x
@@ -525,9 +566,13 @@ def _log_y_start(p: PowerProblem, a: float) -> float:
 def contraction_map(p: PowerProblem, a: float) -> float:
     """Psi(a) = exp(-delta*tau) * H(a); a contraction under well-posedness.
 
-    H(a) = alpha * (V_dual(y*) + y*) is the one-period optimum under h_a.
+    H(a) = alpha * (V_dual(y*) + y*) is the one-period optimum under h_a;
+    its y* Newton starts from ``_log_y_start``. A negative a raises
+    DomainError.
     """
-    return math.exp(-p.evaluation.delta * p.evaluation.tau) * _newton_y(p, a, 0.0)[0]
+    if a < 0.0:
+        raise DomainError("the contraction map requires a >= 0")
+    return math.exp(-p.evaluation.delta * p.evaluation.tau) * _newton_y(p, a, _log_y_start(p, a))[0]
 
 
 def contraction_modulus(p: PowerProblem) -> float:
@@ -580,14 +625,15 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
     relative accuracy, and for gamma = 1 and alpha > 0 the upper bound is A*
     itself) and narrowed by the sign of every residual, are kept as a
     bracket, and a Newton step that leaves it is replaced by the Picard step
-    A -> Psi(A).
+    A -> Psi(A). A* > 0, so the lower end is never below half the lower
+    bound, however small that bound is against tol: every A evaluated is
+    positive.
 
     Each evaluation's y* Newton starts near its root: at the first A from
-    the deterministic-deflator root ``_log_y_start``, and after each step
+    ``_log_y_start``, and after each step
     dA from log y* + (d log y*/dA) dA, the tangent of y*(A) taken by the
-    previous evaluation. Every quadrature pass of the solve is over the same
-    nodes, so each pass's node Newton starts from the previous pass's
-    solution, moved by the first-order predictor (``_period_sums``).
+    previous evaluation. Each evaluation sums over its own a-priori u-grid
+    (``_period_sums``), so it carries nothing else from the last.
 
     Only the accepted evaluation needs y* to ``tol_root``. Both acceptance
     tests below need |Psi(A) - A| <= tol + 4 ulp(A), since 1-q < 1, so an
@@ -609,7 +655,8 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
     tolerances); ``iterations`` counts
     evaluations of Psi and ``error_bound`` is |Psi(A) - A| / (1-q), a bound on
     the error of both A and Psi(A). A tau so small that q rounds to 1 raises
-    ParameterOutOfRange.
+    ParameterOutOfRange, and a Psi(A) that underflows to 0 (A* below float64)
+    NonFinite.
     """
     q_mod = contraction_modulus(p)
     if q_mod >= 1.0:
@@ -621,16 +668,17 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
 
     tol = p.tol_fixed_point
     disc = math.exp(-p.evaluation.delta * p.evaluation.tau)
-    lo = lower - (tol + DEFAULT_REL_TOL * abs(lower)) if math.isfinite(lower) else 0.0
+    lo = max(lower - (tol + DEFAULT_REL_TOL * abs(lower)), 0.5 * lower) if math.isfinite(lower) else 0.0
     hi = upper + (tol + DEFAULT_REL_TOL * abs(upper)) if math.isfinite(upper) else math.inf
     u = _log_y_start(p, a)
-    warm = {}
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):
         allowed = tol + _FLOOR_ULPS * math.ulp(a)  # the largest residual either test accepts
         stop = (disc, _INEXACT_MARGIN * allowed)
-        h_val, h_slope, y_star, scale, dlog_y = _newton_y(p, a, u, warm, stop)
+        h_val, h_slope, y_star, scale, dlog_y = _newton_y(p, a, u, stop)
         psi = disc * h_val
+        if not psi > 0.0:
+            raise NonFinite(f"A* underflows float64 at tau={p.evaluation.tau:.6g}")
         residual = psi - a
         error_bound = abs(residual) / (1.0 - q_mod)
         if error_bound <= tol:
@@ -641,7 +689,7 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
             hi = min(hi, a)
         a_next = a + residual / (1.0 - disc * h_slope)
         if not lo <= a_next <= hi:
-            a_next = a + residual  # Picard step
+            a_next = psi  # the Picard step, which a + residual would round to 0 when psi < ulp(a)
         if abs(residual) >= last_residual or a_next == a:  # at the float64 floor
             if abs(residual) <= allowed:
                 break
@@ -696,8 +744,9 @@ def intra_period_profile(
     """Optimal wealth multiplier and portfolio fractions inside a period.
 
     ``z`` is the intra-period deflator level Z_t/B_t relative to the period
-    start. One quadrature pass over the residual deflator R of horizon
-    tau - t gives F(y) = E[R I(y R)] and y F'(y) at a = A* and y = y* z. The
+    start. One ``_period_sums`` call over the residual deflator R of horizon
+    tau - t gives F(y) = E[R I(y R)] and y F'(y) at a = A* and y = y* z (a
+    point mass at t = tau, and NonFinite if y* z leaves float64). The
     wealth multiplier is F, and the risky fractions are
     -(y F'(y) / F) (sigma^T)^{-1} xi_tilde; for m(z) = z F(y* z) the factor
     equals 1 - z m'(z) / m(z). Fractions are nonnegative in theory; a
@@ -710,5 +759,8 @@ def intra_period_profile(
         raise DomainError("deflator level z must be positive")
 
     law_res = DeflatorLaw.for_horizon(p.xi_tilde_norm_sq, p.market.r, tau - t)
-    sums = _period_sums(p, law_res, sol.a_star, sol.y_star * z)
+    y = sol.y_star * z
+    if not 0.0 < y < math.inf:
+        raise NonFinite(f"y* z leaves the float64 range at z = {z:.6g}")
+    sums = _period_sums(p, law_res, sol.a_star, y)
     return float(sums[0]), _feedback_fractions(p.cs, -sums[1] / sums[0])

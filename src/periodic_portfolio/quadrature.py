@@ -13,20 +13,17 @@ of the Hermite one. Its eigenvalues seed Newton on the orthonormal Hermite
 recurrence, which also gives the weights in log scale, so no weight overflows
 or turns to NaN at any order; weights below the float range round to 0.
 
-The adaptive driver takes its first doubling test, orders n and 2n, in one
-pass over a paired rule that holds both node sets: one integrand call then
-returns both estimates. An integrand costs about as much per call at 64 nodes
-as at 192 (interpreter and ufunc overhead dominate), so the fused test costs
-about half of two separate passes. For the same reason a law forms the log
-nodes of each rule, and their least and greatest value, once
-(``DeflatorLaw.log_nodes``): every pass of a solve integrates over the same
-nodes.
+The power solver's period sums do not use these rules: they sum on a uniform
+grid in u = log x, where each node's x is given (``power._period_sums``).
+The rules serve ``power.budget_function``, a second, independent kernel for
+the budget F(y), through the order-doubling driver
+``expect_deflator_adaptive``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -132,25 +129,6 @@ def make_rule(order: int) -> GaussHermiteRule:
     return GaussHermiteRule(order=order, nodes=nodes, weights=weights)
 
 
-@lru_cache(maxsize=None)
-def _paired_rule(order: int) -> GaussHermiteRule:
-    """The rules of orders n and 2n as one rule of 3n nodes.
-
-    Its weights form a (3n, 2) block matrix: column 0 holds the order-n
-    weights on the first n nodes, column 1 the order-2n weights on the rest,
-    so ``expect_deflator`` returns both estimates along a last axis of size 2.
-    ``order`` is the node count, 3n.
-    """
-    coarse, fine = make_rule(order), make_rule(2 * order)
-    nodes = np.concatenate([coarse.nodes, fine.nodes])
-    weights = np.zeros((3 * order, 2))
-    weights[:order, 0] = coarse.weights
-    weights[order:, 1] = fine.weights
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return GaussHermiteRule(order=3 * order, nodes=nodes, weights=weights)
-
-
 @dataclass(frozen=True)
 class DeflatorLaw:
     """Lognormal law of the per-period deflator: exp(drift + s*G).
@@ -158,14 +136,10 @@ class DeflatorLaw:
     For a period of length ``horizon`` the production construction uses
     s = |xi_tilde| * sqrt(horizon) and drift = -s^2/2 - r*horizon, which
     makes exp(r*horizon) * E[deflator] = 1.
-
-    ``log_nodes`` forms the log nodes drift + s*x_k of a rule once per law
-    object, so the passes of one solve over the same rule share them.
     """
 
     s: float
     drift: float
-    _log_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s < 0 or not np.isfinite(self.s):
@@ -182,77 +156,37 @@ class DeflatorLaw:
         s2 = xi_tilde_norm_sq * horizon
         return cls(s=math.sqrt(s2), drift=-0.5 * s2 - r * horizon)
 
-    def log_nodes(self, rule: GaussHermiteRule) -> np.ndarray:
-        """drift + s * the rule's nodes, read-only, formed on the first call per rule."""
-        formed = self._log_nodes.get(rule)
-        if formed is None:
-            log_z = self.drift + self.s * rule.nodes
-            log_z.flags.writeable = False
-            formed = self._log_nodes[rule] = (log_z, log_z.min(), log_z.max())
-        return formed[0]
 
-    def log_range(self, log_z: np.ndarray):
-        """(least, greatest) value of ``log_z``, taken once for log nodes this law formed."""
-        for formed in self._log_nodes.values():
-            if formed[0] is log_z:
-                return formed[1], formed[2]
-        return log_z.min(), log_z.max()
-
-
-def expect_deflator(f, law: DeflatorLaw, rule: GaussHermiteRule, log_nodes: bool = False):
+def expect_deflator(f, law: DeflatorLaw, rule: GaussHermiteRule):
     """Return sum_k w_k * f(exp(drift + s*x_k)).
 
     ``f`` must accept an ndarray of positive deflator samples and return
     either an array of the same shape or a stack of shape (k, nodes) (k
-    expectations). With ``log_nodes`` it receives the log deflator
-    drift + s*x_k instead, so an integrand that works in log space needs no
-    exp and log round trip, and must itself check that exp of what it uses is
-    a finite float64. The result is ``vals @ rule.weights``: a float when that
-    is 0-d, and with a paired rule's two-column weights one more trailing
-    axis of size 2 (coarse, fine). Raises NonFinite if any evaluation is
-    NaN/inf.
+    expectations); the result is a float or an array of k. Raises NonFinite
+    if any evaluation is NaN/inf.
     """
-    log_z = law.log_nodes(rule)
-    vals = np.asarray(f(log_z if log_nodes else np.exp(log_z)), dtype=float)
+    vals = np.asarray(f(np.exp(law.drift + law.s * rule.nodes)), dtype=float)
     if not _all(np.isfinite(vals)):
         raise NonFinite("integrand produced a non-finite value at a quadrature node")
     out = vals @ rule.weights
     return float(out) if out.ndim == 0 else out
 
 
-def expect_deflator_adaptive(
-    f,
-    law: DeflatorLaw,
-    order: int = DEFAULT_ORDER,
-    rel_tol: float = DEFAULT_REL_TOL,
-    log_nodes: bool = False,
-):
+def expect_deflator_adaptive(f, law: DeflatorLaw, order: int = DEFAULT_ORDER, rel_tol: float = DEFAULT_REL_TOL):
     """Evaluate the expectation with order doubling until it stabilizes.
 
-    Accepts the refined value once |result(order) - result(2*order)| falls
-    below rel_tol * (1 + |result|); for a stacked integrand every component
-    must pass, and ``rel_tol`` may give one tolerance per component. The
-    first test evaluates orders n and 2n in one call of ``f`` on the paired
-    rule, so ``f`` must act elementwise on its nodes, and 2n must not pass
-    ``MAX_ORDER`` (``check_solver_settings`` caps every configured order at
-    ``MAX_ORDER // 2``); later doublings evaluate one order per call. For a
-    given ``order``, each rule the cascade can use has its own node count.
-    ``log_nodes`` is passed on to ``expect_deflator``. Raises
-    QuadratureError if the doubling cascade reaches ``MAX_ORDER``, the
-    largest order of every expectation, without stabilizing.
+    Accepts the value at 2n once |result(n) - result(2n)| falls below
+    rel_tol * (1 + |result(2n)|); for a stacked integrand every component
+    must pass. ``check_solver_settings`` caps every configured starting order
+    at ``MAX_ORDER // 2``, so the first test fits. Raises QuadratureError if
+    the doubling cascade reaches ``MAX_ORDER``, the largest order of every
+    expectation, without stabilizing.
     """
-    pair = expect_deflator(f, law, _paired_rule(order), log_nodes)
-    coarse, fine = pair[..., 0], pair[..., 1]
-    order *= 2
-    if _all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
-        return float(fine) if fine.ndim == 0 else fine
-    coarse = fine
+    coarse = expect_deflator(f, law, make_rule(order))
     while 2 * order <= MAX_ORDER:
         order *= 2
-        fine = expect_deflator(f, law, make_rule(order), log_nodes)
+        fine = expect_deflator(f, law, make_rule(order))
         if _all(np.abs(fine - coarse) <= rel_tol * (1.0 + np.abs(fine))):
             return fine
         coarse = fine
-    raise QuadratureError(
-        f"quadrature did not stabilize at rel_tol={np.min(rel_tol):g} by order {MAX_ORDER}"
-    )
+    raise QuadratureError(f"quadrature did not stabilize at rel_tol={rel_tol:g} by order {MAX_ORDER}")

@@ -27,6 +27,24 @@ TABLE_DELTA = 0.3
 TABLE_X0 = 0.5
 TABLE_ALPHA = 0.5
 
+# A well-posed 4-asset power config (sigma row-major) whose a-priori lower bound
+# on A*, 4.1e-20, is far below tol_fixed_point.
+TINY_LOWER_BOUND = dict(
+    mu=(0.04335325643224113, 0.07378403542680072, 0.05515197555359649, -0.15357125568089802),
+    sigma=(
+        1.9234759100968501, 0.0, 0.0, 0.0,
+        -0.0065544645033205114, -0.001733502888638559, 0.0, 0.0,
+        0.01861753945482601, 0.018688683026681287, 0.09462499751290283, 0.0,
+        -0.2484409176376192, 0.020584806310570115, -0.10039977944115408, 0.9414191652731412,
+    ),
+    r=0.05487723032327442,
+    tau=1.0505836575875487,
+    gamma=0.38248512136531015,
+    delta=2.5944570199318444,
+    x0=3282.1147292070773,
+    alpha=-1.8269518200464598,
+)
+
 
 @pytest.fixture
 def count_calls(monkeypatch):

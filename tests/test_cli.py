@@ -8,6 +8,8 @@ import pytest
 from periodic_portfolio import cli, format_problem_config, parse_problem_config
 from periodic_portfolio.errors import NonConvergence
 
+from conftest import TINY_LOWER_BOUND
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -676,6 +678,25 @@ def test_overflowing_gamma_one_objective_exits_nonconvergence(tmp_path, capsys, 
     assert "overflows" in err
 
 
+# TINY_LOWER_BOUND (conftest) is well posed, so every call solves: no traceback from
+# a fixed-point step below 0 (tau = 1.0506), and no exit 3, which is kept for
+# parameter errors, from a period sum that leaves float64 (tau = 2).
+@pytest.mark.parametrize(
+    "tau,argv",
+    [
+        (TINY_LOWER_BOUND["tau"], ["solve"]),
+        (TINY_LOWER_BOUND["tau"], ["opt-tau", "--tau-cap", "5"]),
+        (2.0, ["solve"]),
+    ],
+    ids=["solve", "capped-opt-tau", "solve-tau-2"],
+)
+def test_a_tiny_lower_bound_on_a_star_solves(tmp_path, capsys, tau, argv):
+    path = write_config(tmp_path, "table2_power", **dict(TINY_LOWER_BOUND, tau=tau))
+    code, out, err = run_cli(capsys, [argv[0], "--config", path, *argv[1:]])
+    assert code == cli.EXIT_OK, err
+    assert out and err == ""
+
+
 # One parser serves every `cli.main` call of a process.
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
@@ -719,9 +740,9 @@ def test_a_rejected_argv_writes_usage_to_the_current_stderr(capsys):
 # A sweep raises the error of its first failing grid point in grid order,
 # with the point's prefix and exit code, whichever stage fails: building the
 # point (tau or x0 = inf), solving its fixed point (tau = 1e-300 and 1e300
-# fail before any quadrature; at tau = 1e4 the first quadrature call rejects
-# y Z/B) or forming its report (x0 = -1). In the third case tau = 1e300
-# fails in fewer steps than tau = 1e4, which comes first.
+# fail before any period sum; at tau = 1e4, A* = Psi(A) underflows float64)
+# or forming its report (x0 = -1). In the third case tau = 1e300 fails in
+# fewer steps than tau = 1e4, which comes first.
 SWEEP_ERRORS = {
     ("tau", "1e-300 1 inf"): (
         cli.EXIT_ASSUMPTION,
@@ -730,11 +751,11 @@ SWEEP_ERRORS = {
     ),
     ("tau", "1 1e300 inf"): (
         cli.EXIT_NONCONVERGENCE,
-        "solver error: at grid point tau=1e+300: y* Newton left the float64 range at log y = 6e+298\n",
+        "solver error: at grid point tau=1e+300: y* Newton left the float64 range at log y = 6.72e+298\n",
     ),
     ("tau", "1 1e4 1e300"): (
-        cli.EXIT_ASSUMPTION,
-        "parameter/assumption error: at grid point tau=10000: marginal inverse requires finite y > 0\n",
+        cli.EXIT_NONCONVERGENCE,
+        "solver error: at grid point tau=10000: A* underflows float64 at tau=10000\n",
     ),
     ("x0", "-1 1 inf"): (
         cli.EXIT_ASSUMPTION,

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,11 +26,12 @@ from periodic_portfolio import (
     zeta,
 )
 from periodic_portfolio import power
-from periodic_portfolio.errors import AssumptionViolated, DomainError, NonFinite, ParameterOutOfRange
+from periodic_portfolio.errors import AssumptionViolated, DomainError, NonFinite, ParameterOutOfRange, PortfolioError
 from periodic_portfolio.mc import SimulationConfig
 from periodic_portfolio.power import moderated_marginal
 from periodic_portfolio.quadrature import expect_deflator_adaptive
 
+import reference
 from conftest import (
     TABLE_ALPHA,
     TABLE_DELTA,
@@ -38,6 +40,7 @@ from conftest import (
     TABLE_SIGMA,
     TABLE_TAU,
     TABLE_X0,
+    TINY_LOWER_BOUND,
     h_expectation,
     random_market,
 )
@@ -157,34 +160,6 @@ def test_newton_start_bounds_the_root_from_below(a, gamma, alpha, log_y):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    log_y=st.floats(-30.0, 30.0),
-    shift=st.floats(-20.0, 20.0),
-    jump=st.sampled_from([-5.0, 5.0]),
-    **KERNEL_CASES,
-)
-def test_warm_starts_reach_the_cold_root(a, gamma, alpha, log_y, shift, jump):
-    # g is convex and strictly decreasing, so Newton converges from any finite
-    # start: from root + shift, and from the predictor after log y moves by
-    # jump, with a fixed or a -> 10 a
-    def newton(a, log_y, start=None):
-        return power._log_marginal_inverse(a, alpha, gamma, np.array([log_y]), 1e-10, start)
-
-    root = newton(a, log_y)
-    assert newton(a, log_y, root + shift)[0] == pytest.approx(root[0], rel=0, abs=1e-12 * (1.0 + abs(root[0])))
-    el, tanh_half = power._log_elasticity(a, alpha, gamma, root)
-    for factor in (1.0, 10.0):
-        cold = newton(factor * a, log_y + jump)[0]
-        start = power._predict_log_inverse(root, el, tanh_half, jump, math.log(factor))
-        warm = newton(factor * a, log_y + jump, start)[0]
-        assert warm == pytest.approx(cold, rel=0, abs=1e-12 * (1.0 + abs(cold)))
-    # the predictor is first order: after a move of 1e-4 in log y and log c it
-    # is 1e-8 off the root (at most 3.8e-9 in 3000 random cases)
-    near = newton(a * math.exp(1e-4), log_y + 1e-4)[0]
-    assert abs(power._predict_log_inverse(root, el, tanh_half, 1e-4, 1e-4)[0] - near) <= 1e-7
-
-
-@settings(max_examples=300, deadline=None)
 @given(log_x=st.floats(-30.0, 30.0), **KERNEL_CASES)
 def test_marginal_inverse_inverts_the_marginal(a, gamma, alpha, log_x):
     x = math.exp(log_x)
@@ -233,19 +208,124 @@ def test_legendre_is_supremum(power_problem):
 
 
 @pytest.mark.parametrize(
-    "drift,y,error",
+    "drift,y,finite",
     [
-        (-400.0, math.exp(-400.0), DomainError),  # y Z/B = e^-800 underflows
-        (-800.0, math.exp(400.0), DomainError),  # Z/B = e^-800 underflows, y Z/B would not
-        (400.0, 1.0, DomainError),  # x = (y Z/B)^-2 = e^-800 underflows
-        (-400.0, 1.0, NonFinite),  # x = e^800 overflows, Z/B x = e^400 would not
+        (-400.0, math.exp(-400.0), False),  # Z/B x = e^1200 overflows
+        (-800.0, math.exp(400.0), True),  # Z/B = e^-800 is no float64, but every sum is
+        (400.0, 1.0, True),  # x = e^-800 underflows, but no sum needs x itself
+        (-400.0, 1.0, True),  # x = e^800 overflows, Z/B x = e^400 does not
     ],
 )
-def test_period_sums_keep_the_float64_domain_checks(power_problem_g1, drift, y, error):
-    # the sums work in log space, where these nodes give finite columns; they
-    # fail as the sums over x = I(y Z/B) in float64 did
-    with pytest.raises(error):
-        power._period_sums(power_problem_g1, DeflatorLaw(s=0.0, drift=drift), 1.0, y)
+def test_period_sums_overflow_only_past_float64(power_problem_g1, drift, y, finite):
+    # the sums work in log space, so a node whose Z/B or x is no float64 fails
+    # only if a sum is none either, and then as NonFinite (exit 4); gamma = 1
+    # gives x = (y Z/B)^(1/(alpha-1)) in closed form
+    law, alpha = DeflatorLaw(s=0.0, drift=drift), TABLE_ALPHA
+    if not finite:
+        with pytest.raises(NonFinite):
+            power._period_sums(power_problem_g1, law, 1.0, y)
+        return
+    u = (math.log(y) + drift) / (alpha - 1.0)
+    zx = math.exp(drift + u)
+    expected = [zx, -zx / (1.0 - alpha), (math.exp(alpha * u) + 1.0) / alpha - y * zx, 1.0, 0.0]
+    np.testing.assert_allclose(power._period_sums(power_problem_g1, law, 1.0, y), expected, rtol=1e-12, atol=0)
+
+
+# --- the u-grid sums against an independent reference -------------------------
+# tests/reference.py integrates each column over G with scipy's quad and solves
+# every node with brentq. Cases: table2 at (A*, y*) with gamma < 1, gamma = 1
+# (c = 0, L linear), alpha = -1 and alpha = -4; tau = 1e-3 (the narrow-window
+# branch); the widest law of the random grid, random_market(default_rng(30002),
+# 30) at tau = 100 (s = 39.4), at two points where every column is a float64;
+# a point-mass law; and alpha near 1, whose tilt needs the wider window.
+
+
+def _table_problem(tau, gamma, alpha, delta=TABLE_DELTA):
+    m = MarketModel(mu=TABLE_MU, sigma=TABLE_SIGMA, r=TABLE_R)
+    return PowerProblem(market=m, evaluation=EvaluationSpec(tau, gamma, delta), alpha=alpha, cs=constrained_sharpe(m))
+
+
+def _widest_grid_problem():
+    m = random_market(np.random.default_rng(30002), 30)
+    cs = constrained_sharpe(m)
+    delta = max(zeta(-1.0 * (1.0 - 0.8), m.r, cs.objective), 0.0) + 0.3
+    return PowerProblem(market=m, evaluation=EvaluationSpec(100.0, 0.8, delta), alpha=-1.0, cs=cs)
+
+
+REFERENCE_CASES = {
+    "table2": lambda: (_table_problem(TABLE_TAU, 0.8, 0.5), None, None),
+    "gamma-one": lambda: (_table_problem(TABLE_TAU, 1.0, 0.5), None, None),
+    "alpha-minus-one": lambda: (_table_problem(TABLE_TAU, 0.8, -1.0), None, None),
+    "alpha-minus-four": lambda: (_table_problem(4.0, 0.5, -4.0, delta=1.0), None, None),
+    "tau-1e-3": lambda: (_table_problem(1e-3, 0.8, 0.5), None, None),
+    "widest-law": lambda: (_widest_grid_problem(), None, (1e-20, math.exp(-200.0))),
+    "widest-law-a-one": lambda: (_widest_grid_problem(), None, (1.0, math.exp(-150.0))),
+    "point-mass": lambda: (_table_problem(TABLE_TAU, 0.8, 0.5), DeflatorLaw(s=0.0, drift=-0.1), (1.7, 1.3)),
+    # x^alpha tilts phi by alpha / (1 - alpha) = 5.1 standard normals per unit of s
+    "alpha-near-one": lambda: (
+        _table_problem(TABLE_TAU, 0.32, 0.836, delta=5.0),
+        DeflatorLaw(s=2.22, drift=-0.5 * 2.22**2 - 0.05),
+        (350.0, 0.404),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_period_sums_match_an_independent_reference(name):
+    p, law, point = REFERENCE_CASES[name]()
+    law = law or p.law
+    if point is None:
+        sol = fixed_point(p)
+        point = (sol.a_star, sol.y_star)
+    a, y = point
+    expected = reference.period_sums(p.alpha, p.evaluation.gamma, a, y, law.s, law.drift)
+    np.testing.assert_allclose(power._period_sums(p, law, a, y), expected, rtol=1e-9, atol=0)
+
+
+# --- the random grid --------------------------------------------------------------
+# tools/solve_grid.py prints it: random_market(default_rng(1000 n + k), n) for n in
+# {2, 10, 30} and k < 6, alpha in {0.5, -1, -0.5}, gamma = 0.8, delta 0.3 above the
+# well-posedness bound, tau from 1e-3 to 100. With an 80-bit np.longdouble 431 solve;
+# the one failure left is n = 30, k = 2, alpha = 0.5 at tau = 100 (s = 39), where y*
+# itself leaves float64 (log y* = 778). Where np.longdouble is float64, two more
+# alpha = 0.5 solves (n = 30, k = 2 at tau = 10 and k = 5 at tau = 30) stall at the
+# float64 floor of A* (see _period_sums); no solve fails with a parameter error.
+
+GRID_GAMMA = 0.8
+GRID_TAUS = (1e-3, 1e-2, 0.1, 1.0, 4.0, 10.0, 30.0, 100.0)
+
+
+def grid_outcomes(n, ks):
+    outcomes = Counter()
+    for k in ks:
+        m = random_market(np.random.default_rng(1000 * n + k), n)
+        cs = constrained_sharpe(m)
+        for alpha in (0.5, -1.0, -0.5):
+            delta = max(zeta(alpha * (1.0 - GRID_GAMMA), m.r, cs.objective), 0.0) + 0.3
+            for tau in GRID_TAUS:
+                try:
+                    fixed_point(PowerProblem(m, EvaluationSpec(tau, GRID_GAMMA, delta), alpha, cs))
+                except PortfolioError as exc:
+                    outcomes[type(exc).__name__, alpha] += 1
+                else:
+                    outcomes["ok"] += 1
+    return outcomes
+
+
+def test_random_grid_solves_without_parameter_errors():
+    outcomes = grid_outcomes(2, range(6)) + grid_outcomes(10, range(6)) + grid_outcomes(30, range(6))
+    assert outcomes["ok"] >= 429, outcomes
+    assert all(key in ("ok", ("NonFinite", 0.5), ("NonConvergence", 0.5)) for key in outcomes), outcomes
+
+
+def test_random_grid_n50_row():
+    # n = 50, k < 2: |xi_tilde|^2 = 21 to 27, so s reaches 52 at tau = 100, where at
+    # alpha = 0.5 the a-priori upper bound on A* overflows (two solves) and log y* is
+    # about alpha s^2 / (2 (1 - alpha)) > 1000, beyond float64. Where np.longdouble
+    # is float64, one more alpha = 0.5 solve stalls at the float64 floor (tau = 4)
+    outcomes = grid_outcomes(50, range(2))
+    assert outcomes["ok"] >= 45, outcomes
+    assert all(key in ("ok", ("NonFinite", 0.5), ("NonConvergence", 0.5)) for key in outcomes), outcomes
 
 
 # --- h_a shape invariants (used at desk scale; the full grid runs in the
@@ -482,8 +562,8 @@ def test_y_star_safeguard_survives_bad_slopes(power_problem, monkeypatch, slope_
     expected = newton_y_star(power_problem, 1.0)
     exact = power._period_sums
 
-    def skewed(p, law, a, y, warm=None):
-        sums = exact(p, law, a, y, warm).copy()
+    def skewed(p, law, a, y):
+        sums = exact(p, law, a, y).copy()
         sums[1] *= slope_scale
         return sums
 
@@ -519,25 +599,6 @@ def test_fixed_point_work_budget_on_table2(table_market, table_cone, count_calls
         assert len(calls) <= budget, f"tau={tau}"
 
 
-def test_fixed_point_warm_starts_every_node_pass_after_the_first(power_problem, monkeypatch):
-    # all quadrature passes of one solve are over the same nodes, so each one
-    # after the first starts its node Newton from the previous pass's solution;
-    # contraction_map, the independent check, starts every pass cold
-    warm = []
-    kernel = power._log_marginal_inverse
-
-    def recorded(a, alpha, gamma, log_y, tol, start=None):
-        warm.append(start is not None)
-        return kernel(a, alpha, gamma, log_y, tol, start)
-
-    monkeypatch.setattr(power, "_log_marginal_inverse", recorded)
-    fixed_point(power_problem)
-    assert len(warm) >= 3 and not warm[0] and all(warm[1:])
-    warm.clear()
-    contraction_map(power_problem, 3.0)
-    assert len(warm) >= 2 and not any(warm)
-
-
 def test_fixed_point_gamma1_newton_step_above_the_upper_bound():
     # for gamma = 1 and alpha > 0 the upper a-priori bound is A* itself, and
     # the first Newton step lands 1.1e-9 above it, beyond an absolute slack of
@@ -555,9 +616,10 @@ def test_fixed_point_gamma1_newton_step_above_the_upper_bound():
 @pytest.mark.parametrize("alpha", [0.5, -1.0, -0.5])
 def test_fixed_point_newton_on_random_markets(monkeypatch, n, alpha):
     # the random markets default_rng(1000 n + k), k < 6, at tau <= 4; delta
-    # sits 0.3 above the well-posedness bound. fixed_point warm-starts its quadrature nodes from
-    # pass to pass, while contraction_map solves cold, so the residual check
-    # also compares the two.
+    # sits 0.3 above the well-posedness bound. After its first evaluation,
+    # fixed_point starts each y* Newton from the tangent of y*(A), while
+    # contraction_map starts from _log_y_start, so the residual check also
+    # compares the two.
     steps = []  # the log-y step over which each evaluation carries H to y*
     carry = power._carry_to
 
@@ -584,6 +646,34 @@ def test_fixed_point_newton_on_random_markets(monkeypatch, n, alpha):
             assert abs(contraction_map(p, a) - a) <= tol + floor, (k, tau)
             if tau >= 1e-2:
                 assert sol.error_bound <= max(tol, floor / (1 - q)), (k, tau)
+
+
+def test_a_lower_bound_below_tol_keeps_every_evaluated_a_positive(monkeypatch):
+    # the lower bound, 4.1e-20, is below tol, so a bracket widened by tol alone
+    # reaches below 0, where H(a) is not defined; A* > 0, so every evaluated a must
+    # stay positive, Picard steps included (A + (Psi(A) - A) rounds to 0 when
+    # Psi(A) < ulp(A))
+    c = TINY_LOWER_BOUND
+    m = MarketModel(mu=c["mu"], sigma=np.reshape(c["sigma"], (4, 4)), r=c["r"])
+    p = PowerProblem(m, EvaluationSpec(c["tau"], c["gamma"], c["delta"]), c["alpha"], constrained_sharpe(m))
+    evaluated = []
+    exact = power._period_sums
+
+    def recorded(p, law, a, y):
+        evaluated.append(a)
+        return exact(p, law, a, y)
+
+    monkeypatch.setattr(power, "_period_sums", recorded)
+    sol = fixed_point(p)
+    assert sol.lower_bound < p.tol_fixed_point
+    assert min(evaluated) > 0.0
+    assert sol.lower_bound * (1.0 - 1e-10) <= sol.a_star <= sol.upper_bound
+    assert abs(contraction_map(p, sol.a_star) - sol.a_star) <= p.tol_fixed_point
+
+
+def test_contraction_map_rejects_a_negative_a(power_problem):
+    with pytest.raises(DomainError):
+        contraction_map(power_problem, -1e-17)
 
 
 @pytest.mark.parametrize("n,seed", [(10, 10000), (10, 10001), (30, 30000)])
@@ -772,7 +862,7 @@ def test_intra_period_complementary_slackness(power_problem, power_solution, tab
 
 
 def test_intra_period_profile_takes_one_quadrature_call(power_problem, power_solution, count_calls):
-    calls = count_calls(power, "expect_deflator_adaptive")
+    calls = count_calls(power, "_period_sums")
     intra_period_profile(power_problem, power_solution, 0.5, 1.05)
     assert len(calls) == 1
 
@@ -848,16 +938,3 @@ def test_full_horizon_mc_matches_value(power_problem, power_solution):
     )
     v = value_function(power_solution, 0.5, TABLE_ALPHA, 0.8)
     assert abs(est.mean - v) <= 3 * est.std_error + est.truncation_bound
-
-
-@pytest.mark.parametrize("a,alpha,gamma", [(3.17, 0.5, 0.8), (0.02, -1.0, 0.6), (50.0, -4.0, 0.5)])
-def test_marginal_elasticity_matches_scipy_expit(a, alpha, gamma):
-    # the numpy logistic 0.5 * (1 + tanh(t / 2)) is within 1.1e-16 of expit and
-    # raises no warning, here for |t| up to ~1400; the elasticity takes u = log x
-    from scipy.special import expit
-
-    x = np.logspace(-300, 300, 2001)
-    t = math.log(a * (1.0 - gamma)) - alpha * gamma * np.log(x)
-    expected = (alpha - 1.0) - alpha * gamma * expit(t)
-    got = power._log_elasticity(a, alpha, gamma, np.log(x))[0]
-    np.testing.assert_allclose(got, expected, rtol=0, atol=4e-16 * (1.0 - alpha + abs(alpha * gamma)))

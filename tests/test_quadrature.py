@@ -94,27 +94,12 @@ def test_non_finite_integrand_raises():
 
 
 def test_an_infinite_value_raises_before_the_weights_meet_it():
-    # the paired rule's weights hold zeros, and inf * 0 in the sum would warn
-    # (an error under this suite's filterwarnings) before NonFinite could say why
+    # an infinite node value must raise NonFinite before the weighted sum
+    # meets it, where inf * 0 would warn (an error under this suite's filterwarnings)
     law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
     threshold = math.exp(law.drift + 0.37 * law.s)
     with pytest.raises(NonFinite):
         expect_deflator_adaptive(lambda z: np.where(z > threshold, np.inf, z), law)
-
-
-def test_log_nodes_are_formed_once_per_law_and_rule():
-    law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
-    rule = make_rule(64)
-    log_z = law.log_nodes(rule)
-    assert law.log_nodes(rule) is log_z and not log_z.flags.writeable
-    assert np.array_equal(log_z, law.drift + law.s * rule.nodes)
-    assert law.log_range(log_z) == (log_z.min(), log_z.max())
-    assert law.log_range(log_z.copy()) == (log_z.min(), log_z.max())
-    # an equal law is its own object with its own nodes, and the cache is no field of equality
-    twin = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
-    assert twin == law and hash(twin) == hash(law)
-    assert twin.log_nodes(rule) is not log_z and np.array_equal(twin.log_nodes(rule), log_z)
-    assert repr(law) == f"DeflatorLaw(s={law.s!r}, drift={law.drift!r})"
 
 
 def test_adaptive_escalation_fails_on_discontinuity():
@@ -145,10 +130,7 @@ def test_stacked_integrand_escalates_on_any_component():
         return np.stack([z, (z > threshold).astype(float)])
 
     with pytest.raises(QuadratureError):
-        expect_deflator_adaptive(f, law, rel_tol=np.array([1e-10, 1e-12]))
-    # a loose enough tolerance on the step component accepts at the first check
-    loose = expect_deflator_adaptive(f, law, rel_tol=np.array([1e-10, 1.0]))
-    assert loose[0] == pytest.approx(math.exp(-0.12), rel=1e-10)
+        expect_deflator_adaptive(f, law, rel_tol=1e-12)
 
 
 def test_law_validation():
@@ -158,7 +140,7 @@ def test_law_validation():
         DeflatorLaw.for_horizon(-1.0, 0.1, 1.0)
 
 
-# --- the paired first doubling test against the one-order-per-pass cascade ---
+# --- the adaptive driver against a one-order-per-pass reference cascade ---
 
 
 def reference_cascade(f, law, order=64, rel_tol=1e-10, max_order=512):
@@ -193,7 +175,7 @@ FUSED_CASES = {
     "stacked-to-512": (
         lambda z: np.stack([z, oscillating(20.0)(z)]),
         UNIT_LAW,
-        {"rel_tol": np.array([1e-10, 1e-10])},
+        {"rel_tol": 1e-10},
         512,
     ),
     "start-at-4": (lambda z: z**0.5, TABLE_LAW, {"order": 4}, 8),

@@ -13,8 +13,8 @@ prints one line per solve,
 
 or ``n k alpha tau ErrorClass`` when the solve raises, and a last line with
 the totals. ``quadrature_calls`` counts ``power._period_sums`` calls, each
-one adaptive quadrature call. The wall time of the whole grid goes to
-standard error.
+one trapezoid sum on the a-priori u = log x grid of that law (no order
+doubling). The wall time of the whole grid goes to standard error.
 """
 
 from __future__ import annotations
