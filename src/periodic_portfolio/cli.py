@@ -20,7 +20,6 @@ import dataclasses
 import math
 import sys
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 
@@ -60,7 +59,7 @@ _PARAMETER_ERRORS = (
 
 def _fmt(value) -> str:
     if isinstance(value, (np.ndarray, list, tuple)):
-        return " ".join(f"{float(v):.12g}" for v in np.asarray(value).ravel())
+        return " ".join([f"{v:.12g}" for v in map(float, np.ravel(value).tolist())])
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -69,15 +68,24 @@ def _fmt(value) -> str:
 
 
 def _emit(report: dict) -> None:
-    for key, value in report.items():
-        sys.stdout.write(f"{key}: {_fmt(value)}\n")
+    sys.stdout.write("".join(f"{key}: {_fmt(value)}\n" for key, value in report.items()))
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of a config or sweep file, its newlines read as text mode reads them.
+
+    A file that cannot be read, or is not valid UTF-8, raises ConfigError.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not valid UTF-8: {exc}") from None
+    if "\r" in text:  # universal newlines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_config(path: str) -> ProblemConfig:
@@ -134,7 +142,8 @@ def write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
     for row in rows:
         lines.append(",".join(f"{v:.12g}" for v in row))
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as file:
+            file.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 

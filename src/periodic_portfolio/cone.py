@@ -69,9 +69,12 @@ class ConstrainedSharpe:
 
 
 def _solve_free(G: np.ndarray, rhs: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Solve G[F, F] z = rhs on the free set F; a singular G[F, F] raises SingularVolatility."""
+    """Solve G[F, F] z = rhs on the free set F, given by its indices ``free``.
+
+    A singular G[F, F] raises SingularVolatility.
+    """
     try:
-        return np.linalg.solve(G[free][:, free], rhs)
+        return np.linalg.solve(G[free[:, None], free], rhs)
     except np.linalg.LinAlgError:
         raise SingularVolatility("sigma^{-1} has linearly dependent columns") from None
 
@@ -103,8 +106,10 @@ def solve_cone(xi: np.ndarray, sigma_inv: np.ndarray) -> ConstrainedSharpe:
     xi = np.asarray(xi, dtype=float)
     A = np.asarray(sigma_inv, dtype=float)
     n = xi.size
-    G = A.T @ A
-    c = A.T @ xi
+    At = A.T
+    G = At @ A
+    c = At @ xi
+    neg_c = -c
     free = np.zeros(n, dtype=bool)
     p, xi_tilde, gradient = np.zeros(n), xi.copy(), c
     fewest, backup = n + 1, 3
@@ -118,12 +123,13 @@ def solve_cone(xi: np.ndarray, sigma_inv: np.ndarray) -> ConstrainedSharpe:
         elif backup > 0:
             backup -= 1
         else:
-            infeasible = np.arange(n) == np.flatnonzero(infeasible)[-1]
+            infeasible = np.arange(n) == infeasible.nonzero()[0][-1]
         free ^= infeasible
+        support = free.nonzero()[0]
         p = np.zeros(n)
-        p[free] = _solve_free(G, -c[free], free)
+        p[support] = _solve_free(G, neg_c[support], support)
         xi_tilde = xi + A @ p
-        gradient = A.T @ xi_tilde
+        gradient = At @ xi_tilde
     else:
         raise NonConvergence("cone projection exceeded iteration cap")
 
@@ -142,9 +148,10 @@ def solve_cone(xi: np.ndarray, sigma_inv: np.ndarray) -> ConstrainedSharpe:
         if refinements == _REFINE_STEPS:
             raise NonConvergence("cone projection terminated without a KKT certificate")
         refinements += 1
-        p[free] -= _solve_free(G, gradient[free], free)
+        support = free.nonzero()[0]
+        p[support] -= _solve_free(G, gradient[support], support)
         xi_tilde = xi + A @ p
-        gradient = A.T @ xi_tilde
+        gradient = At @ xi_tilde
 
 
 def verify_kkt(c: ConstrainedSharpe) -> bool:
@@ -155,13 +162,12 @@ def verify_kkt(c: ConstrainedSharpe) -> bool:
     certificate cannot pass on stale fields.
     """
     g = c.sigma_inv.T @ c.xi_tilde
-    if c.pi_tilde_star.min() < -KKT_TOL:
-        return False
-    if g.min() < -KKT_TOL:
-        return False
-    if np.abs(c.pi_tilde_star * g).max() > KKT_TOL:
-        return False
-    return True
+    p = c.pi_tilde_star
+    return not (
+        np.minimum.reduce(p) < -KKT_TOL
+        or np.minimum.reduce(g) < -KKT_TOL
+        or np.maximum.reduce(np.abs(p * g)) > KKT_TOL
+    )
 
 
 def constrained_sharpe(m: MarketModel) -> ConstrainedSharpe:

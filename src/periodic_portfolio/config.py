@@ -123,11 +123,19 @@ _SWEEP_SCALARS = ("alpha", "gamma", "tau", "x0", "delta")
 
 
 def apply_sweep_value(cfg: ProblemConfig, parameter: str, value: float) -> ProblemConfig:
-    """Return a copy of ``cfg`` with one swept parameter replaced."""
+    """Return a copy of ``cfg`` with one swept parameter replaced.
+
+    A scalar is copied in without ``dataclasses.replace``: the checks of
+    ``ProblemConfig.__post_init__`` read only the utility, mu, sigma and
+    whether alpha is set, which a scalar sweep of a valid config keeps.
+    """
     if parameter in _SWEEP_SCALARS:
         if parameter == "alpha" and cfg.utility != "power":
             raise ConfigError("alpha can only be swept for power utility")
-        return dataclasses.replace(cfg, **{parameter: float(value)})
+        point = object.__new__(ProblemConfig)
+        point.__dict__.update(cfg.__dict__)
+        point.__dict__[parameter] = float(value)
+        return point
     if parameter.startswith("mu_"):
         i = _index_1based(parameter[3:], cfg.n, parameter)
         mu = list(cfg.mu)
@@ -160,20 +168,19 @@ def _index_1based(token: str, n: int, parameter: str) -> int:
 
 
 def _split_sections(text: str) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {"": {}}
-    current = ""
+    body: dict[str, str] = {}
+    sections = {"": body}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            sections.setdefault(current, {})
+        if line[0] == "[" and line[-1] == "]":
+            body = sections.setdefault(line[1:-1].strip().lower(), {})
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        sections[current][key.strip().lower()] = value.strip()
+        body[key.strip().lower()] = value.strip()
     return sections
 
 
@@ -271,32 +278,27 @@ def _json_scalar(value) -> str:
     return str(value)
 
 
+def _pop_required(top: dict[str, str], key: str) -> str:
+    try:
+        return top.pop(key)
+    except KeyError:
+        raise ConfigError(f"missing required key {key!r}") from None
+
+
 def _config_from_sections(sections: dict[str, dict[str, str]]) -> ProblemConfig:
-    top = dict(sections.get("", {}))
-    solver = dict(sections.get("solver", {}))
-    mc = dict(sections.get("mc", {}))
     for name in sections:
         if name not in ("", "solver", "mc", "sweep"):
             raise ConfigError(f"unknown section [{name}]")
+    top = dict(sections.get("", {}))
+    solver = dict(sections.get("solver", ()))
+    mc = dict(sections.get("mc", ()))
 
-    def pop_required(key: str) -> str:
-        if key not in top:
-            raise ConfigError(f"missing required key {key!r}")
-        return top.pop(key)
-
-    utility = pop_required("utility").lower()
-    mu = _parse_vector(pop_required("mu"), "mu")
-    sigma = _parse_vector(pop_required("sigma"), "sigma")
-    kwargs = dict(
-        utility=utility,
-        mu=mu,
-        sigma=sigma,
-        r=_parse_float(pop_required("r"), "r"),
-        tau=_parse_float(pop_required("tau"), "tau"),
-        gamma=_parse_float(pop_required("gamma"), "gamma"),
-        delta=_parse_float(pop_required("delta"), "delta"),
-        x0=_parse_float(pop_required("x0"), "x0"),
-    )
+    kwargs = {"utility": _pop_required(top, "utility").lower()}
+    for key in ("mu", "sigma"):
+        kwargs[key] = _parse_vector(_pop_required(top, key), key)
+    for key in ("r", "tau", "gamma", "delta", "x0"):
+        kwargs[key] = _parse_float(_pop_required(top, key), key)
+    mu = kwargs["mu"]
     if "alpha" in top:
         kwargs["alpha"] = _parse_float(top.pop("alpha"), "alpha")
     if "n" in top:

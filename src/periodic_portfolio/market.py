@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,9 @@ class MarketModel:
     r: float
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+        mu = np.asarray(self.mu, dtype=float)
+        if mu.ndim == 0:
+            mu = mu.reshape(1)
         sigma = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -42,9 +45,9 @@ class MarketModel:
             raise DimensionMismatch(
                 f"sigma must be {mu.size}x{mu.size}, got {sigma.shape}"
             )
-        if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(sigma)):
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise ParameterOutOfRange("market coefficients must be finite")
-        if not np.isfinite(self.r) or self.r < 0:
+        if not math.isfinite(self.r) or self.r < 0:
             raise ParameterOutOfRange("risk-free rate r must be >= 0")
 
     @property
@@ -65,11 +68,11 @@ class EvaluationSpec:
     delta: float
 
     def __post_init__(self):
-        if not (self.tau > 0 and np.isfinite(self.tau)):
+        if not (self.tau > 0 and math.isfinite(self.tau)):
             raise ParameterOutOfRange("tau must be a positive real")
         if not (0 < self.gamma <= 1):
             raise ParameterOutOfRange("gamma must lie in (0, 1]")
-        if not (self.delta > 0 and np.isfinite(self.delta)):
+        if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ParameterOutOfRange("delta must be a positive real")
 
 
@@ -90,9 +93,9 @@ def validate_market(m: MarketModel) -> None:
     exceeds ``COND_CAP_DEFAULT``, and Degenerate if the smallest eigenvalue of
     sigma*sigma^T falls below ``KAPPA0_DEFAULT``.
     """
-    svals = np.linalg.svd(m.sigma, compute_uv=False)
+    svals = np.linalg.svd(m.sigma, compute_uv=False).tolist()
     smin, smax = svals[-1], svals[0]
-    if smin <= 0.0 or not np.isfinite(smin):
+    if smin <= 0.0 or not math.isfinite(smin):
         raise SingularVolatility("sigma is not invertible")
     if smax / smin > COND_CAP_DEFAULT:
         raise SingularVolatility(
@@ -100,9 +103,9 @@ def validate_market(m: MarketModel) -> None:
         )
     # min eigenvalue of sigma*sigma^T equals the square of the smallest
     # singular value of sigma
-    if smin**2 < KAPPA0_DEFAULT:
+    if smin * smin < KAPPA0_DEFAULT:
         raise Degenerate(
-            f"min eigenvalue of sigma*sigma^T is {smin**2:.3g} < kappa0 {KAPPA0_DEFAULT:.3g}"
+            f"min eigenvalue of sigma*sigma^T is {smin * smin:.3g} < kappa0 {KAPPA0_DEFAULT:.3g}"
         )
 
 

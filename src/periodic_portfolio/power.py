@@ -125,7 +125,7 @@ class PowerProblem:
     quad_order: int = 64
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha == 0 or self.alpha >= 1:
+        if not math.isfinite(self.alpha) or self.alpha == 0 or self.alpha >= 1:
             raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
         check_solver_settings(self.quad_order, self.tol_root, self.tol_fixed_point)
         report = check_assumption(
@@ -314,10 +314,12 @@ def _node_root(p1: float, bend: float, log_c: float, target: float) -> float:
     raise NonConvergence("node Newton iteration hit its cap")
 
 
-def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.ndarray:
+def _period_sums(
+    p: PowerProblem, law: DeflatorLaw, a: float, y: float
+) -> tuple[float, float, float, float, float]:
     """The sums at (a, y) over x = I(y * Z/B), Z/B ~ ``law``, on a uniform grid in u = log x.
 
-    Returns [F(y), y F'(y), E[phi_a(y Z/B)], H'(a), dF/da], with
+    Returns the floats (F(y), y F'(y), E[phi_a(y Z/B)], H'(a), dF/da), with
     H'(a) = E[x^beta] (envelope theorem), beta = alpha(1-gamma), and
     y F'(y) = E[(Z/B) x / L'(u)] and dF/da = E[-(1-gamma) x^beta / (y L'(u))]
     from differentiating h_a'(x) = y Z/B.
@@ -386,7 +388,7 @@ def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.nd
         u, rise, log_w = np.array([u_c]), 0.0, -math.log(slope)
     else:
         step = _GAUSS_STEP * s / (1.0 - min(alpha, beta))
-        if c > 0.0:
+        if c > 0.0 and bend != 0.0:  # alpha gamma can round to 0, and then L has no poles
             step = min(step, _POLE_STEP / abs(bend))
         tilt = max(2.0, 1.0 + abs(alpha) / (1.0 - max(alpha, beta)))
         half = (_WINDOW_SIGMAS + tilt * s) * s / (1.0 - max(alpha, beta))
@@ -409,7 +411,7 @@ def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.nd
             rise += p1 * v
         else:
             # the rise and t at the exact offsets k * step, each rounded once (see the docstring)
-            exact = k.astype(np.longdouble) * step
+            exact = np.multiply(k, step, dtype=np.longdouble)
             if c == 0.0:
                 rise, slope = (p1 * exact).astype(float), -p1  # L(u) - L(u_c) and |L'(u)|
             else:
@@ -421,8 +423,7 @@ def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.nd
                 exact *= -bend
                 exact += t_c
                 t = exact.astype(float)
-                e = np.abs(t)
-                np.negative(e, out=e)
+                e = np.copysign(t, -1.0)  # -|t|
                 np.exp(e, out=e)
                 np.log1p(e, out=e)
                 e -= math.log1p(math.exp(-abs(t_c)))
@@ -447,7 +448,7 @@ def _period_sums(p: PowerProblem, law: DeflatorLaw, a: float, y: float) -> np.nd
         raise NonFinite(f"a period sum overflows at a={a:.6g}, y={y:.6g}")
     np.exp(terms, out=terms)
     xb_el, zx_el, zx, xa, xb = np.add.reduce(terms, axis=1).tolist()
-    return np.array([zx, -zx_el, (xa + a * xb) / alpha - y * zx, xb, (1.0 - gamma) / y * xb_el])
+    return zx, -zx_el, (xa + a * xb) / alpha - y * zx, xb, (1.0 - gamma) / y * xb_el
 
 
 def _newton_y(p: PowerProblem, a: float, u: float, stop: tuple[float, float] | None = None):
@@ -468,7 +469,7 @@ def _newton_y(p: PowerProblem, a: float, u: float, stop: tuple[float, float] | N
     ``_carry_to``. The slope ratio -y F'(y)/F(y) and the tangent
     d log y*/dA = -(dF/da) / (y F'(y)), which steers the next start, are
     taken from the ``_period_sums`` at y_k. A y that would overflow or round
-    to 0 raises NonFinite.
+    to 0, and a budget or budget slope that underflows to 0, raise NonFinite.
 
     ``stop`` = (disc, r_min) lets a fixed-point evaluation at A = ``a`` that
     cannot be the accepted one end early, as an inexact Newton step of the
@@ -491,14 +492,15 @@ def _newton_y(p: PowerProblem, a: float, u: float, stop: tuple[float, float] | N
     for _ in range(_NEWTON_CAP):
         y = _exp_log_y(u)
         sums = _period_sums(p, law, a, y)
-        if not sums[0] > 0.0:
+        f, yf = sums[0], sums[1]
+        if not f > 0.0 or yf == 0.0:
             raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
-        g = math.log(sums[0])
+        g = math.log(f)
         if g > 0.0:
             lo = u
         elif g < 0.0:
             hi = u
-        u_next = u - g * sums[0] / sums[1] if g else u  # at the root, whatever the slope
+        u_next = u - g * f / yf if g else u  # at the root, whatever the slope
         newton = lo < u_next < hi
         # a step that rounds to 0 may sit on the bracket's edge, and it has converged
         if not (abs(u_next - u) <= p.tol_root or newton):
@@ -516,13 +518,12 @@ def _newton_y(p: PowerProblem, a: float, u: float, stop: tuple[float, float] | N
                 residual = abs(disc * h_val - a)
                 done = residual > r_min and disc * abs(h_uu) * abs(s) ** 3 <= _INEXACT_TAYLOR_SHARE * residual
             if done:
-                scale, dlog_y = -sums[1] / sums[0], -sums[4] / sums[1]
-                return h_val, h_slope, _exp_log_y(u_next), float(scale), float(dlog_y)
+                return h_val, h_slope, _exp_log_y(u_next), -yf / f, -sums[4] / yf
         u = u_next
     raise NonConvergence("y* Newton iteration hit its cap")
 
 
-def _carry_to(p: PowerProblem, y: float, sums: np.ndarray, s: float):
+def _carry_to(p: PowerProblem, y: float, sums: tuple[float, ...], s: float):
     """(H, H', d^2H/du^2) at y e^s from the ``_period_sums`` at y, u = log y.
 
     With F = sums[0], y F' = sums[1] and dF/da = sums[4], H = alpha
@@ -536,7 +537,7 @@ def _carry_to(p: PowerProblem, y: float, sums: np.ndarray, s: float):
     gap = 1.0 - sums[0]
     h_uu = alpha_y * (gap - sums[1])
     h_val = p.alpha * (sums[2] + y) + (alpha_y * gap + 0.5 * h_uu * s) * s
-    return float(h_val), float(sums[3] - alpha_y * sums[4] * s), float(h_uu)
+    return h_val, sums[3] - alpha_y * sums[4] * s, h_uu
 
 
 def _exp_log_y(u: float) -> float:
@@ -560,7 +561,9 @@ def _log_y_start(p: PowerProblem, a: float) -> float:
     c = a * (1.0 - gamma)
     if c <= 0.0:
         return alpha * log_x
-    return alpha * log_x + float(np.logaddexp(0.0, math.log(c) - alpha * gamma * log_x))
+    t = math.log(c) - alpha * gamma * log_x
+    softplus = t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))  # log(1 + e^t)
+    return alpha * log_x + softplus
 
 
 def contraction_map(p: PowerProblem, a: float) -> float:
@@ -716,7 +719,22 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
 
 
 def value_function(sol: PowerSolution, x, alpha: float, gamma: float):
-    """V(x) = (1/alpha) * A* * x^(alpha*(1-gamma)) for x > 0."""
+    """V(x) = (1/alpha) * A* * x^(alpha*(1-gamma)) for x > 0.
+
+    A float x, such as a configuration's x0, is computed in floats: its power
+    is libm's pow, within an ulp of numpy's vectorised one, and a V(x) that
+    overflows raises NonFinite. An array gives an array.
+    """
+    if isinstance(x, float):
+        if x <= 0.0:
+            raise DomainError("value function requires x > 0")
+        try:
+            v = sol.a_star / alpha * x ** (alpha * (1.0 - gamma))
+        except OverflowError:  # the power alone leaves float64
+            v = math.inf
+        if math.isinf(v):
+            raise NonFinite(f"V(x) overflows float64 at x={x:.6g}")
+        return v
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise DomainError("value function requires x > 0")
@@ -731,7 +749,7 @@ def _feedback_fractions(cs: ConstrainedSharpe, scale: float) -> np.ndarray:
     -1e-6 raise NumericalFault.
     """
     fractions = scale * cs.kkt_gradient
-    if fractions.min() < -1e-6:
+    if np.minimum.reduce(fractions) < -1e-6:
         raise NumericalFault(
             "computed portfolio fractions are negative beyond tolerance"
         )
@@ -762,5 +780,7 @@ def intra_period_profile(
     y = sol.y_star * z
     if not 0.0 < y < math.inf:
         raise NonFinite(f"y* z leaves the float64 range at z = {z:.6g}")
-    sums = _period_sums(p, law_res, sol.a_star, y)
-    return float(sums[0]), _feedback_fractions(p.cs, -sums[1] / sums[0])
+    f, yf, *_ = _period_sums(p, law_res, sol.a_star, y)
+    if not f > 0.0:
+        raise NonFinite(f"budget underflowed to zero at y={y:.6g}")
+    return f, _feedback_fractions(p.cs, -yf / f)

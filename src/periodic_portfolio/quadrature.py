@@ -142,9 +142,9 @@ class DeflatorLaw:
     drift: float
 
     def __post_init__(self):
-        if self.s < 0 or not np.isfinite(self.s):
+        if self.s < 0 or not math.isfinite(self.s):
             raise ParameterOutOfRange("s must be a nonnegative real")
-        if not np.isfinite(self.drift):
+        if not math.isfinite(self.drift):
             raise ParameterOutOfRange("drift must be finite")
 
     @classmethod

@@ -62,11 +62,16 @@ def _build(
     the projection's market checks, for power utility alpha and
     well-posedness, then that x0 is finite. The problem is None for log
     utility. ``first`` is the report of a config that differs from ``cfg``
-    only in a scalar parameter; its market and projection are reused.
+    only in a scalar parameter; its market and projection are reused, and
+    its solver settings, which were checked with it.
     """
-    market = to_market(cfg) if first is None else first.market
-    evaluation = to_evaluation(cfg)
-    cs = constrained_sharpe(market) if first is None else first.cs
+    if first is None:
+        market = to_market(cfg)
+        evaluation = to_evaluation(cfg)
+        cs = constrained_sharpe(market)
+    else:
+        market, cs = first.market, first.cs
+        evaluation = EvaluationSpec(tau=cfg.tau, gamma=cfg.gamma, delta=cfg.delta)
     problem = None
     if cfg.utility == "power":
         problem = PowerProblem(
@@ -140,8 +145,8 @@ def _sweep_columns(fields: dict[str, object]) -> dict[str, float]:
     """The numeric scalar fields, plus the ``xi_tilde_sq`` and ``frac_i`` aliases."""
     columns = {name: float(v) for name, v in fields.items() if isinstance(v, (int, float))}
     columns["xi_tilde_sq"] = columns["xi_tilde_norm_sq"]
-    for i, frac in enumerate(fields["feedback_fractions"], start=1):
-        columns[f"frac_{i}"] = float(frac)
+    for i, frac in enumerate(fields["feedback_fractions"].tolist(), start=1):
+        columns[f"frac_{i}"] = frac
     return columns
 
 

@@ -45,6 +45,9 @@ TINY_LOWER_BOUND = dict(
     alpha=-1.8269518200464598,
 )
 
+# A config file that is not valid UTF-8
+NOT_UTF8 = b"utility = log\nmu = 0.1\xff\n"
+
 
 @pytest.fixture
 def count_calls(monkeypatch):

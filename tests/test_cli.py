@@ -8,7 +8,7 @@ import pytest
 from periodic_portfolio import cli, format_problem_config, parse_problem_config
 from periodic_portfolio.errors import NonConvergence
 
-from conftest import TINY_LOWER_BOUND
+from conftest import NOT_UTF8, TINY_LOWER_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,6 +39,24 @@ def test_malformed_config_exit_config(tmp_path, capsys):
     path.write_text("utility = power\nmu = 0.1 oops\n")
     assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["config", "sweep"])
+def test_a_file_that_is_not_utf8_exits_config(tmp_path, capsys, bad):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(NOT_UTF8)
+    spec = tmp_path / "spec.sweep"
+    spec.write_text("[sweep]\nparameter = tau\ngrid = 0.5 1\noutputs = a_star\n")
+    config = write_config(tmp_path, "table1_log")
+    if bad == "config":
+        argv = ["solve", "--config", str(path)]
+    else:
+        argv = ["sweep", "--config", config, "--sweep", str(path), "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {path} is not valid UTF-8")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_ill_posed_delta_exit_assumption(tmp_path, capsys):

@@ -282,6 +282,18 @@ def test_period_sums_match_an_independent_reference(name):
     np.testing.assert_allclose(power._period_sums(p, law, a, y), expected, rtol=1e-9, atol=0)
 
 
+# A* and y* against tests/reference.py, which roots A - Psi(A) and log F with brentq
+# on its own quad columns: every table2 alpha, gamma and tau extreme of power_grid
+@pytest.mark.parametrize(
+    "alpha,gamma,tau", [(0.5, 0.55, 0.2), (0.5, 1.0, 4.0), (-1.0, 0.55, 4.0), (-1.0, 1.0, 0.2)]
+)
+def test_fixed_point_matches_an_independent_reference(alpha, gamma, tau):
+    sol = fixed_point(_table_problem(tau, gamma, alpha))
+    a_ref, y_ref = reference.a_star(alpha, gamma, TABLE_R, tau, TABLE_DELTA, Q_TILDE)
+    assert sol.a_star == pytest.approx(a_ref, rel=1e-9, abs=0.0)
+    assert sol.y_star == pytest.approx(y_ref, rel=1e-9, abs=0.0)
+
+
 # --- the random grid --------------------------------------------------------------
 # tools/solve_grid.py prints it: random_market(default_rng(1000 n + k), n) for n in
 # {2, 10, 30} and k < 6, alpha in {0.5, -1, -0.5}, gamma = 0.8, delta 0.3 above the
@@ -563,9 +575,8 @@ def test_y_star_safeguard_survives_bad_slopes(power_problem, monkeypatch, slope_
     exact = power._period_sums
 
     def skewed(p, law, a, y):
-        sums = exact(p, law, a, y).copy()
-        sums[1] *= slope_scale
-        return sums
+        f, yf, *rest = exact(p, law, a, y)
+        return (f, yf * slope_scale, *rest)
 
     monkeypatch.setattr(power, "_period_sums", skewed)
     assert newton_y_star(power_problem, 1.0) == pytest.approx(expected, rel=1e-9)
@@ -764,6 +775,17 @@ def test_value_function_shapes(power_solution):
     assert value_function(sol, 1.0, TABLE_ALPHA, 0.8) == pytest.approx(sol.a_star / TABLE_ALPHA)
     with pytest.raises(DomainError):
         value_function(sol, 0.0, TABLE_ALPHA, 0.8)
+
+
+def test_value_function_of_a_float_matches_the_array_path(power_solution):
+    # a float x, such as the CLI's x0, skips numpy: its power is libm's pow, within an
+    # ulp of numpy's vectorised one; where that power overflows it raises
+    for x in (1e-8, 0.5, 3.0, 1e8):
+        v = value_function(power_solution, x, TABLE_ALPHA, 0.8)
+        assert type(v) is float
+        assert v == pytest.approx(value_function(power_solution, np.array([x]), TABLE_ALPHA, 0.8)[0], rel=5e-16)
+    with pytest.raises(NonFinite):
+        value_function(power_solution, 1e-300, -50.0, 0.0)
 
 
 def test_value_function_gamma1_constant(power_solution_g1):
