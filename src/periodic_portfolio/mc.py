@@ -9,6 +9,11 @@ ratio of the geometric series of expected period rewards that V(x0) is
 (envelope theorem); the solver's last evaluation holds it
 (``PowerSolution.psi_slope``), so the Monte Carlo evaluates the policy with
 one kernel, ``power._log_marginal_inverse``, and integrates nothing itself.
+A cell's u = log I(y* R) depends only on its draw G, and every draw has
+|G| <= _NORMAL_BOUND, so each estimate solves u once on a table of G
+(``_start_table``) and starts each cell's Newton from the table's cubic
+Hermite interpolant; on ``configs/table2_power.cfg`` that Newton stops
+after one step, which still passes its step test.
 
 Draws come from a counter-based Philox stream through the normal inverse CDF,
 numbered row-major over the (paths, n_periods) matrix. The estimators never
@@ -48,10 +53,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, ParameterOutOfRange
+from .errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange
 from .logutil import LogSolution
 from .market import EvaluationSpec, MarketModel
-from .power import PowerProblem, PowerSolution, _log_marginal_inverse
+from .power import _POINT_MASS_S, _SOFTPLUS_LINEAR, PowerProblem, PowerSolution, _log_marginal_inverse
 from .quadrature import DeflatorLaw
 
 if TYPE_CHECKING:
@@ -64,6 +69,10 @@ _N_PERIODS_CAP = 200_000
 # the estimators keep one float64 per path, so this caps that vector at 800 MB
 _N_PATHS_CAP = 10**8
 _MIN_UNIFORM = 2.0**-53
+# |ndtri| at _MIN_UNIFORM and at 1 - 2**-53, the largest uniform: every draw G has |G| <= this
+_NORMAL_BOUND = 8.209536151601387
+# intervals of the power estimator's table of u = log I over [-_NORMAL_BOUND, _NORMAL_BOUND] in G
+_TABLE_INTERVALS = 512
 # draws per streamed block; it does not depend on the worker count, so neither do the estimates
 _CHUNK_ELEMENTS = 2**15
 # blocks run at once; the pool starts a thread per submitted block up to this many
@@ -201,14 +210,25 @@ def _per_path(cfg: SimulationConfig, n_periods: int, path_values) -> np.ndarray:
 
 
 def _reduce(per_path: np.ndarray, cfg: SimulationConfig, truncation: float) -> ObjectiveEstimate:
+    """Mean and standard error of the per-path values, or of their antithetic pair means.
+
+    Both are computed from the values times 2**-e, with 2**e just above the
+    largest |value|, so no sum or square overflows, and then scaled back. A
+    power of two scales exactly, so wherever the unscaled sums and squares
+    are in range, the bits are theirs. A value that is not finite raises
+    NonFinite, unless it is the only sample.
+    """
+    peak = float(np.abs(per_path).max())
+    e = math.frexp(peak)[1]  # 0 for a peak that is 0 or not finite
+    samples = np.ldexp(per_path, -e)
     if cfg.antithetic:
         half = cfg.n_paths // 2
-        samples = 0.5 * (per_path[:half] + per_path[half:])
-    else:
-        samples = per_path
+        samples = 0.5 * (samples[:half] + samples[half:])
     n = samples.size
-    mean = float(samples.mean())
-    std_error = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    if n > 1 and not math.isfinite(peak):
+        raise NonFinite("a Monte Carlo sample is not finite")
+    mean = math.ldexp(float(samples.mean()), e)
+    std_error = math.ldexp(float(samples.std(ddof=1) / math.sqrt(n)), e) if n > 1 else float("inf")
     return ObjectiveEstimate(
         mean=mean, std_error=std_error, n_effective=n, truncation_bound=truncation
     )
@@ -262,6 +282,48 @@ def estimate_log_objective(
     return _reduce(per_path, cfg, abs(tail(periods)))
 
 
+def _start_table(a: float, alpha: float, gamma: float, centre: float, s: float, tol: float):
+    """Newton starts for u = log I(exp(centre + s G)) at draws |G| <= _NORMAL_BOUND.
+
+    u depends on a cell only through its one draw G, so it is solved once,
+    to ``tol``, at _TABLE_INTERVALS + 1 equally spaced G, with its exact slope
+    du/dG = s / L'(u), L'(u) = alpha - 1 - alpha gamma expit(log c - alpha
+    gamma u), c = a(1-gamma) > 0, the expit taken as in the kernel. Returns
+    ``start(g)``: the cubic Hermite interpolant of that table at each g, a new
+    array. Each cell's Newton (``power._log_marginal_inverse``) starts there
+    and still ends on its step test.
+    """
+    m = _TABLE_INTERVALS
+    width = 2.0 * _NORMAL_BOUND / m
+    nodes = np.linspace(-_NORMAL_BOUND, _NORMAL_BOUND, m + 1)
+    u = _log_marginal_inverse(a, alpha, gamma, centre + s * nodes, tol)
+    beta = -alpha * gamma
+    e = np.exp(np.minimum(math.log(a * (1.0 - gamma)) + beta * u, _SOFTPLUS_LINEAR))
+    slope = (width * s) / (alpha - 1.0 + beta * e / (1.0 + e))  # du over one interval
+    rise = np.diff(u)
+    # u on interval i at theta in [0, 1] is c0 + theta (c1 + theta (c2 + theta c3))
+    c0, c1 = u[:-1], slope[:-1]
+    c2 = 3.0 * rise - 2.0 * slope[:-1] - slope[1:]
+    c3 = slope[:-1] + slope[1:] - 2.0 * rise
+
+    def start(g):
+        theta = g * (1.0 / width)
+        theta += 0.5 * m  # >= 0, so the cast floors it
+        i = theta.astype(np.intp)
+        np.minimum(i, m - 1, out=i)
+        theta -= i
+        u0 = c3.take(i)
+        u0 *= theta
+        u0 += c2.take(i)
+        u0 *= theta
+        u0 += c1.take(i)
+        u0 *= theta
+        u0 += c0.take(i)
+        return u0
+
+    return start
+
+
 def estimate_power_objective(
     sol: PowerSolution,
     p: PowerProblem,
@@ -296,11 +358,14 @@ def estimate_power_objective(
     # beta S_i + (alpha - beta) u_i
     log_y = math.log(sol.y_star) + p.law.drift
     decay = delta_tau * np.arange(1, periods + 1)
+    tabulate = sol.a_star * (1.0 - gamma) != 0.0 and p.law.s >= _POINT_MASS_S
+    start = _start_table(sol.a_star, alpha, gamma, log_y, p.law.s, p.tol_root) if tabulate else None
 
     def path_values(g):
         log_y_block = p.law.s * g
         log_y_block += log_y
-        u = _log_marginal_inverse(sol.a_star, alpha, gamma, log_y_block, p.tol_root)
+        u0 = None if start is None else start(g)
+        u = _log_marginal_inverse(sol.a_star, alpha, gamma, log_y_block, p.tol_root, u0)
         exponent = np.cumsum(u, axis=1)
         exponent *= beta
         u *= alpha - beta

@@ -204,12 +204,18 @@ def _newton_start(lc: float, p1: float, beta: float, log_y):
     return np.maximum(u, u_c, out=u)
 
 
-def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float):
+def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float, start=None):
     """u = log I(exp(log_y)) for finite log_y, by Newton in log space.
 
-    The Newton kernel behind ``marginal_inverse``; see its docstring. Returns
-    a new array and leaves ``log_y`` unchanged; an empty ``log_y`` gives an
-    empty float array.
+    The Newton kernel behind ``marginal_inverse``; see its docstring. It
+    starts from the two-line bound, or from ``start``, a finite float array
+    of ``log_y``'s shape that it overwrites with the result (the Monte Carlo
+    passes one interpolated from a table, ``mc._start_table``). g is convex
+    and decreasing, so from a start above the root the first step lands at or
+    below it, and the iteration converges from any start; the same step test
+    ends it either way. Returns a new array, or ``start``, and leaves
+    ``log_y`` unchanged; an empty ``log_y`` gives an empty float array.
+    When c == 0 it returns log_y / (alpha-1) and ignores ``start``.
     """
     p1 = alpha - 1.0
     c = a * (1.0 - gamma)
@@ -217,7 +223,7 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
         return log_y / p1
     beta = -alpha * gamma
     lc = math.log(c)
-    u = _newton_start(lc, p1, beta, log_y)
+    u = _newton_start(lc, p1, beta, log_y) if start is None else start
     for _ in range(_NEWTON_CAP):
         t = beta * u
         t += lc
@@ -261,7 +267,8 @@ def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10
     iterate stays below the root and rises to it monotonically. It stops once
     the largest step is at most ``tol``. The whole iteration runs in log
     space: ``_log_marginal_inverse`` takes log y and returns u, the Monte
-    Carlo calls it directly, and this function returns exp(u).
+    Carlo calls it directly from a tabulated start, and this function
+    returns exp(u).
     log(1 + e^t) is evaluated as max(t, log1p(exp(min(t, 36)))), accurate to
     rounding for every t, and expit(t) reuses its exponential. When c == 0
     (a == 0 or gamma == 1), u = log(y) / (alpha-1) exactly. The period sums

@@ -45,6 +45,23 @@ TINY_LOWER_BOUND = dict(
     alpha=-1.8269518200464598,
 )
 
+# A well-posed 3-asset power config (sigma row-major) whose Monte Carlo values
+# reach 1e290: their squares overflow float64.
+HUGE_SAMPLES = dict(
+    mu=(0.07046860609589845, 0.03116988552798257, 0.031169875527982567),
+    sigma=(
+        0.08172967430190886, 0.0, 0.0,
+        -3.6026759155064944e-304, 0.13029880748240988, 0.0,
+        7.558468004844603e-85, -6.1035156249999986e-05, 1.5719782021724664,
+    ),
+    r=0.031169875527982567,
+    tau=30.79284602679835,
+    gamma=0.8352538357440035,
+    delta=0.7012134613170239,
+    x0=10808.814395067413,
+    alpha=-1e-300,
+)
+
 # A config file that is not valid UTF-8
 NOT_UTF8 = b"utility = log\nmu = 0.1\xff\n"
 

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
@@ -30,11 +31,11 @@ from periodic_portfolio import (
     value_log,
 )
 from periodic_portfolio import mc, power
-from periodic_portfolio.errors import DomainError, ParameterOutOfRange
+from periodic_portfolio.errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange
 from periodic_portfolio.mc import K_SIGMA, _log_tail
 from periodic_portfolio.power import budget_function, marginal_inverse
 
-from conftest import TABLE_ALPHA, h_expectation, random_market
+from conftest import HUGE_SAMPLES, TABLE_ALPHA, h_expectation, random_market
 
 
 @pytest.fixture(scope="module")
@@ -466,10 +467,10 @@ def _fail_short_blocks(monkeypatch, rows: int) -> None:
     """Make the power kernel raise DomainError on every block of fewer than ``rows`` rows."""
     kernel = mc._log_marginal_inverse
 
-    def failing(a, alpha, gamma, log_y, tol):
+    def failing(a, alpha, gamma, log_y, tol, start=None):
         if log_y.shape[0] < rows:
             raise DomainError("injected failure in a short block")
-        return kernel(a, alpha, gamma, log_y, tol)
+        return kernel(a, alpha, gamma, log_y, tol, start)
 
     monkeypatch.setattr(mc, "_log_marginal_inverse", failing)
 
@@ -577,3 +578,137 @@ def test_estimator_peak_memory(
     finally:
         tracemalloc.stop()
     assert peak < limit_mb * 2**20
+
+
+# --- the tabulated Newton start of the power estimator ------------------------
+
+
+def newton_steps(monkeypatch, solve) -> int:
+    """The fewest Newton steps after which ``solve()`` passes the kernel's step test."""
+    for cap in range(1, power._NEWTON_CAP + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(power, "_NEWTON_CAP", cap)
+            try:
+                solve()
+                return cap
+            except NonConvergence:
+                pass
+    raise AssertionError("no Newton step count passes")
+
+
+# every table node, seven points inside each interval, and the draws' bounds
+TABLE_DRAWS = np.linspace(-mc._NORMAL_BOUND, mc._NORMAL_BOUND, 8 * mc._TABLE_INTERVALS + 1)
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.8])
+@pytest.mark.parametrize("alpha", [0.5, -1.0, -5.0, 0.9])
+def test_table_start_gives_the_line_start_root_in_no_more_steps(monkeypatch, alpha, gamma):
+    beta = -alpha * gamma
+    for a in (1e-8, 1.0, 1e8):
+        for s in (0.0, 1e-9, 0.1, 1.0, 5.0, 40.0):
+            log_y = 0.3 + s * TABLE_DRAWS
+            start = mc._start_table(a, alpha, gamma, 0.3, s, 1e-10)
+            line = power._log_marginal_inverse(a, alpha, gamma, log_y, 1e-10)
+            tabled = power._log_marginal_inverse(a, alpha, gamma, log_y, 1e-10, start(TABLE_DRAWS))
+            # a few ulps of the terms of g(u) = (alpha-1) u + softplus(t) - log y, over |g'(u)|
+            t = math.log(a * (1.0 - gamma)) + beta * line
+            slope = alpha - 1.0 + beta * np.exp(-np.logaddexp(0.0, -t))
+            terms = np.abs(log_y) + np.abs((alpha - 1.0) * line) + np.logaddexp(0.0, t)
+            assert np.all(np.abs(tabled - line) <= 8.0 * np.spacing(terms) / np.abs(slope)), (a, s)
+            steps = [
+                newton_steps(monkeypatch, lambda: power._log_marginal_inverse(a, alpha, gamma, log_y, 1e-10)),
+                newton_steps(
+                    monkeypatch,
+                    lambda: power._log_marginal_inverse(a, alpha, gamma, log_y, 1e-10, start(TABLE_DRAWS)),
+                ),
+            ]
+            assert steps[1] <= steps[0], (a, s, steps)
+
+
+def test_kernel_ignores_the_start_when_c_is_zero():
+    log_y = 0.3 + 40.0 * TABLE_DRAWS
+    line = power._log_marginal_inverse(1.0, 0.5, 1.0, log_y, 1e-10)
+    assert np.array_equal(line, log_y / (0.5 - 1.0))
+    assert np.array_equal(power._log_marginal_inverse(1.0, 0.5, 1.0, log_y, 1e-10, np.zeros_like(log_y)), line)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5])
+def test_table_start_takes_one_newton_step_on_table2(monkeypatch, table_market, table_cone, tau):
+    p = PowerProblem(
+        market=table_market, evaluation=EvaluationSpec(tau=tau, gamma=0.8, delta=0.3), alpha=TABLE_ALPHA, cs=table_cone
+    )
+    sol = fixed_point(p)
+    g = mc._normals(3, 0, 1000, 30)
+    log_y = math.log(sol.y_star) + p.law.drift + p.law.s * g
+    start = mc._start_table(sol.a_star, p.alpha, 0.8, math.log(sol.y_star) + p.law.drift, p.law.s, p.tol_root)
+    line = newton_steps(monkeypatch, lambda: power._log_marginal_inverse(sol.a_star, p.alpha, 0.8, log_y, p.tol_root))
+    tabled = newton_steps(
+        monkeypatch, lambda: power._log_marginal_inverse(sol.a_star, p.alpha, 0.8, log_y, p.tol_root, start(g))
+    )
+    assert (line, tabled) == (4, 1)
+    # the estimator solves the table's nodes from the line start, then starts every block from the table
+    kernel, starts = mc._log_marginal_inverse, []
+
+    def recording(a, alpha, gamma, log_y, tol, start=None):
+        starts.append(start is not None)
+        return kernel(a, alpha, gamma, log_y, tol, start)
+
+    monkeypatch.setattr(mc, "_log_marginal_inverse", recording)
+    monkeypatch.setattr(mc, "_WORKERS", 1)
+    estimate_power_objective(sol, p, 0.5, SimulationConfig(n_paths=3000, n_periods=30, seed=3))
+    assert starts == [False] + [True] * math.ceil(3000 / (mc._CHUNK_ELEMENTS // 30))
+
+
+# --- the reduction to a mean and a standard error ---------------------------
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_reduction_in_range_is_the_unscaled_one(antithetic):
+    per_path = np.random.default_rng(6).lognormal(1.0, 2.0, size=1000)
+    cfg = SimulationConfig(n_paths=1000, antithetic=antithetic)
+    mean, std_error = matrix_mean_and_se(per_path, cfg)
+    est = mc._reduce(per_path, cfg, 0.0)
+    assert (est.mean, est.std_error) == (mean, std_error)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("scale", [2.0**1000, 2.0**-1000])
+def test_reduction_survives_values_whose_squares_leave_float64(scale, antithetic):
+    per_path = np.random.default_rng(6).lognormal(1.0, 2.0, size=1000)
+    cfg = SimulationConfig(n_paths=1000, antithetic=antithetic)
+    mean, std_error = matrix_mean_and_se(per_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc._reduce(per_path * scale, cfg, 0.0)
+    assert (est.mean, est.std_error) == (mean * scale, std_error * scale)
+
+
+def test_reduction_of_a_sample_that_is_not_finite_raises():
+    cfg = SimulationConfig(n_paths=3)
+    with pytest.raises(NonFinite):
+        mc._reduce(np.array([1.0, np.inf, 2.0]), cfg, 0.0)
+    with pytest.raises(NonFinite):
+        mc._reduce(np.array([1.0, np.nan, 2.0]), cfg, 0.0)
+    one = mc._reduce(np.array([3.0]), SimulationConfig(n_paths=1), 0.0)
+    assert (one.mean, one.std_error) == (3.0, math.inf)
+
+
+def test_simulate_of_values_near_the_float64_limit_reports_a_finite_std_error(tmp_path, capsys):
+    from periodic_portfolio import cli
+
+    config = tmp_path / "huge.cfg"
+    config.write_text(
+        "utility = power\n"
+        + "".join(
+            f"{key} = {' '.join(map(repr, value)) if isinstance(value, tuple) else repr(value)}\n"
+            for key, value in HUGE_SAMPLES.items()
+        )
+    )
+    argv = ["simulate", "--config", str(config), "--paths", "200", "--periods", "20", "--seed", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert code in (cli.EXIT_OK, cli.EXIT_MISMATCH)
+    assert abs(float(fields["mean"])) > 1e290
+    assert math.isfinite(float(fields["std_error"])) and float(fields["std_error"]) > 0.0

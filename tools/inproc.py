@@ -8,7 +8,7 @@ tree's ``src/``; the order of the trees reverses from one round to the next,
 so a slow spell of the host falls on both sides. The interpreter makes one
 untimed call of each measure below, then times CALLS calls of each with
 ``periodic_portfolio.cli.main``, its standard output discarded. The
-measures, all on the tree's ``configs/table2_power.cfg``:
+measures, on the tree's ``configs/table2_power.cfg`` unless named:
 
     solve          solve
     sweep-tau-20   sweep of tau over 0.2, 0.4, ..., 4 (20 points), a_star v_x0
@@ -16,6 +16,9 @@ measures, all on the tree's ``configs/table2_power.cfg``:
     opt-tau-value  opt-tau --tau-cap 4 --objective value
     opt-tau-curve  opt-tau --tau-cap 4 --curve-out (the capped search plus
                    a 33-point curve)
+    sim-power      simulate --paths 30000 --seed 3 (the Monte Carlo of I(y* R))
+    sim-power-0.5  the same on a copy of the config with tau = 0.5
+    sim-log        the same on ``configs/table1_log.cfg``
 
 It prints, per tree and measure, the median and quartiles in ms over all
 calls of all ROUNDS rounds, and for every tree after the first the ratio of
@@ -27,6 +30,7 @@ changes nothing there.
 from __future__ import annotations
 
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -70,13 +74,19 @@ def measures(tree: Path, work: Path) -> dict[str, list[str]]:
     table2 = str(tree / "configs" / "table2_power.cfg")
     spec = work / "spec.sweep"
     spec.write_text(SWEEP)
+    half = work / "table2_tau_0.5.cfg"
+    half.write_text(re.sub(r"(?m)^tau = .*$", "tau = 0.5", Path(table2).read_text()))
     capped = ["opt-tau", "--config", table2, "--tau-cap", "4"]
+    sim = ["--paths", "30000", "--seed", "3"]
     return {
         "solve": ["solve", "--config", table2],
         "sweep-tau-20": ["sweep", "--config", table2, "--sweep", str(spec), "--out", str(work / "out.csv")],
         "opt-tau-scaled": capped + ["--objective", "scaled"],
         "opt-tau-value": capped + ["--objective", "value"],
         "opt-tau-curve": capped + ["--curve-out", str(work / "curve.csv")],
+        "sim-power": ["simulate", "--config", table2] + sim,
+        "sim-power-0.5": ["simulate", "--config", str(half)] + sim,
+        "sim-log": ["simulate", "--config", str(tree / "configs" / "table1_log.cfg")] + sim,
     }
 
 
