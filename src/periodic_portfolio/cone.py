@@ -27,12 +27,14 @@ refinement of linear least squares solutions I", BIT 7(4)).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergence, SingularVolatility
-from .market import MarketModel, sharpe_ratio
+from .market import COND_CAP_DEFAULT, KAPPA0_DEFAULT, MarketModel, validate_market
 
 KKT_TOL = 1e-10  # absolute tolerance of every KKT residual, in pivoting and in ``verify_kkt``
 _REFINE_STEPS = 3
@@ -170,7 +172,57 @@ def verify_kkt(c: ConstrainedSharpe) -> bool:
     )
 
 
+def _certified(sigma: np.ndarray, sigma_inv: np.ndarray) -> bool:
+    """Whether matrix norms alone show that ``validate_market`` passes sigma.
+
+    ||M||_2 <= ||M||_F (Golub & Van Loan, Matrix Computations, ch. 2), so
+    cond(sigma) <= ||sigma||_F ||sigma^{-1}||_F and
+    smin(sigma)^2 >= ||sigma^{-1}||_F^-2. The certificate holds when the first
+    bound is at most COND_CAP_DEFAULT / 2 and the second at least
+    2 * KAPPA0_DEFAULT; the factor 2 covers the rounding of the computed
+    inverse. A squared norm that overflows, or underflows below the normal
+    range, declines.
+    """
+    sigma_sq = float(np.vdot(sigma, sigma))
+    inv_sq = float(np.vdot(sigma_inv, sigma_inv))
+    normal = sys.float_info.min
+    if not (normal <= sigma_sq < math.inf and normal <= inv_sq < math.inf):
+        return False
+    return (
+        math.sqrt(sigma_sq * inv_sq) <= COND_CAP_DEFAULT / 2.0
+        and 1.0 / inv_sq >= 2.0 * KAPPA0_DEFAULT
+    )
+
+
+def _validated_inverse(m: MarketModel) -> np.ndarray:
+    """sigma^{-1} of a market that ``validate_market`` passes; its error otherwise.
+
+    The norm certificate (``_certified``) on the computed inverse decides
+    first. Where it declines, or ``np.linalg.inv`` finds sigma singular,
+    ``validate_market`` runs its SVD and raises its own error; a singular
+    sigma that it passes raises SingularVolatility.
+    """
+    try:
+        sigma_inv = np.linalg.inv(m.sigma)
+    except np.linalg.LinAlgError:
+        sigma_inv = None
+    if sigma_inv is None or not _certified(m.sigma, sigma_inv):
+        validate_market(m)
+        if sigma_inv is None:
+            raise SingularVolatility("sigma is not invertible")
+    return sigma_inv
+
+
 def constrained_sharpe(m: MarketModel) -> ConstrainedSharpe:
-    """Validate the market, compute xi and project it onto the cone."""
-    xi = sharpe_ratio(m)
-    return solve_cone(xi, np.linalg.inv(m.sigma))
+    """Validate the market, compute xi and project it onto the cone.
+
+    The market passes or fails exactly as ``validate_market`` decides, but
+    its SVD runs only when the norm certificate on sigma^{-1} declines
+    (``_validated_inverse``): on a well-conditioned sigma, such as both
+    shipped configs', cond(sigma) <= ||sigma||_F ||sigma^{-1}||_F and
+    smin(sigma)^2 >= ||sigma^{-1}||_F^-2 already clear the caps. xi then
+    solves sigma xi = mu - r 1, as in ``sharpe_ratio``.
+    """
+    sigma_inv = _validated_inverse(m)
+    xi = np.linalg.solve(m.sigma, m.excess_returns())
+    return solve_cone(xi, sigma_inv)

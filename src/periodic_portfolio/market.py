@@ -91,7 +91,10 @@ def validate_market(m: MarketModel) -> None:
 
     Raises SingularVolatility if sigma is singular or its condition number
     exceeds ``COND_CAP_DEFAULT``, and Degenerate if the smallest eigenvalue of
-    sigma*sigma^T falls below ``KAPPA0_DEFAULT``.
+    sigma*sigma^T falls below ``KAPPA0_DEFAULT``. Both come from one SVD.
+    ``cone.constrained_sharpe`` calls this only when a cheaper certificate,
+    Frobenius-norm bounds on sigma and its computed inverse, cannot show
+    that it passes: on a market within half of both caps the SVD is skipped.
     """
     svals = np.linalg.svd(m.sigma, compute_uv=False).tolist()
     smin, smax = svals[-1], svals[0]

@@ -26,7 +26,8 @@ run on a pool of one thread per available CPU (numpy's generator, ``ndtri``
 and the block kernels release the GIL); with one CPU, or one block, they run
 in the calling thread and no thread is started. Each block writes only its
 own rows of the per-path values, and every row is computed the same way
-whatever the block's row count, so every estimate is bit-identical for any
+whatever the block's row count (the marginal inverse's Newton stops each
+cell on its own step test), so every estimate is bit-identical for any
 worker count and any block size. ``ndtri`` is the only scipy function the
 package uses. It, numpy's ``Generator`` and ``Philox``, and the pool's
 ``concurrent.futures`` are imported on the first draw, in the calling thread,
@@ -65,6 +66,10 @@ if TYPE_CHECKING:
 TAIL_EPS = 1e-8
 # ``compare`` accepts an estimate within K_SIGMA standard errors (plus the truncation bound)
 K_SIGMA = 3.0
+# ... and _ROUNDING_ULPS ulps of the larger of the estimate and the analytic value: a
+# power estimate sums terms exp(E) whose exponents E, of order delta tau, are rounded
+# to an absolute ulp, so each term carries a relative error of about |E| ulps
+_ROUNDING_ULPS = 64
 _N_PERIODS_CAP = 200_000
 # the estimators keep one float64 per path, so this caps that vector at 800 MB
 _N_PATHS_CAP = 10**8
@@ -379,7 +384,14 @@ def estimate_power_objective(
 
 
 def compare(estimate: ObjectiveEstimate, analytic: float) -> bool:
-    """True when |mean - analytic| <= K_SIGMA * SE + truncation bound."""
+    """True when |mean - analytic| <= K_SIGMA * SE + truncation bound + rounding.
+
+    The rounding term is _ROUNDING_ULPS ulps of max(|mean|, |analytic|): both
+    are rounded, so a standard error below their spacing cannot separate
+    them. It is 0 when either is not finite.
+    """
+    scale = max(abs(estimate.mean), abs(analytic))
+    rounding = _ROUNDING_ULPS * math.ulp(scale) if math.isfinite(scale) else 0.0
     return abs(estimate.mean - analytic) <= (
-        K_SIGMA * estimate.std_error + estimate.truncation_bound
+        K_SIGMA * estimate.std_error + estimate.truncation_bound + rounding
     )

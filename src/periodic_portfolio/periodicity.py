@@ -20,6 +20,14 @@ objective does not improve at tau* * (1 +/- 1e-3). Otherwise a cap on tau
 gives the capped search: the best of 257 evenly spaced points on (0, cap],
 refined by golden section when it is interior. Without a cap there is no
 tau*.
+
+The closed forms also evaluate the capped search's 257 points in one numpy
+expression (``TauObjective.grid``). numpy's ``exp`` and ``expm1`` may differ
+from the ``math`` ones by a few ulps, so only the grid's argmax is read from
+it: the reported point is evaluated again on the scalar path, as are
+golden section, the bracket expansion and the certificate, and tau* and its
+objective keep the scalar path's bits. A grid that leaves the closed form's
+normal range is evaluated point by point on the scalar path instead.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import numpy as np
 from .cone import ConstrainedSharpe
 from .config import ProblemConfig
 from .errors import DomainError, NonConvergence, NonFinite
-from .logutil import _log_coefficients
+from .logutil import _MIN_DELTA_TAU, _log_coefficients
 from .market import EvaluationSpec, MarketModel, zeta
 from .power import PowerProblem, fixed_point, value_function
 from .report import _build
@@ -59,11 +67,11 @@ class TauObjective:
     """V(x0; tau) of one configuration as a function of tau, times tau if ``scaled``.
 
     Built by ``tau_objective``. It holds the market and its cone projection,
-    computed once for every tau, and for power utility the problem validated
-    at the configured tau. Log utility and power utility with gamma = 1 are
-    closed forms in tau; power utility with gamma < 1 solves its fixed point
-    at each tau. Where the gamma = 1 closed form overflows float64 it raises
-    NonFinite.
+    computed once for every tau, for log utility log x0, and for power
+    utility the problem validated at the configured tau. Log utility and
+    power utility with gamma = 1 are closed forms in tau; power utility with
+    gamma < 1 solves its fixed point at each tau. Where the gamma = 1 closed
+    form overflows float64 it raises NonFinite.
     """
 
     cfg: ProblemConfig
@@ -71,13 +79,14 @@ class TauObjective:
     market: MarketModel
     cs: ConstrainedSharpe
     problem: PowerProblem | None
+    log_x0: float | None  # log x0, for log utility
 
     def __call__(self, tau: float) -> float:
         cfg = self.cfg
         if cfg.utility == "log":
             growth = self.market.r + 0.5 * self.cs.objective
             a_star, c_star = _log_coefficients(growth, tau, cfg.gamma, cfg.delta)
-            value = float(a_star + c_star * np.log(cfg.x0))
+            value = a_star + c_star * self.log_x0
         elif cfg.gamma == 1.0:
             # A*(tau)*tau = exp((zeta(alpha)-delta)*tau) * tau / (1 - exp(-delta*tau)),
             # and V = A*/alpha, since x0^(alpha(1-gamma)) = 1
@@ -97,6 +106,42 @@ class TauObjective:
             value = value_function(sol, cfg.x0, cfg.alpha, cfg.gamma)
         return value * tau if self.scaled else value
 
+    def grid(self, taus: np.ndarray) -> np.ndarray | None:
+        """The closed form at every point of ``taus``, in one numpy expression.
+
+        The same arithmetic as ``__call__``, within a few ulps of it. None
+        when the objective has no closed form (power utility, gamma < 1) or
+        when a point leaves the closed form's normal range, where
+        ``__call__`` takes another branch or raises: delta*tau < 1e-12, a log
+        utility delta*tau > 350, or a value that is not finite.
+        """
+        cfg = self.cfg
+        if cfg.utility == "power" and cfg.gamma < 1.0:
+            return None
+        u = cfg.delta * taus
+        if u.min() < _MIN_DELTA_TAU:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.utility == "log":
+                if u.max() > 350.0:
+                    return None
+                em1 = np.expm1(u)
+                value = (em1 + (1.0 - cfg.gamma)) / (em1 * em1)
+                value *= self.market.r + 0.5 * self.cs.objective
+                value *= taus
+                value += (1.0 - cfg.gamma) / em1 * self.log_x0
+                if self.scaled:
+                    value *= taus
+            else:
+                za = zeta(cfg.alpha, self.market.r, self.cs.objective)
+                value = np.exp((za - cfg.delta) * taus)
+                value *= taus
+                value /= -np.expm1(-u)
+                if not self.scaled:
+                    value /= taus
+                    value /= cfg.alpha
+        return value if np.isfinite(value).all() else None
+
 
 def tau_objective(cfg: ProblemConfig, scaled: bool) -> TauObjective:
     """The tau objective of ``cfg``: V(x0; tau), times tau when ``scaled``.
@@ -109,7 +154,8 @@ def tau_objective(cfg: ProblemConfig, scaled: bool) -> TauObjective:
     market, _, cs, problem = _build(cfg)
     if cfg.x0 <= 0.0 and (cfg.utility == "log" or cfg.gamma < 1.0):
         raise DomainError("value function requires x > 0")
-    return TauObjective(cfg, scaled, market, cs, problem)
+    log_x0 = float(np.log(cfg.x0)) if cfg.utility == "log" else None
+    return TauObjective(cfg, scaled, market, cs, problem, log_x0)
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -165,14 +211,27 @@ def _certify(f, tau_star: float, obj: float) -> None:
             raise NonConvergence("local-max certificate failed at tau*")
 
 
-def _capped_supremum(f, cap: float) -> tuple[float, float]:
-    """Grid supremum over (0, cap] used when no sufficient condition applies."""
-    pts = [cap * (k + 1) / _CAP_POINTS for k in range(_CAP_POINTS)]
-    vals = [f(t) for t in pts]
-    i = max(range(_CAP_POINTS), key=vals.__getitem__)
+def _capped_supremum(f: TauObjective, cap: float) -> tuple[float, float]:
+    """Grid supremum over (0, cap] used when no sufficient condition applies.
+
+    A closed form evaluates the grid in one call (``TauObjective.grid``) and
+    only its argmax is read; otherwise, or when ``grid`` declines, each point
+    is evaluated on the scalar path, which raises where the objective does.
+    An interior best point is refined by golden section, and a best point at
+    either end is evaluated again on the scalar path, so the result carries
+    the scalar path's bits either way.
+    """
+    taus = np.arange(1, _CAP_POINTS + 1) * cap / _CAP_POINTS
+    pts = taus.tolist()
+    grid = f.grid(taus)
+    if grid is None:
+        vals = [f(t) for t in pts]
+        i = max(range(_CAP_POINTS), key=vals.__getitem__)
+    else:
+        i = int(grid.argmax())
     if 0 < i < _CAP_POINTS - 1:
         return _golden_max(f, pts[i - 1], pts[i + 1])
-    return pts[i], vals[i]
+    return pts[i], vals[i] if grid is None else f(pts[i])
 
 
 def _condition(objective: TauObjective) -> tuple[bool, str] | None:

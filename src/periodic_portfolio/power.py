@@ -213,9 +213,12 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
     passes one interpolated from a table, ``mc._start_table``). g is convex
     and decreasing, so from a start above the root the first step lands at or
     below it, and the iteration converges from any start; the same step test
-    ends it either way. Returns a new array, or ``start``, and leaves
-    ``log_y`` unchanged; an empty ``log_y`` gives an empty float array.
-    When c == 0 it returns log_y / (alpha-1) and ignores ``start``.
+    ends it either way. Each cell stops after its first step of at most
+    ``tol``, and only the cells still moving take the next step, so a cell's
+    result does not depend on the other cells of ``log_y``. Returns a new
+    array, or ``start``, and leaves ``log_y`` unchanged; an empty ``log_y``
+    gives an empty float array. When c == 0 it returns log_y / (alpha-1) and
+    ignores ``start``.
     """
     p1 = alpha - 1.0
     c = a * (1.0 - gamma)
@@ -224,25 +227,32 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
     beta = -alpha * gamma
     lc = math.log(c)
     u = _newton_start(lc, p1, beta, log_y) if start is None else start
+    # x and ly are the moving cells: all of u and log_y, then copies at the flat indices ``cells``
+    x, ly, cells = u, log_y, None
     for _ in range(_NEWTON_CAP):
-        t = beta * u
+        t = beta * x
         t += lc
         e = np.minimum(t, _SOFTPLUS_LINEAR)
         np.exp(e, out=e)
         g = np.log1p(e)
         np.maximum(g, t, out=g)  # log(1 + exp(t))
-        t = p1 * u
+        t = p1 * x
         g += t
-        g -= log_y
+        g -= ly
         t = e + 1.0
         e /= t  # expit(t)
         e *= beta
         e += p1  # g'(u)
         g /= e  # Newton step
-        u -= g
+        x -= g
+        if cells is not None:
+            np.put(u, cells, x)
         # ufunc reductions without ndarray.max's Python-level wrapper; an empty log_y converges at once
         if np.maximum.reduce(np.abs(g, out=g), axis=None, initial=0.0) <= tol:
             return u
+        moving = np.flatnonzero(~(g <= tol))  # a NaN step keeps moving, up to the cap
+        cells = moving if cells is None else cells[moving]
+        x, ly = x.take(moving), ly.take(moving)
     raise NonConvergence("marginal inverse Newton iteration hit its cap")
 
 

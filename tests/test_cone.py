@@ -1,14 +1,20 @@
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodic_portfolio import solve_cone, verify_kkt
-from periodic_portfolio.errors import NonConvergence, SingularVolatility
+from periodic_portfolio import MarketModel, cli, solve_cone, verify_kkt
+from periodic_portfolio import cone
+from periodic_portfolio.errors import Degenerate, NonConvergence, SingularVolatility
+from periodic_portfolio.market import validate_market
 
 from conftest import random_market, scaled_market
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def brute_force_objective(xi, A, box, step):
@@ -232,3 +238,78 @@ def test_scaling_equivariance(seed, scale):
     np.testing.assert_allclose(
         scaled.pi_tilde_star, scale * base.pi_tilde_star, rtol=1e-8, atol=1e-10
     )
+
+
+def diagonal_market(*diagonal: float) -> MarketModel:
+    return MarketModel(mu=np.full(len(diagonal), 0.1), sigma=np.diag(diagonal), r=0.05)
+
+
+def certificate_markets():
+    """(id, market) around and far from both caps of ``validate_market``."""
+    for k in range(1000):
+        yield f"scaled-{k}", scaled_market(k)
+    rng = np.random.default_rng(5959)
+    for n in range(1, 60):
+        yield f"random-n{n}", random_market(rng, n)
+    smin = 2e-5  # smin^2 = 4e-10 clears KAPPA0_DEFAULT = 1e-10
+    for cond in (0.5e12, 0.99e12, 1.01e12, 2e12):
+        yield f"cond-{cond:g}", diagonal_market(cond * smin, smin)
+    for smin_sq in (0.9e-10, 1.1e-10, 2.5e-10):
+        yield f"smin-sq-{smin_sq:g}", diagonal_market(1.0, math.sqrt(smin_sq))
+    yield "singular", MarketModel(mu=[0.1, 0.15], sigma=[[0.2, 0.1], [0.4, 0.2]], r=0.05)
+    yield "zero", MarketModel(mu=[0.1, 0.15], sigma=np.zeros((2, 2)), r=0.05)
+    # squares of the entries, or of the inverse's, leave float64
+    for exponent in (200, -200):
+        m = random_market(rng, 3)
+        yield f"entries-1e{exponent}", MarketModel(mu=m.mu, sigma=m.sigma * 10.0**exponent, r=m.r)
+    yield "diagonal-1e200-1", diagonal_market(1e200, 1.0)
+    yield "diagonal-1-1e-200", diagonal_market(1.0, 1e-200)
+
+
+CERTIFICATE_MARKETS = list(certificate_markets())
+
+
+def decision(check, m: MarketModel):
+    """"pass", or the type and message of the error ``check(m)`` raises."""
+    try:
+        check(m)
+    except (SingularVolatility, Degenerate) as error:
+        return type(error), str(error)
+    return "pass"
+
+
+def test_certificate_never_passes_a_market_validate_market_rejects():
+    certified = set()
+    for name, m in CERTIFICATE_MARKETS:
+        try:
+            sigma_inv = np.linalg.inv(m.sigma)
+        except np.linalg.LinAlgError:
+            continue
+        if cone._certified(m.sigma, sigma_inv):
+            certified.add(name)
+            assert decision(validate_market, m) == "pass", name
+    # it passes the well-conditioned markets, and the smin^2 = 2.5e-10 one inside its margin
+    assert "random-n59" in certified and "smin-sq-2.5e-10" in certified
+    assert len(certified) > 500
+
+
+def test_validated_inverse_decides_as_validate_market():
+    decisions = set()
+    for name, m in CERTIFICATE_MARKETS:
+        want = decision(validate_market, m)
+        assert decision(cone._validated_inverse, m) == want, name
+        decisions.add(want if want == "pass" else want[0])
+    assert decisions == {"pass", SingularVolatility, Degenerate}
+
+
+@pytest.mark.parametrize("name", ["table1_log", "table2_power"])
+def test_shipped_configs_run_no_svd(count_calls, capsys, name):
+    svd = count_calls(np.linalg, "svd")
+    assert cli.main(["solve", "--config", str(CONFIGS / f"{name}.cfg")]) == cli.EXIT_OK
+    assert svd == []
+
+
+def test_a_market_near_the_cap_runs_one_svd(count_calls):
+    svd = count_calls(np.linalg, "svd")
+    cs = cone.constrained_sharpe(diagonal_market(0.99e12 * 2e-5, 2e-5))
+    assert len(svd) == 1 and verify_kkt(cs)

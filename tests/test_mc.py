@@ -29,6 +29,7 @@ from periodic_portfolio import (
     solve_log,
     value_function,
     value_log,
+    zeta,
 )
 from periodic_portfolio import mc, power
 from periodic_portfolio.errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange
@@ -250,6 +251,17 @@ def test_compare_contract():
     assert not compare(off, 1.05)
 
 
+@pytest.mark.parametrize("name", ["table1_log", "table2_power"])
+def test_compare_allows_rounding_but_not_a_relative_error_of_1e_4(name):
+    from periodic_portfolio import ObjectiveEstimate, parse_problem_config, solve
+
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+    v = solve(parse_problem_config(config.read_text())).fields["v_x0"]
+    exact = ObjectiveEstimate(mean=v, std_error=0.0, n_effective=10, truncation_bound=0.0)
+    assert compare(exact, v + 8 * math.ulp(v)) and compare(exact, v - 8 * math.ulp(v))
+    assert not compare(exact, v * (1.0 + 1e-4)) and not compare(exact, v * (1.0 - 1e-4))
+
+
 def test_estimates_reject_bad_wealth(power_problem, power_solution, table_market, table_eval, table_cone):
     sol = solve_log(table_market, table_eval, table_cone)
     with pytest.raises(DomainError):
@@ -378,6 +390,25 @@ def test_estimates_do_not_depend_on_block_size(monkeypatch, estimate_kind, kind,
     assert small.mean == whole.mean
     assert small.std_error == whole.std_error
     assert small.truncation_bound == whole.truncation_bound
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_power_estimate_on_a_wide_law_does_not_depend_on_block_size(monkeypatch, antithetic):
+    # s = 1.47: the table start leaves some cells more than one Newton step
+    # from their root, and each cell must stop on its own step test
+    m = random_market(np.random.default_rng(2001), 2)
+    cs = constrained_sharpe(m)
+    alpha, gamma = 0.9, 0.8
+    delta = max(zeta(alpha * (1.0 - gamma), m.r, cs.objective), 0.0) + 0.3
+    p = PowerProblem(market=m, evaluation=EvaluationSpec(1.0, gamma, delta), alpha=alpha, cs=cs)
+    sol = fixed_point(p)
+    cfg = SimulationConfig(n_paths=202, n_periods=30, seed=5, antithetic=antithetic)
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
+    small = estimate_power_objective(sol, p, 1.0, cfg)
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 10**9)
+    whole = estimate_power_objective(sol, p, 1.0, cfg)
+    assert small.mean == whole.mean
+    assert small.std_error == whole.std_error
 
 
 @pytest.mark.parametrize("kind", ["log", "power"])
@@ -712,3 +743,20 @@ def test_simulate_of_values_near_the_float64_limit_reports_a_finite_std_error(tm
     assert code in (cli.EXIT_OK, cli.EXIT_MISMATCH)
     assert abs(float(fields["mean"])) > 1e290
     assert math.isfinite(float(fields["std_error"])) and float(fields["std_error"]) > 0.0
+
+
+def test_simulate_of_values_near_the_float64_limit_passes(tmp_path, capsys):
+    # the estimate and V(x0) agree to a few ulps, 5.5e275 apart, while 3 SE is 1.5e274
+    from periodic_portfolio import cli
+
+    config = tmp_path / "huge.cfg"
+    config.write_text(
+        "utility = power\n"
+        + "".join(
+            f"{key} = {' '.join(map(repr, value)) if isinstance(value, tuple) else repr(value)}\n"
+            for key, value in HUGE_SAMPLES.items()
+        )
+    )
+    argv = ["simulate", "--config", str(config), "--paths", "200", "--periods", "20", "--seed", "3"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())["verdict"] == "pass"

@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from periodic_portfolio import (
     EvaluationSpec,
+    MarketModel,
     ProblemConfig,
     constrained_sharpe,
     optimal_tau,
@@ -14,7 +15,9 @@ from periodic_portfolio import (
     value_log,
     zeta,
 )
-from periodic_portfolio.errors import DomainError
+from periodic_portfolio import periodicity
+from periodic_portfolio.errors import DomainError, NonFinite, ParameterOutOfRange
+from periodic_portfolio.logutil import _log_coefficients
 
 from conftest import TABLE_MU, TABLE_R, TABLE_SIGMA, random_market
 
@@ -201,3 +204,139 @@ def test_power_gamma_one_objective_ignores_x0(scaled):
     for tau in (0.5, 1.0, 12.0):
         assert negative(tau) == positive(tau)
     assert optimal_tau(negative, 4.0) == optimal_tau(positive, 4.0)
+
+
+def grid_markets():
+    """The table market and ``random_market`` with n in {2, 10, 50}."""
+    yield "table", MarketModel(mu=TABLE_MU, sigma=TABLE_SIGMA, r=TABLE_R)
+    for n in (2, 10, 50):
+        yield f"random-n{n}", random_market(np.random.default_rng(7000 + n), n)
+
+
+def closed_form_configs():
+    """(id, config) of log utility and of power utility with gamma = 1 on every grid market.
+
+    Log utility takes gamma in {0.3, 0.8, 1} and x0 in {0.2, 1, 50}; power
+    utility (gamma = 1, alpha = 0.5) takes delta = 1.5, 3 and 0.8 times
+    zeta(alpha): inside the scaled gate delta/2 < zeta(alpha) < delta, and
+    outside it on either side.
+    """
+    for name, m in grid_markets():
+        market = dict(mu=tuple(m.mu), sigma=tuple(m.sigma.ravel()), r=m.r, tau=1.0)
+        for gamma in (0.3, 0.8, 1.0):
+            for x0 in (0.2, 1.0, 50.0):
+                cfg = ProblemConfig(utility="log", gamma=gamma, delta=0.3, x0=x0, **market)
+                yield f"{name}-log-gamma{gamma}-x{x0}", cfg
+        za = zeta(0.5, m.r, constrained_sharpe(m).objective)
+        for factor in (1.5, 3.0, 0.8):
+            cfg = ProblemConfig(
+                utility="power", gamma=1.0, delta=factor * za, x0=0.5, alpha=0.5, **market
+            )
+            yield f"{name}-power-delta{factor}zeta", cfg
+
+
+CLOSED_FORMS = list(closed_form_configs())
+
+
+def capped_grid(cap: float) -> np.ndarray:
+    return np.arange(1, periodicity._CAP_POINTS + 1) * cap / periodicity._CAP_POINTS
+
+
+def scalar_capped_supremum(f, cap: float) -> tuple[float, float]:
+    """The capped search point by point on the scalar path: the reference for the grid."""
+    points = periodicity._CAP_POINTS
+    pts = [cap * (k + 1) / points for k in range(points)]
+    vals = [f(t) for t in pts]
+    i = max(range(points), key=vals.__getitem__)
+    if 0 < i < points - 1:
+        return periodicity._golden_max(f, pts[i - 1], pts[i + 1])
+    return pts[i], vals[i]
+
+
+def term_scale(f, tau: float) -> float:
+    """|V| of a power objective; |A*| + |C* log x0| of a log one: the size of its rounded terms."""
+    cfg = f.cfg
+    if cfg.utility == "power":
+        return abs(f(tau))
+    a_star, c_star = _log_coefficients(f.market.r + 0.5 * f.cs.objective, tau, cfg.gamma, cfg.delta)
+    return (abs(a_star) + abs(c_star * f.log_x0)) * (tau if f.scaled else 1.0)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["value", "scaled"])
+@pytest.mark.parametrize("cfg", [c for _, c in CLOSED_FORMS], ids=[i for i, _ in CLOSED_FORMS])
+def test_grid_is_within_8_ulps_of_scalar_calls(cfg, scaled):
+    # numpy's exp and expm1 are within 1 ulp of glibc's, not equal to them.
+    # (e^u - gamma) / (e^u - 1)^2 doubles that, and each side rounds its
+    # half dozen operations on different inputs, so 8 ulps bound the gap. A
+    # log value sums two terms that may cancel, so the ulps are those of the
+    # terms' size.
+    f = tau_objective(cfg, scaled)
+    for cap in (4.0 / cfg.delta, 100.0 / cfg.delta):
+        taus = capped_grid(cap)
+        grid = f.grid(taus)
+        scalar = np.array([f(t) for t in taus.tolist()])
+        scale = np.array([term_scale(f, t) for t in taus.tolist()])
+        assert np.all(np.abs(grid - scalar) <= 8 * np.spacing(scale))
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["value", "scaled"])
+@pytest.mark.parametrize("cfg", [c for _, c in CLOSED_FORMS], ids=[i for i, _ in CLOSED_FORMS])
+def test_capped_optimal_tau_has_the_scalar_loop_bits(cfg, scaled):
+    # gates that hold never reach the grid; the rest, and caps whose grid
+    # leaves the normal range (delta*tau > 350), must match the reference
+    f = tau_objective(cfg, scaled)
+    for cap in (4.0 / cfg.delta, 100.0 / cfg.delta, 1000.0 / cfg.delta):
+        res = optimal_tau(f, cap)
+        if res.condition_holds:
+            want = periodicity._maximize(f, 1e-4 / cfg.delta, 1.0 / cfg.delta)
+        else:
+            want = scalar_capped_supremum(f, cap)
+        assert (res.tau_star, res.objective_at_star) == want
+
+
+def test_capped_searches_cover_both_gates_and_both_ends():
+    # the cases above hold each gate and fail it; where it fails, the closed
+    # forms peak at the first grid point (V(x0; 0+) = +inf, or a scaled
+    # objective that falls from 1/delta) or at the cap (zeta(alpha) > delta)
+    holds, ends = set(), set()
+    for _, cfg in CLOSED_FORMS:
+        for scaled in (False, True):
+            cap = 4.0 / cfg.delta
+            res = optimal_tau(tau_objective(cfg, scaled), cap)
+            holds.add(res.condition_holds)
+            if not res.condition_holds:
+                ends.add(capped_grid(cap).tolist().index(res.tau_star))
+    assert holds == {False, True}
+    assert ends == {0, periodicity._CAP_POINTS - 1}
+
+
+def test_power_gamma_below_one_has_no_grid():
+    f = tau_objective(table_config("power"), True)
+    assert f.grid(capped_grid(4.0)) is None
+
+
+def test_a_grid_below_the_smallest_delta_tau_raises_the_scalar_error():
+    # delta * cap / 257 < 1e-12 at the first point; the value gate fails at x0 = 1
+    f = tau_objective(table_config(gamma=0.8, delta=0.3, x0=1.0), False)
+    cap = 1e-10
+    assert f.grid(capped_grid(cap)) is None
+    with pytest.raises(ParameterOutOfRange) as scalar:
+        scalar_capped_supremum(f, cap)
+    with pytest.raises(ParameterOutOfRange) as capped:
+        optimal_tau(f, cap)
+    assert str(capped.value) == str(scalar.value) == "delta*tau is too small to evaluate stably"
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["value", "scaled"])
+def test_a_gamma_one_grid_that_overflows_raises_the_scalar_error(scaled):
+    # zeta(alpha) > delta: the objective grows like exp((zeta - delta) tau)
+    # and overflows inside the grid, first at the scalar loop's point
+    f = tau_objective(table_config("power", gamma=1.0, delta=0.05), scaled)
+    cap = 1e6
+    assert f.grid(capped_grid(cap)) is None
+    with pytest.raises(NonFinite) as scalar:
+        scalar_capped_supremum(f, cap)
+    with pytest.raises(NonFinite) as capped:
+        optimal_tau(f, cap)
+    assert str(capped.value) == str(scalar.value)
+    assert str(scalar.value).startswith("the gamma = 1 objective overflows at tau=")

@@ -16,6 +16,11 @@ measures, on the tree's ``configs/table2_power.cfg`` unless named:
     opt-tau-value  opt-tau --tau-cap 4 --objective value
     opt-tau-curve  opt-tau --tau-cap 4 --curve-out (the capped search plus
                    a 33-point curve)
+    opt-tau-log-capped  opt-tau --objective value --tau-cap 4 on a copy of
+                   ``configs/table1_log.cfg`` with x0 = 5: the value gate
+                   fails, so the closed form's 257-point grid runs
+    opt-tau-g1-capped   opt-tau --tau-cap 4 on a copy of the config with
+                   gamma = 1: delta/2 < zeta(alpha) fails, so the grid runs
     sim-power      simulate --paths 30000 --seed 3 (the Monte Carlo of I(y* R))
     sim-power-0.5  the same on a copy of the config with tau = 0.5
     sim-log        the same on ``configs/table1_log.cfg``
@@ -70,12 +75,23 @@ print(json.dumps(out))
 """
 
 
+def copy_with(config: str, path: Path, **fields: str) -> str:
+    """Write ``config`` to ``path`` with each ``key = value`` line of ``fields`` replaced."""
+    text = Path(config).read_text()
+    for key, value in fields.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    path.write_text(text)
+    return str(path)
+
+
 def measures(tree: Path, work: Path) -> dict[str, list[str]]:
     table2 = str(tree / "configs" / "table2_power.cfg")
     spec = work / "spec.sweep"
     spec.write_text(SWEEP)
-    half = work / "table2_tau_0.5.cfg"
-    half.write_text(re.sub(r"(?m)^tau = .*$", "tau = 0.5", Path(table2).read_text()))
+    table1 = str(tree / "configs" / "table1_log.cfg")
+    half = copy_with(table2, work / "table2_tau_0.5.cfg", tau="0.5")
+    log_capped = copy_with(table1, work / "table1_x0_5.cfg", x0="5")
+    g1_capped = copy_with(table2, work / "table2_gamma_1.cfg", gamma="1")
     capped = ["opt-tau", "--config", table2, "--tau-cap", "4"]
     sim = ["--paths", "30000", "--seed", "3"]
     return {
@@ -84,9 +100,11 @@ def measures(tree: Path, work: Path) -> dict[str, list[str]]:
         "opt-tau-scaled": capped + ["--objective", "scaled"],
         "opt-tau-value": capped + ["--objective", "value"],
         "opt-tau-curve": capped + ["--curve-out", str(work / "curve.csv")],
+        "opt-tau-log-capped": ["opt-tau", "--config", log_capped, "--objective", "value", "--tau-cap", "4"],
+        "opt-tau-g1-capped": ["opt-tau", "--config", g1_capped, "--tau-cap", "4"],
         "sim-power": ["simulate", "--config", table2] + sim,
         "sim-power-0.5": ["simulate", "--config", str(half)] + sim,
-        "sim-log": ["simulate", "--config", str(tree / "configs" / "table1_log.cfg")] + sim,
+        "sim-log": ["simulate", "--config", table1] + sim,
     }
 
 
@@ -111,12 +129,12 @@ def main(argv: list[str]) -> int:
             for i in order:
                 for name, ms in run_tree(trees[i], Path(tmp)).items():
                     times[i].setdefault(name, []).extend(ms)
-    print(f"{'tree':<40} {'measure':<15} {'q1':>9} {'median':>9} {'q3':>9}  speed-up over the first")
+    print(f"{'tree':<40} {'measure':<19} {'q1':>9} {'median':>9} {'q3':>9}  speed-up over the first")
     for i, tree in enumerate(trees):
         for name, ms in times[i].items():
             q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
             ratio = "" if i == 0 else f"{statistics.median(times[0][name]) / median:.2f}x"
-            print(f"{str(tree):<40} {name:<15} {q1:9.3f} {median:9.3f} {q3:9.3f}  {ratio}")
+            print(f"{str(tree):<40} {name:<19} {q1:9.3f} {median:9.3f} {q3:9.3f}  {ratio}")
     return 0
 
 
