@@ -98,14 +98,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    if args.paths is not None:
-        cfg = dataclasses.replace(cfg, n_paths=args.paths)
-    if args.periods is not None:
-        cfg = dataclasses.replace(cfg, n_periods=args.periods)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-
+    overrides = {"n_paths": args.paths, "n_periods": args.periods, "seed": args.seed}
+    cfg = dataclasses.replace(
+        _load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
+    )
     report = solve(cfg)
     sim = SimulationConfig(
         n_paths=cfg.n_paths,
@@ -120,8 +116,6 @@ def cmd_simulate(args) -> int:
             report.solution, report.market, report.evaluation, cfg.x0, sim
         )
     analytic = report.fields["v_x0"]
-    if args.analytic_override is not None:
-        analytic = args.analytic_override
     verdict = compare(estimate, analytic)
     _emit(
         {
@@ -202,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--paths", type=int, default=None)
     p_sim.add_argument("--periods", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--analytic-override", type=float, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")

@@ -3,7 +3,8 @@
 Text grammar:
 
 * ``key = value`` pairs, one per line; ``#`` starts a comment. Keys and
-  section names are case-insensitive; an unknown key or section is an error.
+  section names are case-insensitive; an unknown key or section, or a key
+  given twice in one section, is an error.
 * Top of the file: ``utility`` (``power`` or ``log``), ``mu``, ``sigma``,
   ``r``, ``tau``, ``gamma``, ``delta`` and ``x0`` are required; ``alpha`` is
   required for power utility and rejected for log; ``n``, if given, must
@@ -26,6 +27,11 @@ Text grammar:
   (an array space-separated, null as ``auto``) and parsed as above, so JSON
   rejects what text rejects, with the same message. ``mu``, ``sigma``,
   ``grid`` and ``outputs`` must be JSON arrays, and their entries scalars.
+  An object that repeats a key is an error.
+
+The table ``_GRAMMAR`` is the one list of a problem config's keys, each with
+its parser: ``parse_problem_config`` walks it to read a config and
+``format_problem_config`` to write one, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -180,8 +186,15 @@ def _split_sections(text: str) -> dict[str, dict[str, str]]:
         key, eq, value = line.partition("=")
         if not eq:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        body[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in body:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
+        body[key] = value.strip()
     return sections
+
+
+def _parse_word(raw: str, key: str) -> str:
+    return raw.lower()
 
 
 def _parse_float(raw: str, key: str) -> float:
@@ -196,6 +209,10 @@ def _parse_int(raw: str, key: str) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+
+
+def _parse_periods(raw: str, key: str) -> int | None:
+    return None if raw.lower() == "auto" else _parse_int(raw, key)
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -222,20 +239,41 @@ def _parse_vector(raw: str, key: str) -> tuple[float, ...]:
         if not math.isfinite(steps) or round(steps) >= _RANGE_POINTS_CAP:
             raise ConfigError(f"{key}: a range may hold at most {_RANGE_POINTS_CAP} points")
         count = round(steps) + 1
-        values = tuple(start + k * step for k in range(count) if start + k * step <= stop + 0.5 * step)
-        return values
+        return tuple(start + k * step for k in range(count) if start + k * step <= stop + 0.5 * step)
     try:
         return tuple(map(float, tokens))
     except ValueError:
         return tuple(_parse_float(tok, key) for tok in tokens)
 
 
-def parse_problem_config(text: str) -> ProblemConfig:
-    """Parse a problem configuration from text or JSON."""
-    return _config_from_sections(_read_sections(text, "config", ("solver", "mc")))
+def _write(value) -> str:
+    """The config text of a value, which its key's parser reads back.
+
+    A float, numpy's included, is written as ``repr(float(v))``: the repr of
+    a numpy scalar is not a literal the parser reads. A tuple is written
+    space-separated and None as ``auto``.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return " ".join(map(_write, value))
+    return "auto" if value is None else str(value)
 
 
-_JSON_VECTORS = ("mu", "sigma", "grid", "outputs")
+# The problem-config grammar: each section's keys in the order they are
+# parsed, which is the order of their errors, with their parsers. ``n`` is
+# checked against the length of ``mu`` and not stored.
+_GRAMMAR = {
+    "": {"utility": _parse_word, "mu": _parse_vector, "sigma": _parse_vector}
+    | dict.fromkeys(("r", "tau", "gamma", "delta", "x0", "alpha"), _parse_float)
+    | {"n": _parse_int},
+    "solver": {"tol_root": _parse_float, "tol_fixed_point": _parse_float, "quad_order": _parse_int},
+    "mc": {"n_paths": _parse_int, "n_periods": _parse_periods, "seed": _parse_int, "antithetic": _parse_bool},
+}
+# the keys without a default in ProblemConfig
+_REQUIRED = frozenset(f.name for f in dataclasses.fields(ProblemConfig) if f.default is dataclasses.MISSING)
 
 
 def _read_sections(text: str, kind: str, nested: tuple[str, ...]) -> dict[str, dict[str, str]]:
@@ -245,7 +283,7 @@ def _read_sections(text: str, kind: str, nested: tuple[str, ...]) -> dict[str, d
     import json  # only a JSON file pays for the parser
 
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad JSON {kind}: {exc}") from None
     if not isinstance(payload, dict):
@@ -261,112 +299,61 @@ def _read_sections(text: str, kind: str, nested: tuple[str, ...]) -> dict[str, d
     return sections
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    payload = dict(pairs)
+    if len(payload) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ConfigError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return payload
+
+
 def _json_text(key: str, value) -> str:
     """The text of ``key = ...`` for a JSON value; the text grammar parses it."""
-    if key in _JSON_VECTORS:
+    if key in ("mu", "sigma", "grid", "outputs"):
         if not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value):
             raise ConfigError(f"{key}: expected a JSON array of scalars, got {value!r}")
-        return " ".join(map(_json_scalar, value))
-    return _json_scalar(value)
+        return " ".join(map(_write, value))
+    return _write(value)
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "auto"
-    return str(value)
-
-
-def _pop_required(top: dict[str, str], key: str) -> str:
-    try:
-        return top.pop(key)
-    except KeyError:
-        raise ConfigError(f"missing required key {key!r}") from None
-
-
-def _config_from_sections(sections: dict[str, dict[str, str]]) -> ProblemConfig:
+def parse_problem_config(text: str) -> ProblemConfig:
+    """Parse a problem configuration from text or JSON, walking the grammar."""
+    sections = _read_sections(text, "config", ("solver", "mc"))
     for name in sections:
-        if name not in ("", "solver", "mc", "sweep"):
+        if name not in _GRAMMAR and name != "sweep":
             raise ConfigError(f"unknown section [{name}]")
-    top = dict(sections.get("", {}))
-    solver = dict(sections.get("solver", ()))
-    mc = dict(sections.get("mc", ()))
-
-    kwargs = {"utility": _pop_required(top, "utility").lower()}
-    for key in ("mu", "sigma"):
-        kwargs[key] = _parse_vector(_pop_required(top, key), key)
-    for key in ("r", "tau", "gamma", "delta", "x0"):
-        kwargs[key] = _parse_float(_pop_required(top, key), key)
-    mu = kwargs["mu"]
-    if "alpha" in top:
-        kwargs["alpha"] = _parse_float(top.pop("alpha"), "alpha")
-    if "n" in top:
-        n_declared = _parse_int(top.pop("n"), "n")
-        if n_declared != len(mu):
-            raise ConfigError(f"declared n={n_declared} but mu has {len(mu)} entries")
-    if top:
-        raise ConfigError(f"unknown top-level keys: {sorted(top)}")
-
-    if "tol_root" in solver:
-        kwargs["tol_root"] = _parse_float(solver.pop("tol_root"), "tol_root")
-    if "tol_fixed_point" in solver:
-        kwargs["tol_fixed_point"] = _parse_float(
-            solver.pop("tol_fixed_point"), "tol_fixed_point"
-        )
-    if "quad_order" in solver:
-        kwargs["quad_order"] = _parse_int(solver.pop("quad_order"), "quad_order")
-    if solver:
-        raise ConfigError(f"unknown [solver] keys: {sorted(solver)}")
-
-    if "n_paths" in mc:
-        kwargs["n_paths"] = _parse_int(mc.pop("n_paths"), "n_paths")
-    if "n_periods" in mc:
-        raw = mc.pop("n_periods")
-        kwargs["n_periods"] = None if raw.lower() == "auto" else _parse_int(raw, "n_periods")
-    if "seed" in mc:
-        kwargs["seed"] = _parse_int(mc.pop("seed"), "seed")
-    if "antithetic" in mc:
-        kwargs["antithetic"] = _parse_bool(mc.pop("antithetic"), "antithetic")
-    if mc:
-        raise ConfigError(f"unknown [mc] keys: {sorted(mc)}")
-
+    kwargs = {}
+    for section, keys in _GRAMMAR.items():
+        body = sections.get(section, {})
+        for key, parse in keys.items():
+            raw = body.pop(key, None)
+            if raw is not None:
+                kwargs[key] = parse(raw, key)
+            elif key in _REQUIRED:
+                raise ConfigError(f"missing required key {key!r}")
+        n_declared = kwargs.pop("n", None)
+        if n_declared is not None and n_declared != len(kwargs["mu"]):
+            raise ConfigError(f"declared n={n_declared} but mu has {len(kwargs['mu'])} entries")
+        if body:
+            raise ConfigError(f"unknown {f'[{section}]' if section else 'top-level'} keys: {sorted(body)}")
     return ProblemConfig(**kwargs)
 
 
 def format_problem_config(cfg: ProblemConfig) -> str:
-    """Serialize a configuration so that parsing it back gives an equal object."""
+    """Serialize a configuration so that parsing it back gives an equal object.
 
-    def num(v) -> str:  # repr of a numpy scalar is not a literal the parser reads
-        return repr(float(v))
-
-    lines = [
-        f"utility = {cfg.utility}",
-        f"n = {cfg.n}",
-        "mu = " + " ".join(num(v) for v in cfg.mu),
-        "sigma = " + " ".join(num(v) for v in cfg.sigma),
-        f"r = {num(cfg.r)}",
-        f"tau = {num(cfg.tau)}",
-        f"gamma = {num(cfg.gamma)}",
-        f"delta = {num(cfg.delta)}",
-        f"x0 = {num(cfg.x0)}",
-    ]
-    if cfg.alpha is not None:
-        lines.append(f"alpha = {num(cfg.alpha)}")
-    lines += [
-        "",
-        "[solver]",
-        f"tol_root = {num(cfg.tol_root)}",
-        f"tol_fixed_point = {num(cfg.tol_fixed_point)}",
-        f"quad_order = {cfg.quad_order}",
-        "",
-        "[mc]",
-        f"n_paths = {cfg.n_paths}",
-        f"n_periods = {'auto' if cfg.n_periods is None else cfg.n_periods}",
-        f"seed = {cfg.seed}",
-        f"antithetic = {'true' if cfg.antithetic else 'false'}",
-        "",
-    ]
+    The keys come in the grammar's order, but ``n`` right after ``utility``;
+    an unset ``alpha`` is left out.
+    """
+    lines = []
+    for section, keys in _GRAMMAR.items():
+        if section:
+            lines.append(f"[{section}]")
+        for key in sorted(keys, key=lambda k: k not in ("utility", "n")):
+            value = getattr(cfg, key)
+            if value is not None or keys[key] is _parse_periods:
+                lines.append(f"{key} = {_write(value)}")
+        lines.append("")
     return "\n".join(lines)
 
 

@@ -102,11 +102,31 @@ def test_solver_failure_exit_nonconvergence(tmp_path, monkeypatch, capsys):
     assert "forced" in capsys.readouterr().err
 
 
-def test_simulate_mismatch_exit(tmp_path, capsys):
-    path = write_config(tmp_path, "table1_log")
-    argv = ["simulate", "--config", path, "--paths", "2000", "--analytic-override", "1e6"]
+def test_simulate_mismatch_exit(tmp_path, monkeypatch, capsys):
+    argv = ["simulate", "--config", write_config(tmp_path, "table1_log"), "--paths", "2000"]
+    assert cli.main(argv) == cli.EXIT_OK
+    true = report(capsys.readouterr().out)
+    solve = cli.solve
+
+    def far_analytic(cfg):
+        solved = solve(cfg)
+        solved.fields["v_x0"] = 1e6
+        return solved
+
+    monkeypatch.setattr(cli, "solve", far_analytic)
     assert cli.main(argv) == cli.EXIT_MISMATCH
-    assert report(capsys.readouterr().out)["verdict"] == "fail"
+    out = report(capsys.readouterr().out)
+    assert list(out) == list(true)
+    assert out == {**true, "analytic": "1000000", "verdict": "fail"}
+
+
+def test_repeated_config_key_exit_config(tmp_path, capsys):
+    path = tmp_path / "repeated.cfg"
+    path.write_text((CONFIGS / "table2_power.cfg").read_text().replace("r = 0.12", "r = 0.5\nr = 0.12"))
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: line 7: repeated key 'r'\n"
 
 
 @pytest.mark.parametrize(

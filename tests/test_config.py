@@ -158,3 +158,183 @@ OVER_CAP = f"at most {_RANGE_POINTS_CAP} points"
 def test_range_shorthand_out_of_bounds_is_a_config_error(grid, message):
     with pytest.raises(ConfigError, match=f"^grid: .*{message}"):
         parse_sweep_spec(sweep_text(grid))
+
+
+# format_problem_config's text of the shipped configs: the grammar's order,
+# with n right after utility, and every float written as repr(float(v)).
+SHIPPED_TEXT = {
+    "table1_log": """\
+utility = log
+n = 2
+mu = 0.1 0.15
+sigma = 0.2 0.0 0.0 0.25
+r = 0.12
+tau = 1.0
+gamma = 0.8
+delta = 0.3
+x0 = 0.5
+
+[solver]
+tol_root = 1e-10
+tol_fixed_point = 1e-10
+quad_order = 64
+
+[mc]
+n_paths = 100000
+n_periods = auto
+seed = 42
+antithetic = false
+""",
+    "table2_power": """\
+utility = power
+n = 2
+mu = 0.1 0.15
+sigma = 0.2 0.0 0.0 0.25
+r = 0.12
+tau = 1.0
+gamma = 0.8
+delta = 0.3
+x0 = 0.5
+alpha = 0.5
+
+[solver]
+tol_root = 1e-10
+tol_fixed_point = 1e-10
+quad_order = 64
+
+[mc]
+n_paths = 100000
+n_periods = auto
+seed = 42
+antithetic = false
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_TEXT))
+def test_format_of_the_shipped_configs_is_pinned(name):
+    cfg = parse_problem_config((CONFIGS / f"{name}.cfg").read_text())
+    assert format_problem_config(cfg) == SHIPPED_TEXT[name]
+
+
+# Every optional key set to a value other than its default, as JSON and as text.
+EVERY_KEY_JSON = {
+    "utility": "power",
+    "n": 3,
+    "mu": [0.1, 0.15, 0.05],
+    "sigma": [0.2, 0, 0, 0.01, 0.25, 0, 0, 0.02, 0.3],
+    "r": 0.03,
+    "tau": 0.5,
+    "gamma": 0.6,
+    "delta": 0.7,
+    "x0": 2.5,
+    "alpha": -1.5,
+    "solver": {"tol_root": 1e-12, "tol_fixed_point": 1e-11, "quad_order": 96},
+    "mc": {"n_paths": 5000, "n_periods": 40, "seed": 7, "antithetic": True},
+}
+EVERY_KEY_TEXT = """\
+utility = power
+n = 3
+mu = 0.1, 0.15, 0.05
+sigma = 0.2 0 0  0.01 0.25 0  0 0.02 0.3
+r = 0.03
+tau = 0.5
+gamma = 0.6
+delta = 0.7
+x0 = 2.5
+alpha = -1.5
+[solver]
+tol_root = 1e-12
+tol_fixed_point = 1e-11
+quad_order = 96
+[mc]
+n_paths = 5000
+n_periods = 40
+seed = 7
+antithetic = true
+"""
+
+
+def test_json_setting_every_key_parses_equal_to_its_text_twin():
+    cfg = parse_problem_config(json.dumps(EVERY_KEY_JSON))
+    assert cfg == parse_problem_config(EVERY_KEY_TEXT)
+    for field in dataclasses.fields(ProblemConfig):
+        if field.default is not dataclasses.MISSING:
+            assert getattr(cfg, field.name) != field.default, field.name
+    assert (cfg.quad_order, cfg.n_periods, cfg.antithetic) == (96, 40, True)
+    assert parse_problem_config(format_problem_config(cfg)) == cfg
+
+
+def test_float32_scalars_round_trip():
+    f32 = np.float32
+    cfg = ProblemConfig(
+        utility="power",
+        mu=(f32(0.1), f32(0.15)),
+        sigma=(f32(0.2), f32(0.0), f32(0.0), f32(0.25)),
+        r=f32(0.12),
+        tau=f32(1.0),
+        gamma=f32(0.8),
+        delta=f32(0.3),
+        x0=f32(0.5),
+        alpha=f32(0.5),
+        tol_root=f32(1e-10),
+        tol_fixed_point=f32(1e-9),
+    )
+    text = format_problem_config(cfg)
+    assert "np." not in text and f"r = {float(f32(0.12))!r}\n" in text
+    assert parse_problem_config(text) == cfg
+
+
+TABLE2 = (CONFIGS / "table2_power.cfg").read_text()
+
+
+# A key given twice in one section is an error naming the key and, in text,
+# the line of its second occurrence; keys and section names ignore case.
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param(TABLE2.replace("r = 0.12", "r = 0.5\nr = 0.12"), "line 7: repeated key 'r'", id="top"),
+        pytest.param(TABLE2.replace("r = 0.12", "R = 0.5\nr = 0.12"), "line 7: repeated key 'r'", id="case"),
+        pytest.param(TABLE2.replace("quad_order", "tol_root"), "line 16: repeated key 'tol_root'", id="solver"),
+        pytest.param(TABLE2 + "[MC]\nseed = 7\n", "line 23: repeated key 'seed'", id="reopened-section"),
+    ],
+)
+def test_repeated_text_key_is_a_config_error(text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_problem_config(text)
+
+
+def test_a_key_may_repeat_across_sections():
+    assert parse_problem_config(TABLE2 + "[sweep]\nseed = 7\n") == parse_problem_config(TABLE2)
+
+
+SHIPPED2_JSON = json.dumps(SHIPPED_JSON["table2_power"])
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        pytest.param(SHIPPED2_JSON.replace('"r": 0.12', '"r": 0.5, "r": 0.12'), "r", id="top"),
+        pytest.param(SHIPPED2_JSON.replace('"seed": 42', '"seed": 7, "seed": 42'), "seed", id="mc"),
+        pytest.param(SHIPPED2_JSON.replace('"solver": {', '"solver": {}, "solver": {'), "solver", id="section"),
+    ],
+)
+def test_repeated_json_key_is_a_config_error(text, key):
+    with pytest.raises(ConfigError, match=f"^repeated key '{key}'$"):
+        parse_problem_config(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param(sweep_text("1 2") + "grid = 3 4\n", "line 5: repeated key 'grid'", id="text"),
+        pytest.param(
+            '{"sweep": {"parameter": "tau", "grid": [1], "outputs": ["a_star"], "grid": [2]}}',
+            "repeated key 'grid'",
+            id="json",
+        ),
+    ],
+)
+def test_repeated_sweep_key_is_a_config_error(text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_sweep_spec(text)
