@@ -1,11 +1,14 @@
 """Command-line front end: solve, simulate, sweep and opt-tau workflows.
 
-Exit codes: 0 success; 2 configuration/parse error, a ``--tau-cap`` that is
-not positive and finite, or an output file that cannot be written; 3
-parameter or well-posedness violation; 4 solver non-convergence; 5
+Exit codes: 0 success; 2 a ConfigError (configuration/parse error, a
+``--tau-cap`` that is not positive and finite, or an output file that cannot
+be written); 3 a ParameterError (parameter or well-posedness violation); 4 a
+SolverError (non-convergence, a non-finite value or a numerical fault); 5
 statistical mismatch in ``simulate``; 6 ``opt-tau`` with no tau*: no
 sufficient condition holds (a proposition's gate fails, or none covers the
-configuration) and no ``--tau-cap`` was given.
+configuration) and no ``--tau-cap`` was given. Codes 2-4 come from the
+error families of ``errors``, so every error class gets the code of its
+family.
 
 The argument parser is built on the first ``main`` call and shared by every
 later call in the process: parsing leaves it unchanged, each call parses
@@ -24,18 +27,7 @@ from functools import cache
 import numpy as np
 
 from .config import ProblemConfig, parse_problem_config, parse_sweep_spec
-from .errors import (
-    AssumptionViolated,
-    ConfigError,
-    Degenerate,
-    DimensionMismatch,
-    DomainError,
-    NonConvergence,
-    NonFinite,
-    NumericalFault,
-    ParameterOutOfRange,
-    SingularVolatility,
-)
+from .errors import ConfigError, ParameterError, SolverError
 from .mc import K_SIGMA, SimulationConfig, compare, estimate_log_objective, estimate_power_objective
 from .periodicity import optimal_tau, tau_objective
 from .report import solve, sweep
@@ -46,16 +38,6 @@ EXIT_ASSUMPTION = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_MISMATCH = 5
 EXIT_NO_PROPOSITION = 6
-
-_PARAMETER_ERRORS = (
-    AssumptionViolated,
-    ParameterOutOfRange,
-    DomainError,
-    SingularVolatility,
-    Degenerate,
-    DimensionMismatch,
-)
-
 
 def _fmt(value) -> str:
     if isinstance(value, (np.ndarray, list, tuple)):
@@ -226,10 +208,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except _PARAMETER_ERRORS as exc:
+    except ParameterError as exc:
         sys.stderr.write(f"parameter/assumption error: {exc}\n")
         return EXIT_ASSUMPTION
-    except (NonConvergence, NonFinite, NumericalFault) as exc:
+    except SolverError as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_NONCONVERGENCE
 

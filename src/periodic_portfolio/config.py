@@ -22,12 +22,13 @@ Text grammar:
   shorthand ``start:stop:step``: finite numbers, a positive step, and at
   most 10**5 points.
 * A file whose first non-blank character is ``{`` is parsed as JSON with the
-  same keys (``solver``/``mc``/``sweep`` as nested objects). JSON values go
-  through the same grammar as text: each is written as the text of its key
-  (an array space-separated, null as ``auto``) and parsed as above, so JSON
-  rejects what text rejects, with the same message. ``mu``, ``sigma``,
-  ``grid`` and ``outputs`` must be JSON arrays, and their entries scalars.
-  An object that repeats a key is an error.
+  same keys, case-insensitive too (``solver``/``mc``/``sweep`` as nested
+  objects). JSON values go through the same grammar as text: each is written
+  as the text of its key (an array space-separated, null as ``auto``) and
+  parsed as above, so JSON rejects what text rejects, with the same message.
+  ``mu``, ``sigma``, ``grid`` and ``outputs`` must be JSON arrays, and their
+  entries scalars. An object that repeats a key, once lower-cased, is an
+  error.
 
 The table ``_GRAMMAR`` is the one list of a problem config's keys, each with
 its parser: ``parse_problem_config`` walks it to read a config and
@@ -300,9 +301,10 @@ def _read_sections(text: str, kind: str, nested: tuple[str, ...]) -> dict[str, d
 
 
 def _json_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    payload = dict(pairs)
+    """A JSON object with its keys lower-cased, as text keys and section names are."""
+    payload = {key.lower(): value for key, value in pairs}
     if len(payload) < len(pairs):
-        keys = [key for key, _ in pairs]
+        keys = [key.lower() for key, _ in pairs]
         raise ConfigError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
     return payload
 

@@ -22,13 +22,16 @@ from .errors import DomainError, ParameterOutOfRange
 from .market import EvaluationSpec, MarketModel
 
 _MIN_DELTA_TAU = 1e-12
+# above this delta*tau, (e^u - gamma) / (e^u - 1)^2 rounds to e^-u, and (e^u - 1)^2
+# overflows float64 from u = 355
+_MAX_DELTA_TAU = 350.0
 
 
 def _growth_coef(u: float, gamma: float) -> float:
     # (e^u - gamma) / (e^u - 1)^2, stable for tiny and huge u
     if u < _MIN_DELTA_TAU:
         raise ParameterOutOfRange("delta*tau is too small to evaluate stably")
-    if u > 350.0:
+    if u > _MAX_DELTA_TAU:
         return math.exp(-u)
     em1 = math.expm1(u)
     return (em1 + (1.0 - gamma)) / em1**2

@@ -41,7 +41,7 @@ import numpy as np
 from .cone import ConstrainedSharpe
 from .config import ProblemConfig
 from .errors import DomainError, NonConvergence, NonFinite
-from .logutil import _MIN_DELTA_TAU, _log_coefficients
+from .logutil import _MAX_DELTA_TAU, _MIN_DELTA_TAU, _log_coefficients
 from .market import EvaluationSpec, MarketModel, zeta
 from .power import PowerProblem, fixed_point, value_function
 from .report import _build
@@ -123,7 +123,7 @@ class TauObjective:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.utility == "log":
-                if u.max() > 350.0:
+                if u.max() > _MAX_DELTA_TAU:
                     return None
                 em1 = np.expm1(u)
                 value = (em1 + (1.0 - cfg.gamma)) / (em1 * em1)

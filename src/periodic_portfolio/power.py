@@ -157,11 +157,11 @@ class PowerSolution:
     ``iterations`` counts evaluations of Psi (each one y* solve plus H and
     H'), not Newton steps. ``error_bound`` = |Psi(A) - A| / (1 - q) at the
     last evaluated A bounds |A* - A_true|; when it exceeds tol_fixed_point
-    the solve was accepted at the float64 floor of the residual instead (see
-    ``fixed_point``). ``fraction_scale`` is -d log F / d log y at the last
-    evaluation's y* Newton point: the period-start risky fractions are
-    ``fraction_scale`` * (sigma^T)^{-1} xi_tilde. ``psi_slope`` is Psi'(A) =
-    exp(-delta*tau) E[I(y* R)^(alpha(1-gamma))] from the same evaluation,
+    min(1, A*) the solve was accepted at the float64 floor of the residual
+    instead (see ``fixed_point``). ``fraction_scale`` is -d log F / d log y at
+    the last evaluation's y* Newton point: the period-start risky fractions
+    are ``fraction_scale`` * (sigma^T)^{-1} xi_tilde. ``psi_slope`` is Psi'(A)
+    = exp(-delta*tau) E[I(y* R)^(alpha(1-gamma))] from the same evaluation,
     carried from its last Newton point to y* by d H'/d log y = -alpha y dF/da:
     the ratio of the expected period rewards that sum to V(x0), so the reward
     left after n periods is V(x0) ``psi_slope``^n.
@@ -656,27 +656,28 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
     (``_period_sums``), so it carries nothing else from the last.
 
     Only the accepted evaluation needs y* to ``tol_root``. Both acceptance
-    tests below need |Psi(A) - A| <= tol + 4 ulp(A), since 1-q < 1, so an
-    evaluation whose residual is over _INEXACT_MARGIN times that cannot be
-    accepted, and its y* Newton may stop after one short step (``_newton_y``).
-    The A step it gives is an inexact Newton step, whose error is a small
-    share of the residual.
+    tests below need |Psi(A) - A| <= tol min(1, A) + 4 ulp(A), to a factor
+    1 + tol (1-q < 1, and Psi(A) <= A + |Psi(A) - A|), so an evaluation whose
+    residual is over _INEXACT_MARGIN times that cannot be accepted, and its y*
+    Newton may stop after one short step (``_newton_y``). The A step it gives
+    is an inexact Newton step, whose error is a small share of the residual.
 
-    Stops at the first evaluated A with |Psi(A) - A| / (1-q) <= tol, q the
-    contraction modulus, which bounds |A - A*|. When the residual stops
-    falling first, it has reached the float64 floor: at small tau 1-q is tiny
-    and A* large (tau = 1e-3: 1-q ~ 1e-3, one ulp of A* ~ 1e-13), and for
-    A* above ~1e5 one ulp of A* alone exceeds an absolute tol of 1e-10. A is
-    then accepted if |Psi(A) - A| <= tol + 4 ulp(A), and NonConvergence is
-    raised otherwise. Returns A* = Psi(A) as evaluated, exp(-delta*tau) H(A)
-    (A plus the residual would round to 0 when Psi(A) < ulp(A)), which is
-    within q * |A - A*| of the fixed point, with the y* of that last
-    evaluation (y* moves with A by dy*/dA times |Psi(A) - A|, below the
-    tolerances); ``iterations`` counts
-    evaluations of Psi and ``error_bound`` is |Psi(A) - A| / (1-q), a bound on
-    the error of both A and Psi(A). A tau so small that q rounds to 1 raises
-    ParameterOutOfRange, and a Psi(A) that underflows to 0 (A* below float64)
-    NonFinite.
+    Stops at the first evaluated A with |Psi(A) - A| / (1-q) <=
+    tol min(1, Psi(A)), q the contraction modulus: the left side bounds
+    |A - A*|, so an A* below 1 is known to tol relative, however far below the
+    absolute tol it lies. When the residual stops falling first, it has
+    reached the float64 floor: at small tau 1-q is tiny and A* large
+    (tau = 1e-3: 1-q ~ 1e-3, one ulp of A* ~ 1e-13), and for A* above ~1e5 one
+    ulp of A* alone exceeds an absolute tol of 1e-10. A is then accepted if
+    |Psi(A) - A| <= tol min(1, A) + 4 ulp(A), and NonConvergence is raised
+    otherwise. Returns A* = Psi(A) as evaluated, exp(-delta*tau) H(A) (A plus
+    the residual would round to 0 when Psi(A) < ulp(A)), which is within
+    q * |A - A*| of the fixed point, with the y* of that last evaluation (y*
+    moves with A by dy*/dA times |Psi(A) - A|, below the tolerances);
+    ``iterations`` counts evaluations of Psi and ``error_bound`` is
+    |Psi(A) - A| / (1-q), a bound on the error of both A and Psi(A). A tau so
+    small that q rounds to 1 raises ParameterOutOfRange, and a Psi(A) that
+    underflows to 0 (A* below float64) NonFinite.
     """
     q_mod = contraction_modulus(p)
     if q_mod >= 1.0:
@@ -693,7 +694,7 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
     u = _log_y_start(p, a)
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):
-        allowed = tol + _FLOOR_ULPS * math.ulp(a)  # the largest residual either test accepts
+        allowed = tol * min(1.0, a) + _FLOOR_ULPS * math.ulp(a)  # the largest residual either test accepts
         stop = (disc, _INEXACT_MARGIN * allowed)
         h_val, h_slope, y_star, scale, dlog_y = _newton_y(p, a, u, stop)
         psi = disc * h_val
@@ -701,7 +702,7 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
             raise NonFinite(f"A* underflows float64 at tau={p.evaluation.tau:.6g}")
         residual = psi - a
         error_bound = abs(residual) / (1.0 - q_mod)
-        if error_bound <= tol:
+        if error_bound <= tol * min(1.0, psi):
             break
         if residual > 0.0:
             lo = max(lo, a)

@@ -13,7 +13,8 @@ from periodic_portfolio import (
     marginal_inverse,
     moderated_utility,
 )
-from periodic_portfolio import mc
+from periodic_portfolio import cli, mc
+from periodic_portfolio.errors import ConfigError, ParameterError, SolverError
 
 # Benchmark two-stock market used throughout: mu = (0.1, 0.15),
 # sigma = diag(0.2, 0.25), r = 0.12, so xi = (-0.1, 0.12) and the
@@ -64,6 +65,13 @@ HUGE_SAMPLES = dict(
 
 # A config file that is not valid UTF-8
 NOT_UTF8 = b"utility = log\nmu = 0.1\xff\n"
+
+# Each error family's exit code and the prefix of the one line it writes to stderr
+FAMILY_EXITS = {
+    ConfigError: (cli.EXIT_CONFIG, "config error: "),
+    ParameterError: (cli.EXIT_ASSUMPTION, "parameter/assumption error: "),
+    SolverError: (cli.EXIT_NONCONVERGENCE, "solver error: "),
+}
 
 
 @pytest.fixture

@@ -6,9 +6,16 @@ from pathlib import Path
 import pytest
 
 from periodic_portfolio import cli, format_problem_config, parse_problem_config
-from periodic_portfolio.errors import NonConvergence
+from periodic_portfolio.errors import (
+    ConfigError,
+    NonConvergence,
+    ParameterError,
+    PortfolioError,
+    QuadratureError,
+    SolverError,
+)
 
-from conftest import NOT_UTF8, TINY_LOWER_BOUND
+from conftest import FAMILY_EXITS, NOT_UTF8, TINY_LOWER_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,6 +107,44 @@ def test_solver_failure_exit_nonconvergence(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, "table2_power")
     assert cli.main(["solve", "--config", path]) == cli.EXIT_NONCONVERGENCE
     assert "forced" in capsys.readouterr().err
+
+
+# error classes the CLI has never heard of, one in each family
+class LaterConfigError(ConfigError):
+    pass
+
+
+class LaterParameterError(ParameterError):
+    pass
+
+
+class LaterSolverError(SolverError):
+    pass
+
+
+def portfolio_errors(cls=PortfolioError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from portfolio_errors(sub)
+
+
+def test_every_error_class_exits_with_its_family_code(monkeypatch, capsys):
+    classes = list(portfolio_errors())
+    # the three families, the package's ten errors (QuadratureError three levels down) and the three above
+    assert len(classes) >= 16
+    assert {QuadratureError, LaterConfigError, LaterParameterError, LaterSolverError} <= set(classes)
+    for cls in classes:
+        (family,) = [family for family in FAMILY_EXITS if issubclass(cls, family)]
+        code, prefix = FAMILY_EXITS[family]
+
+        def fail(cfg, cls=cls):
+            raise cls(f"forced {cls.__name__}")
+
+        monkeypatch.setattr(cli, "solve", fail)
+        assert cli.main(["solve", "--config", str(CONFIGS / "table1_log.cfg")]) == code, cls
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{prefix}forced {cls.__name__}\n", cls
 
 
 def test_simulate_mismatch_exit(tmp_path, monkeypatch, capsys):

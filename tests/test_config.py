@@ -111,6 +111,15 @@ def test_shipped_config_as_json_parses_equal(name):
     assert parse_problem_config(json.dumps(SHIPPED_JSON[name], indent=2)) == parse_problem_config(text)
 
 
+def upper_keys(payload: dict) -> dict:
+    return {key.upper(): upper_keys(value) if isinstance(value, dict) else value for key, value in payload.items()}
+
+
+def test_json_keys_and_sections_ignore_case_as_text_keys_do():
+    text = (CONFIGS / "table1_log.cfg").read_text()
+    assert parse_problem_config(json.dumps(upper_keys(SHIPPED_JSON["table1_log"]))) == parse_problem_config(text)
+
+
 @pytest.mark.parametrize(
     "key,value,message",
     [
@@ -289,7 +298,8 @@ TABLE2 = (CONFIGS / "table2_power.cfg").read_text()
 
 
 # A key given twice in one section is an error naming the key and, in text,
-# the line of its second occurrence; keys and section names ignore case.
+# the line of its second occurrence; keys and section names ignore case, in
+# text and in JSON.
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -317,6 +327,8 @@ SHIPPED2_JSON = json.dumps(SHIPPED_JSON["table2_power"])
         pytest.param(SHIPPED2_JSON.replace('"r": 0.12', '"r": 0.5, "r": 0.12'), "r", id="top"),
         pytest.param(SHIPPED2_JSON.replace('"seed": 42', '"seed": 7, "seed": 42'), "seed", id="mc"),
         pytest.param(SHIPPED2_JSON.replace('"solver": {', '"solver": {}, "solver": {'), "solver", id="section"),
+        pytest.param(SHIPPED2_JSON.replace('"r": 0.12', '"R": 0.5, "r": 0.12'), "r", id="case"),
+        pytest.param(SHIPPED2_JSON.replace('"solver": {', '"Solver": {}, "SOLVER": {'), "solver", id="section-case"),
     ],
 )
 def test_repeated_json_key_is_a_config_error(text, key):

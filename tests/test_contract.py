@@ -5,7 +5,9 @@ scalar around its configured value, ``opt-tau --tau-cap 2`` and ``simulate
 --paths 200 --periods 20``, in process. Every call must exit 0, 2, 3, 4 or
 6 (see ``cli``), or 5 for ``simulate``, whose report then says its check
 failed; let no exception or warning escape; and leave stdout empty when it
-exits neither 0 nor 5.
+exits neither 0 nor 5, and stderr empty when it does. An exit 2, 3 or 4
+must come from the matching error family, so its stderr starts with that
+family's prefix.
 
 The draws follow the domain of each field: n <= 3 assets with columns of
 sigma scaled by e^U(-4, 2), r in [0, 0.2], gamma = 1 or in (0, 1), alpha in
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 from periodic_portfolio import cli
 
-from conftest import HUGE_SAMPLES, NOT_UTF8, TINY_LOWER_BOUND
+from conftest import FAMILY_EXITS, HUGE_SAMPLES, NOT_UTF8, TINY_LOWER_BOUND
 
 CONTRACT_CODES = {
     cli.EXIT_OK,
@@ -35,6 +37,7 @@ CONTRACT_CODES = {
     cli.EXIT_NONCONVERGENCE,
     cli.EXIT_NO_PROPOSITION,
 }
+FAMILY_PREFIXES = dict(FAMILY_EXITS.values())  # exit 2, 3 or 4 only from its error family
 EDGES = (0.0, -1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan)
 SCALARS = ("tau", "gamma", "x0", "delta", "alpha")
 
@@ -85,11 +88,11 @@ def power_config(**fields) -> bytes:
     return text.encode()
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -127,9 +130,13 @@ def test_every_call_keeps_the_exit_code_contract(tmp_path_factory, text, paramet
     for argv in calls:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out = run(argv)
+            code, out, err = run(argv)
         reported = {cli.EXIT_OK, cli.EXIT_MISMATCH} if argv[0] == "simulate" else {cli.EXIT_OK}
         assert code in CONTRACT_CODES | reported, (argv[0], code)
         assert not caught, (argv[0], [str(w.message) for w in caught])
-        if code not in reported:
+        if code in reported:
+            assert err == "", (argv[0], code, err)
+        else:
             assert out == "", (argv[0], code, out)
+        if code in FAMILY_PREFIXES:
+            assert err.startswith(FAMILY_PREFIXES[code]), (argv[0], code, err)

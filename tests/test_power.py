@@ -245,11 +245,11 @@ def _table_problem(tau, gamma, alpha, delta=TABLE_DELTA):
     return PowerProblem(market=m, evaluation=EvaluationSpec(tau, gamma, delta), alpha=alpha, cs=constrained_sharpe(m))
 
 
-def _widest_grid_problem():
+def _widest_grid_problem(tau=100.0):
     m = random_market(np.random.default_rng(30002), 30)
     cs = constrained_sharpe(m)
     delta = max(zeta(-1.0 * (1.0 - 0.8), m.r, cs.objective), 0.0) + 0.3
-    return PowerProblem(market=m, evaluation=EvaluationSpec(100.0, 0.8, delta), alpha=-1.0, cs=cs)
+    return PowerProblem(market=m, evaluation=EvaluationSpec(tau, 0.8, delta), alpha=-1.0, cs=cs)
 
 
 REFERENCE_CASES = {
@@ -308,6 +308,8 @@ GRID_TAUS = (1e-3, 1e-2, 0.1, 1.0, 4.0, 10.0, 30.0, 100.0)
 
 
 def grid_outcomes(n, ks):
+    # a solve is "ok" only if an independent evaluation of Psi(A*) moves A* by at
+    # most tol min(1, A*) + 4 ulp(A*), and "loose" otherwise
     outcomes = Counter()
     for k in ks:
         m = random_market(np.random.default_rng(1000 * n + k), n)
@@ -315,12 +317,14 @@ def grid_outcomes(n, ks):
         for alpha in (0.5, -1.0, -0.5):
             delta = max(zeta(alpha * (1.0 - GRID_GAMMA), m.r, cs.objective), 0.0) + 0.3
             for tau in GRID_TAUS:
+                p = PowerProblem(m, EvaluationSpec(tau, GRID_GAMMA, delta), alpha, cs)
                 try:
-                    fixed_point(PowerProblem(m, EvaluationSpec(tau, GRID_GAMMA, delta), alpha, cs))
+                    a = fixed_point(p).a_star
                 except PortfolioError as exc:
                     outcomes[type(exc).__name__, alpha] += 1
-                else:
-                    outcomes["ok"] += 1
+                    continue
+                allowed = p.tol_fixed_point * min(1.0, a) + 4 * math.ulp(a)
+                outcomes["ok" if abs(contraction_map(p, a) - a) <= allowed else ("loose", alpha)] += 1
     return outcomes
 
 
@@ -328,6 +332,17 @@ def test_random_grid_solves_without_parameter_errors():
     outcomes = grid_outcomes(2, range(6)) + grid_outcomes(10, range(6)) + grid_outcomes(30, range(6))
     assert outcomes["ok"] >= 429, outcomes
     assert all(key in ("ok", ("NonFinite", 0.5), ("NonConvergence", 0.5)) for key in outcomes), outcomes
+
+
+def test_a_star_far_below_tol_matches_an_independent_reference():
+    # the grid's n = 30, k = 2, alpha = -1 at tau = 10: A* = 5e-19, far below the
+    # absolute tol_fixed_point of 1e-10
+    p = _widest_grid_problem(tau=10.0)
+    sol = fixed_point(p)
+    e = p.evaluation
+    a_ref, y_ref = reference.a_star(p.alpha, e.gamma, p.market.r, e.tau, e.delta, p.xi_tilde_norm_sq)
+    assert sol.a_star == pytest.approx(a_ref, rel=1e-9, abs=0.0)
+    assert sol.y_star == pytest.approx(y_ref, rel=1e-9, abs=0.0)
 
 
 def test_random_grid_n50_row():
@@ -689,15 +704,16 @@ def test_contraction_map_rejects_a_negative_a(power_problem):
 
 @pytest.mark.parametrize("n,seed", [(10, 10000), (10, 10001), (30, 30000)])
 def test_a_star_far_below_the_start_stays_positive(n, seed):
-    # the first evaluation is accepted with Psi(A) many orders of magnitude below
-    # ulp(A), where A + (Psi(A) - A) would round to 0
+    # the first evaluation gives Psi(A) many orders of magnitude below ulp(A), where
+    # A + (Psi(A) - A) would round to 0; the A* accepted is a fixed point relative
+    # to its own size
     m = random_market(np.random.default_rng(seed), n)
     cs = constrained_sharpe(m)
     delta = max(zeta(-1.0 * 0.2, m.r, cs.objective), 0.0) + 0.3
     e = EvaluationSpec(tau=100.0, gamma=0.8, delta=delta)
     p = PowerProblem(market=m, evaluation=e, alpha=-1.0, cs=cs)
     sol = fixed_point(p)
-    assert sol.iterations == 1
+    assert abs(contraction_map(p, sol.a_star) - sol.a_star) <= p.tol_fixed_point * sol.a_star + 4 * math.ulp(sol.a_star)
     assert 0.0 < sol.a_star < 1e-30
     assert sol.a_star < math.ulp(sol.upper_bound)
     assert value_function(sol, 0.5, -1.0, 0.8) < 0.0
