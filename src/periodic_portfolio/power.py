@@ -737,27 +737,22 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
 
 
 def value_function(sol: PowerSolution, x, alpha: float, gamma: float):
-    """V(x) = (1/alpha) * A* * x^(alpha*(1-gamma)) for x > 0.
+    """V(x) = (1/alpha) * A* * x^(alpha*(1-gamma)) for x > 0, a float.
 
-    A float x, such as a configuration's x0, is computed in floats: its power
-    is libm's pow, within an ulp of numpy's vectorised one, and a V(x) that
-    overflows raises NonFinite. An array gives an array.
+    x, such as a configuration's x0, is taken as a float and computed in
+    floats: its power is libm's pow, and a V(x) that overflows raises
+    NonFinite.
     """
-    if isinstance(x, float):
-        if x <= 0.0:
-            raise DomainError("value function requires x > 0")
-        try:
-            v = sol.a_star / alpha * x ** (alpha * (1.0 - gamma))
-        except OverflowError:  # the power alone leaves float64
-            v = math.inf
-        if math.isinf(v):
-            raise NonFinite(f"V(x) overflows float64 at x={x:.6g}")
-        return v
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
+    x = float(x)
+    if x <= 0.0:
         raise DomainError("value function requires x > 0")
-    out = sol.a_star / alpha * x_arr ** (alpha * (1.0 - gamma))
-    return float(out) if out.ndim == 0 else out
+    try:
+        v = sol.a_star / alpha * x ** (alpha * (1.0 - gamma))
+    except OverflowError:  # the power alone leaves float64
+        v = math.inf
+    if math.isinf(v):
+        raise NonFinite(f"V(x) overflows float64 at x={x:.6g}")
+    return v
 
 
 def _feedback_fractions(cs: ConstrainedSharpe, scale: float) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Gauss-Hermite quadrature for expectations against the lognormal deflator.
 
 Every expectation in the pricing pipeline reduces to E[f(exp(drift + s*G))]
-with G standard normal, so a one-dimensional probabilists' Gauss-Hermite rule
-is the only integration kernel needed.
+with G standard normal. This module integrates such expectations with a
+one-dimensional probabilists' Gauss-Hermite rule. The solver no longer uses
+it: only ``power.budget_function``, which serves the benchmark gate's
+independent budget check, and perfbench's set-up probe, which builds the
+rules, call into it.
 
 The rules are built in numpy (Golub & Welsch 1969, "Calculation of Gauss
 quadrature rules", Math. Comp. 23). Hermite polynomials are even or odd, so
@@ -13,11 +16,10 @@ of the Hermite one. Its eigenvalues seed Newton on the orthonormal Hermite
 recurrence, which also gives the weights in log scale, so no weight overflows
 or turns to NaN at any order; weights below the float range round to 0.
 
-The power solver's period sums do not use these rules: they sum on a uniform
-grid in u = log x, where each node's x is given (``power._period_sums``).
-The rules serve ``power.budget_function``, a second, independent kernel for
-the budget F(y), through the order-doubling driver
-``expect_deflator_adaptive``.
+The power solver's period sums sum on a uniform grid in u = log x instead,
+where each node's x is given (``power._period_sums``). ``budget_function``
+is a second, independent kernel for the budget F(y): it integrates through
+the order-doubling ``expect_deflator_adaptive``.
 """
 
 from __future__ import annotations

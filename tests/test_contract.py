@@ -7,7 +7,10 @@ scalar around its configured value, ``opt-tau --tau-cap 2`` and ``simulate
 failed; let no exception or warning escape; and leave stdout empty when it
 exits neither 0 nor 5, and stderr empty when it does. An exit 2, 3 or 4
 must come from the matching error family, so its stderr starts with that
-family's prefix.
+family's prefix. An exit 3 must come from a named validation: after its
+prefix, and a sweep's ``at grid point ...: ``, its stderr is the message of
+one of the package's raise sites of a ParameterError class, whose fields
+match any text.
 
 The draws follow the domain of each field: n <= 3 assets with columns of
 sigma scaled by e^U(-4, 2), r in [0, 0.2], gamma = 1 or in (0, 1), alpha in
@@ -18,15 +21,18 @@ the same on every run; a longer profile (raise ``max_examples``) runs by
 hand, and each of its finds becomes an explicit example.
 """
 
+import ast
 import contextlib
 import io
 import math
+import re
 import warnings
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from periodic_portfolio import cli
+from periodic_portfolio import cli, errors
 
 from conftest import FAMILY_EXITS, HUGE_SAMPLES, NOT_UTF8, TINY_LOWER_BOUND
 
@@ -40,6 +46,29 @@ CONTRACT_CODES = {
 FAMILY_PREFIXES = dict(FAMILY_EXITS.values())  # exit 2, 3 or 4 only from its error family
 EDGES = (0.0, -1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan)
 SCALARS = ("tau", "gamma", "x0", "delta", "alpha")
+
+
+def parameter_messages() -> re.Pattern:
+    """The messages of every ``raise`` of a ParameterError class in the package, as one pattern."""
+    names, todo = set(), [errors.ParameterError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo += cls.__subclasses__()
+    messages = []
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and getattr(node.exc.func, "id", None) in names:
+                message = node.exc.args[0]
+                parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+                assert all(isinstance(p, (ast.Constant, ast.FormattedValue)) for p in parts), (path.name, node.lineno)
+                messages.append("".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts))
+    assert len(messages) > 20
+    return re.compile("|".join(f"(?:{m})" for m in messages))
+
+
+PARAMETER_MESSAGES = parameter_messages()
+GRID_POINT = re.compile(r"^at grid point \w+=\S+: ")  # the prefix a sweep adds to a point's error
 
 
 @st.composite
@@ -140,3 +169,8 @@ def test_every_call_keeps_the_exit_code_contract(tmp_path_factory, text, paramet
             assert out == "", (argv[0], code, out)
         if code in FAMILY_PREFIXES:
             assert err.startswith(FAMILY_PREFIXES[code]), (argv[0], code, err)
+        if code == cli.EXIT_ASSUMPTION:
+            message = err.removeprefix(FAMILY_PREFIXES[code]).removesuffix("\n")
+            if argv[0] == "sweep":
+                message = GRID_POINT.sub("", message, count=1)
+            assert PARAMETER_MESSAGES.fullmatch(message), (argv[0], err)

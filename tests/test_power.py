@@ -793,13 +793,14 @@ def test_value_function_shapes(power_solution):
         value_function(sol, 0.0, TABLE_ALPHA, 0.8)
 
 
-def test_value_function_of_a_float_matches_the_array_path(power_solution):
-    # a float x, such as the CLI's x0, skips numpy: its power is libm's pow, within an
-    # ulp of numpy's vectorised one; where that power overflows it raises
+def test_value_function_of_a_float_matches_numpy_pow(power_solution):
+    # x, such as the CLI's x0, is a float: its power is libm's pow, within an ulp of
+    # numpy's vectorised one; an int x0 is taken as a float; where the power overflows it raises
     for x in (1e-8, 0.5, 3.0, 1e8):
         v = value_function(power_solution, x, TABLE_ALPHA, 0.8)
         assert type(v) is float
-        assert v == pytest.approx(value_function(power_solution, np.array([x]), TABLE_ALPHA, 0.8)[0], rel=5e-16)
+        assert v == pytest.approx(power_solution.a_star / TABLE_ALPHA * np.power([x], TABLE_ALPHA * (1.0 - 0.8))[0], rel=5e-16)
+    assert value_function(power_solution, 3, TABLE_ALPHA, 0.8) == value_function(power_solution, 3.0, TABLE_ALPHA, 0.8)
     with pytest.raises(NonFinite):
         value_function(power_solution, 1e-300, -50.0, 0.0)
 
