@@ -19,8 +19,10 @@ the moment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import os
 import sys
 from functools import cache
 
@@ -114,12 +116,34 @@ def cmd_simulate(args) -> int:
 
 
 def write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" for v in row))
+    """Write ``header`` and ``rows`` to ``path`` as UTF-8 CSV with ``\\n`` line ends.
+
+    An existing file is overwritten in place: opened without O_TRUNC,
+    written from its start, and cut to the written length only where
+    ``fstat`` shows it was longer, so a FIFO, a pipe or a device, where
+    ``ftruncate`` fails, is never cut. On ext4 an open with O_TRUNC cost
+    several times as much as writing over the file: a file truncated to
+    zero is flushed on close (``auto_da_alloc``) and its blocks are freed.
+    ``O_BINARY`` keeps Windows from writing ``\\r\\n``; a new file gets mode
+    0o666 less the umask. Any failure raises ConfigError after a best-effort
+    cut of the file to zero, so no old bytes stay mixed with new ones.
+    """
+    lines = [",".join(header), *(",".join(f"{v:.12g}" for v in row) for row in rows)]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as file:
-            file.write("\n".join(lines) + "\n")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            if os.fstat(fd).st_size > written:
+                os.ftruncate(fd, written)
+        except BaseException:
+            with contextlib.suppress(OSError):  # best effort: the first error is the one raised
+                os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 

@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
 import json
+import os
 import re
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -213,6 +217,82 @@ def test_unwritable_output_exit_config(tmp_path, capsys):
     opt_tau = ["opt-tau", "--config", config, "--curve-out", str(missing)]
     assert cli.main(opt_tau) == cli.EXIT_CONFIG
     assert "cannot write" in capsys.readouterr().err
+
+
+# The two subcommands that write a CSV, `sweep --out` and `opt-tau --curve-out`,
+# share one writer: an existing file ends as exactly the bytes a new one gets.
+WRITERS = ["sweep", "opt-tau"]
+
+
+def csv_argv(tmp_path, command: str, out) -> list[str]:
+    """A cheap `sweep` or `opt-tau` call on table1 that writes its CSV to ``out``."""
+    config = str(CONFIGS / "table1_log.cfg")
+    if command == "opt-tau":
+        return ["opt-tau", "--config", config, "--curve-out", str(out)]
+    spec = tmp_path / "spec.sweep"
+    spec.write_text("[sweep]\nparameter = tau\ngrid = 0.5 1 2\noutputs = a_star v_x0\n")
+    return ["sweep", "--config", config, "--sweep", str(spec), "--out", str(out)]
+
+
+def fresh_csv(tmp_path, capsys, command: str) -> bytes:
+    fresh = tmp_path / "fresh.csv"
+    assert cli.main(csv_argv(tmp_path, command, fresh)) == cli.EXIT_OK
+    capsys.readouterr()
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", WRITERS)
+@pytest.mark.parametrize("stale", ["100KB", "shorter"])
+def test_a_stale_output_ends_as_the_bytes_of_a_fresh_one(tmp_path, capsys, command, stale):
+    expected = fresh_csv(tmp_path, capsys, command)
+    size = 100_000 if stale == "100KB" else len(expected) // 2
+    out = tmp_path / "out.csv"
+    out.write_bytes((b"stale,9\n" * size)[:size])
+    assert cli.main(csv_argv(tmp_path, command, out)) == cli.EXIT_OK
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_fifo_receives_the_csv(tmp_path, capsys, command):
+    # a FIFO cannot be truncated: a writer that always cuts the file to its length fails here
+    expected = fresh_csv(tmp_path, capsys, command)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert cli.main(csv_argv(tmp_path, command, fifo)) == cli.EXIT_OK
+    finally:
+        # a reader still waiting for a writer gets end of file
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert received == [expected]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_full_device_exits_config(tmp_path, capsys, command):
+    assert cli.main(csv_argv(tmp_path, command, "/dev/full")) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write /dev/full" in captured.err
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("command", WRITERS)
+@pytest.mark.parametrize("umask", [0o002, 0o027])
+def test_a_new_output_gets_mode_0o666_less_the_umask(tmp_path, capsys, command, umask):
+    out = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        assert cli.main(csv_argv(tmp_path, command, out)) == cli.EXIT_OK
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 # `simulate` reports at --paths 30000 --seed 3, as the whole-matrix Monte Carlo
