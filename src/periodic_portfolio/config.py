@@ -9,9 +9,12 @@ Text grammar:
   ``r``, ``tau``, ``gamma``, ``delta`` and ``x0`` are required; ``alpha`` is
   required for power utility and rejected for log; ``n``, if given, must
   equal the length of ``mu``.
-* ``[solver]``: ``tol_root`` (default 1e-10), ``tol_fixed_point`` (1e-10) and
-  ``quad_order`` (64), the starting Gauss-Hermite order of
-  ``budget_function``; the power solver's own sums fix their grid a priori.
+* ``[solver]`` holds no settings: the power solver's tolerances and the
+  starting Gauss-Hermite order of ``budget_function`` are constants. Older
+  configs may still give ``tol_root`` (1e-10), ``tol_fixed_point`` (1e-10)
+  and ``quad_order`` (64), each only at that fixed value; any other value is
+  an error, so no config silently changes meaning. They are not stored, and
+  ``format_problem_config`` writes no ``[solver]`` section.
 * ``[mc]``: ``n_paths`` (100000), ``n_periods`` (an integer or ``auto``, the
   default), ``seed`` (12345) and ``antithetic`` (true/false, default false).
 * ``[sweep]``, in a sweep file: ``parameter`` (``alpha``, ``gamma``, ``tau``,
@@ -44,8 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .market import EvaluationSpec, MarketModel
-from .quadrature import check_solver_settings
+from .market import MarketModel
+from .power import PowerProblem
+from .quadrature import DEFAULT_ORDER
 
 # points a ``start:stop:step`` range may expand to; the check runs before any is built
 _RANGE_POINTS_CAP = 10**5
@@ -62,9 +66,6 @@ class ProblemConfig:
     delta: float
     x0: float
     alpha: float | None = None
-    tol_root: float = 1e-10
-    tol_fixed_point: float = 1e-10
-    quad_order: int = 64
     n_paths: int = 100_000
     n_periods: int | None = None
     seed: int = 12345
@@ -113,17 +114,6 @@ class SweepSpec:
 def to_market(cfg: ProblemConfig) -> MarketModel:
     sigma = np.asarray(cfg.sigma, dtype=float).reshape(cfg.n, cfg.n)
     return MarketModel(mu=np.asarray(cfg.mu, dtype=float), sigma=sigma, r=cfg.r)
-
-
-def to_evaluation(cfg: ProblemConfig) -> EvaluationSpec:
-    """The evaluation spec of ``cfg``, after checking its solver settings.
-
-    Every solve of a configuration, log or power, builds its evaluation here,
-    so a bad ``quad_order``, ``tol_root`` or ``tol_fixed_point`` is rejected
-    for both utilities alike.
-    """
-    check_solver_settings(cfg.quad_order, cfg.tol_root, cfg.tol_fixed_point)
-    return EvaluationSpec(tau=cfg.tau, gamma=cfg.gamma, delta=cfg.delta)
 
 
 _SWEEP_SCALARS = ("alpha", "gamma", "tau", "x0", "delta")
@@ -225,6 +215,16 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected true/false, got {raw!r}")
 
 
+def _fixed(parse, value):
+    """The parser of a ``[solver]`` key, which accepts only the solver's fixed ``value``."""
+
+    def parse_fixed(raw: str, key: str):
+        if parse(raw, key) != value:
+            raise ConfigError(f"{key}: the solver fixes it at {value!r}, got {raw!r}")
+
+    return parse_fixed
+
+
 def _parse_vector(raw: str, key: str) -> tuple[float, ...]:
     tokens = raw.replace(",", " ").split()
     if len(tokens) == 1 and ":" in tokens[0]:
@@ -265,12 +265,17 @@ def _write(value) -> str:
 
 # The problem-config grammar: each section's keys in the order they are
 # parsed, which is the order of their errors, with their parsers. ``n`` is
-# checked against the length of ``mu`` and not stored.
+# checked against the length of ``mu``, and the ``[solver]`` keys against
+# their fixed values; neither is stored.
 _GRAMMAR = {
     "": {"utility": _parse_word, "mu": _parse_vector, "sigma": _parse_vector}
     | dict.fromkeys(("r", "tau", "gamma", "delta", "x0", "alpha"), _parse_float)
     | {"n": _parse_int},
-    "solver": {"tol_root": _parse_float, "tol_fixed_point": _parse_float, "quad_order": _parse_int},
+    "solver": {
+        "tol_root": _fixed(_parse_float, PowerProblem.tol_root),
+        "tol_fixed_point": _fixed(_parse_float, PowerProblem.tol_fixed_point),
+        "quad_order": _fixed(_parse_int, DEFAULT_ORDER),
+    },
     "mc": {"n_paths": _parse_int, "n_periods": _parse_periods, "seed": _parse_int, "antithetic": _parse_bool},
 }
 # the keys without a default in ProblemConfig
@@ -338,6 +343,8 @@ def parse_problem_config(text: str) -> ProblemConfig:
             raise ConfigError(f"declared n={n_declared} but mu has {len(kwargs['mu'])} entries")
         if body:
             raise ConfigError(f"unknown {f'[{section}]' if section else 'top-level'} keys: {sorted(body)}")
+    for key in _GRAMMAR["solver"]:
+        kwargs.pop(key, None)
     return ProblemConfig(**kwargs)
 
 
@@ -345,10 +352,12 @@ def format_problem_config(cfg: ProblemConfig) -> str:
     """Serialize a configuration so that parsing it back gives an equal object.
 
     The keys come in the grammar's order, but ``n`` right after ``utility``;
-    an unset ``alpha`` is left out.
+    an unset ``alpha`` and the fixed ``[solver]`` section are left out.
     """
     lines = []
     for section, keys in _GRAMMAR.items():
+        if section == "solver":
+            continue
         if section:
             lines.append(f"[{section}]")
         for key in sorted(keys, key=lambda k: k not in ("utility", "n")):

@@ -59,7 +59,8 @@ class NonConvergence(SolverError):
 
 
 class QuadratureError(NonConvergence):
-    """Order doubling of the quadrature never stabilized."""
+    """An expectation could not be integrated: the Gauss-Hermite order doubling
+    never stabilized, or the law of Z/B is too wide for the power solver's u-grid."""
 
 
 class NonFinite(SolverError):

@@ -84,7 +84,7 @@ from .errors import (
     QuadratureError,
 )
 from .market import EvaluationSpec, MarketModel, check_assumption, zeta
-from .quadrature import DEFAULT_REL_TOL, DeflatorLaw, check_solver_settings, expect_deflator_adaptive
+from .quadrature import DeflatorLaw, expect_deflator_adaptive
 
 _NEWTON_CAP = 100
 # Above this t, log(1 + exp(t)) rounds to t and expit(t) to 1 in float64.
@@ -94,6 +94,11 @@ _LOG_TINY = math.log(math.ulp(0.0))
 _LOG_HUGE = math.log(sys.float_info.max)
 _FIXED_POINT_CAP = 50
 _FLOOR_ULPS = 4  # residual allowance in ulps of A once the residual stops falling
+# Relative slack of the fixed point's bracket on the a-priori bounds. The bounds
+# are exact closed forms, but Psi and its slope come from the rounded u-grid
+# sums, so a Newton step may land just beyond a bound; for gamma = 1 and
+# alpha > 0 the upper bound is A* itself.
+_BRACKET_REL_SLACK = 1e-10
 # guards of the early y* stop of a fixed-point evaluation (``_newton_y``)
 _INEXACT_MARGIN = 4.0
 _INEXACT_STEP_CAP = 1e-2
@@ -111,23 +116,22 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class PowerProblem:
     """Parameter bundle for one power-utility solve.
 
-    Construction validates alpha, the solver settings and the standing
-    well-posedness condition delta > max(zeta(alpha*(1-gamma)), 0); an
-    invalid bundle never exists.
+    Construction validates alpha and the standing well-posedness condition
+    delta > max(zeta(alpha*(1-gamma)), 0); an invalid bundle never exists.
+    The tolerances are constants of the solver, not fields: ``tol_root`` on
+    the step in log y* and ``tol_fixed_point`` on the residual of A*.
     """
 
     market: MarketModel
     evaluation: EvaluationSpec
     alpha: float
     cs: ConstrainedSharpe
-    tol_root: float = 1e-10
-    tol_fixed_point: float = 1e-10
-    quad_order: int = 64
+    tol_root = 1e-10
+    tol_fixed_point = 1e-10
 
     def __post_init__(self):
         if not math.isfinite(self.alpha) or self.alpha == 0 or self.alpha >= 1:
             raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
-        check_solver_settings(self.quad_order, self.tol_root, self.tol_fixed_point)
         report = check_assumption(
             self.market, self.evaluation, self.alpha, self.xi_tilde_norm_sq
         )
@@ -308,9 +312,7 @@ def budget_function(p: PowerProblem, a: float, y: float) -> float:
     if y <= 0.0:
         raise DomainError("budget function requires y > 0")
     return expect_deflator_adaptive(
-        lambda z: z * marginal_inverse(a, p.alpha, p.evaluation.gamma, y * z, p.tol_root),
-        p.law,
-        order=p.quad_order,
+        lambda z: z * marginal_inverse(a, p.alpha, p.evaluation.gamma, y * z, p.tol_root), p.law
     )
 
 
@@ -641,13 +643,12 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
     step costs no extra solve. H is convex in A for alpha in (0,1) and concave
     for alpha < 0; starting from the lower (resp. upper) a-priori bound makes
     the Newton iterates approach A* from one side. The a-priori bounds, each
-    widened by tol + DEFAULT_REL_TOL * |bound| (H is only known to that
-    relative accuracy, and for gamma = 1 and alpha > 0 the upper bound is A*
-    itself) and narrowed by the sign of every residual, are kept as a
-    bracket, and a Newton step that leaves it is replaced by the Picard step
-    A -> Psi(A). A* > 0, so the lower end is never below half the lower
-    bound, however small that bound is against tol: every A evaluated is
-    positive.
+    widened by tol + _BRACKET_REL_SLACK * |bound| (Psi comes from rounded
+    sums, and for gamma = 1 and alpha > 0 the upper bound is A* itself) and
+    narrowed by the sign of every residual, are kept as a bracket, and a
+    Newton step that leaves it is replaced by the Picard step A -> Psi(A).
+    A* > 0, so the lower end is never below half the lower bound, however
+    small that bound is against tol: every A evaluated is positive.
 
     Each evaluation's y* Newton starts near its root: at the first A from
     ``_log_y_start``, and after each step
@@ -689,8 +690,8 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
 
     tol = p.tol_fixed_point
     disc = math.exp(-p.evaluation.delta * p.evaluation.tau)
-    lo = max(lower - (tol + DEFAULT_REL_TOL * abs(lower)), 0.5 * lower) if math.isfinite(lower) else 0.0
-    hi = upper + (tol + DEFAULT_REL_TOL * abs(upper)) if math.isfinite(upper) else math.inf
+    lo = max(lower - (tol + _BRACKET_REL_SLACK * abs(lower)), 0.5 * lower) if math.isfinite(lower) else 0.0
+    hi = upper + (tol + _BRACKET_REL_SLACK * abs(upper)) if math.isfinite(upper) else math.inf
     u = _log_y_start(p, a)
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):

@@ -78,20 +78,6 @@ def _orthonormal_hermite(x: np.ndarray, n: int):
     return cur, prev, log_scale
 
 
-def check_solver_settings(order: int, tol_root: float, tol_fixed_point: float) -> None:
-    """Reject a starting order whose first doubling test, orders n and 2n, would pass
-    MAX_ORDER, then a tolerance that is not positive and finite.
-
-    Every solve of a configuration checks its solver settings here, whether or
-    not its utility builds a rule or iterates.
-    """
-    if not 1 <= order <= MAX_ORDER // 2:
-        raise ParameterOutOfRange(f"quad_order must lie in [1, {MAX_ORDER // 2}], got {order}")
-    for name, tol in (("tol_root", tol_root), ("tol_fixed_point", tol_fixed_point)):
-        if not 0.0 < tol < math.inf:
-            raise ParameterOutOfRange(f"{name} must be positive and finite, got {tol:g}")
-
-
 @lru_cache(maxsize=None)
 def make_rule(order: int) -> GaussHermiteRule:
     """Build (and cache) the probabilists' Gauss-Hermite rule of a given order.
@@ -179,10 +165,9 @@ def expect_deflator_adaptive(f, law: DeflatorLaw, order: int = DEFAULT_ORDER, re
 
     Accepts the value at 2n once |result(n) - result(2n)| falls below
     rel_tol * (1 + |result(2n)|); for a stacked integrand every component
-    must pass. ``check_solver_settings`` caps every configured starting order
-    at ``MAX_ORDER // 2``, so the first test fits. Raises QuadratureError if
-    the doubling cascade reaches ``MAX_ORDER``, the largest order of every
-    expectation, without stabilizing.
+    must pass. Raises QuadratureError if the doubling cascade reaches
+    ``MAX_ORDER``, the largest order of every expectation, without
+    stabilizing; a starting order above ``MAX_ORDER // 2`` raises at once.
     """
     coarse = expect_deflator(f, law, make_rule(order))
     while 2 * order <= MAX_ORDER:

@@ -29,7 +29,6 @@ from .config import (
     ProblemConfig,
     SweepSpec,
     apply_sweep_value,
-    to_evaluation,
     to_market,
 )
 from .errors import ConfigError, ParameterOutOfRange, PortfolioError
@@ -58,31 +57,18 @@ def _build(
 ) -> tuple[MarketModel, EvaluationSpec, ConstrainedSharpe, PowerProblem | None]:
     """The market, evaluation, cone projection and power problem of ``cfg``.
 
-    Validates in that order: the market, the evaluation and solver settings,
-    the projection's market checks, for power utility alpha and
-    well-posedness, then that x0 is finite. The problem is None for log
-    utility. ``first`` is the report of a config that differs from ``cfg``
-    only in a scalar parameter; its market and projection are reused, and
-    its solver settings, which were checked with it.
+    Validates in that order: the market, the evaluation, the projection's
+    market checks, for power utility alpha and well-posedness, then that x0
+    is finite. The problem is None for log utility. ``first`` is the report
+    of a config that differs from ``cfg`` only in a scalar parameter; its
+    market and projection are reused.
     """
-    if first is None:
-        market = to_market(cfg)
-        evaluation = to_evaluation(cfg)
-        cs = constrained_sharpe(market)
-    else:
-        market, cs = first.market, first.cs
-        evaluation = EvaluationSpec(tau=cfg.tau, gamma=cfg.gamma, delta=cfg.delta)
+    market = to_market(cfg) if first is None else first.market
+    evaluation = EvaluationSpec(tau=cfg.tau, gamma=cfg.gamma, delta=cfg.delta)
+    cs = constrained_sharpe(market) if first is None else first.cs
     problem = None
     if cfg.utility == "power":
-        problem = PowerProblem(
-            market=market,
-            evaluation=evaluation,
-            alpha=cfg.alpha,
-            cs=cs,
-            tol_root=cfg.tol_root,
-            tol_fixed_point=cfg.tol_fixed_point,
-            quad_order=cfg.quad_order,
-        )
+        problem = PowerProblem(market=market, evaluation=evaluation, alpha=cfg.alpha, cs=cs)
     if not math.isfinite(cfg.x0):
         raise ParameterOutOfRange(f"x0 must be finite, got {cfg.x0}")
     return market, evaluation, cs, problem

@@ -76,31 +76,62 @@ def test_ill_posed_delta_exit_assumption(tmp_path, capsys):
     assert "well-posedness" in capsys.readouterr().err
 
 
-# The first doubling test takes orders n and 2n, so n above MAX_ORDER // 2
-# could never stabilize. Log utility builds no rule, yet rejects the same orders.
-@pytest.mark.parametrize("order", [0, 257, 300, 1000])
-def test_quad_order_out_of_range_exit_assumption(tmp_path, capsys, order):
+# The [solver] keys are constants of the solver. A config may still give each
+# one, but only at its fixed value: any other, out of range or not, is a
+# config error on every subcommand, in text and in JSON, before any solve.
+SOLVER_FIXED = {"tol_root": "1e-10", "tol_fixed_point": "1e-10", "quad_order": "64"}
+
+
+def solver_config(tmp_path, name: str, solver: dict[str, str]) -> str:
+    """A shipped config with a ``[solver]`` section of raw values appended."""
+    path = tmp_path / f"{name}.cfg"
+    lines = "".join(f"{key} = {value}\n" for key, value in solver.items())
+    path.write_text((CONFIGS / f"{name}.cfg").read_text() + "[solver]\n" + lines)
+    return str(path)
+
+
+OFF_FIXED = [
+    *((key, value) for key in ("tol_root", "tol_fixed_point") for value in ("0", "-1", "nan", "inf", "1e-12")),
+    *(("quad_order", value) for value in ("0", "-1", "96", "256", "257")),
+]
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("key,value", OFF_FIXED, ids=[f"{k}={v}" for k, v in OFF_FIXED])
+def test_solver_key_off_its_fixed_value_exits_config(tmp_path, capsys, form, key, value):
     spec = tmp_path / "spec.sweep"
     spec.write_text("[sweep]\nparameter = tau\ngrid = 0.5 1\noutputs = a_star\n")
     for name in ("table2_power", "table1_log"):
-        path = write_config(tmp_path, name, quad_order=order)
+        if form == "text":
+            path = solver_config(tmp_path, name, {key: value})
+        else:
+            path = json_config(tmp_path, name, solver={key: (int if key == "quad_order" else float)(value)})
         for argv in (
             ["solve", "--config", path],
             ["sweep", "--config", path, "--sweep", str(spec), "--out", str(tmp_path / "out.csv")],
             ["opt-tau", "--config", path, "--tau-cap", "2"],
             ["simulate", "--config", path, "--paths", "100"],
         ):
-            assert cli.main(argv) == cli.EXIT_ASSUMPTION, (name, argv[0])
+            assert cli.main(argv) == cli.EXIT_CONFIG, (name, argv[0])
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "quad_order" in captured.err
+            assert captured.err.startswith(f"config error: {key}: "), captured.err
+            assert SOLVER_FIXED[key] in captured.err
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_largest_quad_order_solves(tmp_path, capsys):
-    path = write_config(tmp_path, "table2_power", quad_order=256)
-    assert cli.main(["solve", "--config", path]) == cli.EXIT_OK
-    assert float(report(capsys.readouterr().out)["error_bound"]) <= 1e-10
+@pytest.mark.parametrize("name", ["table1_log", "table2_power"])
+def test_solver_section_at_its_fixed_values_changes_no_output(tmp_path, capsys, name):
+    outputs = []
+    for config in (
+        str(CONFIGS / f"{name}.cfg"),
+        solver_config(tmp_path, name, SOLVER_FIXED),
+        json_config(tmp_path, name, solver={key: json.loads(value) for key, value in SOLVER_FIXED.items()}),
+    ):
+        assert cli.main(["solve", "--config", config]) == cli.EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == "" and outputs[0].out
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_solver_failure_exit_nonconvergence(tmp_path, monkeypatch, capsys):
@@ -439,10 +470,7 @@ def test_sweep_csv_golden(tmp_path, name):
 def json_config(tmp_path, name: str, **changes) -> str:
     """A shipped config written as a JSON file, with optional raw JSON values replaced."""
     fields = dataclasses.asdict(parse_problem_config((CONFIGS / f"{name}.cfg").read_text()))
-    payload = {
-        "solver": {key: fields.pop(key) for key in ("tol_root", "tol_fixed_point", "quad_order")},
-        "mc": {key: fields.pop(key) for key in ("n_paths", "n_periods", "seed", "antithetic")},
-    }
+    payload = {"mc": {key: fields.pop(key) for key in ("n_paths", "n_periods", "seed", "antithetic")}}
     if fields["alpha"] is None:
         del fields["alpha"]
     path = tmp_path / f"{name}.json"
@@ -703,9 +731,7 @@ def test_opt_tau_log_nonpositive_x0_exit_assumption(tmp_path, capsys, changes, e
     "name,changes,message",
     [
         pytest.param("table1_log", {"tau": 0.0}, "tau must be a positive real", id="log-tau"),
-        pytest.param(
-            "table2_power", {"quad_order": 0}, "quad_order must lie in [1, 256], got 0", id="power-quad-order"
-        ),
+        pytest.param("table2_power", {"gamma": 1.5}, "gamma must lie in (0, 1]", id="power-gamma"),
     ],
 )
 def test_solve_and_opt_tau_name_the_same_fault(tmp_path, capsys, name, changes, message):
@@ -767,10 +793,6 @@ EXTREME_MODEL_FIELDS = [
     ("x0", "inf", set(), True),
     ("x0", "nan", set(), True),
     ("x0", "-inf", set(), True),
-    ("tol_root", "0", set(), True),
-    ("tol_root", "-1", set(), True),
-    ("tol_fixed_point", "nan", set(), True),
-    ("tol_fixed_point", "inf", set(), True),
 ]
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,8 @@ from periodic_portfolio import ProblemConfig, format_problem_config, parse_probl
 from periodic_portfolio.config import _RANGE_POINTS_CAP, parse_sweep_spec
 from periodic_portfolio.errors import ConfigError
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 reals = st.floats(allow_nan=False)
 
@@ -24,10 +27,9 @@ def problem_configs(draw):
     as_numpy = draw(st.booleans())
     mu = draw(st.lists(reals, min_size=n, max_size=n))
     sigma = draw(st.lists(reals, min_size=n * n, max_size=n * n))
-    scalars = {k: draw(reals) for k in ("r", "tau", "gamma", "delta", "x0", "tol_root", "tol_fixed_point")}
+    scalars = {k: draw(reals) for k in ("r", "tau", "gamma", "delta", "x0")}
     alpha = draw(reals) if utility == "power" else None
     ints = dict(
-        quad_order=draw(st.integers(1, 512)),
         n_paths=draw(st.integers(1, 10**7)),
         n_periods=draw(st.none() | st.integers(1, 10**5)),
         seed=draw(st.integers(0, 2**63 - 1)),
@@ -183,11 +185,6 @@ gamma = 0.8
 delta = 0.3
 x0 = 0.5
 
-[solver]
-tol_root = 1e-10
-tol_fixed_point = 1e-10
-quad_order = 64
-
 [mc]
 n_paths = 100000
 n_periods = auto
@@ -205,11 +202,6 @@ gamma = 0.8
 delta = 0.3
 x0 = 0.5
 alpha = 0.5
-
-[solver]
-tol_root = 1e-10
-tol_fixed_point = 1e-10
-quad_order = 64
 
 [mc]
 n_paths = 100000
@@ -238,7 +230,6 @@ EVERY_KEY_JSON = {
     "delta": 0.7,
     "x0": 2.5,
     "alpha": -1.5,
-    "solver": {"tol_root": 1e-12, "tol_fixed_point": 1e-11, "quad_order": 96},
     "mc": {"n_paths": 5000, "n_periods": 40, "seed": 7, "antithetic": True},
 }
 EVERY_KEY_TEXT = """\
@@ -252,10 +243,6 @@ gamma = 0.6
 delta = 0.7
 x0 = 2.5
 alpha = -1.5
-[solver]
-tol_root = 1e-12
-tol_fixed_point = 1e-11
-quad_order = 96
 [mc]
 n_paths = 5000
 n_periods = 40
@@ -270,7 +257,7 @@ def test_json_setting_every_key_parses_equal_to_its_text_twin():
     for field in dataclasses.fields(ProblemConfig):
         if field.default is not dataclasses.MISSING:
             assert getattr(cfg, field.name) != field.default, field.name
-    assert (cfg.quad_order, cfg.n_periods, cfg.antithetic) == (96, 40, True)
+    assert (cfg.n_periods, cfg.antithetic) == (40, True)
     assert parse_problem_config(format_problem_config(cfg)) == cfg
 
 
@@ -286,8 +273,6 @@ def test_float32_scalars_round_trip():
         delta=f32(0.3),
         x0=f32(0.5),
         alpha=f32(0.5),
-        tol_root=f32(1e-10),
-        tol_fixed_point=f32(1e-9),
     )
     text = format_problem_config(cfg)
     assert "np." not in text and f"r = {float(f32(0.12))!r}\n" in text
@@ -305,8 +290,10 @@ TABLE2 = (CONFIGS / "table2_power.cfg").read_text()
     [
         pytest.param(TABLE2.replace("r = 0.12", "r = 0.5\nr = 0.12"), "line 7: repeated key 'r'", id="top"),
         pytest.param(TABLE2.replace("r = 0.12", "R = 0.5\nr = 0.12"), "line 7: repeated key 'r'", id="case"),
-        pytest.param(TABLE2.replace("quad_order", "tol_root"), "line 16: repeated key 'tol_root'", id="solver"),
-        pytest.param(TABLE2 + "[MC]\nseed = 7\n", "line 23: repeated key 'seed'", id="reopened-section"),
+        pytest.param(
+            TABLE2 + "[solver]\ntol_root = 1e-10\ntol_root = 1e-10\n", "line 19: repeated key 'tol_root'", id="solver"
+        ),
+        pytest.param(TABLE2 + "[MC]\nseed = 7\n", "line 18: repeated key 'seed'", id="reopened-section"),
     ],
 )
 def test_repeated_text_key_is_a_config_error(text, message):
@@ -350,3 +337,19 @@ def test_repeated_json_key_is_a_config_error(text, key):
 def test_repeated_sweep_key_is_a_config_error(text, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_sweep_spec(text)
+
+
+# The benchmark writes its own config files, with a [solver] section at the
+# solver's fixed values; a change to the grammar that rejects one of them
+# fails here, not only in the benchmark.
+@pytest.mark.parametrize("workload", ["power_grid", "mc_verify", "closed_form"])
+def test_every_config_the_benchmark_writes_parses(tmp_path, monkeypatch, workload):
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    inputs.build(workload, 1, tmp_path)
+    paths = sorted(tmp_path.glob("*.cfg"))
+    assert paths
+    for path in paths:
+        parse_problem_config(path.read_text())

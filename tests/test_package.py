@@ -68,14 +68,14 @@ SIGNATURES = {
     "ObjectiveEstimate": ("mean", "std_error", "n_effective", "truncation_bound"),
     "optimal_tau": ("objective", "cap"),
     "parse_problem_config": ("text",),
-    "PowerProblem": ("market", "evaluation", "alpha", "cs", "tol_root", "tol_fixed_point", "quad_order"),
+    "PowerProblem": ("market", "evaluation", "alpha", "cs"),
     "PowerSolution": (
         "a_star", "y_star", "contraction_modulus", "lower_bound", "upper_bound", "iterations",
         "error_bound", "fraction_scale", "psi_slope",
     ),
     "ProblemConfig": (
-        "utility", "mu", "sigma", "r", "tau", "gamma", "delta", "x0", "alpha", "tol_root",
-        "tol_fixed_point", "quad_order", "n_paths", "n_periods", "seed", "antithetic",
+        "utility", "mu", "sigma", "r", "tau", "gamma", "delta", "x0", "alpha", "n_paths", "n_periods",
+        "seed", "antithetic",
     ),
     "SimulationConfig": ("n_paths", "n_periods", "seed", "antithetic"),
     "solve": ("cfg",),

@@ -17,7 +17,7 @@ calls replaced by wrappers that time them, one stage each:
     read       ``cli._read_text`` of the config file (and of a sweep's spec)
     parse      ``cli.parse_problem_config``
     spec       ``cli.parse_sweep_spec`` (sweep only)
-    market     ``report.to_market`` and ``report.to_evaluation``
+    market     ``report.to_market``
     cone       ``report.constrained_sharpe``
     problem    ``report.PowerProblem`` (power utility only)
     solve      ``report.fixed_point``, or ``report.solve_log``
@@ -60,7 +60,7 @@ COLUMNS = (*STAGES, "sum", "main")
 CHILD = """
 WRAPPED = [(stage, owner, name, getattr(owner, name)) for stage, owner, name in (
     ("argparse", cli.build_parser(), "parse_args"), ("read", cli, "_read_text"), ("parse", cli, "parse_problem_config"),
-    ("spec", cli, "parse_sweep_spec"), ("market", report, "to_market"), ("market", report, "to_evaluation"),
+    ("spec", cli, "parse_sweep_spec"), ("market", report, "to_market"),
     ("cone", report, "constrained_sharpe"), ("problem", report, "PowerProblem"), ("solve", report, "fixed_point"),
     ("solve", report, "solve_log"),
     ("write", cli, "write_csv"), ("emit", cli, "_emit"))]
