@@ -87,12 +87,7 @@ def cmd_simulate(args) -> int:
         _load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
     )
     report = solve(cfg)
-    sim = SimulationConfig(
-        n_paths=cfg.n_paths,
-        n_periods=cfg.n_periods,
-        seed=cfg.seed,
-        antithetic=cfg.antithetic,
-    )
+    sim = SimulationConfig(n_paths=cfg.n_paths, n_periods=cfg.n_periods, seed=cfg.seed)
     if cfg.utility == "power":
         estimate = estimate_power_objective(report.solution, report.problem, cfg.x0, sim)
     else:

@@ -16,7 +16,8 @@ Text grammar:
   an error, so no config silently changes meaning. They are not stored, and
   ``format_problem_config`` writes no ``[solver]`` section.
 * ``[mc]``: ``n_paths`` (100000), ``n_periods`` (an integer or ``auto``, the
-  default), ``seed`` (12345) and ``antithetic`` (true/false, default false).
+  default) and ``seed`` (12345). The Monte Carlo draws every path from one
+  stream: a cell's draw depends on ``n_periods`` but not on ``n_paths``.
 * ``[sweep]``, in a sweep file: ``parameter`` (``alpha``, ``gamma``, ``tau``,
   ``x0``, ``delta``, ``mu_i`` or ``sigma_ij``, indices from 1), ``grid``
   (strictly increasing) and ``outputs`` (sweep column names; see ``report``).
@@ -69,7 +70,6 @@ class ProblemConfig:
     n_paths: int = 100_000
     n_periods: int | None = None
     seed: int = 12345
-    antithetic: bool = False
 
     def __post_init__(self):
         # numpy arrays would make == between configs ambiguous; store tuples
@@ -206,15 +206,6 @@ def _parse_periods(raw: str, key: str) -> int | None:
     return None if raw.lower() == "auto" else _parse_int(raw, key)
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-
-
 def _fixed(parse, value):
     """The parser of a ``[solver]`` key, which accepts only the solver's fixed ``value``."""
 
@@ -276,7 +267,7 @@ _GRAMMAR = {
         "tol_fixed_point": _fixed(_parse_float, PowerProblem.tol_fixed_point),
         "quad_order": _fixed(_parse_int, DEFAULT_ORDER),
     },
-    "mc": {"n_paths": _parse_int, "n_periods": _parse_periods, "seed": _parse_int, "antithetic": _parse_bool},
+    "mc": {"n_paths": _parse_int, "n_periods": _parse_periods, "seed": _parse_int},
 }
 # the keys without a default in ProblemConfig
 _REQUIRED = frozenset(f.name for f in dataclasses.fields(ProblemConfig) if f.default is dataclasses.MISSING)
@@ -369,9 +360,19 @@ def format_problem_config(cfg: ProblemConfig) -> str:
 
 
 def parse_sweep_spec(text: str) -> SweepSpec:
-    """Parse a sweep specification from text (``[sweep]`` section) or JSON."""
+    """Parse a sweep specification from text or JSON.
+
+    The keys sit in a ``[sweep]`` section, or at the top level of a file
+    without one. A file may hold a problem config at the top level and the
+    sweep in ``[sweep]``, but a sweep key at the top level of such a file is
+    an error: the section would shadow it.
+    """
     sections = _read_sections(text, "sweep", ("sweep",))
-    body = dict(sections.get("sweep", {}) or sections.get("", {}))
+    section, top = sections.get("sweep", {}), sections.get("", {})
+    shadowed = sorted(top.keys() & {"parameter", "grid", "outputs"}) if section else []
+    if shadowed:
+        raise ConfigError(f"top-level sweep keys {shadowed} are shadowed by the [sweep] section")
+    body = dict(section or top)
     for key in ("parameter", "grid", "outputs"):
         if key not in body:
             raise ConfigError(f"sweep is missing key {key!r}")

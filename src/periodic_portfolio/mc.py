@@ -33,14 +33,13 @@ package uses. It, numpy's ``Generator`` and ``Philox``, and the pool's
 ``concurrent.futures`` are imported on the first draw, in the calling thread,
 so importing the package and running the other subcommands load none of
 scipy, ``numpy.random`` and ``concurrent.futures``. A pass holds O(workers *
-block + n_paths) floats. With antithetic sampling a block of the n_paths/2
-rows is evaluated at G and at -G, as paths i and n_paths/2 + i.
+block + n_paths) floats.
 Within a block the work runs in log space: the log objective is affine in
 the log growth, and the power objective sums exp(alpha u_i + beta S_{i-1} -
 i delta tau) with u = log I(y* R) from the log-space Newton kernel of
-``power``. A given (seed, path, period) cell is reproducible for a fixed
-matrix shape, but it moves when n_periods (or, with antithetic pairs,
-n_paths) changes.
+``power``. A (seed, path, period) cell's draw depends on n_periods, which
+sets its place in the stream, but not on n_paths: more paths only append
+rows, and the first paths keep their draws.
 """
 
 from __future__ import annotations
@@ -90,17 +89,14 @@ class SimulationConfig:
     n_paths: int
     n_periods: int | None = None  # None selects the smallest tail-safe horizon
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ParameterOutOfRange("n_paths must be >= 1")
+        if self.n_paths < 2:
+            raise ParameterOutOfRange("n_paths must be >= 2: a standard error needs two paths")
         if self.n_paths > _N_PATHS_CAP:
             raise ParameterOutOfRange(f"n_paths must be <= {_N_PATHS_CAP}")
         if not 0 <= self.seed < 2**128:  # a Philox key is 128-bit
             raise ParameterOutOfRange("seed must lie in [0, 2**128)")
-        if self.antithetic and self.n_paths % 2 != 0:
-            raise ParameterOutOfRange("antithetic sampling needs an even n_paths")
         if self.n_periods is not None and self.n_periods < 1:
             raise ParameterOutOfRange("n_periods must be >= 1 when given")
         if self.n_periods is not None and self.n_periods > _N_PERIODS_CAP:
@@ -198,42 +194,36 @@ def _run_blocks(run_block, starts: range) -> None:
 
 def _per_path(cfg: SimulationConfig, n_periods: int, path_values) -> np.ndarray:
     """Per-path values, streamed: ``path_values`` maps a block of normals to one value per row."""
-    per_path = np.empty(cfg.n_paths)
-    rows = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    n_paths = cfg.n_paths
+    per_path = np.empty(n_paths)
     step = max(1, _CHUNK_ELEMENTS // n_periods)
     _draw_imports()  # import here, never first in a pool worker
 
     def run_block(start: int) -> None:
-        g = _normals(cfg.seed, start, min(step, rows - start), n_periods)
-        stop = start + g.shape[0]
-        per_path[start:stop] = path_values(g)
-        if cfg.antithetic:
-            per_path[rows + start : rows + stop] = path_values(-g)
+        g = _normals(cfg.seed, start, min(step, n_paths - start), n_periods)
+        per_path[start : start + g.shape[0]] = path_values(g)
 
-    _run_blocks(run_block, range(0, rows, step))
+    _run_blocks(run_block, range(0, n_paths, step))
     return per_path
 
 
-def _reduce(per_path: np.ndarray, cfg: SimulationConfig, truncation: float) -> ObjectiveEstimate:
-    """Mean and standard error of the per-path values, or of their antithetic pair means.
+def _reduce(per_path: np.ndarray, truncation: float) -> ObjectiveEstimate:
+    """Mean and standard error of the per-path values, at least two of them.
 
     Both are computed from the values times 2**-e, with 2**e just above the
     largest |value|, so no sum or square overflows, and then scaled back. A
     power of two scales exactly, so wherever the unscaled sums and squares
     are in range, the bits are theirs. A value that is not finite raises
-    NonFinite, unless it is the only sample.
+    NonFinite.
     """
     peak = float(np.abs(per_path).max())
-    e = math.frexp(peak)[1]  # 0 for a peak that is 0 or not finite
-    samples = np.ldexp(per_path, -e)
-    if cfg.antithetic:
-        half = cfg.n_paths // 2
-        samples = 0.5 * (samples[:half] + samples[half:])
-    n = samples.size
-    if n > 1 and not math.isfinite(peak):
+    if not math.isfinite(peak):
         raise NonFinite("a Monte Carlo sample is not finite")
+    e = math.frexp(peak)[1]  # 0 for a peak of 0
+    samples = np.ldexp(per_path, -e)
+    n = samples.size
     mean = math.ldexp(float(samples.mean()), e)
-    std_error = math.ldexp(float(samples.std(ddof=1) / math.sqrt(n)), e) if n > 1 else float("inf")
+    std_error = math.ldexp(float(samples.std(ddof=1) / math.sqrt(n)), e)
     return ObjectiveEstimate(
         mean=mean, std_error=std_error, n_effective=n, truncation_bound=truncation
     )
@@ -284,7 +274,7 @@ def estimate_log_objective(
     base = (1.0 - e.gamma) * log_x0 * discounts[:-1].sum() - law.drift * w.sum()
     # einsum, unlike a BLAS gemv, rounds each row the same whatever the block's row count
     per_path = _per_path(cfg, periods, lambda g: base - law.s * np.einsum("ij,j->i", g, w))
-    return _reduce(per_path, cfg, abs(tail(periods)))
+    return _reduce(per_path, abs(tail(periods)))
 
 
 def _start_table(a: float, alpha: float, gamma: float, centre: float, s: float, tol: float):
@@ -380,7 +370,7 @@ def estimate_power_objective(
 
     per_path = _per_path(cfg, periods, path_values)
     per_path *= x0**beta / alpha
-    return _reduce(per_path, cfg, tail(periods))
+    return _reduce(per_path, tail(periods))
 
 
 def compare(estimate: ObjectiveEstimate, analytic: float) -> bool:

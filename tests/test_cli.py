@@ -470,7 +470,7 @@ def test_sweep_csv_golden(tmp_path, name):
 def json_config(tmp_path, name: str, **changes) -> str:
     """A shipped config written as a JSON file, with optional raw JSON values replaced."""
     fields = dataclasses.asdict(parse_problem_config((CONFIGS / f"{name}.cfg").read_text()))
-    payload = {"mc": {key: fields.pop(key) for key in ("n_paths", "n_periods", "seed", "antithetic")}}
+    payload = {"mc": {key: fields.pop(key) for key in ("n_paths", "n_periods", "seed")}}
     if fields["alpha"] is None:
         del fields["alpha"]
     path = tmp_path / f"{name}.json"
@@ -535,6 +535,66 @@ def test_malformed_json_exit_config(tmp_path, capsys, part, key, value):
     assert captured.err.startswith("config error: ")
     assert key in captured.err
     assert not out.exists()
+
+
+# A sweep file with a [sweep] section takes its sweep from the section, so
+# sweep keys at its top level would be ignored: they exit 2, named.
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            "parameter = gamma\n[sweep]\nparameter = tau\ngrid = 0.5 1\noutputs = a_star\n", id="text"
+        ),
+        pytest.param(
+            json.dumps({"parameter": "gamma", "sweep": {"parameter": "tau", "grid": [0.5, 1], "outputs": ["a_star"]}}),
+            id="json",
+        ),
+    ],
+)
+def test_sweep_keys_shadowed_by_the_sweep_section_exit_config(tmp_path, capsys, text):
+    spec = tmp_path / "spec.sweep"
+    spec.write_text(text)
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--config", str(CONFIGS / "table2_power.cfg"), "--sweep", str(spec), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: top-level sweep keys ['parameter'] are shadowed by the [sweep] section\n"
+    )
+    assert not out.exists()
+
+
+def test_one_file_with_a_sweep_section_is_both_config_and_sweep(tmp_path):
+    spec_text, expected = SWEEP_GOLDEN["table2_power"]
+    config = CONFIGS / "table2_power.cfg"
+    combined = tmp_path / "combined.cfg"
+    combined.write_text(config.read_text() + "\n" + spec_text)
+    spec = tmp_path / "spec.sweep"
+    spec.write_text(spec_text)
+    outputs = []
+    for config_path, spec_path in ((config, spec), (combined, combined)):
+        out = tmp_path / f"{spec_path.stem}.csv"
+        argv = ["sweep", "--config", str(config_path), "--sweep", str(spec_path), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert_matches_golden(outputs[1].decode(), expected)
+
+
+# Antithetic sampling is gone: a config that still sets the key is rejected, not ignored.
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_an_antithetic_key_exits_config(tmp_path, capsys, form):
+    if form == "text":
+        path = tmp_path / "table2_power.cfg"
+        path.write_text((CONFIGS / "table2_power.cfg").read_text() + "\n[mc]\nantithetic = false\n")
+    else:
+        path = json_config(tmp_path, "table2_power", mc={"antithetic": True})
+    for argv in (["solve", "--config", str(path)], ["simulate", "--config", str(path), "--paths", "200"]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: unknown [mc] keys: ['antithetic']\n"
 
 
 def test_malformed_json_config_exit_config(tmp_path, capsys):
@@ -816,6 +876,7 @@ def test_extreme_model_fields_exit_with_a_documented_code(tmp_path, capsys, name
 
 
 # Monte Carlo values are read only by `simulate`, which rejects them before it draws.
+# One path has no standard error, so no comparison could fail: it is rejected too.
 @pytest.mark.parametrize("name", ["table1_log", "table2_power"])
 @pytest.mark.parametrize(
     "key,value,flags",
@@ -823,10 +884,12 @@ def test_extreme_model_fields_exit_with_a_documented_code(tmp_path, capsys, name
         pytest.param("seed", "-3", [], id="config-seed-negative"),
         pytest.param("seed", str(2**128), [], id="config-seed-2**128"),
         pytest.param("n_paths", HUGE_COUNT, [], id="config-paths-1e20"),
+        pytest.param("n_paths", "1", [], id="config-paths-1"),
         pytest.param("n_periods", HUGE_COUNT, ["--paths", "200"], id="config-periods-1e20"),
         pytest.param(None, None, ["--seed", "-1"], id="flag-seed-negative"),
         pytest.param(None, None, ["--seed", str(2**128)], id="flag-seed-2**128"),
         pytest.param(None, None, ["--paths", HUGE_COUNT], id="flag-paths-1e20"),
+        pytest.param(None, None, ["--paths", "1", "--seed", "3"], id="flag-paths-1"),
         pytest.param(None, None, ["--paths", "200", "--periods", HUGE_COUNT], id="flag-periods-1e20"),
     ],
 )
@@ -835,6 +898,8 @@ def test_extreme_simulation_values_exit_assumption(tmp_path, capsys, name, key, 
     code, out, err = run_cli(capsys, ["simulate", "--config", path, *flags])
     assert_typed_failure(code, out, err)
     assert code == cli.EXIT_ASSUMPTION
+    if "1" in (value, *flags):  # the one-path cases
+        assert "a standard error needs two paths" in err
 
 
 # Well-posed configurations whose closed forms leave float64 exit 4, not with a traceback.

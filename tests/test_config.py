@@ -34,16 +34,12 @@ def problem_configs(draw):
         n_periods=draw(st.none() | st.integers(1, 10**5)),
         seed=draw(st.integers(0, 2**63 - 1)),
     )
-    antithetic = draw(st.booleans())
     if as_numpy:
         mu, sigma = np.array(mu), np.array(sigma)
         scalars = {k: np.float64(v) for k, v in scalars.items()}
         alpha = None if alpha is None else np.float64(alpha)
         ints = {k: None if v is None else np.int64(v) for k, v in ints.items()}
-        antithetic = np.bool_(antithetic)
-    return ProblemConfig(
-        utility=utility, mu=mu, sigma=sigma, alpha=alpha, antithetic=antithetic, **scalars, **ints
-    )
+    return ProblemConfig(utility=utility, mu=mu, sigma=sigma, alpha=alpha, **scalars, **ints)
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,7 +98,7 @@ SHIPPED_JSON = {
         "delta": 0.3,
         "x0": 0.5,
         "solver": {"tol_root": 1e-10, "tol_fixed_point": 1e-10, "quad_order": 64},
-        "mc": {"n_paths": 100000, "n_periods": "auto", "seed": 42, "antithetic": False},
+        "mc": {"n_paths": 100000, "n_periods": "auto", "seed": 42},
     },
 }
 
@@ -189,7 +185,6 @@ x0 = 0.5
 n_paths = 100000
 n_periods = auto
 seed = 42
-antithetic = false
 """,
     "table2_power": """\
 utility = power
@@ -207,7 +202,6 @@ alpha = 0.5
 n_paths = 100000
 n_periods = auto
 seed = 42
-antithetic = false
 """,
 }
 
@@ -230,7 +224,7 @@ EVERY_KEY_JSON = {
     "delta": 0.7,
     "x0": 2.5,
     "alpha": -1.5,
-    "mc": {"n_paths": 5000, "n_periods": 40, "seed": 7, "antithetic": True},
+    "mc": {"n_paths": 5000, "n_periods": 40, "seed": 7},
 }
 EVERY_KEY_TEXT = """\
 utility = power
@@ -247,7 +241,6 @@ alpha = -1.5
 n_paths = 5000
 n_periods = 40
 seed = 7
-antithetic = true
 """
 
 
@@ -257,7 +250,7 @@ def test_json_setting_every_key_parses_equal_to_its_text_twin():
     for field in dataclasses.fields(ProblemConfig):
         if field.default is not dataclasses.MISSING:
             assert getattr(cfg, field.name) != field.default, field.name
-    assert (cfg.n_periods, cfg.antithetic) == (40, True)
+    assert cfg.n_periods == 40
     assert parse_problem_config(format_problem_config(cfg)) == cfg
 
 

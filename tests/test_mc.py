@@ -72,9 +72,10 @@ def test_simulate_unit_mean_identity():
     assert abs(cells.mean() - 1.0) <= 4 * se
 
 
-def test_antithetic_needs_even_paths():
-    with pytest.raises(ParameterOutOfRange):
-        SimulationConfig(n_paths=7, antithetic=True)
+def test_a_standard_error_needs_two_paths():
+    with pytest.raises(ParameterOutOfRange, match="a standard error needs two paths"):
+        SimulationConfig(n_paths=1)
+    assert SimulationConfig(n_paths=2).n_paths == 2
 
 
 def test_log_estimate_matches_closed_form(table_market, table_eval, table_cone):
@@ -166,22 +167,6 @@ def test_power_truncation_bound_is_the_exact_tail(monkeypatch, table_market, cas
     est = estimate_power_objective(sol, p, 0.5, SimulationConfig(n_paths=16, seed=1))
     assert periods == [horizon]
     assert est.truncation_bound == pytest.approx(abs(tail(horizon)), rel=1e-9, abs=0.0)
-
-
-def test_antithetic_reduces_log_std_error(table_market, table_eval, table_cone):
-    sol = solve_log(table_market, table_eval, table_cone)
-    plain = estimate_log_objective(
-        sol, table_market, table_eval, 0.5, SimulationConfig(n_paths=20_000, seed=9)
-    )
-    anti = estimate_log_objective(
-        sol,
-        table_market,
-        table_eval,
-        0.5,
-        SimulationConfig(n_paths=20_000, seed=9, antithetic=True),
-    )
-    assert anti.std_error <= plain.std_error
-    assert anti.n_effective == 10_000
 
 
 def test_power_zero_policy_matches_geometric_sum(bond_market):
@@ -282,16 +267,11 @@ def test_estimates_reject_bad_wealth(power_problem, power_solution, table_market
 
 
 def matrix_normals(cfg: SimulationConfig, n_periods: int) -> np.ndarray:
-    rows = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    u = Generator(Philox(key=cfg.seed)).random((rows, n_periods))
-    g = ndtri(np.maximum(u, 2.0**-53))
-    return np.vstack([g, -g]) if cfg.antithetic else g
+    u = Generator(Philox(key=cfg.seed)).random((cfg.n_paths, n_periods))
+    return ndtri(np.maximum(u, 2.0**-53))
 
 
-def matrix_mean_and_se(per_path: np.ndarray, cfg: SimulationConfig) -> tuple[float, float]:
-    if cfg.antithetic:
-        half = cfg.n_paths // 2
-        per_path = 0.5 * (per_path[:half] + per_path[half:])
+def matrix_mean_and_se(per_path: np.ndarray) -> tuple[float, float]:
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(per_path.size))
 
 
@@ -304,7 +284,7 @@ def matrix_log_objective(sol, m, e, x0, cfg, periods):
     prev = np.hstack([np.zeros((growth.shape[0], 1)), cumulative[:, :-1]])
     discounts = rho ** np.arange(1, periods + 1)
     terms = discounts * (growth + (1.0 - e.gamma) * (math.log(x0) + prev))
-    return matrix_mean_and_se(terms.sum(axis=1), cfg)
+    return matrix_mean_and_se(terms.sum(axis=1))
 
 
 def matrix_power_objective(sol, p, x0, cfg, periods, y_star=None):
@@ -320,28 +300,27 @@ def matrix_power_objective(sol, p, x0, cfg, periods, y_star=None):
     )
     discounts = math.exp(-p.evaluation.delta * p.evaluation.tau) ** np.arange(1, periods + 1)
     terms = discounts * (growth**alpha / alpha) * (x0**beta * prev_pow)
-    return matrix_mean_and_se(terms.sum(axis=1), cfg)
+    return matrix_mean_and_se(terms.sum(axis=1))
 
 
 @pytest.mark.parametrize(
-    "n_paths, n_periods, chunk, antithetic",
+    "n_paths, n_periods, chunk",
     [
-        (25, 9, 7 * 9, False),
-        (50, 9, 7 * 9, True),
-        (13, 11, 5, False),  # one-row blocks, element offsets 11, 22, 33, ...
-        (64, 3, 10**9, True),
-        (14, 13, 5, True),  # one-row antithetic blocks, offsets 13, 26, 39: every k % 4
-        (31, 7, 3 * 7, False),  # offsets 21, 42, 63, 84: k % 4 = 1, 2, 3, 0
+        (25, 9, 7 * 9),
+        (50, 9, 7 * 9),  # offsets 63, 126, 189, 252: k % 4 = 3, 2, 1, 0
+        (13, 11, 5),  # one-row blocks, element offsets 11, 22, 33, ...
+        (64, 3, 10**9),  # one block
+        (14, 13, 5),  # one-row blocks, offsets 13, 26, 39: every k % 4
+        (31, 7, 3 * 7),  # offsets 21, 42, 63, 84: k % 4 = 1, 2, 3, 0
     ],
 )
-def test_blocks_stack_to_the_matrix_draws(monkeypatch, n_paths, n_periods, chunk, antithetic):
+def test_blocks_stack_to_the_matrix_draws(monkeypatch, n_paths, n_periods, chunk):
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
-    cfg = SimulationConfig(n_paths=n_paths, seed=77, antithetic=antithetic)
-    rows = n_paths // 2 if antithetic else n_paths
+    cfg = SimulationConfig(n_paths=n_paths, seed=77)
     step = max(1, chunk // n_periods)
     reference = matrix_normals(cfg, n_periods)
-    blocks = [mc._normals(cfg.seed, start, min(step, rows - start), n_periods) for start in range(0, rows, step)]
-    assert np.array_equal(np.vstack(blocks), reference[:rows])
+    blocks = [mc._normals(cfg.seed, start, min(step, n_paths - start), n_periods) for start in range(0, n_paths, step)]
+    assert np.array_equal(np.vstack(blocks), reference)
     # the blocks that _per_path draws put every cell in its own place
     for workers in (1, 3):
         monkeypatch.setattr(mc, "_WORKERS", workers)
@@ -349,9 +328,20 @@ def test_blocks_stack_to_the_matrix_draws(monkeypatch, n_paths, n_periods, chunk
             column = mc._per_path(cfg, n_periods, lambda g, j=j: g[:, j])
             assert np.array_equal(column, reference[:, j])
     law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
-    g = mc._normals(cfg.seed, 0, rows, n_periods)
-    ratios = np.exp(law.drift + law.s * (np.vstack([g, -g]) if antithetic else g))
+    ratios = np.exp(law.drift + law.s * mc._normals(cfg.seed, 0, n_paths, n_periods))
     assert np.array_equal(ratios, np.exp(law.drift + law.s * reference))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_paths_draws_do_not_depend_on_n_paths(monkeypatch, workers):
+    # blocks of 3 rows: 14 blocks against 34, and only with 40 paths is row 39 a block of its own
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 3 * 7)
+    monkeypatch.setattr(mc, "_WORKERS", workers)
+    for j in range(7):
+        few, many = (
+            mc._per_path(SimulationConfig(n_paths=n, seed=19), 7, lambda g, j=j: g[:, j]) for n in (40, 100)
+        )
+        assert np.array_equal(few, many[:40])
 
 
 @pytest.mark.parametrize("start, n_periods", [(0, 5), (1, 5), (1, 3), (3, 1), (4, 1), (5, 1), (47, 11), (1, 998)])
@@ -379,10 +369,9 @@ def estimate_kind(table_market, table_eval, table_cone, power_problem, power_sol
 
 
 @pytest.mark.parametrize("kind", ["log", "power"])
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_estimates_do_not_depend_on_block_size(monkeypatch, estimate_kind, kind, antithetic):
+def test_estimates_do_not_depend_on_block_size(monkeypatch, estimate_kind, kind):
     periods = 30
-    cfg = SimulationConfig(n_paths=202, n_periods=periods, seed=5, antithetic=antithetic)
+    cfg = SimulationConfig(n_paths=202, n_periods=periods, seed=5)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * periods)
     small = estimate_kind(kind, cfg)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 10**9)
@@ -392,8 +381,7 @@ def test_estimates_do_not_depend_on_block_size(monkeypatch, estimate_kind, kind,
     assert small.truncation_bound == whole.truncation_bound
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_power_estimate_on_a_wide_law_does_not_depend_on_block_size(monkeypatch, antithetic):
+def test_power_estimate_on_a_wide_law_does_not_depend_on_block_size(monkeypatch):
     # s = 1.47: the table start leaves some cells more than one Newton step
     # from their root, and each cell must stop on its own step test
     m = random_market(np.random.default_rng(2001), 2)
@@ -402,7 +390,7 @@ def test_power_estimate_on_a_wide_law_does_not_depend_on_block_size(monkeypatch,
     delta = max(zeta(alpha * (1.0 - gamma), m.r, cs.objective), 0.0) + 0.3
     p = PowerProblem(market=m, evaluation=EvaluationSpec(1.0, gamma, delta), alpha=alpha, cs=cs)
     sol = fixed_point(p)
-    cfg = SimulationConfig(n_paths=202, n_periods=30, seed=5, antithetic=antithetic)
+    cfg = SimulationConfig(n_paths=202, n_periods=30, seed=5)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
     small = estimate_power_objective(sol, p, 1.0, cfg)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 10**9)
@@ -412,13 +400,12 @@ def test_power_estimate_on_a_wide_law_does_not_depend_on_block_size(monkeypatch,
 
 
 @pytest.mark.parametrize("kind", ["log", "power"])
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("n_paths, chunk", [(202, 7 * 30), (4000, None)])
-def test_estimates_do_not_depend_on_worker_count(monkeypatch, estimate_kind, kind, antithetic, n_paths, chunk):
+def test_estimates_do_not_depend_on_worker_count(monkeypatch, estimate_kind, kind, n_paths, chunk):
     # blocks of 7 rows, or of the default 1092 rows
     if chunk is not None:
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
-    cfg = SimulationConfig(n_paths=n_paths, n_periods=30, seed=5, antithetic=antithetic)
+    cfg = SimulationConfig(n_paths=n_paths, n_periods=30, seed=5)
     monkeypatch.setattr(mc, "_WORKERS", 1)
     serial = estimate_kind(kind, cfg)
     monkeypatch.setattr(mc, "_WORKERS", 3)
@@ -462,7 +449,7 @@ def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch):
     # more workers than cores and a short switch interval: a lost or misplaced write breaks a row
     monkeypatch.setattr(mc, "_WORKERS", 8)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 5)
-    cfg = SimulationConfig(n_paths=400, seed=11, antithetic=True)
+    cfg = SimulationConfig(n_paths=400, seed=11)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -564,33 +551,21 @@ def test_the_first_failing_block_decides_the_error(monkeypatch, workers):
     assert len(started) < 200  # and the rest never started
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_log_estimate_matches_matrix_formula(table_market, table_eval, table_cone, antithetic):
+def test_log_estimate_matches_matrix_formula(table_market, table_eval, table_cone):
     sol = solve_log(table_market, table_eval, table_cone)
-    cfg = SimulationConfig(n_paths=2000, n_periods=71, seed=8, antithetic=antithetic)
+    cfg = SimulationConfig(n_paths=2000, n_periods=71, seed=8)
     est = estimate_log_objective(sol, table_market, table_eval, 0.5, cfg)
     mean, se = matrix_log_objective(sol, table_market, table_eval, 0.5, cfg, 71)
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.std_error == pytest.approx(se, rel=1e-12)
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_power_estimate_matches_matrix_formula(power_problem, power_solution, antithetic):
-    cfg = SimulationConfig(n_paths=2000, n_periods=71, seed=8, antithetic=antithetic)
+def test_power_estimate_matches_matrix_formula(power_problem, power_solution):
+    cfg = SimulationConfig(n_paths=2000, n_periods=71, seed=8)
     est = estimate_power_objective(power_solution, power_problem, 0.5, cfg)
     mean, se = matrix_power_objective(power_solution, power_problem, 0.5, cfg, 71)
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.std_error == pytest.approx(se, rel=1e-12)
-
-
-def test_antithetic_pairs_cancel_across_block_boundaries(
-    monkeypatch, table_market, table_eval, table_cone
-):
-    # the log objective is affine in the normals, so every pair averages to one constant
-    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 1000)
-    cfg = SimulationConfig(n_paths=2 * 1001, seed=4, antithetic=True)
-    est = _log_estimate(table_market, table_eval, table_cone, cfg)
-    assert est.std_error <= 1e-12 * (1.0 + abs(est.mean))
 
 
 @pytest.mark.parametrize("kind, limit_mb", [("log", 8), ("power", 16)])
@@ -693,35 +668,28 @@ def test_table_start_takes_one_newton_step_on_table2(monkeypatch, table_market, 
 # --- the reduction to a mean and a standard error ---------------------------
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_reduction_in_range_is_the_unscaled_one(antithetic):
+def test_reduction_in_range_is_the_unscaled_one():
     per_path = np.random.default_rng(6).lognormal(1.0, 2.0, size=1000)
-    cfg = SimulationConfig(n_paths=1000, antithetic=antithetic)
-    mean, std_error = matrix_mean_and_se(per_path, cfg)
-    est = mc._reduce(per_path, cfg, 0.0)
-    assert (est.mean, est.std_error) == (mean, std_error)
+    mean, std_error = matrix_mean_and_se(per_path)
+    est = mc._reduce(per_path, 0.0)
+    assert (est.mean, est.std_error, est.n_effective) == (mean, std_error, 1000)
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("scale", [2.0**1000, 2.0**-1000])
-def test_reduction_survives_values_whose_squares_leave_float64(scale, antithetic):
+def test_reduction_survives_values_whose_squares_leave_float64(scale):
     per_path = np.random.default_rng(6).lognormal(1.0, 2.0, size=1000)
-    cfg = SimulationConfig(n_paths=1000, antithetic=antithetic)
-    mean, std_error = matrix_mean_and_se(per_path, cfg)
+    mean, std_error = matrix_mean_and_se(per_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = mc._reduce(per_path * scale, cfg, 0.0)
+        est = mc._reduce(per_path * scale, 0.0)
     assert (est.mean, est.std_error) == (mean * scale, std_error * scale)
 
 
 def test_reduction_of_a_sample_that_is_not_finite_raises():
-    cfg = SimulationConfig(n_paths=3)
     with pytest.raises(NonFinite):
-        mc._reduce(np.array([1.0, np.inf, 2.0]), cfg, 0.0)
+        mc._reduce(np.array([1.0, np.inf, 2.0]), 0.0)
     with pytest.raises(NonFinite):
-        mc._reduce(np.array([1.0, np.nan, 2.0]), cfg, 0.0)
-    one = mc._reduce(np.array([3.0]), SimulationConfig(n_paths=1), 0.0)
-    assert (one.mean, one.std_error) == (3.0, math.inf)
+        mc._reduce(np.array([1.0, np.nan, 2.0]), 0.0)
 
 
 def test_simulate_of_values_near_the_float64_limit_reports_a_finite_std_error(tmp_path, capsys):

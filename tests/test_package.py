@@ -75,9 +75,9 @@ SIGNATURES = {
     ),
     "ProblemConfig": (
         "utility", "mu", "sigma", "r", "tau", "gamma", "delta", "x0", "alpha", "n_paths", "n_periods",
-        "seed", "antithetic",
+        "seed",
     ),
-    "SimulationConfig": ("n_paths", "n_periods", "seed", "antithetic"),
+    "SimulationConfig": ("n_paths", "n_periods", "seed"),
     "solve": ("cfg",),
     "solve_cone": ("xi", "sigma_inv"),
     "solve_log": ("m", "e", "cs"),

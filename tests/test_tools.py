@@ -3,7 +3,8 @@
 Every script puts perfbench or the tests on ``sys.path`` as it is imported,
 so one child interpreter imports them all, as ``python3 tools/NAME.py``
 would (the tools directory first on its path), and reports what the
-checks below need; the test process imports none of them.
+checks below need; the test process imports none of them. It counts the
+code lines of the snippet on its stdin with ``tools/code_lines.py``.
 """
 
 import json
@@ -27,15 +28,44 @@ summary = trees.summary([[4.0, 1.0, 3.0, 5.0, 2.0], [2.0, 2.0, 6.0, 1.0, 1.5]])
 print(json.dumps({
     "mains": [name for name, module in modules.items() if callable(getattr(module, "main", None))],
     "calls": calls, "order": order, "summary": summary,
+    "code_lines": modules["code_lines"].code_lines(sys.stdin.read()),
 }))
 """
+
+# The snippet's code lines are 4, 9, 11-15 and 18: no blank, comment or docstring line,
+# but every line of a string that is not a docstring, and of a split statement.
+SNIPPET = '''\
+"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+
+
+def f(x):
+    """One-line docstring."""
+    text = """a string
+that is not a docstring"""
+    y = (x +
+         1)
+    return "# not a comment" + text
+
+
+class C:
+    "a docstring in single quotes"
+'''
 
 
 @pytest.fixture(scope="module")
 def child() -> dict:
     names = sorted(path.stem for path in TOOLS.glob("*.py"))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(TOOLS), *names], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", CHILD, str(TOOLS), *names],
+        input=SNIPPET,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""  # no script ran its main, which writes its usage and exits
@@ -60,3 +90,7 @@ def test_the_summary_of_fixed_numbers(child):
     # (q1, median, q3, the first tree's median over the tree's own, rounds below the first tree)
     assert first == [2.0, 3.0, 4.0, 1.0, 0]
     assert second == [1.5, 2.0, 2.0, 1.5, 3]
+
+
+def test_code_lines_of_a_fixed_snippet(child):
+    assert child["code_lines"] == 8
