@@ -400,9 +400,10 @@ def test_power_estimate_on_a_wide_law_does_not_depend_on_block_size(monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["log", "power"])
-@pytest.mark.parametrize("n_paths, chunk", [(202, 7 * 30), (4000, None)])
+@pytest.mark.parametrize("n_paths, chunk", [(202, 7 * 30), (4000, None), (101, 7 * 30), (2000, None)])
 def test_estimates_do_not_depend_on_worker_count(monkeypatch, estimate_kind, kind, n_paths, chunk):
-    # blocks of 7 rows, or of the default 1092 rows
+    # blocks of 7 rows, or of the default 1092 rows; 101 rows end in a block
+    # of 3 and 2000 rows make only two blocks
     if chunk is not None:
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
     cfg = SimulationConfig(n_paths=n_paths, n_periods=30, seed=5)
