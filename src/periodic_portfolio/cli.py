@@ -82,7 +82,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    overrides = {"n_paths": args.paths, "n_periods": args.periods, "seed": args.seed}
+    overrides = {"n_paths": args.paths, "seed": args.seed}
     cfg = dataclasses.replace(
         _load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
     )
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo check against the analytic value")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--paths", type=int, default=None)
-    p_sim.add_argument("--periods", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 

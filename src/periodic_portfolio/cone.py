@@ -221,7 +221,7 @@ def constrained_sharpe(m: MarketModel) -> ConstrainedSharpe:
     (``_validated_inverse``): on a well-conditioned sigma, such as both
     shipped configs', cond(sigma) <= ||sigma||_F ||sigma^{-1}||_F and
     smin(sigma)^2 >= ||sigma^{-1}||_F^-2 already clear the caps. xi then
-    solves sigma xi = mu - r 1, as in ``sharpe_ratio``.
+    solves sigma xi = mu - r 1.
     """
     sigma_inv = _validated_inverse(m)
     xi = np.linalg.solve(m.sigma, m.excess_returns())

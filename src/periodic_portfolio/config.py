@@ -283,8 +283,7 @@ def _read_sections(text: str, kind: str, nested: tuple[str, ...]) -> dict[str, d
         payload = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad JSON {kind}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"JSON {kind} must be an object")
+    # text that starts with "{" decodes to an object or raises
     sections: dict[str, dict[str, str]] = {"": {}}
     for key, value in payload.items():
         if key not in nested:
@@ -315,8 +314,12 @@ def _json_text(key: str, value) -> str:
 
 
 def parse_problem_config(text: str) -> ProblemConfig:
-    """Parse a problem configuration from text or JSON, walking the grammar."""
-    sections = _read_sections(text, "config", ("solver", "mc"))
+    """Parse a problem configuration from text or JSON, walking the grammar.
+
+    A ``sweep`` section, text or JSON, is skipped: it lets one file serve as
+    both the config and the sweep of ``sweep``.
+    """
+    sections = _read_sections(text, "config", ("solver", "mc", "sweep"))
     for name in sections:
         if name not in _GRAMMAR and name != "sweep":
             raise ConfigError(f"unknown section [{name}]")

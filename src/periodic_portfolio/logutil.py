@@ -81,13 +81,15 @@ def solve_log(m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> LogSo
     )
 
 
-def value_log(s: LogSolution, x):
-    """V(x) = A* + C* log x for x > 0."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
+def value_log(s: LogSolution, x) -> float:
+    """V(x) = A* + C* log x for x > 0, a float.
+
+    x is taken as a float, as in ``power.value_function``; its log is numpy's.
+    """
+    x = float(x)
+    if x <= 0.0:
         raise DomainError("value function requires x > 0")
-    out = s.a_star + s.c_star * np.log(x_arr)
-    return float(out) if out.ndim == 0 else out
+    return float(s.a_star + s.c_star * np.log(x))
 
 
 def constraint_cost(m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> float:

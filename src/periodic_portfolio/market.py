@@ -1,4 +1,4 @@
-"""Market model, Sharpe ratio, growth-rate function and the well-posedness check."""
+"""Market model, growth-rate function and the well-posedness check."""
 
 from __future__ import annotations
 
@@ -34,8 +34,6 @@ class MarketModel:
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
-        if mu.ndim == 0:
-            mu = mu.reshape(1)
         sigma = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -112,12 +110,6 @@ def validate_market(m: MarketModel) -> None:
         )
 
 
-def sharpe_ratio(m: MarketModel) -> np.ndarray:
-    """Solve sigma * xi = mu - r*1 for the market price of risk vector xi."""
-    validate_market(m)
-    return np.linalg.solve(m.sigma, m.excess_returns())
-
-
 def zeta(x: float, r: float, xi_tilde_norm_sq: float) -> float:
     """Growth-rate function r*x + x*q/(2*(1-x)) for x < 1, q = |xi_tilde|^2."""
     if not x < 1:
@@ -137,7 +129,7 @@ def check_assumption(
 
     ``alpha`` is the power-utility exponent, in (-inf, 0) or (0, 1).
     """
-    if alpha == 0 or alpha >= 1:
+    if not math.isfinite(alpha) or alpha == 0 or alpha >= 1:
         raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
     zval = zeta(alpha * (1.0 - e.gamma), m.r, xi_tilde_norm_sq)
     margin = e.delta - max(zval, 0.0)

@@ -22,18 +22,21 @@ build that matrix: they split its rows into blocks of max(1, _CHUNK_ELEMENTS
 counter-based (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2,
 3"), so each block is drawn on its own from its element offset in the
 stream, and every cell gets the value it has in the whole matrix. The blocks
-run on a pool of one thread per available CPU (numpy's generator, ``ndtri``
-and the block kernels release the GIL); with one CPU, or one block, they run
-in the calling thread and no thread is started. Each block writes only its
-own rows of the per-path values, and every row is computed the same way
-whatever the block's row count (the marginal inverse's Newton stops each
-cell on its own step test), so every estimate is bit-identical for any
-worker count and any block size. ``ndtri`` is the only scipy function the
+run on a pool of _WORKERS threads, one per CPU available at import (numpy's
+generator, ``ndtri`` and the block kernels release the GIL); with one CPU,
+or one block, they run in the calling thread and no thread is started. The
+pool is made on the first estimate that needs it and kept for the process;
+a forked child makes its own. Each block writes only its own rows of the
+per-path values, and every row is computed the same way whatever the
+block's row count (the marginal inverse's Newton stops each cell on its own
+step test), so every estimate is bit-identical for any worker count and any
+block size. ``ndtri`` is the only scipy function the
 package uses. It, numpy's ``Generator`` and ``Philox``, and the pool's
 ``concurrent.futures`` are imported on the first draw, in the calling thread,
 so importing the package and running the other subcommands load none of
 scipy, ``numpy.random`` and ``concurrent.futures``. A pass holds O(workers *
 block + n_paths) floats.
+
 Within a block the work runs in log space: the log objective is affine in
 the log growth, and the power objective sums exp(alpha u_i + beta S_{i-1} -
 i delta tau) with u = log I(y* R) from the log-space Newton kernel of
@@ -81,7 +84,7 @@ _TABLE_INTERVALS = 512
 _CHUNK_ELEMENTS = 2**15
 # blocks run at once; the pool starts a thread per submitted block up to this many
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool), made on first use
+_pool: ThreadPoolExecutor | None = None  # _WORKERS threads, made on the first pooled estimate
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,11 @@ def _normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
     return lib.ndtri(u, out=u)
 
 
-def _executor(workers: int) -> ThreadPoolExecutor:
+def _executor() -> ThreadPoolExecutor:
     global _pool
-    if _pool is None or _pool[0] != workers:
-        if _pool is not None:
-            _pool[1].shutdown()
-        _pool = (workers, _draw_imports().ThreadPoolExecutor(workers, thread_name_prefix="mc-block"))
-    return _pool[1]
+    if _pool is None:
+        _pool = _draw_imports().ThreadPoolExecutor(_WORKERS, thread_name_prefix="mc-block")
+    return _pool
 
 
 def _forget_pool() -> None:
@@ -181,7 +182,7 @@ def _run_blocks(run_block, starts: range) -> None:
         for start in starts:
             run_block(start)
         return
-    futures = [_executor(_WORKERS).submit(run_block, start) for start in starts]
+    futures = [_executor().submit(run_block, start) for start in starts]
     for i, future in enumerate(futures):
         try:
             future.result()
@@ -277,13 +278,14 @@ def estimate_log_objective(
     return _reduce(per_path, abs(tail(periods)))
 
 
-def _start_table(a: float, alpha: float, gamma: float, centre: float, s: float, tol: float):
+def _start_table(a: float, alpha: float, gamma: float, centre: float, s: float):
     """Newton starts for u = log I(exp(centre + s G)) at draws |G| <= _NORMAL_BOUND.
 
     u depends on a cell only through its one draw G, so it is solved once,
-    to ``tol``, at _TABLE_INTERVALS + 1 equally spaced G, with its exact slope
-    du/dG = s / L'(u), L'(u) = alpha - 1 - alpha gamma expit(log c - alpha
-    gamma u), c = a(1-gamma) > 0, the expit taken as in the kernel. Returns
+    to the kernel's tolerance, at _TABLE_INTERVALS + 1 equally spaced G,
+    with its exact slope du/dG = s / L'(u), L'(u) = alpha - 1 - alpha gamma
+    expit(log c - alpha gamma u), c = a(1-gamma) > 0, the expit taken as in
+    the kernel. Returns
     ``start(g)``: the cubic Hermite interpolant of that table at each g, a new
     array. Each cell's Newton (``power._log_marginal_inverse``) starts there
     and still ends on its step test.
@@ -291,7 +293,7 @@ def _start_table(a: float, alpha: float, gamma: float, centre: float, s: float, 
     m = _TABLE_INTERVALS
     width = 2.0 * _NORMAL_BOUND / m
     nodes = np.linspace(-_NORMAL_BOUND, _NORMAL_BOUND, m + 1)
-    u = _log_marginal_inverse(a, alpha, gamma, centre + s * nodes, tol)
+    u = _log_marginal_inverse(a, alpha, gamma, centre + s * nodes)
     beta = -alpha * gamma
     e = np.exp(np.minimum(math.log(a * (1.0 - gamma)) + beta * u, _SOFTPLUS_LINEAR))
     slope = (width * s) / (alpha - 1.0 + beta * e / (1.0 + e))  # du over one interval
@@ -354,13 +356,13 @@ def estimate_power_objective(
     log_y = math.log(sol.y_star) + p.law.drift
     decay = delta_tau * np.arange(1, periods + 1)
     tabulate = sol.a_star * (1.0 - gamma) != 0.0 and p.law.s >= _POINT_MASS_S
-    start = _start_table(sol.a_star, alpha, gamma, log_y, p.law.s, p.tol_root) if tabulate else None
+    start = _start_table(sol.a_star, alpha, gamma, log_y, p.law.s) if tabulate else None
 
     def path_values(g):
         log_y_block = p.law.s * g
         log_y_block += log_y
         u0 = None if start is None else start(g)
-        u = _log_marginal_inverse(sol.a_star, alpha, gamma, log_y_block, p.tol_root, u0)
+        u = _log_marginal_inverse(sol.a_star, alpha, gamma, log_y_block, u0)
         exponent = np.cumsum(u, axis=1)
         exponent *= beta
         u *= alpha - beta

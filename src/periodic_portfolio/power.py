@@ -117,7 +117,8 @@ class PowerProblem:
     """Parameter bundle for one power-utility solve.
 
     Construction validates alpha and the standing well-posedness condition
-    delta > max(zeta(alpha*(1-gamma)), 0); an invalid bundle never exists.
+    delta > max(zeta(alpha*(1-gamma)), 0), both through ``check_assumption``;
+    an invalid bundle never exists.
     The tolerances are constants of the solver, not fields: ``tol_root`` on
     the step in log y* and ``tol_fixed_point`` on the residual of A*.
     """
@@ -130,8 +131,6 @@ class PowerProblem:
     tol_fixed_point = 1e-10
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha == 0 or self.alpha >= 1:
-            raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
         report = check_assumption(
             self.market, self.evaluation, self.alpha, self.xi_tilde_norm_sq
         )
@@ -191,15 +190,6 @@ def moderated_utility(a: float, alpha: float, gamma: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-def moderated_marginal(a: float, alpha: float, gamma: float, x):
-    """Derivative x^(alpha-1) + a(1-gamma) x^(alpha(1-gamma)-1)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("marginal requires x > 0")
-    out = x ** (alpha - 1.0) + a * (1.0 - gamma) * x ** (alpha * (1.0 - gamma) - 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _newton_start(lc: float, p1: float, beta: float, log_y):
     """Larger root of the two lines that bound g from below (see ``marginal_inverse``)."""
     u = log_y / p1
@@ -208,7 +198,7 @@ def _newton_start(lc: float, p1: float, beta: float, log_y):
     return np.maximum(u, u_c, out=u)
 
 
-def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: float, start=None):
+def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, start=None):
     """u = log I(exp(log_y)) for finite log_y, by Newton in log space.
 
     The Newton kernel behind ``marginal_inverse``; see its docstring. It
@@ -218,11 +208,11 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
     and decreasing, so from a start above the root the first step lands at or
     below it, and the iteration converges from any start; the same step test
     ends it either way. Each cell stops after its first step of at most
-    ``tol``, and only the cells still moving take the next step, so a cell's
-    result does not depend on the other cells of ``log_y``. Returns a new
-    array, or ``start``, and leaves ``log_y`` unchanged; an empty ``log_y``
-    gives an empty float array. When c == 0 it returns log_y / (alpha-1) and
-    ignores ``start``.
+    ``PowerProblem.tol_root``, and only the cells still moving take the next
+    step, so a cell's result does not depend on the other cells of
+    ``log_y``. Returns a new array, or ``start``, and leaves ``log_y``
+    unchanged; an empty ``log_y`` gives an empty float array. When c == 0 it
+    returns log_y / (alpha-1) and ignores ``start``.
     """
     p1 = alpha - 1.0
     c = a * (1.0 - gamma)
@@ -230,6 +220,7 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
         return log_y / p1
     beta = -alpha * gamma
     lc = math.log(c)
+    tol = PowerProblem.tol_root
     u = _newton_start(lc, p1, beta, log_y) if start is None else start
     # x and ly are the moving cells: all of u and log_y, then copies at the flat indices ``cells``
     x, ly, cells = u, log_y, None
@@ -260,7 +251,7 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, tol: floa
     raise NonConvergence("marginal inverse Newton iteration hit its cap")
 
 
-def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10):
+def marginal_inverse(a: float, alpha: float, gamma: float, y):
     """Invert the moderated marginal: the unique x > 0 with h_a'(x) = y.
 
     The marginal decreases strictly from +inf to 0, so the inverse exists for
@@ -279,10 +270,10 @@ def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10
 
     so u0 <= root and 0 <= g(u0) <= log 2, and by convexity every Newton
     iterate stays below the root and rises to it monotonically. It stops once
-    the largest step is at most ``tol``. The whole iteration runs in log
-    space: ``_log_marginal_inverse`` takes log y and returns u, the Monte
-    Carlo calls it directly from a tabulated start, and this function
-    returns exp(u).
+    the largest step is at most ``PowerProblem.tol_root``. The whole
+    iteration runs in log space: ``_log_marginal_inverse`` takes log y and
+    returns u, the Monte Carlo calls it directly from a tabulated start, and
+    this function returns exp(u).
     log(1 + e^t) is evaluated as max(t, log1p(exp(min(t, 36)))), accurate to
     rounding for every t, and expit(t) reuses its exponential. When c == 0
     (a == 0 or gamma == 1), u = log(y) / (alpha-1) exactly. The period sums
@@ -298,7 +289,7 @@ def marginal_inverse(a: float, alpha: float, gamma: float, y, tol: float = 1e-10
     y_arr = np.atleast_1d(y_arr)
     if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):
         raise DomainError("marginal inverse requires finite y > 0")
-    u = _log_marginal_inverse(a, alpha, gamma, np.log(y_arr), tol)
+    u = _log_marginal_inverse(a, alpha, gamma, np.log(y_arr))
     if np.any(u < _LOG_TINY):
         raise DomainError("marginal inverse rounds to x = 0")
     if np.any(u > _LOG_HUGE):
@@ -312,7 +303,7 @@ def budget_function(p: PowerProblem, a: float, y: float) -> float:
     if y <= 0.0:
         raise DomainError("budget function requires y > 0")
     return expect_deflator_adaptive(
-        lambda z: z * marginal_inverse(a, p.alpha, p.evaluation.gamma, y * z, p.tol_root), p.law
+        lambda z: z * marginal_inverse(a, p.alpha, p.evaluation.gamma, y * z), p.law
     )
 
 

@@ -5,8 +5,9 @@
 log Z/B = drift + s G and G standard normal. It shares no code with the
 package. Each node's x = I(y Z/B) is the root u = log x of the scalar node
 equation (alpha-1) u + log(1 + c e^(-alpha gamma u)) = log(y Z/B),
-c = a(1-gamma), found by ``scipy.optimize.brentq``. Each column is a sum of
-three or fewer expectations of positive terms f(G), and each of those is
+c = a(1-gamma), found by ``scipy.optimize.brentq`` (``log_marginal_inverse``;
+``marginal`` is h_a' itself, the function that I inverts). Each column is a
+sum of three or fewer expectations of positive terms f(G), and each of those is
 ``scipy.integrate.quad`` over G of f(G) phi(G), scaled by its largest value
 so that no term overflows: f(G) phi(G) = exp(l(G)), and quad integrates
 exp(l(G) - l(G*)) over G* +- 40 with G* the maximum of l. A law with s = 0
@@ -47,6 +48,29 @@ def _expit(t: float) -> float:
     return 1.0 / (1.0 + math.exp(-t)) if t >= 0.0 else math.exp(t) / (1.0 + math.exp(t))
 
 
+def marginal(a: float, alpha: float, gamma: float, x):
+    """h_a'(x) = x^(alpha-1) + a (1-gamma) x^(alpha(1-gamma)-1), elementwise for x > 0."""
+    x = np.asarray(x, dtype=float)
+    return x ** (alpha - 1.0) + a * (1.0 - gamma) * x ** (alpha * (1.0 - gamma) - 1.0)
+
+
+def log_marginal_inverse(a: float, alpha: float, gamma: float, log_y: float) -> float:
+    """u = log x of the x > 0 with h_a'(x) = e^log_y, by brentq on the node equation."""
+    c = a * (1.0 - gamma)
+    log_c = math.log(c) if c > 0.0 else -math.inf
+
+    def node_equation(u: float) -> float:
+        t = log_c - alpha * gamma * u
+        return (alpha - 1.0) * u + (_softplus(t) if c > 0.0 else 0.0) - log_y
+
+    lo, hi = -1.0, 1.0
+    while node_equation(lo) <= 0.0:
+        lo *= 2.0
+    while node_equation(hi) >= 0.0:
+        hi *= 2.0
+    return brentq(node_equation, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+
+
 def period_sums(alpha: float, gamma: float, a: float, y: float, s: float, drift: float) -> np.ndarray:
     zx, zx_slope, xa, xb, xb_slope = _expectations(
         alpha, gamma, a, y, s, drift, ("zx", "zx/slope", "x^alpha", "x^beta", "x^beta/slope")
@@ -64,21 +88,11 @@ def _expectations(
     c = a * (1.0 - gamma)
     log_c = math.log(c) if c > 0.0 else -math.inf
 
-    def node_equation(u: float, log_yz: float) -> float:
-        t = log_c - alpha * gamma * u
-        return (alpha - 1.0) * u + (_softplus(t) if c > 0.0 else 0.0) - log_yz
-
     @lru_cache(maxsize=None)
     def node(g: float) -> tuple[float, float, float]:
         """(log Z/B, u = log x, |d log h_a'/d log x|) at G = g."""
         log_z = drift + s * g
-        log_yz = math.log(y) + log_z
-        lo, hi = -1.0, 1.0
-        while node_equation(lo, log_yz) <= 0.0:
-            lo *= 2.0
-        while node_equation(hi, log_yz) >= 0.0:
-            hi *= 2.0
-        u = brentq(node_equation, lo, hi, args=(log_yz,), xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+        u = log_marginal_inverse(a, alpha, gamma, math.log(y) + log_z)
         slope = 1.0 - alpha + (alpha * gamma * _expit(log_c - alpha * gamma * u) if c > 0.0 else 0.0)
         return log_z, u, slope
 

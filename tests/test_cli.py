@@ -565,11 +565,17 @@ def test_sweep_keys_shadowed_by_the_sweep_section_exit_config(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_one_file_with_a_sweep_section_is_both_config_and_sweep(tmp_path):
-    spec_text, expected = SWEEP_GOLDEN["table2_power"]
-    config = CONFIGS / "table2_power.cfg"
+# A JSON file nests its sweep in a "sweep" object, as a text file puts it in [sweep].
+@pytest.mark.parametrize("name, form", [("table2_power", "text"), ("table1_log", "json"), ("table2_power", "json")])
+def test_one_file_with_a_sweep_section_is_both_config_and_sweep(tmp_path, name, form):
+    spec_text, expected = SWEEP_GOLDEN[name]
+    config = CONFIGS / f"{name}.cfg"
     combined = tmp_path / "combined.cfg"
-    combined.write_text(config.read_text() + "\n" + spec_text)
+    if form == "text":
+        combined.write_text(config.read_text() + "\n" + spec_text)
+    else:
+        payload = json.loads(Path(json_config(tmp_path, name)).read_text())
+        combined.write_text(json.dumps({**payload, "sweep": SWEEP_JSON[name].get("sweep", SWEEP_JSON[name])}))
     spec = tmp_path / "spec.sweep"
     spec.write_text(spec_text)
     outputs = []
@@ -890,7 +896,6 @@ def test_extreme_model_fields_exit_with_a_documented_code(tmp_path, capsys, name
         pytest.param(None, None, ["--seed", str(2**128)], id="flag-seed-2**128"),
         pytest.param(None, None, ["--paths", HUGE_COUNT], id="flag-paths-1e20"),
         pytest.param(None, None, ["--paths", "1", "--seed", "3"], id="flag-paths-1"),
-        pytest.param(None, None, ["--paths", "200", "--periods", HUGE_COUNT], id="flag-periods-1e20"),
     ],
 )
 def test_extreme_simulation_values_exit_assumption(tmp_path, capsys, name, key, value, flags):
@@ -900,6 +905,19 @@ def test_extreme_simulation_values_exit_assumption(tmp_path, capsys, name, key, 
     assert code == cli.EXIT_ASSUMPTION
     if "1" in (value, *flags):  # the one-path cases
         assert "a standard error needs two paths" in err
+
+
+# The horizon is set only by [mc] n_periods: a --periods flag is a usage error.
+@pytest.mark.parametrize("name", ["table1_log", "table2_power"])
+def test_simulate_has_no_periods_flag(capsys, name):
+    argv = ["simulate", "--config", str(CONFIGS / f"{name}.cfg"), "--paths", "200", "--periods", HUGE_COUNT]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: periodic-portfolio")
+    assert captured.err.endswith(f"error: unrecognized arguments: --periods {HUGE_COUNT}\n")
 
 
 # Well-posed configurations whose closed forms leave float64 exit 4, not with a traceback.
@@ -1024,3 +1042,104 @@ def test_sweep_raises_the_first_failing_point_in_grid_order(tmp_path, capsys, pa
     assert cli.main(argv) == code
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+def edited(name: str, pattern: str = "", repl: str = "", append: str = ""):
+    """A writer of a shipped text config: the one line matching ``pattern`` becomes ``repl``, then ``append``."""
+
+    def write(tmp_path) -> str:
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        if pattern:
+            text, found = re.subn(pattern, repl, text, flags=re.M)
+            assert found == 1, pattern
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text + append)
+        return str(path)
+
+    return write
+
+
+def shipped(name: str):
+    return lambda tmp_path: str(CONFIGS / f"{name}.cfg")
+
+
+def sweep_spec(parameter: str = "tau", grid: str = "0.5 1", outputs: str = "a_star") -> str:
+    return f"[sweep]\nparameter = {parameter}\ngrid = {grid}\noutputs = {outputs}\n"
+
+
+# One case per message of a config, sweep or parameter error: (command, config
+# writer, sweep spec, exit code, the whole stderr, with {path} for the config's path).
+EXIT_PATHS = [
+    pytest.param("solve", edited("table1_log", r"^tau = .*\n"), None, cli.EXIT_CONFIG,
+                 "config error: missing required key 'tau'\n", id="missing-key"),
+    pytest.param("solve", edited("table1_log", append="[foo]\nbar = 1\n"), None, cli.EXIT_CONFIG,
+                 "config error: unknown section [foo]\n", id="unknown-section"),
+    pytest.param("solve", edited("table1_log", r"^utility = log$", "utility = exp"), None, cli.EXIT_CONFIG,
+                 "config error: utility must be 'power' or 'log', got 'exp'\n", id="utility"),
+    pytest.param("solve", edited("table1_log", r"^n = 2\nmu = .*$", "mu ="), None, cli.EXIT_CONFIG,
+                 "config error: mu must have at least one entry\n", id="empty-mu"),
+    pytest.param("solve", edited("table1_log", r"^sigma = .*$", "sigma = 0.2 0 0.25"), None, cli.EXIT_CONFIG,
+                 "config error: sigma must have n*n=4 row-major entries, got 3\n", id="sigma-size"),
+    pytest.param("solve", edited("table2_power", r"^alpha = .*\n"), None, cli.EXIT_CONFIG,
+                 "config error: power utility requires alpha\n", id="no-alpha"),
+    pytest.param("solve", edited("table1_log", r"^n = 2$", "n = 3"), None, cli.EXIT_CONFIG,
+                 "config error: declared n=3 but mu has 2 entries\n", id="declared-n"),
+    pytest.param("solve", edited("table1_log", append="garbage line\n"), None, cli.EXIT_CONFIG,
+                 "config error: line 16: expected 'key = value', got 'garbage line'\n", id="no-equals"),
+    pytest.param("solve", lambda tmp_path: str(tmp_path / "missing.cfg"), None, cli.EXIT_CONFIG,
+                 "config error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n",
+                 id="unreadable"),
+    pytest.param("solve", lambda tmp_path: json_config(tmp_path, "table2_power", mc=5), None, cli.EXIT_CONFIG,
+                 "config error: section mc must be an object\n", id="json-section"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(grid=""), cli.EXIT_CONFIG,
+                 "config error: sweep grid is empty\n", id="empty-grid"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(grid="1 0.5"), cli.EXIT_CONFIG,
+                 "config error: sweep grid must be strictly increasing\n", id="decreasing-grid"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(outputs=""), cli.EXIT_CONFIG,
+                 "config error: sweep outputs are empty\n", id="empty-outputs"),
+    pytest.param("sweep", shipped("table2_power"), "[sweep]\nparameter = tau\noutputs = a_star\n", cli.EXIT_CONFIG,
+                 "config error: sweep is missing key 'grid'\n", id="no-grid"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(parameter="foo"), cli.EXIT_CONFIG,
+                 "config error: unknown sweep parameter 'foo'\n", id="unknown-parameter"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(parameter="mu_3"), cli.EXIT_CONFIG,
+                 "config error: index out of range in sweep parameter 'mu_3'\n", id="mu-index"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(parameter="sigma_1"), cli.EXIT_CONFIG,
+                 "config error: bad sigma sweep parameter 'sigma_1'\n", id="sigma-index"),
+    pytest.param("sweep", shipped("table1_log"), sweep_spec(outputs="y_star"), cli.EXIT_CONFIG,
+                 "config error: unknown sweep outputs for log: ['y_star']\n", id="log-outputs"),
+    pytest.param("solve", edited("table1_log", r"^mu = .*$", "mu = nan 0.15"), None, cli.EXIT_ASSUMPTION,
+                 "parameter/assumption error: market coefficients must be finite\n", id="nan-mu"),
+    pytest.param("simulate", edited("table2_power", r"^n_periods = auto$", "n_periods = 0"), None,
+                 cli.EXIT_ASSUMPTION, "parameter/assumption error: n_periods must be >= 1 when given\n",
+                 id="zero-periods"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("command,config,spec,code,message", EXIT_PATHS)
+def test_each_rejected_input_exits_with_its_one_message(tmp_path, capsys, command, config, spec, code, message):
+    path = config(tmp_path)
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", path]
+    if command == "sweep":
+        spec_path = tmp_path / "spec.sweep"
+        spec_path.write_text(spec)
+        argv += ["--sweep", str(spec_path), "--out", str(out)]
+    elif command == "simulate":
+        argv += ["--paths", "200"]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format(path=path)
+    assert not out.exists()
+
+
+def test_a_crlf_config_prints_the_report_of_its_lf_copy(tmp_path, capsys):
+    config = CONFIGS / "table1_log.cfg"
+    crlf = tmp_path / "table1_crlf.cfg"
+    crlf.write_bytes(config.read_bytes().replace(b"\n", b"\r\n"))
+    reports = []
+    for path in (config, crlf):
+        assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_OK
+        reports.append(capsys.readouterr())
+    assert reports[0].err == reports[1].err == ""
+    assert reports[0].out == reports[1].out

@@ -1,11 +1,12 @@
 """The CLI's exit-code contract, on configs drawn over the documented domain and its edges.
 
 Each drawn config file runs through ``solve``, a 3-point ``sweep`` of one
-scalar around its configured value, ``opt-tau --tau-cap 2`` and ``simulate
---paths 200 --periods 20``, in process. Every call must exit 0, 2, 3, 4 or
-6 (see ``cli``), or 5 for ``simulate``, whose report then says its check
-failed; let no exception or warning escape; and leave stdout empty when it
-exits neither 0 nor 5, and stderr empty when it does. An exit 2, 3 or 4
+scalar around its configured value, ``opt-tau --tau-cap 2`` and, with
+``[mc] n_periods = 20`` appended, ``simulate --paths 200``, in process.
+Every call must exit 0, 2, 3, 4 or 6 (see ``cli``), or 5 for ``simulate``,
+whose report then says its check failed; let no exception or warning
+escape; and leave stdout empty when it exits neither 0 nor 5, and stderr
+empty when it does. An exit 2, 3 or 4
 must come from the matching error family, so its stderr starts with that
 family's prefix. An exit 3 must come from a named validation: after its
 prefix, and a sweep's ``at grid point ...: ``, its stderr is the message of
@@ -140,6 +141,8 @@ def test_every_call_keeps_the_exit_code_contract(tmp_path_factory, text, paramet
     work = tmp_path_factory.mktemp("contract")
     config = work / "drawn.cfg"
     config.write_bytes(text)
+    simulated = work / "simulated.cfg"
+    simulated.write_bytes(text + b"\n[mc]\nn_periods = 20\n")
     value = 1.0
     for line in text.decode("utf-8", errors="replace").splitlines():
         key, _, raw = line.partition(" = ")
@@ -154,7 +157,7 @@ def test_every_call_keeps_the_exit_code_contract(tmp_path_factory, text, paramet
         ["solve", "--config", str(config)],
         ["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(work / "out.csv")],
         ["opt-tau", "--config", str(config), "--tau-cap", "2"],
-        ["simulate", "--config", str(config), "--paths", "200", "--periods", "20"],
+        ["simulate", "--config", str(simulated), "--paths", "200"],
     )
     for argv in calls:
         with warnings.catch_warnings(record=True) as caught:

@@ -40,6 +40,9 @@ def test_value_log(table_market, table_eval, table_cone):
     assert value_log(sol, 2.0) > value_log(sol, 1.0) > value_log(sol, 0.5)
     with pytest.raises(DomainError):
         value_log(sol, 0.0)
+    # x is one wealth level, a float
+    with pytest.raises(TypeError):
+        value_log(sol, np.array([0.5, 1.0]))
 
 
 def test_gamma_one_constant_value(table_market, table_cone):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodic_portfolio import EvaluationSpec, MarketModel, check_assumption, zeta
+from periodic_portfolio import EvaluationSpec, MarketModel, check_assumption, constrained_sharpe, zeta
 from periodic_portfolio.errors import (
     Degenerate,
     DimensionMismatch,
@@ -13,7 +13,7 @@ from periodic_portfolio.errors import (
     ParameterOutOfRange,
     SingularVolatility,
 )
-from periodic_portfolio.market import sharpe_ratio, validate_market
+from periodic_portfolio.market import validate_market
 
 from conftest import random_market
 
@@ -48,6 +48,9 @@ def test_validate_degenerate_floor():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         MarketModel(mu=[0.1, 0.15, 0.2], sigma=np.diag([0.2, 0.25]), r=0.12)
+    # mu is a vector even for one asset
+    with pytest.raises(DimensionMismatch, match="mu must be a vector"):
+        MarketModel(mu=0.1, sigma=[[0.2]], r=0.12)
 
 
 def test_negative_rate_rejected():
@@ -57,12 +60,12 @@ def test_negative_rate_rejected():
 
 def test_sharpe_diagonal():
     m = MarketModel(mu=[0.1, 0.15], sigma=np.diag([0.2, 0.25]), r=0.12)
-    np.testing.assert_allclose(sharpe_ratio(m), [-0.10, 0.12], atol=1e-14)
+    np.testing.assert_allclose(constrained_sharpe(m).xi, [-0.10, 0.12], atol=1e-14)
 
 
 def test_sharpe_zero_excess():
     m = MarketModel(mu=[0.12, 0.12], sigma=np.diag([0.2, 0.25]), r=0.12)
-    np.testing.assert_allclose(sharpe_ratio(m), [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(constrained_sharpe(m).xi, [0.0, 0.0], atol=1e-15)
 
 
 def test_sharpe_triangular_forward_substitution():
@@ -73,14 +76,14 @@ def test_sharpe_triangular_forward_substitution():
     xi0 = b[0] / sigma[0, 0]
     xi1 = (b[1] - sigma[1, 0] * xi0) / sigma[1, 1]
     assert xi0 == pytest.approx(-0.10) and xi1 == pytest.approx(0.14)
-    np.testing.assert_allclose(sharpe_ratio(m), [xi0, xi1], atol=1e-14)
+    np.testing.assert_allclose(constrained_sharpe(m).xi, [xi0, xi1], atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_sharpe_multiply_back_residual(seed):
     m = random_market(np.random.default_rng(seed))
-    xi = sharpe_ratio(m)
+    xi = constrained_sharpe(m).xi
     resid = np.linalg.norm(m.sigma @ xi - (m.mu - m.r))
     assert resid <= 1e-12 * (1.0 + np.linalg.norm(m.mu))
 
@@ -136,8 +139,8 @@ def test_check_assumption_gamma_one_reduces_to_delta_positive():
 def test_check_assumption_rejects_bad_alpha():
     m = MarketModel(mu=[0.1, 0.15], sigma=np.diag([0.2, 0.25]), r=0.12)
     e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
-    for alpha in (0.0, 1.0, 1.5):
-        with pytest.raises(ParameterOutOfRange):
+    for alpha in (0.0, 1.0, 1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterOutOfRange, match=r"alpha must lie in \(-inf, 0\) or \(0, 1\)"):
             check_assumption(m, e, alpha, 0.0144)
 
 

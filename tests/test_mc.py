@@ -45,6 +45,26 @@ def bond_market():
     return MarketModel(mu=[0.12, 0.12], sigma=np.diag([0.2, 0.25]), r=0.12)
 
 
+@pytest.fixture
+def use_workers(monkeypatch):
+    """use_workers(n): run pooled blocks on a new pool of n threads, shut down after the test.
+
+    The module's pool is made once with ``mc._WORKERS``, so a test that sets
+    the worker count also starts from no pool.
+    """
+    monkeypatch.setattr(mc, "_pool", None)
+
+    def use(workers: int) -> None:
+        if mc._pool is not None:
+            mc._pool.shutdown()
+        monkeypatch.setattr(mc, "_pool", None)
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+
+    yield use
+    if mc._pool is not None:
+        mc._pool.shutdown()
+
+
 def deflator_ratios(law: DeflatorLaw, seed: int, rows: int, n_periods: int) -> np.ndarray:
     """exp(drift + s G) over the first ``rows`` rows of the (paths, n_periods) normals of ``seed``."""
     return np.exp(law.drift + law.s * mc._normals(seed, 0, rows, n_periods))
@@ -146,7 +166,7 @@ def test_power_truncation_bound_is_the_exact_tail(monkeypatch, table_market, cas
     def moment(k):
         def integrand(g):
             ratio = math.exp(p.law.drift + p.law.s * g)
-            growth = marginal_inverse(sol.a_star, alpha, 0.8, sol.y_star * ratio, p.tol_root)
+            growth = marginal_inverse(sol.a_star, alpha, 0.8, sol.y_star * ratio)
             return math.exp(-0.5 * g * g) / math.sqrt(2.0 * math.pi) * growth**k
 
         return quad(integrand, -20.0, 20.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -293,7 +313,7 @@ def matrix_power_objective(sol, p, x0, cfg, periods, y_star=None):
     y_level = sol.y_star if y_star is None else y_star
     norm = 1.0 if y_star is None else budget_function(p, sol.a_star, y_star)
     ratios = np.exp(p.law.drift + p.law.s * matrix_normals(cfg, periods))
-    growth = marginal_inverse(sol.a_star, alpha, gamma, y_level * ratios, p.tol_root) / norm
+    growth = marginal_inverse(sol.a_star, alpha, gamma, y_level * ratios) / norm
     growth_beta = growth**beta
     prev_pow = np.hstack(
         [np.ones((growth.shape[0], 1)), np.cumprod(growth_beta[:, :-1], axis=1)]
@@ -314,7 +334,7 @@ def matrix_power_objective(sol, p, x0, cfg, periods, y_star=None):
         (31, 7, 3 * 7),  # offsets 21, 42, 63, 84: k % 4 = 1, 2, 3, 0
     ],
 )
-def test_blocks_stack_to_the_matrix_draws(monkeypatch, n_paths, n_periods, chunk):
+def test_blocks_stack_to_the_matrix_draws(monkeypatch, use_workers, n_paths, n_periods, chunk):
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
     cfg = SimulationConfig(n_paths=n_paths, seed=77)
     step = max(1, chunk // n_periods)
@@ -323,7 +343,7 @@ def test_blocks_stack_to_the_matrix_draws(monkeypatch, n_paths, n_periods, chunk
     assert np.array_equal(np.vstack(blocks), reference)
     # the blocks that _per_path draws put every cell in its own place
     for workers in (1, 3):
-        monkeypatch.setattr(mc, "_WORKERS", workers)
+        use_workers(workers)
         for j in range(n_periods):
             column = mc._per_path(cfg, n_periods, lambda g, j=j: g[:, j])
             assert np.array_equal(column, reference[:, j])
@@ -333,10 +353,10 @@ def test_blocks_stack_to_the_matrix_draws(monkeypatch, n_paths, n_periods, chunk
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_a_paths_draws_do_not_depend_on_n_paths(monkeypatch, workers):
+def test_a_paths_draws_do_not_depend_on_n_paths(monkeypatch, use_workers, workers):
     # blocks of 3 rows: 14 blocks against 34, and only with 40 paths is row 39 a block of its own
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 3 * 7)
-    monkeypatch.setattr(mc, "_WORKERS", workers)
+    use_workers(workers)
     for j in range(7):
         few, many = (
             mc._per_path(SimulationConfig(n_paths=n, seed=19), 7, lambda g, j=j: g[:, j]) for n in (40, 100)
@@ -401,33 +421,34 @@ def test_power_estimate_on_a_wide_law_does_not_depend_on_block_size(monkeypatch)
 
 @pytest.mark.parametrize("kind", ["log", "power"])
 @pytest.mark.parametrize("n_paths, chunk", [(202, 7 * 30), (4000, None), (101, 7 * 30), (2000, None)])
-def test_estimates_do_not_depend_on_worker_count(monkeypatch, estimate_kind, kind, n_paths, chunk):
+def test_estimates_do_not_depend_on_worker_count(
+    monkeypatch, use_workers, estimate_kind, kind, n_paths, chunk
+):
     # blocks of 7 rows, or of the default 1092 rows; 101 rows end in a block
     # of 3 and 2000 rows make only two blocks
     if chunk is not None:
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
     cfg = SimulationConfig(n_paths=n_paths, n_periods=30, seed=5)
-    monkeypatch.setattr(mc, "_WORKERS", 1)
+    use_workers(1)
     serial = estimate_kind(kind, cfg)
-    monkeypatch.setattr(mc, "_WORKERS", 3)
+    use_workers(3)
     pooled = estimate_kind(kind, cfg)
     assert pooled.mean == serial.mean
     assert pooled.std_error == serial.std_error
     assert pooled.truncation_bound == serial.truncation_bound
 
 
-def test_one_worker_or_one_block_starts_no_thread(monkeypatch, estimate_kind):
-    monkeypatch.setattr(mc, "_pool", None)
-    monkeypatch.setattr(mc, "_WORKERS", 1)
+def test_one_worker_or_one_block_starts_no_thread(use_workers, estimate_kind):
+    use_workers(1)
     estimate_kind("power", SimulationConfig(n_paths=4000, n_periods=30, seed=5))
-    monkeypatch.setattr(mc, "_WORKERS", 3)
+    use_workers(3)
     estimate_kind("power", SimulationConfig(n_paths=100, n_periods=30, seed=5))
     assert mc._pool is None
 
 
-def test_ndtri_loads_in_the_calling_thread(monkeypatch, estimate_kind):
+def test_ndtri_loads_in_the_calling_thread(monkeypatch, use_workers, estimate_kind):
     # the first lookup of ndtri, Philox and the pool's module must not happen inside a pool worker
-    monkeypatch.setattr(mc, "_WORKERS", 3)
+    use_workers(3)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
     lookup = mc._draw_imports
     lookup.cache_clear()
@@ -446,9 +467,9 @@ def test_ndtri_loads_in_the_calling_thread(monkeypatch, estimate_kind):
     assert (lib.ThreadPoolExecutor, lib.wait) == (ThreadPoolExecutor, wait)
 
 
-def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch):
+def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch, use_workers):
     # more workers than cores and a short switch interval: a lost or misplaced write breaks a row
-    monkeypatch.setattr(mc, "_WORKERS", 8)
+    use_workers(8)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 5)
     cfg = SimulationConfig(n_paths=400, seed=11)
     interval = sys.getswitchinterval()
@@ -465,8 +486,8 @@ def _per_path_in_child(cfg: SimulationConfig, expected: np.ndarray) -> None:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_makes_its_own_pool(monkeypatch):
-    monkeypatch.setattr(mc, "_WORKERS", 2)
+def test_a_forked_child_makes_its_own_pool(monkeypatch, use_workers):
+    use_workers(2)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 5 * 4)
     cfg = SimulationConfig(n_paths=40, seed=2)
     expected = mc._per_path(cfg, 4, lambda g: g[:, 0].copy())
@@ -486,20 +507,20 @@ def _fail_short_blocks(monkeypatch, rows: int) -> None:
     """Make the power kernel raise DomainError on every block of fewer than ``rows`` rows."""
     kernel = mc._log_marginal_inverse
 
-    def failing(a, alpha, gamma, log_y, tol, start=None):
+    def failing(a, alpha, gamma, log_y, start=None):
         if log_y.shape[0] < rows:
             raise DomainError("injected failure in a short block")
-        return kernel(a, alpha, gamma, log_y, tol, start)
+        return kernel(a, alpha, gamma, log_y, start)
 
     monkeypatch.setattr(mc, "_log_marginal_inverse", failing)
 
 
 def test_block_error_reaches_the_caller_and_the_pool_survives(
-    monkeypatch, power_problem, power_solution, estimate_kind
+    monkeypatch, use_workers, power_problem, power_solution, estimate_kind
 ):
     periods = 30
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * periods)
-    monkeypatch.setattr(mc, "_WORKERS", 3)
+    use_workers(3)
     cfg = SimulationConfig(n_paths=202, n_periods=periods, seed=5)  # the last block, at row 196, has 6 rows
     expected = estimate_kind("power", cfg)
     pool = mc._pool
@@ -511,22 +532,24 @@ def test_block_error_reaches_the_caller_and_the_pool_survives(
     assert mc._pool is pool
 
 
-def test_block_error_exits_with_the_parameter_code(monkeypatch, capsys):
+def test_block_error_exits_with_the_parameter_code(monkeypatch, use_workers, tmp_path, capsys):
     from periodic_portfolio import cli
 
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
-    monkeypatch.setattr(mc, "_WORKERS", 3)
+    use_workers(3)
     _fail_short_blocks(monkeypatch, 7)  # 2000 paths: the last block, at row 1995, has 5 rows
-    config = Path(__file__).resolve().parent.parent / "configs" / "table2_power.cfg"
-    argv = ["simulate", "--config", str(config), "--paths", "2000", "--periods", "30", "--seed", "3"]
+    table2 = Path(__file__).resolve().parent.parent / "configs" / "table2_power.cfg"
+    config = tmp_path / "table2_power.cfg"
+    config.write_text(table2.read_text().replace("n_periods = auto", "n_periods = 30"))
+    argv = ["simulate", "--config", str(config), "--paths", "2000", "--seed", "3"]
     assert cli.main(argv) == cli.EXIT_ASSUMPTION
     assert "short block" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_the_first_failing_block_decides_the_error(monkeypatch, workers):
+def test_the_first_failing_block_decides_the_error(monkeypatch, use_workers, workers):
     # the block at row 6 fails late, the one at row 15 early; 200 blocks of 3 rows take 10 ms each
-    monkeypatch.setattr(mc, "_WORKERS", workers)
+    use_workers(workers)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 3 * 4)
     normals = mc._normals
     lock = threading.Lock()
@@ -614,19 +637,19 @@ def test_table_start_gives_the_line_start_root_in_no_more_steps(monkeypatch, alp
     for a in (1e-8, 1.0, 1e8):
         for s in (0.0, 1e-9, 0.1, 1.0, 5.0, 40.0):
             log_y = 0.3 + s * TABLE_DRAWS
-            start = mc._start_table(a, alpha, gamma, 0.3, s, 1e-10)
-            line = power._log_marginal_inverse(a, alpha, gamma, log_y, 1e-10)
-            tabled = power._log_marginal_inverse(a, alpha, gamma, log_y, 1e-10, start(TABLE_DRAWS))
+            start = mc._start_table(a, alpha, gamma, 0.3, s)
+            line = power._log_marginal_inverse(a, alpha, gamma, log_y)
+            tabled = power._log_marginal_inverse(a, alpha, gamma, log_y, start(TABLE_DRAWS))
             # a few ulps of the terms of g(u) = (alpha-1) u + softplus(t) - log y, over |g'(u)|
             t = math.log(a * (1.0 - gamma)) + beta * line
             slope = alpha - 1.0 + beta * np.exp(-np.logaddexp(0.0, -t))
             terms = np.abs(log_y) + np.abs((alpha - 1.0) * line) + np.logaddexp(0.0, t)
             assert np.all(np.abs(tabled - line) <= 8.0 * np.spacing(terms) / np.abs(slope)), (a, s)
             steps = [
-                newton_steps(monkeypatch, lambda: power._log_marginal_inverse(a, alpha, gamma, log_y, 1e-10)),
+                newton_steps(monkeypatch, lambda: power._log_marginal_inverse(a, alpha, gamma, log_y)),
                 newton_steps(
                     monkeypatch,
-                    lambda: power._log_marginal_inverse(a, alpha, gamma, log_y, 1e-10, start(TABLE_DRAWS)),
+                    lambda: power._log_marginal_inverse(a, alpha, gamma, log_y, start(TABLE_DRAWS)),
                 ),
             ]
             assert steps[1] <= steps[0], (a, s, steps)
@@ -634,34 +657,34 @@ def test_table_start_gives_the_line_start_root_in_no_more_steps(monkeypatch, alp
 
 def test_kernel_ignores_the_start_when_c_is_zero():
     log_y = 0.3 + 40.0 * TABLE_DRAWS
-    line = power._log_marginal_inverse(1.0, 0.5, 1.0, log_y, 1e-10)
+    line = power._log_marginal_inverse(1.0, 0.5, 1.0, log_y)
     assert np.array_equal(line, log_y / (0.5 - 1.0))
-    assert np.array_equal(power._log_marginal_inverse(1.0, 0.5, 1.0, log_y, 1e-10, np.zeros_like(log_y)), line)
+    assert np.array_equal(power._log_marginal_inverse(1.0, 0.5, 1.0, log_y, np.zeros_like(log_y)), line)
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.5])
-def test_table_start_takes_one_newton_step_on_table2(monkeypatch, table_market, table_cone, tau):
+def test_table_start_takes_one_newton_step_on_table2(monkeypatch, use_workers, table_market, table_cone, tau):
     p = PowerProblem(
         market=table_market, evaluation=EvaluationSpec(tau=tau, gamma=0.8, delta=0.3), alpha=TABLE_ALPHA, cs=table_cone
     )
     sol = fixed_point(p)
     g = mc._normals(3, 0, 1000, 30)
     log_y = math.log(sol.y_star) + p.law.drift + p.law.s * g
-    start = mc._start_table(sol.a_star, p.alpha, 0.8, math.log(sol.y_star) + p.law.drift, p.law.s, p.tol_root)
-    line = newton_steps(monkeypatch, lambda: power._log_marginal_inverse(sol.a_star, p.alpha, 0.8, log_y, p.tol_root))
+    start = mc._start_table(sol.a_star, p.alpha, 0.8, math.log(sol.y_star) + p.law.drift, p.law.s)
+    line = newton_steps(monkeypatch, lambda: power._log_marginal_inverse(sol.a_star, p.alpha, 0.8, log_y))
     tabled = newton_steps(
-        monkeypatch, lambda: power._log_marginal_inverse(sol.a_star, p.alpha, 0.8, log_y, p.tol_root, start(g))
+        monkeypatch, lambda: power._log_marginal_inverse(sol.a_star, p.alpha, 0.8, log_y, start(g))
     )
     assert (line, tabled) == (4, 1)
     # the estimator solves the table's nodes from the line start, then starts every block from the table
     kernel, starts = mc._log_marginal_inverse, []
 
-    def recording(a, alpha, gamma, log_y, tol, start=None):
+    def recording(a, alpha, gamma, log_y, start=None):
         starts.append(start is not None)
-        return kernel(a, alpha, gamma, log_y, tol, start)
+        return kernel(a, alpha, gamma, log_y, start)
 
     monkeypatch.setattr(mc, "_log_marginal_inverse", recording)
-    monkeypatch.setattr(mc, "_WORKERS", 1)
+    use_workers(1)
     estimate_power_objective(sol, p, 0.5, SimulationConfig(n_paths=3000, n_periods=30, seed=3))
     assert starts == [False] + [True] * math.ceil(3000 / (mc._CHUNK_ELEMENTS // 30))
 
@@ -703,8 +726,9 @@ def test_simulate_of_values_near_the_float64_limit_reports_a_finite_std_error(tm
             f"{key} = {' '.join(map(repr, value)) if isinstance(value, tuple) else repr(value)}\n"
             for key, value in HUGE_SAMPLES.items()
         )
+        + "[mc]\nn_periods = 20\n"
     )
-    argv = ["simulate", "--config", str(config), "--paths", "200", "--periods", "20", "--seed", "3"]
+    argv = ["simulate", "--config", str(config), "--paths", "200", "--seed", "3"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = cli.main(argv)
@@ -725,7 +749,8 @@ def test_simulate_of_values_near_the_float64_limit_passes(tmp_path, capsys):
             f"{key} = {' '.join(map(repr, value)) if isinstance(value, tuple) else repr(value)}\n"
             for key, value in HUGE_SAMPLES.items()
         )
+        + "[mc]\nn_periods = 20\n"
     )
-    argv = ["simulate", "--config", str(config), "--paths", "200", "--periods", "20", "--seed", "3"]
+    argv = ["simulate", "--config", str(config), "--paths", "200", "--seed", "3"]
     assert cli.main(argv) == cli.EXIT_OK
     assert dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())["verdict"] == "pass"

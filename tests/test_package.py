@@ -62,7 +62,7 @@ SIGNATURES = {
         "a_star", "c_star", "xi_tilde_norm_sq", "feedback_fractions", "a_unconstrained",
         "unconstrained_fractions", "constraint_cost",
     ),
-    "marginal_inverse": ("a", "alpha", "gamma", "y", "tol"),
+    "marginal_inverse": ("a", "alpha", "gamma", "y"),
     "MarketModel": ("mu", "sigma", "r"),
     "moderated_utility": ("a", "alpha", "gamma", "x"),
     "ObjectiveEstimate": ("mean", "std_error", "n_effective", "truncation_bound"),

@@ -340,3 +340,40 @@ def test_a_gamma_one_grid_that_overflows_raises_the_scalar_error(scaled):
         optimal_tau(f, cap)
     assert str(capped.value) == str(scalar.value)
     assert str(scalar.value).startswith("the gamma = 1 objective overflows at tau=")
+
+
+class InteriorPeak:
+    """A stub objective, -log(tau / peak)^2, whose maximum 0 lies inside the capped grid.
+
+    With ``closed`` its ``grid`` returns twice the scalar values, which have
+    the same argmax; otherwise ``grid`` returns None, as for power utility
+    with gamma < 1. ``calls`` records the scalar calls.
+    """
+
+    def __init__(self, peak: float, closed: bool):
+        self.peak, self.closed, self.calls = peak, closed, []
+
+    def __call__(self, tau: float) -> float:
+        self.calls.append(tau)
+        return -math.log(tau / self.peak) ** 2
+
+    def grid(self, taus: np.ndarray):
+        return -2.0 * np.log(taus / self.peak) ** 2 if self.closed else None
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["scalar", "grid"])
+def test_capped_search_refines_an_interior_maximum(closed):
+    # no shipped or benchmark search reaches this branch: their best points
+    # lie at cap/257 or at the cap
+    cap, peak = 4.0, 1.2345
+    f = InteriorPeak(peak, closed)
+    tau_star, obj = periodicity._capped_supremum(f, cap)
+    taus = capped_grid(cap)
+    i = int(np.abs(taus - peak).argmin())
+    assert 0 < i < periodicity._CAP_POINTS - 1
+    # golden section stops once its bracket is within _REL_TOL of its midpoint
+    assert abs(tau_star - peak) <= periodicity._REL_TOL * peak
+    assert taus[i - 1] < tau_star < taus[i + 1]
+    # the objective is the scalar path's value at tau*, never the grid's
+    assert f.calls[-1] == tau_star and obj == -math.log(tau_star / peak) ** 2
+    assert len(f.calls) > (0 if closed else periodicity._CAP_POINTS)

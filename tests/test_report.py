@@ -53,13 +53,28 @@ def test_scalar_sweep_projects_once(count_calls, name, parameter):
     assert len(calls) == 1
 
 
+# sigma_12 is row 1, column 2 of sigma
+MARKET_SWEEPS = [("mu_1", (0.05, 0.1, 0.2)), ("sigma_12", (-0.05, 0.0, 0.05))]
+
+
+@pytest.mark.parametrize("parameter,grid", MARKET_SWEEPS)
 @pytest.mark.parametrize("name", ["table1_log", "table2_power"])
-def test_market_sweep_projects_per_point(count_calls, name):
+def test_market_sweep_projects_per_point(count_calls, name, parameter, grid):
+    cfg = shipped(name)
+    outputs = outputs_of(cfg)
     calls = count_calls(report, "constrained_sharpe")
-    rows = sweep(shipped(name), SweepSpec("mu_1", (0.05, 0.1, 0.2), ("a_star", "xi_tilde_sq")))
+    rows = sweep(cfg, SweepSpec(parameter, grid, outputs))
     assert len(calls) == 3
-    # mu_1 = 0.2 exceeds r = 0.12, so the projection no longer clamps asset 1
-    assert rows[0][2] == rows[1][2] < rows[2][2]
+    for row, value in zip(rows, grid, strict=True):
+        point = apply_sweep_value(cfg, parameter, value)
+        columns = _sweep_columns(solve(point).fields)
+        assert row == [value, *(columns[out] for out in outputs)]
+    if parameter == "sigma_12":
+        assert point.sigma == (0.2, 0.05, 0.0, 0.25)
+    else:
+        # mu_1 = 0.2 exceeds r = 0.12, so the projection no longer clamps asset 1
+        xi_sq = [row[1 + outputs.index("xi_tilde_sq")] for row in rows]
+        assert xi_sq[0] == xi_sq[1] < xi_sq[2]
 
 
 def test_scalar_sweep_market_error_names_the_first_point(tmp_path, capsys):

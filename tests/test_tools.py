@@ -4,7 +4,8 @@ Every script puts perfbench or the tests on ``sys.path`` as it is imported,
 so one child interpreter imports them all, as ``python3 tools/NAME.py``
 would (the tools directory first on its path), and reports what the
 checks below need; the test process imports none of them. It counts the
-code lines of the snippet on its stdin with ``tools/code_lines.py``.
+code lines of the snippet on its stdin with ``tools/code_lines.py``, and
+traces ``BRANCH`` with ``tools/uncovered.py``.
 """
 
 import json
@@ -16,20 +17,38 @@ import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
-CHILD = """
-import importlib, json, sys
+# The branch on line 4 is the only executable line that running the file leaves unexecuted.
+BRANCH = """\
+def sign(x):
+    if x > 0:
+        return 1
+    return -1
+
+
+sign(2)
+"""
+
+CHILD = f"""
+import importlib, json, pathlib, runpy, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 names = sys.argv[2:]
-modules = {name: importlib.import_module(name) for name in names}
+modules = {{name: importlib.import_module(name) for name in names}}
 trees = modules["trees"]
 calls = []
 order = trees.alternate(["a", "b", "c"], 4, lambda tree: calls.append(tree) or len(calls) - 1)
 summary = trees.summary([[4.0, 1.0, 3.0, 5.0, 2.0], [2.0, 2.0, 6.0, 1.0, 1.5]])
-print(json.dumps({
+uncovered = modules["uncovered"]
+with tempfile.TemporaryDirectory() as tmp:
+    branch = pathlib.Path(tmp).resolve() / "branch.py"
+    branch.write_text({BRANCH!r})
+    _, executed = uncovered.record(lambda: runpy.run_path(str(branch)), branch.parent)
+    traced = uncovered.report(executed, branch.parent)
+print(json.dumps({{
     "mains": [name for name, module in modules.items() if callable(getattr(module, "main", None))],
     "calls": calls, "order": order, "summary": summary,
     "code_lines": modules["code_lines"].code_lines(sys.stdin.read()),
-}))
+    "traced": traced,
+}}))
 """
 
 # The snippet's code lines are 4, 9, 11-15 and 18: no blank, comment or docstring line,
@@ -94,3 +113,8 @@ def test_the_summary_of_fixed_numbers(child):
 
 def test_code_lines_of_a_fixed_snippet(child):
     assert child["code_lines"] == 8
+
+
+def test_uncovered_reports_the_branch_a_run_skips(child):
+    # executable: the def line (the function's first line) and lines 2, 3, 4 and 7
+    assert child["traced"] == ["branch.py 4/5 never: 4", "total 4/5"]

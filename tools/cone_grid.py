@@ -31,7 +31,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from conftest import scaled_market  # noqa: E402
 from periodic_portfolio import solve_cone  # noqa: E402
 from periodic_portfolio.errors import PortfolioError  # noqa: E402
-from periodic_portfolio.market import sharpe_ratio  # noqa: E402
+from periodic_portfolio.market import validate_market  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
@@ -54,7 +54,9 @@ def main(argv: list[str]) -> int:
         head = f"{k} {m.mu.size}"
         calls[0] = 0
         try:
-            xi, sigma_inv = sharpe_ratio(m), np.linalg.inv(m.sigma)
+            validate_market(m)
+            xi = np.linalg.solve(m.sigma, m.excess_returns())
+            sigma_inv = np.linalg.inv(m.sigma)
             calls[0] = 0
             cs = solve_cone(xi, sigma_inv)
         except PortfolioError as exc:
