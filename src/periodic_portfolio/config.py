@@ -1,10 +1,9 @@
-"""Problem and sweep configuration: flat key/value text files or JSON.
-
-Text grammar:
+"""Problem and sweep configuration: flat key/value text files, one grammar.
 
 * ``key = value`` pairs, one per line; ``#`` starts a comment. Keys and
   section names are case-insensitive; an unknown key or section, or a key
-  given twice in one section, is an error.
+  given twice in one section, is an error. Any other line, such as the
+  first line of a JSON file, is an error naming its line.
 * Top of the file: ``utility`` (``power`` or ``log``), ``mu``, ``sigma``,
   ``r``, ``tau``, ``gamma``, ``delta`` and ``x0`` are required; ``alpha`` is
   required for power utility and rejected for log; ``n``, if given, must
@@ -19,30 +18,19 @@ Text grammar:
   default) and ``seed`` (12345). The Monte Carlo draws every path from one
   stream: a cell's draw depends on ``n_periods`` but not on ``n_paths``.
 * ``[sweep]``, in a sweep file: ``parameter`` (``alpha``, ``gamma``, ``tau``,
-  ``x0``, ``delta``, ``mu_i`` or ``sigma_ij``, indices from 1), ``grid``
-  (strictly increasing) and ``outputs`` (sweep column names; see ``report``).
+  ``x0``, ``delta``, ``mu_<i>`` or ``sigma_<i>_<j>``, with indices from 1 in
+  ASCII digits), ``grid`` (strictly increasing) and ``outputs`` (sweep column
+  names; see ``report``).
 * Vector values (``mu``, ``sigma``, ``grid``) are whitespace- or
-  comma-separated; ``sigma`` is row-major. ``grid`` also accepts the range
-  shorthand ``start:stop:step``: finite numbers, a positive step, and at
-  most 10**5 points.
-* A file whose first non-blank character is ``{`` is parsed as JSON with the
-  same keys, case-insensitive too (``solver``/``mc``/``sweep`` as nested
-  objects). JSON values go through the same grammar as text: each is written
-  as the text of its key (an array space-separated, null as ``auto``) and
-  parsed as above, so JSON rejects what text rejects, with the same message.
-  ``mu``, ``sigma``, ``grid`` and ``outputs`` must be JSON arrays, and their
-  entries scalars. An object that repeats a key, once lower-cased, is an
-  error.
+  comma-separated numbers; ``sigma`` is row-major.
 
 The table ``_GRAMMAR`` is the one list of a problem config's keys, each with
 its parser: ``parse_problem_config`` walks it to read a config and
 ``format_problem_config`` to write one, so the two cannot drift apart.
 """
-
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +39,6 @@ from .errors import ConfigError
 from .market import MarketModel
 from .power import PowerProblem
 from .quadrature import DEFAULT_ORDER
-
-# points a ``start:stop:step`` range may expand to; the check runs before any is built
-_RANGE_POINTS_CAP = 10**5
-
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -139,11 +123,10 @@ def apply_sweep_value(cfg: ProblemConfig, parameter: str, value: float) -> Probl
         mu[i - 1] = float(value)
         return dataclasses.replace(cfg, mu=tuple(mu))
     if parameter.startswith("sigma_"):
-        suffix = parameter[6:]
-        if len(suffix) != 2 or not suffix.isdigit():
-            raise ConfigError(f"bad sigma sweep parameter {parameter!r}")
-        i = _index_1based(suffix[0], cfg.n, parameter)
-        j = _index_1based(suffix[1], cfg.n, parameter)
+        indices = parameter[6:].split("_")
+        if len(indices) != 2:
+            raise ConfigError(f"bad sigma sweep parameter {parameter!r}: expected sigma_<i>_<j>")
+        i, j = (_index_1based(index, cfg.n, parameter) for index in indices)
         sigma = list(cfg.sigma)
         sigma[(i - 1) * cfg.n + (j - 1)] = float(value)
         return dataclasses.replace(cfg, sigma=tuple(sigma))
@@ -151,17 +134,17 @@ def apply_sweep_value(cfg: ProblemConfig, parameter: str, value: float) -> Probl
 
 
 def _index_1based(token: str, n: int, parameter: str) -> int:
-    try:
-        i = int(token)
-    except ValueError:
-        raise ConfigError(f"bad index in sweep parameter {parameter!r}") from None
+    # int() alone would also read "1_0", "+3" and non-ASCII digits
+    if not (token.isascii() and token.isdigit()):
+        raise ConfigError(f"bad index in sweep parameter {parameter!r}")
+    i = int(token)
     if not 1 <= i <= n:
         raise ConfigError(f"index out of range in sweep parameter {parameter!r}")
     return i
 
 
 # ---------------------------------------------------------------------------
-# text / JSON parsing
+# parsing
 
 
 def _split_sections(text: str) -> dict[str, dict[str, str]]:
@@ -218,20 +201,6 @@ def _fixed(parse, value):
 
 def _parse_vector(raw: str, key: str) -> tuple[float, ...]:
     tokens = raw.replace(",", " ").split()
-    if len(tokens) == 1 and ":" in tokens[0]:
-        start_s, stop_s, step_s = (tokens[0].split(":") + ["", ""])[:3]
-        start = _parse_float(start_s, key)
-        stop = _parse_float(stop_s, key)
-        step = _parse_float(step_s, key)
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ConfigError(f"{key}: range start, stop and step must be finite")
-        if step <= 0:
-            raise ConfigError(f"{key}: range step must be positive")
-        steps = (stop - start) / step  # inf where the quotient overflows
-        if not math.isfinite(steps) or round(steps) >= _RANGE_POINTS_CAP:
-            raise ConfigError(f"{key}: a range may hold at most {_RANGE_POINTS_CAP} points")
-        count = round(steps) + 1
-        return tuple(start + k * step for k in range(count) if start + k * step <= stop + 0.5 * step)
     try:
         return tuple(map(float, tokens))
     except ValueError:
@@ -245,8 +214,6 @@ def _write(value) -> str:
     a numpy scalar is not a literal the parser reads. A tuple is written
     space-separated and None as ``auto``.
     """
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, tuple):
@@ -273,53 +240,13 @@ _GRAMMAR = {
 _REQUIRED = frozenset(f.name for f in dataclasses.fields(ProblemConfig) if f.default is dataclasses.MISSING)
 
 
-def _read_sections(text: str, kind: str, nested: tuple[str, ...]) -> dict[str, dict[str, str]]:
-    """The sections of a text file, or of a JSON object whose ``nested`` keys hold objects."""
-    if not text.lstrip().startswith("{"):
-        return _split_sections(text)
-    import json  # only a JSON file pays for the parser
-
-    try:
-        payload = json.loads(text, object_pairs_hook=_json_object)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad JSON {kind}: {exc}") from None
-    # text that starts with "{" decodes to an object or raises
-    sections: dict[str, dict[str, str]] = {"": {}}
-    for key, value in payload.items():
-        if key not in nested:
-            sections[""][key] = _json_text(key, value)
-        elif value is None or isinstance(value, dict):
-            sections[key] = {k: _json_text(k, v) for k, v in (value or {}).items()}
-        else:
-            raise ConfigError(f"section {key} must be an object")
-    return sections
-
-
-def _json_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    """A JSON object with its keys lower-cased, as text keys and section names are."""
-    payload = {key.lower(): value for key, value in pairs}
-    if len(payload) < len(pairs):
-        keys = [key.lower() for key, _ in pairs]
-        raise ConfigError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
-    return payload
-
-
-def _json_text(key: str, value) -> str:
-    """The text of ``key = ...`` for a JSON value; the text grammar parses it."""
-    if key in ("mu", "sigma", "grid", "outputs"):
-        if not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value):
-            raise ConfigError(f"{key}: expected a JSON array of scalars, got {value!r}")
-        return " ".join(map(_write, value))
-    return _write(value)
-
-
 def parse_problem_config(text: str) -> ProblemConfig:
-    """Parse a problem configuration from text or JSON, walking the grammar.
+    """Parse a problem configuration, walking the grammar.
 
-    A ``sweep`` section, text or JSON, is skipped: it lets one file serve as
-    both the config and the sweep of ``sweep``.
+    A ``[sweep]`` section is skipped: it lets one file serve as both the
+    config and the sweep of ``sweep``.
     """
-    sections = _read_sections(text, "config", ("solver", "mc", "sweep"))
+    sections = _split_sections(text)
     for name in sections:
         if name not in _GRAMMAR and name != "sweep":
             raise ConfigError(f"unknown section [{name}]")
@@ -363,14 +290,14 @@ def format_problem_config(cfg: ProblemConfig) -> str:
 
 
 def parse_sweep_spec(text: str) -> SweepSpec:
-    """Parse a sweep specification from text or JSON.
+    """Parse a sweep specification.
 
     The keys sit in a ``[sweep]`` section, or at the top level of a file
     without one. A file may hold a problem config at the top level and the
     sweep in ``[sweep]``, but a sweep key at the top level of such a file is
     an error: the section would shadow it.
     """
-    sections = _read_sections(text, "sweep", ("sweep",))
+    sections = _split_sections(text)
     section, top = sections.get("sweep", {}), sections.get("", {})
     shadowed = sorted(top.keys() & {"parameter", "grid", "outputs"}) if section else []
     if shadowed:

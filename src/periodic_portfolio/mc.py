@@ -59,7 +59,7 @@ import numpy as np
 from .errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange
 from .logutil import LogSolution
 from .market import EvaluationSpec, MarketModel
-from .power import _POINT_MASS_S, _SOFTPLUS_LINEAR, PowerProblem, PowerSolution, _log_marginal_inverse
+from .power import _POINT_MASS_S, _SOFTPLUS_LINEAR, PowerProblem, PowerSolution, _is_normal, _log_marginal_inverse, value_function
 from .quadrature import DeflatorLaw
 
 if TYPE_CHECKING:
@@ -334,6 +334,9 @@ def estimate_power_objective(
     E[I(y* R)^beta] (``PowerSolution.psi_slope``). The reward left after n
     periods is therefore exactly V(x0) Psi'(A*)^n, and the truncation bound is
     its absolute value. A ratio that is not below 1 raises NonConvergence.
+    V(x0) comes from ``value_function``, and so does its NonFinite where it
+    leaves float64. Each path's sum is scaled by x0^beta / alpha where that
+    factor is a normal float, and by V(x0) / A* otherwise.
     """
     if x0 <= 0:
         raise DomainError("x0 must be positive")
@@ -344,7 +347,8 @@ def estimate_power_objective(
     ratio = sol.psi_slope
     if not ratio < 1.0:
         raise NonConvergence("discounted per-period growth is not a contraction")
-    value = abs(sol.a_star / alpha * x0**beta)
+    v_x0 = value_function(sol, x0, alpha, gamma)
+    value = abs(v_x0)
 
     def tail(n: int) -> float:
         return value * ratio**n
@@ -371,7 +375,15 @@ def estimate_power_objective(
         return np.exp(exponent, out=exponent).sum(axis=1)
 
     per_path = _per_path(cfg, periods, path_values)
-    per_path *= x0**beta / alpha
+    try:
+        factor = x0**beta / alpha
+    except OverflowError:
+        factor = math.inf
+    if _is_normal(factor):
+        per_path *= factor
+    else:
+        per_path /= sol.a_star
+        per_path *= v_x0
     return _reduce(per_path, tail(periods))
 
 

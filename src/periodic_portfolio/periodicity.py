@@ -1,7 +1,8 @@
 """Optimal evaluation-period length: one tau objective, one condition function, one search.
 
 The objective is V(x0; tau), the value at initial wealth x0 when performance
-is evaluated every tau years, or V(x0; tau) * tau (the scaled objective).
+is evaluated every tau years, or V(x0; tau) * tau (the scaled objective;
+for power utility with gamma = 1, |alpha| V tau, which has the same argmax).
 ``tau_objective`` is its one definition: closed form for log utility
 (V = A*(tau) + C*(tau) log x0) and for power utility with gamma = 1, and the
 fixed point A*(tau) for power utility with gamma < 1. It checks x0 once, when
@@ -71,7 +72,9 @@ class TauObjective:
     utility the problem validated at the configured tau. Log utility and
     power utility with gamma = 1 are closed forms in tau; power utility with
     gamma < 1 solves its fixed point at each tau. Where the gamma = 1 closed
-    form overflows float64 it raises NonFinite.
+    form overflows float64 it raises NonFinite. For power utility with
+    gamma = 1 the scaled objective is sign(alpha) A*(tau) tau = |alpha| V tau:
+    the same argmax as V tau, without the division by alpha.
     """
 
     cfg: ProblemConfig
@@ -96,7 +99,7 @@ class TauObjective:
             except OverflowError:
                 growth = math.inf
             scaled_a = growth * tau / (-math.expm1(-cfg.delta * tau))
-            value = scaled_a if self.scaled else scaled_a / tau / cfg.alpha
+            value = math.copysign(scaled_a, cfg.alpha) if self.scaled else scaled_a / tau / cfg.alpha
             if not math.isfinite(value):
                 raise NonFinite(f"the gamma = 1 objective overflows at tau={tau:.6g}")
             return value
@@ -137,7 +140,9 @@ class TauObjective:
                 value = np.exp((za - cfg.delta) * taus)
                 value *= taus
                 value /= -np.expm1(-u)
-                if not self.scaled:
+                if self.scaled:
+                    value *= math.copysign(1.0, cfg.alpha)
+                else:
                     value /= taus
                     value /= cfg.alpha
         return value if np.isfinite(value).all() else None
@@ -239,11 +244,12 @@ def _condition(objective: TauObjective) -> tuple[bool, str] | None:
 
     None when no proposition covers the objective. Three do:
 
-    * power utility, gamma = 1, on the scaled objective A*(tau)*tau. The
-      fixed point is explicit and the scaled objective is
+    * power utility, gamma = 1, on the scaled objective sign(alpha) g(tau),
+      g = A*(tau)*tau. The fixed point is explicit:
       g(tau) = exp((zeta(alpha)-delta)*tau) * tau / (1 - exp(-delta*tau)),
       with g(0+) = 1/delta. An interior maximizer exists when
-      delta/2 < zeta(alpha) < delta;
+      delta/2 < zeta(alpha) < delta, which needs alpha > 0, since r >= 0
+      makes zeta(alpha) <= 0 for alpha < 0;
     * log utility, gamma in (0, 1), on the plain value V(x; tau). The
       condition is (r + |xi_tilde|^2/2)/delta + log x < 0, in which case
       V(x; 0+) = -inf and V(x; inf) = 0 force an interior positive maximum;

@@ -732,19 +732,36 @@ def value_function(sol: PowerSolution, x, alpha: float, gamma: float):
     """V(x) = (1/alpha) * A* * x^(alpha*(1-gamma)) for x > 0, a float.
 
     x, such as a configuration's x0, is taken as a float and computed in
-    floats: its power is libm's pow, and a V(x) that overflows raises
-    NonFinite.
+    floats. Where the power x^beta and the product are both normal floats,
+    V is that product, with libm's pow. Otherwise the power alone may leave
+    float64 while V fits, so V is formed from log|V| = log A* - log|alpha| +
+    beta log x. A V beyond float64 raises NonFinite ("overflows"), and so
+    does one below its normal range ("underflows"): a subnormal or zero V
+    has lost the digits that the report prints.
     """
     x = float(x)
     if x <= 0.0:
         raise DomainError("value function requires x > 0")
+    beta = alpha * (1.0 - gamma)
     try:
-        v = sol.a_star / alpha * x ** (alpha * (1.0 - gamma))
-    except OverflowError:  # the power alone leaves float64
-        v = math.inf
-    if math.isinf(v):
-        raise NonFinite(f"V(x) overflows float64 at x={x:.6g}")
-    return v
+        power = x**beta
+    except OverflowError:
+        power = math.inf
+    v = sol.a_star / alpha * power
+    if _is_normal(power) and _is_normal(v):
+        return v
+    try:
+        v = math.exp(math.log(sol.a_star) - math.log(abs(alpha)) + beta * math.log(x))
+    except OverflowError:
+        raise NonFinite(f"V(x) overflows float64 at x={x:.6g}") from None
+    if not _is_normal(v):
+        raise NonFinite(f"V(x) underflows float64 at x={x:.6g}")
+    return math.copysign(v, alpha)
+
+
+def _is_normal(v: float) -> bool:
+    """Whether v is a normal float64: finite, nonzero and not subnormal."""
+    return sys.float_info.min <= abs(v) < math.inf
 
 
 def _feedback_fractions(cs: ConstrainedSharpe, scale: float) -> np.ndarray:

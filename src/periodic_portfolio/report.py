@@ -141,7 +141,7 @@ def sweep(cfg: ProblemConfig, spec: SweepSpec) -> list[list[float]]:
 
     A scalar parameter (alpha, gamma, tau, x0, delta) leaves the market
     unchanged, so every point reuses the first point's market and cone
-    projection, and an x0 sweep also its solution. A mu_i or sigma_ij sweep
+    projection, and an x0 sweep also its solution. A mu_<i> or sigma_<i>_<j> sweep
     rebuilds both at every point.
     """
     scalar = spec.parameter in _SWEEP_SCALARS

@@ -63,6 +63,22 @@ HUGE_SAMPLES = dict(
     alpha=-1e-300,
 )
 
+# A well-posed 3-asset power market (sigma row-major) with a steep alpha. With
+# x0 = 1e-180, x0^beta = 1e329 leaves float64 where V(x0) = -2.6e278 does not
+# (tau = 5); with x0 = 1e300, V(x0) = -2.3e-560 leaves it (tau = 1).
+STEEP = dict(
+    mu=(0.6555949929166196, 7.103515625e-05, -0.005031251995422818),
+    sigma=(
+        2.3485889505272284, 0.0, 0.0,
+        -0.41553368066655455, 0.16267877102935308, 0.0,
+        4.745451520955269e-243, -0.02655915095671707, 0.002461920274773414,
+    ),
+    r=6.1e-5,
+    gamma=0.909,
+    delta=7.389,
+    alpha=-20.09,
+)
+
 # A config file that is not valid UTF-8
 NOT_UTF8 = b"utility = log\nmu = 0.1\xff\n"
 

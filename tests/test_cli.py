@@ -1,6 +1,6 @@
 import contextlib
 import dataclasses
-import json
+import math
 import os
 import re
 import stat
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from periodic_portfolio import cli, format_problem_config, parse_problem_config
+from periodic_portfolio import ProblemConfig, cli, format_problem_config, parse_problem_config
 from periodic_portfolio.errors import (
     ConfigError,
     NonConvergence,
@@ -19,7 +19,7 @@ from periodic_portfolio.errors import (
     SolverError,
 )
 
-from conftest import FAMILY_EXITS, NOT_UTF8, TINY_LOWER_BOUND
+from conftest import FAMILY_EXITS, NOT_UTF8, STEEP, TINY_LOWER_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -78,7 +78,7 @@ def test_ill_posed_delta_exit_assumption(tmp_path, capsys):
 
 # The [solver] keys are constants of the solver. A config may still give each
 # one, but only at its fixed value: any other, out of range or not, is a
-# config error on every subcommand, in text and in JSON, before any solve.
+# config error on every subcommand, before any solve.
 SOLVER_FIXED = {"tol_root": "1e-10", "tol_fixed_point": "1e-10", "quad_order": "64"}
 
 
@@ -96,16 +96,12 @@ OFF_FIXED = [
 ]
 
 
-@pytest.mark.parametrize("form", ["text", "json"])
 @pytest.mark.parametrize("key,value", OFF_FIXED, ids=[f"{k}={v}" for k, v in OFF_FIXED])
-def test_solver_key_off_its_fixed_value_exits_config(tmp_path, capsys, form, key, value):
+def test_solver_key_off_its_fixed_value_exits_config(tmp_path, capsys, key, value):
     spec = tmp_path / "spec.sweep"
     spec.write_text("[sweep]\nparameter = tau\ngrid = 0.5 1\noutputs = a_star\n")
     for name in ("table2_power", "table1_log"):
-        if form == "text":
-            path = solver_config(tmp_path, name, {key: value})
-        else:
-            path = json_config(tmp_path, name, solver={key: (int if key == "quad_order" else float)(value)})
+        path = solver_config(tmp_path, name, {key: value})
         for argv in (
             ["solve", "--config", path],
             ["sweep", "--config", path, "--sweep", str(spec), "--out", str(tmp_path / "out.csv")],
@@ -123,15 +119,41 @@ def test_solver_key_off_its_fixed_value_exits_config(tmp_path, capsys, form, key
 @pytest.mark.parametrize("name", ["table1_log", "table2_power"])
 def test_solver_section_at_its_fixed_values_changes_no_output(tmp_path, capsys, name):
     outputs = []
-    for config in (
-        str(CONFIGS / f"{name}.cfg"),
-        solver_config(tmp_path, name, SOLVER_FIXED),
-        json_config(tmp_path, name, solver={key: json.loads(value) for key, value in SOLVER_FIXED.items()}),
-    ):
+    for config in (str(CONFIGS / f"{name}.cfg"), solver_config(tmp_path, name, SOLVER_FIXED)):
         assert cli.main(["solve", "--config", config]) == cli.EXIT_OK
         outputs.append(capsys.readouterr())
     assert outputs[0].err == "" and outputs[0].out
-    assert outputs[1:] == outputs[:1] * 2
+    assert outputs[1] == outputs[0]
+
+
+def steep_config(tmp_path, tau: float, x0: float) -> str:
+    path = tmp_path / "steep.cfg"
+    path.write_text(format_problem_config(ProblemConfig(utility="power", tau=tau, x0=x0, **STEEP)))
+    return str(path)
+
+
+# V(x0) = A*/alpha x0^beta is judged on V itself: it prints where x0^beta
+# alone overflows (1e329), and a V below float64 exits 4, as one above does.
+def test_v_x0_prints_where_only_the_power_of_x0_overflows(tmp_path, capsys):
+    assert cli.main(["solve", "--config", steep_config(tmp_path, 5.0, 1e-180)]) == cli.EXIT_OK
+    assert report(capsys.readouterr().out)["v_x0"] == "-2.56226817249e+278"
+
+
+def test_a_v_x0_below_float64_exits_nonconvergence(tmp_path, capsys):
+    assert cli.main(["solve", "--config", steep_config(tmp_path, 1.0, 1e300)]) == cli.EXIT_NONCONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solver error: V(x) underflows float64 at x=1e+300\n"
+
+
+def test_simulate_where_only_the_power_of_x0_overflows_compares_with_solve(tmp_path, capsys):
+    config = steep_config(tmp_path, 5.0, 1e-180)
+    assert cli.main(["solve", "--config", config]) == cli.EXIT_OK
+    v_x0 = report(capsys.readouterr().out)["v_x0"]
+    assert cli.main(["simulate", "--config", config, "--paths", "200"]) in (cli.EXIT_OK, cli.EXIT_MISMATCH)
+    fields = report(capsys.readouterr().out)
+    assert fields["analytic"] == v_x0
+    assert math.isfinite(float(fields["mean"])) and float(fields["mean"]) < 0.0
 
 
 def test_solver_failure_exit_nonconvergence(tmp_path, monkeypatch, capsys):
@@ -467,93 +489,11 @@ def test_sweep_csv_golden(tmp_path, name):
     assert_matches_golden(out.read_text(), expected)
 
 
-def json_config(tmp_path, name: str, **changes) -> str:
-    """A shipped config written as a JSON file, with optional raw JSON values replaced."""
-    fields = dataclasses.asdict(parse_problem_config((CONFIGS / f"{name}.cfg").read_text()))
-    payload = {"mc": {key: fields.pop(key) for key in ("n_paths", "n_periods", "seed")}}
-    if fields["alpha"] is None:
-        del fields["alpha"]
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({**fields, **payload, **changes}))
-    return str(path)
-
-
-# The sweeps of SWEEP_GOLDEN as JSON: table2 nests them under "sweep", table1 does not.
-SWEEP_JSON = {
-    "table2_power": {
-        "sweep": {
-            "parameter": "gamma",
-            "grid": [0.6, 0.75, 0.9],
-            "outputs": ["a_star", "y_star", "v_x0", "lower_bound", "upper_bound",
-                        "contraction_modulus", "iterations", "error_bound", "xi_tilde_sq",
-                        "frac_1", "frac_2"],
-        }
-    },
-    "table1_log": {
-        "parameter": "tau",
-        "grid": [0.5, 1, 2],
-        "outputs": ["a_star", "c_star", "v_x0", "a_unconstrained", "constraint_cost",
-                    "xi_tilde_sq", "frac_1", "frac_2"],
-    },
-}
-
-
-@pytest.mark.parametrize("name", sorted(SWEEP_JSON))
-def test_json_sweep_writes_the_text_csv(tmp_path, name):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(SWEEP_JSON[name]))
-    out = tmp_path / "out.csv"
-    argv = ["sweep", "--config", json_config(tmp_path, name), "--sweep", str(spec), "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_OK
-    assert_matches_golden(out.read_text(), SWEEP_GOLDEN[name][1])
-
-
-# Malformed JSON values exit 2 like malformed text, never with a traceback.
-@pytest.mark.parametrize(
-    "part,key,value",
-    [
-        pytest.param("config", "mu", [0.1, "x"], id="mu-entry-not-a-number"),
-        pytest.param("config", "sigma", [[0.2, 0], [0, 0.25]], id="sigma-nested"),
-        pytest.param("sweep", "grid", "0.5:1.5:0.5", id="grid-string"),
-        pytest.param("sweep", "grid", 0.5, id="grid-number"),
-        pytest.param("sweep", "outptus", ["a_star"], id="unknown-sweep-key"),
-    ],
-)
-def test_malformed_json_exit_config(tmp_path, capsys, part, key, value):
-    changes = {key: value} if part == "config" else {}
-    config = json_config(tmp_path, "table2_power", **changes)
-    sweep = {"parameter": "tau", "grid": [0.5, 1], "outputs": ["a_star"]}
-    if part == "sweep":
-        sweep[key] = value
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"sweep": sweep}))
-    out = tmp_path / "out.csv"
-    argv = ["sweep", "--config", config, "--sweep", str(spec), "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: ")
-    assert key in captured.err
-    assert not out.exists()
-
-
 # A sweep file with a [sweep] section takes its sweep from the section, so
 # sweep keys at its top level would be ignored: they exit 2, named.
-@pytest.mark.parametrize(
-    "text",
-    [
-        pytest.param(
-            "parameter = gamma\n[sweep]\nparameter = tau\ngrid = 0.5 1\noutputs = a_star\n", id="text"
-        ),
-        pytest.param(
-            json.dumps({"parameter": "gamma", "sweep": {"parameter": "tau", "grid": [0.5, 1], "outputs": ["a_star"]}}),
-            id="json",
-        ),
-    ],
-)
-def test_sweep_keys_shadowed_by_the_sweep_section_exit_config(tmp_path, capsys, text):
+def test_sweep_keys_shadowed_by_the_sweep_section_exit_config(tmp_path, capsys):
     spec = tmp_path / "spec.sweep"
-    spec.write_text(text)
+    spec.write_text("parameter = gamma\n[sweep]\nparameter = tau\ngrid = 0.5 1\noutputs = a_star\n")
     out = tmp_path / "out.csv"
     argv = ["sweep", "--config", str(CONFIGS / "table2_power.cfg"), "--sweep", str(spec), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_CONFIG
@@ -565,17 +505,12 @@ def test_sweep_keys_shadowed_by_the_sweep_section_exit_config(tmp_path, capsys, 
     assert not out.exists()
 
 
-# A JSON file nests its sweep in a "sweep" object, as a text file puts it in [sweep].
-@pytest.mark.parametrize("name, form", [("table2_power", "text"), ("table1_log", "json"), ("table2_power", "json")])
-def test_one_file_with_a_sweep_section_is_both_config_and_sweep(tmp_path, name, form):
+@pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
+def test_one_file_with_a_sweep_section_is_both_config_and_sweep(tmp_path, name):
     spec_text, expected = SWEEP_GOLDEN[name]
     config = CONFIGS / f"{name}.cfg"
     combined = tmp_path / "combined.cfg"
-    if form == "text":
-        combined.write_text(config.read_text() + "\n" + spec_text)
-    else:
-        payload = json.loads(Path(json_config(tmp_path, name)).read_text())
-        combined.write_text(json.dumps({**payload, "sweep": SWEEP_JSON[name].get("sweep", SWEEP_JSON[name])}))
+    combined.write_text(config.read_text() + "\n" + spec_text)
     spec = tmp_path / "spec.sweep"
     spec.write_text(spec_text)
     outputs = []
@@ -589,13 +524,9 @@ def test_one_file_with_a_sweep_section_is_both_config_and_sweep(tmp_path, name, 
 
 
 # Antithetic sampling is gone: a config that still sets the key is rejected, not ignored.
-@pytest.mark.parametrize("form", ["text", "json"])
-def test_an_antithetic_key_exits_config(tmp_path, capsys, form):
-    if form == "text":
-        path = tmp_path / "table2_power.cfg"
-        path.write_text((CONFIGS / "table2_power.cfg").read_text() + "\n[mc]\nantithetic = false\n")
-    else:
-        path = json_config(tmp_path, "table2_power", mc={"antithetic": True})
+def test_an_antithetic_key_exits_config(tmp_path, capsys):
+    path = tmp_path / "table2_power.cfg"
+    path.write_text((CONFIGS / "table2_power.cfg").read_text() + "\n[mc]\nantithetic = false\n")
     for argv in (["solve", "--config", str(path)], ["simulate", "--config", str(path), "--paths", "200"]):
         assert cli.main(argv) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
@@ -603,17 +534,8 @@ def test_an_antithetic_key_exits_config(tmp_path, capsys, form):
         assert captured.err == "config error: unknown [mc] keys: ['antithetic']\n"
 
 
-def test_malformed_json_config_exit_config(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text('{"utility": "log", "mu": [0.1, 0.15],\n')
-    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: bad JSON config: ")
-
-
-# A range shorthand that is not finite, or that would expand past the point
-# cap, exits 2 before any grid point is built.
+# A grid is numbers only: the range shorthand start:stop:step, however
+# large, exits 2 as a bad number before any grid point is solved.
 @pytest.mark.parametrize("grid", ["0.1:1e308:1e-300", "0:nan:1", "0:100000:1"])
 def test_unbounded_range_shorthand_exit_config(tmp_path, capsys, grid):
     spec = tmp_path / "spec.sweep"
@@ -1063,6 +985,24 @@ def shipped(name: str):
     return lambda tmp_path: str(CONFIGS / f"{name}.cfg")
 
 
+def written(filename: str, text: str):
+    """A writer of ``text`` to ``filename`` in the temporary directory."""
+
+    def write(tmp_path) -> str:
+        path = tmp_path / filename
+        path.write_text(text)
+        return str(path)
+
+    return write
+
+
+# table1 as a JSON object: the text grammar reads its first line, and stops there
+JSON_CONFIG = (
+    '{"utility": "log", "mu": [0.1, 0.15], "sigma": [0.2, 0, 0, 0.25], '
+    '"r": 0.12, "tau": 1, "gamma": 0.8, "delta": 0.3, "x0": 0.5}'
+)
+
+
 def sweep_spec(parameter: str = "tau", grid: str = "0.5 1", outputs: str = "a_star") -> str:
     return f"[sweep]\nparameter = {parameter}\ngrid = {grid}\noutputs = {outputs}\n"
 
@@ -1089,12 +1029,14 @@ EXIT_PATHS = [
     pytest.param("solve", lambda tmp_path: str(tmp_path / "missing.cfg"), None, cli.EXIT_CONFIG,
                  "config error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n",
                  id="unreadable"),
-    pytest.param("solve", lambda tmp_path: json_config(tmp_path, "table2_power", mc=5), None, cli.EXIT_CONFIG,
-                 "config error: section mc must be an object\n", id="json-section"),
+    pytest.param("solve", written("table1.json", JSON_CONFIG), None, cli.EXIT_CONFIG,
+                 f"config error: line 1: expected 'key = value', got {JSON_CONFIG!r}\n", id="json-config"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(grid=""), cli.EXIT_CONFIG,
                  "config error: sweep grid is empty\n", id="empty-grid"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(grid="1 0.5"), cli.EXIT_CONFIG,
                  "config error: sweep grid must be strictly increasing\n", id="decreasing-grid"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(grid="0.5:1.5:0.5"), cli.EXIT_CONFIG,
+                 "config error: grid: expected a number, got '0.5:1.5:0.5'\n", id="range-grid"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(outputs=""), cli.EXIT_CONFIG,
                  "config error: sweep outputs are empty\n", id="empty-outputs"),
     pytest.param("sweep", shipped("table2_power"), "[sweep]\nparameter = tau\noutputs = a_star\n", cli.EXIT_CONFIG,
@@ -1103,8 +1045,12 @@ EXIT_PATHS = [
                  "config error: unknown sweep parameter 'foo'\n", id="unknown-parameter"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(parameter="mu_3"), cli.EXIT_CONFIG,
                  "config error: index out of range in sweep parameter 'mu_3'\n", id="mu-index"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(parameter="mu_1_0"), cli.EXIT_CONFIG,
+                 "config error: bad index in sweep parameter 'mu_1_0'\n", id="mu-underscore"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(parameter="sigma_1"), cli.EXIT_CONFIG,
-                 "config error: bad sigma sweep parameter 'sigma_1'\n", id="sigma-index"),
+                 "config error: bad sigma sweep parameter 'sigma_1': expected sigma_<i>_<j>\n", id="sigma-index"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(parameter="sigma_12"), cli.EXIT_CONFIG,
+                 "config error: bad sigma sweep parameter 'sigma_12': expected sigma_<i>_<j>\n", id="sigma-two-digits"),
     pytest.param("sweep", shipped("table1_log"), sweep_spec(outputs="y_star"), cli.EXIT_CONFIG,
                  "config error: unknown sweep outputs for log: ['y_star']\n", id="log-outputs"),
     pytest.param("solve", edited("table1_log", r"^mu = .*$", "mu = nan 0.15"), None, cli.EXIT_ASSUMPTION,
@@ -1129,7 +1075,7 @@ def test_each_rejected_input_exits_with_its_one_message(tmp_path, capsys, comman
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == message.format(path=path)
+    assert captured.err == message.replace("{path}", path)
     assert not out.exists()
 
 

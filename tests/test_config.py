@@ -1,6 +1,5 @@
 import dataclasses
 import importlib.util
-import json
 import re
 import sys
 from pathlib import Path
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_portfolio import ProblemConfig, format_problem_config, parse_problem_config
-from periodic_portfolio.config import _RANGE_POINTS_CAP, parse_sweep_spec
+from periodic_portfolio.config import apply_sweep_value, parse_sweep_spec
 from periodic_portfolio.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,100 +70,15 @@ def test_bad_vector_token_is_named():
         parse_problem_config(text)
 
 
-# The shipped configs written as JSON, by hand.
-SHIPPED_JSON = {
-    "table1_log": {
-        "utility": "log",
-        "n": 2,
-        "mu": [0.1, 0.15],
-        "sigma": [0.2, 0, 0, 0.25],
-        "r": 0.12,
-        "tau": 1,
-        "gamma": 0.8,
-        "delta": 0.3,
-        "x0": 0.5,
-        "solver": {"tol_root": 1e-10, "tol_fixed_point": 1e-10, "quad_order": 64},
-        "mc": {"n_paths": 100000, "n_periods": None, "seed": 42},
-    },
-    "table2_power": {
-        "utility": "power",
-        "n": 2,
-        "mu": [0.1, 0.15],
-        "sigma": [0.2, 0, 0, 0.25],
-        "r": 0.12,
-        "tau": 1,
-        "gamma": 0.8,
-        "alpha": 0.5,
-        "delta": 0.3,
-        "x0": 0.5,
-        "solver": {"tol_root": 1e-10, "tol_fixed_point": 1e-10, "quad_order": 64},
-        "mc": {"n_paths": 100000, "n_periods": "auto", "seed": 42},
-    },
-}
-
-
-@pytest.mark.parametrize("name", sorted(SHIPPED_JSON))
-def test_shipped_config_as_json_parses_equal(name):
+# Keys, section names and the words utility and auto ignore case.
+@pytest.mark.parametrize("name", ["table1_log", "table2_power"])
+def test_a_config_in_capitals_parses_equal(name):
     text = (CONFIGS / f"{name}.cfg").read_text()
-    assert parse_problem_config(json.dumps(SHIPPED_JSON[name], indent=2)) == parse_problem_config(text)
-
-
-def upper_keys(payload: dict) -> dict:
-    return {key.upper(): upper_keys(value) if isinstance(value, dict) else value for key, value in payload.items()}
-
-
-def test_json_keys_and_sections_ignore_case_as_text_keys_do():
-    text = (CONFIGS / "table1_log.cfg").read_text()
-    assert parse_problem_config(json.dumps(upper_keys(SHIPPED_JSON["table1_log"]))) == parse_problem_config(text)
-
-
-@pytest.mark.parametrize(
-    "key,value,message",
-    [
-        ("mu", [0.1, "x"], "mu: expected a number, got 'x'"),
-        ("mu", "0.1 0.15", "mu: expected a JSON array of scalars"),
-        ("r", [0.12], "r: expected a number, got '[0.12]'"),
-        ("n", True, "n: expected an integer, got 'true'"),
-    ],
-)
-def test_json_values_go_through_the_text_grammar(key, value, message):
-    payload = {**SHIPPED_JSON["table1_log"], key: value}
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
-        parse_problem_config(json.dumps(payload))
+    assert parse_problem_config(text.upper()) == parse_problem_config(text)
 
 
 def sweep_text(grid: str) -> str:
     return f"[sweep]\nparameter = tau\ngrid = {grid}\noutputs = a_star\n"
-
-
-def test_range_shorthand_expands_inclusively():
-    assert parse_sweep_spec(sweep_text("0.5:1.5:0.5")).grid == (0.5, 1.0, 1.5)
-    grid = parse_sweep_spec(sweep_text(f"1:{_RANGE_POINTS_CAP}:1")).grid
-    assert len(grid) == _RANGE_POINTS_CAP and grid[-1] == _RANGE_POINTS_CAP
-
-
-OVER_CAP = f"at most {_RANGE_POINTS_CAP} points"
-
-
-# Each range is rejected before any of its points is built.
-@pytest.mark.parametrize(
-    "grid,message",
-    [
-        pytest.param("0.1:1e308:1e-300", OVER_CAP, id="quotient-overflows"),
-        pytest.param("-1e308:1e308:1", OVER_CAP, id="difference-overflows"),
-        pytest.param(f"0:{_RANGE_POINTS_CAP}:1", OVER_CAP, id="one-point-over-the-cap"),
-        pytest.param("0:nan:1", "must be finite", id="nan-stop"),
-        pytest.param("nan:1:1", "must be finite", id="nan-start"),
-        pytest.param("0:1:nan", "must be finite", id="nan-step"),
-        pytest.param("-inf:1:1", "must be finite", id="infinite-start"),
-        pytest.param("0:inf:1", "must be finite", id="infinite-stop"),
-        pytest.param("0:1:inf", "must be finite", id="infinite-step"),
-        pytest.param("0:1:0", "step must be positive", id="zero-step"),
-    ],
-)
-def test_range_shorthand_out_of_bounds_is_a_config_error(grid, message):
-    with pytest.raises(ConfigError, match=f"^grid: .*{message}"):
-        parse_sweep_spec(sweep_text(grid))
 
 
 # format_problem_config's text of the shipped configs: the grammar's order,
@@ -212,20 +126,7 @@ def test_format_of_the_shipped_configs_is_pinned(name):
     assert format_problem_config(cfg) == SHIPPED_TEXT[name]
 
 
-# Every optional key set to a value other than its default, as JSON and as text.
-EVERY_KEY_JSON = {
-    "utility": "power",
-    "n": 3,
-    "mu": [0.1, 0.15, 0.05],
-    "sigma": [0.2, 0, 0, 0.01, 0.25, 0, 0, 0.02, 0.3],
-    "r": 0.03,
-    "tau": 0.5,
-    "gamma": 0.6,
-    "delta": 0.7,
-    "x0": 2.5,
-    "alpha": -1.5,
-    "mc": {"n_paths": 5000, "n_periods": 40, "seed": 7},
-}
+# Every optional key set to a value other than its default.
 EVERY_KEY_TEXT = """\
 utility = power
 n = 3
@@ -244,9 +145,9 @@ seed = 7
 """
 
 
-def test_json_setting_every_key_parses_equal_to_its_text_twin():
-    cfg = parse_problem_config(json.dumps(EVERY_KEY_JSON))
-    assert cfg == parse_problem_config(EVERY_KEY_TEXT)
+def test_setting_every_key_parses_and_round_trips():
+    cfg = parse_problem_config(EVERY_KEY_TEXT)
+    assert cfg.mu == (0.1, 0.15, 0.05) and cfg.sigma[3] == 0.01 and cfg.alpha == -1.5
     for field in dataclasses.fields(ProblemConfig):
         if field.default is not dataclasses.MISSING:
             assert getattr(cfg, field.name) != field.default, field.name
@@ -275,9 +176,8 @@ def test_float32_scalars_round_trip():
 TABLE2 = (CONFIGS / "table2_power.cfg").read_text()
 
 
-# A key given twice in one section is an error naming the key and, in text,
-# the line of its second occurrence; keys and section names ignore case, in
-# text and in JSON.
+# A key given twice in one section is an error naming the key and the line of
+# its second occurrence; keys and section names ignore case.
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -298,38 +198,17 @@ def test_a_key_may_repeat_across_sections():
     assert parse_problem_config(TABLE2 + "[sweep]\nseed = 7\n") == parse_problem_config(TABLE2)
 
 
-SHIPPED2_JSON = json.dumps(SHIPPED_JSON["table2_power"])
+def test_repeated_sweep_key_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^line 5: repeated key 'grid'$"):
+        parse_sweep_spec(sweep_text("1 2") + "grid = 3 4\n")
 
 
-@pytest.mark.parametrize(
-    "text,key",
-    [
-        pytest.param(SHIPPED2_JSON.replace('"r": 0.12', '"r": 0.5, "r": 0.12'), "r", id="top"),
-        pytest.param(SHIPPED2_JSON.replace('"seed": 42', '"seed": 7, "seed": 42'), "seed", id="mc"),
-        pytest.param(SHIPPED2_JSON.replace('"solver": {', '"solver": {}, "solver": {'), "solver", id="section"),
-        pytest.param(SHIPPED2_JSON.replace('"r": 0.12', '"R": 0.5, "r": 0.12'), "r", id="case"),
-        pytest.param(SHIPPED2_JSON.replace('"solver": {', '"Solver": {}, "SOLVER": {'), "solver", id="section-case"),
-    ],
-)
-def test_repeated_json_key_is_a_config_error(text, key):
-    with pytest.raises(ConfigError, match=f"^repeated key '{key}'$"):
-        parse_problem_config(text)
-
-
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        pytest.param(sweep_text("1 2") + "grid = 3 4\n", "line 5: repeated key 'grid'", id="text"),
-        pytest.param(
-            '{"sweep": {"parameter": "tau", "grid": [1], "outputs": ["a_star"], "grid": [2]}}',
-            "repeated key 'grid'",
-            id="json",
-        ),
-    ],
-)
-def test_repeated_sweep_key_is_a_config_error(text, message):
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        parse_sweep_spec(text)
+# A sweep index is ASCII digits alone; int() would also read these.
+@pytest.mark.parametrize("parameter", ["mu_+1", "mu_\u0661", "sigma_1_+2", "sigma_ 1_2"])
+def test_a_sweep_index_that_is_not_ascii_digits_is_a_config_error(parameter):
+    cfg = parse_problem_config((CONFIGS / "table1_log.cfg").read_text())
+    with pytest.raises(ConfigError, match=f"^bad index in sweep parameter {re.escape(repr(parameter))}$"):
+        apply_sweep_value(cfg, parameter, 0.1)
 
 
 # The benchmark writes its own config files, with a [solver] section at the

@@ -1,8 +1,8 @@
 """What importing the CLI loads, and what each subcommand adds; the parser is built once, on first use.
 
 The import loads every layer that perfbench's tracer patches, but none of the
-modules only `simulate` or a JSON config needs: scipy, numpy.random and
-concurrent.futures load on the first draw, and json with the first JSON file.
+modules only `simulate` needs: scipy, numpy.random and concurrent.futures
+load on the first draw.
 """
 
 import os
@@ -13,9 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs in a fresh interpreter: every subcommand but `simulate` on both shipped
-# configs, then `solve` on a JSON config, then `simulate`, checking
-# sys.modules in between. It also counts ArgumentParser constructions: none at
-# import, and one parser with its four subparsers over all eight calls.
+# configs, then `simulate`, checking sys.modules in between. It also counts
+# ArgumentParser constructions: none at import, and one parser with its four
+# subparsers over all seven calls.
 SCRIPT = r"""
 import argparse
 import sys
@@ -37,8 +37,8 @@ from periodic_portfolio import cli
 # perfbench's Tracer.install reads each of these layers from sys.modules
 LAYERS = [f"periodic_portfolio.{layer}" for layer in
           ("cli", "config", "market", "cone", "logutil", "periodicity", "power", "quadrature", "mc")]
-# loaded by the first draw, but for json, which the first JSON file loads
-LAZY = ("scipy", "scipy.special", "numpy.random", "concurrent.futures", "json")
+# loaded by the first draw
+LAZY = ("scipy", "scipy.special", "numpy.random", "concurrent.futures")
 
 
 def loaded():
@@ -61,11 +61,6 @@ for name in ("table1_log", "table2_power"):
     codes.append(cli.main(["opt-tau", "--config", config, "--tau-cap", "2"]))
 assert codes == [0] * 6, codes
 assert loaded() == [], loaded()
-config = work / "table1_log.json"
-config.write_text('{"utility": "log", "mu": [0.1, 0.15], "sigma": [0.2, 0, 0, 0.25], '
-                  '"r": 0.12, "tau": 1, "gamma": 0.8, "delta": 0.3, "x0": 0.5}')
-assert cli.main(["solve", "--config", str(config)]) == 0
-assert loaded() == ["json"], loaded()
 assert cli.main(["simulate", "--config", "configs/table1_log.cfg", "--paths", "2000"]) == 0
 assert loaded() == list(LAZY), loaded()
 assert len(built) == 5, f"{len(built)} parsers built"

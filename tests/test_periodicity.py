@@ -19,7 +19,7 @@ from periodic_portfolio import periodicity
 from periodic_portfolio.errors import DomainError, NonFinite, ParameterOutOfRange
 from periodic_portfolio.logutil import _log_coefficients
 
-from conftest import TABLE_MU, TABLE_R, TABLE_SIGMA, random_market
+from conftest import STEEP, TABLE_MU, TABLE_R, TABLE_SIGMA, random_market
 
 
 def table_config(utility="log", **changes) -> ProblemConfig:
@@ -340,6 +340,32 @@ def test_a_gamma_one_grid_that_overflows_raises_the_scalar_error(scaled):
         optimal_tau(f, cap)
     assert str(capped.value) == str(scalar.value)
     assert str(scalar.value).startswith("the gamma = 1 objective overflows at tau=")
+
+
+# For alpha < 0, V = A*/alpha < 0, and the scaled gamma = 1 objective is
+# |alpha| V tau, not A* tau. On table2 at alpha = -1, V tau rises over
+# (0, 4] to its supremum at the cap, where A* tau is lowest. The grid's
+# argmax and the scalar path's agree.
+def test_scaled_gamma_one_search_for_negative_alpha_maximises_v_tau():
+    cfg = table_config("power", gamma=1.0, alpha=-1.0)
+    f, value = tau_objective(cfg, True), tau_objective(cfg, False)
+    taus = capped_grid(4.0)
+    v_tau = np.array([value(t) * t for t in taus.tolist()])
+    assert np.all(np.diff(v_tau) > 0) and v_tau[-1] < 0
+    assert f.grid(taus) == pytest.approx(abs(cfg.alpha) * v_tau, rel=1e-13)
+    res = optimal_tau(f, 4.0)
+    assert not res.condition_holds
+    assert (res.tau_star, res.objective_at_star) == scalar_capped_supremum(f, 4.0) == (4.0, f(4.0))
+    assert res.objective_at_star == pytest.approx(-1.05156210639, rel=1e-11)
+
+
+# V(x0) = -2.3e-560 on the steep market at tau = 1 and x0 = 1e300 is below
+# float64: the objective raises, as where V overflows, so no capped search
+# picks its argmax among values rounded to -0.
+def test_a_power_objective_below_float64_raises():
+    cfg = ProblemConfig(utility="power", tau=1.0, x0=1e300, **STEEP)
+    with pytest.raises(NonFinite, match=r"^V\(x\) underflows float64 at x=1e\+300$"):
+        tau_objective(cfg, True)(1.0)
 
 
 class InteriorPeak:

@@ -795,7 +795,7 @@ def test_value_function_shapes(power_solution):
 
 def test_value_function_of_a_float_matches_numpy_pow(power_solution):
     # x, such as the CLI's x0, is a float: its power is libm's pow, within an ulp of
-    # numpy's vectorised one; an int x0 is taken as a float; where the power overflows it raises
+    # numpy's vectorised one; an int x0 is taken as a float; where V itself overflows it raises
     for x in (1e-8, 0.5, 3.0, 1e8):
         v = value_function(power_solution, x, TABLE_ALPHA, 0.8)
         assert type(v) is float

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from periodic_portfolio import cli, parse_problem_config, report
+from periodic_portfolio import ProblemConfig, cli, parse_problem_config, report
 from periodic_portfolio.config import SweepSpec, apply_sweep_value, format_problem_config
 from periodic_portfolio.report import _sweep_columns, solve, sweep
 
@@ -53,8 +53,8 @@ def test_scalar_sweep_projects_once(count_calls, name, parameter):
     assert len(calls) == 1
 
 
-# sigma_12 is row 1, column 2 of sigma
-MARKET_SWEEPS = [("mu_1", (0.05, 0.1, 0.2)), ("sigma_12", (-0.05, 0.0, 0.05))]
+# sigma_1_2 is row 1, column 2 of sigma
+MARKET_SWEEPS = [("mu_1", (0.05, 0.1, 0.2)), ("sigma_1_2", (-0.05, 0.0, 0.05))]
 
 
 @pytest.mark.parametrize("parameter,grid", MARKET_SWEEPS)
@@ -69,12 +69,42 @@ def test_market_sweep_projects_per_point(count_calls, name, parameter, grid):
         point = apply_sweep_value(cfg, parameter, value)
         columns = _sweep_columns(solve(point).fields)
         assert row == [value, *(columns[out] for out in outputs)]
-    if parameter == "sigma_12":
+    if parameter == "sigma_1_2":
         assert point.sigma == (0.2, 0.05, 0.0, 0.25)
     else:
         # mu_1 = 0.2 exceeds r = 0.12, so the projection no longer clamps asset 1
         xi_sq = [row[1 + outputs.index("xi_tilde_sq")] for row in rows]
         assert xi_sq[0] == xi_sq[1] < xi_sq[2]
+
+
+def ten_assets(utility: str) -> ProblemConfig:
+    """A 10-asset market with a lower-triangular sigma, whose last row needs two-digit indices."""
+    n = 10
+    sigma = [0.2 if i == j else 0.02 if j < i else 0.0 for i in range(n) for j in range(n)]
+    return ProblemConfig(
+        utility=utility, mu=[0.04 + 0.01 * i for i in range(n)], sigma=sigma, r=0.03,
+        tau=1.0, gamma=0.8, delta=0.5, x0=0.5, alpha=0.5 if utility == "power" else None,
+    )
+
+
+# Each row of a two-digit-index sweep is a fresh solve of the config edited by hand.
+TEN_ASSET_SWEEPS = [
+    ("mu_10", (0.02, 0.08, 0.2), lambda cfg, v: dataclasses.replace(cfg, mu=cfg.mu[:9] + (v,))),
+    ("sigma_10_10", (0.15, 0.2, 0.3), lambda cfg, v: dataclasses.replace(cfg, sigma=cfg.sigma[:99] + (v,))),
+    ("sigma_10_1", (-0.05, 0.0, 0.05), lambda cfg, v: dataclasses.replace(cfg, sigma=cfg.sigma[:90] + (v,) + cfg.sigma[91:])),
+]
+
+
+@pytest.mark.parametrize("parameter,grid,edit", TEN_ASSET_SWEEPS, ids=[p for p, _, _ in TEN_ASSET_SWEEPS])
+@pytest.mark.parametrize("utility", ["log", "power"])
+def test_sweeps_of_a_ten_asset_market_match_fresh_solves(utility, parameter, grid, edit):
+    cfg = ten_assets(utility)
+    outputs = outputs_of(cfg)
+    rows = sweep(cfg, SweepSpec(parameter, grid, outputs))
+    for row, value in zip(rows, grid, strict=True):
+        columns = _sweep_columns(solve(edit(cfg, value)).fields)
+        assert row == [value, *(columns[out] for out in outputs)]
+    assert len({tuple(row[1:]) for row in rows}) == len(grid)
 
 
 def test_scalar_sweep_market_error_names_the_first_point(tmp_path, capsys):

@@ -45,7 +45,8 @@ import trees
 
 ROUNDS = 40
 CALLS = 3
-SWEEP = "[sweep]\nparameter = tau\ngrid = 0.2:4:0.2\noutputs = a_star v_x0\n"
+# tau = 0.2 + 0.2 k for k < 20, each written out: a grid is numbers only
+SWEEP = f"[sweep]\nparameter = tau\ngrid = {' '.join(repr(0.2 + 0.2 * k) for k in range(20))}\noutputs = a_star v_x0\n"
 
 # Runs after trees.PRELUDE: argv[1] is a JSON object of measure -> argv.
 CHILD = """
