@@ -1001,6 +1001,8 @@ JSON_CONFIG = (
     '{"utility": "log", "mu": [0.1, 0.15], "sigma": [0.2, 0, 0, 0.25], '
     '"r": 0.12, "tau": 1, "gamma": 0.8, "delta": 0.3, "x0": 0.5}'
 )
+# a sweep as a JSON object, read the same way
+JSON_SWEEP = '{"sweep": {"parameter": "tau", "grid": [0.5, 1], "outputs": ["a_star"]}}'
 
 
 def sweep_spec(parameter: str = "tau", grid: str = "0.5 1", outputs: str = "a_star") -> str:
@@ -1031,6 +1033,16 @@ EXIT_PATHS = [
                  id="unreadable"),
     pytest.param("solve", written("table1.json", JSON_CONFIG), None, cli.EXIT_CONFIG,
                  f"config error: line 1: expected 'key = value', got {JSON_CONFIG!r}\n", id="json-config"),
+    pytest.param("solve", edited("table2_power", r"^n_paths = .*$", "n_paths = 2.5"), None, cli.EXIT_CONFIG,
+                 "config error: n_paths: expected an integer, got '2.5'\n", id="integer"),
+    pytest.param("solve", edited("table1_log", r"^x0 = 0.5$", "x0 = 0.5\nfoo = 1"), None, cli.EXIT_CONFIG,
+                 "config error: unknown top-level keys: ['foo']\n", id="unknown-top-level-key"),
+    pytest.param("solve", edited("table1_log", append="[solver]\nmax_iter = 50\n"), None, cli.EXIT_CONFIG,
+                 "config error: unknown [solver] keys: ['max_iter']\n", id="unknown-solver-key"),
+    pytest.param("solve", edited("table2_power", append="[solver]\nquad_order = 32\n"), None, cli.EXIT_CONFIG,
+                 "config error: quad_order: the solver fixes it at 64, got '32'\n", id="solver-fixed"),
+    pytest.param("solve", edited("table1_log", r"^x0 = 0.5$", "x0 = 0.5\nalpha = 0.5"), None, cli.EXIT_CONFIG,
+                 "config error: log utility takes no alpha\n", id="log-alpha"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(grid=""), cli.EXIT_CONFIG,
                  "config error: sweep grid is empty\n", id="empty-grid"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(grid="1 0.5"), cli.EXIT_CONFIG,
@@ -1041,6 +1053,12 @@ EXIT_PATHS = [
                  "config error: sweep outputs are empty\n", id="empty-outputs"),
     pytest.param("sweep", shipped("table2_power"), "[sweep]\nparameter = tau\noutputs = a_star\n", cli.EXIT_CONFIG,
                  "config error: sweep is missing key 'grid'\n", id="no-grid"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec() + "outptus = v_x0\n", cli.EXIT_CONFIG,
+                 "config error: unknown sweep keys: ['outptus']\n", id="unknown-sweep-key"),
+    pytest.param("sweep", shipped("table2_power"), JSON_SWEEP, cli.EXIT_CONFIG,
+                 f"config error: line 1: expected 'key = value', got {JSON_SWEEP!r}\n", id="json-sweep"),
+    pytest.param("sweep", shipped("table1_log"), sweep_spec(parameter="alpha"), cli.EXIT_CONFIG,
+                 "config error: alpha can only be swept for power utility\n", id="log-alpha-sweep"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(parameter="foo"), cli.EXIT_CONFIG,
                  "config error: unknown sweep parameter 'foo'\n", id="unknown-parameter"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(parameter="mu_3"), cli.EXIT_CONFIG,

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -77,8 +78,89 @@ def test_a_config_in_capitals_parses_equal(name):
     assert parse_problem_config(text.upper()) == parse_problem_config(text)
 
 
+# A JSON file is not a second syntax: its first line, "{", is no key = value pair.
+@pytest.mark.parametrize("name", ["table1_log", "table2_power"])
+def test_a_shipped_config_as_json_is_rejected_at_line_1(name):
+    cfg = parse_problem_config((CONFIGS / f"{name}.cfg").read_text())
+    payload = {key: value for key, value in dataclasses.asdict(cfg).items() if value is not None}
+    with pytest.raises(ConfigError, match=r"^line 1: expected 'key = value', got '\{'$"):
+        parse_problem_config(json.dumps(payload, indent=2))
+
+
+# Comments, blank lines, indentation and spaces around "=" change nothing.
+def test_comments_and_layout_are_ignored():
+    text = (CONFIGS / "table1_log.cfg").read_text()
+    laid_out = "\n# a comment line\n\n" + "".join(
+        f"  {key.strip()}   =\t{value.strip()}  # note\n" if eq else f"{line}\n"
+        for line in text.splitlines()
+        for key, eq, value in [line.partition("=")]
+    )
+    assert parse_problem_config(laid_out) == parse_problem_config(text)
+
+
+# A vector's numbers are separated by commas, whitespace or both.
+@pytest.mark.parametrize("mu", ["0.1,0.15", "0.1, 0.15", "0.1 ,0.15", "0.1\t0.15", "  0.1   0.15  "])
+def test_vector_separators_parse_equal(mu):
+    text = (CONFIGS / "table1_log.cfg").read_text()
+    assert parse_problem_config(text.replace("mu = 0.1 0.15", f"mu = {mu}")) == parse_problem_config(text)
+
+
+# Each key's parser names the key and the raw value it rejects.
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        pytest.param("r = 0.12", "r = 0.12 0.1", "r: expected a number, got '0.12 0.1'", id="vector-for-scalar"),
+        pytest.param("n = 2", "n = true", "n: expected an integer, got 'true'", id="n-word"),
+        pytest.param("n_periods = auto", "n_periods = 2.5", "n_periods: expected an integer, got '2.5'", id="periods"),
+        pytest.param("seed = 42", "seed = 1e3", "seed: expected an integer, got '1e3'", id="seed-float-literal"),
+    ],
+)
+def test_a_value_its_key_rejects_is_named(old, new, message):
+    text = (CONFIGS / "table1_log.cfg").read_text()
+    assert old in text
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_problem_config(text.replace(old, new))
+
+
 def sweep_text(grid: str) -> str:
     return f"[sweep]\nparameter = tau\ngrid = {grid}\noutputs = a_star\n"
+
+
+# A sweep file without a [sweep] section keeps its keys at the top level,
+# and outputs, like a grid, may be separated by commas.
+def test_a_sweep_without_a_section_parses_equal():
+    top = "parameter = tau\ngrid = 0.5, 1 2\noutputs = a_star,v_x0\n"
+    spec = parse_sweep_spec(top)
+    assert spec == parse_sweep_spec("[sweep]\n" + top)
+    assert spec.grid == (0.5, 1.0, 2.0) and spec.outputs == ("a_star", "v_x0")
+
+
+def test_an_unknown_sweep_key_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^unknown sweep keys: \['outptus'\]$"):
+        parse_sweep_spec(sweep_text("1 2") + "outptus = v_x0\n")
+
+
+# A grid is numbers only. The spellings the start:stop:step range once read,
+# each an edge of that range's bounds, are each one bad number now.
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param("0.5:1.5:0.5", id="inclusive"),
+        pytest.param("0.1:1e308:1e-300", id="quotient-overflows"),
+        pytest.param("-1e308:1e308:1", id="difference-overflows"),
+        pytest.param("0:100000:1", id="many-points"),
+        pytest.param("0:nan:1", id="nan-stop"),
+        pytest.param("nan:1:1", id="nan-start"),
+        pytest.param("0:1:nan", id="nan-step"),
+        pytest.param("-inf:1:1", id="infinite-start"),
+        pytest.param("0:inf:1", id="infinite-stop"),
+        pytest.param("0:1:inf", id="infinite-step"),
+        pytest.param("0:1:0", id="zero-step"),
+    ],
+)
+def test_a_range_grid_is_one_bad_number(grid):
+    with pytest.raises(ConfigError, match=f"^grid: expected a number, got {re.escape(repr(grid))}$"):
+        parse_sweep_spec(sweep_text(grid))
 
 
 # format_problem_config's text of the shipped configs: the grammar's order,
@@ -187,11 +269,24 @@ TABLE2 = (CONFIGS / "table2_power.cfg").read_text()
             TABLE2 + "[solver]\ntol_root = 1e-10\ntol_root = 1e-10\n", "line 19: repeated key 'tol_root'", id="solver"
         ),
         pytest.param(TABLE2 + "[MC]\nseed = 7\n", "line 18: repeated key 'seed'", id="reopened-section"),
+        pytest.param(TABLE2.replace("seed = 42", "seed = 7\nSeed = 42"), "line 17: repeated key 'seed'", id="mc"),
+        pytest.param(
+            TABLE2 + "[Solver]\nquad_order = 64\n[SOLVER]\nQUAD_ORDER = 64\n",
+            "line 20: repeated key 'quad_order'",
+            id="section-case",
+        ),
     ],
 )
 def test_repeated_text_key_is_a_config_error(text, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_problem_config(text)
+
+
+# A section opened again adds its keys to those it already holds.
+def test_a_reopened_section_adds_its_keys():
+    split = TABLE2.replace("seed = 42", "[solver]\nquad_order = 64\n[mc]\nseed = 42")
+    assert split.count("[mc]") == 2
+    assert parse_problem_config(split) == parse_problem_config(TABLE2)
 
 
 def test_a_key_may_repeat_across_sections():
