@@ -104,19 +104,11 @@ _SWEEP_SCALARS = ("alpha", "gamma", "tau", "x0", "delta")
 
 
 def apply_sweep_value(cfg: ProblemConfig, parameter: str, value: float) -> ProblemConfig:
-    """Return a copy of ``cfg`` with one swept parameter replaced.
-
-    A scalar is copied in without ``dataclasses.replace``: the checks of
-    ``ProblemConfig.__post_init__`` read only the utility, mu, sigma and
-    whether alpha is set, which a scalar sweep of a valid config keeps.
-    """
+    """Return a copy of ``cfg`` with one swept parameter replaced."""
     if parameter in _SWEEP_SCALARS:
         if parameter == "alpha" and cfg.utility != "power":
             raise ConfigError("alpha can only be swept for power utility")
-        point = object.__new__(ProblemConfig)
-        point.__dict__.update(cfg.__dict__)
-        point.__dict__[parameter] = float(value)
-        return point
+        return dataclasses.replace(cfg, **{parameter: float(value)})
     if parameter.startswith("mu_"):
         i = _index_1based(parameter[3:], cfg.n, parameter)
         mu = list(cfg.mu)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AssumptionViolated,
     Degenerate,
     DimensionMismatch,
     DomainError,
@@ -74,16 +75,6 @@ class EvaluationSpec:
             raise ParameterOutOfRange("delta must be a positive real")
 
 
-@dataclass(frozen=True)
-class WellPosednessReport:
-    """Outcome of the standing well-posedness check delta > max(zeta, 0)."""
-
-    zeta_at_alpha_one_minus_gamma: float
-    delta: float
-    satisfied: bool
-    margin: float
-
-
 def validate_market(m: MarketModel) -> None:
     """Check invertibility and strong non-degeneracy of the volatility matrix.
 
@@ -124,18 +115,18 @@ def check_assumption(
     e: EvaluationSpec,
     alpha: float,
     xi_tilde_norm_sq: float,
-) -> WellPosednessReport:
-    """Evaluate the standing condition delta > max(zeta(alpha*(1-gamma)), 0).
+) -> None:
+    """Check the standing condition delta > max(zeta(alpha*(1-gamma)), 0).
 
-    ``alpha`` is the power-utility exponent, in (-inf, 0) or (0, 1).
+    ``alpha`` is the power-utility exponent, in (-inf, 0) or (0, 1). Raises
+    ParameterOutOfRange for any other alpha and AssumptionViolated, naming
+    delta and zeta, when the condition fails.
     """
     if not math.isfinite(alpha) or alpha == 0 or alpha >= 1:
         raise ParameterOutOfRange("alpha must lie in (-inf, 0) or (0, 1)")
     zval = zeta(alpha * (1.0 - e.gamma), m.r, xi_tilde_norm_sq)
-    margin = e.delta - max(zval, 0.0)
-    return WellPosednessReport(
-        zeta_at_alpha_one_minus_gamma=zval,
-        delta=e.delta,
-        satisfied=margin > 0.0,
-        margin=margin,
-    )
+    if not e.delta > max(zval, 0.0):
+        raise AssumptionViolated(
+            "well-posedness requires delta > max(zeta(alpha*(1-gamma)), 0): "
+            f"delta={e.delta:.6g}, zeta={zval:.6g}"
+        )

@@ -25,9 +25,10 @@ stream, and every cell gets the value it has in the whole matrix. The blocks
 run on a pool of _WORKERS threads, one per CPU available at import (numpy's
 generator, ``ndtri`` and the block kernels release the GIL); with one CPU,
 or one block, they run in the calling thread and no thread is started. The
-pool is made on the first estimate that needs it and kept for the process;
-a forked child makes its own. Each block writes only its own rows of the
-per-path values, and every row is computed the same way whatever the
+pool comes from a cached factory, ``_executor``: it is made on the first
+estimate that needs it and kept for the process, and a fork clears the
+cache, so a forked child makes its own. Each block writes only its own rows
+of the per-path values, and every row is computed the same way whatever the
 block's row count (the marginal inverse's Newton stops each cell on its own
 step test), so every estimate is bit-identical for any worker count and any
 block size. ``ndtri`` is the only scipy function the
@@ -84,7 +85,6 @@ _TABLE_INTERVALS = 512
 _CHUNK_ELEMENTS = 2**15
 # blocks run at once; the pool starts a thread per submitted block up to this many
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool: ThreadPoolExecutor | None = None  # _WORKERS threads, made on the first pooled estimate
 
 
 @dataclass(frozen=True)
@@ -154,21 +154,15 @@ def _normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
     return lib.ndtri(u, out=u)
 
 
+@cache
 def _executor() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = _draw_imports().ThreadPoolExecutor(_WORKERS, thread_name_prefix="mc-block")
-    return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the parent's threads, so it must not reuse their pool
-    global _pool
-    _pool = None
+    """The pool of _WORKERS threads, made on the first pooled estimate and kept for the process."""
+    return _draw_imports().ThreadPoolExecutor(_WORKERS, thread_name_prefix="mc-block")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    # a forked child has none of the parent's threads, so it must not reuse their pool
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 def _run_blocks(run_block, starts: range) -> None:
@@ -334,12 +328,11 @@ def estimate_power_objective(
     E[I(y* R)^beta] (``PowerSolution.psi_slope``). The reward left after n
     periods is therefore exactly V(x0) Psi'(A*)^n, and the truncation bound is
     its absolute value. A ratio that is not below 1 raises NonConvergence.
-    V(x0) comes from ``value_function``, and so does its NonFinite where it
-    leaves float64. Each path's sum is scaled by x0^beta / alpha where that
-    factor is a normal float, and by V(x0) / A* otherwise.
+    V(x0) comes from ``value_function``, and so do its DomainError for
+    x0 <= 0 and its NonFinite where it leaves float64. Each path's sum is
+    scaled by x0^beta / alpha where that factor is a normal float, and by
+    V(x0) / A* otherwise.
     """
-    if x0 <= 0:
-        raise DomainError("x0 must be positive")
     alpha, gamma = p.alpha, p.evaluation.gamma
     beta = alpha * (1.0 - gamma)
     delta_tau = p.evaluation.delta * p.evaluation.tau

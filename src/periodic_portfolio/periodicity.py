@@ -254,9 +254,14 @@ def _condition(objective: TauObjective) -> tuple[bool, str] | None:
       condition is (r + |xi_tilde|^2/2)/delta + log x < 0, in which case
       V(x; 0+) = -inf and V(x; inf) = 0 force an interior positive maximum;
     * log utility on the scaled value V(x; tau)*tau. For gamma = 1 an interior
-      maximizer always exists; delta*tau* solves exp(u)*(2 - u) = 2, so
-      tau* > 1/delta. For gamma < 1 the condition is
+      maximizer exists on every market that grows (below); delta*tau*
+      solves exp(u)*(2 - u) = 2, so tau* > 1/delta. For gamma < 1 the condition is
       (r + |xi_tilde|^2/2)*gamma/delta - (1-gamma)/2 * log x > 0.
+
+    Both log propositions need growth, r + |xi_tilde|^2/2 > 0. A market with
+    r = 0 and no positive excess return has none: A*(tau) = 0, V(x; tau) =
+    C*(tau) log x rises toward 0 without a maximum, and V*tau is flat at 0
+    for gamma = 1, so the condition is false there.
 
     ``tau_objective`` has checked x > 0 wherever log x appears.
     """
@@ -271,9 +276,11 @@ def _condition(objective: TauObjective) -> tuple[bool, str] | None:
             f"zeta(alpha)={za:.6g}, delta={delta:.6g}; g(0+) = 1/delta = {1.0 / delta:.6g}"
         )
         return delta / 2.0 < za < delta, detail
+    mu_g = objective.market.r + 0.5 * objective.cs.objective
+    if not mu_g > 0.0 and (scaled or gamma < 1.0):
+        return False, "requires r + |xi_tilde|^2/2 > 0: the market has zero growth"
     if gamma == 1.0:
         return (True, "gamma = 1: an interior maximizer always exists") if scaled else None
-    mu_g = objective.market.r + 0.5 * objective.cs.objective
     if scaled:
         gate = mu_g * gamma / delta - 0.5 * (1.0 - gamma) * math.log(cfg.x0)
         detail = (

@@ -75,7 +75,6 @@ import numpy as np
 
 from .cone import ConstrainedSharpe
 from .errors import (
-    AssumptionViolated,
     DomainError,
     NonConvergence,
     NonFinite,
@@ -131,15 +130,7 @@ class PowerProblem:
     tol_fixed_point = 1e-10
 
     def __post_init__(self):
-        report = check_assumption(
-            self.market, self.evaluation, self.alpha, self.xi_tilde_norm_sq
-        )
-        if not report.satisfied:
-            raise AssumptionViolated(
-                "well-posedness requires delta > max(zeta(alpha*(1-gamma)), 0): "
-                f"delta={self.evaluation.delta:.6g}, "
-                f"zeta={report.zeta_at_alpha_one_minus_gamma:.6g}"
-            )
+        check_assumption(self.market, self.evaluation, self.alpha, self.xi_tilde_norm_sq)
 
     @property
     def xi_tilde_norm_sq(self) -> float:

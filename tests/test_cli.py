@@ -7,9 +7,17 @@ import stat
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from periodic_portfolio import ProblemConfig, cli, format_problem_config, parse_problem_config
+from periodic_portfolio import (
+    ProblemConfig,
+    cli,
+    format_problem_config,
+    optimal_tau,
+    parse_problem_config,
+    tau_objective,
+)
 from periodic_portfolio.errors import (
     ConfigError,
     NonConvergence,
@@ -231,6 +239,10 @@ def test_repeated_config_key_exit_config(tmp_path, capsys):
     assert captured.err == "config error: line 7: repeated key 'r'\n"
 
 
+# r = 0 and every excess return negative: the cone projection holds no stock
+ZERO_GROWTH = {"mu": (-0.1, -0.05), "r": 0.0}
+
+
 @pytest.mark.parametrize(
     "name,changes,objective",
     [
@@ -240,6 +252,10 @@ def test_repeated_config_key_exit_config(tmp_path, capsys):
         pytest.param(
             "table2_power", {"gamma": 1.0, "delta": 0.05}, "scaled", id="power-scaled-gate"
         ),
+        # zero growth, r + |xi_tilde|^2/2 = 0: no log proposition holds
+        pytest.param("table1_log", ZERO_GROWTH | {"gamma": 1.0}, "scaled", id="log-zero-growth-gamma-1"),
+        pytest.param("table1_log", ZERO_GROWTH, "value", id="log-zero-growth-value"),
+        pytest.param("table1_log", ZERO_GROWTH, "scaled", id="log-zero-growth-scaled"),
     ],
 )
 def test_opt_tau_without_condition_or_cap_exit(tmp_path, capsys, name, changes, objective):
@@ -610,6 +626,22 @@ def test_opt_tau_table2_capped_golden(capsys, objective):
             "--tau-cap", "4"]
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == OPT_TAU_TABLE2_CAPPED_GOLDEN[objective]
+
+
+# The curve of a power objective with gamma < 1 solves a fixed point per point,
+# so it has 33 points, from tau*/10 to 4 tau*, where a closed form has 121.
+def test_opt_tau_table2_capped_curve_is_the_objective_on_33_points(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    config = CONFIGS / "table2_power.cfg"
+    argv = ["opt-tau", "--config", str(config), "--tau-cap", "4", "--curve-out", str(curve)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == OPT_TAU_TABLE2_CAPPED_GOLDEN["scaled"]
+    header, *rows = curve.read_text().splitlines()
+    assert header == "tau,objective"
+    objective = tau_objective(parse_problem_config(config.read_text()), True)
+    tau_star = optimal_tau(objective, 4.0).tau_star
+    taus = np.geomspace(tau_star / 10.0, tau_star * 4.0, 33)
+    assert rows == [f"{t:.12g},{objective(t):.12g}" for t in taus]
 
 
 # `opt-tau` on table2 with gamma = 1 (power, scaled objective): the

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from periodic_portfolio import EvaluationSpec, MarketModel, check_assumption, constrained_sharpe, zeta
 from periodic_portfolio.errors import (
+    AssumptionViolated,
     Degenerate,
     DimensionMismatch,
     DomainError,
@@ -116,24 +117,24 @@ def test_zeta_blows_up_at_one():
 def test_check_assumption_table_power():
     m = MarketModel(mu=[0.1, 0.15], sigma=np.diag([0.2, 0.25]), r=0.12)
     e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
-    rep = check_assumption(m, e, 0.5, 0.0144)
-    assert rep.satisfied
-    assert rep.zeta_at_alpha_one_minus_gamma == pytest.approx(0.0128, abs=1e-15)
-    assert rep.margin == pytest.approx(0.3 - 0.0128, abs=1e-12)
+    assert zeta(0.5 * (1.0 - 0.8), 0.12, 0.0144) == pytest.approx(0.0128, abs=1e-15)
+    assert check_assumption(m, e, 0.5, 0.0144) is None
 
 
 def test_check_assumption_fails_for_small_delta():
     m = MarketModel(mu=[0.1, 0.15], sigma=np.diag([0.2, 0.25]), r=0.12)
     e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.01)
-    assert not check_assumption(m, e, 0.5, 0.0144).satisfied
+    message = "well-posedness requires delta > max(zeta(alpha*(1-gamma)), 0): delta=0.01, zeta=0.0128"
+    with pytest.raises(AssumptionViolated) as info:
+        check_assumption(m, e, 0.5, 0.0144)
+    assert str(info.value) == message
 
 
 def test_check_assumption_gamma_one_reduces_to_delta_positive():
     m = MarketModel(mu=[0.1, 0.15], sigma=np.diag([0.2, 0.25]), r=0.12)
     e = EvaluationSpec(tau=1.0, gamma=1.0, delta=1e-6)
-    rep = check_assumption(m, e, 0.5, 0.0144)
-    assert rep.zeta_at_alpha_one_minus_gamma == 0.0
-    assert rep.satisfied
+    assert zeta(0.5 * (1.0 - 1.0), 0.12, 0.0144) == 0.0
+    assert check_assumption(m, e, 0.5, 0.0144) is None
 
 
 def test_check_assumption_rejects_bad_alpha():

@@ -45,24 +45,28 @@ def bond_market():
     return MarketModel(mu=[0.12, 0.12], sigma=np.diag([0.2, 0.25]), r=0.12)
 
 
+def _drop_pool() -> None:
+    """Shut down the pool that ``mc._executor`` holds, if any, and clear its cache."""
+    if mc._executor.cache_info().currsize:
+        mc._executor().shutdown()
+    mc._executor.cache_clear()
+
+
 @pytest.fixture
 def use_workers(monkeypatch):
     """use_workers(n): run pooled blocks on a new pool of n threads, shut down after the test.
 
-    The module's pool is made once with ``mc._WORKERS``, so a test that sets
-    the worker count also starts from no pool.
+    The module's pool is made once with ``mc._WORKERS``, so the test starts
+    from no pool, and setting the worker count drops the pool made before.
     """
-    monkeypatch.setattr(mc, "_pool", None)
 
     def use(workers: int) -> None:
-        if mc._pool is not None:
-            mc._pool.shutdown()
-        monkeypatch.setattr(mc, "_pool", None)
+        _drop_pool()
         monkeypatch.setattr(mc, "_WORKERS", workers)
 
+    _drop_pool()
     yield use
-    if mc._pool is not None:
-        mc._pool.shutdown()
+    _drop_pool()
 
 
 def deflator_ratios(law: DeflatorLaw, seed: int, rows: int, n_periods: int) -> np.ndarray:
@@ -443,7 +447,7 @@ def test_one_worker_or_one_block_starts_no_thread(use_workers, estimate_kind):
     estimate_kind("power", SimulationConfig(n_paths=4000, n_periods=30, seed=5))
     use_workers(3)
     estimate_kind("power", SimulationConfig(n_paths=100, n_periods=30, seed=5))
-    assert mc._pool is None
+    assert mc._executor.cache_info().currsize == 0
 
 
 def test_ndtri_loads_in_the_calling_thread(monkeypatch, use_workers, estimate_kind):
@@ -482,7 +486,10 @@ def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch, use_work
 
 
 def _per_path_in_child(cfg: SimulationConfig, expected: np.ndarray) -> None:
-    sys.exit(0 if np.array_equal(mc._per_path(cfg, 4, lambda g: g[:, 0].copy()), expected) else 1)
+    inherited = mc._executor.cache_info().currsize  # the fork hook clears the parent's pool
+    values = mc._per_path(cfg, 4, lambda g: g[:, 0].copy())
+    made = mc._executor.cache_info().currsize
+    sys.exit(0 if (inherited, made) == (0, 1) and np.array_equal(values, expected) else 1)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -491,7 +498,7 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch, use_workers):
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 5 * 4)
     cfg = SimulationConfig(n_paths=40, seed=2)
     expected = mc._per_path(cfg, 4, lambda g: g[:, 0].copy())
-    assert mc._pool is not None
+    assert mc._executor.cache_info().currsize == 1
     child = multiprocessing.get_context("fork").Process(target=_per_path_in_child, args=(cfg, expected))
     child.start()
     child.join(timeout=60)
@@ -523,13 +530,13 @@ def test_block_error_reaches_the_caller_and_the_pool_survives(
     use_workers(3)
     cfg = SimulationConfig(n_paths=202, n_periods=periods, seed=5)  # the last block, at row 196, has 6 rows
     expected = estimate_kind("power", cfg)
-    pool = mc._pool
+    pool = mc._executor()
     with monkeypatch.context() as patch:
         _fail_short_blocks(patch, 7)
         with pytest.raises(DomainError, match="short block"):
             estimate_power_objective(power_solution, power_problem, 0.5, cfg)
     assert estimate_kind("power", cfg) == expected
-    assert mc._pool is pool
+    assert mc._executor() is pool
 
 
 def test_block_error_exits_with_the_parameter_code(monkeypatch, use_workers, tmp_path, capsys):

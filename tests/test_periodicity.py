@@ -16,7 +16,7 @@ from periodic_portfolio import (
     zeta,
 )
 from periodic_portfolio import periodicity
-from periodic_portfolio.errors import DomainError, NonFinite, ParameterOutOfRange
+from periodic_portfolio.errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange
 from periodic_portfolio.logutil import _log_coefficients
 
 from conftest import STEEP, TABLE_MU, TABLE_R, TABLE_SIGMA, random_market
@@ -101,6 +101,47 @@ def test_log_value_table_point(table_market, table_cone):
             table_market, EvaluationSpec(res.tau_star * bump, 0.8, 0.3), table_cone
         )
         assert value_log(sol, 0.5) <= res.objective_at_star + 1e-12
+
+
+# A zero-growth market: r = 0 and every excess return negative, so the cone
+# projection holds no stock and r + |xi_tilde|^2/2 = 0. Then A*(tau) = 0 and
+# V = C*(tau) log x0 < 0 rises toward 0 without a maximum, and for gamma = 1
+# V*tau is 0 at every tau: no log proposition gives a tau* there. Capped at 4,
+# a rising objective is best at the cap, and the flat one at the first of the
+# 257 points.
+ZERO_GROWTH_DETAIL = "requires r + |xi_tilde|^2/2 > 0: the market has zero growth"
+
+
+def zero_growth_config(gamma: float) -> ProblemConfig:
+    return table_config(mu=(-0.1, -0.05), r=0.0, gamma=gamma)
+
+
+@pytest.mark.parametrize(
+    "gamma,scaled,capped_tau",
+    [(1.0, True, 4.0 / 257), (0.8, False, 4.0), (0.8, True, 4.0)],
+    ids=["gamma-1-scaled", "value", "scaled"],
+)
+def test_log_propositions_fail_on_a_zero_growth_market(gamma, scaled, capped_tau):
+    f = tau_objective(zero_growth_config(gamma), scaled)
+    assert f.market.r + 0.5 * f.cs.objective == 0.0
+    values = np.array([f(t) for t in np.geomspace(1e-2, 1e3, 64)])
+    if gamma == 1.0:
+        assert (values == 0.0).all()
+    else:
+        assert (values < 0.0).all() and (np.diff(values) > 0.0).all()
+    assert periodicity._condition(f) == (False, ZERO_GROWTH_DETAIL)
+    res = optimal_tau(f)
+    assert not res.condition_holds and res.tau_star is None and math.isnan(res.objective_at_star)
+    assert res.condition_detail == ZERO_GROWTH_DETAIL
+    capped = optimal_tau(f, 4.0)
+    assert (capped.condition_holds, capped.condition_detail) == (False, ZERO_GROWTH_DETAIL)
+    assert capped.tau_star == pytest.approx(capped_tau, rel=1e-15)
+    assert capped.objective_at_star == f(capped.tau_star)
+
+
+def test_log_gamma_one_value_on_a_zero_growth_market_has_no_proposition():
+    # no proposition covers the gamma = 1 value, whatever the growth
+    assert periodicity._condition(tau_objective(zero_growth_config(1.0), False)) is None
 
 
 def test_power_scaled_figure_parameters(table_market, table_cone):
@@ -403,3 +444,39 @@ def test_capped_search_refines_an_interior_maximum(closed):
     # the objective is the scalar path's value at tau*, never the grid's
     assert f.calls[-1] == tau_star and obj == -math.log(tau_star / peak) ** 2
     assert len(f.calls) > (0 if closed else periodicity._CAP_POINTS)
+
+
+def test_search_expands_downward_to_a_maximum_below_its_first_point():
+    # the first geometric grid runs from lo = 1e-4 up to hi = 1; the peak lies
+    # below lo, so the grid's best point is its first until it halves twice
+    lo, hi, peak = 1e-4, 1.0, 3e-5
+    f = InteriorPeak(peak, closed=False)
+    tau_star, obj = periodicity._maximize(f, lo, hi)
+    assert min(f.calls) < peak < lo
+    assert abs(tau_star - peak) <= periodicity._REL_TOL * peak
+    assert obj == -math.log(tau_star / peak) ** 2
+
+
+@pytest.mark.parametrize("slope", [1.0, -1.0], ids=["rising", "falling"])
+def test_search_without_an_interior_maximum_raises(slope):
+    # a monotone objective keeps its best point at an end through all
+    # _EXPAND_CAP doublings or halvings
+    calls = []
+
+    def monotone(tau: float) -> float:
+        calls.append(tau)
+        return slope * math.log(tau)
+
+    with pytest.raises(NonConvergence, match="^could not bracket an interior maximizer$"):
+        periodicity._maximize(monotone, 1e-4, 1.0)
+    end = max(calls) if slope > 0 else min(calls)
+    assert end == (2.0**periodicity._EXPAND_CAP if slope > 0 else 1e-4 / 2.0**periodicity._EXPAND_CAP)
+
+
+def test_certificate_fails_where_a_neighbour_is_higher():
+    def hill(tau: float) -> float:
+        return -((tau - 2.0) ** 2)
+
+    periodicity._certify(hill, 2.0, hill(2.0))
+    with pytest.raises(NonConvergence, match=r"^local-max certificate failed at tau\*$"):
+        periodicity._certify(hill, 1.0, hill(1.0))

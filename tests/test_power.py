@@ -333,13 +333,27 @@ def test_random_grid_solves_without_parameter_errors():
     assert all(key in ("ok", ("NonFinite", 0.5), ("NonConvergence", 0.5)) for key in outcomes), outcomes
 
 
-def test_a_star_far_below_tol_matches_an_independent_reference():
-    # the grid's n = 30, k = 2, alpha = -1 at tau = 10: A* = 5e-19, far below the
-    # absolute tol_fixed_point of 1e-10
-    p = _widest_grid_problem(tau=10.0)
-    sol = fixed_point(p)
-    e = p.evaluation
-    a_ref, y_ref = reference.a_star(p.alpha, e.gamma, p.market.r, e.tau, e.delta, p.xi_tilde_norm_sq)
+# (n, k, alpha, tau) of the grid: n = 30, k = 2, alpha = -1 at tau = 10, where
+# A* = 5e-19 is far below the absolute tol_fixed_point of 1e-10, and every
+# alpha < 0 point of k = 0 with n in {2, 10} and tau in {10, 100}, where A*
+# runs from 2e-2 down to 6e-36
+A_STAR_REFERENCE_POINTS = [(30, 2, -1.0, 10.0)] + [
+    (n, 0, alpha, tau) for n in (2, 10) for alpha in (-1.0, -0.5) for tau in (10.0, 100.0)
+]
+
+
+@pytest.mark.parametrize(
+    "n,k,alpha,tau",
+    A_STAR_REFERENCE_POINTS,
+    ids=[f"n{n}-k{k}-alpha{alpha:g}-tau{tau:g}" for n, k, alpha, tau in A_STAR_REFERENCE_POINTS],
+)
+def test_a_star_far_below_tol_matches_an_independent_reference(n, k, alpha, tau):
+    m = random_market(np.random.default_rng(1000 * n + k), n)
+    cs = constrained_sharpe(m)
+    delta = max(zeta(alpha * (1.0 - GRID_GAMMA), m.r, cs.objective), 0.0) + 0.3
+    sol = fixed_point(PowerProblem(m, EvaluationSpec(tau, GRID_GAMMA, delta), alpha, cs))
+    a_ref, y_ref = reference.a_star(alpha, GRID_GAMMA, m.r, tau, delta, cs.objective)
+    assert abs(sol.a_star - a_ref) <= sol.error_bound + 1e-9 * abs(a_ref)
     assert sol.a_star == pytest.approx(a_ref, rel=1e-9, abs=0.0)
     assert sol.y_star == pytest.approx(y_ref, rel=1e-9, abs=0.0)
 
