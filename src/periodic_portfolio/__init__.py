@@ -7,7 +7,7 @@ library API and the ``periodic-portfolio`` command line.
 
 from .cone import ConstrainedSharpe, constrained_sharpe, solve_cone, verify_kkt
 from .config import ProblemConfig, format_problem_config, parse_problem_config
-from .logutil import LogSolution, constraint_cost, solve_log, value_log
+from .logutil import LogSolution, solve_log, value_log
 from .market import EvaluationSpec, MarketModel, check_assumption, zeta
 from .mc import (
     ObjectiveEstimate,
@@ -49,7 +49,6 @@ __all__ = [
     "check_assumption",
     "compare",
     "constrained_sharpe",
-    "constraint_cost",
     "contraction_map",
     "estimate_log_objective",
     "estimate_power_objective",

@@ -19,8 +19,8 @@
   stream: a cell's draw depends on ``n_periods`` but not on ``n_paths``.
 * ``[sweep]``, in a sweep file: ``parameter`` (``alpha``, ``gamma``, ``tau``,
   ``x0``, ``delta``, ``mu_<i>`` or ``sigma_<i>_<j>``, with indices from 1 in
-  ASCII digits), ``grid`` (strictly increasing) and ``outputs`` (sweep column
-  names; see ``report``).
+  ASCII digits), ``grid`` (finite and strictly increasing) and ``outputs``
+  (sweep column names; see ``report``).
 * Vector values (``mu``, ``sigma``, ``grid``) are whitespace- or
   comma-separated numbers; ``sigma`` is row-major.
 
@@ -31,6 +31,7 @@ its parser: ``parse_problem_config`` walks it to read a config and
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,9 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.grid) < 1:
             raise ConfigError("sweep grid is empty")
+        for value in self.grid:  # nan compares false both ways, so it would pass the order test
+            if not math.isfinite(value):
+                raise ConfigError(f"sweep grid values must be finite, got {value}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         if not self.outputs:

@@ -49,8 +49,6 @@ def _log_coefficients(growth: float, tau: float, gamma: float, delta: float) -> 
 class LogSolution:
     a_star: float
     c_star: float
-    xi_tilde_norm_sq: float
-    feedback_fractions: np.ndarray
     a_unconstrained: float
     unconstrained_fractions: np.ndarray
     constraint_cost: float
@@ -59,25 +57,27 @@ class LogSolution:
 def solve_log(m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> LogSolution:
     """Populate all closed-form fields of the logarithmic solution.
 
-    Both portfolios are read off the cone projection, with A = sigma^{-1}:
-    the feedback fractions (sigma^T)^{-1} xi_tilde are its KKT gradient
-    A^T xi_tilde, and the unconstrained fields solve the problem with short
-    selling allowed: the intercept built from |xi|^2 and the Merton
-    fractions A^T xi = (sigma sigma^T)^{-1} (mu - r 1), which may be
-    negative.
+    |xi_tilde|^2 and the feedback fractions (sigma^T)^{-1} xi_tilde are the
+    cone projection's (``cs.objective``, ``cs.kkt_gradient``); the solution
+    holds no copy of either. The unconstrained fields solve the problem with
+    short selling allowed: the intercept built from |xi|^2 and the Merton
+    fractions A^T xi = (sigma sigma^T)^{-1} (mu - r 1), A = sigma^{-1}, which
+    may be negative. The growth coefficient (e^u - gamma) / (e^u - 1)^2,
+    u = delta*tau, is formed once for both the unconstrained intercept and
+    the constraint cost, the value lost to the short-selling ban:
+    coef * (|xi|^2 - |xi_tilde|^2) / 2 * tau >= 0, independent of initial
+    wealth and zero exactly when the constraint never binds (xi >= 0 already).
     """
     q_tilde = cs.objective
     q_free = float(cs.xi @ cs.xi)
     a_star, c_star = _log_coefficients(m.r + 0.5 * q_tilde, e.tau, e.gamma, e.delta)
-    a_unconstrained, _ = _log_coefficients(m.r + 0.5 * q_free, e.tau, e.gamma, e.delta)
+    coef = _growth_coef(e.delta * e.tau, e.gamma)
     return LogSolution(
         a_star=a_star,
         c_star=c_star,
-        xi_tilde_norm_sq=q_tilde,
-        feedback_fractions=cs.kkt_gradient,
-        a_unconstrained=a_unconstrained,
+        a_unconstrained=coef * (m.r + 0.5 * q_free) * e.tau,
         unconstrained_fractions=cs.sigma_inv.T @ cs.xi,
-        constraint_cost=constraint_cost(m, e, cs),
+        constraint_cost=coef * 0.5 * (q_free - q_tilde) * e.tau,
     )
 
 
@@ -91,14 +91,3 @@ def value_log(s: LogSolution, x) -> float:
         raise DomainError("value function requires x > 0")
     return float(s.a_star + s.c_star * np.log(x))
 
-
-def constraint_cost(m: MarketModel, e: EvaluationSpec, cs: ConstrainedSharpe) -> float:
-    """Value lost to the short-selling ban, independent of initial wealth.
-
-    Equals (e^(delta*tau) - gamma) / (2 (e^(delta*tau) - 1)^2) *
-    (|xi|^2 - |xi_tilde|^2) * tau >= 0; zero exactly when the constraint
-    never binds (xi >= 0 already).
-    """
-    coef = _growth_coef(e.delta * e.tau, e.gamma)
-    q_free = float(cs.xi @ cs.xi)
-    return coef * 0.5 * (q_free - cs.objective) * e.tau

@@ -58,9 +58,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, NonConvergence, NonFinite, ParameterOutOfRange
-from .logutil import LogSolution
+from .cone import ConstrainedSharpe
 from .market import EvaluationSpec, MarketModel
-from .power import _POINT_MASS_S, _SOFTPLUS_LINEAR, PowerProblem, PowerSolution, _is_normal, _log_marginal_inverse, value_function
+from .power import _POINT_MASS_S, _SOFTPLUS_LINEAR, PowerProblem, PowerSolution, _log_marginal_inverse, value_function
 from .quadrature import DeflatorLaw
 
 if TYPE_CHECKING:
@@ -110,7 +110,6 @@ class SimulationConfig:
 class ObjectiveEstimate:
     mean: float
     std_error: float
-    n_effective: int
     truncation_bound: float
 
 
@@ -216,12 +215,9 @@ def _reduce(per_path: np.ndarray, truncation: float) -> ObjectiveEstimate:
         raise NonFinite("a Monte Carlo sample is not finite")
     e = math.frexp(peak)[1]  # 0 for a peak of 0
     samples = np.ldexp(per_path, -e)
-    n = samples.size
     mean = math.ldexp(float(samples.mean()), e)
-    std_error = math.ldexp(float(samples.std(ddof=1) / math.sqrt(n)), e)
-    return ObjectiveEstimate(
-        mean=mean, std_error=std_error, n_effective=n, truncation_bound=truncation
-    )
+    std_error = math.ldexp(float(samples.std(ddof=1) / math.sqrt(samples.size)), e)
+    return ObjectiveEstimate(mean=mean, std_error=std_error, truncation_bound=truncation)
 
 
 def _log_tail(n: int, rho: float, gamma: float, log_x0: float, mu_g: float) -> float:
@@ -239,9 +235,9 @@ def _auto_periods(tail_at) -> int:
 
 
 def estimate_log_objective(
-    s: LogSolution,
     m: MarketModel,
     e: EvaluationSpec,
+    cs: ConstrainedSharpe,
     x0: float,
     cfg: SimulationConfig,
 ) -> ObjectiveEstimate:
@@ -249,19 +245,21 @@ def estimate_log_objective(
 
     The optimal per-period gross growth is the reciprocal of the deflator
     ratio, so each period contributes log growth -log R plus the relative
-    penalty (1-gamma) times the running log wealth.
+    penalty (1-gamma) times the running log wealth. The arguments are those
+    of ``solve_log``: the policy needs only |xi_tilde|^2, ``cs.objective``,
+    and none of the closed-form coefficients.
     """
     if x0 <= 0:
         raise DomainError("x0 must be positive")
     rho = math.exp(-e.delta * e.tau)
-    mu_g = (m.r + 0.5 * s.xi_tilde_norm_sq) * e.tau
+    mu_g = (m.r + 0.5 * cs.objective) * e.tau
     log_x0 = math.log(x0)
 
     def tail(n: int) -> float:
         return _log_tail(n, rho, e.gamma, log_x0, mu_g)
 
     periods = cfg.n_periods if cfg.n_periods is not None else _auto_periods(tail)
-    law = DeflatorLaw.for_horizon(s.xi_tilde_norm_sq, m.r, e.tau)
+    law = DeflatorLaw.for_horizon(cs.objective, m.r, e.tau)
     # sum_i rho^i prev_i = sum_j growth_j (rho^(j+1) - rho^(P+1)) / (1 - rho), so the
     # objective is growth @ w plus a constant, with growth = -(drift + s G)
     discounts = rho ** np.arange(1, periods + 2)
@@ -329,9 +327,12 @@ def estimate_power_objective(
     periods is therefore exactly V(x0) Psi'(A*)^n, and the truncation bound is
     its absolute value. A ratio that is not below 1 raises NonConvergence.
     V(x0) comes from ``value_function``, and so do its DomainError for
-    x0 <= 0 and its NonFinite where it leaves float64. Each path's sum is
-    scaled by x0^beta / alpha where that factor is a normal float, and by
-    V(x0) / A* otherwise.
+    x0 <= 0 and its NonFinite where it leaves float64. Each path's sum of
+    exp(alpha u_i + beta S_{i-1} - i delta tau) is scaled by 1/A* and then by
+    that V(x0), so ``value_function`` alone decides how V(x0) is formed. The
+    two steps stay apart: their product V(x0)/A* = x0^beta / alpha can
+    overflow where V(x0) does not (5.9e327 for a steep alpha = -20 market at
+    x0 = 1e-180, whose V(x0) is -2.6e278).
     """
     alpha, gamma = p.alpha, p.evaluation.gamma
     beta = alpha * (1.0 - gamma)
@@ -368,15 +369,8 @@ def estimate_power_objective(
         return np.exp(exponent, out=exponent).sum(axis=1)
 
     per_path = _per_path(cfg, periods, path_values)
-    try:
-        factor = x0**beta / alpha
-    except OverflowError:
-        factor = math.inf
-    if _is_normal(factor):
-        per_path *= factor
-    else:
-        per_path /= sol.a_star
-        per_path *= v_x0
+    per_path /= sol.a_star
+    per_path *= v_x0
     return _reduce(per_path, tail(periods))
 
 

@@ -592,9 +592,12 @@ def fixed_point_bounds(p: PowerProblem) -> tuple[float, float]:
     Each side combines the bond-only value exp((r*alpha-delta)*tau) with the
     one-period optimum exp((zeta(alpha)-delta)*tau), divided by one minus the
     matching discount factor; the roles of the two expressions swap between
-    alpha in (0,1) and alpha < 0. A side whose denominator is not positive is
-    reported as NaN (unreachable when the well-posedness margin is positive).
-    A side whose exponential overflows float64 raises NonFinite.
+    alpha in (0,1) and alpha < 0. Every ``PowerProblem`` passed
+    ``check_assumption``, so both decays are positive: the optimum's is
+    delta - zeta(alpha(1-gamma)) > 0, and the bond's, delta - r alpha(1-gamma),
+    is at least delta for alpha < 0 and at least delta - zeta(alpha(1-gamma))
+    for alpha in (0,1), where zeta(x) >= r x. A side whose exponential
+    overflows float64 raises NonFinite; one whose division overflows is inf.
     """
     r, tau, delta = p.market.r, p.evaluation.tau, p.evaluation.delta
     alpha, gamma = p.alpha, p.evaluation.gamma
@@ -603,8 +606,6 @@ def fixed_point_bounds(p: PowerProblem) -> tuple[float, float]:
     z2 = zeta(alpha * (1.0 - gamma), r, q)
 
     def term(growth, decay):
-        if decay <= 0.0:
-            return float("nan")
         try:
             return math.exp((growth - delta) * tau) / (-math.expm1(-decay * tau))
         except OverflowError:

@@ -5,8 +5,9 @@ no-short-selling cone once, and solves the auxiliary one-period problem: the
 fixed point A* for power utility, the closed form for log utility. The
 report's ordered ``fields`` are the ``solve`` printout. Both utilities print
 ``feedback_fractions``, the period-start risky fractions per unit wealth:
-(sigma^T)^{-1} xi_tilde for log utility, and that vector times
--d log F / d log y at the solver's last evaluation for power utility. The
+(sigma^T)^{-1} xi_tilde, the cone projection's ``kkt_gradient``, for log
+utility, and that vector times -d log F / d log y at the solver's last
+evaluation for power utility. The
 scalar fields are the sweep columns, with two aliases: ``xi_tilde_sq`` for
 ``xi_tilde_norm_sq`` and ``frac_i`` for the i-th entry of
 ``feedback_fractions``. A sweep over a scalar parameter builds and projects
@@ -119,7 +120,7 @@ def _solve(
             a_star=sol.a_star,
             c_star=sol.c_star,
             v_x0=value_log(sol, cfg.x0),
-            feedback_fractions=sol.feedback_fractions,
+            feedback_fractions=cs.kkt_gradient,
             a_unconstrained=sol.a_unconstrained,
             unconstrained_fractions=sol.unconstrained_fractions,
             constraint_cost=sol.constraint_cost,

@@ -961,17 +961,22 @@ def test_a_rejected_argv_writes_usage_to_the_current_stderr(capsys):
 
 # A sweep raises the error of its first failing grid point in grid order,
 # with the point's prefix and exit code, whichever stage fails: building the
-# point (tau or x0 = inf), solving its fixed point (tau = 1e-300 and 1e300
+# point (tau = -1), solving its fixed point (tau = 1e-300, 1e300 and 1e301
 # fail before any period sum; at tau = 1e4, A* = Psi(A) underflows float64)
-# or forming its report (x0 = -1). In the third case tau = 1e300 fails in
-# fewer steps than tau = 1e4, which comes first.
+# or forming its report (x0 = -1 and 0). In the fourth case tau = 1e300 fails
+# in fewer steps than tau = 1e4, which comes first. A non-finite grid value
+# is rejected before any point is solved (``SweepSpec``).
 SWEEP_ERRORS = {
-    ("tau", "1e-300 1 inf"): (
+    ("tau", "-1 1e-300 1"): (
+        cli.EXIT_ASSUMPTION,
+        "parameter/assumption error: at grid point tau=-1: tau must be a positive real\n",
+    ),
+    ("tau", "1e-300 1 1e300"): (
         cli.EXIT_ASSUMPTION,
         "parameter/assumption error: at grid point tau=1e-300: "
         "tau is too small to evaluate stably: 1 - q rounds to 0\n",
     ),
-    ("tau", "1 1e300 inf"): (
+    ("tau", "1 1e300 1e301"): (
         cli.EXIT_NONCONVERGENCE,
         "solver error: at grid point tau=1e+300: y* Newton left the float64 range at log y = 6.72e+298\n",
     ),
@@ -979,7 +984,7 @@ SWEEP_ERRORS = {
         cli.EXIT_NONCONVERGENCE,
         "solver error: at grid point tau=10000: A* underflows float64 at tau=10000\n",
     ),
-    ("x0", "-1 1 inf"): (
+    ("x0", "-1 0 1"): (
         cli.EXIT_ASSUMPTION,
         "parameter/assumption error: at grid point x0=-1: value function requires x > 0\n",
     ),
@@ -1079,6 +1084,10 @@ EXIT_PATHS = [
                  "config error: sweep grid is empty\n", id="empty-grid"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(grid="1 0.5"), cli.EXIT_CONFIG,
                  "config error: sweep grid must be strictly increasing\n", id="decreasing-grid"),
+    pytest.param("sweep", shipped("table2_power"), sweep_spec(grid="1 nan 0.5"), cli.EXIT_CONFIG,
+                 "config error: sweep grid values must be finite, got nan\n", id="nan-grid"),
+    pytest.param("sweep", shipped("table1_log"), sweep_spec(parameter="x0", grid="0.5 1 inf"), cli.EXIT_CONFIG,
+                 "config error: sweep grid values must be finite, got inf\n", id="inf-grid"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(grid="0.5:1.5:0.5"), cli.EXIT_CONFIG,
                  "config error: grid: expected a number, got '0.5:1.5:0.5'\n", id="range-grid"),
     pytest.param("sweep", shipped("table2_power"), sweep_spec(outputs=""), cli.EXIT_CONFIG,
@@ -1129,12 +1138,34 @@ def test_each_rejected_input_exits_with_its_one_message(tmp_path, capsys, comman
     assert not out.exists()
 
 
-def test_a_crlf_config_prints_the_report_of_its_lf_copy(tmp_path, capsys):
-    config = CONFIGS / "table1_log.cfg"
-    crlf = tmp_path / "table1_crlf.cfg"
-    crlf.write_bytes(config.read_bytes().replace(b"\n", b"\r\n"))
+def test_a_sweep_with_a_byte_order_mark_writes_the_csv_of_its_plain_copy(tmp_path, capsys):
+    text = sweep_spec(grid="0.5 1 2", outputs="a_star v_x0 frac_2").encode()
+    csvs = []
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        spec, out = tmp_path / f"{name}.sweep", tmp_path / f"{name}.csv"
+        spec.write_bytes(data)
+        argv = ["sweep", "--config", str(CONFIGS / "table2_power.cfg"), "--sweep", str(spec), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+# CRLF line ends, and the byte-order mark that some Windows editors write first
+SPELLINGS = {
+    "crlf": ("table1_log", lambda data: data.replace(b"\n", b"\r\n")),
+    "bom": ("table2_power", lambda data: b"\xef\xbb\xbf" + data),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_a_config_prints_the_report_of_its_plain_copy(tmp_path, capsys, spelling):
+    name, respell = SPELLINGS[spelling]
+    config = CONFIGS / f"{name}.cfg"
+    copy = tmp_path / f"{name}_{spelling}.cfg"
+    copy.write_bytes(respell(config.read_bytes()))
     reports = []
-    for path in (config, crlf):
+    for path in (config, copy):
         assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_OK
         reports.append(capsys.readouterr())
     assert reports[0].err == reports[1].err == ""

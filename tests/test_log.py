@@ -6,14 +6,17 @@ import pytest
 from periodic_portfolio import (
     EvaluationSpec,
     MarketModel,
+    ProblemConfig,
     constrained_sharpe,
-    constraint_cost,
+    solve,
     solve_log,
     value_log,
 )
 from periodic_portfolio.errors import DomainError, ParameterOutOfRange
 
-from conftest import TABLE_DELTA, TABLE_R, TABLE_TAU, random_market
+from conftest import TABLE_DELTA, TABLE_MU, TABLE_R, TABLE_SIGMA, TABLE_TAU, random_market
+
+TABLE_SIGMA_FLAT = tuple(v for row in TABLE_SIGMA for v in row)
 
 
 def test_solve_log_benchmark_values(table_market, table_eval, table_cone):
@@ -26,7 +29,8 @@ def test_solve_log_benchmark_values(table_market, table_eval, table_cone):
     assert sol.c_star == pytest.approx(c_expected, rel=1e-13)
     assert sol.a_star == pytest.approx(0.5714, abs=2e-4)
     assert sol.c_star == pytest.approx(0.5717, abs=2e-4)
-    np.testing.assert_allclose(sol.feedback_fractions, [0.0, 0.48], atol=1e-12)
+    # the feedback fractions (sigma^T)^{-1} xi_tilde are the projection's KKT gradient
+    np.testing.assert_allclose(table_cone.kkt_gradient, [0.0, 0.48], atol=1e-12)
 
 
 def test_value_log(table_market, table_eval, table_cone):
@@ -75,55 +79,50 @@ def test_unconstrained_zero_excess():
 
 
 def test_constraint_cost_benchmark(table_market, table_eval, table_cone):
-    cost = constraint_cost(table_market, table_eval, table_cone)
+    sol = solve_log(table_market, table_eval, table_cone)
     e_dt = math.exp(0.3)
     expected = (e_dt - 0.8) / (2.0 * (e_dt - 1.0) ** 2) * (0.0244 - 0.0144) * 1.0
-    assert cost == pytest.approx(expected, rel=1e-12)
-    assert cost == pytest.approx(0.02246, abs=1e-5)
-    sol = solve_log(table_market, table_eval, table_cone)
+    assert sol.constraint_cost == pytest.approx(expected, rel=1e-12)
+    assert sol.constraint_cost == pytest.approx(0.02246, abs=1e-5)
     assert sol.constraint_cost == pytest.approx(sol.a_unconstrained - sol.a_star, abs=1e-14)
 
 
 def test_constraint_cost_zero_when_unbinding():
     m = MarketModel(mu=[0.15, 0.2], sigma=np.diag([0.2, 0.25]), r=0.12)
     e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
-    cs = constrained_sharpe(m)
-    assert constraint_cost(m, e, cs) == pytest.approx(0.0, abs=1e-16)
+    assert solve_log(m, e, constrained_sharpe(m)).constraint_cost == pytest.approx(0.0, abs=1e-16)
 
 
 def test_constraint_cost_decreasing_in_gamma(table_market, table_cone):
     costs = [
-        constraint_cost(
+        solve_log(
             table_market, EvaluationSpec(tau=1.0, gamma=g, delta=0.3), table_cone
-        )
+        ).constraint_cost
         for g in (0.2, 0.5, 0.8, 1.0)
     ]
     assert all(c1 > c2 for c1, c2 in zip(costs, costs[1:]))
     assert costs[-1] > 0  # still positive at gamma = 1 here
 
 
-def test_feedback_independent_of_gamma_and_tau(table_market, table_cone):
-    reference = None
+def test_feedback_independent_of_gamma_and_tau(table_cone):
+    # the log report prints the projection's KKT gradient at every gamma and tau
     for gamma in (0.2, 0.5, 0.8, 1.0):
         for tau in (0.5, 1.0, 2.0):
-            sol = solve_log(
-                table_market, EvaluationSpec(tau=tau, gamma=gamma, delta=0.3), table_cone
-            )
-            if reference is None:
-                reference = sol.feedback_fractions
-            else:
-                assert np.array_equal(sol.feedback_fractions, reference)
+            cfg = ProblemConfig(
+                utility="log", mu=TABLE_MU, sigma=TABLE_SIGMA_FLAT, r=TABLE_R,
+                tau=tau, gamma=gamma, delta=0.3, x0=0.5,
+            )  # fmt: skip
+            fractions = solve(cfg).fields["feedback_fractions"]
+            assert np.array_equal(fractions, table_cone.kkt_gradient)
 
 
 def test_merton_coincidence_when_constraint_unbinding():
     # with both excess returns positive and diagonal sigma the cone projection
     # is inactive and the feedback equals the one-period optimal fractions
     m = MarketModel(mu=[0.16, 0.2], sigma=np.diag([0.2, 0.25]), r=0.12)
-    e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
     cs = constrained_sharpe(m)
-    sol = solve_log(m, e, cs)
     merton = np.linalg.solve(m.sigma @ m.sigma.T, m.mu - m.r)
-    np.testing.assert_allclose(sol.feedback_fractions, merton, rtol=1e-12)
+    np.testing.assert_allclose(cs.kkt_gradient, merton, rtol=1e-12)
 
 
 def test_value_decomposition_identity(table_market, table_cone):

@@ -105,21 +105,17 @@ def test_a_standard_error_needs_two_paths():
 def test_log_estimate_matches_closed_form(table_market, table_eval, table_cone):
     sol = solve_log(table_market, table_eval, table_cone)
     est = estimate_log_objective(
-        sol, table_market, table_eval, 0.5, SimulationConfig(n_paths=40_000, seed=12)
+        table_market, table_eval, table_cone, 0.5, SimulationConfig(n_paths=40_000, seed=12)
     )
     v = value_log(sol, 0.5)
     assert abs(est.mean - v) <= 3 * est.std_error + est.truncation_bound
-    assert est.n_effective == 40_000
     assert compare(est, v)
 
 
 def test_log_zero_policy_deterministic(bond_market):
     e = EvaluationSpec(tau=1.0, gamma=1.0, delta=0.3)
     cs = constrained_sharpe(bond_market)
-    sol = solve_log(bond_market, e, cs)
-    est = estimate_log_objective(
-        sol, bond_market, e, 1.0, SimulationConfig(n_paths=100, seed=3)
-    )
+    est = estimate_log_objective(bond_market, e, cs, 1.0, SimulationConfig(n_paths=100, seed=3))
     expected = 0.12 / (math.exp(0.3) - 1.0)
     assert est.std_error == pytest.approx(0.0, abs=1e-14)
     assert est.mean == pytest.approx(expected, abs=1e-8)
@@ -130,17 +126,13 @@ def test_log_optimal_equals_zero_policy_when_no_excess(bond_market):
     e = EvaluationSpec(tau=1.0, gamma=0.8, delta=0.3)
     cs = constrained_sharpe(bond_market)
     assert cs.objective == 0.0
-    sol = solve_log(bond_market, e, cs)
-    est = estimate_log_objective(
-        sol, bond_market, e, 0.5, SimulationConfig(n_paths=50, seed=3)
-    )
-    assert est.mean == pytest.approx(value_log(sol, 0.5), abs=1e-8)
+    est = estimate_log_objective(bond_market, e, cs, 0.5, SimulationConfig(n_paths=50, seed=3))
+    assert est.mean == pytest.approx(value_log(solve_log(bond_market, e, cs), 0.5), abs=1e-8)
 
 
 def test_truncation_bound_is_sound(table_market, table_eval, table_cone):
-    sol = solve_log(table_market, table_eval, table_cone)
     est = estimate_log_objective(
-        sol, table_market, table_eval, 0.5, SimulationConfig(n_paths=16, seed=1)
+        table_market, table_eval, table_cone, 0.5, SimulationConfig(n_paths=16, seed=1)
     )
     # brute-force the omitted tail from per-period expected contributions
     rho = math.exp(-0.3)
@@ -252,11 +244,11 @@ def test_h_expectation_perturbations_never_beat_optimum(power_problem, power_sol
 def test_compare_contract():
     from periodic_portfolio import ObjectiveEstimate
 
-    exact = ObjectiveEstimate(mean=1.0, std_error=0.5, n_effective=10, truncation_bound=0.0)
+    exact = ObjectiveEstimate(mean=1.0, std_error=0.5, truncation_bound=0.0)
     assert compare(exact, 1.0)
     assert compare(exact, 1.0 + K_SIGMA * 0.5)
     assert not compare(exact, 1.0 + K_SIGMA * 0.5 + 1e-9)
-    off = ObjectiveEstimate(mean=1.0, std_error=0.01, n_effective=10, truncation_bound=0.0)
+    off = ObjectiveEstimate(mean=1.0, std_error=0.01, truncation_bound=0.0)
     assert not compare(off, 1.05)
 
 
@@ -266,16 +258,15 @@ def test_compare_allows_rounding_but_not_a_relative_error_of_1e_4(name):
 
     config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
     v = solve(parse_problem_config(config.read_text())).fields["v_x0"]
-    exact = ObjectiveEstimate(mean=v, std_error=0.0, n_effective=10, truncation_bound=0.0)
+    exact = ObjectiveEstimate(mean=v, std_error=0.0, truncation_bound=0.0)
     assert compare(exact, v + 8 * math.ulp(v)) and compare(exact, v - 8 * math.ulp(v))
     assert not compare(exact, v * (1.0 + 1e-4)) and not compare(exact, v * (1.0 - 1e-4))
 
 
 def test_estimates_reject_bad_wealth(power_problem, power_solution, table_market, table_eval, table_cone):
-    sol = solve_log(table_market, table_eval, table_cone)
     with pytest.raises(DomainError):
         estimate_log_objective(
-            sol, table_market, table_eval, -1.0, SimulationConfig(n_paths=4, seed=0)
+            table_market, table_eval, table_cone, -1.0, SimulationConfig(n_paths=4, seed=0)
         )
     with pytest.raises(DomainError):
         estimate_power_objective(
@@ -299,8 +290,8 @@ def matrix_mean_and_se(per_path: np.ndarray) -> tuple[float, float]:
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(per_path.size))
 
 
-def matrix_log_objective(sol, m, e, x0, cfg, periods):
-    law = DeflatorLaw.for_horizon(sol.xi_tilde_norm_sq, m.r, e.tau)
+def matrix_log_objective(cs, m, e, x0, cfg, periods):
+    law = DeflatorLaw.for_horizon(cs.objective, m.r, e.tau)
     ratios = np.exp(law.drift + law.s * matrix_normals(cfg, periods))
     rho = math.exp(-e.delta * e.tau)
     growth = -np.log(ratios)
@@ -375,18 +366,13 @@ def test_block_draws_start_at_any_element_offset(start, n_periods):
     assert np.array_equal(block, matrix_normals(cfg, n_periods)[start:])
 
 
-def _log_estimate(table_market, table_eval, table_cone, cfg):
-    sol = solve_log(table_market, table_eval, table_cone)
-    return estimate_log_objective(sol, table_market, table_eval, 0.5, cfg)
-
-
 @pytest.fixture
 def estimate_kind(table_market, table_eval, table_cone, power_problem, power_solution):
     """estimate_kind(kind, cfg): the log or power estimate at x0 = 0.5."""
 
     def estimate(kind, cfg):
         if kind == "log":
-            return _log_estimate(table_market, table_eval, table_cone, cfg)
+            return estimate_log_objective(table_market, table_eval, table_cone, 0.5, cfg)
         return estimate_power_objective(power_solution, power_problem, 0.5, cfg)
 
     return estimate
@@ -583,10 +569,9 @@ def test_the_first_failing_block_decides_the_error(monkeypatch, use_workers, wor
 
 
 def test_log_estimate_matches_matrix_formula(table_market, table_eval, table_cone):
-    sol = solve_log(table_market, table_eval, table_cone)
     cfg = SimulationConfig(n_paths=2000, n_periods=71, seed=8)
-    est = estimate_log_objective(sol, table_market, table_eval, 0.5, cfg)
-    mean, se = matrix_log_objective(sol, table_market, table_eval, 0.5, cfg, 71)
+    est = estimate_log_objective(table_market, table_eval, table_cone, 0.5, cfg)
+    mean, se = matrix_log_objective(table_cone, table_market, table_eval, 0.5, cfg, 71)
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.std_error == pytest.approx(se, rel=1e-12)
 
@@ -608,7 +593,7 @@ def test_estimator_peak_memory(
     tracemalloc.start()
     try:
         if kind == "log":
-            _log_estimate(table_market, table_eval, table_cone, cfg)
+            estimate_log_objective(table_market, table_eval, table_cone, 0.5, cfg)
         else:
             estimate_power_objective(power_solution, power_problem, 0.5, cfg)
         peak = tracemalloc.get_traced_memory()[1]
@@ -703,7 +688,7 @@ def test_reduction_in_range_is_the_unscaled_one():
     per_path = np.random.default_rng(6).lognormal(1.0, 2.0, size=1000)
     mean, std_error = matrix_mean_and_se(per_path)
     est = mc._reduce(per_path, 0.0)
-    assert (est.mean, est.std_error, est.n_effective) == (mean, std_error, 1000)
+    assert (est.mean, est.std_error) == (mean, std_error)
 
 
 @pytest.mark.parametrize("scale", [2.0**1000, 2.0**-1000])

@@ -13,7 +13,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ROOT_NAMES = {
     "ConstrainedSharpe", "constrained_sharpe", "solve_cone", "verify_kkt",
     "ProblemConfig", "parse_problem_config", "format_problem_config",
-    "LogSolution", "solve_log", "value_log", "constraint_cost",
+    "LogSolution", "solve_log", "value_log",
     "MarketModel", "EvaluationSpec", "check_assumption", "zeta",
     "ObjectiveEstimate", "SimulationConfig", "compare", "estimate_log_objective",
     "estimate_power_objective",
@@ -36,7 +36,7 @@ def test_root_exports_exactly_all():
     }
     assert public == set(exported)
     # the CLI's objects and the paper's: a name joins or leaves the root on purpose
-    assert len(ROOT_NAMES) == 34
+    assert len(ROOT_NAMES) == 33
     assert set(exported) == ROOT_NAMES
 
 
@@ -49,23 +49,21 @@ SIGNATURES = {
     "compare": ("estimate", "analytic"),
     "constrained_sharpe": ("m",),
     "ConstrainedSharpe": ("xi", "sigma_inv", "pi_tilde_star", "xi_tilde", "kkt_gradient", "objective"),
-    "constraint_cost": ("m", "e", "cs"),
     "contraction_map": ("p", "a"),
     "DeflatorLaw": ("s", "drift"),
-    "estimate_log_objective": ("s", "m", "e", "x0", "cfg"),
+    "estimate_log_objective": ("m", "e", "cs", "x0", "cfg"),
     "estimate_power_objective": ("sol", "p", "x0", "cfg"),
     "EvaluationSpec": ("tau", "gamma", "delta"),
     "fixed_point": ("p",),
     "format_problem_config": ("cfg",),
     "intra_period_profile": ("p", "sol", "t", "z"),
     "LogSolution": (
-        "a_star", "c_star", "xi_tilde_norm_sq", "feedback_fractions", "a_unconstrained",
-        "unconstrained_fractions", "constraint_cost",
+        "a_star", "c_star", "a_unconstrained", "unconstrained_fractions", "constraint_cost",
     ),
     "marginal_inverse": ("a", "alpha", "gamma", "y"),
     "MarketModel": ("mu", "sigma", "r"),
     "moderated_utility": ("a", "alpha", "gamma", "x"),
-    "ObjectiveEstimate": ("mean", "std_error", "n_effective", "truncation_bound"),
+    "ObjectiveEstimate": ("mean", "std_error", "truncation_bound"),
     "optimal_tau": ("objective", "cap"),
     "parse_problem_config": ("text",),
     "PowerProblem": ("market", "evaluation", "alpha", "cs"),

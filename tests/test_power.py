@@ -335,10 +335,14 @@ def test_random_grid_solves_without_parameter_errors():
 
 # (n, k, alpha, tau) of the grid: n = 30, k = 2, alpha = -1 at tau = 10, where
 # A* = 5e-19 is far below the absolute tol_fixed_point of 1e-10, and every
-# alpha < 0 point of k = 0 with n in {2, 10} and tau in {10, 100}, where A*
-# runs from 2e-2 down to 6e-36
+# alpha < 0 point of k < 2 with n in {2, 10} and tau in {10, 100}, where A*
+# falls as far as 4e-39
 A_STAR_REFERENCE_POINTS = [(30, 2, -1.0, 10.0)] + [
-    (n, 0, alpha, tau) for n in (2, 10) for alpha in (-1.0, -0.5) for tau in (10.0, 100.0)
+    (n, k, alpha, tau)
+    for k in range(2)
+    for n in (2, 10)
+    for alpha in (-1.0, -0.5)
+    for tau in (10.0, 100.0)
 ]
 
 
