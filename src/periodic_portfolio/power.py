@@ -596,8 +596,9 @@ def fixed_point_bounds(p: PowerProblem) -> tuple[float, float]:
     ``check_assumption``, so both decays are positive: the optimum's is
     delta - zeta(alpha(1-gamma)) > 0, and the bond's, delta - r alpha(1-gamma),
     is at least delta for alpha < 0 and at least delta - zeta(alpha(1-gamma))
-    for alpha in (0,1), where zeta(x) >= r x. A side whose exponential
-    overflows float64 raises NonFinite; one whose division overflows is inf.
+    for alpha in (0,1), where zeta(x) >= r x. A side beyond float64 is inf,
+    whichever operation leaves the range: the exponential, the division, or a
+    denominator that rounds to 0 when decay * tau underflows.
     """
     r, tau, delta = p.market.r, p.evaluation.tau, p.evaluation.delta
     alpha, gamma = p.alpha, p.evaluation.gamma
@@ -607,9 +608,9 @@ def fixed_point_bounds(p: PowerProblem) -> tuple[float, float]:
 
     def term(growth, decay):
         try:
-            return math.exp((growth - delta) * tau) / (-math.expm1(-decay * tau))
-        except OverflowError:
-            raise NonFinite(f"a-priori bound on A* overflows at tau={tau:.6g}") from None
+            return math.exp((growth - delta) * tau) / -math.expm1(-decay * tau)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
 
     term_bond = term(r * alpha, delta - r * alpha * (1.0 - gamma))
     term_opt = term(za, delta - z2)
@@ -623,15 +624,22 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
 
     Each evaluation of Psi also returns Psi'(A) = exp(-delta*tau) * H'(A) with
     H'(A) = E[I(y* R)^(alpha(1-gamma))] (envelope theorem), so the Newton
-    step costs no extra solve. H is convex in A for alpha in (0,1) and concave
-    for alpha < 0; starting from the lower (resp. upper) a-priori bound makes
-    the Newton iterates approach A* from one side. The a-priori bounds, each
-    widened by tol + _BRACKET_REL_SLACK * |bound| (Psi comes from rounded
-    sums, and for gamma = 1 and alpha > 0 the upper bound is A* itself) and
-    narrowed by the sign of every residual, are kept as a bracket, and a
-    Newton step that leaves it is replaced by the Picard step A -> Psi(A).
-    A* > 0, so the lower end is never below half the lower bound, however
-    small that bound is against tol: every A evaluated is positive.
+    step costs no extra solve. For every alpha the Newton starts at the lower
+    a-priori bound. G is increasing (Psi' <= q < 1), so this is the monotone
+    Newton for convex and concave maps (Ortega and Rheinboldt, Iterative
+    Solution of Nonlinear Equations in Several Variables, 1970). For alpha in
+    (0,1) H is convex in A and G concave, and the iterates rise to A* from
+    below. For alpha < 0 H is concave and G convex: the tangent of Psi lies
+    above Psi, so the first step lands at or above A*, and the iterates then
+    fall to A*. A* >= the lower bound, so a lower bound beyond float64 raises
+    NonFinite. The a-priori bounds, each widened by tol + _BRACKET_REL_SLACK *
+    bound (Psi comes from rounded sums, and for gamma = 1 and alpha > 0 the
+    upper bound is A* itself) and narrowed by the sign of every residual, are
+    kept as a bracket, open above where the upper bound is inf, and a Newton
+    step that leaves it is replaced by the Picard step A -> Psi(A). The lower
+    end is never below half the lower bound, however small that bound is
+    against tol, so no A evaluated is negative; the first A is 0 where the
+    lower bound underflows.
 
     Each evaluation's y* Newton starts near its root: at the first A from
     ``_log_y_start``, and after each step
@@ -667,14 +675,14 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
     if q_mod >= 1.0:
         raise ParameterOutOfRange("tau is too small to evaluate stably: 1 - q rounds to 0")
     lower, upper = fixed_point_bounds(p)
-    a = lower if p.alpha > 0 else upper
-    if not math.isfinite(a):
-        a = 1.0
+    if lower == math.inf:
+        raise NonFinite(f"A* overflows float64 at tau={p.evaluation.tau:.6g}: its a-priori lower bound does")
+    a = lower
 
     tol = p.tol_fixed_point
     disc = math.exp(-p.evaluation.delta * p.evaluation.tau)
-    lo = max(lower - (tol + _BRACKET_REL_SLACK * abs(lower)), 0.5 * lower) if math.isfinite(lower) else 0.0
-    hi = upper + (tol + _BRACKET_REL_SLACK * abs(upper)) if math.isfinite(upper) else math.inf
+    lo = max(lower - (tol + _BRACKET_REL_SLACK * lower), 0.5 * lower)
+    hi = upper + (tol + _BRACKET_REL_SLACK * upper)
     u = _log_y_start(p, a)
     last_residual = math.inf
     for iterations in range(1, _FIXED_POINT_CAP + 1):

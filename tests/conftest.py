@@ -46,6 +46,12 @@ TINY_LOWER_BOUND = dict(
     alpha=-1.8269518200464598,
 )
 
+# A well-posed 1-asset power config whose bond decay is delta itself (r = 0). The
+# a-priori upper bound on A* is about 1 / (delta tau): inf here, where
+# -expm1(-delta tau) rounds to 0, and finite but huge at delta = 1e-300 or 1e-200.
+# A* = 59.1646573692 at each of these deltas.
+TINY_DELTA = dict(mu=(0.5,), sigma=(1.0,), r=0.0, tau=0.4, gamma=0.5, delta=5e-324, x0=1.0, alpha=-1.0)
+
 # A well-posed 3-asset power config (sigma row-major) whose Monte Carlo values
 # reach 1e290: their squares overflow float64.
 HUGE_SAMPLES = dict(

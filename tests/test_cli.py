@@ -27,7 +27,7 @@ from periodic_portfolio.errors import (
     SolverError,
 )
 
-from conftest import FAMILY_EXITS, NOT_UTF8, STEEP, TINY_LOWER_BOUND
+from conftest import FAMILY_EXITS, NOT_UTF8, STEEP, TINY_DELTA, TINY_LOWER_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -917,6 +917,18 @@ def test_a_tiny_lower_bound_on_a_star_solves(tmp_path, capsys, tau, argv):
     code, out, err = run_cli(capsys, [argv[0], "--config", path, *argv[1:]])
     assert code == cli.EXIT_OK, err
     assert out and err == ""
+
+
+# A tiny delta puts the a-priori upper bound on A* at 2.5e200, 2.5e300 or inf
+# (TINY_DELTA, conftest); the A* Newton starts at the lower bound, 59.0, and
+# solves in 3 evaluations at each.
+@pytest.mark.parametrize("delta", [5e-324, 1e-300, 1e-200])
+def test_a_tiny_delta_solves_from_the_lower_bound(tmp_path, capsys, delta):
+    path = tmp_path / "tiny_delta.cfg"
+    path.write_text(format_problem_config(ProblemConfig(utility="power", **dict(TINY_DELTA, delta=delta))))
+    code, out, err = run_cli(capsys, ["solve", "--config", str(path)])
+    assert code == cli.EXIT_OK, err
+    assert report(out)["a_star"] == "59.1646573692"
 
 
 # One parser serves every `cli.main` call of a process.

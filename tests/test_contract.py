@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from periodic_portfolio import cli, errors
 
-from conftest import FAMILY_EXITS, HUGE_SAMPLES, NOT_UTF8, TINY_LOWER_BOUND
+from conftest import FAMILY_EXITS, HUGE_SAMPLES, NOT_UTF8, STEEP, TINY_DELTA, TINY_LOWER_BOUND
 
 CONTRACT_CODES = {
     cli.EXIT_OK,
@@ -137,6 +137,9 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     parameter="tau",
 )
 @example(text=power_config(**HUGE_SAMPLES), parameter="tau")  # the squares of the Monte Carlo values overflow
+@example(text=power_config(**TINY_DELTA), parameter="delta")  # an upper bound on A* whose denominator rounds to 0
+@example(text=power_config(**STEEP, tau=1.0, x0=1e300), parameter="x0")  # V(x0) underflows: exit 4
+@example(text=power_config(**STEEP, tau=5.0, x0=1e-180), parameter="x0")  # x0^beta overflows, V(x0) does not
 def test_every_call_keeps_the_exit_code_contract(tmp_path_factory, text, parameter):
     work = tmp_path_factory.mktemp("contract")
     config = work / "drawn.cfg"

@@ -34,11 +34,13 @@ import reference
 from conftest import (
     TABLE_ALPHA,
     TABLE_DELTA,
+    TABLE_GAMMA,
     TABLE_MU,
     TABLE_R,
     TABLE_SIGMA,
     TABLE_TAU,
     TABLE_X0,
+    TINY_DELTA,
     TINY_LOWER_BOUND,
     h_expectation,
     random_market,
@@ -364,9 +366,10 @@ def test_a_star_far_below_tol_matches_an_independent_reference(n, k, alpha, tau)
 
 def test_random_grid_n50_row():
     # n = 50, k < 2: |xi_tilde|^2 = 21 to 27, so s reaches 52 at tau = 100, where at
-    # alpha = 0.5 the a-priori upper bound on A* overflows (two solves) and log y* is
-    # about alpha s^2 / (2 (1 - alpha)) > 1000, beyond float64. Where np.longdouble
-    # is float64, one more alpha = 0.5 solve stalls at the float64 floor (tau = 4)
+    # alpha = 0.5 log y* is about alpha s^2 / (2 (1 - alpha)) > 1000, beyond float64:
+    # both solves stop with "y* Newton left the float64 range" at log y = 1070 and
+    # 1330 (their upper bounds on A* are inf). Where np.longdouble is float64, one
+    # more alpha = 0.5 solve stalls at the float64 floor (tau = 4)
     outcomes = grid_outcomes(50, range(2))
     assert outcomes["ok"] >= 45, outcomes
     assert all(key in ("ok", ("NonFinite", 0.5), ("NonConvergence", 0.5)) for key in outcomes), outcomes
@@ -429,8 +432,6 @@ def test_dual_value_monotone_decreasing(power_problem):
 
 def test_dual_value_matches_monte_carlo():
     # a = 1 with the benchmark parameters, y = 1, against 10^6 raw draws
-    from conftest import TABLE_GAMMA
-
     import periodic_portfolio as pp
 
     m = pp.MarketModel(mu=[0.1, 0.15], sigma=np.diag([0.2, 0.25]), r=0.12)
@@ -551,6 +552,23 @@ def test_fixed_point_bracket_expressions(power_solution):
     )
     assert power_solution.lower_bound == pytest.approx(lower, rel=1e-12)
     assert power_solution.upper_bound == pytest.approx(upper, rel=1e-12)
+
+
+def test_a_priori_bounds_beyond_float64_are_inf(table_market, table_cone):
+    # table2 at delta = 0.02 and tau = 20000: both exponentials overflow, and so
+    # does A*, which is at least the lower bound
+    p = PowerProblem(table_market, EvaluationSpec(20000.0, TABLE_GAMMA, 0.02), TABLE_ALPHA, table_cone)
+    assert power.fixed_point_bounds(p) == (math.inf, math.inf)
+    with pytest.raises(NonFinite, match=r"^A\* overflows float64 at tau=20000"):
+        fixed_point(p)
+    # TINY_DELTA: the upper bound's denominator -expm1(-delta tau) rounds to 0
+    c = TINY_DELTA
+    m = MarketModel(mu=c["mu"], sigma=np.reshape(c["sigma"], (1, 1)), r=c["r"])
+    p = PowerProblem(m, EvaluationSpec(c["tau"], c["gamma"], c["delta"]), c["alpha"], constrained_sharpe(m))
+    lower, upper = power.fixed_point_bounds(p)
+    assert upper == math.inf
+    assert lower == pytest.approx(59.0076042685, rel=1e-10)
+    assert fixed_point(p).a_star == pytest.approx(59.1646573692, rel=1e-11)
 
 
 def test_fixed_point_negative_alpha(table_market, table_cone):
@@ -720,8 +738,8 @@ def test_contraction_map_rejects_a_negative_a(power_problem):
 
 
 @pytest.mark.parametrize("n,seed", [(10, 10000), (10, 10001), (30, 30000)])
-def test_a_star_far_below_the_start_stays_positive(n, seed):
-    # the first evaluation gives Psi(A) many orders of magnitude below ulp(A), where
+def test_a_star_far_below_the_upper_bound_stays_positive(n, seed):
+    # A* is about 1e-36 to 1e-40, below one ulp of the upper bound, where
     # A + (Psi(A) - A) would round to 0; the A* accepted is a fixed point relative
     # to its own size
     m = random_market(np.random.default_rng(seed), n)

@@ -12,9 +12,11 @@ prints one line per solve,
     n k alpha tau ok repr(A*) iterations quadrature_calls error_bound
 
 or ``n k alpha tau ErrorClass`` when the solve raises, and a last line with
-the totals. ``quadrature_calls`` counts ``power._period_sums`` calls, each
-one trapezoid sum on the a-priori u = log x grid of that law (no order
-doubling). The wall time of the whole grid goes to standard error.
+the totals: solves by outcome, ``iterations`` (evaluations of Psi) over the
+solves that succeed, and ``quadrature_calls`` over all of them.
+``quadrature_calls`` counts ``power._period_sums`` calls, each one trapezoid
+sum on the a-priori u = log x grid of that law (no order doubling). The wall
+time of the whole grid goes to standard error.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def main() -> int:
 
     power._period_sums = counted
     outcomes = Counter()
-    total_calls = 0
+    total_calls = total_iterations = 0
     t0 = time.perf_counter()
     for n in (2, 10, 30):
         for k in range(6):
@@ -70,10 +72,13 @@ def main() -> int:
                         print(head, type(exc).__name__)
                     else:
                         outcomes["ok"] += 1
+                        total_iterations += sol.iterations
                         print(head, "ok", repr(sol.a_star), sol.iterations, calls[0], repr(sol.error_bound))
                     total_calls += calls[0]
     summary = " ".join(f"{name}={count}" for name, count in sorted(outcomes.items()))
-    print(f"total solves={sum(outcomes.values())} {summary} quadrature_calls={total_calls}")
+    print(
+        f"total solves={sum(outcomes.values())} {summary} iterations={total_iterations} quadrature_calls={total_calls}"
+    )
     sys.stderr.write(f"the grid took {time.perf_counter() - t0:.3f} s\n")
     return 0
 
