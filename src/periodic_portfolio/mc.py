@@ -18,17 +18,20 @@ after one step, which still passes its step test.
 Draws come from a counter-based Philox stream through the normal inverse CDF,
 numbered row-major over the (paths, n_periods) matrix. The estimators never
 build that matrix: they split its rows into blocks of max(1, _CHUNK_ELEMENTS
-// n_periods) consecutive rows, _CHUNK_ELEMENTS = 2**15. Philox is
+// n_periods) consecutive rows, _CHUNK_ELEMENTS = 2**15, and split the blocks,
+at block boundaries, into min(_WORKERS, blocks) contiguous ranges. Philox is
 counter-based (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2,
-3"), so each block is drawn on its own from its element offset in the
-stream, and every cell gets the value it has in the whole matrix. The blocks
-run on a pool of _WORKERS threads, one per CPU available at import (numpy's
-generator, ``ndtri`` and the block kernels release the GIL); with one CPU,
-or one block, they run in the calling thread and no thread is started. The
-pool comes from a cached factory, ``_executor``: it is made on the first
+3"), so each range positions one generator at its first cell's offset in the
+stream and draws its blocks in order from it, into one buffer: every cell
+gets the value it has in the whole matrix. The calling thread runs the first
+range, and a pool of _WORKERS threads, one per CPU available at import, runs
+the others, one task per range (numpy's generator, ``ndtri`` and the block
+kernels release the GIL); with one CPU, or one block, no thread is started.
+The pool comes from a cached factory, ``_executor``: it is made on the first
 estimate that needs it and kept for the process, and a fork clears the
-cache, so a forked child makes its own. Each block writes only its own rows
-of the per-path values, and every row is computed the same way whatever the
+cache, so a forked child makes its own. Each range makes its own kernel,
+which keeps its scratch arrays from block to block, and writes only its own
+rows of the per-path values. Every row is computed the same way whatever the
 block's row count (the marginal inverse's Newton stops each cell on its own
 step test), so every estimate is bit-identical for any worker count and any
 block size. ``ndtri`` is the only scipy function the
@@ -36,7 +39,8 @@ package uses. It, numpy's ``Generator`` and ``Philox``, and the pool's
 ``concurrent.futures`` are imported on the first draw, in the calling thread,
 so importing the package and running the other subcommands load none of
 scipy, ``numpy.random`` and ``concurrent.futures``. A pass holds O(workers *
-block + n_paths) floats.
+block + n_paths) floats: per range one block of draws and its kernel's
+scratch, and the per-path values.
 
 Within a block the work runs in log space: the log objective is affine in
 the log growth, and the power objective sums exp(alpha u_i + beta S_{i-1} -
@@ -135,22 +139,28 @@ def _draw_imports() -> SimpleNamespace:
     )
 
 
-def _normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
-    """Rows ``start`` to ``start + rows`` of the (paths, n_periods) standard normals of ``seed``.
+def _stream(seed: int, start: int, n_periods: int):
+    """``Generator(Philox(key=seed))`` positioned at row ``start`` of the (paths, n_periods) stream.
 
     The uniforms are the row-major stream of ``Generator(Philox(key=seed))``.
-    Philox emits four doubles per counter step, so the block's first element,
+    Philox emits four doubles per counter step, so the row's first element,
     k = start * n_periods, is reached by starting at counter k // 4 and
-    discarding k % 4 doubles: any block is drawn on its own, bit for bit.
+    discarding k % 4 doubles: any range of rows is drawn on its own, bit for
+    bit.
     """
     lib = _draw_imports()
     k = start * n_periods
     gen = lib.Generator(lib.Philox(key=seed, counter=k // 4))
     if k % 4:
         gen.random(k % 4)
-    u = gen.random((rows, n_periods))
-    np.maximum(u, _MIN_UNIFORM, out=u)  # keep the inverse CDF finite at u == 0
-    return lib.ndtri(u, out=u)
+    return gen
+
+
+def _normals(gen, out: np.ndarray) -> np.ndarray:
+    """The next ``out.size`` standard normals of ``gen``, row-major, written into ``out``."""
+    gen.random(out=out)
+    np.maximum(out, _MIN_UNIFORM, out=out)  # keep the inverse CDF finite at u == 0
+    return _draw_imports().ndtri(out, out=out)
 
 
 @cache
@@ -164,40 +174,44 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _run_blocks(run_block, starts: range) -> None:
-    """Call ``run_block(start)`` for every start: in this thread, or on the pool.
+def _per_path(cfg: SimulationConfig, n_periods: int, make_kernel) -> np.ndarray:
+    """Per-path values, streamed: ``make_kernel()`` returns a map from a block of normals to one value per row.
 
-    On the pool, the first failure in ``starts`` order is re-raised, which is
-    the error a serial run raises; blocks that have not started are cancelled,
-    and the running ones finish before it is raised.
+    Each range of blocks calls ``make_kernel`` once, so its kernel may keep
+    scratch arrays from block to block. A range that fails stops the ranges
+    after it at their next block, while the ranges before it run on; once
+    every range has stopped, the lowest failing range's error is raised,
+    which is the error a serial run raises.
     """
-    if _WORKERS <= 1 or len(starts) <= 1:
-        for start in starts:
-            run_block(start)
-        return
-    futures = [_executor().submit(run_block, start) for start in starts]
-    for i, future in enumerate(futures):
-        try:
-            future.result()
-        except BaseException:
-            for later in futures[i + 1 :]:
-                later.cancel()
-            _draw_imports().wait(futures)
-            raise
-
-
-def _per_path(cfg: SimulationConfig, n_periods: int, path_values) -> np.ndarray:
-    """Per-path values, streamed: ``path_values`` maps a block of normals to one value per row."""
     n_paths = cfg.n_paths
     per_path = np.empty(n_paths)
     step = max(1, _CHUNK_ELEMENTS // n_periods)
-    _draw_imports()  # import here, never first in a pool worker
+    n_blocks = -(-n_paths // step)
+    n_ranges = min(_WORKERS, n_blocks)
+    edges = [min(n_paths, step * (n_blocks * r // n_ranges)) for r in range(n_ranges + 1)]
+    errors = [None] * n_ranges
+    lib = _draw_imports()  # import here, never first in a pool worker
 
-    def run_block(start: int) -> None:
-        g = _normals(cfg.seed, start, min(step, n_paths - start), n_periods)
-        per_path[start : start + g.shape[0]] = path_values(g)
+    def run_range(r: int) -> None:
+        first, stop = edges[r], edges[r + 1]
+        try:
+            gen = _stream(cfg.seed, first, n_periods)
+            buf = np.empty((min(step, stop - first), n_periods))
+            kernel = make_kernel()
+            for start in range(first, stop, step):
+                if any(error is not None for error in errors[:r]):
+                    return  # an earlier range's error is raised
+                g = _normals(gen, buf[: min(step, stop - start)])
+                per_path[start : start + g.shape[0]] = kernel(g)
+        except BaseException as error:
+            errors[r] = error
 
-    _run_blocks(run_block, range(0, n_paths, step))
+    futures = [_executor().submit(run_range, r) for r in range(1, n_ranges)]
+    run_range(0)
+    lib.wait(futures)
+    for error in errors:
+        if error is not None:
+            raise error
     return per_path
 
 
@@ -266,7 +280,10 @@ def estimate_log_objective(
     w = discounts[:-1] + (1.0 - e.gamma) * (discounts[1:] - discounts[-1]) / (1.0 - rho)
     base = (1.0 - e.gamma) * log_x0 * discounts[:-1].sum() - law.drift * w.sum()
     # einsum, unlike a BLAS gemv, rounds each row the same whatever the block's row count
-    per_path = _per_path(cfg, periods, lambda g: base - law.s * np.einsum("ij,j->i", g, w))
+    def kernel(g):
+        return base - law.s * np.einsum("ij,j->i", g, w)
+
+    per_path = _per_path(cfg, periods, lambda: kernel)
     return _reduce(per_path, abs(tail(periods)))
 
 
@@ -277,10 +294,12 @@ def _start_table(a: float, alpha: float, gamma: float, centre: float, s: float):
     to the kernel's tolerance, at _TABLE_INTERVALS + 1 equally spaced G,
     with its exact slope du/dG = s / L'(u), L'(u) = alpha - 1 - alpha gamma
     expit(log c - alpha gamma u), c = a(1-gamma) > 0, the expit taken as in
-    the kernel. Returns
-    ``start(g)``: the cubic Hermite interpolant of that table at each g, a new
-    array. Each cell's Newton (``power._log_marginal_inverse``) starts there
-    and still ends on its step test.
+    the kernel. Returns ``start(g, out, theta, index, term)``, which writes
+    the cubic Hermite interpolant of that table at each g into ``out`` and
+    returns it; ``theta`` and ``term`` (float) and ``index`` (intp) are
+    scratch of g's shape, which a Monte Carlo range reuses from block to block.
+    Each cell's Newton (``power._log_marginal_inverse``) starts there and
+    still ends on its step test.
     """
     m = _TABLE_INTERVALS
     width = 2.0 * _NORMAL_BOUND / m
@@ -295,20 +314,21 @@ def _start_table(a: float, alpha: float, gamma: float, centre: float, s: float):
     c2 = 3.0 * rise - 2.0 * slope[:-1] - slope[1:]
     c3 = slope[:-1] + slope[1:] - 2.0 * rise
 
-    def start(g):
-        theta = g * (1.0 / width)
+    def start(g, out, theta, index, term):
+        np.multiply(g, 1.0 / width, out=theta)
         theta += 0.5 * m  # >= 0, so the cast floors it
-        i = theta.astype(np.intp)
-        np.minimum(i, m - 1, out=i)
-        theta -= i
-        u0 = c3.take(i)
-        u0 *= theta
-        u0 += c2.take(i)
-        u0 *= theta
-        u0 += c1.take(i)
-        u0 *= theta
-        u0 += c0.take(i)
-        return u0
+        np.copyto(index, theta, casting="unsafe")
+        np.minimum(index, m - 1, out=index)
+        theta -= index
+        # every index lies in [0, m - 1], so "clip" clips nothing; unlike "raise" it takes into out unbuffered
+        c3.take(index, out=out, mode="clip")
+        out *= theta
+        out += c2.take(index, out=term, mode="clip")
+        out *= theta
+        out += c1.take(index, out=term, mode="clip")
+        out *= theta
+        out += c0.take(index, out=term, mode="clip")
+        return out
 
     return start
 
@@ -356,19 +376,28 @@ def estimate_power_objective(
     tabulate = sol.a_star * (1.0 - gamma) != 0.0 and p.law.s >= _POINT_MASS_S
     start = _start_table(sol.a_star, alpha, gamma, log_y, p.law.s) if tabulate else None
 
-    def path_values(g):
-        log_y_block = p.law.s * g
-        log_y_block += log_y
-        u0 = None if start is None else start(g)
-        u = _log_marginal_inverse(sol.a_star, alpha, gamma, log_y_block, u0)
-        exponent = np.cumsum(u, axis=1)
-        exponent *= beta
-        u *= alpha - beta
-        exponent += u
-        exponent -= decay
-        return np.exp(exponent, out=exponent).sum(axis=1)
+    def make_kernel():
+        scratch = []  # made on the range's first block, its largest, and cut to each block's rows
 
-    per_path = _per_path(cfg, periods, path_values)
+        def kernel(g):
+            if not scratch:
+                scratch.extend(np.empty((5, *g.shape)))
+                scratch.append(np.empty(g.shape, dtype=np.intp))
+            log_y_block, u0, t, e, term, index = (a[: g.shape[0]] for a in scratch)
+            np.multiply(g, p.law.s, out=log_y_block)
+            log_y_block += log_y
+            u0 = None if start is None else start(g, u0, t, index, term)
+            u = _log_marginal_inverse(sol.a_star, alpha, gamma, log_y_block, u0, (t, e, term))
+            exponent = np.cumsum(u, axis=1, out=t)
+            exponent *= beta
+            u *= alpha - beta
+            exponent += u
+            exponent -= decay
+            return np.exp(exponent, out=exponent).sum(axis=1)
+
+        return kernel
+
+    per_path = _per_path(cfg, periods, make_kernel)
     per_path /= sol.a_star
     per_path *= v_x0
     return _reduce(per_path, tail(periods))

@@ -189,7 +189,7 @@ def _newton_start(lc: float, p1: float, beta: float, log_y):
     return np.maximum(u, u_c, out=u)
 
 
-def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, start=None):
+def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, start=None, scratch=None):
     """u = log I(exp(log_y)) for finite log_y, by Newton in log space.
 
     The Newton kernel behind ``marginal_inverse``; see its docstring. It
@@ -203,7 +203,10 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, start=Non
     step, so a cell's result does not depend on the other cells of
     ``log_y``. Returns a new array, or ``start``, and leaves ``log_y``
     unchanged; an empty ``log_y`` gives an empty float array. When c == 0 it
-    returns log_y / (alpha-1) and ignores ``start``.
+    returns log_y / (alpha-1) and ignores ``start`` and ``scratch``.
+    ``scratch``, three float arrays of ``log_y``'s shape, takes the steps'
+    temporaries while every cell is still moving, so the Monte Carlo's
+    blocks allocate none; a step computes the same values either way.
     """
     p1 = alpha - 1.0
     c = a * (1.0 - gamma)
@@ -216,16 +219,17 @@ def _log_marginal_inverse(a: float, alpha: float, gamma: float, log_y, start=Non
     # x and ly are the moving cells: all of u and log_y, then copies at the flat indices ``cells``
     x, ly, cells = u, log_y, None
     for _ in range(_NEWTON_CAP):
-        t = beta * x
+        t, e, g = scratch if scratch is not None and cells is None else (None, None, None)
+        t = np.multiply(x, beta, out=t)
         t += lc
-        e = np.minimum(t, _SOFTPLUS_LINEAR)
+        e = np.minimum(t, _SOFTPLUS_LINEAR, out=e)
         np.exp(e, out=e)
-        g = np.log1p(e)
+        g = np.log1p(e, out=g)
         np.maximum(g, t, out=g)  # log(1 + exp(t))
-        t = p1 * x
+        np.multiply(x, p1, out=t)
         g += t
         g -= ly
-        t = e + 1.0
+        np.add(e, 1.0, out=t)
         e /= t  # expit(t)
         e *= beta
         e += p1  # g'(u)

@@ -186,7 +186,7 @@ def h_expectation(p, sol, seed: int, n_paths: int, y_star=None) -> tuple[float, 
     """
     alpha, gamma = p.alpha, p.evaluation.gamma
     y, norm = (sol.y_star, 1.0) if y_star is None else (y_star, budget_function(p, sol.a_star, y_star))
-    ratios = np.exp(p.law.drift + p.law.s * mc._normals(seed, 0, n_paths, 1).ravel())
+    ratios = np.exp(p.law.drift + p.law.s * mc._normals(mc._stream(seed, 0, 1), np.empty(n_paths)))
     wealth = marginal_inverse(sol.a_star, alpha, gamma, y * ratios) / norm
     values = alpha * moderated_utility(sol.a_star, alpha, gamma, wealth)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_paths))

@@ -69,9 +69,24 @@ def use_workers(monkeypatch):
     _drop_pool()
 
 
+def normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
+    """Rows ``start`` to ``start + rows`` of the (paths, n_periods) normals of ``seed``, drawn on their own."""
+    return mc._normals(mc._stream(seed, start, n_periods), np.empty((rows, n_periods)))
+
+
+def per_path(cfg: SimulationConfig, n_periods: int, kernel) -> np.ndarray:
+    """``mc._per_path`` with one ``kernel`` for every range, for kernels that keep no scratch."""
+    return mc._per_path(cfg, n_periods, lambda: kernel)
+
+
+def table_start(start, g: np.ndarray) -> np.ndarray:
+    """``start(g, ...)`` of ``mc._start_table`` into a new array, with new scratch."""
+    return start(g, np.empty_like(g), np.empty_like(g), np.empty(g.shape, dtype=np.intp), np.empty_like(g))
+
+
 def deflator_ratios(law: DeflatorLaw, seed: int, rows: int, n_periods: int) -> np.ndarray:
     """exp(drift + s G) over the first ``rows`` rows of the (paths, n_periods) normals of ``seed``."""
-    return np.exp(law.drift + law.s * mc._normals(seed, 0, rows, n_periods))
+    return np.exp(law.drift + law.s * normals(seed, 0, rows, n_periods))
 
 
 def test_simulate_deterministic_given_seed():
@@ -178,8 +193,8 @@ def test_power_truncation_bound_is_the_exact_tail(monkeypatch, table_market, cas
     while abs(tail(horizon)) >= mc.TAIL_EPS:
         horizon += 1
     periods = []
-    per_path = mc._per_path
-    monkeypatch.setattr(mc, "_per_path", lambda cfg, n, f: periods.append(n) or per_path(cfg, n, f))
+    run = mc._per_path
+    monkeypatch.setattr(mc, "_per_path", lambda cfg, n, f: periods.append(n) or run(cfg, n, f))
     est = estimate_power_objective(sol, p, 0.5, SimulationConfig(n_paths=16, seed=1))
     assert periods == [horizon]
     assert est.truncation_bound == pytest.approx(abs(tail(horizon)), rel=1e-9, abs=0.0)
@@ -334,16 +349,16 @@ def test_blocks_stack_to_the_matrix_draws(monkeypatch, use_workers, n_paths, n_p
     cfg = SimulationConfig(n_paths=n_paths, seed=77)
     step = max(1, chunk // n_periods)
     reference = matrix_normals(cfg, n_periods)
-    blocks = [mc._normals(cfg.seed, start, min(step, n_paths - start), n_periods) for start in range(0, n_paths, step)]
+    blocks = [normals(cfg.seed, start, min(step, n_paths - start), n_periods) for start in range(0, n_paths, step)]
     assert np.array_equal(np.vstack(blocks), reference)
     # the blocks that _per_path draws put every cell in its own place
     for workers in (1, 3):
         use_workers(workers)
         for j in range(n_periods):
-            column = mc._per_path(cfg, n_periods, lambda g, j=j: g[:, j])
+            column = per_path(cfg, n_periods, lambda g, j=j: g[:, j])
             assert np.array_equal(column, reference[:, j])
     law = DeflatorLaw.for_horizon(0.0144, 0.12, 1.0)
-    ratios = np.exp(law.drift + law.s * mc._normals(cfg.seed, 0, n_paths, n_periods))
+    ratios = np.exp(law.drift + law.s * normals(cfg.seed, 0, n_paths, n_periods))
     assert np.array_equal(ratios, np.exp(law.drift + law.s * reference))
 
 
@@ -354,7 +369,7 @@ def test_a_paths_draws_do_not_depend_on_n_paths(monkeypatch, use_workers, worker
     use_workers(workers)
     for j in range(7):
         few, many = (
-            mc._per_path(SimulationConfig(n_paths=n, seed=19), 7, lambda g, j=j: g[:, j]) for n in (40, 100)
+            per_path(SimulationConfig(n_paths=n, seed=19), 7, lambda g, j=j: g[:, j]) for n in (40, 100)
         )
         assert np.array_equal(few, many[:40])
 
@@ -362,7 +377,7 @@ def test_a_paths_draws_do_not_depend_on_n_paths(monkeypatch, use_workers, worker
 @pytest.mark.parametrize("start, n_periods", [(0, 5), (1, 5), (1, 3), (3, 1), (4, 1), (5, 1), (47, 11), (1, 998)])
 def test_block_draws_start_at_any_element_offset(start, n_periods):
     cfg = SimulationConfig(n_paths=start + 3, seed=123)
-    block = mc._normals(cfg.seed, start, 3, n_periods)
+    block = normals(cfg.seed, start, 3, n_periods)
     assert np.array_equal(block, matrix_normals(cfg, n_periods)[start:])
 
 
@@ -465,7 +480,7 @@ def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch, use_work
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        values = mc._per_path(cfg, 5, lambda g: g[:, 0].copy())
+        values = per_path(cfg, 5, lambda g: g[:, 0])
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(values, matrix_normals(cfg, 5)[:, 0])
@@ -473,7 +488,7 @@ def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch, use_work
 
 def _per_path_in_child(cfg: SimulationConfig, expected: np.ndarray) -> None:
     inherited = mc._executor.cache_info().currsize  # the fork hook clears the parent's pool
-    values = mc._per_path(cfg, 4, lambda g: g[:, 0].copy())
+    values = per_path(cfg, 4, lambda g: g[:, 0])
     made = mc._executor.cache_info().currsize
     sys.exit(0 if (inherited, made) == (0, 1) and np.array_equal(values, expected) else 1)
 
@@ -483,7 +498,7 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch, use_workers):
     use_workers(2)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 5 * 4)
     cfg = SimulationConfig(n_paths=40, seed=2)
-    expected = mc._per_path(cfg, 4, lambda g: g[:, 0].copy())
+    expected = per_path(cfg, 4, lambda g: g[:, 0])
     assert mc._executor.cache_info().currsize == 1
     child = multiprocessing.get_context("fork").Process(target=_per_path_in_child, args=(cfg, expected))
     child.start()
@@ -500,10 +515,10 @@ def _fail_short_blocks(monkeypatch, rows: int) -> None:
     """Make the power kernel raise DomainError on every block of fewer than ``rows`` rows."""
     kernel = mc._log_marginal_inverse
 
-    def failing(a, alpha, gamma, log_y, start=None):
+    def failing(a, alpha, gamma, log_y, start=None, scratch=None):
         if log_y.shape[0] < rows:
             raise DomainError("injected failure in a short block")
-        return kernel(a, alpha, gamma, log_y, start)
+        return kernel(a, alpha, gamma, log_y, start, scratch)
 
     monkeypatch.setattr(mc, "_log_marginal_inverse", failing)
 
@@ -541,31 +556,65 @@ def test_block_error_exits_with_the_parameter_code(monkeypatch, use_workers, tmp
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_the_first_failing_block_decides_the_error(monkeypatch, use_workers, workers):
-    # the block at row 6 fails late, the one at row 15 early; 200 blocks of 3 rows take 10 ms each
+    # 200 blocks of 3 rows take 10 ms each. The block at row 6 fails late; the
+    # ones at rows 15 and 198 fail early, and with 3 workers row 198 starts the
+    # second range, which fails before the first range reaches row 6
     use_workers(workers)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 3 * 4)
-    normals = mc._normals
+    cfg = SimulationConfig(n_paths=600, seed=1)
+    row_of = {value: row for row, value in enumerate(matrix_normals(cfg, 4)[:, 0])}
     lock = threading.Lock()
     started, running = [], [0]
 
-    def failing(seed, start, rows, n_periods):
+    def failing(g):
+        start = row_of[g[0, 0]]
         with lock:
             started.append(start)
             running[0] += 1
         try:
             time.sleep(0.05 if start == 6 else 0.01)
-            if start in (6, 15):
+            if start in (6, 15, 198):
                 raise DomainError(f"block at row {start}")
-            return normals(seed, start, rows, n_periods)
+            return g.sum(axis=1)
         finally:
             with lock:
                 running[0] -= 1
 
-    monkeypatch.setattr(mc, "_normals", failing)
     with pytest.raises(DomainError, match="block at row 6$"):
-        mc._per_path(SimulationConfig(n_paths=600, seed=1), 4, lambda g: g.sum(axis=1))
+        per_path(cfg, 4, failing)
     assert running[0] == 0  # blocks that had started finished before the error was raised
     assert len(started) < 200  # and the rest never started
+
+
+@pytest.mark.parametrize("n_paths, ranges", [(202, 3), (14, 2), (7, 1)])
+def test_a_pooled_estimate_makes_one_stream_per_range(monkeypatch, use_workers, estimate_kind, n_paths, ranges):
+    # blocks of 7 rows: 29, 2 and 1 of them on 3 workers
+    use_workers(3)
+    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
+    lib, pool = mc._draw_imports(), mc._executor()
+    philox, submit = lib.Philox, pool.submit
+    made, submitted = [], []
+    monkeypatch.setattr(lib, "Philox", lambda *args, **kwargs: made.append(1) or philox(*args, **kwargs))
+    monkeypatch.setattr(pool, "submit", lambda *args: submitted.append(1) or submit(*args))
+    estimate_kind("power", SimulationConfig(n_paths=n_paths, n_periods=30, seed=5))
+    assert (len(made), len(submitted)) == (ranges, ranges - 1)
+
+
+def test_power_estimates_on_one_pool_keep_no_scratch_between_them(use_workers, power_problem, power_solution):
+    # table2, then a 10-asset market at alpha = -1 with a longer horizon, back
+    # to back on one pool, twice: each gives the estimate of a serial run
+    market = random_market(np.random.default_rng(2), 10)
+    e = EvaluationSpec(tau=0.5, gamma=0.8, delta=0.3)
+    p = PowerProblem(market=market, evaluation=e, alpha=-1.0, cs=constrained_sharpe(market))
+    runs = [
+        (power_solution, power_problem, SimulationConfig(n_paths=4000, n_periods=30, seed=5)),
+        (fixed_point(p), p, SimulationConfig(n_paths=3000, n_periods=45, seed=6)),
+    ]
+    use_workers(1)
+    serial = [estimate_power_objective(sol, problem, 0.5, cfg) for sol, problem, cfg in runs]
+    use_workers(3)
+    pooled = [estimate_power_objective(sol, problem, 0.5, cfg) for sol, problem, cfg in runs * 2]
+    assert pooled == serial * 2
 
 
 def test_log_estimate_matches_matrix_formula(table_market, table_eval, table_cone):
@@ -631,7 +680,7 @@ def test_table_start_gives_the_line_start_root_in_no_more_steps(monkeypatch, alp
             log_y = 0.3 + s * TABLE_DRAWS
             start = mc._start_table(a, alpha, gamma, 0.3, s)
             line = power._log_marginal_inverse(a, alpha, gamma, log_y)
-            tabled = power._log_marginal_inverse(a, alpha, gamma, log_y, start(TABLE_DRAWS))
+            tabled = power._log_marginal_inverse(a, alpha, gamma, log_y, table_start(start, TABLE_DRAWS))
             # a few ulps of the terms of g(u) = (alpha-1) u + softplus(t) - log y, over |g'(u)|
             t = math.log(a * (1.0 - gamma)) + beta * line
             slope = alpha - 1.0 + beta * np.exp(-np.logaddexp(0.0, -t))
@@ -641,7 +690,7 @@ def test_table_start_gives_the_line_start_root_in_no_more_steps(monkeypatch, alp
                 newton_steps(monkeypatch, lambda: power._log_marginal_inverse(a, alpha, gamma, log_y)),
                 newton_steps(
                     monkeypatch,
-                    lambda: power._log_marginal_inverse(a, alpha, gamma, log_y, start(TABLE_DRAWS)),
+                    lambda: power._log_marginal_inverse(a, alpha, gamma, log_y, table_start(start, TABLE_DRAWS)),
                 ),
             ]
             assert steps[1] <= steps[0], (a, s, steps)
@@ -660,20 +709,20 @@ def test_table_start_takes_one_newton_step_on_table2(monkeypatch, use_workers, t
         market=table_market, evaluation=EvaluationSpec(tau=tau, gamma=0.8, delta=0.3), alpha=TABLE_ALPHA, cs=table_cone
     )
     sol = fixed_point(p)
-    g = mc._normals(3, 0, 1000, 30)
+    g = normals(3, 0, 1000, 30)
     log_y = math.log(sol.y_star) + p.law.drift + p.law.s * g
     start = mc._start_table(sol.a_star, p.alpha, 0.8, math.log(sol.y_star) + p.law.drift, p.law.s)
     line = newton_steps(monkeypatch, lambda: power._log_marginal_inverse(sol.a_star, p.alpha, 0.8, log_y))
     tabled = newton_steps(
-        monkeypatch, lambda: power._log_marginal_inverse(sol.a_star, p.alpha, 0.8, log_y, start(g))
+        monkeypatch, lambda: power._log_marginal_inverse(sol.a_star, p.alpha, 0.8, log_y, table_start(start, g))
     )
     assert (line, tabled) == (4, 1)
     # the estimator solves the table's nodes from the line start, then starts every block from the table
     kernel, starts = mc._log_marginal_inverse, []
 
-    def recording(a, alpha, gamma, log_y, start=None):
+    def recording(a, alpha, gamma, log_y, start=None, scratch=None):
         starts.append(start is not None)
-        return kernel(a, alpha, gamma, log_y, start)
+        return kernel(a, alpha, gamma, log_y, start, scratch)
 
     monkeypatch.setattr(mc, "_log_marginal_inverse", recording)
     use_workers(1)
