@@ -646,10 +646,15 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
     lower bound underflows.
 
     Each evaluation's y* Newton starts near its root: at the first A from
-    ``_log_y_start``, and after each step
-    dA from log y* + (d log y*/dA) dA, the tangent of y*(A) taken by the
-    previous evaluation. Each evaluation sums over its own a-priori u-grid
-    (``_period_sums``), so it carries nothing else from the last.
+    ``_log_y_start``, and after each step from A to A' on the tangent of
+    log y* in log A taken by the previous evaluation, log y* + (d log y*/dA)
+    A log(A'/A). For large A, y* grows like a power of A, so this tangent
+    holds over a step of many decades, where the tangent in A would leave
+    float64 (a step from 1087.8 to 906962 put it at log y = 838.9, against
+    log y* = 13.66); where A = 0 or A'/A leaves float64 it is taken in A,
+    log y* + (d log y*/dA)(A' - A). Each evaluation sums over its own
+    a-priori u-grid (``_period_sums``), so it carries nothing else from the
+    last.
 
     Only the accepted evaluation needs y* to ``tol_root``. Both acceptance
     tests below need |Psi(A) - A| <= tol min(1, A) + 4 ulp(A), to a factor
@@ -714,7 +719,11 @@ def fixed_point(p: PowerProblem) -> PowerSolution:
                 f"fixed-point residual stalled at {abs(residual):.3g} > {allowed:.3g}"
             )
         last_residual = abs(residual)
-        u = math.log(y_star) + dlog_y * (a_next - a)
+        ratio = a_next / a if a > 0.0 else 0.0
+        if 0.0 < ratio < math.inf:  # the tangent in log A: for large A, y* grows like a power of A
+            u = math.log(y_star) + dlog_y * a * math.log(ratio)
+        else:  # A = 0, or A steps across more than float64's range
+            u = math.log(y_star) + dlog_y * (a_next - a)
         a = a_next
     else:
         raise NonConvergence("fixed-point iteration hit its cap")

@@ -52,6 +52,25 @@ TINY_LOWER_BOUND = dict(
 # A* = 59.1646573692 at each of these deltas.
 TINY_DELTA = dict(mu=(0.5,), sigma=(1.0,), r=0.0, tau=0.4, gamma=0.5, delta=5e-324, x0=1.0, alpha=-1.0)
 
+# A well-posed 3-asset power config (sigma row-major) whose first A* Newton step
+# runs from the lower bound 1087.8 to 906962. On that step log y* grows about like
+# log A: a y* start taken on the tangent in A lands at log y = 838.9, outside
+# float64. The reference gives A* = 910846.8924410606 and log y* = 13.6558.
+LONG_A_STEP = dict(
+    mu=(0.31842912821934777, 0.08700572309360734, -0.01845359166736156),
+    sigma=(
+        0.3891782830127266, 0.0, 0.0,
+        -0.0425195968116094, 0.19527196322400037, 0.0,
+        -0.0986470405839888, -0.01841645453614213, 0.33112776518553017,
+    ),
+    r=0.12655673738521858,
+    tau=0.006416989942901546,
+    gamma=0.06548178845305594,
+    delta=0.21161381250362998,
+    x0=1.0,
+    alpha=0.5784962157487078,
+)
+
 # A well-posed 3-asset power config (sigma row-major) whose Monte Carlo values
 # reach 1e290: their squares overflow float64.
 HUGE_SAMPLES = dict(

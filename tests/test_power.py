@@ -40,6 +40,7 @@ from conftest import (
     TABLE_SIGMA,
     TABLE_TAU,
     TABLE_X0,
+    LONG_A_STEP,
     TINY_DELTA,
     TINY_LOWER_BOUND,
     h_expectation,
@@ -569,6 +570,17 @@ def test_a_priori_bounds_beyond_float64_are_inf(table_market, table_cone):
     assert upper == math.inf
     assert lower == pytest.approx(59.0076042685, rel=1e-10)
     assert fixed_point(p).a_star == pytest.approx(59.1646573692, rel=1e-11)
+
+
+def test_a_long_a_step_keeps_the_y_star_start_in_float64():
+    # LONG_A_STEP: the first A step spans 6.7 in log A, and the next y* Newton
+    # starts on the tangent of log y* in log A, at log y = 13.65
+    c = LONG_A_STEP
+    m = MarketModel(mu=c["mu"], sigma=np.reshape(c["sigma"], (3, 3)), r=c["r"])
+    p = PowerProblem(m, EvaluationSpec(c["tau"], c["gamma"], c["delta"]), c["alpha"], constrained_sharpe(m))
+    sol = fixed_point(p)
+    assert sol.a_star == pytest.approx(910846.8924410606, rel=1e-9)
+    assert math.log(sol.y_star) == pytest.approx(13.6558, abs=1e-4)
 
 
 def test_fixed_point_negative_alpha(table_market, table_cone):
