@@ -87,7 +87,7 @@ _NORMAL_BOUND = 8.209536151601387
 _TABLE_INTERVALS = 512
 # draws per streamed block; it does not depend on the worker count, so neither do the estimates
 _CHUNK_ELEMENTS = 2**15
-# blocks run at once; the pool starts a thread per submitted block up to this many
+# ranges of blocks run at once: the calling thread runs one, the pool the others
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -123,7 +123,7 @@ def _draw_imports() -> SimpleNamespace:
 
     Only the Monte Carlo uses scipy's ``ndtri``, numpy's Philox generator and
     the thread pool, so no other subcommand pays for their imports.
-    ``_per_path`` calls this in the calling thread before any block goes to
+    ``_per_path`` calls this in the calling thread before any range goes to
     the pool, so no pool worker is the first to import them.
     """
     from concurrent.futures import ThreadPoolExecutor, wait

@@ -41,8 +41,8 @@ of numerical continuation (Allgower and Georg, Introduction to Numerical
 Continuation Methods, SIAM 2003). At the first A it starts from
 y0 = x h_a'(x) at log x = r tau + s^2 / (2 (1-alpha)), the root when
 a(1-gamma) = 0 (``_log_y_start``); after each step of A it starts from the
-tangent of y*(A), d log y*/dA = -(dF/da) / (y F'(y)) by the
-implicit-function rule, with dF/da = E[(Z/B) dx/da] =
+tangent of log y* in log A, with d log y*/dA = -(dF/da) / (y F'(y)) by the
+implicit-function rule and dF/da = E[(Z/B) dx/da] =
 E[-(1-gamma) x^(alpha(1-gamma)) / (y d log h_a'/d log x)] from
 differentiating h_a'(x) = y Z/B. That sum rides in the same call.
 
