@@ -24,23 +24,21 @@ counter-based (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2,
 3"), so each range positions one generator at its first cell's offset in the
 stream and draws its blocks in order from it, into one buffer: every cell
 gets the value it has in the whole matrix. The calling thread runs the first
-range, and a pool of _WORKERS threads, one per CPU available at import, runs
-the others, one task per range (numpy's generator, ``ndtri`` and the block
-kernels release the GIL); with one CPU, or one block, no thread is started.
-The pool comes from a cached factory, ``_executor``: it is made on the first
-estimate that needs it and kept for the process, and a fork clears the
-cache, so a forked child makes its own. Each range makes its own kernel,
-which keeps its scratch arrays from block to block, and writes only its own
-rows of the per-path values. Every row is computed the same way whatever the
-block's row count (the marginal inverse's Newton stops each cell on its own
-step test), so every estimate is bit-identical for any worker count and any
-block size. ``ndtri`` is the only scipy function the
-package uses. It, numpy's ``Generator`` and ``Philox``, and the pool's
-``concurrent.futures`` are imported on the first draw, in the calling thread,
-so importing the package and running the other subcommands load none of
-scipy, ``numpy.random`` and ``concurrent.futures``. A pass holds O(workers *
-block + n_paths) floats: per range one block of draws and its kernel's
-scratch, and the per-path values.
+range and starts one thread for each of the others (_WORKERS is the number
+of CPUs available at import; numpy's generator, ``ndtri`` and the block
+kernels release the GIL), then joins them: no thread outlives the estimate,
+and the Monte Carlo keeps no pool or other state in the process. With one
+CPU, or one block, no thread is started. Each range
+makes its own kernel, which keeps its scratch arrays from block to block,
+and writes only its own rows of the per-path values. Every row is computed
+the same way whatever the block's row count (the marginal inverse's Newton
+stops each cell on its own step test), so every estimate is bit-identical
+for any worker count and any block size. ``ndtri`` is the only scipy
+function the package uses. It and numpy's ``Generator`` and ``Philox`` are
+imported on the first draw, in the calling thread, so importing the package
+and running the other subcommands load neither scipy nor ``numpy.random``. A
+pass holds O(workers * block + n_paths) floats: per range one block of
+draws and its kernel's scratch, and the per-path values.
 
 Within a block the work runs in log space: the log objective is affine in
 the log growth, and the power objective sums exp(alpha u_i + beta S_{i-1} -
@@ -56,8 +54,8 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache
+from threading import Thread
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -66,9 +64,6 @@ from .cone import ConstrainedSharpe
 from .market import EvaluationSpec, MarketModel
 from .power import _POINT_MASS_S, _SOFTPLUS_LINEAR, PowerProblem, PowerSolution, _log_marginal_inverse, value_function
 from .quadrature import DeflatorLaw
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 TAIL_EPS = 1e-8
 # ``compare`` accepts an estimate within K_SIGMA standard errors (plus the truncation bound)
@@ -87,7 +82,7 @@ _NORMAL_BOUND = 8.209536151601387
 _TABLE_INTERVALS = 512
 # draws per streamed block; it does not depend on the worker count, so neither do the estimates
 _CHUNK_ELEMENTS = 2**15
-# ranges of blocks run at once: the calling thread runs one, the pool the others
+# ranges of blocks run at once: the calling thread runs one, a thread per range the others
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -121,22 +116,15 @@ class ObjectiveEstimate:
 def _draw_imports() -> SimpleNamespace:
     """What the Monte Carlo needs beyond numpy's core, imported on the first draw.
 
-    Only the Monte Carlo uses scipy's ``ndtri``, numpy's Philox generator and
-    the thread pool, so no other subcommand pays for their imports.
-    ``_per_path`` calls this in the calling thread before any range goes to
-    the pool, so no pool worker is the first to import them.
+    Only the Monte Carlo uses scipy's ``ndtri`` and numpy's Philox generator,
+    so no other subcommand pays for their imports. ``_per_path`` calls this
+    in the calling thread before it starts any range thread, so no range
+    thread is the first to import them.
     """
-    from concurrent.futures import ThreadPoolExecutor, wait
     from numpy.random import Generator, Philox
     from scipy.special import ndtri
 
-    return SimpleNamespace(
-        Generator=Generator,
-        Philox=Philox,
-        ndtri=ndtri,
-        ThreadPoolExecutor=ThreadPoolExecutor,
-        wait=wait,
-    )
+    return SimpleNamespace(Generator=Generator, Philox=Philox, ndtri=ndtri)
 
 
 def _stream(seed: int, start: int, n_periods: int):
@@ -163,17 +151,6 @@ def _normals(gen, out: np.ndarray) -> np.ndarray:
     return _draw_imports().ndtri(out, out=out)
 
 
-@cache
-def _executor() -> ThreadPoolExecutor:
-    """The pool of _WORKERS threads, made on the first pooled estimate and kept for the process."""
-    return _draw_imports().ThreadPoolExecutor(_WORKERS, thread_name_prefix="mc-block")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the parent's threads, so it must not reuse their pool
-    os.register_at_fork(after_in_child=_executor.cache_clear)
-
-
 def _per_path(cfg: SimulationConfig, n_periods: int, make_kernel) -> np.ndarray:
     """Per-path values, streamed: ``make_kernel()`` returns a map from a block of normals to one value per row.
 
@@ -190,7 +167,7 @@ def _per_path(cfg: SimulationConfig, n_periods: int, make_kernel) -> np.ndarray:
     n_ranges = min(_WORKERS, n_blocks)
     edges = [min(n_paths, step * (n_blocks * r // n_ranges)) for r in range(n_ranges + 1)]
     errors = [None] * n_ranges
-    lib = _draw_imports()  # import here, never first in a pool worker
+    _draw_imports()  # import here, never first in a range thread
 
     def run_range(r: int) -> None:
         first, stop = edges[r], edges[r + 1]
@@ -206,9 +183,12 @@ def _per_path(cfg: SimulationConfig, n_periods: int, make_kernel) -> np.ndarray:
         except BaseException as error:
             errors[r] = error
 
-    futures = [_executor().submit(run_range, r) for r in range(1, n_ranges)]
+    threads = [Thread(target=run_range, args=(r,), name=f"mc-range-{r}") for r in range(1, n_ranges)]
+    for thread in threads:
+        thread.start()
     run_range(0)
-    lib.wait(futures)
+    for thread in threads:
+        thread.join()
     for error in errors:
         if error is not None:
             raise error

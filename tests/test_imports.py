@@ -1,8 +1,8 @@
 """What importing the CLI loads, and what each subcommand adds; the parser is built once, on first use.
 
 The import loads every layer that perfbench's tracer patches, but none of the
-modules only `simulate` needs: scipy, numpy.random and concurrent.futures
-load on the first draw.
+modules only `simulate` needs: scipy and numpy.random load on the first draw,
+and concurrent.futures with them, since scipy.special imports it.
 """
 
 import os

@@ -1,12 +1,9 @@
 import math
-import multiprocessing
-import os
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -45,28 +42,24 @@ def bond_market():
     return MarketModel(mu=[0.12, 0.12], sigma=np.diag([0.2, 0.25]), r=0.12)
 
 
-def _drop_pool() -> None:
-    """Shut down the pool that ``mc._executor`` holds, if any, and clear its cache."""
-    if mc._executor.cache_info().currsize:
-        mc._executor().shutdown()
-    mc._executor.cache_clear()
+@pytest.fixture
+def use_workers(monkeypatch):
+    """use_workers(n): split each estimate's blocks into at most n ranges, for the rest of the test."""
+    return lambda workers: monkeypatch.setattr(mc, "_WORKERS", workers)
 
 
 @pytest.fixture
-def use_workers(monkeypatch):
-    """use_workers(n): run pooled blocks on a new pool of n threads, shut down after the test.
+def range_threads(monkeypatch):
+    """The threads that ``mc._per_path`` starts for the rest of the test, in the order they start."""
+    started = []
 
-    The module's pool is made once with ``mc._WORKERS``, so the test starts
-    from no pool, and setting the worker count drops the pool made before.
-    """
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    def use(workers: int) -> None:
-        _drop_pool()
-        monkeypatch.setattr(mc, "_WORKERS", workers)
-
-    _drop_pool()
-    yield use
-    _drop_pool()
+    monkeypatch.setattr(mc, "Thread", Recorded)
+    return started
 
 
 def normals(seed: int, start: int, rows: int, n_periods: int) -> np.ndarray:
@@ -443,16 +436,16 @@ def test_estimates_do_not_depend_on_worker_count(
     assert pooled.truncation_bound == serial.truncation_bound
 
 
-def test_one_worker_or_one_block_starts_no_thread(use_workers, estimate_kind):
+def test_one_worker_or_one_block_starts_no_thread(use_workers, range_threads, estimate_kind):
     use_workers(1)
     estimate_kind("power", SimulationConfig(n_paths=4000, n_periods=30, seed=5))
     use_workers(3)
     estimate_kind("power", SimulationConfig(n_paths=100, n_periods=30, seed=5))
-    assert mc._executor.cache_info().currsize == 0
+    assert range_threads == []
 
 
 def test_ndtri_loads_in_the_calling_thread(monkeypatch, use_workers, estimate_kind):
-    # the first lookup of ndtri, Philox and the pool's module must not happen inside a pool worker
+    # the first lookup of ndtri and Philox must not happen inside a range thread
     use_workers(3)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
     lookup = mc._draw_imports
@@ -469,7 +462,6 @@ def test_ndtri_loads_in_the_calling_thread(monkeypatch, use_workers, estimate_ki
     assert first_lookups == [threading.main_thread()]
     lib = lookup()
     assert (lib.Generator, lib.Philox, lib.ndtri) == (Generator, Philox, ndtri)
-    assert (lib.ThreadPoolExecutor, lib.wait) == (ThreadPoolExecutor, wait)
 
 
 def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch, use_workers):
@@ -486,31 +478,6 @@ def test_pooled_blocks_fill_every_row_under_fast_switching(monkeypatch, use_work
     assert np.array_equal(values, matrix_normals(cfg, 5)[:, 0])
 
 
-def _per_path_in_child(cfg: SimulationConfig, expected: np.ndarray) -> None:
-    inherited = mc._executor.cache_info().currsize  # the fork hook clears the parent's pool
-    values = per_path(cfg, 4, lambda g: g[:, 0])
-    made = mc._executor.cache_info().currsize
-    sys.exit(0 if (inherited, made) == (0, 1) and np.array_equal(values, expected) else 1)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_makes_its_own_pool(monkeypatch, use_workers):
-    use_workers(2)
-    monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 5 * 4)
-    cfg = SimulationConfig(n_paths=40, seed=2)
-    expected = per_path(cfg, 4, lambda g: g[:, 0])
-    assert mc._executor.cache_info().currsize == 1
-    child = multiprocessing.get_context("fork").Process(target=_per_path_in_child, args=(cfg, expected))
-    child.start()
-    child.join(timeout=60)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join()
-    assert not hung
-    assert child.exitcode == 0
-
-
 def _fail_short_blocks(monkeypatch, rows: int) -> None:
     """Make the power kernel raise DomainError on every block of fewer than ``rows`` rows."""
     kernel = mc._log_marginal_inverse
@@ -523,21 +490,23 @@ def _fail_short_blocks(monkeypatch, rows: int) -> None:
     monkeypatch.setattr(mc, "_log_marginal_inverse", failing)
 
 
-def test_block_error_reaches_the_caller_and_the_pool_survives(
-    monkeypatch, use_workers, power_problem, power_solution, estimate_kind
+def test_block_error_reaches_the_caller_and_no_range_thread_outlives_it(
+    monkeypatch, use_workers, range_threads, power_problem, power_solution, estimate_kind
 ):
     periods = 30
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * periods)
     use_workers(3)
     cfg = SimulationConfig(n_paths=202, n_periods=periods, seed=5)  # the last block, at row 196, has 6 rows
+    active = threading.active_count()
     expected = estimate_kind("power", cfg)
-    pool = mc._executor()
+    assert threading.active_count() == active
     with monkeypatch.context() as patch:
         _fail_short_blocks(patch, 7)
         with pytest.raises(DomainError, match="short block"):
             estimate_power_objective(power_solution, power_problem, 0.5, cfg)
+    assert threading.active_count() == active
+    assert len(range_threads) == 4 and not any(thread.is_alive() for thread in range_threads)
     assert estimate_kind("power", cfg) == expected
-    assert mc._executor() is pool
 
 
 def test_block_error_exits_with_the_parameter_code(monkeypatch, use_workers, tmp_path, capsys):
@@ -555,7 +524,7 @@ def test_block_error_exits_with_the_parameter_code(monkeypatch, use_workers, tmp
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_the_first_failing_block_decides_the_error(monkeypatch, use_workers, workers):
+def test_the_first_failing_block_decides_the_error(monkeypatch, use_workers, range_threads, workers):
     # 200 blocks of 3 rows take 10 ms each. The block at row 6 fails late; the
     # ones at rows 15 and 198 fail early, and with 3 workers row 198 starts the
     # second range, which fails before the first range reaches row 6
@@ -580,29 +549,34 @@ def test_the_first_failing_block_decides_the_error(monkeypatch, use_workers, wor
             with lock:
                 running[0] -= 1
 
+    active = threading.active_count()
     with pytest.raises(DomainError, match="block at row 6$"):
         per_path(cfg, 4, failing)
     assert running[0] == 0  # blocks that had started finished before the error was raised
     assert len(started) < 200  # and the rest never started
+    assert len(range_threads) == workers - 1 and threading.active_count() == active
 
 
 @pytest.mark.parametrize("n_paths, ranges", [(202, 3), (14, 2), (7, 1)])
-def test_a_pooled_estimate_makes_one_stream_per_range(monkeypatch, use_workers, estimate_kind, n_paths, ranges):
+def test_a_pooled_estimate_makes_one_stream_per_range(
+    monkeypatch, use_workers, range_threads, estimate_kind, n_paths, ranges
+):
     # blocks of 7 rows: 29, 2 and 1 of them on 3 workers
     use_workers(3)
     monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
-    lib, pool = mc._draw_imports(), mc._executor()
-    philox, submit = lib.Philox, pool.submit
-    made, submitted = [], []
+    lib = mc._draw_imports()
+    philox = lib.Philox
+    made = []
     monkeypatch.setattr(lib, "Philox", lambda *args, **kwargs: made.append(1) or philox(*args, **kwargs))
-    monkeypatch.setattr(pool, "submit", lambda *args: submitted.append(1) or submit(*args))
+    active = threading.active_count()
     estimate_kind("power", SimulationConfig(n_paths=n_paths, n_periods=30, seed=5))
-    assert (len(made), len(submitted)) == (ranges, ranges - 1)
+    assert (len(made), len(range_threads)) == (ranges, ranges - 1)
+    assert threading.active_count() == active
 
 
-def test_power_estimates_on_one_pool_keep_no_scratch_between_them(use_workers, power_problem, power_solution):
+def test_back_to_back_power_estimates_keep_no_scratch_between_them(use_workers, power_problem, power_solution):
     # table2, then a 10-asset market at alpha = -1 with a longer horizon, back
-    # to back on one pool, twice: each gives the estimate of a serial run
+    # to back on 3 workers, twice: each gives the estimate of a serial run
     market = random_market(np.random.default_rng(2), 10)
     e = EvaluationSpec(tau=0.5, gamma=0.8, delta=0.3)
     p = PowerProblem(market=market, evaluation=e, alpha=-1.0, cs=constrained_sharpe(market))

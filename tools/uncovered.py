@@ -11,7 +11,7 @@ power_grid, mc_verify and closed_form workloads for each seed with
 the lines executed in the modules under the tree's
 ``src/periodic_portfolio``, with ``sys.settrace`` for this thread and
 ``threading.settrace`` for the threads started during the run (the Monte
-Carlo's block pool). A module's executable lines are the line numbers of
+Carlo's range threads). A module's executable lines are the line numbers of
 its compiled code objects (``co_lines``). It prints one line per module,
 
     module executed/executable never: LINE...
