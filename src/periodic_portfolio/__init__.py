@@ -25,7 +25,6 @@ from .power import (
     fixed_point,
     intra_period_profile,
     marginal_inverse,
-    moderated_utility,
     value_function,
 )
 from .quadrature import DeflatorLaw
@@ -56,7 +55,6 @@ __all__ = [
     "format_problem_config",
     "intra_period_profile",
     "marginal_inverse",
-    "moderated_utility",
     "optimal_tau",
     "parse_problem_config",
     "solve_cone",

@@ -172,15 +172,6 @@ class PowerSolution:
     psi_slope: float
 
 
-def moderated_utility(a: float, alpha: float, gamma: float, x):
-    """h_a(x) = (1/alpha) x^alpha + (a/alpha) x^(alpha(1-gamma)) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("moderated utility requires x > 0")
-    out = x**alpha / alpha + (a / alpha) * x ** (alpha * (1.0 - gamma))
-    return float(out) if out.ndim == 0 else out
-
-
 def _newton_start(lc: float, p1: float, beta: float, log_y):
     """Larger root of the two lines that bound g from below (see ``marginal_inverse``)."""
     u = log_y / p1

@@ -11,10 +11,10 @@ from periodic_portfolio import (
     constrained_sharpe,
     fixed_point,
     marginal_inverse,
-    moderated_utility,
 )
 from periodic_portfolio import cli, mc
 from periodic_portfolio.errors import ConfigError, ParameterError, SolverError
+from reference import moderated_utility
 
 # Benchmark two-stock market used throughout: mu = (0.1, 0.15),
 # sigma = diag(0.2, 0.25), r = 0.12, so xi = (-0.1, 0.12) and the
@@ -71,6 +71,20 @@ LONG_A_STEP = dict(
     alpha=0.5784962157487078,
 )
 
+# A well-posed 2-asset power config (sigma row-major) whose A*, about 2.04e17, lies
+# where the rounding of Psi exceeds the fixed point's 4-ulp floor allowance: its
+# residual stalls at 416 = 13 ulp(A) against the 128 allowed.
+STALLED_RESIDUAL = dict(
+    mu=(0.24869602123135964, 0.3427959921477895),
+    sigma=(0.25586764845009746, 0.0, 0.04562321353565729, 0.42067792319516806),
+    r=0.03710916829317974,
+    tau=89.62733334918866,
+    gamma=0.1490774404532999,
+    delta=0.8537895368979722,
+    x0=1.0,
+    alpha=0.7002260964749739,
+)
+
 # A well-posed 3-asset power config (sigma row-major) whose Monte Carlo values
 # reach 1e290: their squares overflow float64.
 HUGE_SAMPLES = dict(
@@ -90,7 +104,8 @@ HUGE_SAMPLES = dict(
 
 # A well-posed 3-asset power market (sigma row-major) with a steep alpha. With
 # x0 = 1e-180, x0^beta = 1e329 leaves float64 where V(x0) = -2.6e278 does not
-# (tau = 5); with x0 = 1e300, V(x0) = -2.3e-560 leaves it (tau = 1).
+# (tau = 5); with x0 = 1e300, V(x0) = -2.3e-560 leaves it (tau = 1). From tau = 6
+# on, its law of Z/B is too wide for the u-grid (s = 13.9 at tau = 6).
 STEEP = dict(
     mu=(0.6555949929166196, 7.103515625e-05, -0.005031251995422818),
     sigma=(

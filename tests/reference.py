@@ -6,8 +6,9 @@ log Z/B = drift + s G and G standard normal. It shares no code with the
 package. Each node's x = I(y Z/B) is the root u = log x of the scalar node
 equation (alpha-1) u + log(1 + c e^(-alpha gamma u)) = log(y Z/B),
 c = a(1-gamma), found by ``scipy.optimize.brentq`` (``log_marginal_inverse``;
-``marginal`` is h_a' itself, the function that I inverts). Each column is a
-sum of three or fewer expectations of positive terms f(G), and each of those is
+``marginal`` is h_a' itself, the function that I inverts, and
+``moderated_utility`` is h_a). Each column is a sum of three or fewer
+expectations of positive terms f(G), and each of those is
 ``scipy.integrate.quad`` over G of f(G) phi(G), scaled by its largest value
 so that no term overflows: f(G) phi(G) = exp(l(G)), and quad integrates
 exp(l(G) - l(G*)) over G* +- 40 with G* the maximum of l. A law with s = 0
@@ -52,6 +53,15 @@ def marginal(a: float, alpha: float, gamma: float, x):
     """h_a'(x) = x^(alpha-1) + a (1-gamma) x^(alpha(1-gamma)-1), elementwise for x > 0."""
     x = np.asarray(x, dtype=float)
     return x ** (alpha - 1.0) + a * (1.0 - gamma) * x ** (alpha * (1.0 - gamma) - 1.0)
+
+
+def moderated_utility(a: float, alpha: float, gamma: float, x):
+    """h_a(x) = (1/alpha) x^alpha + (a/alpha) x^(alpha(1-gamma)), a float for a scalar x > 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("moderated utility requires x > 0")
+    out = x**alpha / alpha + (a / alpha) * x ** (alpha * (1.0 - gamma))
+    return float(out) if out.ndim == 0 else out
 
 
 def log_marginal_inverse(a: float, alpha: float, gamma: float, log_y: float) -> float:

@@ -19,7 +19,7 @@ ROOT_NAMES = {
     "estimate_power_objective",
     "TauSearchResult", "optimal_tau", "tau_objective",
     "PowerProblem", "PowerSolution", "fixed_point", "contraction_map", "budget_function",
-    "value_function", "intra_period_profile", "marginal_inverse", "moderated_utility",
+    "value_function", "intra_period_profile", "marginal_inverse",
     "DeflatorLaw", "solve",
 }  # fmt: skip
 
@@ -36,7 +36,7 @@ def test_root_exports_exactly_all():
     }
     assert public == set(exported)
     # the CLI's objects and the paper's: a name joins or leaves the root on purpose
-    assert len(ROOT_NAMES) == 33
+    assert len(ROOT_NAMES) == 32
     assert set(exported) == ROOT_NAMES
 
 
@@ -62,7 +62,6 @@ SIGNATURES = {
     ),
     "marginal_inverse": ("a", "alpha", "gamma", "y"),
     "MarketModel": ("mu", "sigma", "r"),
-    "moderated_utility": ("a", "alpha", "gamma", "x"),
     "ObjectiveEstimate": ("mean", "std_error", "truncation_bound"),
     "optimal_tau": ("objective", "cap"),
     "parse_problem_config": ("text",),

@@ -20,17 +20,26 @@ from periodic_portfolio import (
     fixed_point,
     intra_period_profile,
     marginal_inverse,
-    moderated_utility,
     solve,
     value_function,
     zeta,
 )
 from periodic_portfolio import power
-from periodic_portfolio.errors import AssumptionViolated, DomainError, NonFinite, ParameterOutOfRange, PortfolioError
+from periodic_portfolio.errors import (
+    AssumptionViolated,
+    DomainError,
+    NonConvergence,
+    NonFinite,
+    NumericalFault,
+    ParameterOutOfRange,
+    PortfolioError,
+    QuadratureError,
+)
 from periodic_portfolio.mc import SimulationConfig
 from periodic_portfolio.quadrature import expect_deflator_adaptive
 
 import reference
+from reference import moderated_utility
 from conftest import (
     TABLE_ALPHA,
     TABLE_DELTA,
@@ -41,6 +50,8 @@ from conftest import (
     TABLE_TAU,
     TABLE_X0,
     LONG_A_STEP,
+    STALLED_RESIDUAL,
+    STEEP,
     TINY_DELTA,
     TINY_LOWER_BOUND,
     h_expectation,
@@ -48,6 +59,13 @@ from conftest import (
 )
 
 Q_TILDE = 0.0144  # |xi_tilde|^2 for the benchmark market
+
+
+def config_problem(c: dict) -> PowerProblem:
+    """The PowerProblem of a config dict of ``tests/conftest.py``, with sigma row-major."""
+    n = len(c["mu"])
+    m = MarketModel(mu=c["mu"], sigma=np.reshape(c["sigma"], (n, n)), r=c["r"])
+    return PowerProblem(m, EvaluationSpec(c["tau"], c["gamma"], c["delta"]), c["alpha"], constrained_sharpe(m))
 
 
 def closed_a_star_gamma1(alpha, delta, tau, q=Q_TILDE, r=TABLE_R):
@@ -69,7 +87,7 @@ def test_moderated_utility_values():
 
 
 def test_moderated_utility_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="x > 0"):
         moderated_utility(1.0, 0.5, 0.8, 0.0)
 
 
@@ -563,9 +581,7 @@ def test_a_priori_bounds_beyond_float64_are_inf(table_market, table_cone):
     with pytest.raises(NonFinite, match=r"^A\* overflows float64 at tau=20000"):
         fixed_point(p)
     # TINY_DELTA: the upper bound's denominator -expm1(-delta tau) rounds to 0
-    c = TINY_DELTA
-    m = MarketModel(mu=c["mu"], sigma=np.reshape(c["sigma"], (1, 1)), r=c["r"])
-    p = PowerProblem(m, EvaluationSpec(c["tau"], c["gamma"], c["delta"]), c["alpha"], constrained_sharpe(m))
+    p = config_problem(TINY_DELTA)
     lower, upper = power.fixed_point_bounds(p)
     assert upper == math.inf
     assert lower == pytest.approx(59.0076042685, rel=1e-10)
@@ -575,12 +591,42 @@ def test_a_priori_bounds_beyond_float64_are_inf(table_market, table_cone):
 def test_a_long_a_step_keeps_the_y_star_start_in_float64():
     # LONG_A_STEP: the first A step spans 6.7 in log A, and the next y* Newton
     # starts on the tangent of log y* in log A, at log y = 13.65
-    c = LONG_A_STEP
-    m = MarketModel(mu=c["mu"], sigma=np.reshape(c["sigma"], (3, 3)), r=c["r"])
-    p = PowerProblem(m, EvaluationSpec(c["tau"], c["gamma"], c["delta"]), c["alpha"], constrained_sharpe(m))
-    sol = fixed_point(p)
+    sol = fixed_point(config_problem(LONG_A_STEP))
     assert sol.a_star == pytest.approx(910846.8924410606, rel=1e-9)
     assert math.log(sol.y_star) == pytest.approx(13.6558, abs=1e-4)
+
+
+def test_the_fixed_point_raises_at_its_cap(monkeypatch, power_problem):
+    # table2 takes 3 evaluations
+    monkeypatch.setattr(power, "_FIXED_POINT_CAP", 1)
+    with pytest.raises(NonConvergence, match="^fixed-point iteration hit its cap$"):
+        fixed_point(power_problem)
+
+
+def test_the_y_star_newton_raises_at_its_cap(monkeypatch, power_problem_g1, power_solution_g1):
+    # gamma = 1: c = 0, so the sums run no node Newton, which shares the cap. A
+    # start one away from log y* needs more than one step to pass the step test
+    a, u = power_solution_g1.a_star, math.log(power_solution_g1.y_star) + 1.0
+    assert power._newton_y(power_problem_g1, a, u)[2] == pytest.approx(power_solution_g1.y_star, rel=1e-9)
+    monkeypatch.setattr(power, "_NEWTON_CAP", 1)
+    with pytest.raises(NonConvergence, match=r"^y\* Newton iteration hit its cap$"):
+        power._newton_y(power_problem_g1, a, u)
+
+
+# Known defects: each config is well-posed and should solve inside its a-priori
+# bounds. A strict xfail turns into a failure once the fix lands, and is then un-marked.
+@pytest.mark.xfail(raises=NonConvergence, strict=True, reason="the floor allowance leaves out the rounding of Psi")
+def test_a_residual_at_the_float64_floor_of_a_large_a_star_solves():
+    p = config_problem(STALLED_RESIDUAL)
+    lower, upper = power.fixed_point_bounds(p)
+    assert lower <= fixed_point(p).a_star <= upper
+
+
+@pytest.mark.xfail(raises=QuadratureError, strict=True, reason="the law of Z/B is too wide for the u-grid")
+def test_the_steep_market_solves_at_tau_6():
+    p = config_problem(dict(STEEP, tau=6.0))
+    lower, upper = power.fixed_point_bounds(p)
+    assert lower <= fixed_point(p).a_star <= upper
 
 
 def test_fixed_point_negative_alpha(table_market, table_cone):
@@ -944,6 +990,31 @@ def test_intra_period_start_normalization(power_problem, power_solution):
 def test_intra_period_complementary_slackness(power_problem, power_solution, table_cone):
     _, fractions = intra_period_profile(power_problem, power_solution, 0.5, 1.05)
     assert abs(fractions @ table_cone.pi_tilde_star) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "t, z, error, message",
+    [
+        (-0.1, 1.0, DomainError, "t must lie in [0, tau]"),
+        (TABLE_TAU + 0.1, 1.0, DomainError, "t must lie in [0, tau]"),
+        (0.5, 0.0, DomainError, "deflator level z must be positive"),
+        (0.5, -1.0, DomainError, "deflator level z must be positive"),
+        # y* = 1.71, so y* z overflows
+        (0.5, 1.5e308, NonFinite, "y* z leaves the float64 range at z = 1.5e+308"),
+    ],
+)
+def test_intra_period_profile_errors(power_problem, power_solution, t, z, error, message):
+    with pytest.raises(error) as raised:
+        intra_period_profile(power_problem, power_solution, t, z)
+    assert str(raised.value) == message
+
+
+def test_negative_feedback_fractions_raise(table_cone):
+    # table2's (sigma^T)^-1 xi_tilde is (0, 0.48): a scale of -2e-6 stays within
+    # the 1e-6 tolerance, and -1 does not
+    assert power._feedback_fractions(table_cone, -2e-6)[1] == pytest.approx(-9.6e-7)
+    with pytest.raises(NumericalFault, match="negative beyond tolerance"):
+        power._feedback_fractions(table_cone, -1.0)
 
 
 def test_intra_period_profile_takes_one_quadrature_call(power_problem, power_solution, count_calls):
