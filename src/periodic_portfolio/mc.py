@@ -28,9 +28,9 @@ range and starts one thread for each of the others (_WORKERS is the number
 of CPUs available at import; numpy's generator, ``ndtri`` and the block
 kernels release the GIL), then joins them: no thread outlives the estimate,
 and the Monte Carlo keeps no pool or other state in the process. With one
-CPU, or one block, no thread is started. Each range
-makes its own kernel, which keeps its scratch arrays from block to block,
-and writes only its own rows of the per-path values. Every row is computed
+CPU, or one block, no thread is started. Each range makes its own kernel,
+which keeps its scratch arrays from block to block, and writes only its own
+rows of the per-path values. Every row is computed
 the same way whatever the block's row count (the marginal inverse's Newton
 stops each cell on its own step test), so every estimate is bit-identical
 for any worker count and any block size. ``ndtri`` is the only scipy
